@@ -5,17 +5,16 @@ from .affinity import AffinityMatrix, AffinityWeights, compute_affinities, softm
 from .association import (
     AssociationProblem,
     AssociationResult,
-    brute_force_oracle,
     hungarian_baseline,
     solve_mip,
 )
-from .config import RunConfig
+from .config import TrackerConfig
 from .evaluation import MotReport, evaluate_sequence, aggregate_reports
 from .geometry import Box3D, bev_iou, diou_affinity, iou_3d
 from .io_formats import Detection, LabelRecord
 from .motion import KalmanConfig, KalmanState, kf_init, kf_predict, kf_update
 from .simgen import ScenarioConfig, generate, scenario_template
-from .tracker import FrameResult, Track, Tracker, TrackerConfig, run_sequence
+from .tracker import FrameResult, Track, Tracker, run_sequence
 
 __version__ = "0.1.0"
 
@@ -31,14 +30,12 @@ __all__ = [
     "KalmanState",
     "LabelRecord",
     "MotReport",
-    "RunConfig",
     "ScenarioConfig",
     "Track",
     "Tracker",
     "TrackerConfig",
     "aggregate_reports",
     "bev_iou",
-    "brute_force_oracle",
     "compute_affinities",
     "diou_affinity",
     "evaluate_sequence",

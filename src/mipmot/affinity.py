@@ -16,7 +16,6 @@ import numpy as np
 
 from . import geometry
 from .geometry import Box3D
-from .motion import KalmanConfig, kf_predict
 
 
 @dataclass(frozen=True)
@@ -57,8 +56,6 @@ class AffinityMatrix:
     appearance: np.ndarray
     motion: np.ndarray
     refined: np.ndarray
-    det_indices: list[int]
-    track_ids: list[int]
     alpha: float
     beta: float
 
@@ -186,18 +183,14 @@ def compute_affinities(
     detections,
     tracks,
     weights: AffinityWeights,
-    kalman_cfg: KalmanConfig | None = None,
-    raw_appearance: np.ndarray | None = None,
     use_dis: bool = True,
     use_iou: bool = True,
 ) -> AffinityMatrix:
     """Build the refined affinity matrix for one frame.
 
-    Tracks carry either a ``predicted_box`` for the current frame or a
-    Kalman state to predict from (``kalman_cfg`` required then); each
-    track is predicted once. Appearance uses ``raw_appearance`` when
-    given, else the embeddings carried by detections and tracks; if any
-    participant lacks an embedding, appearance is disabled for the
+    Every track carries its ``predicted_box`` for the current frame.
+    Appearance uses the embeddings carried by detections and tracks; if
+    any participant lacks an embedding, appearance is disabled for the
     frame (alpha = 0, beta = 1).
     """
     m, n = len(detections), len(tracks)
@@ -207,42 +200,24 @@ def compute_affinities(
             appearance=empty.copy(),
             motion=empty.copy(),
             refined=empty.copy(),
-            det_indices=list(range(m)),
-            track_ids=[t.id for t in tracks],
             alpha=weights.alpha,
             beta=weights.beta,
         )
 
-    predicted = []
-    for t in tracks:
-        box = getattr(t, "predicted_box", None)
-        if box is None:
-            if kalman_cfg is None:
-                raise ValueError("track has no predicted box and no kalman_cfg given")
-            _, box = kf_predict(t.state, kalman_cfg)
-        predicted.append(box)
-
     motion = motion_affinity_matrix(
-        [d.box for d in detections], predicted, use_dis=use_dis, use_iou=use_iou
+        [d.box for d in detections],
+        [t.predicted_box for t in tracks],
+        use_dis=use_dis,
+        use_iou=use_iou,
     )
 
-    if raw_appearance is not None:
-        raw = np.asarray(raw_appearance, dtype=float)
-        if raw.shape != (m, n):
-            raise ValueError(f"raw appearance must be {m}x{n}, got {raw.shape}")
-    else:
-        det_embs = [d.embedding for d in detections]
-        trk_embs = [t.embedding for t in tracks]
-        if any(e is None for e in det_embs) or any(e is None for e in trk_embs):
-            raw = None
-        else:
-            raw = raw_appearance_matrix(det_embs, trk_embs)
-
-    if raw is None or weights.alpha == 0.0:
+    det_embs = [d.embedding for d in detections]
+    trk_embs = [t.embedding for t in tracks]
+    if weights.alpha == 0.0 or any(e is None for e in det_embs + trk_embs):
         appearance = np.zeros((m, n))
         alpha, beta = 0.0, 1.0
     else:
-        appearance = softmax_ranking(raw)
+        appearance = softmax_ranking(raw_appearance_matrix(det_embs, trk_embs))
         alpha, beta = weights.alpha, weights.beta
 
     refined = alpha * appearance + beta * motion
@@ -250,8 +225,6 @@ def compute_affinities(
         appearance=appearance,
         motion=motion,
         refined=refined,
-        det_indices=list(range(m)),
-        track_ids=[t.id for t in tracks],
         alpha=alpha,
         beta=beta,
     )

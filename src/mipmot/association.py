@@ -26,13 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-DEFAULT_W_CLS = 100.0
-DEFAULT_W_AFF = 22.0
-DEFAULT_W_SE = 1.0
-
-ORACLE_MAX_SIZE = 5
-
-
 def _check_unit(name: str, v: np.ndarray):
     if v.size and (not np.all(np.isfinite(v)) or v.min() < 0.0 or v.max() > 1.0):
         raise ValueError(f"{name} must lie in [0, 1]")
@@ -47,9 +40,9 @@ class AssociationProblem:
     x_aff: np.ndarray
     x_se_det: np.ndarray
     x_se_trk: np.ndarray
-    w_cls: float = DEFAULT_W_CLS
-    w_aff: float = DEFAULT_W_AFF
-    w_se: float = DEFAULT_W_SE
+    w_cls: float
+    w_aff: float
+    w_se: float
 
     def __post_init__(self):
         self.x_cls_det = np.atleast_1d(np.asarray(self.x_cls_det, dtype=float))
@@ -74,17 +67,6 @@ class AssociationProblem:
     @property
     def shape(self) -> tuple[int, int]:
         return self.x_cls_det.size, self.x_cls_trk.size
-
-
-@dataclass
-class Costs:
-    """Linear objective coefficients for one problem."""
-
-    c_cls_det: np.ndarray
-    c_cls_trk: np.ndarray
-    c_aff: np.ndarray
-    c_se_det: np.ndarray
-    c_se_trk: np.ndarray
 
 
 @dataclass
@@ -115,18 +97,18 @@ class AssociationResult:
         return bool(ok_det and ok_trk)
 
 
-def build_costs(p: AssociationProblem) -> Costs:
-    """Objective coefficients: selection is a penalty, the rest are gains.
+def objective_coefficients(p: AssociationProblem) -> tuple[np.ndarray, ...]:
+    """Objective coefficients (c_cls_det, c_cls_trk, c_aff, c_se_det, c_se_trk).
 
     c_cls = w_cls * (x_cls - 1) <= 0 discourages selecting uncertain
-    objects; c_aff and c_se are nonnegative rewards.
+    objects; c_aff = w_aff * x_aff and c_se = w_se * x_se are rewards.
     """
-    return Costs(
-        c_cls_det=p.w_cls * (p.x_cls_det - 1.0),
-        c_cls_trk=p.w_cls * (p.x_cls_trk - 1.0),
-        c_aff=p.w_aff * p.x_aff,
-        c_se_det=p.w_se * p.x_se_det,
-        c_se_trk=p.w_se * p.x_se_trk,
+    return (
+        p.w_cls * (p.x_cls_det - 1.0),
+        p.w_cls * (p.x_cls_trk - 1.0),
+        p.w_aff * p.x_aff,
+        p.w_se * p.x_se_det,
+        p.w_se * p.x_se_trk,
     )
 
 
@@ -136,28 +118,29 @@ def build_costs(p: AssociationProblem) -> Costs:
 _TIE_EPS = 1e-12
 
 
-def _result_from_matches(p, c, matches) -> AssociationResult:
+def result_from_matches(p, coefficients, matches) -> AssociationResult:
     """Fill the implied variables for a given match set.
 
     Unmatched nodes take their start/end option exactly when its gain
     c_cls + c_se is nonnegative (up to _TIE_EPS).
     """
+    c_cls_det, c_cls_trk, c_aff, c_se_det, c_se_trk = coefficients
     m, n = p.shape
     y_aff = np.zeros((m, n), dtype=int)
     for d, k in matches:
         y_aff[d, k] = 1
     matched_det = y_aff.sum(axis=1)
     matched_trk = y_aff.sum(axis=0)
-    y_se_det = ((matched_det == 0) & (c.c_cls_det + c.c_se_det >= -_TIE_EPS)).astype(int)
-    y_se_trk = ((matched_trk == 0) & (c.c_cls_trk + c.c_se_trk >= -_TIE_EPS)).astype(int)
+    y_se_det = ((matched_det == 0) & (c_cls_det + c_se_det >= -_TIE_EPS)).astype(int)
+    y_se_trk = ((matched_trk == 0) & (c_cls_trk + c_se_trk >= -_TIE_EPS)).astype(int)
     y_cls_det = matched_det + y_se_det
     y_cls_trk = matched_trk + y_se_trk
     objective = float(
-        c.c_cls_det @ y_cls_det
-        + c.c_cls_trk @ y_cls_trk
-        + np.sum(c.c_aff * y_aff)
-        + c.c_se_det @ y_se_det
-        + c.c_se_trk @ y_se_trk
+        c_cls_det @ y_cls_det
+        + c_cls_trk @ y_cls_trk
+        + np.sum(c_aff * y_aff)
+        + c_se_det @ y_se_det
+        + c_se_trk @ y_se_trk
     )
     return AssociationResult(
         y_cls_det=y_cls_det,
@@ -182,13 +165,14 @@ def solve_mip(p: AssociationProblem) -> AssociationResult:
     carried instead of re-created.
     """
     m, n = p.shape
-    c = build_costs(p)
-    out_det = np.maximum(0.0, c.c_cls_det + c.c_se_det)
-    out_trk = np.maximum(0.0, c.c_cls_trk + c.c_se_trk)
+    coefficients = objective_coefficients(p)
+    c_cls_det, c_cls_trk, c_aff, c_se_det, c_se_trk = coefficients
+    out_det = np.maximum(0.0, c_cls_det + c_se_det)
+    out_trk = np.maximum(0.0, c_cls_trk + c_se_trk)
 
     matches: list[tuple[int, int]] = []
     if m > 0 and n > 0:
-        gain = c.c_cls_det[:, None] + c.c_cls_trk[None, :] + c.c_aff
+        gain = c_cls_det[:, None] + c_cls_trk[None, :] + c_aff
         # Forbidden assignments only need to lose to every feasible one.
         scale = max(
             1.0, float(np.abs(gain).max()), float(out_det.max()), float(out_trk.max())
@@ -216,75 +200,7 @@ def solve_mip(p: AssociationProblem) -> AssociationResult:
                     break
         matches.sort()
 
-    return _result_from_matches(p, c, matches)
-
-
-def brute_force_oracle(p: AssociationProblem) -> AssociationResult:
-    """Exhaustive reference solver for instances up to 5x5.
-
-    Recursively enumerates every match pattern (each detection
-    unmatched or paired with an unused track); for every pattern each
-    unmatched node's two remaining options (unselected, or start/end)
-    are both evaluated and the better kept. Ties on the objective are
-    broken by the lexicographically smallest flattened match matrix.
-    """
-    m, n = p.shape
-    if m > ORACLE_MAX_SIZE or n > ORACLE_MAX_SIZE:
-        raise ValueError(f"oracle limited to {ORACLE_MAX_SIZE}x{ORACLE_MAX_SIZE}")
-    c = build_costs(p)
-
-    gain_start = c.c_cls_det + c.c_se_det
-    gain_end = c.c_cls_trk + c.c_se_trk
-    gain_match = c.c_cls_det[:, None] + c.c_cls_trk[None, :] + c.c_aff
-
-    best_obj = -np.inf
-    best_key: tuple[int, ...] | None = None
-    best_matches: list[tuple[int, int]] = []
-    assignment: list[int] = [-1] * m  # -1 = unmatched, else track index
-
-    def flat_key() -> tuple[int, ...]:
-        bits = [0] * (m * n)
-        for d, k in enumerate(assignment):
-            if k >= 0:
-                bits[d * n + k] = 1
-        return tuple(bits)
-
-    def leaf():
-        nonlocal best_obj, best_key, best_matches
-        used = [k for k in assignment if k >= 0]
-        total = 0.0
-        for d, k in enumerate(assignment):
-            if k >= 0:
-                total += gain_match[d, k]
-            else:
-                total += max(0.0, gain_start[d])  # start vs unselected
-        for k in range(n):
-            if k not in used:
-                total += max(0.0, gain_end[k])  # end vs unselected
-        key = flat_key()
-        if total > best_obj or (total == best_obj and key < best_key):
-            best_obj = total
-            best_key = key
-            best_matches = [(d, k) for d, k in enumerate(assignment) if k >= 0]
-
-    def recurse(d: int, used_mask: int):
-        if d == m:
-            leaf()
-            return
-        assignment[d] = -1
-        recurse(d + 1, used_mask)
-        for k in range(n):
-            if not used_mask & (1 << k):
-                assignment[d] = k
-                recurse(d + 1, used_mask | (1 << k))
-        assignment[d] = -1
-
-    recurse(0, 0)
-    result = _result_from_matches(p, c, best_matches)
-    # Report the independently enumerated optimum, not the value
-    # recomputed from the materialized variables.
-    result.objective = float(best_obj)
-    return result
+    return result_from_matches(p, coefficients, matches)
 
 
 def hungarian_baseline(x_aff, gate: float | None = None) -> list[tuple[int, int]]:

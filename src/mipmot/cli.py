@@ -19,29 +19,24 @@ import time
 from pathlib import Path
 
 from . import evaluation, io_formats, simgen
-from .config import RunConfig
+from .config import ASSOCIATORS, TrackerConfig
 from .geometry import Box3D
 from .tracker import FrameResult, run_sequence
+
+# Config keys that `track` and `sweep` also take as flags: --theta-cls
+# sets theta_cls, and so on. A flag that is not given leaves the value
+# from the config file, or the default.
+OVERRIDES = ("associator", "theta_cls", "beta_over_alpha", "w_cls", "w_aff", "w_se", "ha_gate")
 
 
 class CliError(Exception):
     """User-facing failure: printed to stderr, exit status 1."""
 
 
-def _load_config(path: str | None, args) -> RunConfig:
-    cfg = RunConfig() if path is None else RunConfig.from_file(path)
-    try:
-        return cfg.override(
-            associator=getattr(args, "associator", None),
-            theta_cls=getattr(args, "theta_cls", None),
-            beta_over_alpha=getattr(args, "beta_over_alpha", None),
-            w_cls=getattr(args, "w_cls", None),
-            w_aff=getattr(args, "w_aff", None),
-            w_se=getattr(args, "w_se", None),
-            ha_gate=getattr(args, "ha_gate", None),
-        )
-    except ValueError as e:
-        raise CliError(str(e))
+def _load_config(path: str | None, args) -> TrackerConfig:
+    cfg = TrackerConfig() if path is None else TrackerConfig.from_file(path)
+    given = {name: getattr(args, name) for name in OVERRIDES}
+    return cfg.override(**{name: v for name, v in given.items() if v is not None})
 
 
 def _sequences(directory: Path, suffix: str) -> dict[str, Path]:
@@ -77,7 +72,7 @@ def cmd_track(args) -> int:
         dets = io_formats.read_detections(det_path)
         num_frames = (max(dets) + 1) if dets else 0
         start = time.perf_counter()
-        results = run_sequence(dets, cfg.tracker_config(), num_frames=num_frames)
+        results = run_sequence(dets, cfg, num_frames=num_frames)
         elapsed = time.perf_counter() - start
         io_formats.write_kitti_tracking(
             results, output_dir / f"{name}.txt", object_type=cfg.object_type
@@ -175,17 +170,14 @@ def cmd_sweep(args) -> int:
         grid = json.load(f)
     if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
         raise CliError("grid file must map config keys to value lists")
-    unknown = set(grid) - RunConfig.field_names()
-    if unknown:
-        raise CliError(f"unknown grid keys: {sorted(unknown)}")
 
     keys = sorted(grid)
+    # Build every config first, so a bad grid value fails before any run.
+    combos = list(itertools.product(*(grid[k] for k in keys)))
+    configs = [base.override(**dict(zip(keys, combo))) for combo in combos]
     rows = []
-    for combo in itertools.product(*(grid[k] for k in keys)):
-        cfg = base.override(**dict(zip(keys, combo)))
-        results = run_sequence(
-            dets_by_frame, cfg.tracker_config(), num_frames=scenario.num_frames
-        )
+    for combo, cfg in zip(combos, configs):
+        results = run_sequence(dets_by_frame, cfg, num_frames=scenario.num_frames)
         report = evaluation.evaluate_sequence(
             gt, results_to_frames(results), cfg.eval_iou_threshold
         )
@@ -209,13 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_overrides(p):
-        p.add_argument("--associator", choices=["mip", "hungarian"])
-        p.add_argument("--theta-cls", dest="theta_cls", type=float)
-        p.add_argument("--beta-over-alpha", dest="beta_over_alpha", type=float)
-        p.add_argument("--w-cls", dest="w_cls", type=float)
-        p.add_argument("--w-aff", dest="w_aff", type=float)
-        p.add_argument("--w-se", dest="w_se", type=float)
-        p.add_argument("--ha-gate", dest="ha_gate", type=float)
+        for name in OVERRIDES:
+            flag = "--" + name.replace("_", "-")
+            if name == "associator":
+                p.add_argument(flag, choices=ASSOCIATORS)
+            else:
+                p.add_argument(flag, dest=name, type=float)
 
     p_track = sub.add_parser("track", help="run the tracker over sequences")
     p_track.add_argument("--config")
@@ -227,7 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="score results against labels")
     p_eval.add_argument("--results-dir", required=True)
     p_eval.add_argument("--labels-dir", required=True)
-    p_eval.add_argument("--iou-threshold", type=float, default=0.5)
+    p_eval.add_argument(
+        "--iou-threshold", type=float, default=evaluation.DEFAULT_IOU_THRESHOLD
+    )
     p_eval.add_argument("--json-out")
     p_eval.set_defaults(func=cmd_eval)
 

@@ -159,19 +159,32 @@ def read_detections(path) -> dict[int, list[Detection]]:
     """Read a detection file into {frame: [detections]}.
 
     Frames are returned in ascending order; the in-file order within a
-    frame is preserved.
+    frame is preserved. Every embedding in a file has the same size,
+    since tracks compare embeddings across frames.
     """
     path = os.fspath(path)
     records = []
+    first_embedding = None  # (size, line number)
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
             if stripped[0] == "{":
-                records.append(_parse_detection_json(stripped, path, lineno))
+                rec = _parse_detection_json(stripped, path, lineno)
             else:
-                records.append(_parse_detection_text(stripped, path, lineno))
+                rec = _parse_detection_text(stripped, path, lineno)
+            if rec.embedding is not None:
+                if first_embedding is None:
+                    first_embedding = (rec.embedding.size, lineno)
+                elif rec.embedding.size != first_embedding[0]:
+                    _fail(
+                        path,
+                        lineno,
+                        f"embedding has {rec.embedding.size} values, "
+                        f"line {first_embedding[1]} has {first_embedding[0]}",
+                    )
+            records.append(rec)
     by_frame: dict[int, list[Detection]] = {}
     for rec in records:
         by_frame.setdefault(rec.frame, []).append(rec)

@@ -22,19 +22,14 @@ DEFAULT_P0_DIAG = (1.0, 1.0, 1.0, 0.1, 0.1, 0.1, 0.1, 10.0, 10.0, 10.0)
 DEFAULT_R_DIAG = (0.5, 0.5, 0.5, 0.05, 0.05, 0.05, 0.05)
 DEFAULT_Q_SCALE = 0.01
 
+# Constant-velocity transition: position advances by one frame of velocity.
+A = np.eye(STATE_DIM)
+A[0, 7] = A[1, 8] = A[2, 9] = 1.0
+A.setflags(write=False)
 
-def make_transition() -> np.ndarray:
-    """Constant-velocity transition: position advances by one frame of velocity."""
-    A = np.eye(STATE_DIM)
-    A[0, 7] = A[1, 8] = A[2, 9] = 1.0
-    return A
-
-
-def make_measurement() -> np.ndarray:
-    """Measurement matrix selecting (x, y, z, l, w, h, a)."""
-    H = np.zeros((MEAS_DIM, STATE_DIM))
-    H[np.arange(MEAS_DIM), np.arange(MEAS_DIM)] = 1.0
-    return H
+# Measurement matrix selecting (x, y, z, l, w, h, a).
+H = np.eye(MEAS_DIM, STATE_DIM)
+H.setflags(write=False)
 
 
 def _check_spd_like(name: str, m: np.ndarray, dim: int) -> np.ndarray:
@@ -50,22 +45,14 @@ def _check_spd_like(name: str, m: np.ndarray, dim: int) -> np.ndarray:
 
 @dataclass
 class KalmanConfig:
-    """Filter matrices. Defaults follow a one-frame constant-velocity model
-    with large initial velocity variance (the initial velocity is unknown)."""
+    """Noise covariances of the constant-velocity model. The default
+    initial velocity variance is large: the initial velocity is unknown."""
 
-    A: np.ndarray = field(default_factory=make_transition)
-    H: np.ndarray = field(default_factory=make_measurement)
     R: np.ndarray = field(default_factory=lambda: np.diag(DEFAULT_R_DIAG))
     Q: np.ndarray = field(default_factory=lambda: DEFAULT_Q_SCALE * np.eye(STATE_DIM))
     P0: np.ndarray = field(default_factory=lambda: np.diag(DEFAULT_P0_DIAG))
 
     def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=float)
-        self.H = np.asarray(self.H, dtype=float)
-        if self.A.shape != (STATE_DIM, STATE_DIM):
-            raise ValueError(f"A must be {STATE_DIM}x{STATE_DIM}")
-        if self.H.shape != (MEAS_DIM, STATE_DIM):
-            raise ValueError(f"H must be {MEAS_DIM}x{STATE_DIM}")
         self.R = _check_spd_like("R", self.R, MEAS_DIM)
         self.Q = _check_spd_like("Q", self.Q, STATE_DIM)
         self.P0 = _check_spd_like("P0", self.P0, STATE_DIM)
@@ -108,8 +95,8 @@ def kf_init(box: Box3D, cfg: KalmanConfig) -> KalmanState:
 
 def kf_predict(s: KalmanState, cfg: KalmanConfig) -> tuple[KalmanState, Box3D]:
     """One-frame prediction; the returned box is the predicted pose/size."""
-    mean = cfg.A @ s.mean
-    cov = cfg.A @ s.cov @ cfg.A.T + cfg.Q
+    mean = A @ s.mean
+    cov = A @ s.cov @ A.T + cfg.Q
     out = KalmanState(mean=mean, cov=0.5 * (cov + cov.T))
     return out, out.box()
 
@@ -125,11 +112,11 @@ def kf_update(s: KalmanState, observation, cfg: KalmanConfig) -> KalmanState:
     obs = np.asarray(observation, dtype=float)
     if obs.shape != (MEAS_DIM,):
         raise ValueError(f"observation must have shape ({MEAS_DIM},)")
-    innovation = obs - cfg.H @ s.mean
+    innovation = obs - H @ s.mean
     innovation[HEADING_IDX] = wrap_angle(innovation[HEADING_IDX])
-    S = cfg.H @ s.cov @ cfg.H.T + cfg.R
+    S = H @ s.cov @ H.T + cfg.R
     # K = P H^T S^-1; S is symmetric so solve once instead of inverting.
-    K = np.linalg.solve(S, cfg.H @ s.cov).T
+    K = np.linalg.solve(S, H @ s.cov).T
     mean = s.mean + K @ innovation
-    cov = (np.eye(STATE_DIM) - K @ cfg.H) @ s.cov
+    cov = (np.eye(STATE_DIM) - K @ H) @ s.cov
     return KalmanState(mean=mean, cov=0.5 * (cov + cov.T))

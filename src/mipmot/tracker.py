@@ -13,18 +13,14 @@ dropped once their consecutive misses exceed the miss threshold.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .affinity import AffinityWeights, compute_affinities
-from .association import (
-    AssociationProblem,
-    AssociationResult,
-    hungarian_baseline,
-    solve_mip,
-)
+from .association import AssociationProblem, hungarian_baseline, solve_mip
+from .config import TrackerConfig
 from .geometry import Box3D
 from .io_formats import Detection
 from .motion import KalmanConfig, KalmanState, kf_init, kf_predict, kf_update
@@ -58,42 +54,17 @@ class FrameResult:
     tracks: list[tuple[int, Box3D, float]]
 
 
-@dataclass
-class TrackerConfig:
-    theta_cls: float = 0.85
-    theta_hit: int = 0
-    theta_miss: int = 2
-    default_start_prob: float = 0.5
-    default_end_prob: float = 0.5
-    weights: AffinityWeights = field(default_factory=AffinityWeights)
-    use_dis: bool = True
-    use_iou: bool = True
-    w_cls: float = 100.0
-    w_aff: float = 22.0
-    w_se: float = 1.0
-    associator: str = "mip"  # "mip" | "hungarian"
-    ha_gate: Optional[float] = None
-    # 0 carries the last associated detection confidence; > 0 blends it
-    # with the track's previous confidence (exponential smoothing).
-    confidence_smoothing: float = 0.0
-    kalman: KalmanConfig = field(default_factory=KalmanConfig)
-
-    def __post_init__(self):
-        if self.associator not in ("mip", "hungarian"):
-            raise ValueError(f"unknown associator: {self.associator!r}")
-        if not 0.0 <= self.theta_cls <= 1.0:
-            raise ValueError("theta_cls must be in [0, 1]")
-        if not 0.0 <= self.confidence_smoothing < 1.0:
-            raise ValueError("confidence_smoothing must be in [0, 1)")
-        if self.theta_hit < 0 or self.theta_miss < 0:
-            raise ValueError("thresholds must be nonnegative")
-
-
 class Tracker:
     """Single-sequence online tracker. Frames must arrive in order."""
 
     def __init__(self, config: TrackerConfig | None = None):
-        self.config = config or TrackerConfig()
+        self.config = cfg = config or TrackerConfig()
+        self.weights = AffinityWeights.from_ratio(cfg.beta_over_alpha)
+        self.kalman = KalmanConfig.from_diagonals(
+            p0_diag=cfg.kalman_p0_diag,
+            r_diag=cfg.kalman_r_diag,
+            q_scale=cfg.kalman_q_scale,
+        )
         self.tracks: list[Track] = []
         self._next_id = 1
         self._last_frame: Optional[int] = None
@@ -101,7 +72,7 @@ class Tracker:
     def _new_track(self, det: Detection, status: TrackStatus, misses: int) -> Track:
         track = Track(
             id=self._next_id,
-            state=kf_init(det.box, self.config.kalman),
+            state=kf_init(det.box, self.kalman),
             last_box=det.box,
             embedding=det.embedding,
             confidence=det.score,
@@ -112,34 +83,24 @@ class Tracker:
         self._next_id += 1
         return track
 
-    def _associate(self, detections: list[Detection]) -> AssociationResult:
+    def _associate(
+        self, detections: list[Detection]
+    ) -> tuple[list[tuple[int, int]], np.ndarray]:
+        """Matched (detection, track) pairs and, for the unmatched
+        detections, whether each starts a confirmed track."""
         cfg = self.config
         aff = compute_affinities(
             detections,
             self.tracks,
-            cfg.weights,
-            kalman_cfg=cfg.kalman,
+            self.weights,
             use_dis=cfg.use_dis,
             use_iou=cfg.use_iou,
         )
-        m, n = aff.refined.shape
         if cfg.associator == "hungarian":
             # The baseline trusts all inputs: matched pairs keep ids,
             # everything left over starts or ends unconditionally.
-            pairs = hungarian_baseline(aff.refined, gate=cfg.ha_gate)
-            y_aff = np.zeros((m, n), dtype=int)
-            for d, k in pairs:
-                y_aff[d, k] = 1
-            y_se_det = (y_aff.sum(axis=1) == 0).astype(int)
-            y_se_trk = (y_aff.sum(axis=0) == 0).astype(int)
-            return AssociationResult(
-                y_cls_det=np.ones(m, dtype=int),
-                y_cls_trk=np.ones(n, dtype=int),
-                y_aff=y_aff,
-                y_se_det=y_se_det,
-                y_se_trk=y_se_trk,
-                objective=0.0,
-            )
+            matches = hungarian_baseline(aff.refined, gate=cfg.ha_gate)
+            return matches, np.ones(len(detections), dtype=bool)
         problem = AssociationProblem(
             x_cls_det=np.array([d.score for d in detections]),
             x_cls_trk=np.array([t.confidence for t in self.tracks]),
@@ -150,12 +111,13 @@ class Tracker:
                     for d in detections
                 ]
             ),
-            x_se_trk=np.full(n, cfg.default_end_prob),
+            x_se_trk=np.full(len(self.tracks), cfg.default_end_prob),
             w_cls=cfg.w_cls,
             w_aff=cfg.w_aff,
             w_se=cfg.w_se,
         )
-        return solve_mip(problem)
+        result = solve_mip(problem)
+        return result.matches, result.y_se_det.astype(bool)
 
     def step(self, frame: int, detections: list[Detection]) -> FrameResult:
         """Process one frame and return its confirmed associated tracks."""
@@ -169,17 +131,17 @@ class Tracker:
         detections = [d for d in detections if d.score >= cfg.theta_cls]
 
         for track in self.tracks:
-            track.state, track.predicted_box = kf_predict(track.state, cfg.kalman)
+            track.state, track.predicted_box = kf_predict(track.state, self.kalman)
 
-        assoc = self._associate(detections)
+        matches, starts = self._associate(detections)
 
         emitted: list[Track] = []
         matched_tracks = set()
-        for d, k in assoc.matches:
+        for d, k in matches:
             det = detections[d]
             track = self.tracks[k]
             matched_tracks.add(k)
-            track.state = kf_update(track.state, det.box.to_array(), cfg.kalman)
+            track.state = kf_update(track.state, det.box.to_array(), self.kalman)
             track.last_box = track.state.box()
             g = cfg.confidence_smoothing
             track.confidence = g * track.confidence + (1.0 - g) * det.score
@@ -200,16 +162,16 @@ class Tracker:
                 track.hits = 0
                 track.last_box = track.predicted_box
 
-        matched_dets = {d for d, _ in assoc.matches}
+        matched_dets = {d for d, _ in matches}
         for d, det in enumerate(detections):
             if d in matched_dets:
                 continue
-            if assoc.y_se_det[d]:
+            if starts[d]:
                 track = self._new_track(det, TrackStatus.CONFIRMED, misses=0)
                 self.tracks.append(track)
                 emitted.append(track)
         for d, det in enumerate(detections):
-            if d not in matched_dets and not assoc.y_se_det[d]:
+            if d not in matched_dets and not starts[d]:
                 self.tracks.append(self._new_track(det, TrackStatus.TENTATIVE, misses=1))
 
         self.tracks = [t for t in self.tracks if t.misses <= cfg.theta_miss]

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from scipy.special import softmax
 
+from mip_oracle import brute_force_oracle
 from mipmot.affinity import AffinityWeights, compute_affinities, softmax_ranking
-from mipmot.association import AssociationProblem, brute_force_oracle, solve_mip
+from mipmot.association import AssociationProblem, solve_mip
 from mipmot.cli import labels_to_frames, results_to_frames
 from mipmot.evaluation import evaluate_sequence
 from mipmot.geometry import Box3D, convex_polygon_intersection_area, diou_affinity, iou_3d
@@ -153,20 +154,23 @@ def test_criterion_3_affinity_bounds():
             for _ in range(int(rng.integers(1, 6)))
         ]
         cfg = KalmanConfig()
-        tracks = [
-            Track(
-                id=i,
-                state=kf_init(random_box(rng, 8.0), cfg),
-                last_box=None,
-                embedding=rng.normal(size=8),
-                confidence=1.0,
-                hits=1,
-                misses=0,
-                status=TrackStatus.CONFIRMED,
+        tracks = []
+        for i in range(int(rng.integers(1, 6))):
+            state, predicted_box = kf_predict(kf_init(random_box(rng, 8.0), cfg), cfg)
+            tracks.append(
+                Track(
+                    id=i,
+                    state=state,
+                    last_box=None,
+                    embedding=rng.normal(size=8),
+                    confidence=1.0,
+                    hits=1,
+                    misses=0,
+                    status=TrackStatus.CONFIRMED,
+                    predicted_box=predicted_box,
+                )
             )
-            for i in range(int(rng.integers(1, 6)))
-        ]
-        out = compute_affinities(dets, tracks, weights, kalman_cfg=cfg)
+        out = compute_affinities(dets, tracks, weights)
         refined_ok = refined_ok and bool(
             np.all(out.refined >= 0.0) and np.all(out.refined <= bound + 1e-12)
         )
@@ -208,9 +212,10 @@ def test_criterion_5_mip_beats_hungarian():
 def test_criterion_6_affinity_ablation():
     cfg = scenario_template("crossing")
     variants = {
-        "APP": TrackerConfig(weights=AffinityWeights(alpha=1.0, beta=0.0)),
-        "DIS": TrackerConfig(weights=AffinityWeights.motion_only(), use_iou=False),
-        "IOU": TrackerConfig(weights=AffinityWeights.motion_only(), use_dis=False),
+        # ratio 0 gives alpha = 1, beta = 0; infinity gives alpha = 0, beta = 1
+        "APP": TrackerConfig(beta_over_alpha=0.0),
+        "DIS": TrackerConfig(beta_over_alpha=math.inf, use_iou=False),
+        "IOU": TrackerConfig(beta_over_alpha=math.inf, use_dis=False),
         "ALL": TrackerConfig(),
     }
     idsw = {name: track_scenario(cfg, tc).idsw for name, tc in variants.items()}

@@ -191,14 +191,21 @@ class TestComputeAffinities:
         np.testing.assert_array_equal(out.refined, out.motion)
 
     def test_precomputed_raw_appearance(self):
-        box = Box3D(0, 0, 0, 4, 2, 1.5, 0)
-        det = make_det(box)
-        track = make_track(1, box)
-        out = compute_affinities(
-            [det], [track], AffinityWeights(), raw_appearance=np.array([[0.0]])
-        )
-        assert out.appearance[0, 0] == pytest.approx(1.0)
-        assert out.refined[0, 0] == pytest.approx(21.0 / 11.0, abs=1e-9)
+        # appearance is the ranked raw matrix of the carried embeddings
+        rng = np.random.default_rng(79)
+        dets = [
+            make_det(Box3D(*rng.uniform(-5, 5, 3), 4, 2, 1.5, 0), embedding=rng.normal(size=4))
+            for _ in range(2)
+        ]
+        tracks = [
+            make_track(i, Box3D(*rng.uniform(-5, 5, 3), 4, 2, 1.5, 0), embedding=rng.normal(size=4))
+            for i in range(3)
+        ]
+        w = AffinityWeights()
+        out = compute_affinities(dets, tracks, w)
+        raw = raw_appearance_matrix([d.embedding for d in dets], [t.embedding for t in tracks])
+        np.testing.assert_array_equal(out.appearance, softmax_ranking(raw))
+        np.testing.assert_array_equal(out.refined, w.alpha * out.appearance + w.beta * out.motion)
 
     def test_empty_inputs(self):
         out = compute_affinities([], [], AffinityWeights())

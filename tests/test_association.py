@@ -3,11 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+from mip_oracle import brute_force_oracle
 from mipmot.association import (
     AssociationProblem,
-    build_costs,
-    brute_force_oracle,
     hungarian_baseline,
+    objective_coefficients,
     solve_mip,
 )
 
@@ -42,20 +42,20 @@ def random_problem(rng, max_size=4):
 class TestBuildCosts:
     def test_certain_object_has_no_penalty(self):
         p = problem([1.0], [], np.zeros((1, 0)))
-        assert build_costs(p).c_cls_det[0] == 0.0
+        assert objective_coefficients(p)[0][0] == 0.0
 
     def test_paper_threshold_penalty(self):
         p = problem([0.85], [], np.zeros((1, 0)))
-        assert build_costs(p).c_cls_det[0] == pytest.approx(-15.0)
+        assert objective_coefficients(p)[0][0] == pytest.approx(-15.0)
 
     def test_affinity_reward_composition(self):
         # refined affinity of a perfect coincident pair is 21/11
         p = problem([1.0], [1.0], [[21.0 / 11.0]])
-        assert build_costs(p).c_aff[0, 0] == pytest.approx(42.0)
+        assert objective_coefficients(p)[2][0, 0] == pytest.approx(42.0)
 
     def test_start_reward(self):
         p = problem([0.9], [], np.zeros((1, 0)), x_se_det=[0.5])
-        assert build_costs(p).c_se_det[0] == pytest.approx(0.5)
+        assert objective_coefficients(p)[3][0] == pytest.approx(0.5)
 
 
 class TestSolveMip:
@@ -176,6 +176,7 @@ class TestOracle:
             x_aff=rng.uniform(0, 2, (6, 2)),
             x_se_det=rng.uniform(0, 1, 6),
             x_se_trk=rng.uniform(0, 1, 2),
+            **PAPER,
         )
         with pytest.raises(ValueError):
             brute_force_oracle(p)

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from mipmot.cli import main
-from mipmot.config import RunConfig
+from mipmot.config import TrackerConfig
 
 
 def run(capsys, *argv):
@@ -108,10 +108,35 @@ class TestTrack:
         assert "theta_clss" in err
 
     def test_config_round_trip(self, tmp_path):
-        cfg = RunConfig(theta_cls=0.9, associator="hungarian")
+        cfg = TrackerConfig(theta_cls=0.9, associator="hungarian", kalman_q_scale=0.5)
         path = tmp_path / "cfg.json"
         cfg.save(path)
-        assert RunConfig.from_file(path) == cfg
+        assert TrackerConfig.from_file(path) == cfg
+
+    def test_bad_config_value_named(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"theta_miss": "2"}))
+        simulate(capsys, tmp_path / "seqs", name="seq0")
+        code, _, err = run(
+            capsys, "track", "--config", str(cfg),
+            "--input-dir", str(tmp_path / "seqs"), "--output-dir", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert err.startswith("error:") and "theta_miss" in err
+
+    def test_int_accepted_for_float(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"w_cls": 100, "beta_over_alpha": 10}))
+        simulate(capsys, tmp_path / "seqs", template="clutter", name="s")
+        for out, extra in (("o1", []), ("o2", ["--config", str(cfg)])):
+            code, _, err = run(
+                capsys, "track", *extra,
+                "--input-dir", str(tmp_path / "seqs"), "--output-dir", str(tmp_path / out),
+            )
+            assert code == 0, err
+        assert (tmp_path / "o1" / "s.txt").read_bytes() == (
+            tmp_path / "o2" / "s.txt"
+        ).read_bytes()
 
 
 class TestEval:
@@ -200,6 +225,30 @@ class TestSweep:
         assert code == 0, err
         rows = list(csv.DictReader(out_csv.open()))
         assert [r["beta_over_alpha"] for r in rows] == ["1.0", "10.0"]
+
+    def test_null_grid_value_overrides_base(self, tmp_path, capsys):
+        base = tmp_path / "cfg.json"
+        base.write_text(json.dumps({"associator": "hungarian", "ha_gate": 0.3}))
+        grid = self._grid(tmp_path, {"ha_gate": [None, 0.3]})
+        out_csv = tmp_path / "metrics.csv"
+        code, _, err = run(
+            capsys, "sweep", "--config", str(base), "--template", "clutter", "--seed", "1",
+            "--grid", str(grid), "--output", str(out_csv),
+        )
+        assert code == 0, err
+        rows = {r.pop("ha_gate"): r for r in csv.DictReader(out_csv.open())}
+        # the null row runs without a gate, as a run with no gate anywhere
+        ungated_csv = tmp_path / "ungated.csv"
+        code, _, err = run(
+            capsys, "sweep", "--associator", "hungarian", "--template", "clutter",
+            "--seed", "1", "--grid", str(self._grid(tmp_path, {"w_cls": [100.0]})),
+            "--output", str(ungated_csv),
+        )
+        assert code == 0, err
+        (ungated,) = csv.DictReader(ungated_csv.open())
+        del ungated["w_cls"]
+        assert rows[""] == ungated
+        assert rows[""] != rows["0.3"]
 
     def test_unknown_grid_key(self, tmp_path, capsys):
         grid = self._grid(tmp_path, {"w_clss": [1.0]})

@@ -119,6 +119,16 @@ class TestDetectionFiles:
         with pytest.raises(FormatError, match="oops"):
             read_detections(path)
 
+    def test_rejects_embedding_size_change(self, tmp_path):
+        path = tmp_path / "dims.txt"
+        path.write_text(
+            "0 1 2 3 4 2 1.5 0.1 0.9 [1 2 3 4]\n"
+            "0 5 2 3 4 2 1.5 0.1 0.9\n"
+            "1 1 2 3 4 2 1.5 0.1 0.9 [1 2 3]\n"
+        )
+        with pytest.raises(FormatError, match=r"dims\.txt:3: .*3 values, line 1 has 4"):
+            read_detections(path)
+
     def test_score_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             Detection(frame=0, box=Box3D(0, 0, 0, 1, 1, 1, 0), score=1.5)

@@ -5,13 +5,13 @@ import pytest
 
 from mipmot.geometry import Box3D
 from mipmot.motion import (
+    A,
     KalmanConfig,
     KalmanState,
     STATE_DIM,
     kf_init,
     kf_predict,
     kf_update,
-    make_transition,
 )
 
 
@@ -22,7 +22,6 @@ def random_psd(rng, n):
 
 class TestConfig:
     def test_transition_structure(self):
-        A = make_transition()
         expected = np.eye(STATE_DIM)
         expected[0, 7] = expected[1, 8] = expected[2, 9] = 1.0
         np.testing.assert_array_equal(A, expected)
@@ -87,7 +86,7 @@ class TestPredict:
             P = random_psd(rng, STATE_DIM)
             state = KalmanState(mean=np.zeros(STATE_DIM), cov=P)
             predicted, _ = kf_predict(state, cfg)
-            expected = cfg.A @ P @ cfg.A.T + cfg.Q
+            expected = A @ P @ A.T + cfg.Q
             np.testing.assert_allclose(predicted.cov, expected, atol=1e-12)
 
     def test_mean_linearity(self):
