@@ -9,10 +9,10 @@ with alpha + beta = 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from . import geometry
 from .geometry import Box3D
@@ -33,16 +33,12 @@ class AffinityWeights:
 
     @classmethod
     def from_ratio(cls, beta_over_alpha: float) -> "AffinityWeights":
-        """Weights with beta = r * alpha; r = 0 disables motion, inf-like
-        ratios approach motion-only fusion."""
+        """Weights with beta = r * alpha; r = 0 disables motion, r = inf
+        disables appearance."""
         if beta_over_alpha < 0:
             raise ValueError("ratio must be nonnegative")
         alpha = 1.0 / (1.0 + beta_over_alpha)
         return cls(alpha=alpha, beta=1.0 - alpha)
-
-    @classmethod
-    def motion_only(cls) -> "AffinityWeights":
-        return cls(alpha=0.0, beta=1.0)
 
 
 @dataclass
@@ -78,7 +74,7 @@ def raw_appearance_matrix(det_embeddings, track_embeddings) -> np.ndarray:
     t = np.asarray(track_embeddings, dtype=float)
     if d.ndim != 2 or t.ndim != 2 or d.shape[1] != t.shape[1]:
         raise ValueError(f"incompatible embedding arrays: {d.shape} vs {t.shape}")
-    return -np.mean(np.abs(d[:, None, :] - t[None, :, :]), axis=2)
+    return -cdist(d, t, "cityblock") / d.shape[1]
 
 
 def softmax_ranking(raw) -> np.ndarray:
@@ -102,28 +98,15 @@ def softmax_ranking(raw) -> np.ndarray:
 
 def _box_table(boxes: list[Box3D]):
     """Per-box quantities reused across all pairings."""
-    n = len(boxes)
-    centers = np.empty((n, 3))
-    z_lo = np.empty(n)
-    z_hi = np.empty(n)
-    volumes = np.empty(n)
-    radii = np.empty(n)
-    aabb_min = np.empty((n, 3))
-    aabb_max = np.empty((n, 3))
-    polygons = []
-    for i, b in enumerate(boxes):
-        centers[i] = (b.x, b.y, b.z)
-        z_lo[i] = b.z - 0.5 * b.h
-        z_hi[i] = b.z + 0.5 * b.h
-        volumes[i] = b.volume
-        radii[i] = 0.5 * math.hypot(b.l, b.w)
-        corners = geometry.bev_corners(b)
-        polygons.append([tuple(v) for v in corners])
-        aabb_min[i, :2] = corners.min(axis=0)
-        aabb_max[i, :2] = corners.max(axis=0)
-        aabb_min[i, 2] = z_lo[i]
-        aabb_max[i, 2] = z_hi[i]
-    return centers, z_lo, z_hi, volumes, radii, aabb_min, aabb_max, polygons
+    arr = np.array([(b.x, b.y, b.z, b.l, b.w, b.h, b.a) for b in boxes])
+    z_lo = arr[:, 2] - 0.5 * arr[:, 5]
+    z_hi = arr[:, 2] + 0.5 * arr[:, 5]
+    volumes = arr[:, 3] * arr[:, 4] * arr[:, 5]
+    radii = 0.5 * np.hypot(arr[:, 3], arr[:, 4])
+    corners = geometry.bev_corners_array(arr)
+    aabb_min = np.column_stack((corners.min(axis=1), z_lo))
+    aabb_max = np.column_stack((corners.max(axis=1), z_hi))
+    return arr, z_lo, z_hi, volumes, radii, aabb_min, aabb_max
 
 
 def motion_affinity_matrix(
@@ -136,19 +119,19 @@ def motion_affinity_matrix(
 
     With both terms enabled this is the distance-IoU affinity in
     [0, 2]; the flags exist for ablations. Equivalent to calling the
-    scalar geometry functions per pair, but batched: the polygon clip
-    only runs for pairs whose footprint circumcircles overlap.
+    scalar geometry functions per pair, but batched: the overlap kernel
+    runs once, on the pairs whose footprint circumcircles overlap.
     """
     if not (use_dis or use_iou):
         raise ValueError("at least one motion term must be enabled")
     m, n = len(det_boxes), len(predicted_boxes)
     if m == 0 or n == 0:
         return np.zeros((m, n))
-    (d_ctr, d_lo, d_hi, d_vol, d_rad, d_min, d_max, d_poly) = _box_table(det_boxes)
-    (t_ctr, t_lo, t_hi, t_vol, t_rad, t_min, t_max, t_poly) = _box_table(predicted_boxes)
+    (d_arr, d_lo, d_hi, d_vol, d_rad, d_min, d_max) = _box_table(det_boxes)
+    (t_arr, t_lo, t_hi, t_vol, t_rad, t_min, t_max) = _box_table(predicted_boxes)
 
     out = np.zeros((m, n))
-    diff = d_ctr[:, None, :] - t_ctr[None, :, :]
+    diff = d_arr[:, None, :3] - t_arr[None, :, :3]
     dist = np.sqrt(np.sum(diff * diff, axis=2))
     if use_dis:
         span = np.maximum(d_max[:, None, :], t_max[None, :, :]) - np.minimum(
@@ -163,19 +146,12 @@ def motion_affinity_matrix(
             d_lo[:, None], t_lo[None, :]
         )
         dxy = np.sqrt(diff[:, :, 0] ** 2 + diff[:, :, 1] ** 2)
-        candidates = (dz > 0.0) & (dxy <= d_rad[:, None] + t_rad[None, :])
-        iou = np.zeros((m, n))
-        for i, j in zip(*np.nonzero(candidates)):
-            area = geometry.polygon_area(
-                geometry._clip_polygon(d_poly[i], t_poly[j])
-            )
-            if area < geometry.EPS:
-                continue
-            inter = area * dz[i, j]
-            union = d_vol[i] + t_vol[j] - inter
-            if union > geometry.EPS:
-                iou[i, j] = min(1.0, max(0.0, inter / union))
-        out += iou
+        i, j = np.nonzero((dz > 0.0) & (dxy <= d_rad[:, None] + t_rad[None, :]))
+        inter = geometry.bev_intersection_areas(d_arr[i], t_arr[j]) * dz[i, j]
+        union = d_vol[i] + t_vol[j] - inter
+        with np.errstate(divide="ignore", invalid="ignore"):
+            iou = np.minimum(1.0, np.maximum(0.0, inter / union))
+        out[i, j] += np.where(union > geometry.EPS, iou, 0.0)
     return out
 
 

@@ -182,9 +182,9 @@ def cmd_sweep(args) -> int:
             gt, results_to_frames(results), cfg.eval_iou_threshold
         )
         metrics = report.as_dict()
-        rows.append(
-            list(combo) + [metrics[m.upper()] for m in SWEEP_METRICS]
-        )
+        # csv writes None as an empty cell; a null grid value reads "null"
+        labels = ["null" if v is None else v for v in combo]
+        rows.append(labels + [metrics[m.upper()] for m in SWEEP_METRICS])
 
     with open(args.output, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)

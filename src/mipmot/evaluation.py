@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import Box3D, bev_iou
+from .geometry import Box3D, bev_iou_matrix
+from .geometry import bev_iou  # noqa: F401  (one of this module's public names)
 
 DEFAULT_IOU_THRESHOLD = 0.5
 
@@ -61,36 +62,51 @@ class MotReport:
         }
 
 
+def frame_iou_matrix(
+    gt_boxes: dict[int, Box3D], hyp_boxes: dict[int, Box3D]
+) -> np.ndarray:
+    """BEV IoU of every ground-truth box (rows) against every hypothesis
+    (columns), both in dict order."""
+    return bev_iou_matrix(
+        [b.to_array() for b in gt_boxes.values()],
+        [b.to_array() for b in hyp_boxes.values()],
+    )
+
+
 def match_frame(
     gt_boxes: dict[int, Box3D],
     hyp_boxes: dict[int, Box3D],
     prev_correspondence: dict[int, int],
     iou_threshold: float = DEFAULT_IOU_THRESHOLD,
+    iou: np.ndarray | None = None,
 ) -> dict[int, int]:
     """Match one frame's ground truth to hypotheses, honoring continuity.
 
     Surviving previous pairings are kept when still above the
     threshold; everything else is matched to maximize total IoU, with
-    pairs at or below the threshold rejected. Returns {gt_id: hyp_id}.
+    pairs at or below the threshold rejected. ``iou`` is the frame's
+    ``frame_iou_matrix``, computed here when not given. Returns
+    {gt_id: hyp_id}.
     """
+    if iou is None:
+        iou = frame_iou_matrix(gt_boxes, hyp_boxes)
+    gt_row = {g: i for i, g in enumerate(gt_boxes)}
+    hyp_col = {h: j for j, h in enumerate(hyp_boxes)}
     correspondence: dict[int, int] = {}
     taken_hyps: set[int] = set()
     for gt_id, hyp_id in prev_correspondence.items():
-        if gt_id in gt_boxes and hyp_id in hyp_boxes:
-            if bev_iou(gt_boxes[gt_id], hyp_boxes[hyp_id]) > iou_threshold:
+        if gt_id in gt_row and hyp_id in hyp_col:
+            if iou[gt_row[gt_id], hyp_col[hyp_id]] > iou_threshold:
                 correspondence[gt_id] = hyp_id
                 taken_hyps.add(hyp_id)
 
     free_gt = [g for g in gt_boxes if g not in correspondence]
     free_hyp = [h for h in hyp_boxes if h not in taken_hyps]
     if free_gt and free_hyp:
-        iou = np.zeros((len(free_gt), len(free_hyp)))
-        for i, g in enumerate(free_gt):
-            for j, h in enumerate(free_hyp):
-                iou[i, j] = bev_iou(gt_boxes[g], hyp_boxes[h])
-        rows, cols = linear_sum_assignment(iou, maximize=True)
+        free = iou[np.ix_([gt_row[g] for g in free_gt], [hyp_col[h] for h in free_hyp])]
+        rows, cols = linear_sum_assignment(free, maximize=True)
         for i, j in zip(rows, cols):
-            if iou[i, j] > iou_threshold:
+            if free[i, j] > iou_threshold:
                 correspondence[free_gt[i]] = free_hyp[j]
     return correspondence
 
@@ -120,13 +136,16 @@ class Accumulator:
     _prev: dict[int, int] = field(default_factory=dict)
 
     def update(self, gt_boxes: dict[int, Box3D], hyp_boxes: dict[int, Box3D]):
-        corr = match_frame(gt_boxes, hyp_boxes, self._prev, self.iou_threshold)
+        iou = frame_iou_matrix(gt_boxes, hyp_boxes)
+        corr = match_frame(gt_boxes, hyp_boxes, self._prev, self.iou_threshold, iou)
         self.num_gt_boxes += len(gt_boxes)
         self.fp += len(hyp_boxes) - len(corr)
         self.fn += len(gt_boxes) - len(corr)
         self.tp += len(corr)
+        gt_row = {g: i for i, g in enumerate(gt_boxes)}
+        hyp_col = {h: j for j, h in enumerate(hyp_boxes)}
         for gt_id, hyp_id in corr.items():
-            self.iou_sum += bev_iou(gt_boxes[gt_id], hyp_boxes[hyp_id])
+            self.iou_sum += float(iou[gt_row[gt_id], hyp_col[hyp_id]])
         for gt_id in gt_boxes:
             st = self._tracks.setdefault(gt_id, _GtTrackState())
             st.present += 1

@@ -4,6 +4,8 @@ Boxes are upright cuboids: an (x, y, z) center, (l, w, h) extents and a
 heading angle about the vertical (z) axis. Overlap is computed as a
 rotated-rectangle intersection in the ground plane (bird's-eye view)
 times the vertical interval overlap, which is exact for upright boxes.
+Every overlap goes through one batched kernel, ``bev_intersection_areas``;
+the scalar functions are one-pair calls into it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ import numpy as np
 EPS = 1e-9
 
 _TAU = 2.0 * math.pi
+
+# Signs of (l/2, w/2) at the footprint corners, counter-clockwise.
+_CORNER_SIGNS = np.array([[1.0, -1.0, -1.0, 1.0], [1.0, 1.0, -1.0, -1.0]])
 
 
 def wrap_angle(a: float) -> float:
@@ -81,12 +86,27 @@ def bev_corners(box: Box3D) -> np.ndarray:
 
     The polygon area equals l * w.
     """
-    hl, hw = 0.5 * box.l, 0.5 * box.w
-    c, s = math.cos(box.a), math.sin(box.a)
-    # CCW in the local frame: (+,+), (-,+), (-,-), (+,-)
-    local = np.array([[hl, hw], [-hl, hw], [-hl, -hw], [hl, -hw]])
-    rot = np.array([[c, -s], [s, c]])
-    return local @ rot.T + np.array([box.x, box.y])
+    return bev_corners_array(box.to_array())[0]
+
+
+def bev_corners_array(boxes) -> np.ndarray:
+    """Footprints of an (N, 7) box array as an (N, 4, 2) array.
+
+    Each footprint is ``local @ rot.T + (x, y)``, counter-clockwise from
+    the (+l/2, +w/2) corner in the box frame.
+    """
+    boxes = np.asarray(boxes, dtype=float).reshape(-1, 7)
+    n = len(boxes)
+    local = np.empty((n, 4, 2))
+    local[:, :, 0] = 0.5 * boxes[:, 3:4] * _CORNER_SIGNS[0]
+    local[:, :, 1] = 0.5 * boxes[:, 4:5] * _CORNER_SIGNS[1]
+    c, s = np.cos(boxes[:, 6]), np.sin(boxes[:, 6])
+    rot_t = np.empty((n, 2, 2))
+    rot_t[:, 0, 0] = c
+    rot_t[:, 0, 1] = s
+    rot_t[:, 1, 0] = -s
+    rot_t[:, 1, 1] = c
+    return local @ rot_t + boxes[:, None, :2]
 
 
 def corners_3d(box: Box3D) -> np.ndarray:
@@ -115,64 +135,120 @@ def polygon_area(poly) -> float:
     return 0.5 * acc
 
 
-def _clip_polygon(subject, clipper):
-    """Sutherland-Hodgman clip of `subject` by convex CCW `clipper`.
+def _clip_half_plane(poly, count, a, b):
+    """Clip each row's polygon by the half-plane left of the line a -> b.
 
-    Both polygons are lists of (x, y) tuples; the result is the CCW
-    intersection polygon (possibly empty).
+    ``poly`` is (K, W, 2) with the first ``count[k]`` vertices of row k
+    in use. Each vertex emits the crossing of the edge that ends at it,
+    then itself if inside, and the emitted points are compacted in that
+    order: one Sutherland-Hodgman step, with the scalar clip's
+    arithmetic, for every row at once.
     """
-    output = subject
-    n = len(clipper)
-    for i in range(n):
-        if not output:
-            return []
-        ax, ay = clipper[i]
-        bx, by = clipper[(i + 1) % n]
-        ex, ey = bx - ax, by - ay
-        points, output = output, []
-        prev_x, prev_y = points[-1]
-        prev_in = ex * (prev_y - ay) - ey * (prev_x - ax) >= 0.0
-        for cur_x, cur_y in points:
-            cur_in = ex * (cur_y - ay) - ey * (cur_x - ax) >= 0.0
-            if cur_in != prev_in:
-                # Edge crossing: intersect (prev, cur) with the clip line.
-                dx, dy = cur_x - prev_x, cur_y - prev_y
-                denom = ex * dy - ey * dx
-                if denom != 0.0:
-                    t = (ex * (ay - prev_y) - ey * (ax - prev_x)) / denom
-                    output.append((prev_x + t * dx, prev_y + t * dy))
-            if cur_in:
-                output.append((cur_x, cur_y))
-            prev_x, prev_y, prev_in = cur_x, cur_y, cur_in
-    return output
+    k, width = poly.shape[:2]
+    if width == 0:
+        return poly, count
+    ax, ay = a[:, 0:1], a[:, 1:2]
+    ex, ey = b[:, 0:1] - ax, b[:, 1:2] - ay
+    x, y = poly[..., 0], poly[..., 1]
+    index = np.arange(width)
+    used = index < count[:, None]
+    inside = ex * (y - ay) - ey * (x - ax) >= 0.0
+    # The edge into vertex 0 starts at the row's last vertex.
+    last = (np.arange(k), count - 1)
+    prev_x, prev_y, prev_in = np.empty_like(x), np.empty_like(y), np.empty_like(inside)
+    for prev, cur in ((prev_x, x), (prev_y, y), (prev_in, inside)):
+        prev[:, 0] = cur[last]
+        prev[:, 1:] = cur[:, :-1]
+    dx, dy = x - prev_x, y - prev_y
+    denom = ex * dy - ey * dx
+    points = np.empty((k, width, 2, 2))
+    points[:, :, 1] = poly
+    # Rows without a crossing divide by zero; their points are not emitted.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (ex * (ay - prev_y) - ey * (ax - prev_x)) / denom
+        points[:, :, 0, 0] = prev_x + t * dx
+        points[:, :, 0, 1] = prev_y + t * dy
+    emit = np.empty((k, width, 2), dtype=bool)
+    emit[:, :, 0] = used & (inside != prev_in) & (denom != 0.0)
+    emit[:, :, 1] = used & inside
+    emit = emit.reshape(k, 2 * width)
+    slot = np.cumsum(emit, axis=1) - 1
+    count = slot[:, -1] + 1
+    new_width = int(count.max(initial=0))
+    out = np.zeros((k, new_width, 2))
+    src = np.flatnonzero(emit)
+    dest = src // (2 * width) * new_width + slot.ravel()[src]
+    out.reshape(-1, 2)[dest] = points.reshape(-1, 2)[src]
+    return out, count
 
 
-def convex_polygon_intersection_area(p, q) -> float:
-    """Area of the intersection of two convex CCW polygons.
+def _shoelace(poly, count):
+    """Areas of the (K, W, 2) polygons, first ``count[k]`` vertices each.
 
-    Degenerate inputs or results (area below EPS) count as zero.
+    The terms are added left to right by ``cumsum``, in
+    ``polygon_area``'s order (``np.sum`` would add them pairwise), so
+    each area is bit for bit the scalar one.
     """
-    p = [(float(v[0]), float(v[1])) for v in p]
-    q = [(float(v[0]), float(v[1])) for v in q]
-    if polygon_area(p) < EPS or polygon_area(q) < EPS:
-        return 0.0
-    area = polygon_area(_clip_polygon(p, q))
-    return area if area >= EPS else 0.0
+    k, width = poly.shape[:2]
+    if width == 0:
+        return np.zeros(k)
+    x, y = poly[..., 0], poly[..., 1]
+    index = np.arange(width)
+    rows = np.arange(k)[:, None]
+    after = np.where(index + 1 < count[:, None], index + 1, 0)
+    terms = x * y[rows, after] - x[rows, after] * y
+    terms = np.where(index < count[:, None], terms, 0.0)
+    return np.where(count >= 3, 0.5 * np.cumsum(terms, axis=1)[:, -1], 0.0)
 
 
-def _bev_radius(box: Box3D) -> float:
-    return 0.5 * math.hypot(box.l, box.w)
+def bev_intersection_areas(a, b) -> np.ndarray:
+    """Ground-plane intersection areas of paired boxes.
+
+    ``a`` and ``b`` are (K, 7) box arrays; entry k is the area of box
+    a[k]'s footprint clipped by box b[k]'s. A footprint or an
+    intersection with area below EPS counts as zero. All pairs run the
+    same array steps, a Sutherland-Hodgman clip by 4 edges with the
+    polygons padded to the longest (at most 8 vertices) and masked, and
+    each area is bit for bit the scalar clip's.
+    """
+    poly = bev_corners_array(a)
+    clipper = bev_corners_array(b)
+    k = len(poly)
+    flat = _shoelace(np.concatenate((poly, clipper)), np.full(2 * k, 4)) < EPS
+    flat = flat[:k] | flat[k:]
+    count = np.full(k, 4)
+    for i in range(4):
+        poly, count = _clip_half_plane(poly, count, clipper[:, i], clipper[:, (i + 1) % 4])
+    area = _shoelace(poly, count)
+    return np.where(flat | (area < EPS), 0.0, area)
 
 
-def _bev_intersection_area(b1: Box3D, b2: Box3D) -> float:
-    dx, dy = b2.x - b1.x, b2.y - b1.y
-    r = _bev_radius(b1) + _bev_radius(b2)
-    if dx * dx + dy * dy > r * r:
-        return 0.0
-    p = [tuple(v) for v in bev_corners(b1)]
-    q = [tuple(v) for v in bev_corners(b2)]
-    area = polygon_area(_clip_polygon(p, q))
-    return area if area >= EPS else 0.0
+def bev_iou_matrix(a, b) -> np.ndarray:
+    """Ground-plane IoU of every pair of an (M, 7) and an (N, 7) box array.
+
+    The overlap kernel runs only on the pairs whose footprint
+    circumcircles meet; every other pair cannot overlap and scores 0.
+    """
+    a = np.asarray(a, dtype=float).reshape(-1, 7)
+    b = np.asarray(b, dtype=float).reshape(-1, 7)
+    out = np.zeros((len(a), len(b)))
+    radius_a = 0.5 * np.hypot(a[:, 3], a[:, 4])
+    radius_b = 0.5 * np.hypot(b[:, 3], b[:, 4])
+    dx = b[None, :, 0] - a[:, None, 0]
+    dy = b[None, :, 1] - a[:, None, 1]
+    reach = radius_a[:, None] + radius_b[None, :]
+    i, j = np.nonzero(dx * dx + dy * dy <= reach * reach)
+    out[i, j] = _bev_ious(a[i], b[j])
+    return out
+
+
+def _bev_ious(a, b) -> np.ndarray:
+    """Ground-plane IoU of paired (K, 7) box arrays, in [0, 1]."""
+    inter = bev_intersection_areas(a, b)
+    union = a[:, 3] * a[:, 4] + b[:, 3] * b[:, 4] - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        iou = np.minimum(1.0, np.maximum(0.0, inter / union))
+    return np.where(union <= EPS, 0.0, iou)
 
 
 def _z_overlap(b1: Box3D, b2: Box3D) -> float:
@@ -185,7 +261,7 @@ def intersection_volume(b1: Box3D, b2: Box3D) -> float:
     dz = _z_overlap(b1, b2)
     if dz <= 0.0:
         return 0.0
-    return _bev_intersection_area(b1, b2) * dz
+    return float(bev_intersection_areas(b1.to_array()[None], b2.to_array()[None])[0]) * dz
 
 
 def iou_3d(b1: Box3D, b2: Box3D) -> float:
@@ -199,11 +275,7 @@ def iou_3d(b1: Box3D, b2: Box3D) -> float:
 
 def bev_iou(b1: Box3D, b2: Box3D) -> float:
     """Ground-plane rotated-rectangle IoU of two boxes, in [0, 1]."""
-    inter = _bev_intersection_area(b1, b2)
-    union = b1.l * b1.w + b2.l * b2.w - inter
-    if union <= EPS:
-        return 0.0
-    return min(1.0, max(0.0, inter / union))
+    return float(_bev_ious(b1.to_array()[None], b2.to_array()[None])[0])
 
 
 def enclosing_diagonal(b1: Box3D, b2: Box3D) -> float:

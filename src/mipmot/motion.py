@@ -58,11 +58,8 @@ class KalmanConfig:
         self.P0 = _check_spd_like("P0", self.P0, STATE_DIM)
 
     @classmethod
-    def from_diagonals(cls, p0_diag=None, r_diag=None, q_scale=None) -> "KalmanConfig":
-        p0 = np.diag(p0_diag if p0_diag is not None else DEFAULT_P0_DIAG)
-        r = np.diag(r_diag if r_diag is not None else DEFAULT_R_DIAG)
-        q = (q_scale if q_scale is not None else DEFAULT_Q_SCALE) * np.eye(STATE_DIM)
-        return cls(R=r, Q=q, P0=p0)
+    def from_diagonals(cls, p0_diag, r_diag, q_scale: float) -> "KalmanConfig":
+        return cls(R=np.diag(r_diag), Q=q_scale * np.eye(STATE_DIM), P0=np.diag(p0_diag))
 
 
 @dataclass

@@ -119,6 +119,21 @@ class Tracker:
         result = solve_mip(problem)
         return result.matches, result.y_se_det.astype(bool)
 
+    def _check_embeddings(self, frame: int, detections: list[Detection]) -> None:
+        """Reject a detection whose embedding size differs from the tracks'
+        or from the frame's other detections, before any state changes."""
+        size = next((t.embedding.size for t in self.tracks if t.embedding is not None), None)
+        for i, det in enumerate(detections):
+            if det.embedding is None:
+                continue
+            if size is None:
+                size = det.embedding.size
+            elif det.embedding.size != size:
+                raise ValueError(
+                    f"frame {frame}, detection {i}: embedding has {det.embedding.size} "
+                    f"values, expected {size}"
+                )
+
     def step(self, frame: int, detections: list[Detection]) -> FrameResult:
         """Process one frame and return its confirmed associated tracks."""
         cfg = self.config
@@ -126,6 +141,7 @@ class Tracker:
             raise ValueError(
                 f"frames must be strictly increasing: got {frame} after {self._last_frame}"
             )
+        self._check_embeddings(frame, detections)
         self._last_frame = frame
 
         detections = [d for d in detections if d.score >= cfg.theta_cls]

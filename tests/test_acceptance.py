@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 from scipy.special import softmax
 
+from clip_oracle import convex_polygon_intersection_area
 from mip_oracle import brute_force_oracle
 from mipmot.affinity import AffinityWeights, compute_affinities, softmax_ranking
 from mipmot.association import AssociationProblem, solve_mip
 from mipmot.cli import labels_to_frames, results_to_frames
 from mipmot.evaluation import evaluate_sequence
-from mipmot.geometry import Box3D, convex_polygon_intersection_area, diou_affinity, iou_3d
+from mipmot.geometry import Box3D, diou_affinity, iou_3d
 from mipmot.io_formats import (
     Detection,
     read_detections,

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import softmax
 
+from clip_oracle import convex_polygon_intersection_area
 from mipmot.affinity import (
     AffinityWeights,
     compute_affinities,
@@ -12,7 +15,7 @@ from mipmot.affinity import (
     raw_appearance_score,
     softmax_ranking,
 )
-from mipmot.geometry import Box3D, diou_affinity, distance_term, iou_3d
+from mipmot.geometry import EPS, Box3D, bev_corners, diou_affinity, distance_term, iou_3d
 from mipmot.io_formats import Detection
 from mipmot.motion import KalmanConfig, kf_init
 from mipmot.tracker import Track, TrackStatus
@@ -50,7 +53,7 @@ class TestWeights:
             AffinityWeights(alpha=-0.1, beta=1.1)
 
     def test_motion_only(self):
-        w = AffinityWeights.motion_only()
+        w = AffinityWeights.from_ratio(math.inf)
         assert (w.alpha, w.beta) == (0.0, 1.0)
 
 
@@ -138,6 +141,15 @@ class TestSoftmaxRanking:
             softmax_ranking([[np.inf, 0.0]])
 
 
+def _box(seed: int) -> Box3D:
+    """A box near the origin, often overlapping others, sometimes flat,
+    square-on or quarter-turned."""
+    rng = np.random.default_rng(seed)
+    l, w, h = rng.choice([0.0, 1.0, 2.0, *rng.uniform(0.5, 4, 3)], 3)
+    a = rng.choice([0.0, math.pi / 2, rng.uniform(-3, 3)])
+    return Box3D(*rng.uniform(-3, 3, 3), l, w, h, a)
+
+
 class TestMotionMatrix:
     def test_matches_scalar_geometry(self):
         rng = np.random.default_rng(61)
@@ -157,6 +169,31 @@ class TestMotionMatrix:
                 assert full[i, j] == pytest.approx(diou_affinity(d, t), abs=1e-12)
                 assert dis[i, j] == pytest.approx(distance_term(d, t), abs=1e-12)
                 assert iou[i, j] == pytest.approx(iou_3d(d, t), abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.builds(_box, st.integers(0, 2**32 - 1)), max_size=6),
+        st.lists(st.builds(_box, st.integers(0, 2**32 - 1)), max_size=6),
+    )
+    def test_iou_term_equals_scalar_clip_per_pair(self, dets, trks):
+        """The batched IoU term, bit for bit, against one scalar clip per pair."""
+        expected = np.zeros((len(dets), len(trks)))
+        for i, d in enumerate(dets):
+            for j, t in enumerate(trks):
+                lo = max(d.z - 0.5 * d.h, t.z - 0.5 * t.h)
+                dz = min(d.z + 0.5 * d.h, t.z + 0.5 * t.h) - lo
+                if dz <= 0.0:
+                    continue
+                inter = convex_polygon_intersection_area(bev_corners(d), bev_corners(t)) * dz
+                union = d.volume + t.volume - inter
+                if union > EPS:
+                    expected[i, j] = min(1.0, max(0.0, inter / union))
+        iou = motion_affinity_matrix(dets, trks, use_dis=False)
+        assert iou.tolist() == expected.tolist()
+        if dets and trks:
+            dis = motion_affinity_matrix(dets, trks, use_iou=False)
+            full = motion_affinity_matrix(dets, trks)
+            assert full.tolist() == (dis + expected).tolist()
 
     def test_requires_a_term(self):
         with pytest.raises(ValueError):
@@ -179,7 +216,7 @@ class TestComputeAffinities:
         tracks = [
             make_track(i, Box3D(*rng.uniform(-5, 5, 3), 4, 2, 1.5, 0)) for i in range(4)
         ]
-        out = compute_affinities(dets, tracks, AffinityWeights.motion_only())
+        out = compute_affinities(dets, tracks, AffinityWeights.from_ratio(math.inf))
         np.testing.assert_array_equal(out.refined, out.motion)
 
     def test_appearance_disabled_without_embeddings(self):
@@ -242,7 +279,7 @@ class TestComputeAffinities:
         boxes = [Box3D(*rng.uniform(-10, 10, 3), 4, 2, 1.5, 0) for _ in range(5)]
         det = make_det(Box3D(1.0, 2.0, 0.0, 4, 2, 1.5, 0))
         tracks = [make_track(i, b) for i, b in enumerate(boxes)]
-        base = compute_affinities([det], tracks, AffinityWeights.motion_only())
+        base = compute_affinities([det], tracks, AffinityWeights.from_ratio(math.inf))
 
         def shift(b, dx, dy, dz):
             return Box3D(b.x + dx, b.y + dy, b.z + dz, b.l, b.w, b.h, b.a)
@@ -251,5 +288,5 @@ class TestComputeAffinities:
         moved_tracks = [
             make_track(i, shift(b, 30, -12, 4)) for i, b in enumerate(boxes)
         ]
-        moved = compute_affinities([moved_det], moved_tracks, AffinityWeights.motion_only())
+        moved = compute_affinities([moved_det], moved_tracks, AffinityWeights.from_ratio(math.inf))
         assert np.argmax(base.refined[0]) == np.argmax(moved.refined[0])

@@ -1,0 +1,70 @@
+"""Pinned outputs of the benchmark workloads.
+
+Each workload of ``perfbench/workloads.py`` is generated at the
+benchmark's default seed, tracked with the default config and scored
+as the benchmark does. The sha256 of the KITTI result file and the
+CLEARMOT report must not move: a speed change to tracking or evaluation
+is only a speed change while both stay the same.
+"""
+
+import hashlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from mipmot import evaluation, io_formats
+from mipmot.cli import labels_to_frames
+from mipmot.config import TrackerConfig
+from mipmot.tracker import run_sequence
+
+WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+# workload: (result sha256, MOTA, MOTP) at seed 1
+PINNED = {
+    "kitti-20": (
+        "6b54ee14bce5c361b6f9af1c31b5736129d6c9c5dded81eb3c378adf88d61a33",
+        0.99,
+        0.8033517382400681,
+    ),
+    "sparse-300": (
+        "eaabe6d844014070fe2390b3efbfc19c6d873de7263626b600d95ffec0865348",
+        0.9666666666666667,
+        0.822451061039074,
+    ),
+    "dense-clutter": (
+        "da49a10282862d6dab9889da868f6a97cb97114c891ef513f1ceec67b79e83e6",
+        0.7644444444444445,
+        0.8035414111467607,
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    name = "perfbench_workloads"
+    spec = importlib.util.spec_from_file_location(name, WORKLOADS_PY)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclass resolves annotations through sys.modules
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_workload_outputs_pinned(workloads, tmp_path, name):
+    workload = workloads.WORKLOADS[name]
+    workloads.generate_files(workload, workloads.DEFAULT_SEED, tmp_path)
+    detections = io_formats.read_detections(tmp_path / "seq.dets.txt")
+    results = run_sequence(detections, TrackerConfig(), num_frames=workload.frames)
+    io_formats.write_kitti_tracking(results, tmp_path / "seq.txt")
+    digest = hashlib.sha256((tmp_path / "seq.txt").read_bytes()).hexdigest()
+
+    gt = labels_to_frames(io_formats.read_kitti_labels(tmp_path / "seq.labels.txt"))
+    hyp = labels_to_frames(io_formats.read_kitti_labels(tmp_path / "seq.txt"))
+    report = evaluation.evaluate_sequence(gt, hyp)
+    assert (digest, report.mota, report.motp) == PINNED[name]

@@ -247,8 +247,8 @@ class TestSweep:
         assert code == 0, err
         (ungated,) = csv.DictReader(ungated_csv.open())
         del ungated["w_cls"]
-        assert rows[""] == ungated
-        assert rows[""] != rows["0.3"]
+        assert rows["null"] == ungated
+        assert rows["null"] != rows["0.3"]
 
     def test_unknown_grid_key(self, tmp_path, capsys):
         grid = self._grid(tmp_path, {"w_clss": [1.0]})

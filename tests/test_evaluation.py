@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
+from clip_oracle import convex_polygon_intersection_area
 from mipmot.evaluation import (
     Accumulator,
     aggregate_reports,
@@ -8,7 +12,7 @@ from mipmot.evaluation import (
     format_report_table,
     match_frame,
 )
-from mipmot.geometry import Box3D
+from mipmot.geometry import EPS, Box3D, bev_corners
 
 
 def box(x, y, l=4.0, w=2.0, a=0.0):
@@ -61,6 +65,77 @@ class TestMatchFrame:
     def test_empty_sides(self):
         assert match_frame({}, {0: box(0, 0)}, {}) == {}
         assert match_frame({0: box(0, 0)}, {}, {}) == {}
+
+
+def oracle_bev_iou(b1: Box3D, b2: Box3D) -> float:
+    inter = convex_polygon_intersection_area(bev_corners(b1), bev_corners(b2))
+    union = b1.l * b1.w + b2.l * b2.w - inter
+    return 0.0 if union <= EPS else min(1.0, max(0.0, inter / union))
+
+
+def oracle_match_frame(gt_boxes, hyp_boxes, prev, iou_threshold=0.5):
+    """match_frame with one scalar IoU per pair, in the pairs' order."""
+    corr, taken = {}, set()
+    for g, h in prev.items():
+        if g in gt_boxes and h in hyp_boxes:
+            if oracle_bev_iou(gt_boxes[g], hyp_boxes[h]) > iou_threshold:
+                corr[g] = h
+                taken.add(h)
+    free_gt = [g for g in gt_boxes if g not in corr]
+    free_hyp = [h for h in hyp_boxes if h not in taken]
+    if free_gt and free_hyp:
+        iou = np.array(
+            [[oracle_bev_iou(gt_boxes[g], hyp_boxes[h]) for h in free_hyp] for g in free_gt]
+        )
+        for i, j in zip(*linear_sum_assignment(iou, maximize=True)):
+            if iou[i, j] > iou_threshold:
+                corr[free_gt[i]] = free_hyp[j]
+    return corr
+
+
+@st.composite
+def frames(draw):
+    """Ground truth near each other, hypotheses that jitter, drop or add
+    boxes, and a previous correspondence with stale and swapped ids."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 8))
+    gt = {
+        int(g): Box3D(
+            *rng.uniform(-6, 6, 2), 0.75, *rng.uniform(1, 5, 2), 1.5, rng.uniform(-3, 3)
+        )
+        for g in rng.permutation(20)[:n]
+    }
+    hyp = {}
+    for g, b in gt.items():
+        if rng.random() < 0.8:
+            dx, dy, da = rng.normal(0, 0.4, 3)
+            hyp[100 + g] = Box3D(b.x + dx, b.y + dy, b.z, b.l, b.w, b.h, b.a + da)
+    for k in range(int(rng.integers(0, 3))):
+        hyp[200 + k] = Box3D(*rng.uniform(-6, 6, 2), 0.75, 4, 2, 1.5, rng.uniform(-3, 3))
+    hyp_ids = list(hyp) + [999]
+    prev = {g: int(rng.choice(hyp_ids)) for g in list(gt) + [77] if rng.random() < 0.5}
+    return gt, hyp, prev
+
+
+class TestMatchFrameOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(frames(), st.sampled_from([0.1, 0.5, 0.7]))
+    def test_same_mapping_as_scalar_iou_loop(self, frame, threshold):
+        gt, hyp, prev = frame
+        expected = oracle_match_frame(gt, hyp, prev, threshold)
+        assert match_frame(gt, hyp, prev, threshold) == expected
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(frames(), min_size=1, max_size=4))
+    def test_iou_sum_adds_scalar_ious_in_match_order(self, sequence):
+        acc = Accumulator()
+        prev, iou_sum = {}, 0.0
+        for gt, hyp, _ in sequence:
+            acc.update(gt, hyp)
+            prev = oracle_match_frame(gt, hyp, prev)
+            for g, h in prev.items():
+                iou_sum += oracle_bev_iou(gt[g], hyp[h])
+        assert acc.iou_sum == iou_sum
 
 
 class TestAccumulate:

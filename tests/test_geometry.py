@@ -2,13 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from clip_oracle import convex_polygon_intersection_area
 from mipmot.geometry import (
+    EPS,
     Box3D,
     bev_corners,
+    bev_corners_array,
+    bev_intersection_areas,
     bev_iou,
+    bev_iou_matrix,
     center_distance,
-    convex_polygon_intersection_area,
     corners_3d,
     diou_affinity,
     distance_term,
@@ -149,6 +155,111 @@ class TestPolygonIntersection:
     def test_degenerate_returns_zero(self):
         line = [(0, 0), (1, 0), (2, 0)]
         assert convex_polygon_intersection_area(line, self.UNIT_SQUARE) == 0.0
+
+
+def oracle_bev_iou(b1: Box3D, b2: Box3D) -> float:
+    """Ground-plane IoU from the scalar clip, one pair at a time."""
+    inter = convex_polygon_intersection_area(bev_corners(b1), bev_corners(b2))
+    union = b1.l * b1.w + b2.l * b2.w - inter
+    if union <= EPS:
+        return 0.0
+    return min(1.0, max(0.0, inter / union))
+
+
+HEADINGS = st.floats(-4.0, 4.0) | st.sampled_from(
+    [0.0, math.pi / 2, math.pi, -math.pi / 2, math.pi / 4]
+)
+
+
+@st.composite
+def boxes(draw, spread=10.0):
+    x, y, z = (draw(st.floats(-spread, spread)) for _ in range(3))
+    l, w, h = (draw(st.floats(0.0, 6.0)) for _ in range(3))
+    return Box3D(x, y, z, l, w, h, draw(HEADINGS))
+
+
+@st.composite
+def box_pairs(draw):
+    """A box and a second one that is random or in a chosen relation to it."""
+    a = draw(boxes())
+    kind = draw(
+        st.sampled_from(
+            ["random", "coincident", "nested", "touching", "quarter", "flat", "far"]
+        )
+    )
+    if kind == "random":
+        return a, draw(boxes(spread=3.0)) if draw(st.booleans()) else draw(boxes())
+    if kind == "coincident":
+        return a, a
+    if kind == "nested":
+        k = draw(st.floats(0.0, 1.0))
+        return a, Box3D(a.x, a.y, a.z, k * a.l, k * a.w, a.h, a.a)
+    if kind == "touching":
+        # shifted by one length along the heading: the footprints share an edge
+        c, s = math.cos(a.a), math.sin(a.a)
+        return a, Box3D(a.x + a.l * c, a.y + a.l * s, a.z, a.l, a.w, a.h, a.a)
+    if kind == "quarter":
+        return a, Box3D(a.x, a.y, a.z, a.l, a.w, a.h, a.a + math.pi / 2)
+    if kind == "flat":
+        b = draw(boxes(spread=3.0))
+        return a, Box3D(b.x, b.y, b.z, b.l, 0.0, b.h, b.a)
+    return a, Box3D(a.x + 1e3, a.y - 1e3, a.z, a.l, a.w, a.h, a.a)
+
+
+def as_array(boxes_):
+    return np.array([b.to_array() for b in boxes_]).reshape(-1, 7)
+
+
+class TestOverlapKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(box_pairs(), max_size=12))
+    def test_areas_equal_scalar_clip(self, pairs):
+        left, right = as_array(a for a, _ in pairs), as_array(b for _, b in pairs)
+        got = bev_intersection_areas(left, right)
+        expected = [
+            convex_polygon_intersection_area(bev_corners(a), bev_corners(b)) for a, b in pairs
+        ]
+        assert got.shape == (len(pairs),)
+        assert got.tolist() == expected
+
+    def test_no_pairs(self):
+        empty = np.zeros((0, 7))
+        assert bev_intersection_areas(empty, empty).shape == (0,)
+        assert bev_iou_matrix(empty, as_array([Box3D(0, 0, 0, 1, 1, 1)])).shape == (0, 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(boxes(spread=4.0), max_size=6), st.lists(boxes(spread=4.0), max_size=6))
+    def test_iou_matrix_equals_pairwise(self, left, right):
+        got = bev_iou_matrix(as_array(left), as_array(right))
+        expected = [[oracle_bev_iou(a, b) for b in right] for a in left]
+        assert got.shape == (len(left), len(right))
+        assert got.tolist() == expected
+        assert [[bev_iou(a, b) for b in right] for a in left] == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(boxes(), min_size=1, max_size=6))
+    def test_corners_match_scalar_rotation(self, boxes_):
+        for box, corners in zip(boxes_, bev_corners_array(as_array(boxes_))):
+            hl, hw = 0.5 * box.l, 0.5 * box.w
+            c, s = math.cos(box.a), math.sin(box.a)
+            local = np.array([[hl, hw], [-hl, hw], [-hl, -hw], [hl, -hw]])
+            rot = np.array([[c, -s], [s, c]])
+            expected = local @ rot.T + np.array([box.x, box.y])
+            assert corners.tolist() == expected.tolist()
+
+    def test_point_footprint_overlaps_nothing(self):
+        # A clip by a point has only zero-length edges, which keep every vertex.
+        box = Box3D(0, 0, 0, 4, 2, 2, 0.3)
+        point = Box3D(0.5, 0.2, 0, 0, 0, 0.5, 1.0)
+        areas = bev_intersection_areas(as_array([box, point]), as_array([point, box]))
+        assert areas.tolist() == [0.0, 0.0]
+        assert iou_3d(box, point) == 0.0 and iou_3d(point, box) == 0.0
+
+    def test_rotated_square_analytic(self):
+        square = Box3D(0, 0, 0, 1, 1, 1, 0)
+        rotated = Box3D(0, 0, 0, 1, 1, 1, math.pi / 4)
+        area = bev_intersection_areas(as_array([square]), as_array([rotated]))[0]
+        assert area == pytest.approx(2.0 * (SQRT2 - 1.0), abs=1e-12)
 
 
 class TestIou3d:

@@ -6,6 +6,8 @@ import pytest
 from mipmot.geometry import Box3D
 from mipmot.motion import (
     A,
+    DEFAULT_P0_DIAG,
+    DEFAULT_R_DIAG,
     KalmanConfig,
     KalmanState,
     STATE_DIM,
@@ -37,8 +39,12 @@ class TestConfig:
             KalmanConfig(Q=-np.eye(STATE_DIM))
 
     def test_from_diagonals(self):
-        cfg = KalmanConfig.from_diagonals(q_scale=0.5)
+        cfg = KalmanConfig.from_diagonals(
+            p0_diag=DEFAULT_P0_DIAG, r_diag=DEFAULT_R_DIAG, q_scale=0.5
+        )
         np.testing.assert_allclose(cfg.Q, 0.5 * np.eye(STATE_DIM))
+        np.testing.assert_array_equal(cfg.R, KalmanConfig().R)
+        np.testing.assert_array_equal(cfg.P0, KalmanConfig().P0)
 
 
 class TestInit:

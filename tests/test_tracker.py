@@ -62,6 +62,23 @@ class TestStep:
         with pytest.raises(ValueError):
             tracker.step(1, [])
 
+    def test_embedding_size_change_rejected_before_any_change(self):
+        tracker = Tracker()
+        tracker.step(0, [det(0, 0.0, 0.0, embedding=[1.0, 2.0, 3.0, 4.0])])
+        (track,) = tracker.tracks
+        before = (track.state.mean.copy(), track.predicted_box, track.misses, tracker._last_frame)
+        frame = [
+            det(1, 0.1, 0.0, embedding=[1.0, 2.0, 3.0, 4.0]),
+            det(1, 9.0, 0.0, embedding=[1.0, 2.0, 3.0]),
+        ]
+        with pytest.raises(ValueError, match="frame 1, detection 1: embedding has 3 values"):
+            tracker.step(1, frame)
+        assert tracker.tracks == [track]
+        np.testing.assert_array_equal(track.state.mean, before[0])
+        assert (track.predicted_box, track.misses, tracker._last_frame) == before[1:]
+        # the frame can be given again once fixed
+        assert len(tracker.step(1, frame[:1]).tracks) == 1
+
     def test_crossing_objects_keep_ids(self):
         tracker = Tracker()
         id_by_object = {}
