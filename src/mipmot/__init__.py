@@ -12,7 +12,7 @@ from .config import TrackerConfig
 from .evaluation import MotReport, evaluate_sequence, aggregate_reports
 from .geometry import Box3D, bev_iou, diou_affinity, iou_3d
 from .io_formats import Detection, LabelRecord
-from .motion import KalmanConfig, KalmanState, kf_init, kf_predict, kf_update
+from .motion import KalmanConfig, kf_init, kf_predict, kf_update
 from .simgen import ScenarioConfig, generate, scenario_template
 from .tracker import FrameResult, Track, Tracker, run_sequence
 
@@ -27,7 +27,6 @@ __all__ = [
     "Detection",
     "FrameResult",
     "KalmanConfig",
-    "KalmanState",
     "LabelRecord",
     "MotReport",
     "ScenarioConfig",

@@ -15,7 +15,6 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import geometry
-from .geometry import Box3D
 
 
 @dataclass(frozen=True)
@@ -96,9 +95,9 @@ def softmax_ranking(raw) -> np.ndarray:
     return 0.5 * (P + Q)
 
 
-def _box_table(boxes: list[Box3D]):
-    """Per-box quantities reused across all pairings."""
-    arr = np.array([(b.x, b.y, b.z, b.l, b.w, b.h, b.a) for b in boxes])
+def _box_table(boxes):
+    """Per-box quantities of an (N, 7) box array reused across all pairings."""
+    arr = np.asarray(boxes, dtype=float)
     z_lo = arr[:, 2] - 0.5 * arr[:, 5]
     z_hi = arr[:, 2] + 0.5 * arr[:, 5]
     volumes = arr[:, 3] * arr[:, 4] * arr[:, 5]
@@ -110,12 +109,13 @@ def _box_table(boxes: list[Box3D]):
 
 
 def motion_affinity_matrix(
-    det_boxes: list[Box3D],
-    predicted_boxes: list[Box3D],
+    det_boxes,
+    predicted_boxes,
     use_dis: bool = True,
     use_iou: bool = True,
 ) -> np.ndarray:
-    """Pairwise motion affinities between detection and predicted boxes.
+    """Pairwise motion affinities between (M, 7) detection boxes and
+    (N, 7) predicted track boxes.
 
     With both terms enabled this is the distance-IoU affinity in
     [0, 2]; the flags exist for ablations. Equivalent to calling the
@@ -156,20 +156,22 @@ def motion_affinity_matrix(
 
 
 def compute_affinities(
-    detections,
-    tracks,
+    det_boxes,
+    predicted,
+    det_embeddings,
+    track_embeddings,
     weights: AffinityWeights,
     use_dis: bool = True,
     use_iou: bool = True,
 ) -> AffinityMatrix:
     """Build the refined affinity matrix for one frame.
 
-    Every track carries its ``predicted_box`` for the current frame.
-    Appearance uses the embeddings carried by detections and tracks; if
-    any participant lacks an embedding, appearance is disabled for the
-    frame (alpha = 0, beta = 1).
+    ``det_boxes`` are the (M, 7) detection boxes and ``predicted`` the
+    (N, 7) track boxes predicted for this frame; the embedding lists are
+    aligned with them. If any participant lacks an embedding, appearance
+    is disabled for the frame (alpha = 0, beta = 1).
     """
-    m, n = len(detections), len(tracks)
+    m, n = len(det_boxes), len(predicted)
     if m == 0 or n == 0:
         empty = np.zeros((m, n))
         return AffinityMatrix(
@@ -180,20 +182,13 @@ def compute_affinities(
             beta=weights.beta,
         )
 
-    motion = motion_affinity_matrix(
-        [d.box for d in detections],
-        [t.predicted_box for t in tracks],
-        use_dis=use_dis,
-        use_iou=use_iou,
-    )
+    motion = motion_affinity_matrix(det_boxes, predicted, use_dis=use_dis, use_iou=use_iou)
 
-    det_embs = [d.embedding for d in detections]
-    trk_embs = [t.embedding for t in tracks]
-    if weights.alpha == 0.0 or any(e is None for e in det_embs + trk_embs):
+    if weights.alpha == 0.0 or any(e is None for e in [*det_embeddings, *track_embeddings]):
         appearance = np.zeros((m, n))
         alpha, beta = 0.0, 1.0
     else:
-        appearance = softmax_ranking(raw_appearance_matrix(det_embs, trk_embs))
+        appearance = softmax_ranking(raw_appearance_matrix(det_embeddings, track_embeddings))
         alpha, beta = weights.alpha, weights.beta
 
     refined = alpha * appearance + beta * motion

@@ -16,7 +16,9 @@ are auto-detected from the first non-blank character:
       {"frame": 0, "box": [x, y, z, l, w, h, a], "score": 0.97,
        "start_prob": 0.5, "embedding": [ ... ]}
 
-  ``start_prob`` and ``embedding`` are optional.
+  ``start_prob`` and ``embedding`` are optional. Values keep their JSON
+  types: the frame is an integer, the box a list of 7 numbers, the
+  scores and embedding entries numbers (a bool or string is rejected).
 
 Label and result files use the KITTI tracking layout: one object per
 line, ``frame id type truncated occluded alpha bbox(4) h w l x y z
@@ -126,6 +128,11 @@ def _parse_detection_text(line: str, path: str, lineno: int) -> Detection:
         _fail(path, lineno, str(e))
 
 
+def _is_number(v) -> bool:
+    """A JSON number: int or float, but not bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _parse_detection_json(line: str, path: str, lineno: int) -> Detection:
     try:
         obj = json.loads(line)
@@ -136,22 +143,32 @@ def _parse_detection_json(line: str, path: str, lineno: int) -> Detection:
     unknown = set(obj) - {"frame", "box", "score", "embedding", "start_prob"}
     if unknown:
         _fail(path, lineno, f"unknown keys: {sorted(unknown)}")
+    missing = [k for k in ("frame", "box", "score") if k not in obj]
+    if missing:
+        _fail(path, lineno, f"missing key: {missing[0]}")
+    frame, box, score = obj["frame"], obj["box"], obj["score"]
+    start_prob, embedding = obj.get("start_prob"), obj.get("embedding")
+    if not isinstance(frame, int) or isinstance(frame, bool):
+        _fail(path, lineno, f"frame must be an integer, got {frame!r}")
+    if not (isinstance(box, list) and len(box) == 7 and all(map(_is_number, box))):
+        _fail(path, lineno, f"box must be a list of 7 numbers, got {box!r}")
+    if not _is_number(score):
+        _fail(path, lineno, f"score must be a number, got {score!r}")
+    if start_prob is not None and not _is_number(start_prob):
+        _fail(path, lineno, f"start_prob must be a number, got {start_prob!r}")
+    if embedding is not None and not (
+        isinstance(embedding, list) and all(map(_is_number, embedding))
+    ):
+        _fail(path, lineno, "embedding must be a list of numbers")
     try:
-        box_vals = [float(v) for v in obj["box"]]
-        if len(box_vals) != 7:
-            raise ValueError(f"box must have 7 values, got {len(box_vals)}")
-        if not all(math.isfinite(v) for v in box_vals):
-            raise ValueError("box contains non-finite values")
         return Detection(
-            frame=int(obj["frame"]),
-            box=Box3D(*box_vals),
-            score=float(obj["score"]),
-            embedding=obj.get("embedding"),
-            start_prob=obj.get("start_prob"),
+            frame=frame,
+            box=Box3D(*(float(v) for v in box)),
+            score=float(score),
+            embedding=embedding,
+            start_prob=None if start_prob is None else float(start_prob),
         )
-    except KeyError as e:
-        _fail(path, lineno, f"missing key: {e.args[0]}")
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         _fail(path, lineno, str(e))
 
 

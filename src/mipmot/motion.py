@@ -4,6 +4,10 @@ State is a 10-vector (x, y, z, l, w, h, a, vx, vy, vz): box pose and
 size plus the per-frame center velocity. The measurement is the
 (x, y, z, l, w, h, a) subset. The time step is one frame, so velocities
 are per-frame displacements.
+
+The filter functions work over leading axes: a (10,) mean and a
+(10, 10) covariance are one track, a (T, 10) and a (T, 10, 10) stack
+are T tracks filtered at once with the same arithmetic per row.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Box3D, wrap_angle
+from .geometry import wrap_angle
 
 STATE_DIM = 10
 MEAS_DIM = 7
@@ -62,58 +66,41 @@ class KalmanConfig:
         return cls(R=np.diag(r_diag), Q=q_scale * np.eye(STATE_DIM), P0=np.diag(p0_diag))
 
 
-@dataclass
-class KalmanState:
-    """Filter state: mean 10-vector and 10x10 covariance."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float).copy()
-        self.cov = np.asarray(self.cov, dtype=float).copy()
-        if self.mean.shape != (STATE_DIM,):
-            raise ValueError(f"mean must have shape ({STATE_DIM},)")
-        if self.cov.shape != (STATE_DIM, STATE_DIM):
-            raise ValueError(f"cov must have shape ({STATE_DIM}, {STATE_DIM})")
-        self.mean[HEADING_IDX] = wrap_angle(self.mean[HEADING_IDX])
-
-    def box(self) -> Box3D:
-        """Pose/size subset of the mean as a box."""
-        return Box3D.from_array(self.mean[:MEAS_DIM])
+def kf_init(boxes, cfg: KalmanConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Start tracks from (..., 7) detection boxes: measured pose, zero
+    velocity, covariance P0."""
+    boxes = np.asarray(boxes, dtype=float)
+    mean = np.zeros(boxes.shape[:-1] + (STATE_DIM,))
+    mean[..., :MEAS_DIM] = boxes
+    mean[..., HEADING_IDX] = wrap_angle(mean[..., HEADING_IDX])
+    return mean, np.broadcast_to(cfg.P0, mean.shape + (STATE_DIM,)).copy()
 
 
-def kf_init(box: Box3D, cfg: KalmanConfig) -> KalmanState:
-    """Start a track from a detection: measured pose, zero velocity, P0."""
-    mean = np.zeros(STATE_DIM)
-    mean[:MEAS_DIM] = box.to_array()
-    return KalmanState(mean=mean, cov=cfg.P0)
+def kf_predict(mean, cov, cfg: KalmanConfig) -> tuple[np.ndarray, np.ndarray]:
+    """One-frame prediction of (..., 10) means and (..., 10, 10)
+    covariances; the predicted pose/size is ``mean[..., :7]``."""
+    cov = A @ cov @ A.T + cfg.Q
+    return mean @ A.T, 0.5 * (cov + np.swapaxes(cov, -1, -2))
 
 
-def kf_predict(s: KalmanState, cfg: KalmanConfig) -> tuple[KalmanState, Box3D]:
-    """One-frame prediction; the returned box is the predicted pose/size."""
-    mean = A @ s.mean
-    cov = A @ s.cov @ A.T + cfg.Q
-    out = KalmanState(mean=mean, cov=0.5 * (cov + cov.T))
-    return out, out.box()
-
-
-def kf_update(s: KalmanState, observation, cfg: KalmanConfig) -> KalmanState:
-    """Measurement update of a predicted state.
+def kf_update(mean, cov, observations, cfg: KalmanConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Measurement update of predicted (..., 10) means and (..., 10, 10)
+    covariances by (..., 7) observations.
 
     The heading innovation is wrapped to (-pi, pi] so observations on
     either side of the angular cut behave identically. Raises
-    numpy.linalg.LinAlgError when the innovation covariance is singular
+    numpy.linalg.LinAlgError when an innovation covariance is singular
     (degenerate R / P configuration).
     """
-    obs = np.asarray(observation, dtype=float)
-    if obs.shape != (MEAS_DIM,):
-        raise ValueError(f"observation must have shape ({MEAS_DIM},)")
-    innovation = obs - H @ s.mean
-    innovation[HEADING_IDX] = wrap_angle(innovation[HEADING_IDX])
-    S = H @ s.cov @ H.T + cfg.R
+    obs = np.asarray(observations, dtype=float)
+    if obs.shape != mean.shape[:-1] + (MEAS_DIM,):
+        raise ValueError(f"observations of shape {obs.shape} do not fit means {mean.shape}")
+    innovation = obs - mean @ H.T
+    innovation[..., HEADING_IDX] = wrap_angle(innovation[..., HEADING_IDX])
+    S = H @ cov @ H.T + cfg.R
     # K = P H^T S^-1; S is symmetric so solve once instead of inverting.
-    K = np.linalg.solve(S, H @ s.cov).T
-    mean = s.mean + K @ innovation
-    cov = (np.eye(STATE_DIM) - K @ H) @ s.cov
-    return KalmanState(mean=mean, cov=0.5 * (cov + cov.T))
+    K = np.swapaxes(np.linalg.solve(S, H @ cov), -1, -2)
+    mean = mean + (K @ innovation[..., None])[..., 0]
+    mean[..., HEADING_IDX] = wrap_angle(mean[..., HEADING_IDX])
+    cov = (np.eye(STATE_DIM) - K @ H) @ cov
+    return mean, 0.5 * (cov + np.swapaxes(cov, -1, -2))

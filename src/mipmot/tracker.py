@@ -23,7 +23,7 @@ from .association import AssociationProblem, hungarian_baseline, solve_mip
 from .config import TrackerConfig
 from .geometry import Box3D
 from .io_formats import Detection
-from .motion import KalmanConfig, KalmanState, kf_init, kf_predict, kf_update
+from .motion import MEAS_DIM, STATE_DIM, KalmanConfig, kf_init, kf_predict, kf_update
 
 
 class TrackStatus(enum.Enum):
@@ -33,17 +33,15 @@ class TrackStatus(enum.Enum):
 
 @dataclass
 class Track:
-    """One persistent object hypothesis."""
+    """Lifecycle of one persistent object hypothesis. Its filter state is
+    row k of the tracker's ``mean`` and ``cov`` while it is ``tracks[k]``."""
 
     id: int
-    state: KalmanState
-    last_box: Box3D
     embedding: Optional[np.ndarray]
     confidence: float
     hits: int
     misses: int
     status: TrackStatus
-    predicted_box: Optional[Box3D] = None
 
 
 @dataclass
@@ -66,32 +64,22 @@ class Tracker:
             q_scale=cfg.kalman_q_scale,
         )
         self.tracks: list[Track] = []
+        self.mean = np.zeros((0, STATE_DIM))
+        self.cov = np.zeros((0, STATE_DIM, STATE_DIM))
         self._next_id = 1
         self._last_frame: Optional[int] = None
 
-    def _new_track(self, det: Detection, status: TrackStatus, misses: int) -> Track:
-        track = Track(
-            id=self._next_id,
-            state=kf_init(det.box, self.kalman),
-            last_box=det.box,
-            embedding=det.embedding,
-            confidence=det.score,
-            hits=1 if status is TrackStatus.CONFIRMED else 0,
-            misses=misses,
-            status=status,
-        )
-        self._next_id += 1
-        return track
-
     def _associate(
-        self, detections: list[Detection]
+        self, detections: list[Detection], det_boxes: np.ndarray
     ) -> tuple[list[tuple[int, int]], np.ndarray]:
         """Matched (detection, track) pairs and, for the unmatched
         detections, whether each starts a confirmed track."""
         cfg = self.config
         aff = compute_affinities(
-            detections,
-            self.tracks,
+            det_boxes,
+            self.mean[:, :MEAS_DIM],
+            [d.embedding for d in detections],
+            [t.embedding for t in self.tracks],
             self.weights,
             use_dis=cfg.use_dis,
             use_iou=cfg.use_iou,
@@ -145,20 +133,22 @@ class Tracker:
         self._last_frame = frame
 
         detections = [d for d in detections if d.score >= cfg.theta_cls]
+        det_boxes = np.array([d.box.to_array() for d in detections]).reshape(-1, MEAS_DIM)
 
-        for track in self.tracks:
-            track.state, track.predicted_box = kf_predict(track.state, self.kalman)
+        self.mean, self.cov = kf_predict(self.mean, self.cov, self.kalman)
 
-        matches, starts = self._associate(detections)
+        matches, starts = self._associate(detections, det_boxes)
 
-        emitted: list[Track] = []
-        matched_tracks = set()
+        det_rows = [d for d, _ in matches]
+        track_rows = [k for _, k in matches]
+        self.mean[track_rows], self.cov[track_rows] = kf_update(
+            self.mean[track_rows], self.cov[track_rows], det_boxes[det_rows], self.kalman
+        )
+
+        emitted: list[tuple[int, Box3D, float]] = []
         for d, k in matches:
             det = detections[d]
             track = self.tracks[k]
-            matched_tracks.add(k)
-            track.state = kf_update(track.state, det.box.to_array(), self.kalman)
-            track.last_box = track.state.box()
             g = cfg.confidence_smoothing
             track.confidence = g * track.confidence + (1.0 - g) * det.score
             if det.embedding is not None:
@@ -168,35 +158,44 @@ class Tracker:
             if track.status is TrackStatus.TENTATIVE and track.hits > cfg.theta_hit:
                 track.status = TrackStatus.CONFIRMED
             if track.status is TrackStatus.CONFIRMED:
-                emitted.append(track)
+                box = Box3D.from_array(self.mean[k, :MEAS_DIM])
+                emitted.append((track.id, box, track.confidence))
 
         # Coasting tracks keep their predicted state and accrue a miss;
         # an end decision is soft so a wrongly ended track can recover.
+        matched_tracks = set(track_rows)
         for k, track in enumerate(self.tracks):
             if k not in matched_tracks:
                 track.misses += 1
                 track.hits = 0
-                track.last_box = track.predicted_box
 
-        matched_dets = {d for d, _ in matches}
-        for d, det in enumerate(detections):
-            if d in matched_dets:
-                continue
-            if starts[d]:
-                track = self._new_track(det, TrackStatus.CONFIRMED, misses=0)
-                self.tracks.append(track)
-                emitted.append(track)
-        for d, det in enumerate(detections):
-            if d not in matched_dets and not starts[d]:
-                self.tracks.append(self._new_track(det, TrackStatus.TENTATIVE, misses=1))
+        # Births are appended confirmed starts first, then tentatives.
+        unmatched = set(range(len(detections))) - set(det_rows)
+        births = sorted(unmatched, key=lambda d: (not starts[d], d))
+        for d in births:
+            det, confirmed = detections[d], bool(starts[d])
+            track = Track(
+                id=self._next_id,
+                embedding=det.embedding,
+                confidence=det.score,
+                hits=int(confirmed),
+                misses=int(not confirmed),  # a tentative birth counts as missed once
+                status=TrackStatus.CONFIRMED if confirmed else TrackStatus.TENTATIVE,
+            )
+            self._next_id += 1
+            self.tracks.append(track)
+            if confirmed:
+                emitted.append((track.id, det.box, track.confidence))
+        birth_mean, birth_cov = kf_init(det_boxes[births], self.kalman)
+        self.mean = np.concatenate((self.mean, birth_mean))
+        self.cov = np.concatenate((self.cov, birth_cov))
 
-        self.tracks = [t for t in self.tracks if t.misses <= cfg.theta_miss]
+        keep = [t.misses <= cfg.theta_miss for t in self.tracks]
+        self.tracks = [t for t, alive in zip(self.tracks, keep) if alive]
+        self.mean, self.cov = self.mean[keep], self.cov[keep]
 
-        emitted.sort(key=lambda t: t.id)
-        return FrameResult(
-            frame=frame,
-            tracks=[(t.id, t.last_box, t.confidence) for t in emitted],
-        )
+        emitted.sort()  # by id, which is unique
+        return FrameResult(frame=frame, tracks=emitted)
 
 
 def run_sequence(

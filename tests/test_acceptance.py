@@ -26,7 +26,7 @@ from mipmot.io_formats import (
 )
 from mipmot.motion import KalmanConfig, kf_init, kf_predict, kf_update
 from mipmot.simgen import generate, scenario_template
-from mipmot.tracker import Track, Tracker, TrackerConfig, TrackStatus, run_sequence
+from mipmot.tracker import Tracker, TrackerConfig, run_sequence
 
 
 def verdict(ok: bool, criterion: str, detail: str):
@@ -155,23 +155,18 @@ def test_criterion_3_affinity_bounds():
             for _ in range(int(rng.integers(1, 6)))
         ]
         cfg = KalmanConfig()
-        tracks = []
-        for i in range(int(rng.integers(1, 6))):
-            state, predicted_box = kf_predict(kf_init(random_box(rng, 8.0), cfg), cfg)
-            tracks.append(
-                Track(
-                    id=i,
-                    state=state,
-                    last_box=None,
-                    embedding=rng.normal(size=8),
-                    confidence=1.0,
-                    hits=1,
-                    misses=0,
-                    status=TrackStatus.CONFIRMED,
-                    predicted_box=predicted_box,
-                )
-            )
-        out = compute_affinities(dets, tracks, weights)
+        predicted, track_embeddings = [], []
+        for _ in range(int(rng.integers(1, 6))):
+            mean, _ = kf_predict(*kf_init(random_box(rng, 8.0).to_array(), cfg), cfg)
+            predicted.append(mean[:7])
+            track_embeddings.append(rng.normal(size=8))
+        out = compute_affinities(
+            np.array([d.box.to_array() for d in dets]),
+            np.array(predicted),
+            [d.embedding for d in dets],
+            track_embeddings,
+            weights,
+        )
         refined_ok = refined_ok and bool(
             np.all(out.refined >= 0.0) and np.all(out.refined <= bound + 1e-12)
         )
@@ -234,35 +229,35 @@ def test_criterion_7_kalman_correctness():
 
     def prediction_errors(velocity):
         velocity = np.asarray(velocity, float)
-        state = kf_init(Box3D(0, 0, 0, 4, 2, 1.5, 0), cfg)
+        mean, cov = kf_init(Box3D(0, 0, 0, 4, 2, 1.5, 0).to_array(), cfg)
         errors = []
         for frame in range(1, 13):
-            state, box = kf_predict(state, cfg)
+            mean, cov = kf_predict(mean, cov, cfg)
             true_pos = velocity * frame
-            errors.append(float(np.linalg.norm(box.center - true_pos)))
-            state = kf_update(
-                state, np.concatenate([true_pos, [4, 2, 1.5, 0]]), cfg
+            errors.append(float(np.linalg.norm(Box3D.from_array(mean[:7]).center - true_pos)))
+            mean, cov = kf_update(
+                mean, cov, np.concatenate([true_pos, [4, 2, 1.5, 0]]), cfg
             )
-        return errors, state
+        return errors, mean
 
     ok = True
     details = []
     for name, v in (("1d", [0.9, 0.0, 0.0]), ("3d", [0.6, -0.8, 0.2])):
-        errors, state = prediction_errors(v)
+        errors, mean = prediction_errors(v)
         monotone = all(e1 <= e0 + 1e-9 for e0, e1 in zip(errors[1:], errors[2:]))
-        v_err = float(np.linalg.norm(state.mean[7:] - v))
+        v_err = float(np.linalg.norm(mean[7:] - v))
         ok = ok and monotone and v_err < 1e-3
         details.append(f"{name}: monotone={monotone}, velocity error {v_err:.1e}")
 
     rng = np.random.default_rng(3)
-    state = kf_init(Box3D(0, 0, 0, 4, 2, 1.5, 0), cfg)
+    mean, cov = kf_init(Box3D(0, 0, 0, 4, 2, 1.5, 0).to_array(), cfg)
     min_eig = np.inf
     for _ in range(1000):
-        state, _ = kf_predict(state, cfg)
-        obs = state.mean[:7] + rng.normal(scale=0.3, size=7)
+        mean, cov = kf_predict(mean, cov, cfg)
+        obs = mean[:7] + rng.normal(scale=0.3, size=7)
         obs[3:6] = np.abs(obs[3:6])
-        state = kf_update(state, obs, cfg)
-        min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(state.cov))))
+        mean, cov = kf_update(mean, cov, obs, cfg)
+        min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(cov))))
     ok = ok and min_eig >= -1e-9
     details.append(f"min eigenvalue over 1000 cycles {min_eig:.1e}")
     verdict(ok, "criterion 7 (Kalman correctness)", "; ".join(details))

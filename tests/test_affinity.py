@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,22 +18,29 @@ from mipmot.affinity import (
 )
 from mipmot.geometry import EPS, Box3D, bev_corners, diou_affinity, distance_term, iou_3d
 from mipmot.io_formats import Detection
-from mipmot.motion import KalmanConfig, kf_init
-from mipmot.tracker import Track, TrackStatus
 
 
-def make_track(track_id, box, embedding=None, predicted=None) -> Track:
-    cfg = KalmanConfig()
-    return Track(
+def box_array(boxes) -> np.ndarray:
+    return np.array([b.to_array() for b in boxes]).reshape(-1, 7)
+
+
+def make_track(track_id, box, embedding=None) -> SimpleNamespace:
+    """What the tracker passes per track: its predicted box and embedding."""
+    return SimpleNamespace(
         id=track_id,
-        state=kf_init(box, cfg),
-        last_box=box,
+        box=box,
         embedding=None if embedding is None else np.asarray(embedding, float),
-        confidence=1.0,
-        hits=1,
-        misses=0,
-        status=TrackStatus.CONFIRMED,
-        predicted_box=predicted if predicted is not None else box,
+    )
+
+
+def affinities(dets, tracks, weights, **flags):
+    return compute_affinities(
+        box_array([d.box for d in dets]),
+        box_array([t.box for t in tracks]),
+        [d.embedding for d in dets],
+        [t.embedding for t in tracks],
+        weights,
+        **flags,
     )
 
 
@@ -161,9 +169,10 @@ class TestMotionMatrix:
 
         dets = [rand_box() for _ in range(7)]
         trks = [rand_box() for _ in range(5)]
-        full = motion_affinity_matrix(dets, trks)
-        dis = motion_affinity_matrix(dets, trks, use_iou=False)
-        iou = motion_affinity_matrix(dets, trks, use_dis=False)
+        d_arr, t_arr = box_array(dets), box_array(trks)
+        full = motion_affinity_matrix(d_arr, t_arr)
+        dis = motion_affinity_matrix(d_arr, t_arr, use_iou=False)
+        iou = motion_affinity_matrix(d_arr, t_arr, use_dis=False)
         for i, d in enumerate(dets):
             for j, t in enumerate(trks):
                 assert full[i, j] == pytest.approx(diou_affinity(d, t), abs=1e-12)
@@ -188,16 +197,17 @@ class TestMotionMatrix:
                 union = d.volume + t.volume - inter
                 if union > EPS:
                     expected[i, j] = min(1.0, max(0.0, inter / union))
-        iou = motion_affinity_matrix(dets, trks, use_dis=False)
+        d_arr, t_arr = box_array(dets), box_array(trks)
+        iou = motion_affinity_matrix(d_arr, t_arr, use_dis=False)
         assert iou.tolist() == expected.tolist()
         if dets and trks:
-            dis = motion_affinity_matrix(dets, trks, use_iou=False)
-            full = motion_affinity_matrix(dets, trks)
+            dis = motion_affinity_matrix(d_arr, t_arr, use_iou=False)
+            full = motion_affinity_matrix(d_arr, t_arr)
             assert full.tolist() == (dis + expected).tolist()
 
     def test_requires_a_term(self):
         with pytest.raises(ValueError):
-            motion_affinity_matrix([], [], use_dis=False, use_iou=False)
+            motion_affinity_matrix(box_array([]), box_array([]), use_dis=False, use_iou=False)
 
 
 class TestComputeAffinities:
@@ -206,7 +216,7 @@ class TestComputeAffinities:
         emb = [1.0, 2.0, 3.0]
         det = make_det(box, embedding=emb)
         track = make_track(1, box, embedding=emb)
-        out = compute_affinities([det], [track], AffinityWeights())
+        out = affinities([det], [track], AffinityWeights())
         # ranked appearance of a 1x1 matrix is 1, diou of identical boxes is 2
         assert out.refined[0, 0] == pytest.approx(21.0 / 11.0, abs=1e-9)
 
@@ -216,14 +226,14 @@ class TestComputeAffinities:
         tracks = [
             make_track(i, Box3D(*rng.uniform(-5, 5, 3), 4, 2, 1.5, 0)) for i in range(4)
         ]
-        out = compute_affinities(dets, tracks, AffinityWeights.from_ratio(math.inf))
+        out = affinities(dets, tracks, AffinityWeights.from_ratio(math.inf))
         np.testing.assert_array_equal(out.refined, out.motion)
 
     def test_appearance_disabled_without_embeddings(self):
         box = Box3D(0, 0, 0, 4, 2, 1.5, 0)
         det = make_det(box)  # no embedding
         track = make_track(1, box, embedding=[1.0, 2.0])
-        out = compute_affinities([det], [track], AffinityWeights())
+        out = affinities([det], [track], AffinityWeights())
         assert (out.alpha, out.beta) == (0.0, 1.0)
         np.testing.assert_array_equal(out.refined, out.motion)
 
@@ -239,16 +249,16 @@ class TestComputeAffinities:
             for i in range(3)
         ]
         w = AffinityWeights()
-        out = compute_affinities(dets, tracks, w)
+        out = affinities(dets, tracks, w)
         raw = raw_appearance_matrix([d.embedding for d in dets], [t.embedding for t in tracks])
         np.testing.assert_array_equal(out.appearance, softmax_ranking(raw))
         np.testing.assert_array_equal(out.refined, w.alpha * out.appearance + w.beta * out.motion)
 
     def test_empty_inputs(self):
-        out = compute_affinities([], [], AffinityWeights())
+        out = affinities([], [], AffinityWeights())
         assert out.refined.shape == (0, 0)
         box = Box3D(0, 0, 0, 4, 2, 1.5, 0)
-        out = compute_affinities([make_det(box)], [], AffinityWeights())
+        out = affinities([make_det(box)], [], AffinityWeights())
         assert out.refined.shape == (1, 0)
 
     def test_refined_bounds(self):
@@ -270,7 +280,7 @@ class TestComputeAffinities:
             )
             for i in range(6)
         ]
-        out = compute_affinities(dets, tracks, w)
+        out = affinities(dets, tracks, w)
         assert np.all(out.refined >= 0.0)
         assert np.all(out.refined <= w.alpha + 2 * w.beta + 1e-12)
 
@@ -279,7 +289,7 @@ class TestComputeAffinities:
         boxes = [Box3D(*rng.uniform(-10, 10, 3), 4, 2, 1.5, 0) for _ in range(5)]
         det = make_det(Box3D(1.0, 2.0, 0.0, 4, 2, 1.5, 0))
         tracks = [make_track(i, b) for i, b in enumerate(boxes)]
-        base = compute_affinities([det], tracks, AffinityWeights.from_ratio(math.inf))
+        base = affinities([det], tracks, AffinityWeights.from_ratio(math.inf))
 
         def shift(b, dx, dy, dz):
             return Box3D(b.x + dx, b.y + dy, b.z + dz, b.l, b.w, b.h, b.a)
@@ -288,5 +298,5 @@ class TestComputeAffinities:
         moved_tracks = [
             make_track(i, shift(b, 30, -12, 4)) for i, b in enumerate(boxes)
         ]
-        moved = compute_affinities([moved_det], moved_tracks, AffinityWeights.from_ratio(math.inf))
+        moved = affinities([moved_det], moved_tracks, AffinityWeights.from_ratio(math.inf))
         assert np.argmax(base.refined[0]) == np.argmax(moved.refined[0])

@@ -3,11 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+from milp_oracle import milp_oracle
 from mip_oracle import brute_force_oracle
 from mipmot.association import (
     AssociationProblem,
     hungarian_baseline,
     objective_coefficients,
+    result_from_matches,
     solve_mip,
 )
 
@@ -195,6 +197,56 @@ class TestOracle:
         p = problem([1.0], [1.0, 1.0], [[1.0, 1.0]], x_se_det=[0.0], x_se_trk=[0.0, 0.0])
         o = brute_force_oracle(p)
         assert o.matches == [(0, 1)]
+
+
+def milp_instance(seed):
+    """Instances up to 24x24 in four kinds: realistic confidences, all-zero
+    affinities, values from small sets so gains tie, and random weights."""
+    rng = np.random.default_rng(seed)
+    m, n = (int(v) for v in rng.integers(0, 25, 2))
+    kind = seed % 4
+    if kind == 2:
+        x_cls_det, x_cls_trk = rng.choice([0.99, 1.0], m), rng.choice([0.99, 1.0], n)
+        x_aff = rng.choice([0.0, 0.5, 1.0, 2.0], (m, n))
+        x_se_det, x_se_trk = rng.choice([0.0, 0.5, 1.0], m), rng.choice([0.0, 0.5, 1.0], n)
+    else:
+        x_cls_det, x_cls_trk = rng.uniform(0.9, 1.0, m), rng.uniform(0.9, 1.0, n)
+        x_aff = np.zeros((m, n)) if kind == 1 else rng.uniform(0, 2, (m, n))
+        x_se_det, x_se_trk = rng.uniform(0, 1, m), rng.uniform(0, 1, n)
+    if kind == 3:
+        weights = dict(zip(("w_cls", "w_aff", "w_se"), rng.uniform(0.1, 50.0, 3)))
+    else:
+        weights = PAPER
+    return problem(x_cls_det, x_cls_trk, x_aff, x_se_det, x_se_trk, **weights)
+
+
+def greedy_objective(p):
+    """Objective of a feasible assignment built greedily: best gain
+    over the two outside options first."""
+    c = objective_coefficients(p)
+    c_cls_det, c_cls_trk, c_aff, c_se_det, c_se_trk = c
+    out_det = np.maximum(0.0, c_cls_det + c_se_det)
+    out_trk = np.maximum(0.0, c_cls_trk + c_se_trk)
+    gain = c_cls_det[:, None] + c_cls_trk[None, :] + c_aff - out_det[:, None] - out_trk
+    matches, used_det, used_trk = [], set(), set()
+    for flat in np.argsort(-gain, axis=None, kind="stable"):
+        d, k = divmod(int(flat), p.shape[1])
+        if gain[d, k] > 0.0 and d not in used_det and k not in used_trk:
+            matches.append((d, k))
+            used_det.add(d)
+            used_trk.add(k)
+    return result_from_matches(p, c, matches).objective
+
+
+class TestMilpOracle:
+    def test_matches_literal_binary_program(self):
+        for seed in range(200):
+            p = milp_instance(seed)
+            result = solve_mip(p)
+            assert result.satisfies_constraints()
+            expected = milp_oracle(p)
+            assert result.objective == pytest.approx(expected, rel=0.0, abs=1e-9), seed
+            assert result.objective >= greedy_objective(p) - 1e-9, seed
 
 
 class TestHungarianBaseline:

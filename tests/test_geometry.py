@@ -99,6 +99,27 @@ class TestBox3D:
             assert -math.pi < w <= math.pi
             assert math.isclose(math.cos(w), math.cos(a), abs_tol=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(-1e6, 1e6),
+                st.sampled_from(
+                    [math.pi, -math.pi, 2 * math.pi, -2 * math.pi, -0.0, -1e-300]
+                    + [math.nextafter(math.pi, 4.0), math.nextafter(-math.pi, -4.0)]
+                ),
+            ),
+            max_size=40,
+        )
+    )
+    def test_wrap_angle_array_equals_scalar(self, angles):
+        """One wrap for arrays and scalars: the same bits per element, and
+        a wrapped angle is a fixed point."""
+        wrapped = wrap_angle(np.array(angles, dtype=float))
+        per_element = np.array([wrap_angle(a) for a in angles], dtype=float)
+        assert wrapped.tobytes() == per_element.tobytes()
+        assert wrap_angle(wrapped).tobytes() == wrapped.tobytes()
+
 
 class TestBevCorners:
     def test_axis_aligned_unit_box(self):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -118,6 +119,43 @@ class TestDetectionFiles:
         path.write_text('{"frame": 0, "box": [0,0,0,1,1,1,0], "score": 0.5, "oops": 1}\n')
         with pytest.raises(FormatError, match="oops"):
             read_detections(path)
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ('"frame": 1.7', "frame must be an integer"),
+            ('"frame": true', "frame must be an integer"),
+            ('"box": "1234567"', "box must be a list of 7 numbers"),
+            ('"box": [0, 0, 0, 1, 1, 1]', "box must be a list of 7 numbers"),
+            ('"box": [0, 0, 0, 1, 1, 1, "0"]', "box must be a list of 7 numbers"),
+            ('"score": true', "score must be a number"),
+            ('"score": "0.5"', "score must be a number"),
+            ('"start_prob": true', "start_prob must be a number"),
+            ('"start_prob": "0.5"', "start_prob must be a number"),
+            ('"embedding": ["1", "2"]', "embedding must be a list of numbers"),
+            ('"embedding": [true, false]', "embedding must be a list of numbers"),
+            ('"score": 1e400', "score must be in"),
+            ('"score": 1' + "0" * 400, "int too large"),
+            ('"box": [0, 0, 0, 1, 1, 1, 1e400]', "Box3D field a is not finite"),
+        ],
+    )
+    def test_rejects_bad_json_values(self, tmp_path, field, message):
+        """A bad value fails at its line, not as a coerced record."""
+        record = {"frame": 0, "box": [0, 0, 0, 1, 1, 1, 0], "score": 0.9}
+        lines = [json.dumps(record)] * 3
+        record.update(json.loads("{" + field + "}"))
+        lines.append(json.dumps(record))
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=rf"bad\.jsonl:4: {message}"):
+            read_detections(path)
+
+    def test_json_integers_accepted_as_numbers(self, tmp_path):
+        path = tmp_path / "ints.jsonl"
+        path.write_text('{"frame": 2, "box": [1, 2, 3, 4, 2, 1, 0], "score": 1, "start_prob": 0}\n')
+        d = read_detections(path)[2][0]
+        assert (d.box, d.score, d.start_prob) == (Box3D(1, 2, 3, 4, 2, 1, 0), 1.0, 0.0)
+        assert type(d.score) is float and type(d.start_prob) is float
 
     def test_rejects_embedding_size_change(self, tmp_path):
         path = tmp_path / "dims.txt"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mipmot.geometry import Box3D
 from mipmot.motion import (
@@ -9,7 +11,6 @@ from mipmot.motion import (
     DEFAULT_P0_DIAG,
     DEFAULT_R_DIAG,
     KalmanConfig,
-    KalmanState,
     STATE_DIM,
     kf_init,
     kf_predict,
@@ -20,6 +21,10 @@ from mipmot.motion import (
 def random_psd(rng, n):
     a = rng.normal(size=(n, n))
     return a @ a.T + 0.1 * np.eye(n)
+
+
+def predicted_box(mean) -> Box3D:
+    return Box3D.from_array(mean[:7])
 
 
 class TestConfig:
@@ -50,39 +55,38 @@ class TestConfig:
 class TestInit:
     def test_direct_copy(self):
         cfg = KalmanConfig()
-        state = kf_init(Box3D(1, 2, 3, 4, 2, 1.5, 0.1), cfg)
+        mean, _ = kf_init(Box3D(1, 2, 3, 4, 2, 1.5, 0.1).to_array(), cfg)
         np.testing.assert_allclose(
-            state.mean, [1, 2, 3, 4, 2, 1.5, 0.1, 0, 0, 0]
+            mean, [1, 2, 3, 4, 2, 1.5, 0.1, 0, 0, 0]
         )
 
     def test_covariance_is_p0(self):
         cfg = KalmanConfig()
-        state = kf_init(Box3D(0, 0, 0, 1, 1, 1, 0), cfg)
-        np.testing.assert_array_equal(state.cov, cfg.P0)
+        _, cov = kf_init(Box3D(0, 0, 0, 1, 1, 1, 0).to_array(), cfg)
+        np.testing.assert_array_equal(cov, cfg.P0)
 
     def test_deterministic(self):
         cfg = KalmanConfig()
-        box = Box3D(5, -1, 2, 4, 2, 1.5, -0.4)
-        a, b = kf_init(box, cfg), kf_init(box, cfg)
-        np.testing.assert_array_equal(a.mean, b.mean)
-        np.testing.assert_array_equal(a.cov, b.cov)
+        box = Box3D(5, -1, 2, 4, 2, 1.5, -0.4).to_array()
+        (mean_a, cov_a), (mean_b, cov_b) = kf_init(box, cfg), kf_init(box, cfg)
+        np.testing.assert_array_equal(mean_a, mean_b)
+        np.testing.assert_array_equal(cov_a, cov_b)
 
 
 class TestPredict:
     def test_constant_velocity_advance(self):
         cfg = KalmanConfig()
         mean = np.array([1, 2, 3, 4, 2, 1.5, 0.1, 0.5, 0.0, -0.5])
-        state = KalmanState(mean=mean, cov=cfg.P0)
-        predicted, box = kf_predict(state, cfg)
-        np.testing.assert_allclose(predicted.mean[:3], [1.5, 2.0, 2.5])
-        np.testing.assert_allclose(predicted.mean[3:], mean[3:])
-        assert box == Box3D(1.5, 2.0, 2.5, 4, 2, 1.5, 0.1)
+        predicted, _ = kf_predict(mean, cfg.P0, cfg)
+        np.testing.assert_allclose(predicted[:3], [1.5, 2.0, 2.5])
+        np.testing.assert_allclose(predicted[3:], mean[3:])
+        assert predicted_box(predicted) == Box3D(1.5, 2.0, 2.5, 4, 2, 1.5, 0.1)
 
     def test_zero_velocity_identity(self):
         cfg = KalmanConfig()
         box = Box3D(1, 2, 3, 4, 2, 1.5, 0.1)
-        _, predicted_box = kf_predict(kf_init(box, cfg), cfg)
-        assert predicted_box == box
+        predicted, _ = kf_predict(*kf_init(box.to_array(), cfg), cfg)
+        assert predicted_box(predicted) == box
 
     def test_covariance_equation_oracle(self):
         # direct matrix arithmetic on random symmetric covariances
@@ -90,10 +94,9 @@ class TestPredict:
         rng = np.random.default_rng(2)
         for _ in range(20):
             P = random_psd(rng, STATE_DIM)
-            state = KalmanState(mean=np.zeros(STATE_DIM), cov=P)
-            predicted, _ = kf_predict(state, cfg)
+            _, predicted = kf_predict(np.zeros(STATE_DIM), P, cfg)
             expected = A @ P @ A.T + cfg.Q
-            np.testing.assert_allclose(predicted.cov, expected, atol=1e-12)
+            np.testing.assert_allclose(predicted, expected, atol=1e-12)
 
     def test_mean_linearity(self):
         cfg = KalmanConfig()
@@ -104,44 +107,42 @@ class TestPredict:
             m1[3:6] = np.abs(m1[3:6])  # valid box extents
             m2[3:6] = np.abs(m2[3:6])
             a, b = rng.uniform(0.2, 0.8, 2)
-            lhs, _ = kf_predict(KalmanState(a * m1 + b * m2, cfg.P0), cfg)
-            r1, _ = kf_predict(KalmanState(m1, cfg.P0), cfg)
-            r2, _ = kf_predict(KalmanState(m2, cfg.P0), cfg)
-            np.testing.assert_allclose(lhs.mean, a * r1.mean + b * r2.mean, atol=1e-12)
+            lhs, _ = kf_predict(a * m1 + b * m2, cfg.P0, cfg)
+            r1, _ = kf_predict(m1, cfg.P0, cfg)
+            r2, _ = kf_predict(m2, cfg.P0, cfg)
+            np.testing.assert_allclose(lhs, a * r1 + b * r2, atol=1e-12)
 
 
 class TestUpdate:
     def test_perfect_measurement_limit(self):
         cfg = KalmanConfig(R=1e-12 * np.eye(7))
-        state = kf_init(Box3D(0, 0, 0, 1, 1, 1, 0), cfg)
-        predicted, _ = kf_predict(state, cfg)
+        predicted = kf_predict(*kf_init(Box3D(0, 0, 0, 1, 1, 1, 0).to_array(), cfg), cfg)
         obs = np.array([5, 6, 7, 2, 1, 0.5, 0.3])
-        updated = kf_update(predicted, obs, cfg)
-        np.testing.assert_allclose(updated.mean[:7], obs, atol=1e-6)
+        updated, _ = kf_update(*predicted, obs, cfg)
+        np.testing.assert_allclose(updated[:7], obs, atol=1e-6)
 
     def test_zero_innovation_keeps_mean(self):
         cfg = KalmanConfig()
-        state = kf_init(Box3D(1, 2, 3, 4, 2, 1.5, 0.1), cfg)
-        predicted, _ = kf_predict(state, cfg)
-        updated = kf_update(predicted, predicted.mean[:7], cfg)
-        np.testing.assert_allclose(updated.mean, predicted.mean, atol=1e-12)
+        mean, cov = kf_predict(*kf_init(Box3D(1, 2, 3, 4, 2, 1.5, 0.1).to_array(), cfg), cfg)
+        updated, _ = kf_update(mean, cov, mean[:7], cfg)
+        np.testing.assert_allclose(updated, mean, atol=1e-12)
 
     def test_heading_innovation_wraps(self):
         cfg = KalmanConfig()
         mean = np.zeros(STATE_DIM)
         mean[6] = 3.1
-        predicted, _ = kf_predict(KalmanState(mean, cfg.P0), cfg)
-        obs = predicted.mean[:7].copy()
+        predicted, cov = kf_predict(mean, cfg.P0, cfg)
+        obs = predicted[:7].copy()
         obs[6] = -3.1  # just over the cut from 3.1
-        updated = kf_update(predicted, obs, cfg)
+        updated, _ = kf_update(predicted, cov, obs, cfg)
         # the filter must move toward the cut, not across the circle
-        assert abs(updated.mean[6]) > 3.0
+        assert abs(updated[6]) > 3.0
 
     def test_singular_innovation_raises(self):
         cfg = KalmanConfig(R=np.zeros((7, 7)), P0=np.zeros((STATE_DIM, STATE_DIM)))
-        state = kf_init(Box3D(0, 0, 0, 1, 1, 1, 0), cfg)
+        mean, cov = kf_init(Box3D(0, 0, 0, 1, 1, 1, 0).to_array(), cfg)
         with pytest.raises(np.linalg.LinAlgError):
-            kf_update(state, np.zeros(7), cfg)
+            kf_update(mean, cov, np.zeros(7), cfg)
 
     def test_matches_scalar_recursion_oracle(self):
         """The (x, vx) block decouples, so a hand-rolled 2-state filter
@@ -154,26 +155,26 @@ class TestUpdate:
         h2 = np.array([[1.0, 0.0]])
 
         velocity = 0.7
-        state = kf_init(Box3D(0, 0, 0, 1, 1, 1, 0), cfg)
+        mean, cov = kf_init(Box3D(0, 0, 0, 1, 1, 1, 0).to_array(), cfg)
         mu = np.array([0.0, 0.0])
         P = p0.copy()
         for frame in range(1, 11):
-            state, _ = kf_predict(state, cfg)
+            mean, cov = kf_predict(mean, cov, cfg)
             mu = a2 @ mu
             P = a2 @ P @ a2.T + q
 
-            obs = state.mean[:7].copy()
+            obs = mean[:7].copy()
             obs[0] = velocity * frame
-            state = kf_update(state, obs, cfg)
+            mean, cov = kf_update(mean, cov, obs, cfg)
 
             S = float((h2 @ P @ h2.T).item()) + r
             K = (P @ h2.T) / S
             mu = mu + (K * (velocity * frame - mu[0])).ravel()
             P = (np.eye(2) - K @ h2) @ P
 
-            np.testing.assert_allclose(state.mean[0], mu[0], atol=1e-9)
-            np.testing.assert_allclose(state.mean[7], mu[1], atol=1e-9)
-        assert abs(state.mean[7] - velocity) < 1e-3
+            np.testing.assert_allclose(mean[0], mu[0], atol=1e-9)
+            np.testing.assert_allclose(mean[7], mu[1], atol=1e-9)
+        assert abs(mean[7] - velocity) < 1e-3
 
 
 class TestFilterBehavior:
@@ -181,14 +182,14 @@ class TestFilterBehavior:
         cfg = KalmanConfig()
         v = np.array([0.8, -0.4, 0.1])
         start = np.array([0.0, 0.0, 1.0])
-        state = kf_init(Box3D(*start, 4, 2, 1.5, 0.2), cfg)
+        mean, cov = kf_init(Box3D(*start, 4, 2, 1.5, 0.2).to_array(), cfg)
         errors = []
         for frame in range(1, 12):
-            state, box = kf_predict(state, cfg)
+            mean, cov = kf_predict(mean, cov, cfg)
             true_pos = start + v * frame
-            errors.append(float(np.linalg.norm(box.center - true_pos)))
+            errors.append(float(np.linalg.norm(predicted_box(mean).center - true_pos)))
             obs = np.concatenate([true_pos, [4, 2, 1.5, 0.2]])
-            state = kf_update(state, obs, cfg)
+            mean, cov = kf_update(mean, cov, obs, cfg)
         assert errors[5] < errors[0]
         for e0, e1 in zip(errors[1:], errors[2:]):
             assert e1 <= e0 + 1e-9
@@ -196,11 +197,83 @@ class TestFilterBehavior:
     def test_covariance_stays_psd(self):
         cfg = KalmanConfig()
         rng = np.random.default_rng(9)
-        state = kf_init(Box3D(0, 0, 0, 4, 2, 1.5, 0), cfg)
+        mean, cov = kf_init(Box3D(0, 0, 0, 4, 2, 1.5, 0).to_array(), cfg)
         for _ in range(1000):
-            state, _ = kf_predict(state, cfg)
-            obs = state.mean[:7] + rng.normal(scale=0.3, size=7)
+            mean, cov = kf_predict(mean, cov, cfg)
+            obs = mean[:7] + rng.normal(scale=0.3, size=7)
             obs[3:6] = np.abs(obs[3:6])
-            state = kf_update(state, obs, cfg)
-            assert np.allclose(state.cov, state.cov.T, atol=1e-9)
-            assert np.min(np.linalg.eigvalsh(state.cov)) >= -1e-9
+            mean, cov = kf_update(mean, cov, obs, cfg)
+            assert np.allclose(cov, cov.T, atol=1e-9)
+            assert np.min(np.linalg.eigvalsh(cov)) >= -1e-9
+
+
+# Headings at and next to the angular cut, where the wraps act.
+NEAR_CUT = [
+    math.pi,
+    -math.pi,
+    math.nextafter(math.pi, 0.0),
+    math.nextafter(-math.pi, 0.0),
+    math.pi - 1e-9,
+    -math.pi + 1e-9,
+]
+headings = st.one_of(st.sampled_from(NEAR_CUT), st.floats(-math.pi, math.pi))
+
+
+@st.composite
+def filter_rows(draw):
+    """T in 0..12 rows of means, tracker-shaped covariances (diagonal
+    plus position-velocity coupling) and observations."""
+    t = draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    boxes = np.column_stack(
+        (rng.uniform(-50, 50, (t, 3)), rng.uniform(0.5, 5, (t, 3)), np.zeros(t))
+    )
+    boxes[:, 6] = draw(st.lists(headings, min_size=t, max_size=t))
+    mean = np.column_stack((boxes, rng.normal(scale=0.5, size=(t, 3))))
+    obs = boxes + rng.normal(scale=0.3, size=(t, 7))
+    obs[:, 6] = draw(st.lists(headings, min_size=t, max_size=t))
+    var = rng.uniform(0.05, 10.0, (t, STATE_DIM))
+    cov = var[:, :, None] * np.eye(STATE_DIM)
+    for i in range(3):
+        c = rng.uniform(-0.9, 0.9, t) * np.sqrt(var[:, i] * var[:, i + 7])
+        cov[:, i, i + 7] = cov[:, i + 7, i] = c
+    return boxes, mean, cov, obs
+
+
+def assert_rows_bitwise(stacked, single_calls):
+    """Every row of the stacked outputs has the bytes of its own call."""
+    for k, single in enumerate(single_calls):
+        for batch, one in zip(stacked, single):
+            assert batch.shape[1:] == one.shape
+            assert batch[k].tobytes() == one.tobytes()
+
+
+class TestStacked:
+    @settings(max_examples=150, deadline=None)
+    @given(filter_rows())
+    def test_stacked_equals_per_row(self, rows):
+        boxes, mean, cov, obs = rows
+        cfg = KalmanConfig()
+        t = len(mean)
+        assert_rows_bitwise(kf_init(boxes, cfg), [kf_init(boxes[k], cfg) for k in range(t)])
+        assert_rows_bitwise(
+            kf_predict(mean, cov, cfg), [kf_predict(mean[k], cov[k], cfg) for k in range(t)]
+        )
+        assert_rows_bitwise(
+            kf_update(mean, cov, obs, cfg),
+            [kf_update(mean[k], cov[k], obs[k], cfg) for k in range(t)],
+        )
+
+    def test_empty_stack(self):
+        cfg = KalmanConfig()
+        mean, cov = kf_init(np.zeros((0, 7)), cfg)
+        assert (mean.shape, cov.shape) == ((0, STATE_DIM), (0, STATE_DIM, STATE_DIM))
+        mean, cov = kf_predict(mean, cov, cfg)
+        mean, cov = kf_update(mean, cov, np.zeros((0, 7)), cfg)
+        assert (mean.shape, cov.shape) == ((0, STATE_DIM), (0, STATE_DIM, STATE_DIM))
+
+    def test_observation_shape_checked(self):
+        cfg = KalmanConfig()
+        mean, cov = kf_init(np.zeros((3, 7)), cfg)
+        with pytest.raises(ValueError, match="do not fit means"):
+            kf_update(mean, cov, np.zeros((2, 7)), cfg)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from mipmot import tracker as tracker_module
 from mipmot.geometry import Box3D
 from mipmot.io_formats import Detection
+from mipmot.simgen import generate, scenario_template
 from mipmot.tracker import Tracker, TrackerConfig, TrackStatus, run_sequence
 
 
@@ -66,7 +68,7 @@ class TestStep:
         tracker = Tracker()
         tracker.step(0, [det(0, 0.0, 0.0, embedding=[1.0, 2.0, 3.0, 4.0])])
         (track,) = tracker.tracks
-        before = (track.state.mean.copy(), track.predicted_box, track.misses, tracker._last_frame)
+        before = (tracker.mean.copy(), tracker.cov.copy(), track.misses, tracker._last_frame)
         frame = [
             det(1, 0.1, 0.0, embedding=[1.0, 2.0, 3.0, 4.0]),
             det(1, 9.0, 0.0, embedding=[1.0, 2.0, 3.0]),
@@ -74,10 +76,42 @@ class TestStep:
         with pytest.raises(ValueError, match="frame 1, detection 1: embedding has 3 values"):
             tracker.step(1, frame)
         assert tracker.tracks == [track]
-        np.testing.assert_array_equal(track.state.mean, before[0])
-        assert (track.predicted_box, track.misses, tracker._last_frame) == before[1:]
+        np.testing.assert_array_equal(tracker.mean, before[0])
+        np.testing.assert_array_equal(tracker.cov, before[1])
+        assert (track.misses, tracker._last_frame) == before[2:]
         # the frame can be given again once fixed
         assert len(tracker.step(1, frame[:1]).tracks) == 1
+
+    def test_one_filter_call_per_frame_and_boxes_only_for_output(self, monkeypatch):
+        calls = dict.fromkeys(("kf_init", "kf_predict", "kf_update", "Box3D"), 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("kf_init", "kf_predict", "kf_update"):
+            monkeypatch.setattr(tracker_module, name, counted(name, getattr(tracker_module, name)))
+
+        class CountedBox3D(Box3D):
+            from_array = staticmethod(counted("Box3D", Box3D.from_array))
+
+        monkeypatch.setattr(tracker_module, "Box3D", CountedBox3D)
+        _, detections = generate(scenario_template("clutter", seed=0))
+        by_frame = {}
+        for d in detections:
+            by_frame.setdefault(d.frame, []).append(d)
+        tracker = Tracker()
+        for frame in range(max(by_frame) + 1):
+            calls.update(dict.fromkeys(calls, 0))
+            result = tracker.step(frame, by_frame.get(frame, []))
+            assert max(calls[n] for n in ("kf_init", "kf_predict", "kf_update")) <= 1
+            # only emitted tracks are turned into boxes
+            assert calls["Box3D"] <= len(result.tracks)
+            assert tracker.mean.shape == (len(tracker.tracks), 10)
+            assert tracker.cov.shape == (len(tracker.tracks), 10, 10)
 
     def test_crossing_objects_keep_ids(self):
         tracker = Tracker()
@@ -143,7 +177,7 @@ class TestLifecycle:
             tracker.step(frame, [det(frame, float(frame), 0.0)])
         tracker.step(5, [])
         # after learning ~1 m/frame, the coasted box should sit near x=5
-        assert tracker.tracks[0].last_box.x == pytest.approx(5.0, abs=0.3)
+        assert tracker.mean[0, 0] == pytest.approx(5.0, abs=0.3)
 
 
 class TestAssociators:
