@@ -13,10 +13,12 @@ choices but penalizes selecting low-confidence objects:
 The constraint structure is a bipartite matching in which every node
 also has an independent outside option (start or end, worth
 ``w_cls*(x_cls-1) + w_se*x_se`` when nonnegative, else staying
-unselected at 0). solve_mip exploits that: it solves a square
-assignment problem over real pairs plus per-node self-edges, which is
-exact; brute_force_oracle independently enumerates every feasible
-assignment for small instances.
+unselected at 0). So a pair can be matched in an optimal solution only
+if its gain ``w_cls*(x_cls_det-1) + w_cls*(x_cls_trk-1) + w_aff*x_aff``
+reaches the sum of its two outside options; otherwise giving both
+nodes their outside options scores strictly more. solve_mip keeps the
+pairs that pass and solves a maximum-weight matching on them, which
+is exact.
 """
 
 from __future__ import annotations
@@ -33,7 +35,12 @@ def _check_unit(name: str, v: np.ndarray):
 
 @dataclass
 class AssociationProblem:
-    """Inputs of one frame's association: confidences, affinities, weights."""
+    """Inputs of one frame's association: confidences, affinities, weights.
+
+    ``x_aff`` is the (M, N) affinity matrix, or with ``pairs = (rows,
+    cols)`` the (K,) affinities of those candidate pairs; every other
+    pair is then not allowed to match (its y_aff is fixed to 0).
+    """
 
     x_cls_det: np.ndarray
     x_cls_trk: np.ndarray
@@ -43,16 +50,27 @@ class AssociationProblem:
     w_cls: float
     w_aff: float
     w_se: float
+    pairs: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         self.x_cls_det = np.atleast_1d(np.asarray(self.x_cls_det, dtype=float))
         self.x_cls_trk = np.atleast_1d(np.asarray(self.x_cls_trk, dtype=float))
         self.x_se_det = np.atleast_1d(np.asarray(self.x_se_det, dtype=float))
         self.x_se_trk = np.atleast_1d(np.asarray(self.x_se_trk, dtype=float))
-        self.x_aff = np.asarray(self.x_aff, dtype=float).reshape(
-            self.x_cls_det.size, self.x_cls_trk.size
-        )
         m, n = self.shape
+        if self.pairs is None:
+            self.x_aff = np.asarray(self.x_aff, dtype=float).reshape(m, n)
+        else:
+            rows, cols = (np.asarray(v, dtype=np.intp).ravel() for v in self.pairs)
+            self.pairs = rows, cols
+            self.x_aff = np.asarray(self.x_aff, dtype=float).reshape(rows.size)
+            if cols.size != rows.size:
+                raise ValueError("pair rows and columns differ in length")
+            inside = (rows >= 0) & (rows < m) & (cols >= 0) & (cols < n)
+            if not inside.all():
+                raise ValueError(f"a pair lies outside the {m}x{n} problem")
+            if np.unique(rows * n + cols).size != rows.size:
+                raise ValueError("a pair is listed twice")
         if self.x_se_det.shape != (m,) or self.x_se_trk.shape != (n,):
             raise ValueError("start/end probability sizes do not match")
         _check_unit("x_cls_det", self.x_cls_det)
@@ -79,12 +97,9 @@ class AssociationResult:
     y_se_det: np.ndarray
     y_se_trk: np.ndarray
     objective: float
-
-    @property
-    def matches(self) -> list[tuple[int, int]]:
-        """Matched (detection, track) index pairs, by detection index."""
-        d, k = np.nonzero(self.y_aff)
-        return sorted(zip(d.tolist(), k.tolist()))
+    # Matched (detection, track) index pairs, by detection index: the
+    # nonzero entries of y_aff, kept so that reading them scans nothing.
+    matches: list[tuple[int, int]]
 
     def satisfies_constraints(self) -> bool:
         """Selection equals match-plus-start (end) on every node."""
@@ -101,7 +116,8 @@ def objective_coefficients(p: AssociationProblem) -> tuple[np.ndarray, ...]:
     """Objective coefficients (c_cls_det, c_cls_trk, c_aff, c_se_det, c_se_trk).
 
     c_cls = w_cls * (x_cls - 1) <= 0 discourages selecting uncertain
-    objects; c_aff = w_aff * x_aff and c_se = w_se * x_se are rewards.
+    objects; c_aff = w_aff * x_aff (shaped as ``p.x_aff``) and
+    c_se = w_se * x_se are rewards.
     """
     return (
         p.w_cls * (p.x_cls_det - 1.0),
@@ -110,6 +126,27 @@ def objective_coefficients(p: AssociationProblem) -> tuple[np.ndarray, ...]:
         p.w_se * p.x_se_det,
         p.w_se * p.x_se_trk,
     )
+
+
+# Slack on affinity_needed, far above the float rounding of a pair's
+# gain, so that no pair that can be matched is left out.
+_NEED_MARGIN = 1e-9
+
+
+def affinity_needed(x_cls, x_se, w_cls: float, w_aff: float, w_se: float) -> np.ndarray:
+    """Per node, its share of the affinity a pair needs to be matched.
+
+    A pair (d, k) can be in an optimal solution only if its gain
+    c_cls_det + c_cls_trk + w_aff * x_aff reaches the outside options
+    out_det + out_trk, that is only if x_aff >= need_det[d] +
+    need_trk[k] with need = (out - c_cls) / w_aff =
+    max(w_cls * (1 - x_cls), w_se * x_se) / w_aff. The values returned
+    are lowered by 1e-9 * (1 + need), far more than the rounding of a
+    gain, so a gate on them keeps every pair solve_mip could match.
+    """
+    x_cls = np.asarray(x_cls, dtype=float)
+    need = np.maximum(w_cls * (1.0 - x_cls), w_se * np.asarray(x_se, dtype=float))
+    return need * ((1.0 - _NEED_MARGIN) / w_aff) - _NEED_MARGIN
 
 
 # Start/end gains that are zero up to float noise count as zero; at a
@@ -126,19 +163,30 @@ def result_from_matches(p, coefficients, matches) -> AssociationResult:
     """
     c_cls_det, c_cls_trk, c_aff, c_se_det, c_se_trk = coefficients
     m, n = p.shape
+    matches = sorted(matches)
+    d = np.array([pair[0] for pair in matches], dtype=np.intp)
+    k = np.array([pair[1] for pair in matches], dtype=np.intp)
     y_aff = np.zeros((m, n), dtype=int)
-    for d, k in matches:
-        y_aff[d, k] = 1
-    matched_det = y_aff.sum(axis=1)
-    matched_trk = y_aff.sum(axis=0)
+    y_aff[d, k] = 1
+    matched_det = np.bincount(d, minlength=m)
+    matched_trk = np.bincount(k, minlength=n)
     y_se_det = ((matched_det == 0) & (c_cls_det + c_se_det >= -_TIE_EPS)).astype(int)
     y_se_trk = ((matched_trk == 0) & (c_cls_trk + c_se_trk >= -_TIE_EPS)).astype(int)
     y_cls_det = matched_det + y_se_det
     y_cls_trk = matched_trk + y_se_trk
+    if p.pairs is None:
+        matched_aff = c_aff[d, k]
+    else:
+        # In match order, so the sum is the same as on the dense matrix.
+        key = p.pairs[0] * n + p.pairs[1]
+        at = np.flatnonzero(np.isin(key, d * n + k))
+        if at.size != d.size:
+            raise ValueError("a match is not a candidate pair")
+        matched_aff = c_aff[at[np.argsort(key[at])]]
     objective = float(
         c_cls_det @ y_cls_det
         + c_cls_trk @ y_cls_trk
-        + np.sum(c_aff * y_aff)
+        + np.sum(matched_aff)
         + c_se_det @ y_se_det
         + c_se_trk @ y_se_trk
     )
@@ -149,57 +197,69 @@ def result_from_matches(p, coefficients, matches) -> AssociationResult:
         y_se_det=y_se_det,
         y_se_trk=y_se_trk,
         objective=objective,
+        matches=matches,
     )
 
 
 def solve_mip(p: AssociationProblem) -> AssociationResult:
     """Exact maximizer of the association objective.
 
-    Reduction: an (M+N) x (N+M) assignment matrix whose top-left block
-    holds match gains c_cls_det + c_cls_trk + c_aff, whose diagonal
-    self-edge blocks hold each node's best outside value
-    max(0, c_cls + c_se), and whose dummy-dummy block is zero. A
-    maximum-weight perfect matching of that matrix is an optimal MIP
-    solution. Among equal-objective solutions, unmatched pairs whose
-    match would cost exactly nothing are matched afterwards so ids are
-    carried instead of re-created.
+    The objective is the sum of every node's best outside value
+    out = max(0, c_cls + c_se) plus, per matched pair, its slack
+    c_cls_det + c_cls_trk + c_aff - out_det - out_trk. A pair with
+    negative slack loses strictly to the two outside options, so only
+    the candidate pairs with slack >= 0 are kept. A kept pair whose two
+    nodes have no other kept pair is matched directly; the other kept
+    pairs go to one maximum-weight assignment over their rows and
+    columns, in which a pair that is not kept weighs 0 and matches
+    nothing. Among equal-objective solutions, unmatched pairs whose
+    match would cost exactly nothing are matched afterwards, in (d, k)
+    order, so ids are carried instead of re-created.
     """
     m, n = p.shape
     coefficients = objective_coefficients(p)
     c_cls_det, c_cls_trk, c_aff, c_se_det, c_se_trk = coefficients
     out_det = np.maximum(0.0, c_cls_det + c_se_det)
     out_trk = np.maximum(0.0, c_cls_trk + c_se_trk)
+    if p.pairs is None:
+        slack = c_cls_det[:, None] + c_cls_trk[None, :] + c_aff - out_det[:, None] - out_trk
+        rows, cols = np.nonzero(slack >= 0.0)
+        slack = slack[rows, cols]
+    else:
+        rows, cols = p.pairs
+        slack = c_cls_det[rows] + c_cls_trk[cols] + c_aff - out_det[rows] - out_trk[cols]
+        keep = slack >= 0.0
+        rows, cols, slack = rows[keep], cols[keep], slack[keep]
 
-    matches: list[tuple[int, int]] = []
-    if m > 0 and n > 0:
-        gain = c_cls_det[:, None] + c_cls_trk[None, :] + c_aff
-        # Forbidden assignments only need to lose to every feasible one.
-        scale = max(
-            1.0, float(np.abs(gain).max()), float(out_det.max()), float(out_trk.max())
-        )
-        forbidden = -(m + n) * (scale + 1.0)
-        size = m + n
-        S = np.full((size, size), forbidden)
-        S[:m, :n] = gain
-        S[np.arange(m), n + np.arange(m)] = out_det
-        S[m + np.arange(n), np.arange(n)] = out_trk
-        S[m:, n:] = 0.0
-        rows, cols = linear_sum_assignment(S, maximize=True)
-        matches = [(int(r), int(k)) for r, k in zip(rows, cols) if r < m and k < n]
+    lone = np.bincount(rows, minlength=m)[rows] == 1
+    lone &= np.bincount(cols, minlength=n)[cols] == 1
+    matches = list(zip(rows[lone].tolist(), cols[lone].tolist()))
+    rest = ~lone
+    if rest.any():
+        r, c = rows[rest], cols[rest]
+        sub_rows = np.flatnonzero(np.bincount(r, minlength=m))
+        sub_cols = np.flatnonzero(np.bincount(c, minlength=n))
+        i, j = np.searchsorted(sub_rows, r), np.searchsorted(sub_cols, c)
+        weight = np.zeros((sub_rows.size, sub_cols.size))
+        weight[i, j] = slack[rest]
+        kept = np.zeros(weight.shape, dtype=bool)
+        kept[i, j] = True
+        a, b = linear_sum_assignment(weight, maximize=True)
+        take = kept[a, b]
+        matches += zip(sub_rows[a[take]].tolist(), sub_cols[b[take]].tolist())
 
-        # Zero-cost augmentation: matching an unmatched pair whose gain
-        # exactly offsets both outside options changes nothing in the
-        # objective but keeps the track id alive.
-        free_det = sorted(set(range(m)) - {d for d, _ in matches})
-        free_trk = sorted(set(range(n)) - {k for _, k in matches})
-        for d in free_det:
-            for k in free_trk:
-                if gain[d, k] - out_det[d] - out_trk[k] == 0.0:
-                    matches.append((d, k))
-                    free_trk.remove(k)
-                    break
-        matches.sort()
-
+    # Zero-cost augmentation: matching an unmatched pair whose gain
+    # exactly offsets both outside options changes nothing in the
+    # objective but keeps the track id alive.
+    zero = np.flatnonzero(slack == 0.0)
+    if zero.size:
+        free_det, free_trk = np.ones(m, dtype=bool), np.ones(n, dtype=bool)
+        free_det[[d for d, _ in matches]] = False
+        free_trk[[k for _, k in matches]] = False
+        for d, k in sorted(zip(rows[zero].tolist(), cols[zero].tolist())):
+            if free_det[d] and free_trk[k]:
+                matches.append((d, k))
+                free_det[d] = free_trk[k] = False
     return result_from_matches(p, coefficients, matches)
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -37,6 +38,24 @@ from typing import Optional
 import numpy as np
 
 from .geometry import Box3D
+
+
+# The readers give Python floats and ints; those skip the slower checks
+# against the abstract number types.
+def _is_real(v) -> bool:
+    """A real number (numpy scalars included), but not a bool."""
+    return type(v) is float or (
+        isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
+    )
+
+
+def check_frame(frame) -> int:
+    """A frame index as an int; a bool or non-integer frame is rejected."""
+    if type(frame) is int:
+        return frame
+    if not isinstance(frame, numbers.Integral) or isinstance(frame, (bool, np.bool_)):
+        raise ValueError(f"frame must be an integer, got {frame!r}")
+    return int(frame)
 
 
 @dataclass
@@ -50,11 +69,16 @@ class Detection:
     start_prob: Optional[float] = None
 
     def __post_init__(self):
+        self.frame = check_frame(self.frame)
         if self.frame < 0:
             raise ValueError(f"frame must be nonnegative, got {self.frame}")
+        if not _is_real(self.score):
+            raise ValueError(f"score must be a number, got {self.score!r}")
         if not (math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
             raise ValueError(f"score must be in [0, 1], got {self.score}")
         if self.start_prob is not None:
+            if not _is_real(self.start_prob):
+                raise ValueError(f"start_prob must be a number, got {self.start_prob!r}")
             if not (math.isfinite(self.start_prob) and 0.0 <= self.start_prob <= 1.0):
                 raise ValueError(f"start_prob must be in [0, 1], got {self.start_prob}")
         if self.embedding is not None:

@@ -19,10 +19,10 @@ from typing import Optional
 import numpy as np
 
 from .affinity import AffinityWeights, compute_affinities
-from .association import AssociationProblem, hungarian_baseline, solve_mip
+from .association import AssociationProblem, affinity_needed, hungarian_baseline, solve_mip
 from .config import TrackerConfig
 from .geometry import Box3D
-from .io_formats import Detection
+from .io_formats import Detection, check_frame
 from .motion import MEAS_DIM, STATE_DIM, KalmanConfig, kf_init, kf_predict, kf_update
 
 
@@ -75,6 +75,23 @@ class Tracker:
         """Matched (detection, track) pairs and, for the unmatched
         detections, whether each starts a confirmed track."""
         cfg = self.config
+        x_cls_det = np.array([d.score for d in detections])
+        x_cls_trk = np.array([t.confidence for t in self.tracks])
+        x_se_det = np.array(
+            [
+                d.start_prob if d.start_prob is not None else cfg.default_start_prob
+                for d in detections
+            ]
+        )
+        x_se_trk = np.full(len(self.tracks), cfg.default_end_prob)
+        need = None
+        if cfg.associator == "mip":
+            # Only pairs that can beat both outside options are scored.
+            costs = (cfg.w_cls, cfg.w_aff, cfg.w_se)
+            need = (
+                affinity_needed(x_cls_det, x_se_det, *costs),
+                affinity_needed(x_cls_trk, x_se_trk, *costs),
+            )
         aff = compute_affinities(
             det_boxes,
             self.mean[:, :MEAS_DIM],
@@ -83,6 +100,7 @@ class Tracker:
             self.weights,
             use_dis=cfg.use_dis,
             use_iou=cfg.use_iou,
+            need=need,
         )
         if cfg.associator == "hungarian":
             # The baseline trusts all inputs: matched pairs keep ids,
@@ -90,19 +108,15 @@ class Tracker:
             matches = hungarian_baseline(aff.refined, gate=cfg.ha_gate)
             return matches, np.ones(len(detections), dtype=bool)
         problem = AssociationProblem(
-            x_cls_det=np.array([d.score for d in detections]),
-            x_cls_trk=np.array([t.confidence for t in self.tracks]),
+            x_cls_det=x_cls_det,
+            x_cls_trk=x_cls_trk,
             x_aff=aff.refined,
-            x_se_det=np.array(
-                [
-                    d.start_prob if d.start_prob is not None else cfg.default_start_prob
-                    for d in detections
-                ]
-            ),
-            x_se_trk=np.full(len(self.tracks), cfg.default_end_prob),
+            x_se_det=x_se_det,
+            x_se_trk=x_se_trk,
             w_cls=cfg.w_cls,
             w_aff=cfg.w_aff,
             w_se=cfg.w_se,
+            pairs=aff.pairs,
         )
         result = solve_mip(problem)
         return result.matches, result.y_se_det.astype(bool)
@@ -125,6 +139,7 @@ class Tracker:
     def step(self, frame: int, detections: list[Detection]) -> FrameResult:
         """Process one frame and return its confirmed associated tracks."""
         cfg = self.config
+        frame = check_frame(frame)
         if self._last_frame is not None and frame <= self._last_frame:
             raise ValueError(
                 f"frames must be strictly increasing: got {frame} after {self._last_frame}"

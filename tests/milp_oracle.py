@@ -16,8 +16,9 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from mipmot.association import AssociationProblem, objective_coefficients
 
 
-def milp_oracle(p: AssociationProblem) -> float:
-    """Optimal objective of the literal binary program."""
+def milp_oracle(p: AssociationProblem, allowed=None) -> float:
+    """Optimal objective of the literal binary program. With an (M, N)
+    boolean ``allowed``, every other pair is fixed to y_aff = 0."""
     m, n = p.shape
     c = np.concatenate([np.ravel(v) for v in objective_coefficients(p)])
     if c.size == 0:
@@ -34,11 +35,14 @@ def milp_oracle(p: AssociationProblem) -> float:
             eq[m + k, m + n + d * n + k] = -1.0
     eq[rows_det, m + n + m * n + np.arange(m)] = -1.0
     eq[rows_trk, 2 * m + n + m * n + np.arange(n)] = -1.0
+    upper = np.ones(c.size)
+    if allowed is not None:
+        upper[m + n : m + n + m * n] = np.asarray(allowed, dtype=bool).ravel()
     res = milp(
         -c,
         constraints=LinearConstraint(eq, 0.0, 0.0),
         integrality=np.ones(c.size),
-        bounds=Bounds(0.0, 1.0),
+        bounds=Bounds(0.0, upper),
         options={"mip_rel_gap": 0.0},
     )
     if not res.success:

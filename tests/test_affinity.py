@@ -1,5 +1,6 @@
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import softmax
 
 from clip_oracle import convex_polygon_intersection_area
+from mipmot import affinity as affinity_module
 from mipmot.affinity import (
     AffinityWeights,
     compute_affinities,
@@ -15,6 +17,12 @@ from mipmot.affinity import (
     raw_appearance_matrix,
     raw_appearance_score,
     softmax_ranking,
+)
+from mipmot.association import (
+    AssociationProblem,
+    affinity_needed,
+    objective_coefficients,
+    solve_mip,
 )
 from mipmot.geometry import EPS, Box3D, bev_corners, diou_affinity, distance_term, iou_3d
 from mipmot.io_formats import Detection
@@ -300,3 +308,192 @@ class TestComputeAffinities:
         ]
         moved = affinities([moved_det], moved_tracks, AffinityWeights.from_ratio(math.inf))
         assert np.argmax(base.refined[0]) == np.argmax(moved.refined[0])
+
+
+@st.composite
+def gate_frames(draw):
+    """One frame's association inputs: tracks spread over a small or a
+    large area, detections near tracks or anywhere, boxes that may have
+    zero extent, scores, start probabilities and embeddings that may be
+    absent, every weight ratio and both motion terms on or one off."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n = draw(st.integers(0, 14)), draw(st.integers(0, 14))
+    spread = draw(st.sampled_from([2.0, 20.0, 400.0]))
+
+    def boxes(k):
+        out = np.column_stack(
+            (
+                rng.uniform(-spread, spread, (k, 2)),
+                rng.uniform(-1.0, 1.0, k),
+                rng.uniform(0.0, 5.0, (k, 3)) * (rng.random((k, 1)) < 0.9),
+                rng.uniform(-4.0, 4.0, k),
+            )
+        )
+        return out.reshape(k, 7)
+
+    tracks = boxes(n)
+    dets = boxes(m)
+    near = rng.random(m) < 0.7
+    if n:
+        source = tracks[rng.integers(0, n, m)]
+        jitter = rng.normal(0.0, draw(st.sampled_from([0.0, 0.3, 3.0])), (m, 3))
+        dets[near, :3] = source[near, :3] + jitter[near]
+        dets[near, 3:] = source[near, 3:]
+    embed = draw(st.sampled_from(["all", "none", "one missing"]))
+    dim = 4
+
+    def embeddings(k):
+        values = [rng.normal(size=dim) for _ in range(k)]
+        return [None] * k if embed == "none" else values
+
+    det_emb, trk_emb = embeddings(m), embeddings(n)
+    if embed == "one missing" and m:
+        det_emb[0] = None
+    flags = draw(st.sampled_from([(True, True), (True, False), (False, True)]))
+    scores = draw(st.sampled_from(["certain", "mixed"]))
+
+    def confidences(k):
+        if scores == "certain":
+            return np.ones(k)
+        return np.where(rng.random(k) < 0.3, 1.0, rng.uniform(0.8, 1.0, k))
+
+    return dict(
+        dets=dets,
+        tracks=tracks,
+        det_emb=det_emb,
+        trk_emb=trk_emb,
+        ratio=draw(st.sampled_from([0.0, 1.0, 10.0, math.inf])),
+        use_dis=flags[0],
+        use_iou=flags[1],
+        x_cls_det=confidences(m),
+        x_cls_trk=confidences(n),
+        x_se_det=np.where(rng.random(m) < 0.5, 0.5, rng.uniform(0.0, 1.0, m)),
+        x_se_trk=rng.choice([0.0, 0.5, 1.0], n),
+        costs=draw(st.sampled_from([(100.0, 22.0, 1.0), (1.0, 22.0, 1.0), (5.0, 1.0, 3.0)])),
+    )
+
+
+def problem_of(frame, x_aff, pairs=None):
+    w_cls, w_aff, w_se = frame["costs"]
+    return AssociationProblem(
+        x_cls_det=frame["x_cls_det"],
+        x_cls_trk=frame["x_cls_trk"],
+        x_aff=x_aff,
+        x_se_det=frame["x_se_det"],
+        x_se_trk=frame["x_se_trk"],
+        w_cls=w_cls,
+        w_aff=w_aff,
+        w_se=w_se,
+        pairs=pairs,
+    )
+
+
+class TestCandidateGate:
+    def gated_and_dense(self, frame):
+        weights = AffinityWeights.from_ratio(frame["ratio"])
+        args = (frame["dets"], frame["tracks"], frame["det_emb"], frame["trk_emb"], weights)
+        flags = dict(use_dis=frame["use_dis"], use_iou=frame["use_iou"])
+        need = (
+            affinity_needed(frame["x_cls_det"], frame["x_se_det"], *frame["costs"]),
+            affinity_needed(frame["x_cls_trk"], frame["x_se_trk"], *frame["costs"]),
+        )
+        dense = compute_affinities(*args, **flags)
+        # The gate is used at every frame size here, not only beyond
+        # the size where it pays off.
+        with mock.patch.object(affinity_module, "_GATE_MIN_PAIRS", 0):
+            gated = compute_affinities(*args, **flags, need=need)
+        return gated, dense
+
+    @settings(max_examples=300, deadline=None)
+    @given(gate_frames())
+    def test_pairs_left_out_lose_to_outside_options(self, frame):
+        gated, dense = self.gated_and_dense(frame)
+        p = problem_of(frame, dense.refined)
+        c_cls_det, c_cls_trk, c_aff, c_se_det, c_se_trk = objective_coefficients(p)
+        out_det = np.maximum(0.0, c_cls_det + c_se_det)
+        out_trk = np.maximum(0.0, c_cls_trk + c_se_trk)
+        slack = c_cls_det[:, None] + c_cls_trk + c_aff - out_det[:, None] - out_trk
+        left_out = np.ones(p.shape, dtype=bool)
+        if gated.pairs is None:
+            left_out[:] = False
+        else:
+            left_out[gated.pairs] = False
+            # scored pairs carry the dense values bit for bit
+            assert gated.refined.tolist() == dense.refined[gated.pairs].tolist()
+            assert gated.motion.tolist() == dense.motion[gated.pairs].tolist()
+        assert np.all(slack[left_out] < 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(gate_frames())
+    def test_same_association_as_dense(self, frame):
+        gated, dense = self.gated_and_dense(frame)
+        expected = solve_mip(problem_of(frame, dense.refined))
+        got = solve_mip(problem_of(frame, gated.refined, gated.pairs))
+        assert got.matches == expected.matches
+        assert got.y_se_det.tolist() == expected.y_se_det.tolist()
+        assert got.y_se_trk.tolist() == expected.y_se_trk.tolist()
+        assert got.objective == expected.objective
+        assert got.satisfies_constraints()
+
+    def test_nested_boxes_with_close_centres_kept(self):
+        # A small box inside a large one, 0.1 m off its centre: the
+        # enclosing box is the large box, whose diagonal (17.3) exceeds
+        # dist + |h_d + h_k| (9.6), so a distance-term bound built on
+        # the summed half-extents (0.990) would fall below the actual
+        # 0.994 and drop the pair; it needs 0.992.
+        dets = np.array([[0, 0, 0, 10, 10, 10, 0], [1e4, 0, 0, 4, 2, 1.5, 0]], dtype=float)
+        tracks = np.array([[0.1, 0, 0, 1, 1, 1, 0], [-1e4, 0, 0, 4, 2, 1.5, 0]], dtype=float)
+        costs = (1.0, 1.0, 1.0)
+        need = (
+            affinity_needed([1.0, 1.0], [0.5, 0.5], *costs),
+            affinity_needed([1.0, 1.0], [0.492, 0.5], *costs),
+        )
+        args = (dets, tracks, [None] * 2, [None] * 2, AffinityWeights())
+        with mock.patch.object(affinity_module, "_GATE_MIN_PAIRS", 0):
+            gated = compute_affinities(*args, use_iou=False, need=need)
+        dense = compute_affinities(*args, use_iou=False)
+        assert dense.motion[0, 0] == pytest.approx(1.0 - 0.1 / math.sqrt(300.0))
+        assert list(zip(*gated.pairs)) == [(0, 0)]
+        frame = dict(x_cls_det=np.ones(2), x_cls_trk=np.ones(2), x_se_det=np.full(2, 0.5),
+                     x_se_trk=np.array([0.492, 0.5]), costs=costs)
+        got = solve_mip(problem_of(frame, gated.refined, gated.pairs))
+        assert got.matches == solve_mip(problem_of(frame, dense.refined)).matches == [(0, 0)]
+
+    def test_sparse_scene_scores_few_pairs(self):
+        # 60 tracks 50 m apart, each seen again 0.2 m away
+        rng = np.random.default_rng(139)
+        tracks = np.column_stack(
+            (
+                np.arange(60.0) * 50.0,
+                rng.uniform(-5, 5, 60),
+                np.zeros(60),
+                np.tile([4.0, 2.0, 1.5, 0.0], (60, 1)),
+            )
+        )
+        dets = tracks + np.column_stack((rng.normal(0, 0.2, (60, 2)), np.zeros((60, 5))))
+        need = affinity_needed(np.full(60, 0.95), np.full(60, 0.5), 100.0, 22.0, 1.0)
+        weights = AffinityWeights()
+        out = compute_affinities(
+            dets, tracks, [None] * 60, [None] * 60, weights, need=(need, need)
+        )
+        rows, cols = out.pairs
+        assert sorted(zip(rows.tolist(), cols.tolist())) == [(k, k) for k in range(60)]
+        dense = compute_affinities(dets, tracks, [None] * 60, [None] * 60, weights)
+        assert out.refined.tolist() == dense.refined[rows, cols].tolist()
+
+    def test_no_gate_without_need_or_for_small_frames(self):
+        box = Box3D(0, 0, 0, 4, 2, 1.5, 0)
+        far = Box3D(1e4, 0, 0, 4, 2, 1.5, 0)
+        need = (np.array([5.0]), np.array([5.0, 5.0]))
+        tracks = [make_track(0, box), make_track(1, far)]
+        small = affinities([make_det(box)], tracks, AffinityWeights())
+        assert small.pairs is None and small.refined.shape == (1, 2)
+        out = compute_affinities(
+            box_array([box]),
+            box_array([box, far]),
+            [None],
+            [None, None],
+            AffinityWeights(),
+            need=need,
+        )
+        assert out.pairs is None and out.refined.shape == (1, 2)

@@ -7,6 +7,7 @@ from milp_oracle import milp_oracle
 from mip_oracle import brute_force_oracle
 from mipmot.association import (
     AssociationProblem,
+    affinity_needed,
     hungarian_baseline,
     objective_coefficients,
     result_from_matches,
@@ -25,6 +26,25 @@ def problem(x_cls_det, x_cls_trk, x_aff, x_se_det=None, x_se_trk=None, **weights
         x_se_det=np.full(m, 0.5) if x_se_det is None else np.asarray(x_se_det, float),
         x_se_trk=np.full(n, 0.5) if x_se_trk is None else np.asarray(x_se_trk, float),
         **(weights or PAPER),
+    )
+
+
+def on_pairs(p, allowed):
+    """The problem ``p`` with only the pairs of the boolean ``allowed``
+    as candidates, listed in a shuffled order."""
+    rows, cols = np.nonzero(allowed)
+    order = np.random.default_rng(rows.size).permutation(rows.size)
+    rows, cols = rows[order], cols[order]
+    return AssociationProblem(
+        x_cls_det=p.x_cls_det,
+        x_cls_trk=p.x_cls_trk,
+        x_aff=p.x_aff[rows, cols],
+        x_se_det=p.x_se_det,
+        x_se_trk=p.x_se_trk,
+        w_cls=p.w_cls,
+        w_aff=p.w_aff,
+        w_se=p.w_se,
+        pairs=(rows, cols),
     )
 
 
@@ -247,6 +267,101 @@ class TestMilpOracle:
             expected = milp_oracle(p)
             assert result.objective == pytest.approx(expected, rel=0.0, abs=1e-9), seed
             assert result.objective >= greedy_objective(p) - 1e-9, seed
+
+
+class TestCandidatePairs:
+    def test_matches_restricted_binary_program(self):
+        for seed in range(200):
+            p = milp_instance(seed)
+            rng = np.random.default_rng(1000 + seed)
+            density = rng.choice([0.0, 0.1, 0.3, 1.0])
+            allowed = rng.random(p.shape) < density
+            result = solve_mip(on_pairs(p, allowed))
+            assert result.satisfies_constraints(), seed
+            assert not np.any(result.y_aff[~allowed]), seed
+            expected = milp_oracle(p, allowed)
+            assert result.objective == pytest.approx(expected, rel=0.0, abs=1e-9), seed
+
+    def test_all_pairs_as_candidates_equal_dense(self):
+        for seed in range(200):
+            p = milp_instance(seed)
+            dense, sparse = solve_mip(p), solve_mip(on_pairs(p, np.ones(p.shape, bool)))
+            assert sparse.matches == dense.matches, seed
+            assert sparse.objective == dense.objective, seed
+            np.testing.assert_array_equal(sparse.y_se_det, dense.y_se_det)
+            np.testing.assert_array_equal(sparse.y_se_trk, dense.y_se_trk)
+
+    def test_lone_pairs_matched_iff_gain_reaches_outside_options(self):
+        # one candidate per row and column; outside options are 0.5 each
+        x_aff = np.diag([1.0 / 22.0, 0.5 / 22.0, 0.9 / 22.0])
+        p = problem([1.0] * 3, [1.0] * 3, x_aff, x_se_det=[0.5] * 3, x_se_trk=[0.5] * 3)
+        result = solve_mip(on_pairs(p, np.eye(3, dtype=bool)))
+        # gain 1.0 = 0.5 + 0.5 is a tie, matched; 0.5 and 0.9 lose
+        assert result.matches == [(0, 0)]
+        assert result.y_se_det.tolist() == [0, 1, 1]
+        assert result.objective == pytest.approx(1.0 + 4 * 0.5)
+        assert result.satisfies_constraints()
+
+    def test_zero_slack_pairs_keep_ids(self):
+        # every gain exactly offsets the outside options (all 0): matching
+        # changes nothing, yet no candidate pair may be left with both
+        # nodes free, so that ids are carried
+        p = problem([1.0] * 3, [1.0] * 4, np.zeros((3, 4)), x_se_det=[0.0] * 3, x_se_trk=[0.0] * 4)
+        rng = np.random.default_rng(137)
+        for _ in range(50):
+            allowed = rng.random((3, 4)) < 0.4
+            result = solve_mip(on_pairs(p, allowed))
+            assert result.objective == 0.0 and result.satisfies_constraints()
+            assert not np.any(result.y_aff[~allowed])
+            free = (result.y_aff.sum(axis=1) == 0)[:, None] & (result.y_aff.sum(axis=0) == 0)
+            assert not np.any(allowed & free)
+        # a positive pair is matched first, the zero-slack pair fills in
+        x_aff = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        p = problem([1.0] * 2, [1.0] * 3, x_aff, x_se_det=[0.0] * 2, x_se_trk=[0.0] * 3)
+        allowed = np.array([[True, True, False], [False, True, True]])
+        assert solve_mip(on_pairs(p, allowed)).matches == [(0, 1), (1, 2)]
+
+    def test_empty_candidate_set(self):
+        p = problem([1.0, 0.9], [1.0], np.full((2, 1), 2.0), x_se_det=[1.0, 1.0], x_se_trk=[1.0])
+        result = solve_mip(on_pairs(p, np.zeros((2, 1), bool)))
+        assert result.matches == []
+        assert result.y_se_det.tolist() == [1, 0] and result.y_se_trk.tolist() == [1]
+        assert result.objective == pytest.approx(2.0)
+        assert result.satisfies_constraints()
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            (([0, 1], [0]), "differ in length"),
+            (([0, 2], [0, 0]), "outside the 2x2 problem"),
+            (([0, -1], [0, 0]), "outside the 2x2 problem"),
+            (([1, 1], [0, 0]), "listed twice"),
+        ],
+    )
+    def test_bad_pairs_rejected(self, pairs, message):
+        with pytest.raises(ValueError, match=message):
+            AssociationProblem(
+                x_cls_det=[1.0, 1.0], x_cls_trk=[1.0, 1.0], x_aff=np.zeros(len(pairs[0])),
+                x_se_det=[0.5, 0.5], x_se_trk=[0.5, 0.5], pairs=pairs, **PAPER,
+            )
+
+    def test_affinity_needed_bounds_the_gain(self):
+        rng = np.random.default_rng(131)
+        for seed in range(200):
+            p = milp_instance(seed)
+            weights = (p.w_cls, p.w_aff, p.w_se)
+            need_det = affinity_needed(p.x_cls_det, p.x_se_det, *weights)
+            need_trk = affinity_needed(p.x_cls_trk, p.x_se_trk, *weights)
+            c_cls_det, c_cls_trk, c_aff, c_se_det, c_se_trk = objective_coefficients(p)
+            out_det = np.maximum(0.0, c_cls_det + c_se_det)
+            out_trk = np.maximum(0.0, c_cls_trk + c_se_trk)
+            slack = c_cls_det[:, None] + c_cls_trk + c_aff - out_det[:, None] - out_trk
+            below = p.x_aff < need_det[:, None] + need_trk
+            assert np.all(slack[below] < 0.0), seed
+            # an affinity exactly at the need reaches the outside options
+            at = need_det[:, None] + need_trk + 2e-9 * (1.0 + rng.random(p.shape))
+            assert np.all(c_cls_det[:, None] + c_cls_trk + p.w_aff * at
+                          >= out_det[:, None] + out_trk - 1e-6), seed
 
 
 class TestHungarianBaseline:

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from mipmot.evaluation import (
     format_report_table,
     match_frame,
 )
+from mipmot import geometry
 from mipmot.geometry import EPS, Box3D, bev_corners
 
 
@@ -124,6 +127,32 @@ class TestMatchFrameOracle:
         gt, hyp, prev = frame
         expected = oracle_match_frame(gt, hyp, prev, threshold)
         assert match_frame(gt, hyp, prev, threshold) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(frames(), st.sampled_from([0.1, 0.5, 0.7]))
+    def test_tree_query_same_mapping(self, frame, threshold):
+        gt, hyp, prev = frame
+        expected = oracle_match_frame(gt, hyp, prev, threshold)
+        # the k-d tree query at every size, not only beyond the size where it pays off
+        with mock.patch.object(geometry, "_TREE_MIN_PAIRS", 0):
+            assert match_frame(gt, hyp, prev, threshold) == expected
+
+    @pytest.mark.parametrize("scene", ["far", "empty gt", "empty hyp", "coincident"])
+    def test_tree_query_scenes(self, scene):
+        gt = {g: box(50.0 * g, 0.0, a=0.3 * g) for g in range(5)}
+        hyp = {10 + g: box(b.x + 0.3, 0.2, a=b.a + 0.1) for g, b in gt.items()}
+        if scene == "far":
+            hyp = {10 + g: box(b.x + 25.0, 0.0) for g, b in gt.items()}
+        elif scene == "empty gt":
+            gt = {}
+        elif scene == "empty hyp":
+            hyp = {}
+        else:
+            hyp = {10 + g: box(b.x, b.y, l=2.5, w=3.0, a=1.0) for g, b in gt.items()}
+        with mock.patch.object(geometry, "_TREE_MIN_PAIRS", 0):
+            got = match_frame(gt, hyp, {}, 0.1)
+        assert got == oracle_match_frame(gt, hyp, {}, 0.1)
+        assert len(got) == {"far": 0, "empty gt": 0, "empty hyp": 0, "coincident": 5}[scene]
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(frames(), min_size=1, max_size=4))

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clip_oracle import convex_polygon_intersection_area
+from mipmot import geometry
 from mipmot.geometry import (
     EPS,
     Box3D,
@@ -256,6 +258,52 @@ class TestOverlapKernel:
         assert got.shape == (len(left), len(right))
         assert got.tolist() == expected
         assert [[bev_iou(a, b) for b in right] for a in left] == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(boxes(spread=4.0), max_size=7),
+        st.lists(boxes(spread=4.0), max_size=7),
+        st.sampled_from(["near", "far", "coincident"]),
+    )
+    def test_tree_query_equals_pairwise(self, left, right, layout):
+        if layout == "far":
+            # every box farther from the others than any two circumcircles reach
+            right = [
+                Box3D(b.x + 100.0 * (k + 1), b.y, b.z, b.l, b.w, b.h, b.a)
+                for k, b in enumerate(right)
+            ]
+        elif layout == "coincident":
+            right = [Box3D(a.x, a.y, b.z, b.l, b.w, b.h, b.a) for a, b in zip(left, right)]
+        # the k-d tree query at every size, not only beyond the size where it pays off
+        with mock.patch.object(geometry, "_TREE_MIN_PAIRS", 0):
+            got = bev_iou_matrix(as_array(left), as_array(right))
+        expected = [[oracle_bev_iou(a, b) for b in right] for a in left]
+        assert got.shape == (len(left), len(right))
+        assert got.tolist() == expected
+
+    def test_tree_query_at_size(self):
+        # 110 x 110 boxes on a grid: beyond _TREE_MIN_PAIRS, so the tree is used
+        rng = np.random.default_rng(149)
+        grid = np.array([(x, y) for x in range(11) for y in range(10)], dtype=float) * 6.0
+        left = [Box3D(x, y, 0, *rng.uniform(0.5, 6.0, 3), rng.uniform(-4, 4)) for x, y in grid]
+        right = [
+            Box3D(b.x + rng.normal(0, 1.0), b.y + rng.normal(0, 1.0), 0, b.l, b.w, b.h, b.a + 0.3)
+            for b in left
+        ]
+        assert len(left) * len(right) > geometry._TREE_MIN_PAIRS
+        got = bev_iou_matrix(as_array(left), as_array(right))
+        with mock.patch.object(geometry, "_TREE_MIN_PAIRS", math.inf):
+            dense = bev_iou_matrix(as_array(left), as_array(right))
+        assert got.tolist() == dense.tolist()
+        assert np.count_nonzero(got) > len(left)
+        for i, j in zip(*np.nonzero(got)):
+            assert got[i, j] == oracle_bev_iou(left[i], right[j])
+
+    def test_tree_query_empty_side(self):
+        one = as_array([Box3D(0, 0, 0, 1, 1, 1)])
+        with mock.patch.object(geometry, "_TREE_MIN_PAIRS", -1):
+            assert bev_iou_matrix(np.zeros((0, 7)), one).shape == (0, 1)
+            assert bev_iou_matrix(one, np.zeros((0, 7))).shape == (1, 0)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(boxes(), min_size=1, max_size=6))

@@ -171,6 +171,30 @@ class TestDetectionFiles:
         with pytest.raises(ValueError):
             Detection(frame=0, box=Box3D(0, 0, 0, 1, 1, 1, 0), score=1.5)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(frame=1.7), "frame must be an integer, got 1.7"),
+            (dict(frame=True), "frame must be an integer, got True"),
+            (dict(frame="3"), "frame must be an integer, got '3'"),
+            (dict(score=True), "score must be a number, got True"),
+            (dict(score="0.9"), "score must be a number, got '0.9'"),
+            (dict(start_prob=False), "start_prob must be a number, got False"),
+            (dict(start_prob="1"), "start_prob must be a number, got '1'"),
+        ],
+    )
+    def test_in_memory_types_rejected(self, fields, message):
+        values = {**dict(frame=0, box=Box3D(0, 0, 0, 1, 1, 1, 0), score=0.9), **fields}
+        with pytest.raises(ValueError, match=message):
+            Detection(**values)
+
+    def test_numpy_scalars_accepted(self):
+        det = Detection(
+            frame=np.int64(3), box=Box3D(0, 0, 0, 1, 1, 1, 0), score=np.float32(0.5),
+            start_prob=np.float64(0.25),
+        )
+        assert det.frame == 3 and type(det.frame) is int
+
 
 class TestKittiFiles:
     def test_write_one_line_17_fields(self, tmp_path):

@@ -82,6 +82,19 @@ class TestStep:
         # the frame can be given again once fixed
         assert len(tracker.step(1, frame[:1]).tracks) == 1
 
+    @pytest.mark.parametrize("frame", [0.5, 1.0, True, "1", None])
+    def test_non_integer_frame_rejected_before_any_change(self, frame):
+        tracker = Tracker()
+        tracker.step(0, [det(0, 0.0, 0.0)])
+        (track,) = tracker.tracks
+        before = (tracker.mean.copy(), track.misses, track.hits, tracker._last_frame)
+        with pytest.raises(ValueError, match="frame must be an integer"):
+            tracker.step(frame, [det(1, 0.1, 0.0)])
+        assert tracker.tracks == [track]
+        np.testing.assert_array_equal(tracker.mean, before[0])
+        assert (track.misses, track.hits, tracker._last_frame) == before[1:]
+        assert tracker.step(1, [det(1, 0.1, 0.0)]).frame == 1
+
     def test_one_filter_call_per_frame_and_boxes_only_for_output(self, monkeypatch):
         calls = dict.fromkeys(("kf_init", "kf_predict", "kf_update", "Box3D"), 0)
 
