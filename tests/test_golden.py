@@ -1,6 +1,7 @@
-"""Golden outputs: sha256 digests of the KITTI result files of ``mipmot track``.
+"""Golden outputs: sha256 digests of the files ``mipmot simulate`` writes
+and of the KITTI result files of ``mipmot track``.
 
-Each case simulates a template and seed with ``mipmot simulate``, tracks
+Each tracking case simulates a template and seed with ``mipmot simulate``, tracks
 it with ``mipmot track --config`` and hashes the result file, so the
 digests pin the tracker's output through the public file formats and
 the JSON config keys. A refactor keeps every digest; a change that moves
@@ -67,6 +68,18 @@ GOLDEN = {
 }
 
 
+# (template, file suffix) -> sha256 of that file at seed 0: the detection
+# writer and the KITTI label writer, byte for byte.
+SIMULATE_GOLDEN = {
+    ("clean", "dets"): "c5cfbb4433f19561dbd204347d0733b1356c2d8fcc70b9b45e58b407527355a1",
+    ("clean", "labels"): "a6a1f1ebf8c33878fb0cb146bd70af6145d1c881744a98e603cc1e30344199fb",
+    ("crossing", "dets"): "b9aef46dedbec86d8ce448e883310f6dd2f3db16cfb2dafe196439da06c340e1",
+    ("crossing", "labels"): "cd3ac80e50b2aba8c7e61837a5c7d96df29fa9bfb40ed664193c505c99fa5639",
+    ("clutter", "dets"): "dc3c6f1b894ab4d333ef9ba53da64dacc8453877475c37c755416e2523b9891f",
+    ("clutter", "labels"): "4ee20ae0fe55c8346b55999a8e9510b3cc073e866e945eb4a5fdc5266aa57907",
+}
+
+
 @pytest.fixture(scope="module")
 def scenarios(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
@@ -97,3 +110,9 @@ def test_result_digest(scenarios, tmp_path, capsys, template, seed, config):
     digest = result_digest(scenarios, tmp_path, template, seed, config)
     capsys.readouterr()
     assert digest == GOLDEN[template, seed, config]
+
+
+@pytest.mark.parametrize("template, suffix", sorted(SIMULATE_GOLDEN))
+def test_simulate_digest(scenarios, template, suffix):
+    data = (scenarios / f"{template}-0" / f"seq.{suffix}.txt").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == SIMULATE_GOLDEN[template, suffix]

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mipmot.geometry import Box3D
 from mipmot.io_formats import (
@@ -196,7 +198,77 @@ class TestDetectionFiles:
         assert det.frame == 3 and type(det.frame) is int
 
 
+COORDS = st.floats(-1e4, 1e4)
+KITTI_BOXES = st.builds(
+    Box3D, COORDS, COORDS, COORDS, *[st.floats(0.0, 50.0)] * 3, st.floats(-10.0, 10.0)
+)
+OBJECT_TYPES = st.text("abcXYZ_-019", min_size=1, max_size=10)
+UNIT = st.floats(0.0, 1.0)
+
+
+def as_written(box: Box3D) -> Box3D:
+    """The box a KITTI file holds: every field at 6 decimals, the heading
+    wrapped again after rounding."""
+    return Box3D(*(float(f"{v:.6f}") for v in box.to_array()))
+
+
+def read_back(path) -> list[tuple]:
+    return [
+        (r.frame, r.track_id, r.object_type, r.box, r.score) for r in read_kitti_labels(path)
+    ]
+
+
 class TestKittiFiles:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.dictionaries(
+            st.integers(0, 10**6),
+            st.dictionaries(st.integers(0, 10**6), st.tuples(KITTI_BOXES, UNIT), max_size=4),
+            max_size=5,
+        ),
+        OBJECT_TYPES,
+    )
+    def test_result_file_round_trip(self, tmp_path_factory, frames, object_type):
+        path = tmp_path_factory.mktemp("kitti") / "res.txt"
+        results = [
+            FrameResult(frame=f, tracks=[(i, box, score) for i, (box, score) in tracks.items()])
+            for f, tracks in frames.items()
+        ]
+        write_kitti_tracking(results, path, object_type=object_type)
+        assert read_back(path) == [
+            (r.frame, i, object_type, as_written(box), float(f"{score:.6f}"))
+            for r in results
+            for i, box, score in r.tracks
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                LabelRecord,
+                st.integers(0, 10**6),
+                st.integers(0, 10**6),
+                OBJECT_TYPES,
+                KITTI_BOXES,
+                st.none() | UNIT,
+            ),
+            max_size=8,
+        )
+    )
+    def test_label_file_round_trip(self, tmp_path_factory, records):
+        path = tmp_path_factory.mktemp("kitti") / "labels.txt"
+        write_kitti_labels(records, path)
+        assert read_back(path) == [
+            (
+                r.frame,
+                r.track_id,
+                r.object_type,
+                as_written(r.box),
+                None if r.score is None else float(f"{r.score:.6f}"),
+            )
+            for r in records
+        ]
+
     def test_write_one_line_17_fields(self, tmp_path):
         path = tmp_path / "res.txt"
         result = FrameResult(frame=0, tracks=[(1, Box3D(1, 2, 3, 4, 2, 1.5, 0.1), 0.9)])
