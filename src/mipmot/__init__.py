@@ -10,7 +10,7 @@ from .association import (
 )
 from .config import TrackerConfig
 from .evaluation import MotReport, evaluate_sequence, aggregate_reports
-from .geometry import Box3D, bev_iou, diou_affinity, iou_3d
+from .geometry import Box3D, bev_iou
 from .io_formats import Detection, LabelRecord
 from .motion import KalmanConfig, kf_init, kf_predict, kf_update
 from .simgen import ScenarioConfig, generate, scenario_template
@@ -36,11 +36,9 @@ __all__ = [
     "aggregate_reports",
     "bev_iou",
     "compute_affinities",
-    "diou_affinity",
     "evaluate_sequence",
     "generate",
     "hungarian_baseline",
-    "iou_3d",
     "kf_init",
     "kf_predict",
     "kf_update",

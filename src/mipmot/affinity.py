@@ -67,18 +67,6 @@ class AffinityMatrix:
     pairs: tuple[np.ndarray, np.ndarray] | None = None
 
 
-def raw_appearance_score(e_d, e_k) -> float:
-    """Similarity of two embeddings: negated mean absolute difference.
-
-    0 for identical embeddings, decreasing with dissimilarity.
-    """
-    e_d = np.asarray(e_d, dtype=float)
-    e_k = np.asarray(e_k, dtype=float)
-    if e_d.shape != e_k.shape:
-        raise ValueError(f"embedding shapes differ: {e_d.shape} vs {e_k.shape}")
-    return float(-np.mean(np.abs(e_d - e_k)))
-
-
 def raw_appearance_matrix(det_embeddings, track_embeddings) -> np.ndarray:
     """Pairwise raw appearance scores, M detections by N tracks."""
     d = np.asarray(det_embeddings, dtype=float)
@@ -162,9 +150,11 @@ def motion_affinity_matrix(
     ``pairs = (rows, cols)`` the (K,) affinities of those pairs only.
 
     With both terms enabled this is the distance-IoU affinity in
-    [0, 2]; the flags exist for ablations. Equivalent to calling the
-    scalar geometry functions per pair, but batched: the overlap kernel
-    runs once, on the pairs whose footprint circumcircles overlap.
+    [0, 2], the package's one definition of it; the flags exist for
+    ablations. The distance term is 1 - dist / diagonal, with the
+    diagonal of the axis-aligned box enclosing both boxes, and 1 when
+    that diagonal is at most EPS. The overlap kernel runs once, on the
+    pairs whose footprint circumcircles overlap.
     """
     if not (use_dis or use_iou):
         raise ValueError("at least one motion term must be enabled")
@@ -180,8 +170,7 @@ def motion_affinity_matrix(
 def candidate_pairs(
     det_boxes,
     predicted,
-    need_det,
-    need_trk,
+    need,
     appearance,
     alpha: float,
     beta: float,
@@ -192,6 +181,8 @@ def candidate_pairs(
     alpha * appearance + beta * motion can reach need_det[d] +
     need_trk[k], or None to score every pair.
 
+    ``need`` is a zero-argument callable that returns (need_det,
+    need_trk); it is called only for a frame the gate may cut.
     ``appearance`` is the frame's (M, N) appearance matrix; the motion
     part is bounded from the boxes alone. Let r be a box's footprint
     circumradius, q = h / 2 and rho = hypot(r, q). The IoU is 0 unless
@@ -215,6 +206,7 @@ def candidate_pairs(
     m, n = len(d), len(t)
     if m * n <= _GATE_MIN_PAIRS:
         return None
+    need_det, need_trk = need()
     # The least affinity the motion part must add to some pair.
     appearance_max = alpha * appearance.max() if alpha else 0.0
     short = float(need_det.min() + need_trk.min() - appearance_max)
@@ -265,10 +257,10 @@ def compute_affinities(
     ``det_boxes`` are the (M, 7) detection boxes and ``predicted`` the
     (N, 7) track boxes predicted for this frame; the embedding lists are
     aligned with them. If any participant lacks an embedding, appearance
-    is disabled for the frame (alpha = 0, beta = 1). With
-    ``need = (need_det, need_trk)``, only the ``candidate_pairs`` that
-    can reach need_det[d] + need_trk[k] are scored, unless every pair is
-    in reach; otherwise every pair is.
+    is disabled for the frame (alpha = 0, beta = 1). With ``need``, a
+    zero-argument callable that returns (need_det, need_trk), only the
+    ``candidate_pairs`` that can reach need_det[d] + need_trk[k] are
+    scored, unless every pair is in reach; otherwise every pair is.
     """
     m, n = len(det_boxes), len(predicted)
     if m == 0 or n == 0:
@@ -291,7 +283,7 @@ def compute_affinities(
     pairs = None
     if need is not None:
         pairs = candidate_pairs(
-            det_boxes, predicted, *need, appearance, alpha, beta, use_dis=use_dis, use_iou=use_iou
+            det_boxes, predicted, need, appearance, alpha, beta, use_dis=use_dis, use_iou=use_iou
         )
     motion = motion_affinity_matrix(
         det_boxes, predicted, use_dis=use_dis, use_iou=use_iou, pairs=pairs

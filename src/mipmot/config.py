@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .evaluation import DEFAULT_IOU_THRESHOLD
+from .io_formats import is_real
 from .motion import (
     DEFAULT_P0_DIAG,
     DEFAULT_Q_SCALE,
@@ -47,10 +48,6 @@ _REAL_KEYS = {
     "eval_iou_threshold": _UNIT,
     "kalman_q_scale": (lambda v: 0.0 <= v < math.inf, "nonnegative and finite"),
 }
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -84,7 +81,7 @@ class TrackerConfig:
             value = getattr(self, name)
             if name == "ha_gate" and value is None:
                 continue
-            if not _is_real(value) or not test(value):
+            if not is_real(value) or not test(value):
                 raise ValueError(f"{name} must be a number {text}, got {value!r}")
             object.__setattr__(self, name, float(value))
         for name in ("theta_hit", "theta_miss"):
@@ -111,7 +108,7 @@ class TrackerConfig:
         value = getattr(self, name)
         if isinstance(value, (str, bytes)) or not hasattr(value, "__len__") or len(value) != size:
             raise ValueError(f"{name} must be a list of {size} numbers, got {value!r}")
-        if not all(_is_real(v) and math.isfinite(v) and test(v) for v in value):
+        if not all(is_real(v) and math.isfinite(v) and test(v) for v in value):
             raise ValueError(f"{name} entries must be finite and {text}, got {value!r}")
         object.__setattr__(self, name, tuple(float(v) for v in value))
 

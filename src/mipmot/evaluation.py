@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .geometry import Box3D, bev_iou_matrix
-from .geometry import bev_iou  # noqa: F401  (one of this module's public names)
+from .geometry import bev_iou  # noqa: F401  (a public name the benchmark counts)
 
 DEFAULT_IOU_THRESHOLD = 0.5
 
@@ -43,6 +43,31 @@ class MotReport:
     num_gt_tracks: int
     tp: int
     mota_defined: bool
+
+    @classmethod
+    def from_counts(
+        cls, fp, fn, idsw, frag, num_gt_boxes, num_gt_tracks, tp, iou_sum, mt, pt, ml
+    ) -> "MotReport":
+        """The CLEAR MOT report (Bernardin & Stiefelhagen 2008) of pooled
+        counts: MOTA = 1 - (FP + FN + IDSW) / GT, 1 when there is no
+        ground truth; MOTP = summed IoU of the matches / TP. ``mt``,
+        ``pt`` and ``ml`` count ground-truth tracks."""
+        mota_defined = num_gt_boxes > 0
+        return cls(
+            mota=1.0 - (fp + fn + idsw) / num_gt_boxes if mota_defined else 1.0,
+            motp=iou_sum / tp if tp else 0.0,
+            fp=fp,
+            fn=fn,
+            idsw=idsw,
+            frag=frag,
+            mt=mt / num_gt_tracks if num_gt_tracks else 0.0,
+            pt=pt / num_gt_tracks if num_gt_tracks else 0.0,
+            ml=ml / num_gt_tracks if num_gt_tracks else 0.0,
+            num_gt_boxes=num_gt_boxes,
+            num_gt_tracks=num_gt_tracks,
+            tp=tp,
+            mota_defined=mota_defined,
+        )
 
     def as_dict(self) -> dict:
         return {
@@ -164,7 +189,6 @@ class Accumulator:
         self._prev = corr
 
     def report(self) -> MotReport:
-        n_tracks = len(self._tracks)
         mt = pt = ml = 0
         for st in self._tracks.values():
             ratio = st.matched / st.present if st.present else 0.0
@@ -174,27 +198,10 @@ class Accumulator:
                 ml += 1
             else:
                 pt += 1
-        mota_defined = self.num_gt_boxes > 0
-        mota = (
-            1.0 - (self.fp + self.fn + self.idsw) / self.num_gt_boxes
-            if mota_defined
-            else 1.0
-        )
-        motp = self.iou_sum / self.tp if self.tp else 0.0
-        return MotReport(
-            mota=mota,
-            motp=motp,
-            fp=self.fp,
-            fn=self.fn,
-            idsw=self.idsw,
-            frag=self.frag,
-            mt=mt / n_tracks if n_tracks else 0.0,
-            pt=pt / n_tracks if n_tracks else 0.0,
-            ml=ml / n_tracks if n_tracks else 0.0,
-            num_gt_boxes=self.num_gt_boxes,
-            num_gt_tracks=n_tracks,
-            tp=self.tp,
-            mota_defined=mota_defined,
+        return MotReport.from_counts(
+            fp=self.fp, fn=self.fn, idsw=self.idsw, frag=self.frag,
+            num_gt_boxes=self.num_gt_boxes, num_gt_tracks=len(self._tracks),
+            tp=self.tp, iou_sum=self.iou_sum, mt=mt, pt=pt, ml=ml,
         )
 
 
@@ -213,32 +220,18 @@ def evaluate_sequence(
 
 def aggregate_reports(reports: list[MotReport]) -> MotReport:
     """Pool per-sequence counts into one overall report."""
-    fp = sum(r.fp for r in reports)
-    fn = sum(r.fn for r in reports)
-    idsw = sum(r.idsw for r in reports)
-    frag = sum(r.frag for r in reports)
-    num_gt = sum(r.num_gt_boxes for r in reports)
-    n_tracks = sum(r.num_gt_tracks for r in reports)
-    tp = sum(r.tp for r in reports)
-    iou_sum = sum(r.motp * r.tp for r in reports)
-    mt = sum(r.mt * r.num_gt_tracks for r in reports)
-    pt = sum(r.pt * r.num_gt_tracks for r in reports)
-    ml = sum(r.ml * r.num_gt_tracks for r in reports)
-    mota_defined = num_gt > 0
-    return MotReport(
-        mota=1.0 - (fp + fn + idsw) / num_gt if mota_defined else 1.0,
-        motp=iou_sum / tp if tp else 0.0,
-        fp=fp,
-        fn=fn,
-        idsw=idsw,
-        frag=frag,
-        mt=mt / n_tracks if n_tracks else 0.0,
-        pt=pt / n_tracks if n_tracks else 0.0,
-        ml=ml / n_tracks if n_tracks else 0.0,
-        num_gt_boxes=num_gt,
-        num_gt_tracks=n_tracks,
-        tp=tp,
-        mota_defined=mota_defined,
+    return MotReport.from_counts(
+        fp=sum(r.fp for r in reports),
+        fn=sum(r.fn for r in reports),
+        idsw=sum(r.idsw for r in reports),
+        frag=sum(r.frag for r in reports),
+        num_gt_boxes=sum(r.num_gt_boxes for r in reports),
+        num_gt_tracks=sum(r.num_gt_tracks for r in reports),
+        tp=sum(r.tp for r in reports),
+        iou_sum=sum(r.motp * r.tp for r in reports),
+        mt=sum(r.mt * r.num_gt_tracks for r in reports),
+        pt=sum(r.pt * r.num_gt_tracks for r in reports),
+        ml=sum(r.ml * r.num_gt_tracks for r in reports),
     )
 
 

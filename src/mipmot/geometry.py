@@ -4,8 +4,8 @@ Boxes are upright cuboids: an (x, y, z) center, (l, w, h) extents and a
 heading angle about the vertical (z) axis. Overlap is computed as a
 rotated-rectangle intersection in the ground plane (bird's-eye view)
 times the vertical interval overlap, which is exact for upright boxes.
-Every overlap goes through one batched kernel, ``bev_intersection_areas``;
-the scalar functions are one-pair calls into it.
+Every overlap goes through one batched kernel, ``bev_intersection_areas``.
+The distance-IoU affinity built on it is ``affinity.motion_affinity_matrix``.
 """
 
 from __future__ import annotations
@@ -88,14 +88,6 @@ class Box3D:
         return cls(*v.tolist())
 
 
-def bev_corners(box: Box3D) -> np.ndarray:
-    """Ground-plane footprint of a box as a (4, 2) array, counter-clockwise.
-
-    The polygon area equals l * w.
-    """
-    return bev_corners_array(box.to_array())[0]
-
-
 def bev_corners_array(boxes) -> np.ndarray:
     """Footprints of an (N, 7) box array as an (N, 4, 2) array.
 
@@ -116,20 +108,13 @@ def bev_corners_array(boxes) -> np.ndarray:
     return local @ rot_t + boxes[:, None, :2]
 
 
-def corners_3d(box: Box3D) -> np.ndarray:
-    """All 8 corners of a box as an (8, 3) array (bottom face then top face)."""
-    bev = bev_corners(box)
-    zs = np.array([box.z - 0.5 * box.h, box.z + 0.5 * box.h])
-    out = np.empty((8, 3))
-    out[:4, :2] = bev
-    out[:4, 2] = zs[0]
-    out[4:, :2] = bev
-    out[4:, 2] = zs[1]
-    return out
-
-
 def polygon_area(poly) -> float:
-    """Shoelace area of a counter-clockwise polygon given as (n, 2) points."""
+    """Shoelace area of a counter-clockwise polygon given as (n, 2) points.
+
+    No program path calls it; the scalar clip of ``tests/clip_oracle.py``
+    does. The benchmark counts its calls by name, so it stays until the
+    benchmark counts kernel pairs instead.
+    """
     pts = [(float(p[0]), float(p[1])) for p in poly]
     n = len(pts)
     if n < 3:
@@ -171,7 +156,9 @@ def _clip_half_plane(poly, count, a, b):
     points = np.empty((k, width, 2, 2))
     points[:, :, 1] = poly
     # Rows without a crossing divide by zero; their points are not emitted.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A footprint with subnormal extents may overflow; it is flat, so its
+    # area is set to 0 afterwards.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t = (ex * (ay - prev_y) - ey * (ax - prev_x)) / denom
         points[:, :, 0, 0] = prev_x + t * dx
         points[:, :, 0, 1] = prev_y + t * dy
@@ -273,66 +260,11 @@ def _bev_ious(a, b) -> np.ndarray:
     return np.where(union <= EPS, 0.0, iou)
 
 
-def _z_overlap(b1: Box3D, b2: Box3D) -> float:
-    lo = max(b1.z - 0.5 * b1.h, b2.z - 0.5 * b2.h)
-    hi = min(b1.z + 0.5 * b1.h, b2.z + 0.5 * b2.h)
-    return max(0.0, hi - lo)
-
-
-def intersection_volume(b1: Box3D, b2: Box3D) -> float:
-    dz = _z_overlap(b1, b2)
-    if dz <= 0.0:
-        return 0.0
-    return float(bev_intersection_areas(b1.to_array()[None], b2.to_array()[None])[0]) * dz
-
-
-def iou_3d(b1: Box3D, b2: Box3D) -> float:
-    """3D intersection-over-union of two oriented boxes, in [0, 1]."""
-    inter = intersection_volume(b1, b2)
-    union = b1.volume + b2.volume - inter
-    if union <= EPS:
-        return 0.0
-    return min(1.0, max(0.0, inter / union))
-
-
 def bev_iou(b1: Box3D, b2: Box3D) -> float:
-    """Ground-plane rotated-rectangle IoU of two boxes, in [0, 1]."""
+    """Ground-plane rotated-rectangle IoU of two boxes, in [0, 1].
+
+    The evaluator scores with ``bev_iou_matrix``; this one-pair call is
+    kept as ``evaluation.bev_iou``, whose calls the benchmark counts by
+    name.
+    """
     return float(_bev_ious(b1.to_array()[None], b2.to_array()[None])[0])
-
-
-def enclosing_diagonal(b1: Box3D, b2: Box3D) -> float:
-    """Diagonal of the smallest axis-aligned box covering both boxes."""
-    corners = np.vstack((corners_3d(b1), corners_3d(b2)))
-    extent = corners.max(axis=0) - corners.min(axis=0)
-    return float(np.linalg.norm(extent))
-
-
-def center_distance(b1: Box3D, b2: Box3D) -> float:
-    return math.sqrt(
-        (b1.x - b2.x) ** 2 + (b1.y - b2.y) ** 2 + (b1.z - b2.z) ** 2
-    )
-
-
-def distance_term(b1: Box3D, b2: Box3D) -> float:
-    """Normalized-center-distance score in [0, 1].
-
-    1 - dist(centers) / enclosing_diagonal; 1 when the centers coincide.
-    Both centers lie inside the enclosing box, so the ratio never
-    exceeds 1. Coincident degenerate boxes (zero diagonal) score 1.
-    """
-    diag = enclosing_diagonal(b1, b2)
-    if diag <= EPS:
-        return 1.0
-    return max(0.0, 1.0 - center_distance(b1, b2) / diag)
-
-
-def diou_affinity(b1: Box3D, b2: Box3D) -> float:
-    """Distance-IoU affinity in [0, 2]: distance term plus 3D IoU.
-
-    The distance term keeps the affinity informative when the boxes do
-    not overlap at all. Identical boxes score exactly 2, including the
-    degenerate case of two zero-size boxes at the same point.
-    """
-    if enclosing_diagonal(b1, b2) <= EPS:
-        return 2.0
-    return distance_term(b1, b2) + iou_3d(b1, b2)

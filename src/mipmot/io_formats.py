@@ -42,9 +42,9 @@ from .geometry import Box3D
 
 # The readers give Python floats and ints; those skip the slower checks
 # against the abstract number types.
-def _is_real(v) -> bool:
+def is_real(v) -> bool:
     """A real number (numpy scalars included), but not a bool."""
-    return type(v) is float or (
+    return type(v) in (float, int) or (
         isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
     )
 
@@ -72,12 +72,12 @@ class Detection:
         self.frame = check_frame(self.frame)
         if self.frame < 0:
             raise ValueError(f"frame must be nonnegative, got {self.frame}")
-        if not _is_real(self.score):
+        if not is_real(self.score):
             raise ValueError(f"score must be a number, got {self.score!r}")
         if not (math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
             raise ValueError(f"score must be in [0, 1], got {self.score}")
         if self.start_prob is not None:
-            if not _is_real(self.start_prob):
+            if not is_real(self.start_prob):
                 raise ValueError(f"start_prob must be a number, got {self.start_prob!r}")
             if not (math.isfinite(self.start_prob) and 0.0 <= self.start_prob <= 1.0):
                 raise ValueError(f"start_prob must be in [0, 1], got {self.start_prob}")
@@ -152,11 +152,6 @@ def _parse_detection_text(line: str, path: str, lineno: int) -> Detection:
         _fail(path, lineno, str(e))
 
 
-def _is_number(v) -> bool:
-    """A JSON number: int or float, but not bool."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _parse_detection_json(line: str, path: str, lineno: int) -> Detection:
     try:
         obj = json.loads(line)
@@ -174,14 +169,14 @@ def _parse_detection_json(line: str, path: str, lineno: int) -> Detection:
     start_prob, embedding = obj.get("start_prob"), obj.get("embedding")
     if not isinstance(frame, int) or isinstance(frame, bool):
         _fail(path, lineno, f"frame must be an integer, got {frame!r}")
-    if not (isinstance(box, list) and len(box) == 7 and all(map(_is_number, box))):
+    if not (isinstance(box, list) and len(box) == 7 and all(map(is_real, box))):
         _fail(path, lineno, f"box must be a list of 7 numbers, got {box!r}")
-    if not _is_number(score):
+    if not is_real(score):
         _fail(path, lineno, f"score must be a number, got {score!r}")
-    if start_prob is not None and not _is_number(start_prob):
+    if start_prob is not None and not is_real(start_prob):
         _fail(path, lineno, f"start_prob must be a number, got {start_prob!r}")
     if embedding is not None and not (
-        isinstance(embedding, list) and all(map(_is_number, embedding))
+        isinstance(embedding, list) and all(map(is_real, embedding))
     ):
         _fail(path, lineno, "embedding must be a list of numbers")
     try:
@@ -301,12 +296,23 @@ def read_kitti_labels(path, keep_types=None, skip_negative_ids: bool = True):
     return out
 
 
+def _kitti_row(frame, track_id, object_type, visibility, box, score) -> str:
+    """One line of the KITTI tracking layout. ``visibility`` holds the
+    truncation and occlusion fields; the score is left out when None."""
+    row = (
+        f"{frame} {track_id} {object_type} {visibility} -10 -1 -1 -1 -1 "
+        f"{box.h:.6f} {box.w:.6f} {box.l:.6f} {box.x:.6f} {box.y:.6f} {box.z:.6f} {box.a:.6f}"
+    )
+    return f"{row}\n" if score is None else f"{row} {score:.6f}\n"
+
+
 def write_kitti_tracking(frame_results, path, object_type: str = "Car") -> None:
     """Write tracker output in the KITTI tracking result layout.
 
     ``frame_results`` is an iterable of FrameResult-like objects with a
     ``frame`` index and ``tracks`` list of (id, box, score) entries,
-    sorted by frame. Image-plane fields are -1 / -10 placeholders.
+    sorted by frame. Truncation and occlusion are written as -1, the
+    image-plane fields as -10 / -1 placeholders.
     """
     seen: set[tuple[int, int]] = set()
     with open(os.fspath(path), "w", encoding="utf-8") as f:
@@ -316,61 +322,14 @@ def write_kitti_tracking(frame_results, path, object_type: str = "Car") -> None:
                 if key in seen:
                     raise ValueError(f"duplicate (frame, id) pair: {key}")
                 seen.add(key)
-                fields = [
-                    str(result.frame),
-                    str(track_id),
-                    object_type,
-                    "-1",
-                    "-1",
-                    "-10",
-                    "-1",
-                    "-1",
-                    "-1",
-                    "-1",
-                    _fmt(box.h),
-                    _fmt(box.w),
-                    _fmt(box.l),
-                    _fmt(box.x),
-                    _fmt(box.y),
-                    _fmt(box.z),
-                    _fmt(box.a),
-                    _fmt(score),
-                ]
-                f.write(" ".join(fields) + "\n")
+                f.write(_kitti_row(result.frame, track_id, object_type, "-1 -1", box, score))
 
 
 def write_kitti_labels(records, path) -> None:
-    """Write LabelRecords in the KITTI tracking label layout."""
+    """Write LabelRecords in the KITTI tracking label layout, with
+    truncation and occlusion 0."""
     with open(os.fspath(path), "w", encoding="utf-8") as f:
         for rec in records:
-            box = rec.box
-            fields = [
-                str(rec.frame),
-                str(rec.track_id),
-                rec.object_type,
-                "0",
-                "0",
-                "-10",
-                "-1",
-                "-1",
-                "-1",
-                "-1",
-                _fmt(box.h),
-                _fmt(box.w),
-                _fmt(box.l),
-                _fmt(box.x),
-                _fmt(box.y),
-                _fmt(box.z),
-                _fmt(box.a),
-            ]
-            if rec.score is not None:
-                fields.append(_fmt(rec.score))
-            f.write(" ".join(fields) + "\n")
-
-
-def labels_by_frame(records) -> dict[int, list[LabelRecord]]:
-    """Group label records into {frame: [records]}, frames ascending."""
-    by_frame: dict[int, list[LabelRecord]] = {}
-    for rec in records:
-        by_frame.setdefault(rec.frame, []).append(rec)
-    return {frame: by_frame[frame] for frame in sorted(by_frame)}
+            f.write(
+                _kitti_row(rec.frame, rec.track_id, rec.object_type, "0 0", rec.box, rec.score)
+            )

@@ -86,12 +86,16 @@ class Tracker:
         x_se_trk = np.full(len(self.tracks), cfg.default_end_prob)
         need = None
         if cfg.associator == "mip":
-            # Only pairs that can beat both outside options are scored.
+            # Only pairs that can beat both outside options are scored;
+            # the bound is worked out only for a frame the gate may cut.
             costs = (cfg.w_cls, cfg.w_aff, cfg.w_se)
-            need = (
-                affinity_needed(x_cls_det, x_se_det, *costs),
-                affinity_needed(x_cls_trk, x_se_trk, *costs),
-            )
+
+            def need():
+                return (
+                    affinity_needed(x_cls_det, x_se_det, *costs),
+                    affinity_needed(x_cls_trk, x_se_trk, *costs),
+                )
+
         aff = compute_affinities(
             det_boxes,
             self.mean[:, :MEAS_DIM],

@@ -13,11 +13,16 @@ from scipy.special import softmax
 
 from clip_oracle import convex_polygon_intersection_area
 from mip_oracle import brute_force_oracle
-from mipmot.affinity import AffinityWeights, compute_affinities, softmax_ranking
+from mipmot.affinity import (
+    AffinityWeights,
+    compute_affinities,
+    motion_affinity_matrix,
+    softmax_ranking,
+)
 from mipmot.association import AssociationProblem, solve_mip
 from mipmot.cli import labels_to_frames, results_to_frames
 from mipmot.evaluation import evaluate_sequence
-from mipmot.geometry import Box3D, diou_affinity, iou_3d
+from mipmot.geometry import Box3D
 from mipmot.io_formats import (
     Detection,
     read_detections,
@@ -108,7 +113,8 @@ def test_criterion_2_geometry_oracle():
     for _ in range(200):
         a = random_box(rng, spread=2.0)
         b = random_box(rng, spread=2.0)
-        worst = max(worst, abs(iou_3d(a, b) - _monte_carlo_iou(a, b, rng)))
+        iou = motion_affinity_matrix(a.to_array()[None], b.to_array()[None], use_dis=False)
+        worst = max(worst, abs(iou[0, 0] - _monte_carlo_iou(a, b, rng)))
     square = [(0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5), (0.5, -0.5)]
     rotated = [
         (0.5 * math.sqrt(2) * math.cos(t), 0.5 * math.sqrt(2) * math.sin(t))
@@ -143,7 +149,8 @@ def test_criterion_3_affinity_bounds():
 
     diou_ok = True
     for _ in range(500):
-        v = diou_affinity(random_box(rng, 12.0), random_box(rng, 12.0))
+        a, b = random_box(rng, 12.0), random_box(rng, 12.0)
+        v = motion_affinity_matrix(a.to_array()[None], b.to_array()[None])[0, 0]
         diou_ok = diou_ok and 0.0 <= v <= 2.0
 
     weights = AffinityWeights()

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from scipy.special import softmax
 
 from clip_oracle import convex_polygon_intersection_area
+from diou_oracle import bev_corners, diou_affinity, distance_term, iou_3d, raw_appearance_score
 from mipmot import affinity as affinity_module
 from mipmot.affinity import (
     AffinityWeights,
     compute_affinities,
     motion_affinity_matrix,
     raw_appearance_matrix,
-    raw_appearance_score,
     softmax_ranking,
 )
 from mipmot.association import (
@@ -24,7 +24,7 @@ from mipmot.association import (
     objective_coefficients,
     solve_mip,
 )
-from mipmot.geometry import EPS, Box3D, bev_corners, diou_affinity, distance_term, iou_3d
+from mipmot.geometry import EPS, Box3D
 from mipmot.io_formats import Detection
 
 
@@ -212,6 +212,14 @@ class TestMotionMatrix:
             dis = motion_affinity_matrix(d_arr, t_arr, use_iou=False)
             full = motion_affinity_matrix(d_arr, t_arr)
             assert full.tolist() == (dis + expected).tolist()
+
+    def test_coincident_zero_size_boxes(self):
+        # a distance term of 1 (degenerate diagonal) and an IoU of 0 (no
+        # volume); the scalar oracle's diou_affinity gives 2.0 here
+        point = box_array([Box3D(1, 1, 1, 0, 0, 0, 0)])
+        assert motion_affinity_matrix(point, point).tolist() == [[1.0]]
+        assert motion_affinity_matrix(point, point, use_iou=False).tolist() == [[1.0]]
+        assert motion_affinity_matrix(point, point, use_dis=False).tolist() == [[0.0]]
 
     def test_requires_a_term(self):
         with pytest.raises(ValueError):
@@ -401,7 +409,7 @@ class TestCandidateGate:
         # The gate is used at every frame size here, not only beyond
         # the size where it pays off.
         with mock.patch.object(affinity_module, "_GATE_MIN_PAIRS", 0):
-            gated = compute_affinities(*args, **flags, need=need)
+            gated = compute_affinities(*args, **flags, need=lambda: need)
         return gated, dense
 
     @settings(max_examples=300, deadline=None)
@@ -450,7 +458,7 @@ class TestCandidateGate:
         )
         args = (dets, tracks, [None] * 2, [None] * 2, AffinityWeights())
         with mock.patch.object(affinity_module, "_GATE_MIN_PAIRS", 0):
-            gated = compute_affinities(*args, use_iou=False, need=need)
+            gated = compute_affinities(*args, use_iou=False, need=lambda: need)
         dense = compute_affinities(*args, use_iou=False)
         assert dense.motion[0, 0] == pytest.approx(1.0 - 0.1 / math.sqrt(300.0))
         assert list(zip(*gated.pairs)) == [(0, 0)]
@@ -474,7 +482,7 @@ class TestCandidateGate:
         need = affinity_needed(np.full(60, 0.95), np.full(60, 0.5), 100.0, 22.0, 1.0)
         weights = AffinityWeights()
         out = compute_affinities(
-            dets, tracks, [None] * 60, [None] * 60, weights, need=(need, need)
+            dets, tracks, [None] * 60, [None] * 60, weights, need=lambda: (need, need)
         )
         rows, cols = out.pairs
         assert sorted(zip(rows.tolist(), cols.tolist())) == [(k, k) for k in range(60)]
@@ -484,7 +492,12 @@ class TestCandidateGate:
     def test_no_gate_without_need_or_for_small_frames(self):
         box = Box3D(0, 0, 0, 4, 2, 1.5, 0)
         far = Box3D(1e4, 0, 0, 4, 2, 1.5, 0)
-        need = (np.array([5.0]), np.array([5.0, 5.0]))
+        calls = []
+
+        def need():
+            calls.append(1)
+            return np.array([5.0]), np.array([5.0, 5.0])
+
         tracks = [make_track(0, box), make_track(1, far)]
         small = affinities([make_det(box)], tracks, AffinityWeights())
         assert small.pairs is None and small.refined.shape == (1, 2)
@@ -497,3 +510,5 @@ class TestCandidateGate:
             need=need,
         )
         assert out.pairs is None and out.refined.shape == (1, 2)
+        # a frame the gate cannot cut does not work out the need
+        assert calls == []

@@ -13,6 +13,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def read_csv(path) -> list[dict]:
+    with open(path, newline="", encoding="utf-8") as f:
+        return list(csv.DictReader(f))
+
+
 def simulate(capsys, out_dir, template="clean", name=None, seed=0):
     argv = ["simulate", "--template", template, "--output-dir", str(out_dir), "--seed", str(seed)]
     if name:
@@ -199,7 +204,7 @@ class TestSweep:
             "--output", str(out_csv),
         )
         assert code == 0, err
-        rows = list(csv.DictReader(out_csv.open()))
+        rows = read_csv(out_csv)
         assert len(rows) == 1
         assert float(rows[0]["mota"]) == 1.0
         assert int(rows[0]["idsw"]) == 0
@@ -212,7 +217,7 @@ class TestSweep:
             "--output", str(out_csv),
         )
         assert code == 0, err
-        rows = list(csv.DictReader(out_csv.open()))
+        rows = read_csv(out_csv)
         assert len(rows) == 4
 
     def test_fusion_ratio_comparison_rows(self, tmp_path, capsys):
@@ -223,7 +228,7 @@ class TestSweep:
             "--output", str(out_csv),
         )
         assert code == 0, err
-        rows = list(csv.DictReader(out_csv.open()))
+        rows = read_csv(out_csv)
         assert [r["beta_over_alpha"] for r in rows] == ["1.0", "10.0"]
 
     def test_null_grid_value_overrides_base(self, tmp_path, capsys):
@@ -236,7 +241,7 @@ class TestSweep:
             "--grid", str(grid), "--output", str(out_csv),
         )
         assert code == 0, err
-        rows = {r.pop("ha_gate"): r for r in csv.DictReader(out_csv.open())}
+        rows = {r.pop("ha_gate"): r for r in read_csv(out_csv)}
         # the null row runs without a gate, as a run with no gate anywhere
         ungated_csv = tmp_path / "ungated.csv"
         code, _, err = run(
@@ -245,7 +250,7 @@ class TestSweep:
             "--output", str(ungated_csv),
         )
         assert code == 0, err
-        (ungated,) = csv.DictReader(ungated_csv.open())
+        (ungated,) = read_csv(ungated_csv)
         del ungated["w_cls"]
         assert rows["null"] == ungated
         assert rows["null"] != rows["0.3"]
@@ -268,6 +273,6 @@ class TestSweep:
             "--grid", str(grid), "--output", str(out_csv),
         )
         assert code == 0, err
-        rows = {r["associator"]: r for r in csv.DictReader(out_csv.open())}
+        rows = {r["associator"]: r for r in read_csv(out_csv)}
         assert int(rows["mip"]["idsw"]) < int(rows["hungarian"]["idsw"])
         assert float(rows["mip"]["mota"]) > float(rows["hungarian"]["mota"])

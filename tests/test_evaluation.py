@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from clip_oracle import convex_polygon_intersection_area
+from diou_oracle import bev_corners
 from mipmot.evaluation import (
     Accumulator,
     aggregate_reports,
@@ -15,7 +16,7 @@ from mipmot.evaluation import (
     match_frame,
 )
 from mipmot import geometry
-from mipmot.geometry import EPS, Box3D, bev_corners
+from mipmot.geometry import EPS, Box3D
 
 
 def box(x, y, l=4.0, w=2.0, a=0.0):

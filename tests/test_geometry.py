@@ -7,21 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clip_oracle import convex_polygon_intersection_area
-from mipmot import geometry
-from mipmot.geometry import (
-    EPS,
-    Box3D,
+from diou_oracle import (
     bev_corners,
-    bev_corners_array,
-    bev_intersection_areas,
-    bev_iou,
-    bev_iou_matrix,
     center_distance,
     corners_3d,
     diou_affinity,
     distance_term,
     enclosing_diagonal,
     iou_3d,
+)
+from mipmot import geometry
+from mipmot.geometry import (
+    EPS,
+    Box3D,
+    bev_corners_array,
+    bev_intersection_areas,
+    bev_iou,
+    bev_iou_matrix,
     polygon_area,
     wrap_angle,
 )
@@ -323,6 +325,14 @@ class TestOverlapKernel:
         areas = bev_intersection_areas(as_array([box, point]), as_array([point, box]))
         assert areas.tolist() == [0.0, 0.0]
         assert iou_3d(box, point) == 0.0 and iou_3d(point, box) == 0.0
+
+    def test_subnormal_extents_overlap_nothing(self):
+        # the clip's crossing points overflow for such a footprint; the
+        # pair is flat and scores 0 without a floating-point warning
+        tiny = Box3D(0, 0, 0, 1.1e-308, 1.1e-308, 1, 0.3)
+        box = Box3D(0.1, 0, 0, 2, 1, 1, 0)
+        areas = bev_intersection_areas(as_array([tiny, box]), as_array([box, tiny]))
+        assert areas.tolist() == [0.0, 0.0]
 
     def test_rotated_square_analytic(self):
         square = Box3D(0, 0, 0, 1, 1, 1, 0)

@@ -11,7 +11,6 @@ from mipmot.io_formats import (
     Detection,
     FormatError,
     LabelRecord,
-    labels_by_frame,
     read_detections,
     read_kitti_labels,
     write_detections,
@@ -344,13 +343,3 @@ class TestKittiFiles:
         path.write_text("0 1 Car 0 0\n")
         with pytest.raises(FormatError, match=":1:"):
             read_kitti_labels(path)
-
-    def test_labels_by_frame(self):
-        records = [
-            LabelRecord(1, 0, "Car", Box3D(0, 0, 0, 1, 1, 1, 0)),
-            LabelRecord(0, 0, "Car", Box3D(0, 0, 0, 1, 1, 1, 0)),
-            LabelRecord(0, 1, "Car", Box3D(0, 0, 0, 1, 1, 1, 0)),
-        ]
-        grouped = labels_by_frame(records)
-        assert list(grouped) == [0, 1]
-        assert len(grouped[0]) == 2

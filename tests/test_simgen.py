@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mipmot.geometry import center_distance
+from diou_oracle import center_distance
 from mipmot.io_formats import write_detections, write_kitti_labels
 from mipmot.simgen import (
     ObjectSpec,
