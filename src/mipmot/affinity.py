@@ -4,13 +4,15 @@ Appearance scores come from absolute-subtraction correlation of
 embeddings, normalized by a bidirectional softmax ranking; motion
 scores come from the distance-IoU affinity between each detection box
 and each track's predicted box. The two are fused as a weighted sum
-with alpha + beta = 1.
+with alpha + beta = 1 and beta = ``beta_over_alpha`` * alpha: r = 0
+disables motion, r = inf disables appearance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -18,35 +20,15 @@ from scipy.spatial.distance import cdist
 
 from . import geometry
 
+if TYPE_CHECKING:
+    from .config import TrackerConfig
+
 # Relative slack on the gate's radii, so float rounding in the k-d tree
 # and in the bounds never drops a pair that can be matched.
 _MARGIN = 1e-9
 # Up to this many pairs, scoring all of them costs less than the gate's
 # two k-d trees and bounds (measured crossover: about 2000 pairs).
 _GATE_MIN_PAIRS = 2048
-
-
-@dataclass(frozen=True)
-class AffinityWeights:
-    """Fusion weights; beta weighs motion 10x appearance by default."""
-
-    alpha: float = 1.0 / 11.0
-    beta: float = 10.0 / 11.0
-
-    def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("weights must be nonnegative")
-        if abs(self.alpha + self.beta - 1.0) > 1e-9:
-            raise ValueError(f"alpha + beta must be 1, got {self.alpha + self.beta}")
-
-    @classmethod
-    def from_ratio(cls, beta_over_alpha: float) -> "AffinityWeights":
-        """Weights with beta = r * alpha; r = 0 disables motion, r = inf
-        disables appearance."""
-        if beta_over_alpha < 0:
-            raise ValueError("ratio must be nonnegative")
-        alpha = 1.0 / (1.0 + beta_over_alpha)
-        return cls(alpha=alpha, beta=1.0 - alpha)
 
 
 @dataclass
@@ -247,21 +229,22 @@ def compute_affinities(
     predicted,
     det_embeddings,
     track_embeddings,
-    weights: AffinityWeights,
-    use_dis: bool = True,
-    use_iou: bool = True,
+    cfg: TrackerConfig,
     need=None,
 ) -> AffinityMatrix:
     """Build the refined affinities for one frame.
 
     ``det_boxes`` are the (M, 7) detection boxes and ``predicted`` the
     (N, 7) track boxes predicted for this frame; the embedding lists are
-    aligned with them. If any participant lacks an embedding, appearance
+    aligned with them. ``cfg`` supplies ``beta_over_alpha``, ``use_dis``
+    and ``use_iou``. If any participant lacks an embedding, appearance
     is disabled for the frame (alpha = 0, beta = 1). With ``need``, a
     zero-argument callable that returns (need_det, need_trk), only the
     ``candidate_pairs`` that can reach need_det[d] + need_trk[k] are
     scored, unless every pair is in reach; otherwise every pair is.
     """
+    alpha = 1.0 / (1.0 + cfg.beta_over_alpha)
+    beta = 1.0 - alpha
     m, n = len(det_boxes), len(predicted)
     if m == 0 or n == 0:
         empty = np.zeros((m, n))
@@ -269,17 +252,17 @@ def compute_affinities(
             appearance=empty.copy(),
             motion=empty.copy(),
             refined=empty.copy(),
-            alpha=weights.alpha,
-            beta=weights.beta,
+            alpha=alpha,
+            beta=beta,
         )
 
-    if weights.alpha == 0.0 or any(e is None for e in [*det_embeddings, *track_embeddings]):
+    if alpha == 0.0 or any(e is None for e in [*det_embeddings, *track_embeddings]):
         appearance = np.zeros((m, n))
         alpha, beta = 0.0, 1.0
     else:
         appearance = softmax_ranking(raw_appearance_matrix(det_embeddings, track_embeddings))
-        alpha, beta = weights.alpha, weights.beta
 
+    use_dis, use_iou = cfg.use_dis, cfg.use_iou
     pairs = None
     if need is not None:
         pairs = candidate_pairs(

@@ -19,13 +19,7 @@ from typing import Optional
 
 from .evaluation import DEFAULT_IOU_THRESHOLD
 from .io_formats import is_real
-from .motion import (
-    DEFAULT_P0_DIAG,
-    DEFAULT_Q_SCALE,
-    DEFAULT_R_DIAG,
-    MEAS_DIM,
-    STATE_DIM,
-)
+from .motion import MEAS_DIM, STATE_DIM
 
 ASSOCIATORS = ("mip", "hungarian")
 
@@ -72,9 +66,12 @@ class TrackerConfig:
     confidence_smoothing: float = 0.0
     eval_iou_threshold: float = DEFAULT_IOU_THRESHOLD  # `sweep` scoring only
     object_type: str = "Car"  # class written to result files
-    kalman_p0_diag: tuple[float, ...] = DEFAULT_P0_DIAG  # initial covariance
-    kalman_r_diag: tuple[float, ...] = DEFAULT_R_DIAG  # measurement covariance
-    kalman_q_scale: float = DEFAULT_Q_SCALE  # process covariance, times identity
+    # Initial covariance diagonal over (x, y, z, l, w, h, a, vx, vy, vz).
+    # The velocity variance is large: the initial velocity is unknown.
+    kalman_p0_diag: tuple[float, ...] = (1.0, 1.0, 1.0, 0.1, 0.1, 0.1, 0.1, 10.0, 10.0, 10.0)
+    # Measurement covariance diagonal over (x, y, z, l, w, h, a).
+    kalman_r_diag: tuple[float, ...] = (0.5, 0.5, 0.5, 0.05, 0.05, 0.05, 0.05)
+    kalman_q_scale: float = 0.01  # process covariance, times identity
 
     def __post_init__(self):
         for name, (test, text) in _REAL_KEYS.items():

@@ -66,14 +66,6 @@ class Box3D:
             )
         object.__setattr__(self, "a", float(wrap_angle(self.a)))
 
-    @property
-    def center(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
-    @property
-    def volume(self) -> float:
-        return self.l * self.w * self.h
-
     def to_array(self) -> np.ndarray:
         """Return the (x, y, z, l, w, h, a) 7-vector."""
         return np.array(

@@ -18,12 +18,12 @@ from typing import Optional
 
 import numpy as np
 
-from .affinity import AffinityWeights, compute_affinities
+from .affinity import compute_affinities
 from .association import AssociationProblem, affinity_needed, hungarian_baseline, solve_mip
 from .config import TrackerConfig
 from .geometry import Box3D
 from .io_formats import Detection, check_frame
-from .motion import MEAS_DIM, STATE_DIM, KalmanConfig, kf_init, kf_predict, kf_update
+from .motion import MEAS_DIM, STATE_DIM, kf_init, kf_predict, kf_update
 
 
 class TrackStatus(enum.Enum):
@@ -56,13 +56,7 @@ class Tracker:
     """Single-sequence online tracker. Frames must arrive in order."""
 
     def __init__(self, config: TrackerConfig | None = None):
-        self.config = cfg = config or TrackerConfig()
-        self.weights = AffinityWeights.from_ratio(cfg.beta_over_alpha)
-        self.kalman = KalmanConfig.from_diagonals(
-            p0_diag=cfg.kalman_p0_diag,
-            r_diag=cfg.kalman_r_diag,
-            q_scale=cfg.kalman_q_scale,
-        )
+        self.config = config or TrackerConfig()
         self.tracks: list[Track] = []
         self.mean = np.zeros((0, STATE_DIM))
         self.cov = np.zeros((0, STATE_DIM, STATE_DIM))
@@ -101,9 +95,7 @@ class Tracker:
             self.mean[:, :MEAS_DIM],
             [d.embedding for d in detections],
             [t.embedding for t in self.tracks],
-            self.weights,
-            use_dis=cfg.use_dis,
-            use_iou=cfg.use_iou,
+            cfg,
             need=need,
         )
         if cfg.associator == "hungarian":
@@ -154,14 +146,14 @@ class Tracker:
         detections = [d for d in detections if d.score >= cfg.theta_cls]
         det_boxes = np.array([d.box.to_array() for d in detections]).reshape(-1, MEAS_DIM)
 
-        self.mean, self.cov = kf_predict(self.mean, self.cov, self.kalman)
+        self.mean, self.cov = kf_predict(self.mean, self.cov, cfg)
 
         matches, starts = self._associate(detections, det_boxes)
 
         det_rows = [d for d, _ in matches]
         track_rows = [k for _, k in matches]
         self.mean[track_rows], self.cov[track_rows] = kf_update(
-            self.mean[track_rows], self.cov[track_rows], det_boxes[det_rows], self.kalman
+            self.mean[track_rows], self.cov[track_rows], det_boxes[det_rows], cfg
         )
 
         emitted: list[tuple[int, Box3D, float]] = []
@@ -205,7 +197,7 @@ class Tracker:
             self.tracks.append(track)
             if confirmed:
                 emitted.append((track.id, det.box, track.confidence))
-        birth_mean, birth_cov = kf_init(det_boxes[births], self.kalman)
+        birth_mean, birth_cov = kf_init(det_boxes[births], cfg)
         self.mean = np.concatenate((self.mean, birth_mean))
         self.cov = np.concatenate((self.cov, birth_cov))
 

@@ -26,6 +26,10 @@ def bev_corners(box: Box3D) -> np.ndarray:
     return bev_corners_array(box.to_array())[0]
 
 
+def volume(box: Box3D) -> float:
+    return box.l * box.w * box.h
+
+
 def corners_3d(box: Box3D) -> np.ndarray:
     """All 8 corners of a box as an (8, 3) array (bottom face then top face)."""
     bev = bev_corners(box)
@@ -54,7 +58,7 @@ def intersection_volume(b1: Box3D, b2: Box3D) -> float:
 def iou_3d(b1: Box3D, b2: Box3D) -> float:
     """3D intersection-over-union of two oriented boxes, in [0, 1]."""
     inter = intersection_volume(b1, b2)
-    union = b1.volume + b2.volume - inter
+    union = volume(b1) + volume(b2) - inter
     if union <= EPS:
         return 0.0
     return min(1.0, max(0.0, inter / union))

@@ -12,13 +12,9 @@ import pytest
 from scipy.special import softmax
 
 from clip_oracle import convex_polygon_intersection_area
+from diou_oracle import volume
 from mip_oracle import brute_force_oracle
-from mipmot.affinity import (
-    AffinityWeights,
-    compute_affinities,
-    motion_affinity_matrix,
-    softmax_ranking,
-)
+from mipmot.affinity import compute_affinities, motion_affinity_matrix, softmax_ranking
 from mipmot.association import AssociationProblem, solve_mip
 from mipmot.cli import labels_to_frames, results_to_frames
 from mipmot.evaluation import evaluate_sequence
@@ -29,7 +25,7 @@ from mipmot.io_formats import (
     write_detections,
     write_kitti_tracking,
 )
-from mipmot.motion import KalmanConfig, kf_init, kf_predict, kf_update
+from mipmot.motion import kf_init, kf_predict, kf_update
 from mipmot.simgen import generate, scenario_template
 from mipmot.tracker import Tracker, TrackerConfig, run_sequence
 
@@ -101,8 +97,8 @@ def _monte_carlo_iou(b1: Box3D, b2: Box3D, rng, samples=1_000_000) -> float:
         & (np.abs(v) <= 0.5 * b2.w)
         & (np.abs(z - b2.z) <= 0.5 * b2.h)
     )
-    inter = b1.volume * float(hit.mean())
-    union = b1.volume + b2.volume - inter
+    inter = volume(b1) * float(hit.mean())
+    union = volume(b1) + volume(b2) - inter
     return inter / union if union > 0 else 0.0
 
 
@@ -153,15 +149,15 @@ def test_criterion_3_affinity_bounds():
         v = motion_affinity_matrix(a.to_array()[None], b.to_array()[None])[0, 0]
         diou_ok = diou_ok and 0.0 <= v <= 2.0
 
-    weights = AffinityWeights()
-    bound = weights.alpha + 2.0 * weights.beta
+    cfg = TrackerConfig()
+    alpha = 1.0 / (1.0 + cfg.beta_over_alpha)
+    bound = alpha + 2.0 * (1.0 - alpha)
     refined_ok = True
     for _ in range(50):
         dets = [
             Detection(0, random_box(rng, 8.0), 1.0, embedding=rng.normal(size=8))
             for _ in range(int(rng.integers(1, 6)))
         ]
-        cfg = KalmanConfig()
         predicted, track_embeddings = [], []
         for _ in range(int(rng.integers(1, 6))):
             mean, _ = kf_predict(*kf_init(random_box(rng, 8.0).to_array(), cfg), cfg)
@@ -172,7 +168,7 @@ def test_criterion_3_affinity_bounds():
             np.array(predicted),
             [d.embedding for d in dets],
             track_embeddings,
-            weights,
+            cfg,
         )
         refined_ok = refined_ok and bool(
             np.all(out.refined >= 0.0) and np.all(out.refined <= bound + 1e-12)
@@ -232,7 +228,7 @@ def test_criterion_6_affinity_ablation():
 
 
 def test_criterion_7_kalman_correctness():
-    cfg = KalmanConfig()
+    cfg = TrackerConfig()
 
     def prediction_errors(velocity):
         velocity = np.asarray(velocity, float)
@@ -241,7 +237,7 @@ def test_criterion_7_kalman_correctness():
         for frame in range(1, 13):
             mean, cov = kf_predict(mean, cov, cfg)
             true_pos = velocity * frame
-            errors.append(float(np.linalg.norm(Box3D.from_array(mean[:7]).center - true_pos)))
+            errors.append(float(np.linalg.norm(mean[:3] - true_pos)))
             mean, cov = kf_update(
                 mean, cov, np.concatenate([true_pos, [4, 2, 1.5, 0]]), cfg
             )

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from types import SimpleNamespace
 from unittest import mock
@@ -9,10 +10,16 @@ from hypothesis import strategies as st
 from scipy.special import softmax
 
 from clip_oracle import convex_polygon_intersection_area
-from diou_oracle import bev_corners, diou_affinity, distance_term, iou_3d, raw_appearance_score
+from diou_oracle import (
+    bev_corners,
+    diou_affinity,
+    distance_term,
+    iou_3d,
+    raw_appearance_score,
+    volume,
+)
 from mipmot import affinity as affinity_module
 from mipmot.affinity import (
-    AffinityWeights,
     compute_affinities,
     motion_affinity_matrix,
     raw_appearance_matrix,
@@ -24,8 +31,11 @@ from mipmot.association import (
     objective_coefficients,
     solve_mip,
 )
+from mipmot.config import TrackerConfig
 from mipmot.geometry import EPS, Box3D
 from mipmot.io_formats import Detection
+
+MOTION_ONLY = TrackerConfig(beta_over_alpha=math.inf)
 
 
 def box_array(boxes) -> np.ndarray:
@@ -41,14 +51,14 @@ def make_track(track_id, box, embedding=None) -> SimpleNamespace:
     )
 
 
-def affinities(dets, tracks, weights, **flags):
+def affinities(dets, tracks, cfg=TrackerConfig(), **kwargs):
     return compute_affinities(
         box_array([d.box for d in dets]),
         box_array([t.box for t in tracks]),
         [d.embedding for d in dets],
         [t.embedding for t in tracks],
-        weights,
-        **flags,
+        cfg,
+        **kwargs,
     )
 
 
@@ -56,21 +66,78 @@ def make_det(box, score=1.0, embedding=None) -> Detection:
     return Detection(frame=0, box=box, score=score, embedding=embedding)
 
 
-class TestWeights:
-    def test_paper_ratio(self):
-        w = AffinityWeights.from_ratio(10.0)
-        assert w.alpha == pytest.approx(1.0 / 11.0)
-        assert w.beta == pytest.approx(10.0 / 11.0)
+# sha256 of the dense refined matrix, the gated refined values and the
+# gated pairs of ``pinned_frame``, per beta_over_alpha: the fused
+# affinities byte for byte, since the golden result files move only when
+# an association flips.
+PINNED_REFINED = {
+    0.7: "7d6f8013c0f20232ccd7a26ed42cc2577ddc6813a4ed6c0d097ef8d6d760e290",
+    3.0: "e5373a455620138fd0458e2e45ae0bd597f81708ccb0e243c3df6a0158a8f8dc",
+    10.0: "222f790b6670b1686bd0e3137f281ad2fa8b7ff48600bd119825642a664ddf38",
+}
 
-    def test_sum_enforced(self):
-        with pytest.raises(ValueError):
-            AffinityWeights(alpha=0.5, beta=0.6)
-        with pytest.raises(ValueError):
-            AffinityWeights(alpha=-0.1, beta=1.1)
+
+def pinned_frame():
+    """50 tracks and 45 detections, each 0.5 m off a track, with 16-D
+    embeddings and the needs of mixed confidences; the gate cuts it at
+    every pinned ratio."""
+    rng = np.random.default_rng(2108)
+    tracks = np.column_stack(
+        (
+            rng.uniform(-200, 200, (50, 2)),
+            rng.uniform(-1, 1, 50),
+            rng.uniform(1.0, 4.0, (50, 3)),
+            rng.uniform(-3, 3, 50),
+        )
+    )
+    dets = tracks[rng.integers(0, 50, 45)].copy()
+    dets[:, :3] += rng.normal(0.0, 0.5, (45, 3))
+    det_emb = list(rng.normal(size=(45, 16)))
+    trk_emb = list(rng.normal(size=(50, 16)))
+    costs = (100.0, 22.0, 1.0)
+    need = (
+        affinity_needed(rng.uniform(0.85, 1.0, 45), np.full(45, 0.5), *costs),
+        affinity_needed(rng.uniform(0.85, 1.0, 50), np.full(50, 0.5), *costs),
+    )
+    return dets, tracks, det_emb, trk_emb, need
+
+
+class TestWeights:
+    """alpha = 1 / (1 + r) and beta = 1 - alpha for r = ``beta_over_alpha``,
+    as recorded on the returned AffinityMatrix."""
+
+    def weights(self, ratio):
+        box = Box3D(0, 0, 0, 4, 2, 1.5, 0)
+        out = affinities(
+            [make_det(box, embedding=[1.0])],
+            [make_track(1, box, embedding=[1.0])],
+            TrackerConfig(beta_over_alpha=ratio),
+        )
+        return out.alpha, out.beta
+
+    def test_paper_ratio(self):
+        alpha, beta = self.weights(10.0)
+        assert alpha == pytest.approx(1.0 / 11.0)
+        assert beta == pytest.approx(10.0 / 11.0)
 
     def test_motion_only(self):
-        w = AffinityWeights.from_ratio(math.inf)
-        assert (w.alpha, w.beta) == (0.0, 1.0)
+        assert self.weights(math.inf) == (0.0, 1.0)
+
+    def test_appearance_only(self):
+        assert self.weights(0.0) == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("ratio", sorted(PINNED_REFINED))
+def test_refined_bytes_pinned(ratio):
+    dets, tracks, det_emb, trk_emb, need = pinned_frame()
+    cfg = TrackerConfig(beta_over_alpha=ratio)
+    dense = compute_affinities(dets, tracks, det_emb, trk_emb, cfg)
+    with mock.patch.object(affinity_module, "_GATE_MIN_PAIRS", 0):
+        gated = compute_affinities(dets, tracks, det_emb, trk_emb, cfg, need=lambda: need)
+    digest = hashlib.sha256()
+    for array in (dense.refined, gated.refined, *gated.pairs):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    assert digest.hexdigest() == PINNED_REFINED[ratio]
 
 
 class TestRawAppearance:
@@ -202,7 +269,7 @@ class TestMotionMatrix:
                 if dz <= 0.0:
                     continue
                 inter = convex_polygon_intersection_area(bev_corners(d), bev_corners(t)) * dz
-                union = d.volume + t.volume - inter
+                union = volume(d) + volume(t) - inter
                 if union > EPS:
                     expected[i, j] = min(1.0, max(0.0, inter / union))
         d_arr, t_arr = box_array(dets), box_array(trks)
@@ -232,7 +299,7 @@ class TestComputeAffinities:
         emb = [1.0, 2.0, 3.0]
         det = make_det(box, embedding=emb)
         track = make_track(1, box, embedding=emb)
-        out = affinities([det], [track], AffinityWeights())
+        out = affinities([det], [track])
         # ranked appearance of a 1x1 matrix is 1, diou of identical boxes is 2
         assert out.refined[0, 0] == pytest.approx(21.0 / 11.0, abs=1e-9)
 
@@ -242,14 +309,14 @@ class TestComputeAffinities:
         tracks = [
             make_track(i, Box3D(*rng.uniform(-5, 5, 3), 4, 2, 1.5, 0)) for i in range(4)
         ]
-        out = affinities(dets, tracks, AffinityWeights.from_ratio(math.inf))
+        out = affinities(dets, tracks, MOTION_ONLY)
         np.testing.assert_array_equal(out.refined, out.motion)
 
     def test_appearance_disabled_without_embeddings(self):
         box = Box3D(0, 0, 0, 4, 2, 1.5, 0)
         det = make_det(box)  # no embedding
         track = make_track(1, box, embedding=[1.0, 2.0])
-        out = affinities([det], [track], AffinityWeights())
+        out = affinities([det], [track])
         assert (out.alpha, out.beta) == (0.0, 1.0)
         np.testing.assert_array_equal(out.refined, out.motion)
 
@@ -264,22 +331,23 @@ class TestComputeAffinities:
             make_track(i, Box3D(*rng.uniform(-5, 5, 3), 4, 2, 1.5, 0), embedding=rng.normal(size=4))
             for i in range(3)
         ]
-        w = AffinityWeights()
-        out = affinities(dets, tracks, w)
+        out = affinities(dets, tracks)
         raw = raw_appearance_matrix([d.embedding for d in dets], [t.embedding for t in tracks])
         np.testing.assert_array_equal(out.appearance, softmax_ranking(raw))
-        np.testing.assert_array_equal(out.refined, w.alpha * out.appearance + w.beta * out.motion)
+        assert (out.alpha, out.beta) == (1.0 / 11.0, 1.0 - 1.0 / 11.0)
+        np.testing.assert_array_equal(
+            out.refined, out.alpha * out.appearance + out.beta * out.motion
+        )
 
     def test_empty_inputs(self):
-        out = affinities([], [], AffinityWeights())
+        out = affinities([], [])
         assert out.refined.shape == (0, 0)
         box = Box3D(0, 0, 0, 4, 2, 1.5, 0)
-        out = affinities([make_det(box)], [], AffinityWeights())
+        out = affinities([make_det(box)], [])
         assert out.refined.shape == (1, 0)
 
     def test_refined_bounds(self):
         rng = np.random.default_rng(71)
-        w = AffinityWeights()
         dim = 8
         dets = [
             make_det(
@@ -296,16 +364,16 @@ class TestComputeAffinities:
             )
             for i in range(6)
         ]
-        out = affinities(dets, tracks, w)
+        out = affinities(dets, tracks)
         assert np.all(out.refined >= 0.0)
-        assert np.all(out.refined <= w.alpha + 2 * w.beta + 1e-12)
+        assert np.all(out.refined <= out.alpha + 2 * out.beta + 1e-12)
 
     def test_argmax_invariant_under_translation(self):
         rng = np.random.default_rng(73)
         boxes = [Box3D(*rng.uniform(-10, 10, 3), 4, 2, 1.5, 0) for _ in range(5)]
         det = make_det(Box3D(1.0, 2.0, 0.0, 4, 2, 1.5, 0))
         tracks = [make_track(i, b) for i, b in enumerate(boxes)]
-        base = affinities([det], tracks, AffinityWeights.from_ratio(math.inf))
+        base = affinities([det], tracks, MOTION_ONLY)
 
         def shift(b, dx, dy, dz):
             return Box3D(b.x + dx, b.y + dy, b.z + dz, b.l, b.w, b.h, b.a)
@@ -314,7 +382,7 @@ class TestComputeAffinities:
         moved_tracks = [
             make_track(i, shift(b, 30, -12, 4)) for i, b in enumerate(boxes)
         ]
-        moved = affinities([moved_det], moved_tracks, AffinityWeights.from_ratio(math.inf))
+        moved = affinities([moved_det], moved_tracks, MOTION_ONLY)
         assert np.argmax(base.refined[0]) == np.argmax(moved.refined[0])
 
 
@@ -398,18 +466,19 @@ def problem_of(frame, x_aff, pairs=None):
 
 class TestCandidateGate:
     def gated_and_dense(self, frame):
-        weights = AffinityWeights.from_ratio(frame["ratio"])
-        args = (frame["dets"], frame["tracks"], frame["det_emb"], frame["trk_emb"], weights)
-        flags = dict(use_dis=frame["use_dis"], use_iou=frame["use_iou"])
+        cfg = TrackerConfig(
+            beta_over_alpha=frame["ratio"], use_dis=frame["use_dis"], use_iou=frame["use_iou"]
+        )
+        args = (frame["dets"], frame["tracks"], frame["det_emb"], frame["trk_emb"], cfg)
         need = (
             affinity_needed(frame["x_cls_det"], frame["x_se_det"], *frame["costs"]),
             affinity_needed(frame["x_cls_trk"], frame["x_se_trk"], *frame["costs"]),
         )
-        dense = compute_affinities(*args, **flags)
+        dense = compute_affinities(*args)
         # The gate is used at every frame size here, not only beyond
         # the size where it pays off.
         with mock.patch.object(affinity_module, "_GATE_MIN_PAIRS", 0):
-            gated = compute_affinities(*args, **flags, need=lambda: need)
+            gated = compute_affinities(*args, need=lambda: need)
         return gated, dense
 
     @settings(max_examples=300, deadline=None)
@@ -456,10 +525,10 @@ class TestCandidateGate:
             affinity_needed([1.0, 1.0], [0.5, 0.5], *costs),
             affinity_needed([1.0, 1.0], [0.492, 0.5], *costs),
         )
-        args = (dets, tracks, [None] * 2, [None] * 2, AffinityWeights())
+        args = (dets, tracks, [None] * 2, [None] * 2, TrackerConfig(use_iou=False))
         with mock.patch.object(affinity_module, "_GATE_MIN_PAIRS", 0):
-            gated = compute_affinities(*args, use_iou=False, need=lambda: need)
-        dense = compute_affinities(*args, use_iou=False)
+            gated = compute_affinities(*args, need=lambda: need)
+        dense = compute_affinities(*args)
         assert dense.motion[0, 0] == pytest.approx(1.0 - 0.1 / math.sqrt(300.0))
         assert list(zip(*gated.pairs)) == [(0, 0)]
         frame = dict(x_cls_det=np.ones(2), x_cls_trk=np.ones(2), x_se_det=np.full(2, 0.5),
@@ -480,13 +549,13 @@ class TestCandidateGate:
         )
         dets = tracks + np.column_stack((rng.normal(0, 0.2, (60, 2)), np.zeros((60, 5))))
         need = affinity_needed(np.full(60, 0.95), np.full(60, 0.5), 100.0, 22.0, 1.0)
-        weights = AffinityWeights()
+        cfg = TrackerConfig()
         out = compute_affinities(
-            dets, tracks, [None] * 60, [None] * 60, weights, need=lambda: (need, need)
+            dets, tracks, [None] * 60, [None] * 60, cfg, need=lambda: (need, need)
         )
         rows, cols = out.pairs
         assert sorted(zip(rows.tolist(), cols.tolist())) == [(k, k) for k in range(60)]
-        dense = compute_affinities(dets, tracks, [None] * 60, [None] * 60, weights)
+        dense = compute_affinities(dets, tracks, [None] * 60, [None] * 60, cfg)
         assert out.refined.tolist() == dense.refined[rows, cols].tolist()
 
     def test_no_gate_without_need_or_for_small_frames(self):
@@ -499,14 +568,14 @@ class TestCandidateGate:
             return np.array([5.0]), np.array([5.0, 5.0])
 
         tracks = [make_track(0, box), make_track(1, far)]
-        small = affinities([make_det(box)], tracks, AffinityWeights())
+        small = affinities([make_det(box)], tracks)
         assert small.pairs is None and small.refined.shape == (1, 2)
         out = compute_affinities(
             box_array([box]),
             box_array([box, far]),
             [None],
             [None, None],
-            AffinityWeights(),
+            TrackerConfig(),
             need=need,
         )
         assert out.pairs is None and out.refined.shape == (1, 2)

@@ -15,6 +15,7 @@ from diou_oracle import (
     distance_term,
     enclosing_diagonal,
     iou_3d,
+    volume,
 )
 from mipmot import geometry
 from mipmot.geometry import (
@@ -73,8 +74,8 @@ def monte_carlo_iou(b1: Box3D, b2: Box3D, rng, samples=100_000) -> float:
         & (np.abs(v) <= 0.5 * b2.w)
         & (np.abs(world[:, 2] - b2.z) <= 0.5 * b2.h)
     )
-    inter = b1.volume * hit.mean()
-    union = b1.volume + b2.volume - inter
+    inter = volume(b1) * hit.mean()
+    union = volume(b1) + volume(b2) - inter
     return inter / union if union > 0 else 0.0
 
 

@@ -35,6 +35,8 @@ CONFIGS = {
     "app": {"beta_over_alpha": 0.0},
     "dis": {"beta_over_alpha": float("inf"), "use_iou": False},
     "iou": {"beta_over_alpha": float("inf"), "use_dis": False},
+    # a finite ratio other than the default: both affinity terms count
+    "ratio-3": {"beta_over_alpha": 3.0},
     "non-default": NON_DEFAULT,
     "non-default-hungarian": {**NON_DEFAULT, "associator": "hungarian"},
 }
@@ -61,6 +63,8 @@ GOLDEN = {
     ("crossing", 0, "app"): "de8887fb927ad2ec9cd4b9ddcb55b8dc3055a5d6ace0d83405179eb68d8826cb",
     ("crossing", 0, "dis"): "d61d8b5ac086b5b9371cae63bcc37c7ce8713ca9c0b797399aeb76e3e048bc5d",
     ("crossing", 0, "iou"): "d61d8b5ac086b5b9371cae63bcc37c7ce8713ca9c0b797399aeb76e3e048bc5d",
+    ("crossing", 0, "ratio-3"): "d61d8b5ac086b5b9371cae63bcc37c7ce8713ca9c0b797399aeb76e3e048bc5d",
+    ("crossing", 1, "ratio-3"): "032297f31541f9c6503dbea64d413ee432fd0467e32e142544de080ef16d84cc",
     ("crossing", 0, "non-default"): "5e354c25de93f4a3b7173d4536d6c54132af080251db9ce0478ce08ed8d3daab",
     ("crossing", 0, "non-default-hungarian"): "5e354c25de93f4a3b7173d4536d6c54132af080251db9ce0478ce08ed8d3daab",
     ("clutter", 0, "non-default"): "3a8599d46ce648751d7bc8a0fcf2d180ddc8b10274adf3bd548a2105299c3106",

@@ -211,10 +211,66 @@ def as_written(box: Box3D) -> Box3D:
     return Box3D(*(float(f"{v:.6f}") for v in box.to_array()))
 
 
+@st.composite
+def detection_files(draw):
+    """Detections of any frames, in any order; each carries a start
+    probability or not and an embedding or not, all of one size."""
+    dim = draw(st.integers(1, 6))
+    embeddings = st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim)
+    return draw(
+        st.lists(
+            st.builds(
+                Detection,
+                st.integers(0, 10**6),
+                KITTI_BOXES,
+                UNIT,
+                st.none() | embeddings,
+                st.none() | UNIT,
+            ),
+            max_size=8,
+        )
+    )
+
+
+def detection_fields(det: Detection, rounded) -> tuple:
+    """A detection's values, each passed through ``rounded``."""
+    return (
+        det.frame,
+        Box3D(*(rounded(v) for v in det.box.to_array())),
+        rounded(det.score),
+        None if det.start_prob is None else rounded(det.start_prob),
+        None if det.embedding is None else [rounded(v) for v in det.embedding],
+    )
+
+
 def read_back(path) -> list[tuple]:
     return [
         (r.frame, r.track_id, r.object_type, r.box, r.score) for r in read_kitti_labels(path)
     ]
+
+
+class TestDetectionRoundTrip:
+    """Text files hold 6 decimals and JSON lines 9; reading groups the
+    records by ascending frame and keeps the file order within a frame."""
+
+    @staticmethod
+    def round_trip(tmp_path_factory, dets, json_lines, rounded):
+        path = tmp_path_factory.mktemp("dets") / "dets.txt"
+        write_detections(dets, path, json_lines=json_lines)
+        frames = read_detections(path)
+        got = [detection_fields(d, float) for f in frames for d in frames[f]]
+        by_frame = sorted(dets, key=lambda d: d.frame)
+        assert got == [detection_fields(d, rounded) for d in by_frame]
+
+    @settings(max_examples=60, deadline=None)
+    @given(detection_files())
+    def test_text_round_trip(self, tmp_path_factory, dets):
+        self.round_trip(tmp_path_factory, dets, False, lambda v: float(f"{v:.6f}"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(detection_files())
+    def test_json_round_trip(self, tmp_path_factory, dets):
+        self.round_trip(tmp_path_factory, dets, True, lambda v: round(float(v), 9))
 
 
 class TestKittiFiles:
