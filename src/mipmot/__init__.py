@@ -11,7 +11,7 @@ from .association import (
 from .config import TrackerConfig
 from .evaluation import MotReport, evaluate_sequence, aggregate_reports
 from .geometry import Box3D, bev_iou
-from .io_formats import Detection, LabelRecord
+from .io_formats import Detection, DetectionBatch, LabelRecord
 from .motion import kf_init, kf_predict, kf_update
 from .simgen import ScenarioConfig, generate, scenario_template
 from .tracker import FrameResult, Track, Tracker, run_sequence
@@ -24,6 +24,7 @@ __all__ = [
     "AssociationResult",
     "Box3D",
     "Detection",
+    "DetectionBatch",
     "FrameResult",
     "LabelRecord",
     "MotReport",

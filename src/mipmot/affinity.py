@@ -224,6 +224,13 @@ def candidate_pairs(
     return rows[keep], cols[keep]
 
 
+def _all_given(embeddings) -> bool:
+    """Whether every participant has an embedding."""
+    if embeddings is None:
+        return False
+    return isinstance(embeddings, np.ndarray) or all(e is not None for e in embeddings)
+
+
 def compute_affinities(
     det_boxes,
     predicted,
@@ -235,10 +242,12 @@ def compute_affinities(
     """Build the refined affinities for one frame.
 
     ``det_boxes`` are the (M, 7) detection boxes and ``predicted`` the
-    (N, 7) track boxes predicted for this frame; the embedding lists are
-    aligned with them. ``cfg`` supplies ``beta_over_alpha``, ``use_dis``
-    and ``use_iou``. If any participant lacks an embedding, appearance
-    is disabled for the frame (alpha = 0, beta = 1). With ``need``, a
+    (N, 7) track boxes predicted for this frame; the embeddings are
+    aligned with them, each an (M, D) or (N, D) array or a list of
+    vectors. ``cfg`` supplies ``beta_over_alpha``, ``use_dis`` and
+    ``use_iou``. If any participant lacks an embedding (a None entry,
+    or None for all detections), appearance is disabled for the frame
+    (alpha = 0, beta = 1). With ``need``, a
     zero-argument callable that returns (need_det, need_trk), only the
     ``candidate_pairs`` that can reach need_det[d] + need_trk[k] are
     scored, unless every pair is in reach; otherwise every pair is.
@@ -256,7 +265,7 @@ def compute_affinities(
             beta=beta,
         )
 
-    if alpha == 0.0 or any(e is None for e in [*det_embeddings, *track_embeddings]):
+    if alpha == 0.0 or not (_all_given(det_embeddings) and _all_given(track_embeddings)):
         appearance = np.zeros((m, n))
         alpha, beta = 0.0, 1.0
     else:

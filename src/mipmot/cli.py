@@ -109,9 +109,12 @@ def _evaluate_dirs(results_dir: Path, labels_dir: Path, iou_threshold: float):
 
 
 def cmd_eval(args) -> int:
-    reports = _evaluate_dirs(
-        Path(args.results_dir), Path(args.labels_dir), args.iou_threshold
-    )
+    # An explicit --iou-threshold wins over the config's eval_iou_threshold.
+    threshold = args.iou_threshold
+    if threshold is None:
+        cfg = TrackerConfig() if args.config is None else TrackerConfig.from_file(args.config)
+        threshold = cfg.eval_iou_threshold
+    reports = _evaluate_dirs(Path(args.results_dir), Path(args.labels_dir), threshold)
     overall = evaluation.aggregate_reports(list(reports.values()))
     table = dict(reports)
     table["OVERALL"] = overall
@@ -218,8 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="score results against labels")
     p_eval.add_argument("--results-dir", required=True)
     p_eval.add_argument("--labels-dir", required=True)
+    p_eval.add_argument("--config", help="reads eval_iou_threshold")
     p_eval.add_argument(
-        "--iou-threshold", type=float, default=evaluation.DEFAULT_IOU_THRESHOLD
+        "--iou-threshold",
+        type=float,
+        help=f"overrides the config; default {evaluation.DEFAULT_IOU_THRESHOLD}",
     )
     p_eval.add_argument("--json-out")
     p_eval.set_defaults(func=cmd_eval)

@@ -64,7 +64,7 @@ class TrackerConfig:
     # 0 carries the last associated detection confidence; > 0 blends it
     # with the track's previous confidence (exponential smoothing).
     confidence_smoothing: float = 0.0
-    eval_iou_threshold: float = DEFAULT_IOU_THRESHOLD  # `sweep` scoring only
+    eval_iou_threshold: float = DEFAULT_IOU_THRESHOLD  # `sweep` and `eval` scoring
     object_type: str = "Car"  # class written to result files
     # Initial covariance diagonal over (x, y, z, l, w, h, a, vx, vy, vz).
     # The velocity variance is large: the initial velocity is unknown.

@@ -22,7 +22,7 @@ from .affinity import compute_affinities
 from .association import AssociationProblem, affinity_needed, hungarian_baseline, solve_mip
 from .config import TrackerConfig
 from .geometry import Box3D
-from .io_formats import Detection, check_frame
+from .io_formats import Detection, DetectionBatch, check_frame
 from .motion import MEAS_DIM, STATE_DIM, kf_init, kf_predict, kf_update
 
 
@@ -64,19 +64,15 @@ class Tracker:
         self._last_frame: Optional[int] = None
 
     def _associate(
-        self, detections: list[Detection], det_boxes: np.ndarray
+        self, det_boxes: np.ndarray, scores: np.ndarray, start_prob: np.ndarray, embeddings
     ) -> tuple[list[tuple[int, int]], np.ndarray]:
         """Matched (detection, track) pairs and, for the unmatched
-        detections, whether each starts a confirmed track."""
+        detections, whether each starts a confirmed track. ``embeddings``
+        is None unless every detection has one."""
         cfg = self.config
-        x_cls_det = np.array([d.score for d in detections])
+        x_cls_det = scores
         x_cls_trk = np.array([t.confidence for t in self.tracks])
-        x_se_det = np.array(
-            [
-                d.start_prob if d.start_prob is not None else cfg.default_start_prob
-                for d in detections
-            ]
-        )
+        x_se_det = np.where(np.isnan(start_prob), cfg.default_start_prob, start_prob)
         x_se_trk = np.full(len(self.tracks), cfg.default_end_prob)
         need = None
         if cfg.associator == "mip":
@@ -93,7 +89,7 @@ class Tracker:
         aff = compute_affinities(
             det_boxes,
             self.mean[:, :MEAS_DIM],
-            [d.embedding for d in detections],
+            embeddings,
             [t.embedding for t in self.tracks],
             cfg,
             need=need,
@@ -102,7 +98,7 @@ class Tracker:
             # The baseline trusts all inputs: matched pairs keep ids,
             # everything left over starts or ends unconditionally.
             matches = hungarian_baseline(aff.refined, gate=cfg.ha_gate)
-            return matches, np.ones(len(detections), dtype=bool)
+            return matches, np.ones(len(det_boxes), dtype=bool)
         problem = AssociationProblem(
             x_cls_det=x_cls_det,
             x_cls_trk=x_cls_trk,
@@ -117,38 +113,49 @@ class Tracker:
         result = solve_mip(problem)
         return result.matches, result.y_se_det.astype(bool)
 
-    def _check_embeddings(self, frame: int, detections: list[Detection]) -> None:
-        """Reject a detection whose embedding size differs from the tracks'
-        or from the frame's other detections, before any state changes."""
+    def _check_embeddings(self, frame: int, batch: DetectionBatch) -> None:
+        """Reject a batch whose embedding size differs from the tracks',
+        before any state changes."""
+        if batch.embeddings is None:
+            return
         size = next((t.embedding.size for t in self.tracks if t.embedding is not None), None)
-        for i, det in enumerate(detections):
-            if det.embedding is None:
-                continue
-            if size is None:
-                size = det.embedding.size
-            elif det.embedding.size != size:
-                raise ValueError(
-                    f"frame {frame}, detection {i}: embedding has {det.embedding.size} "
-                    f"values, expected {size}"
-                )
+        if size is not None and batch.embeddings.shape[1] != size:
+            i = int(batch.has_embedding.argmax())
+            raise ValueError(
+                f"frame {frame}, detection {i}: embedding has {batch.embeddings.shape[1]} "
+                f"values, expected {size}"
+            )
 
-    def step(self, frame: int, detections: list[Detection]) -> FrameResult:
-        """Process one frame and return its confirmed associated tracks."""
+    def step(self, frame: int, detections) -> FrameResult:
+        """Process one frame and return its confirmed associated tracks.
+
+        ``detections`` is the frame's ``DetectionBatch`` or a list of
+        ``Detection``s, which is made into one.
+        """
         cfg = self.config
         frame = check_frame(frame)
         if self._last_frame is not None and frame <= self._last_frame:
             raise ValueError(
                 f"frames must be strictly increasing: got {frame} after {self._last_frame}"
             )
-        self._check_embeddings(frame, detections)
+        batch = DetectionBatch.from_detections(detections, frame)
+        self._check_embeddings(frame, batch)
         self._last_frame = frame
 
-        detections = [d for d in detections if d.score >= cfg.theta_cls]
-        det_boxes = np.array([d.box.to_array() for d in detections]).reshape(-1, MEAS_DIM)
+        keep = batch.scores >= cfg.theta_cls
+        det_boxes = batch.boxes[keep]
+        scores = batch.scores[keep]
+        has_embedding = batch.has_embedding[keep]
+        embeddings = None if batch.embeddings is None else batch.embeddings[keep]
 
         self.mean, self.cov = kf_predict(self.mean, self.cov, cfg)
 
-        matches, starts = self._associate(detections, det_boxes)
+        matches, starts = self._associate(
+            det_boxes,
+            scores,
+            batch.start_prob[keep],
+            embeddings if has_embedding.all() else None,
+        )
 
         det_rows = [d for d, _ in matches]
         track_rows = [k for _, k in matches]
@@ -156,14 +163,14 @@ class Tracker:
             self.mean[track_rows], self.cov[track_rows], det_boxes[det_rows], cfg
         )
 
+        score_list = scores.tolist()
         emitted: list[tuple[int, Box3D, float]] = []
         for d, k in matches:
-            det = detections[d]
             track = self.tracks[k]
             g = cfg.confidence_smoothing
-            track.confidence = g * track.confidence + (1.0 - g) * det.score
-            if det.embedding is not None:
-                track.embedding = det.embedding
+            track.confidence = g * track.confidence + (1.0 - g) * score_list[d]
+            if has_embedding[d]:
+                track.embedding = embeddings[d]
             track.hits += 1
             track.misses = 0
             if track.status is TrackStatus.TENTATIVE and track.hits > cfg.theta_hit:
@@ -181,14 +188,14 @@ class Tracker:
                 track.hits = 0
 
         # Births are appended confirmed starts first, then tentatives.
-        unmatched = set(range(len(detections))) - set(det_rows)
+        unmatched = set(range(len(det_boxes))) - set(det_rows)
         births = sorted(unmatched, key=lambda d: (not starts[d], d))
         for d in births:
-            det, confirmed = detections[d], bool(starts[d])
+            confirmed = bool(starts[d])
             track = Track(
                 id=self._next_id,
-                embedding=det.embedding,
-                confidence=det.score,
+                embedding=embeddings[d] if has_embedding[d] else None,
+                confidence=score_list[d],
                 hits=int(confirmed),
                 misses=int(not confirmed),  # a tentative birth counts as missed once
                 status=TrackStatus.CONFIRMED if confirmed else TrackStatus.TENTATIVE,
@@ -196,7 +203,7 @@ class Tracker:
             self._next_id += 1
             self.tracks.append(track)
             if confirmed:
-                emitted.append((track.id, det.box, track.confidence))
+                emitted.append((track.id, Box3D.from_array(det_boxes[d]), track.confidence))
         birth_mean, birth_cov = kf_init(det_boxes[births], cfg)
         self.mean = np.concatenate((self.mean, birth_mean))
         self.cov = np.concatenate((self.cov, birth_cov))
@@ -210,13 +217,15 @@ class Tracker:
 
 
 def run_sequence(
-    detections_by_frame: dict[int, list[Detection]],
+    detections_by_frame: dict[int, DetectionBatch | list[Detection]],
     config: TrackerConfig | None = None,
     num_frames: int | None = None,
 ) -> list[FrameResult]:
     """Track a whole sequence; frames absent from the input are empty.
 
-    Frames run from 0 through the last frame present (or num_frames).
+    ``detections_by_frame`` maps a frame to its ``DetectionBatch`` or
+    list of ``Detection``s. Frames run from 0 through the last frame
+    present (or num_frames).
     """
     tracker = Tracker(config)
     if num_frames is None:

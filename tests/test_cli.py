@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -188,6 +189,54 @@ class TestEval:
         payload = json.loads(report.read_text())
         assert payload["seq0"]["MOTA"] == 1.0
         assert payload["OVERALL"]["IDSW"] == 0
+
+
+    @pytest.fixture
+    def shifted(self, tmp_path, capsys):
+        """Labels and results whose boxes overlap with an IoU of 0.6."""
+        simulate(capsys, tmp_path / "seqs", name="seq0")
+        labels = (tmp_path / "seqs" / "seq0.labels.txt").read_text()
+        rows = [line.split() for line in labels.splitlines()]
+        for row in rows:
+            # 1 m along the heading, a quarter of l = 4: IoU 3 / 5
+            heading = float(row[16])
+            row[13] = f"{float(row[13]) + math.cos(heading):.6f}"
+            row[14] = f"{float(row[14]) + math.sin(heading):.6f}"
+        results = tmp_path / "results"
+        results.mkdir()
+        (results / "seq0.txt").write_text("".join(" ".join(row) + "\n" for row in rows))
+        return ["eval", "--results-dir", str(results), "--labels-dir", str(tmp_path / "seqs")]
+
+    @pytest.mark.parametrize(
+        "config, flag, matched",
+        [
+            (None, None, True),  # default threshold 0.5
+            ({"eval_iou_threshold": 0.7}, None, False),
+            ({"eval_iou_threshold": 0.7}, "0.5", True),  # the flag wins
+            ({"eval_iou_threshold": 0.5}, "0.7", False),
+        ],
+    )
+    def test_config_threshold_and_flag(self, tmp_path, capsys, shifted, config, flag, matched):
+        argv = list(shifted)
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        if flag is not None:
+            argv += ["--iou-threshold", flag]
+        report = tmp_path / "report.json"
+        code, _, err = run(capsys, *argv, "--json-out", str(report))
+        assert code == 0, err
+        overall = json.loads(report.read_text())["OVERALL"]
+        assert (overall["FP"] == 0) == matched
+        assert overall["MOTA"] == (1.0 if matched else -1.0)
+
+    def test_bad_config_threshold_rejected(self, tmp_path, capsys, shifted):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"eval_iou_threshold": 1.5}))
+        code, _, err = run(capsys, *shifted, "--config", str(path))
+        assert code == 1
+        assert "eval_iou_threshold" in err
 
 
 class TestSweep:

@@ -1,10 +1,10 @@
 """Golden outputs: sha256 digests of the files ``mipmot simulate`` writes
 and of the KITTI result files of ``mipmot track``.
 
-Each tracking case simulates a template and seed with ``mipmot simulate``, tracks
-it with ``mipmot track --config`` and hashes the result file, so the
-digests pin the tracker's output through the public file formats and
-the JSON config keys. A refactor keeps every digest; a change that moves
+Each tracking case simulates a template and seed (or a scenario file)
+with ``mipmot simulate``, tracks it with ``mipmot track --config`` and
+hashes the result file, so the digests pin the tracker's output through
+the public file formats and the JSON config keys. A refactor keeps every digest; a change that moves
 an output on purpose updates the digest and says which outputs changed
 and why.
 """
@@ -18,6 +18,28 @@ from mipmot.cli import main
 
 TEMPLATES = ("clean", "crossing", "clutter")
 SEEDS = (0, 1, 2)
+
+# Scenario files tracked like the templates, as (name, seed) cases.
+# "ghosts": ghost detections with random embeddings crowd each object,
+# so appearance decides some matches and the result moves with the
+# fusion ratio, which the templates' digests do not see.
+SCENARIOS = {
+    ("ghosts", 1): {
+        "num_objects": 16,
+        "num_frames": 40,
+        "extent": 30.0,
+        "pos_noise": 0.3,
+        "embedding_dim": 8,
+        "embedding_noise": 0.1,
+        "fp_rate": 2.0,
+        "fp_near_sigma": 1.5,
+        "fp_score_low": 0.86,
+        "fp_score_high": 0.99,
+        "tp_score_mean": 0.97,
+        "tp_score_sigma": 0.015,
+        "seed": 1,
+    },
+}
 
 NON_DEFAULT = {
     "theta_hit": 1,
@@ -35,7 +57,9 @@ CONFIGS = {
     "app": {"beta_over_alpha": 0.0},
     "dis": {"beta_over_alpha": float("inf"), "use_iou": False},
     "iou": {"beta_over_alpha": float("inf"), "use_dis": False},
-    # a finite ratio other than the default: both affinity terms count
+    # finite ratios other than the default: both affinity terms count
+    "ratio-0.3": {"beta_over_alpha": 0.3},
+    "ratio-1": {"beta_over_alpha": 1.0},
     "ratio-3": {"beta_over_alpha": 3.0},
     "non-default": NON_DEFAULT,
     "non-default-hungarian": {**NON_DEFAULT, "associator": "hungarian"},
@@ -69,6 +93,12 @@ GOLDEN = {
     ("crossing", 0, "non-default-hungarian"): "5e354c25de93f4a3b7173d4536d6c54132af080251db9ce0478ce08ed8d3daab",
     ("clutter", 0, "non-default"): "3a8599d46ce648751d7bc8a0fcf2d180ddc8b10274adf3bd548a2105299c3106",
     ("clutter", 0, "non-default-hungarian"): "f1769d710c429b09908bc785f11bb9230a1f4018b9c75a97a470ae1176a3b0f8",
+    ("ghosts", 1, "app"): "3b7d6813462d12ac887219bf1f1c84cd299d34e1c0869205227aded27a866a27",
+    ("ghosts", 1, "ratio-0.3"): "13ee711b0edcf6b749ef9b138cd648a186b559940cceb07b19fa81c1a8669a68",
+    ("ghosts", 1, "ratio-1"): "f8c82d03d80842b6bedf0725a9eb4985e2c4e1cea54eaba2c2ae2cad73ec9348",
+    ("ghosts", 1, "ratio-3"): "76d698476fd40de95a8076d19c6d41dc22a83bbae4248a208f3fa362dd02e9d2",
+    ("ghosts", 1, "mip"): "cddec2a23f20117f5657b1c547a569fcb4fdc4293dffaec23254ac3103cb8041",
+    ("ghosts", 1, "hungarian"): "d3f5e9f057616edfddd7317cc53e0887356070b8e6ab4302922f419241a60984",
 }
 
 
@@ -94,6 +124,14 @@ def scenarios(tmp_path_factory):
                 "--output-dir", str(root / f"{template}-{seed}"), "--name", "seq",
             ]
             assert main(argv) == 0
+    for (name, seed), scenario in SCENARIOS.items():
+        path = root / f"{name}-{seed}.json"
+        path.write_text(json.dumps(scenario))
+        argv = [
+            "simulate", "--scenario", str(path),
+            "--output-dir", str(root / f"{name}-{seed}"), "--name", "seq",
+        ]
+        assert main(argv) == 0
     return root
 
 
@@ -120,3 +158,11 @@ def test_result_digest(scenarios, tmp_path, capsys, template, seed, config):
 def test_simulate_digest(scenarios, template, suffix):
     data = (scenarios / f"{template}-0" / f"seq.{suffix}.txt").read_bytes()
     assert hashlib.sha256(data).hexdigest() == SIMULATE_GOLDEN[template, suffix]
+
+
+def test_ghosts_digest_moves_with_the_fusion_ratio():
+    """Each beta_over_alpha pinned on "ghosts" (0, 0.3, 1, 3 and the
+    default 10) gives its own result file."""
+    ratios = ("app", "ratio-0.3", "ratio-1", "ratio-3", "mip")
+    digests = [GOLDEN["ghosts", 1, config] for config in ratios]
+    assert len(set(digests)) == len(ratios)

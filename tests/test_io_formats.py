@@ -1,14 +1,18 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import io_oracle
+from mipmot import io_formats
 from mipmot.geometry import Box3D
 from mipmot.io_formats import (
     Detection,
+    DetectionBatch,
     FormatError,
     LabelRecord,
     read_detections,
@@ -399,3 +403,320 @@ class TestKittiFiles:
         path.write_text("0 1 Car 0 0\n")
         with pytest.raises(FormatError, match=":1:"):
             read_kitti_labels(path)
+
+
+NUMBER_FORMS = st.sampled_from(["repr", "fixed", "exp", "int"])
+
+
+def numeral(v: float, form: str) -> str:
+    """One of the ways a number is written in a text record."""
+    if form == "int" and v == int(v):
+        return str(int(v))
+    return {"fixed": f"{v:.6f}", "exp": f"{v:.4e}"}.get(form, repr(v))
+
+
+@st.composite
+def oracle_files(draw, min_size=0):
+    """Lines of a detection file mixing text and JSON records, comments
+    and blank lines; each record has a start probability or not and an
+    embedding or not, all of one size. Returns (lines, records, size), a
+    record being (kind, frame, box, score, start_prob, embedding)."""
+    dim = draw(st.integers(1, 5))
+    finite = st.floats(-1e3, 1e3)
+    record = st.tuples(
+        st.sampled_from(["text", "json"]),
+        st.integers(0, 12),
+        st.tuples(finite, finite, finite, *[st.floats(0.0, 50.0)] * 3, st.floats(-20.0, 20.0)),
+        UNIT,
+        st.none() | UNIT,
+        st.none() | st.lists(finite, min_size=dim, max_size=dim),
+    )
+    records = draw(st.lists(record, min_size=min_size, max_size=12))
+    lines = []
+    for rec in records:
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "# a comment", "   "])))
+        lines.append(draw(record_line(rec)))
+    return lines, records, dim
+
+
+@st.composite
+def record_line(draw, rec, fault=None, size=1):
+    """The line of one record, as text or JSON; with ``fault``, a text
+    line with that one fault (the file's embeddings have ``size`` values)."""
+    kind, frame, box, score, start_prob, embedding = rec
+    if kind == "json" and fault is None:
+        obj = {"frame": frame, "box": list(box), "score": score}
+        if start_prob is not None:
+            obj["start_prob"] = start_prob
+        if embedding is not None:
+            obj["embedding"] = embedding
+        return json.dumps(obj)
+    form = draw(NUMBER_FORMS)
+    fields = [str(frame), *(numeral(v, form) for v in box), numeral(score, form)]
+    if start_prob is not None:
+        fields.append(numeral(start_prob, form))
+    vector = None if embedding is None else [numeral(v, form) for v in embedding]
+    close = "]"
+    if fault in ("nan", "inf"):
+        where = draw(st.integers(1, len(fields) - 1 + len(vector or [])))
+        spellings = ["nan", "NaN"] if fault == "nan" else ["inf", "-inf", "Infinity"]
+        bad = draw(st.sampled_from(spellings))
+        if where < len(fields):
+            fields[where] = bad
+        else:
+            vector[where - len(fields)] = bad
+    elif fault == "negative extent":
+        fields[draw(st.integers(4, 6))] = "-1.5"
+    elif fault == "score 1.5":
+        fields[8] = "1.5"
+    elif fault == "frame 1.0":
+        fields[0] = f"{frame}.0"
+    elif fault == "8 leading fields":
+        fields = fields[:8]
+    elif fault == "unclosed bracket":
+        vector, close = vector or ["0.5"], ""
+    elif fault == "embedding size":
+        vector = ["0.25"] * (size + 1)
+    line = draw(st.sampled_from([" ", "\t", "  "])).join(fields)
+    if vector is not None:
+        line += " [" + draw(st.sampled_from([" ", ", ", ","])).join(vector) + close
+    return line
+
+
+def outcome(read, path):
+    """What a reader makes of a file: its records (frame, box, score,
+    start_prob, embedding, bits as hex) by frame, or its error text."""
+    try:
+        frames = read(path)
+    except FormatError as e:
+        return str(e)
+    return [
+        (
+            f,
+            d.frame,
+            [v.hex() for v in d.box.to_array().tolist()],
+            d.score.hex(),
+            None if d.start_prob is None else d.start_prob.hex(),
+            None if d.embedding is None else [v.hex() for v in d.embedding.tolist()],
+        )
+        for f, dets in frames.items()
+        for d in dets
+    ]
+
+
+FAULTS = [
+    "nan",
+    "inf",
+    "negative extent",
+    "score 1.5",
+    "frame 1.0",
+    "8 leading fields",
+    "unclosed bracket",
+    "embedding size",
+]
+
+
+class TestReaderOracle:
+    """The bulk reader against the per-line reference of tests/io_oracle.py.
+
+    Each runs with the default chunk of lines and with chunks of 3, so
+    that chunk boundaries fall inside the files.
+    """
+
+    @pytest.mark.parametrize("chunk", [3, io_formats._CHUNK_LINES])
+    @settings(max_examples=80, deadline=None)
+    @given(oracle_files())
+    def test_same_records(self, tmp_path_factory, chunk, file):
+        lines, records, _ = file
+        path = tmp_path_factory.mktemp("oracle") / "dets.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with mock.patch.object(io_formats, "_CHUNK_LINES", chunk):
+            got = outcome(read_detections, path)
+            frames = read_detections(path)
+        assert got == outcome(io_oracle.read_detections, path)
+        assert len(got) == len(records)
+        for frame, batch in frames.items():
+            assert isinstance(batch, DetectionBatch) and batch.frame == frame
+            for i, d in enumerate(batch):
+                assert d.box.to_array().tobytes() == batch.boxes[i].tobytes()
+
+    @pytest.mark.parametrize("chunk", [3, io_formats._CHUNK_LINES])
+    @pytest.mark.parametrize("fault", FAULTS)
+    @settings(max_examples=25, deadline=None)
+    @given(oracle_files(min_size=1), st.data())
+    def test_same_error(self, tmp_path_factory, chunk, fault, file, data):
+        """One line with one fault: both readers fail at its line, with
+        the same message (a changed embedding size fails where it first
+        differs from the file's first embedding)."""
+        lines, records, size = file
+        target = data.draw(st.integers(0, len(records) - 1))
+        bad_line = data.draw(record_line(records[target], fault, size))
+        numbered = [i for i, line in enumerate(lines) if line.strip() and line[0] != "#"]
+        lines[numbered[target]] = bad_line
+        path = tmp_path_factory.mktemp("oracle") / "dets.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with mock.patch.object(io_formats, "_CHUNK_LINES", chunk):
+            got = outcome(read_detections, path)
+        expected = outcome(io_oracle.read_detections, path)
+        assert got == expected
+        others = [r for i, r in enumerate(records) if i != target and r[5] is not None]
+        if fault != "embedding size" or others:
+            assert isinstance(expected, str) and expected.startswith(f"{path}:")
+        if fault != "embedding size":
+            assert expected.startswith(f"{path}:{numbered[target] + 1}: ")
+
+
+class TestDetectionBatch:
+    BOXES = [[0, 0, 0, 4, 2, 1.5, 0.0], [5, 1, 0, 4, 2, 1.5, 4.0]]
+
+    def test_arrays_and_views(self):
+        batch = DetectionBatch(
+            3, self.BOXES, [0.9, 0.8], [np.nan, 0.25], [[1.0, 2.0], [np.nan, np.nan]]
+        )
+        assert len(batch) == 2 and batch
+        assert batch.boxes[1, 6] == Box3D(5, 1, 0, 4, 2, 1.5, 4.0).a  # wrapped
+        np.testing.assert_array_equal(batch.has_embedding, [True, False])
+        first, second = batch
+        assert (first.frame, first.score, first.start_prob) == (3, 0.9, None)
+        np.testing.assert_array_equal(first.embedding, [1.0, 2.0])
+        assert (second.start_prob, second.embedding) == (0.25, None)
+        assert batch[-1].box == second.box
+        with pytest.raises(IndexError):
+            batch[2]
+        with pytest.raises(TypeError):
+            batch[0:1]
+
+    def test_no_embedding_rows_give_none(self):
+        batch = DetectionBatch(0, self.BOXES, [0.9, 0.8], embeddings=np.full((2, 3), np.nan))
+        assert batch.embeddings is None
+        assert not batch.has_embedding.any()
+
+    def test_empty(self):
+        batch = DetectionBatch(0, [], [])
+        assert len(batch) == 0 and not batch
+        assert batch.boxes.shape == (0, 7) and list(batch) == []
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(frame=1.5), "frame must be an integer"),
+            (dict(frame=-1), "frame must be nonnegative"),
+            (dict(boxes=[[0, 0, 0, 4, 2, 1.5]] * 2), r"boxes must be an \(M, 7\) array"),
+            (dict(boxes=[[True] * 7] * 2), "boxes must be real numbers"),
+            (dict(scores=[True, False]), "scores must be real numbers"),
+            (dict(scores=["0.9", "0.8"]), "scores must be real numbers"),
+            (dict(scores=[0.9]), "2 boxes but 1 scores"),
+            (dict(scores=[0.9, 1.5]), "detection 1: score must be in \\[0, 1\\], got 1.5"),
+            (dict(scores=[np.nan, 0.5]), "detection 0: score must be in"),
+            (dict(start_prob=[0.5, -0.1]), "detection 1: start_prob must be in"),
+            (dict(start_prob=[np.inf, 0.5]), "detection 0: start_prob must be in"),
+            (
+                dict(boxes=[[0, 0, 0, 4, 2, 1.5, 0], [0, 0, np.inf, 4, 2, 1.5, 0]]),
+                "detection 1: Box3D field z is not finite: inf",
+            ),
+            (
+                dict(boxes=[[0, 0, 0, 4, -2, 1.5, 0]] * 2),
+                "detection 0: Box3D extents must be nonnegative, got l=4.0 w=-2.0 h=1.5",
+            ),
+            (
+                dict(embeddings=[[1.0, np.nan], [1.0, 2.0]]),
+                "detection 0: embedding contains non-finite values",
+            ),
+            (dict(embeddings=[[1.0, 2.0]]), r"embeddings must be an \(2, D\) array"),
+            (dict(embeddings=np.zeros((2, 0))), r"embeddings must be an \(2, D\) array"),
+        ],
+    )
+    def test_checked_on_construction(self, change, message):
+        fields = dict(frame=0, boxes=self.BOXES, scores=[0.9, 0.8], start_prob=None)
+        fields.update(change)
+        with pytest.raises(ValueError, match=message):
+            DetectionBatch(**fields)
+
+    def test_from_detections(self):
+        dets = [
+            Detection(2, Box3D(0, 0, 0, 4, 2, 1.5, 0.5), 0.9, start_prob=0.3),
+            Detection(2, Box3D(5, 1, 0, 4, 2, 1.5, -0.5), 0.8, embedding=[1.0, 2.0]),
+        ]
+        batch = DetectionBatch.from_detections(dets, 2)
+        assert DetectionBatch.from_detections(batch, 2) is batch
+        assert [d.box for d in batch] == [d.box for d in dets]
+        np.testing.assert_array_equal(batch.start_prob, [0.3, np.nan])
+        np.testing.assert_array_equal(batch.has_embedding, [False, True])
+        assert len(DetectionBatch.from_detections([], 0)) == 0
+
+    def test_from_detections_rejects_embedding_size_change(self):
+        box = Box3D(0, 0, 0, 4, 2, 1.5, 0.0)
+        dets = [Detection(0, box, 0.9, embedding=[1.0, 2.0]), Detection(0, box, 0.9, embedding=[1])]
+        message = "frame 0, detection 1: embedding has 1 values, expected 2"
+        with pytest.raises(ValueError, match=message):
+            DetectionBatch.from_detections(dets, 0)
+
+
+class TestBulkReading:
+    def test_embedding_presence_per_row(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text(
+            "0 1 0 0 4 2 1.5 0 0.9 [1 2]\n"
+            "0 2 0 0 4 2 1.5 0 0.9\n"
+            "1 2 0 0 4 2 1.5 0 0.9\n"
+        )
+        frames = read_detections(path)
+        np.testing.assert_array_equal(frames[0].has_embedding, [True, False])
+        assert frames[0][1].embedding is None
+        assert frames[1].embeddings is None
+
+    def test_numerals_python_reads(self, tmp_path):
+        """Underscores and non-ASCII digits, which np.loadtxt does not read."""
+        path = tmp_path / "d.txt"
+        path.write_text("0 1_0 ٢ 0 4 2 1.5 0 0.9\n1 1 0 0 4 2 1.5 0 0.9\n", encoding="utf-8")
+        frames = read_detections(path)
+        assert (frames[0][0].box.x, frames[0][0].box.y) == (10.0, 2.0)
+        assert len(frames[1]) == 1
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
+    def test_first_faulty_line_across_chunks(self, tmp_path, chunk):
+        """A value fault is reported before a later structural one, and a
+        structural one before a later value fault, across chunk bounds."""
+        good = "0 1 0 0 4 2 1.5 0 0.9 [1 2]"
+        cases = [
+            ([good, good, "0 1 0 0 4 2 1.5 0 1.5 [1 2]", "0 1 2"], ":3: score must be in"),
+            ([good, "0 1 2", good, "0 1 0 0 4 2 1.5 0 1.5 [1 2]"], ":2: expected 9 or 10"),
+            (
+                [good, good, good, "0 1 0 0 4 2 1.5 0 0.9 [1 2 3]"],
+                ":4: embedding has 3 values, line 1 has 2",
+            ),
+            ([good, good, "0 x 0 0 4 2 1.5 0 0.9"], ":3: not a number: 'x'"),
+        ]
+        for lines, message in cases:
+            path = tmp_path / "d.txt"
+            path.write_text("\n".join(lines) + "\n")
+            with mock.patch.object(io_formats, "_CHUNK_LINES", chunk):
+                with pytest.raises(FormatError, match=message):
+                    read_detections(path)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 4096])
+    def test_label_faults_in_file_order(self, tmp_path, chunk):
+        good = "0 1 Car 0 0 -10 -1 -1 -1 -1 1.5 1.8 4.0 1 2 0.75 0.1"
+        negative = "0 1 Car 0 0 -10 -1 -1 -1 -1 1.5 -1.8 4.0 1 2 0.75 0.1"
+        cases = [
+            ([good, negative, "0 1 Car"], ":2: Box3D extents must be nonnegative, got l=4.0"),
+            ([good, "0 1 Car", negative], ":2: expected 17 or 18 fields, got 3"),
+            ([good, good.replace(" 1 2 ", " 1 inf "), "x 1 Car"], ":2: non-finite value: 'inf'"),
+            ([good, good.replace("-10", "ten")], ":2: not a number: 'ten'"),
+            # a DontCare row is checked for numbers but not for extents
+            ([negative.replace("0 1 Car", "0 -1 DontCare"), good.replace("-10", "nan")], ":2: non"),
+        ]
+        for lines, message in cases:
+            path = tmp_path / "labels.txt"
+            path.write_text("\n".join(lines) + "\n")
+            with mock.patch.object(io_formats, "_CHUNK_LINES", chunk):
+                with pytest.raises(FormatError, match=message):
+                    read_kitti_labels(path)
+
+    def test_duplicate_pair_leaves_no_file(self, tmp_path):
+        box = Box3D(0, 0, 0, 1, 1, 1, 0)
+        path = tmp_path / "res.txt"
+        with pytest.raises(ValueError, match="duplicate"):
+            write_kitti_tracking([FrameResult(0, [(1, box, 0.9), (1, box, 0.8)])], path)
+        assert not path.exists()

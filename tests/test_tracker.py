@@ -3,7 +3,7 @@ import pytest
 
 from mipmot import tracker as tracker_module
 from mipmot.geometry import Box3D
-from mipmot.io_formats import Detection
+from mipmot.io_formats import Detection, DetectionBatch
 from mipmot.simgen import generate, scenario_template
 from mipmot.tracker import Tracker, TrackerConfig, TrackStatus, run_sequence
 
@@ -125,6 +125,44 @@ class TestStep:
             assert calls["Box3D"] <= len(result.tracks)
             assert tracker.mean.shape == (len(tracker.tracks), 10)
             assert tracker.cov.shape == (len(tracker.tracks), 10, 10)
+
+    def test_batch_and_list_give_the_same_result(self):
+        frame = [det(0, 0.0, 0.0, start_prob=0.7), det(0, 9.0, 0.0, score=0.9, embedding=[1.0])]
+        batch = DetectionBatch.from_detections(frame, 0)
+        assert repr(Tracker().step(0, batch)) == repr(Tracker().step(0, frame))
+
+    def test_births_keep_their_own_embeddings(self):
+        """A track born from a detection with an embedding keeps it, also
+        when another detection of the frame has none."""
+        tracker = Tracker()
+        batch = DetectionBatch(
+            0,
+            [[0, 0, 0.75, 4, 1.8, 1.5, 0], [20, 0, 0.75, 4, 1.8, 1.5, 0]],
+            [1.0, 1.0],
+            embeddings=[[1.0, 2.0], [np.nan, np.nan]],
+        )
+        tracker.step(0, batch)
+        with_embedding, without = tracker.tracks
+        np.testing.assert_array_equal(with_embedding.embedding, [1.0, 2.0])
+        assert without.embedding is None
+        # a match with a detection that has none keeps the track's embedding
+        tracker.step(1, [det(1, 0.1, 0.0), det(1, 20.1, 0.0, embedding=[3.0, 4.0])])
+        np.testing.assert_array_equal(tracker.tracks[0].embedding, [1.0, 2.0])
+        np.testing.assert_array_equal(tracker.tracks[1].embedding, [3.0, 4.0])
+
+    def test_batch_embedding_size_checked_against_tracks(self):
+        tracker = Tracker()
+        tracker.step(0, [det(0, 0.0, 0.0, embedding=[1.0, 2.0])])
+        batch = DetectionBatch(
+            1,
+            [[0, 0, 0.75, 4, 1.8, 1.5, 0]] * 2,
+            [1.0, 1.0],
+            embeddings=[[np.nan] * 3, [1.0, 2.0, 3.0]],
+        )
+        message = "frame 1, detection 1: embedding has 3 values, expected 2"
+        with pytest.raises(ValueError, match=message):
+            tracker.step(1, batch)
+        assert tracker._last_frame == 0
 
     def test_crossing_objects_keep_ids(self):
         tracker = Tracker()
@@ -253,3 +291,49 @@ class TestDeterminism:
         by_frame = {0: [det(0, 0.0, 0.0)], 4: [det(4, 0.0, 0.0)]}
         results = run_sequence(by_frame)
         assert [r.frame for r in results] == [0, 1, 2, 3, 4]
+
+
+def trajectories(results) -> list:
+    """Each id's (frame, box bytes, score) sequence, sorted: the output
+    with the id values left out."""
+    by_id = {}
+    for r in results:
+        for tid, box, score in r.tracks:
+            by_id.setdefault(tid, []).append((r.frame, box.to_array().tobytes(), score.hex()))
+    return sorted(by_id.values())
+
+
+class TestShuffleWithinFrame:
+    """Shuffling the detections inside each frame gives the same
+    trajectories, bit for bit, up to a relabelling of ids."""
+
+    @staticmethod
+    def run(by_frame, cfg, num_frames, as_batch):
+        tracker = Tracker(cfg)
+        results = []
+        for frame in range(num_frames):
+            dets = by_frame.get(frame, [])
+            if as_batch:
+                dets = DetectionBatch.from_detections(dets, frame)
+            results.append(tracker.step(frame, dets))
+        return results
+
+    @pytest.mark.parametrize("associator", ["mip", "hungarian"])
+    @pytest.mark.parametrize("template", ["clean", "crossing", "clutter"])
+    def test_same_trajectories(self, template, associator):
+        cfg = TrackerConfig(associator=associator)
+        for seed in range(3):
+            scenario = scenario_template(template, seed=seed)
+            _, detections = generate(scenario)
+            by_frame = {}
+            for d in detections:
+                by_frame.setdefault(d.frame, []).append(d)
+            rng = np.random.default_rng(seed)
+            shuffled = {
+                f: [dets[i] for i in rng.permutation(len(dets))] for f, dets in by_frame.items()
+            }
+            expected = trajectories(self.run(by_frame, cfg, scenario.num_frames, False))
+            assert expected
+            for as_batch in (False, True):
+                got = trajectories(self.run(shuffled, cfg, scenario.num_frames, as_batch))
+                assert got == expected, (seed, as_batch)
