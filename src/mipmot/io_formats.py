@@ -26,14 +26,26 @@ once. Each line is split into its fields as text; the numbers of a few
 thousand lines at a time are then read by one ``np.loadtxt`` call,
 which reads a number to the same bits as Python's ``float``, and
 checked as a table. A faulty file fails at its first faulty line, with
-the file and line number. For a line with one fault the message names
-that fault; for a line with several it names one of them.
+the file and line number.
+
+A structural fault (brackets, the number of fields, the frame token,
+the shape of a JSON record) fails as its line is split. A chunk of
+lines whose numbers do not all read, or that holds a row breaking a
+rule, is read again one row at a time, and each row is checked in the
+order a per-record reader checks it: a text line's tokens, embedding
+first (``not a number`` or ``non-finite value``); then the rules of
+``Box3D`` and ``Detection``, by building them, so that their messages
+are the ones given; then the embedding size against the file's first
+embedding. A line whose faults are all value faults thus names the
+first of them in that order; only a line with both a structural and a
+value fault names the structural one, wherever it stands.
 
 Label and result files use the KITTI tracking layout: one object per
 line, ``frame id type truncated occluded alpha bbox(4) h w l x y z
 rotation_y [score]``. The image-plane fields cannot be produced here
 and are written as the customary -1 / -10 placeholders. Their numeric
-columns are read and checked in bulk in the same way.
+columns are read and checked in bulk in the same way, with the same
+token check and the extents rule of ``Box3D``.
 """
 
 from __future__ import annotations
@@ -55,8 +67,6 @@ from .geometry import Box3D, wrap_angle
 # held at once, about 0.4 MB per 1000 lines of 32-D embeddings.
 _CHUNK_LINES = 4096
 
-_BOX_FIELDS = ("x", "y", "z", "l", "w", "h", "a")
-
 
 # The readers give Python floats and ints; those skip the slower checks
 # against the abstract number types.
@@ -68,12 +78,15 @@ def is_real(v) -> bool:
 
 
 def check_frame(frame) -> int:
-    """A frame index as an int; a bool or non-integer frame is rejected."""
-    if type(frame) is int:
-        return frame
-    if not isinstance(frame, numbers.Integral) or isinstance(frame, (bool, np.bool_)):
-        raise ValueError(f"frame must be an integer, got {frame!r}")
-    return int(frame)
+    """A frame index as an int; a bool, non-integer or negative frame is
+    rejected."""
+    if type(frame) is not int:
+        if not isinstance(frame, numbers.Integral) or isinstance(frame, (bool, np.bool_)):
+            raise ValueError(f"frame must be an integer, got {frame!r}")
+        frame = int(frame)
+    if frame < 0:
+        raise ValueError(f"frame must be nonnegative, got {frame}")
+    return frame
 
 
 @dataclass
@@ -88,8 +101,6 @@ class Detection:
 
     def __post_init__(self):
         self.frame = check_frame(self.frame)
-        if self.frame < 0:
-            raise ValueError(f"frame must be nonnegative, got {self.frame}")
         if not is_real(self.score):
             raise ValueError(f"score must be a number, got {self.score!r}")
         if not (math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
@@ -107,39 +118,16 @@ class Detection:
                 raise ValueError("embedding contains non-finite values")
 
 
-def _first_fault(boxes, scores, start_prob, has_start_prob, embeddings, has_embedding):
-    """(row, message) of the first row that breaks a rule, or None.
-
-    Each row is checked by the rules of ``Box3D`` and ``Detection``, in
-    their order and with their messages: box fields finite, extents
-    nonnegative, score in [0, 1], the start probability in [0, 1] where
-    given and the embedding finite where given.
-    """
-    finite = np.isfinite(boxes)
-    rules = [
-        ~finite.all(axis=1),
-        (boxes[:, 3:6] < 0.0).any(axis=1),
-        ~((scores >= 0.0) & (scores <= 1.0)),
-        has_start_prob & ~((start_prob >= 0.0) & (start_prob <= 1.0)),
-    ]
+def _broken(boxes, scores, start_prob, has_start_prob, embeddings, has_embedding):
+    """(M,) bool: the rows that break a rule of ``Box3D`` or ``Detection``:
+    a finite box with nonnegative extents, a score and a given start
+    probability in [0, 1], a finite embedding where given."""
+    bad = ~np.isfinite(boxes).all(axis=1) | (boxes[:, 3:6] < 0.0).any(axis=1)
+    bad |= ~((scores >= 0.0) & (scores <= 1.0))
+    bad |= has_start_prob & ~((start_prob >= 0.0) & (start_prob <= 1.0))
     if embeddings is not None:
-        rules.append(has_embedding & ~np.isfinite(embeddings).all(axis=1))
-    bad = np.logical_or.reduce(rules)
-    if not bad.any():
-        return None
-    i = int(bad.argmax())
-    rule = next(k for k, broken in enumerate(rules) if broken[i])
-    box = boxes[i].tolist()
-    if rule == 0:
-        k = int(finite[i].argmin())
-        return i, f"Box3D field {_BOX_FIELDS[k]} is not finite: {box[k]!r}"
-    if rule == 1:
-        return i, f"Box3D extents must be nonnegative, got l={box[3]} w={box[4]} h={box[5]}"
-    if rule == 2:
-        return i, f"score must be in [0, 1], got {float(scores[i])}"
-    if rule == 3:
-        return i, f"start_prob must be in [0, 1], got {float(start_prob[i])}"
-    return i, "embedding contains non-finite values"
+        bad |= has_embedding & ~np.isfinite(embeddings).all(axis=1)
+    return bad
 
 
 def _real_array(name: str, values) -> np.ndarray:
@@ -162,8 +150,6 @@ class DetectionBatch(Sequence):
 
     def __init__(self, frame, boxes, scores, start_prob=None, embeddings=None):
         frame = check_frame(frame)
-        if frame < 0:
-            raise ValueError(f"frame must be nonnegative, got {frame}")
         boxes = _real_array("boxes", boxes)
         if boxes.size == 0:
             boxes = boxes.reshape(0, 7)
@@ -184,11 +170,19 @@ class DetectionBatch(Sequence):
                     f"embeddings must be an ({m}, D) array, D >= 1, got shape {embeddings.shape}"
                 )
             has_embedding = ~np.isnan(embeddings).all(axis=1)
-        fault = _first_fault(
-            boxes, scores, start_prob, ~np.isnan(start_prob), embeddings, has_embedding
-        )
-        if fault is not None:
-            raise ValueError(f"detection {fault[0]}: {fault[1]}")
+        # The first faulty row is built as a Detection, which names its fault.
+        bad = _broken(boxes, scores, start_prob, ~np.isnan(start_prob), embeddings, has_embedding)
+        for i in np.flatnonzero(bad):
+            try:
+                Detection(
+                    frame,
+                    Box3D(*boxes[i].tolist()),
+                    float(scores[i]),
+                    embeddings[i] if has_embedding[i] else None,
+                    None if math.isnan(start_prob[i]) else float(start_prob[i]),
+                )
+            except ValueError as e:
+                raise ValueError(f"detection {i}: {e}") from None
         boxes[:, 6] = wrap_angle(boxes[:, 6])
         self._set(frame, boxes, scores, start_prob, embeddings if has_embedding.any() else None)
 
@@ -208,10 +202,18 @@ class DetectionBatch(Sequence):
 
     @classmethod
     def from_detections(cls, detections, frame) -> "DetectionBatch":
-        """The batch of one frame's ``Detection``s; a batch is returned as is."""
+        """The batch of one frame's ``Detection``s; a batch is returned as
+        is. A batch or detection of another frame is rejected."""
         if isinstance(detections, DetectionBatch):
+            if detections.frame != frame:
+                raise ValueError(f"frame {frame}: the batch is of frame {detections.frame}")
             return detections
         detections = list(detections)
+        for i, d in enumerate(detections):
+            if d.frame != frame:
+                raise ValueError(
+                    f"frame {frame}, detection {i}: the detection is of frame {d.frame}"
+                )
         embeddings = None
         given = [(i, d.embedding) for i, d in enumerate(detections) if d.embedding is not None]
         if given:
@@ -279,46 +281,26 @@ def _fail(path: str, lineno: int, msg: str):
     raise FormatError(f"{path}:{lineno}: {msg}")
 
 
-def _check_tokens(tokens, path: str, lineno: int) -> None:
-    """Fail at the first token that is not a finite number."""
-    for token in tokens:
-        try:
-            v = float(token)
-        except ValueError:
-            _fail(path, lineno, f"not a number: {token!r}")
-        if not math.isfinite(v):
-            _fail(path, lineno, f"non-finite value: {token!r}")
+def _number(token: str) -> float:
+    """A text token as a finite float; a faulty token is named."""
+    try:
+        v = float(token)
+    except ValueError:
+        raise ValueError(f"not a number: {token!r}") from None
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite value: {token!r}")
+    return v
 
 
-def _floats(rows, width: int | None = None) -> np.ndarray:
-    """The numbers of text rows as an (n, width) array, where n is the
-    number of leading rows that hold only numbers, ``width`` of them
-    (when None, as many as the first row).
-
-    Rows ``np.loadtxt`` reads whole take one call. Otherwise each row is
-    read with ``float``, up to the first that does not read, which also
-    takes the numerals ``float`` reads beyond ``np.loadtxt``'s
-    (underscores, non-ASCII digits).
-    """
-    if rows:
-        try:
-            values = np.loadtxt(rows, ndmin=2, comments=None)
-        except ValueError:
-            pass
-        else:
-            if width is None or values.shape[1] == width:
-                return values
-    kept = []
-    for row in rows:
-        try:
-            values = [float(t) for t in row.split()]
-        except ValueError:
-            break
-        width = len(values) if width is None else width
-        if len(values) != width:
-            break
-        kept.append(values)
-    return np.array(kept, dtype=float).reshape(len(kept), width or 0)
+def _floats(rows) -> np.ndarray | None:
+    """The numbers of text rows as one 2-D array, read by one
+    ``np.loadtxt`` call; None when a row does not read (a numeral that
+    only ``float`` reads, such as ``1_0``, included) or the rows differ
+    in length."""
+    try:
+        return np.loadtxt(rows, ndmin=2, comments=None)
+    except ValueError:
+        return None
 
 
 class _DetectionReader:
@@ -328,14 +310,14 @@ class _DetectionReader:
     number, frame, head (a frame column, the 7 box values, the score and
     the start probability, "nan" when absent), whether the start
     probability is given, its embedding text or None, and whether the
-    line is text (whose non-finite numbers are named by token) or JSON.
+    line is text (whose numbers are checked token by token) or JSON.
     """
 
     def __init__(self, path: str):
         self.path = path
         self.rows: list[tuple] = []
         self.first_embedding: tuple[int, int] | None = None  # (size, line number)
-        self.parts: list[tuple] = []  # checked arrays of each chunk
+        self.parts: list[tuple] = []  # (frames, values, embeddings) of each checked chunk
 
     def fail(self, lineno: int, msg: str):
         """Fail at ``lineno`` once the rows before it, which may hold an
@@ -344,8 +326,6 @@ class _DetectionReader:
         _fail(self.path, lineno, msg)
 
     def add(self, lineno, frame, head, has_start_prob, embedding, text) -> None:
-        if frame < 0:
-            self.fail(lineno, f"frame must be nonnegative, got {frame}")
         self.rows.append((lineno, frame, head, has_start_prob, embedding, text))
         if len(self.rows) == _CHUNK_LINES:
             self.flush()
@@ -414,88 +394,90 @@ class _DetectionReader:
     def flush(self) -> None:
         """Read and check the pending rows; fail at the first faulty one."""
         rows, self.rows = self.rows, []
-        if not rows:
-            return
-        linenos, frames, heads, given, embeddings, text = zip(*rows)
+        if rows:
+            frames = np.array([row[1] for row in rows])
+            self.parts.append((frames, *(self.read(rows, frames) or self.walk(rows))))
+
+    def read(self, rows, frames) -> tuple[np.ndarray, np.ndarray | None] | None:
+        """The (M, 9) box, score and start probability array and the
+        embedding array of the rows, read by ``np.loadtxt``; None when a
+        row does not read, has an embedding of another size or breaks a
+        rule."""
+        linenos, _, heads, given, embeddings, _ = zip(*rows)
+        head = _floats(heads)
+        if head is None:
+            return None
         with_embedding = [i for i, e in enumerate(embeddings) if e is not None]
-        head = _floats(heads, 10)
-        size = self.first_embedding[0] if self.first_embedding else None
-        emb = _floats([embeddings[i] for i in with_embedding], size)
-        if len(emb) and self.first_embedding is None:
-            self.first_embedding = (emb.shape[1], linenos[with_embedding[0]])
-        # Rows up to the first one whose numbers did not read.
-        n = len(head)
-        if len(emb) < len(with_embedding):
-            n = min(n, with_embedding[len(emb)])
-        k = int(np.searchsorted(with_embedding, n))
-        has_embedding = np.zeros(n, dtype=bool)
-        has_embedding[with_embedding[:k]] = True
         full = None
-        if k:
-            full = np.full((n, emb.shape[1]), np.nan)
-            full[with_embedding[:k]] = emb[:k]
-        given = np.array(given, dtype=bool)
-        nonfinite = ~np.isfinite(head[:n, 1:9]).all(axis=1) | (
-            given[:n] & ~np.isfinite(head[:n, 9])
-        )
-        if full is not None:
-            nonfinite |= has_embedding & ~np.isfinite(full).all(axis=1)
-        token_fault = np.flatnonzero(np.array(text[:n], dtype=bool) & nonfinite)
-        boxes, scores, start_prob = head[:n, 1:8], head[:n, 8], head[:n, 9]
-        fault = _first_fault(boxes, scores, start_prob, given[:n], full, has_embedding)
-        if len(token_fault) and (fault is None or token_fault[0] <= fault[0]):
-            n, fault = token_fault[0], None
-        if fault is not None:
-            _fail(self.path, linenos[fault[0]], fault[1])
-        if n < len(rows):
-            # A text line names its first token that is not a finite
-            # number; with none, the line's embedding has another size.
-            embedding = embeddings[n] or ""
-            if text[n]:
-                tokens = embedding.split() + heads[n].split()[1 : 9 + given[n]]
-                _check_tokens(tokens, self.path, linenos[n])
-            size, first = self.first_embedding
-            _fail(
-                self.path,
-                linenos[n],
-                f"embedding has {len(embedding.split())} values, line {first} has {size}",
-            )
-        self.parts.append((frames, boxes, scores, start_prob, full))
+        if with_embedding:
+            emb = _floats([embeddings[i] for i in with_embedding])
+            if emb is None:
+                return None
+            if self.first_embedding is None:
+                self.first_embedding = (emb.shape[1], linenos[with_embedding[0]])
+            if emb.shape[1] != self.first_embedding[0]:
+                return None
+            full = np.full((len(rows), emb.shape[1]), np.nan)
+            full[with_embedding] = emb
+        has_embedding = np.array([e is not None for e in embeddings])
+        bad = _broken(head[:, 1:8], head[:, 8], head[:, 9], np.array(given), full, has_embedding)
+        return None if (bad | (frames < 0)).any() else (head[:, 1:], full)
+
+    def walk(self, rows) -> tuple[np.ndarray, np.ndarray | None]:
+        """The arrays ``read`` gives, of rows read one at a time, each
+        checked in turn: a text line's tokens, embedding first; then the
+        rules of ``Box3D`` and ``Detection``, by building them; then the
+        embedding size. Fails at the first faulty row."""
+        table, vectors = [], {}
+        for i, (lineno, frame, head, given, embedding, text) in enumerate(rows):
+            number = _number if text else float
+            try:
+                vector = None if embedding is None else [number(t) for t in embedding.split()]
+                values = [number(t) for t in head.split()[1 : 9 + given]]
+                start_prob = values[8] if given else None
+                Detection(frame, Box3D(*values[:7]), values[7], vector, start_prob)
+            except ValueError as e:
+                _fail(self.path, lineno, str(e))
+            if vector is not None:
+                size, first = self.first_embedding = self.first_embedding or (len(vector), lineno)
+                if len(vector) != size:
+                    msg = f"embedding has {len(vector)} values, line {first} has {size}"
+                    _fail(self.path, lineno, msg)
+                vectors[i] = vector
+            table.append(values + [math.nan] * (not given))
+        full = None
+        if vectors:
+            full = np.full((len(rows), self.first_embedding[0]), np.nan)
+            full[list(vectors)] = list(vectors.values())
+        return np.array(table), full
 
     def batches(self) -> dict[int, DetectionBatch]:
         self.flush()
         if not self.parts:
             return {}
-        frames = [f for part in self.parts for f in part[0]]
-        boxes, scores, start_prob = (
-            np.concatenate([part[k] for part in self.parts]) for k in (1, 2, 3)
-        )
+        frames, values = (np.concatenate([part[k] for part in self.parts]) for k in (0, 1))
         embeddings = None
         if self.first_embedding is not None:
             size = self.first_embedding[0]
             embeddings = np.concatenate(
-                [
-                    np.full((len(part[0]), size), np.nan) if part[4] is None else part[4]
-                    for part in self.parts
-                ]
+                [np.full((len(f), size), np.nan) if e is None else e for f, _, e in self.parts]
             )
-        boxes[:, 6] = wrap_angle(boxes[:, 6])
-        rows_of: dict[int, list[int]] = {}
-        for i, frame in enumerate(frames):
-            rows_of.setdefault(frame, []).append(i)
+        # One stable sort groups the records by frame; a file already in
+        # frame order is kept as is, so each frame's arrays are views.
+        if (frames[1:] < frames[:-1]).any():
+            order = np.argsort(frames, kind="stable")
+            frames, values = frames[order], values[order]
+            embeddings = None if embeddings is None else embeddings[order]
+        values[:, 6] = wrap_angle(values[:, 6])
+        cuts = [0, *(np.flatnonzero(frames[1:] != frames[:-1]) + 1).tolist(), len(frames)]
         out = {}
-        for frame in sorted(rows_of):
-            rows = rows_of[frame]
-            # A frame's records are usually adjacent: a slice is a view.
-            if rows[-1] - rows[0] + 1 == len(rows):
-                rows = slice(rows[0], rows[-1] + 1)
-            emb = None
-            if embeddings is not None:
-                emb = embeddings[rows]
-                if np.isnan(emb[:, 0]).all():
-                    emb = None
+        for a, b in zip(cuts, cuts[1:]):
+            emb = None if embeddings is None else embeddings[a:b]
+            if emb is not None and np.isnan(emb[:, 0]).all():
+                emb = None
+            frame = int(frames[a])
             out[frame] = DetectionBatch._checked(
-                frame, boxes[rows], scores[rows], start_prob[rows], emb
+                frame, values[a:b, :7], values[a:b, 7], values[a:b, 8], emb
             )
         return out
 
@@ -551,44 +533,48 @@ def write_detections(detections, path, json_lines: bool = False) -> None:
                 f.write(" ".join(fields) + "\n")
 
 
-def read_kitti_labels(path, keep_types=None, skip_negative_ids: bool = True):
+def read_kitti_labels(path, keep_types=None):
     """Read KITTI tracking labels (or results) as a list of LabelRecord.
 
     The 2D bbox, truncation and occlusion fields are read for validation
     but not kept. ``keep_types`` optionally restricts the object classes;
-    DontCare rows (negative ids) are dropped by default. Every number
-    must be finite; the extents of a kept row must be nonnegative.
+    DontCare rows (negative ids) are always dropped. Every number must
+    be finite; the extents of a kept row must be nonnegative.
     """
     path = os.fspath(path)
     out: list[LabelRecord] = []
     rows: list[tuple] = []  # (line number, frame, id, type, 15 numbers as text, score given)
 
     def flush() -> None:
-        """Check the pending rows as a table, then keep their records."""
-        values = _floats([row[4] for row in rows], 15)
-        n = len(values)
-        scored = np.array([row[5] for row in rows[:n]], dtype=bool)
+        """Check the pending rows as a table, then keep their records. A
+        table that does not read or holds a faulty row is read again one
+        row at a time, to fail at the first faulty one."""
+        if not rows:
+            return
         kept = [
             i
-            for i, (_, _, track_id, object_type, _, _) in enumerate(rows[:n])
-            if not (skip_negative_ids and track_id < 0)
-            and (keep_types is None or object_type in keep_types)
+            for i, (_, _, track_id, object_type, _, _) in enumerate(rows)
+            if track_id >= 0 and (keep_types is None or object_type in keep_types)
         ]
-        is_kept = np.zeros(n, dtype=bool)
+        is_kept = np.zeros(len(rows), dtype=bool)
         is_kept[kept] = True
-        nonfinite = ~np.isfinite(values[:, :14]).all(axis=1) | (
-            scored & ~np.isfinite(values[:, 14])
-        )
-        negative = is_kept & (values[:, 7:10] < 0.0).any(axis=1)
-        faulty = np.flatnonzero(nonfinite | negative)
-        # The first faulty row, else row n when it did not read.
-        i = int(faulty[0]) if len(faulty) else n
-        if i < len(rows):
-            # A token that is not a finite number, or else negative extents.
-            lineno, _, _, _, numbers, score_given = rows[i]
-            _check_tokens(numbers.split()[: 14 + score_given], path, lineno)
-            h, w, l = values[i, 7:10].tolist()
-            _fail(path, lineno, f"Box3D extents must be nonnegative, got l={l} w={w} h={h}")
+        values = _floats([row[4] for row in rows])
+        if values is not None:
+            scored = np.array([row[5] for row in rows], dtype=bool)
+            bad = ~np.isfinite(values[:, :14]).all(axis=1) | (scored & ~np.isfinite(values[:, 14]))
+            if (bad | (is_kept & (values[:, 7:10] < 0.0).any(axis=1))).any():
+                values = None
+        if values is None:
+            table = []
+            for i, (lineno, _, _, _, numbers, scored) in enumerate(rows):
+                try:
+                    v = [_number(t) for t in numbers.split()[: 14 + scored]]
+                    if is_kept[i]:
+                        Box3D(v[10], v[11], v[12], v[9], v[8], v[7], v[13])
+                except ValueError as e:
+                    _fail(path, lineno, str(e))
+                table.append(v + [math.nan] * (not scored))
+            values = np.array(table)
         table = values[kept]
         boxes = table[:, [10, 11, 12, 9, 8, 7, 13]]
         boxes[:, 6] = wrap_angle(boxes[:, 6])

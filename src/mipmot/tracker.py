@@ -130,7 +130,9 @@ class Tracker:
         """Process one frame and return its confirmed associated tracks.
 
         ``detections`` is the frame's ``DetectionBatch`` or a list of
-        ``Detection``s, which is made into one.
+        ``Detection``s, which is made into one; a batch or detection of
+        another frame, or a negative frame, is rejected before any state
+        changes.
         """
         cfg = self.config
         frame = check_frame(frame)

@@ -1,10 +1,10 @@
-"""Per-line detection file reader: one ``Detection`` per record.
+"""Per-line readers of detection and KITTI label files.
 
-The reference that ``mipmot.io_formats.read_detections`` is compared
-against. It parses one line at a time with Python's ``float`` and
-``int``, checks each record by building its ``Box3D`` and
-``Detection``, and fails at the first faulty line with the message the
-bulk reader gives for a line with one fault.
+The references that ``mipmot.io_formats.read_detections`` and
+``read_kitti_labels`` are compared against. They parse one line at a
+time with Python's ``float`` and ``int``, check each record by building
+its ``Box3D`` (and ``Detection``), and fail at the first faulty line
+with the message the bulk readers give for a line with one fault.
 """
 
 import json
@@ -12,7 +12,7 @@ import math
 import os
 
 from mipmot.geometry import Box3D
-from mipmot.io_formats import Detection, FormatError, is_real
+from mipmot.io_formats import Detection, FormatError, LabelRecord, is_real
 
 
 def _fail(path: str, lineno: int, msg: str):
@@ -131,3 +131,33 @@ def read_detections(path) -> dict[int, list[Detection]]:
     for rec in records:
         by_frame.setdefault(rec.frame, []).append(rec)
     return {frame: by_frame[frame] for frame in sorted(by_frame)}
+
+
+def read_kitti_labels(path, keep_types=None) -> list[LabelRecord]:
+    """The LabelRecords of a KITTI tracking label (or result) file, in
+    file order; rows with a negative id, or of a type outside
+    ``keep_types``, are dropped."""
+    path = os.fspath(path)
+    records = []
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            tokens = line.split()
+            if not tokens:
+                continue
+            if len(tokens) not in (17, 18):
+                _fail(path, lineno, f"expected 17 or 18 fields, got {len(tokens)}")
+            try:
+                frame, track_id = int(tokens[0]), int(tokens[1])
+            except ValueError:
+                _fail(path, lineno, "bad frame or track id")
+            values = [_parse_float(t, path, lineno) for t in tokens[3:]]
+            if track_id < 0 or (keep_types is not None and tokens[2] not in keep_types):
+                continue
+            h, w, l, x, y, z, a = values[7:14]
+            try:
+                box = Box3D(x, y, z, l, w, h, a)
+            except ValueError as e:
+                _fail(path, lineno, str(e))
+            score = values[14] if len(values) == 15 else None
+            records.append(LabelRecord(frame, track_id, tokens[2], box, score))
+    return records

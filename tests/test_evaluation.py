@@ -2,12 +2,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from clip_oracle import convex_polygon_intersection_area
-from diou_oracle import bev_corners
+import clearmot_oracle
+from clearmot_oracle import bev_iou as oracle_bev_iou
 from mipmot.evaluation import (
     Accumulator,
     aggregate_reports,
@@ -16,7 +16,7 @@ from mipmot.evaluation import (
     match_frame,
 )
 from mipmot import geometry
-from mipmot.geometry import EPS, Box3D
+from mipmot.geometry import Box3D
 
 
 def box(x, y, l=4.0, w=2.0, a=0.0):
@@ -69,12 +69,6 @@ class TestMatchFrame:
     def test_empty_sides(self):
         assert match_frame({}, {0: box(0, 0)}, {}) == {}
         assert match_frame({0: box(0, 0)}, {}, {}) == {}
-
-
-def oracle_bev_iou(b1: Box3D, b2: Box3D) -> float:
-    inter = convex_polygon_intersection_area(bev_corners(b1), bev_corners(b2))
-    union = b1.l * b1.w + b2.l * b2.w - inter
-    return 0.0 if union <= EPS else min(1.0, max(0.0, inter / union))
 
 
 def oracle_match_frame(gt_boxes, hyp_boxes, prev, iou_threshold=0.5):
@@ -166,6 +160,56 @@ class TestMatchFrameOracle:
             for g, h in prev.items():
                 iou_sum += oracle_bev_iou(gt[g], hyp[h])
         assert acc.iou_sum == iou_sum
+
+
+@st.composite
+def sequences(draw):
+    """Up to 8 frames of at most 4 ground-truth and 4 hypothesis boxes.
+    Ground-truth objects drift, overlap and blink; hypotheses follow
+    them with jitter, sometimes under another object's id, and stray
+    boxes come and go. Some frames are absent from one side or both."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    start = rng.uniform(-4, 4, (4, 2))
+    velocity = rng.normal(0, 0.8, (4, 2))
+    sizes = rng.uniform(1, 5, (4, 2))
+    headings = rng.uniform(-3, 3, 4)
+    gt_frames, hyp_frames = {}, {}
+    for f in range(draw(st.integers(1, 8))):
+        gt = {}
+        for g in range(4):
+            if rng.random() < 0.8:
+                x, y = start[g] + f * velocity[g]
+                gt[g] = Box3D(x, y, 0.75, *sizes[g], 1.5, headings[g] + 0.1 * f)
+        hyp = {}
+        for g, b in gt.items():
+            h = 10 + (g if rng.random() < 0.8 else int(rng.integers(0, 4)))
+            if rng.random() < 0.8 and h not in hyp:
+                dx, dy, da = rng.normal(0, 0.4, 3)
+                hyp[h] = Box3D(b.x + dx, b.y + dy, b.z, b.l, b.w, b.h, b.a + da)
+        while len(hyp) < 4 and rng.random() < 0.3:
+            hyp[20 + len(hyp)] = box(*rng.uniform(-5, 5, 2), a=rng.uniform(-3, 3))
+        if rng.random() < 0.9:
+            gt_frames[f] = gt
+        if rng.random() < 0.9:
+            hyp_frames[f] = hyp
+    return gt_frames, hyp_frames
+
+
+class TestClearMotOracle:
+    """The evaluator against tests/clearmot_oracle.py, which matches each
+    frame by trying every assignment."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sequences(), st.sampled_from([0.1, 0.3, 0.5, 0.7]))
+    def test_same_counts(self, sequence, threshold):
+        gt_frames, hyp_frames = sequence
+        try:
+            expected = clearmot_oracle.evaluate(gt_frames, hyp_frames, threshold)
+        except clearmot_oracle.TiedMatching:
+            assume(False)
+        got = evaluate_sequence(gt_frames, hyp_frames, threshold).as_dict()
+        assert got.pop("MOTP") == pytest.approx(expected.pop("MOTP"), rel=1e-12)
+        assert {k: got[k] for k in expected} == expected
 
 
 class TestAccumulate:

@@ -443,9 +443,11 @@ def oracle_files(draw, min_size=0):
 @st.composite
 def record_line(draw, rec, fault=None, size=1):
     """The line of one record, as text or JSON; with ``fault``, a text
-    line with that one fault (the file's embeddings have ``size`` values)."""
+    line with that one fault, or with each value fault of a tuple of
+    them (the file's embeddings have ``size`` values)."""
+    faults = (fault,) if isinstance(fault, str) else fault or ()
     kind, frame, box, score, start_prob, embedding = rec
-    if kind == "json" and fault is None:
+    if kind == "json" and not faults:
         obj = {"frame": frame, "box": list(box), "score": score}
         if start_prob is not None:
             obj["start_prob"] = start_prob
@@ -458,26 +460,34 @@ def record_line(draw, rec, fault=None, size=1):
         fields.append(numeral(start_prob, form))
     vector = None if embedding is None else [numeral(v, form) for v in embedding]
     close = "]"
-    if fault in ("nan", "inf"):
-        where = draw(st.integers(1, len(fields) - 1 + len(vector or [])))
-        spellings = ["nan", "NaN"] if fault == "nan" else ["inf", "-inf", "Infinity"]
-        bad = draw(st.sampled_from(spellings))
-        if where < len(fields):
-            fields[where] = bad
-        else:
-            vector[where - len(fields)] = bad
-    elif fault == "negative extent":
-        fields[draw(st.integers(4, 6))] = "-1.5"
-    elif fault == "score 1.5":
-        fields[8] = "1.5"
-    elif fault == "frame 1.0":
-        fields[0] = f"{frame}.0"
-    elif fault == "8 leading fields":
-        fields = fields[:8]
-    elif fault == "unclosed bracket":
-        vector, close = vector or ["0.5"], ""
-    elif fault == "embedding size":
+    if "embedding size" in faults:
         vector = ["0.25"] * (size + 1)
+    if "start_prob -0.1" in faults:
+        fields[9:] = ["-0.1"]
+    if "negative extent" in faults:
+        fields[draw(st.integers(4, 6))] = "-1.5"
+    if "score 1.5" in faults:
+        fields[8] = "1.5"
+    if "negative frame" in faults:
+        fields[0] = f"-{frame + 1}"
+    for bad in ("nan", "inf"):
+        if bad in faults:
+            # A lone fault may take any number; among others, a box or
+            # embedding value, so that it leaves the others in place.
+            last = len(fields) - 1 if len(faults) == 1 else 7
+            where = draw(st.integers(1, last + len(vector or [])))
+            spellings = ["nan", "NaN"] if bad == "nan" else ["inf", "-inf", "Infinity"]
+            spelled = draw(st.sampled_from(spellings))
+            if where <= last:
+                fields[where] = spelled
+            else:
+                vector[where - last - 1] = spelled
+    if "frame 1.0" in faults:
+        fields[0] = f"{frame}.0"
+    elif "8 leading fields" in faults:
+        fields = fields[:8]
+    elif "unclosed bracket" in faults:
+        vector, close = vector or ["0.5"], ""
     line = draw(st.sampled_from([" ", "\t", "  "])).join(fields)
     if vector is not None:
         line += " [" + draw(st.sampled_from([" ", ", ", ","])).join(vector) + close
@@ -513,6 +523,16 @@ FAULTS = [
     "frame 1.0",
     "8 leading fields",
     "unclosed bracket",
+    "embedding size",
+]
+
+VALUE_FAULTS = [
+    "negative frame",
+    "nan",
+    "inf",
+    "negative extent",
+    "score 1.5",
+    "start_prob -0.1",
     "embedding size",
 ]
 
@@ -565,6 +585,30 @@ class TestReaderOracle:
             assert isinstance(expected, str) and expected.startswith(f"{path}:")
         if fault != "embedding size":
             assert expected.startswith(f"{path}:{numbered[target] + 1}: ")
+
+    @pytest.mark.parametrize("chunk", [3, io_formats._CHUNK_LINES])
+    @settings(max_examples=150, deadline=None)
+    @given(
+        oracle_files(min_size=1),
+        st.lists(st.sampled_from(VALUE_FAULTS), min_size=2, max_size=3, unique=True),
+        st.data(),
+    )
+    def test_same_error_for_value_faults_on_one_line(
+        self, tmp_path_factory, chunk, file, faults, data
+    ):
+        """Two or three value faults on one text line: both readers fail
+        at its line and name the same one of them."""
+        lines, records, size = file
+        target = data.draw(st.integers(0, len(records) - 1))
+        numbered = [i for i, line in enumerate(lines) if line.strip() and line[0] != "#"]
+        lines[numbered[target]] = data.draw(record_line(records[target], tuple(faults), size))
+        path = tmp_path_factory.mktemp("oracle") / "dets.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with mock.patch.object(io_formats, "_CHUNK_LINES", chunk):
+            got = outcome(read_detections, path)
+        expected = outcome(io_oracle.read_detections, path)
+        assert got == expected
+        assert expected.startswith(f"{path}:{numbered[target] + 1}: ")
 
 
 class TestDetectionBatch:
@@ -720,3 +764,97 @@ class TestBulkReading:
         with pytest.raises(ValueError, match="duplicate"):
             write_kitti_tracking([FrameResult(0, [(1, box, 0.9), (1, box, 0.8)])], path)
         assert not path.exists()
+
+
+LABEL_FAULTS = [
+    "not a number",
+    "nan",
+    "inf",
+    "negative extent",
+    "negative extent, DontCare",
+    "16 fields",
+    "bad id",
+]
+
+
+@st.composite
+def label_line(draw, fault=None):
+    """One line of a KITTI label file: a record of any id (a DontCare row
+    has a negative one, and may have negative extents), with a score or
+    not, its numbers in one of the ways a number is written; with
+    ``fault``, a line with that fault."""
+    track_id = draw(st.integers(-2, 20))
+    object_type = "DontCare" if track_id < 0 else draw(st.sampled_from(["Car", "Van"]))
+    values = draw(st.lists(st.floats(-1e3, 1e3), min_size=14, max_size=14))
+    extents = st.floats(-50.0 if track_id < 0 else 0.0, 50.0)
+    values[7:10] = draw(st.lists(extents, min_size=3, max_size=3))
+    score = draw(st.none() | UNIT)
+    if score is not None:
+        values.append(score)
+    if fault == "negative extent":
+        track_id, object_type = draw(st.integers(0, 20)), "Car"
+    elif fault == "negative extent, DontCare":
+        track_id, object_type = -1, "DontCare"
+    form = draw(NUMBER_FORMS)
+    numbers = [numeral(v, form) for v in values]
+    if fault in ("not a number", "nan", "inf"):
+        spellings = {
+            "not a number": ["x", "1.2.3", "ten", "--1", "0x10"],
+            "nan": ["nan", "NaN"],
+            "inf": ["inf", "-inf", "Infinity"],
+        }[fault]
+        numbers[draw(st.integers(0, len(numbers) - 1))] = draw(st.sampled_from(spellings))
+    elif fault is not None and fault.startswith("negative extent"):
+        numbers[draw(st.integers(7, 9))] = "-1.5"
+    fields = [str(draw(st.integers(0, 50))), str(track_id), object_type, *numbers]
+    if fault == "16 fields":
+        del fields[draw(st.integers(0, 15)) :]
+        fields += ["0"] * (16 - len(fields))
+    elif fault == "bad id":
+        fields[draw(st.integers(0, 1))] = draw(st.sampled_from(["x", "1.5", "1e3", ""]))
+    return draw(st.sampled_from([" ", "\t", "  "])).join(fields)
+
+
+def label_outcome(read, path, keep_types):
+    """What a label reader makes of a file: its records (frame, id, type,
+    box and score bits as hex), or its error text."""
+    try:
+        records = read(path, keep_types=keep_types)
+    except FormatError as e:
+        return str(e)
+    return [
+        (
+            r.frame,
+            r.track_id,
+            r.object_type,
+            [v.hex() for v in r.box.to_array().tolist()],
+            None if r.score is None else r.score.hex(),
+        )
+        for r in records
+    ]
+
+
+class TestLabelReaderOracle:
+    """read_kitti_labels against the per-line reference of tests/io_oracle.py,
+    on label files with one faulty line, with chunks of 1, 3 and the
+    default number of lines."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, io_formats._CHUNK_LINES])
+    @pytest.mark.parametrize("fault", LABEL_FAULTS)
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_same_records_or_error(self, tmp_path_factory, chunk, fault, data):
+        lines = data.draw(st.lists(label_line() | st.sampled_from(["", "   "]), max_size=10))
+        target = data.draw(st.integers(0, len(lines)))
+        lines.insert(target, data.draw(label_line(fault)))
+        keep_types = data.draw(st.none() | st.just({"Car", "DontCare"}))
+        path = tmp_path_factory.mktemp("labels") / "labels.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with mock.patch.object(io_formats, "_CHUNK_LINES", chunk):
+            got = label_outcome(read_kitti_labels, path, keep_types)
+        expected = label_outcome(io_oracle.read_kitti_labels, path, keep_types)
+        assert got == expected
+        if fault == "negative extent, DontCare":
+            assert isinstance(expected, list)
+        else:
+            assert expected.startswith(f"{path}:{target + 1}: ")

@@ -95,6 +95,29 @@ class TestStep:
         assert (track.misses, track.hits, tracker._last_frame) == before[1:]
         assert tracker.step(1, [det(1, 0.1, 0.0)]).frame == 1
 
+    def test_negative_frame_rejected_before_any_change(self):
+        tracker = Tracker()
+        for detections in ([], DetectionBatch(0, [], [])):
+            with pytest.raises(ValueError, match="frame must be nonnegative, got -1"):
+                tracker.step(-1, detections)
+        assert tracker._last_frame is None
+        assert tracker.step(0, []).frame == 0
+
+    def test_detections_of_another_frame_rejected_before_any_change(self):
+        tracker = Tracker()
+        tracker.step(0, [det(0, 0.0, 0.0)])
+        (track,) = tracker.tracks
+        before = (tracker.mean.copy(), track.misses, track.hits, tracker._last_frame)
+        batch = DetectionBatch.from_detections([det(5, 0.1, 0.0)], 5)
+        with pytest.raises(ValueError, match="frame 2: the batch is of frame 5"):
+            tracker.step(2, batch)
+        with pytest.raises(ValueError, match="frame 2, detection 1: the detection is of frame 5"):
+            tracker.step(2, [det(2, 0.1, 0.0), det(5, 9.0, 0.0)])
+        assert tracker.tracks == [track]
+        np.testing.assert_array_equal(tracker.mean, before[0])
+        assert (track.misses, track.hits, tracker._last_frame) == before[1:]
+        assert tracker.step(2, [det(2, 0.1, 0.0)]).frame == 2
+
     def test_one_filter_call_per_frame_and_boxes_only_for_output(self, monkeypatch):
         calls = dict.fromkeys(("kf_init", "kf_predict", "kf_update", "Box3D"), 0)
 
