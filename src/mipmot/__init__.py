@@ -14,7 +14,7 @@ from .geometry import Box3D, bev_iou
 from .io_formats import Detection, DetectionBatch, LabelRecord
 from .motion import kf_init, kf_predict, kf_update
 from .simgen import ScenarioConfig, generate, scenario_template
-from .tracker import FrameResult, Track, Tracker, run_sequence
+from .tracker import FrameResult, Tracker, run_sequence
 
 __version__ = "0.1.0"
 
@@ -29,7 +29,6 @@ __all__ = [
     "LabelRecord",
     "MotReport",
     "ScenarioConfig",
-    "Track",
     "Tracker",
     "TrackerConfig",
     "aggregate_reports",

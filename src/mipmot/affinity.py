@@ -224,13 +224,6 @@ def candidate_pairs(
     return rows[keep], cols[keep]
 
 
-def _all_given(embeddings) -> bool:
-    """Whether every participant has an embedding."""
-    if embeddings is None:
-        return False
-    return isinstance(embeddings, np.ndarray) or all(e is not None for e in embeddings)
-
-
 def compute_affinities(
     det_boxes,
     predicted,
@@ -242,15 +235,15 @@ def compute_affinities(
     """Build the refined affinities for one frame.
 
     ``det_boxes`` are the (M, 7) detection boxes and ``predicted`` the
-    (N, 7) track boxes predicted for this frame; the embeddings are
-    aligned with them, each an (M, D) or (N, D) array or a list of
-    vectors. ``cfg`` supplies ``beta_over_alpha``, ``use_dis`` and
-    ``use_iou``. If any participant lacks an embedding (a None entry,
-    or None for all detections), appearance is disabled for the frame
-    (alpha = 0, beta = 1). With ``need``, a
-    zero-argument callable that returns (need_det, need_trk), only the
-    ``candidate_pairs`` that can reach need_det[d] + need_trk[k] are
-    scored, unless every pair is in reach; otherwise every pair is.
+    (N, 7) track boxes predicted for this frame. ``det_embeddings`` and
+    ``track_embeddings`` are aligned with them as an (M, D) and an
+    (N, D) array, each None when any of its rows lacks an embedding;
+    then appearance is disabled for the frame (alpha = 0, beta = 1).
+    ``cfg`` supplies ``beta_over_alpha``, ``use_dis`` and ``use_iou``.
+    With ``need``, a zero-argument callable that returns (need_det,
+    need_trk), only the ``candidate_pairs`` that can reach need_det[d] +
+    need_trk[k] are scored, unless every pair is in reach; otherwise
+    every pair is.
     """
     alpha = 1.0 / (1.0 + cfg.beta_over_alpha)
     beta = 1.0 - alpha
@@ -265,7 +258,7 @@ def compute_affinities(
             beta=beta,
         )
 
-    if alpha == 0.0 or not (_all_given(det_embeddings) and _all_given(track_embeddings)):
+    if alpha == 0.0 or det_embeddings is None or track_embeddings is None:
         appearance = np.zeros((m, n))
         alpha, beta = 0.0, 1.0
     else:

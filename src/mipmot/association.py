@@ -93,23 +93,25 @@ class AssociationResult:
 
     y_cls_det: np.ndarray
     y_cls_trk: np.ndarray
-    y_aff: np.ndarray
     y_se_det: np.ndarray
     y_se_trk: np.ndarray
     objective: float
     # Matched (detection, track) index pairs, by detection index: the
-    # nonzero entries of y_aff, kept so that reading them scans nothing.
+    # pairs whose y_aff is 1; every other y_aff is 0.
     matches: list[tuple[int, int]]
 
     def satisfies_constraints(self) -> bool:
-        """Selection equals match-plus-start (end) on every node."""
+        """Selection equals match-plus-start (end) on every node, and no
+        node is selected more than once."""
+        d, k = np.array(self.matches, dtype=np.intp).reshape(-1, 2).T
         ok_det = np.array_equal(
-            self.y_cls_det, self.y_aff.sum(axis=1) + self.y_se_det
+            self.y_cls_det, np.bincount(d, minlength=self.y_cls_det.size) + self.y_se_det
         )
         ok_trk = np.array_equal(
-            self.y_cls_trk, self.y_aff.sum(axis=0) + self.y_se_trk
+            self.y_cls_trk, np.bincount(k, minlength=self.y_cls_trk.size) + self.y_se_trk
         )
-        return bool(ok_det and ok_trk)
+        once = max(self.y_cls_det.max(initial=0), self.y_cls_trk.max(initial=0)) <= 1
+        return bool(ok_det and ok_trk and once)
 
 
 def objective_coefficients(p: AssociationProblem) -> tuple[np.ndarray, ...]:
@@ -166,8 +168,6 @@ def result_from_matches(p, coefficients, matches) -> AssociationResult:
     matches = sorted(matches)
     d = np.array([pair[0] for pair in matches], dtype=np.intp)
     k = np.array([pair[1] for pair in matches], dtype=np.intp)
-    y_aff = np.zeros((m, n), dtype=int)
-    y_aff[d, k] = 1
     matched_det = np.bincount(d, minlength=m)
     matched_trk = np.bincount(k, minlength=n)
     y_se_det = ((matched_det == 0) & (c_cls_det + c_se_det >= -_TIE_EPS)).astype(int)
@@ -193,7 +193,6 @@ def result_from_matches(p, coefficients, matches) -> AssociationResult:
     return AssociationResult(
         y_cls_det=y_cls_det,
         y_cls_trk=y_cls_trk,
-        y_aff=y_aff,
         y_se_det=y_se_det,
         y_se_trk=y_se_trk,
         objective=objective,

@@ -8,11 +8,17 @@ as a start becomes a confirmed track immediately, while detections the
 solver leaves unselected enter as tentative tracks with one miss
 already counted. Tracks coast on prediction while missed and are
 dropped once their consecutive misses exceed the miss threshold.
+
+The tracks are one table of row-aligned arrays, row k being one track:
+``ids``, ``confidence``, the ``hits`` and ``misses`` streaks,
+``confirmed``, ``embeddings`` (T, D) with a NaN row where a track has
+none, and the Kalman ``mean`` and ``cov``. The lifecycle rules are masks
+over them. Births are appended in id order and deletions keep the order
+of the rest, so the rows are always sorted by id.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,23 +31,8 @@ from .geometry import Box3D
 from .io_formats import Detection, DetectionBatch, check_frame
 from .motion import MEAS_DIM, STATE_DIM, kf_init, kf_predict, kf_update
 
-
-class TrackStatus(enum.Enum):
-    TENTATIVE = "tentative"
-    CONFIRMED = "confirmed"
-
-
-@dataclass
-class Track:
-    """Lifecycle of one persistent object hypothesis. Its filter state is
-    row k of the tracker's ``mean`` and ``cov`` while it is ``tracks[k]``."""
-
-    id: int
-    embedding: Optional[np.ndarray]
-    confidence: float
-    hits: int
-    misses: int
-    status: TrackStatus
+# The row-aligned arrays of the track table.
+_COLUMNS = ("ids", "confidence", "hits", "misses", "confirmed", "embeddings", "mean", "cov")
 
 
 @dataclass
@@ -53,15 +44,34 @@ class FrameResult:
 
 
 class Tracker:
-    """Single-sequence online tracker. Frames must arrive in order."""
+    """Single-sequence online tracker. Frames must arrive in order.
+
+    Its state is the track table: ``ids``, ``confidence``, ``hits``,
+    ``misses``, ``confirmed``, ``embeddings``, ``mean`` and ``cov``.
+    """
 
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config or TrackerConfig()
-        self.tracks: list[Track] = []
+        self.ids = np.zeros(0, dtype=np.int64)
+        self.confidence = np.zeros(0)
+        self.hits = np.zeros(0, dtype=np.int64)
+        self.misses = np.zeros(0, dtype=np.int64)
+        self.confirmed = np.zeros(0, dtype=bool)
+        # No columns until a detection brings an embedding: every row lacks one.
+        self.embeddings = np.zeros((0, 0))
         self.mean = np.zeros((0, STATE_DIM))
         self.cov = np.zeros((0, STATE_DIM, STATE_DIM))
         self._next_id = 1
         self._last_frame: Optional[int] = None
+
+    @property
+    def tracks(self) -> np.recarray:
+        """A snapshot of the lifecycle columns, one record per track with
+        fields ``id``, ``confidence``, ``hits``, ``misses`` and ``confirmed``."""
+        return np.rec.fromarrays(
+            (self.ids, self.confidence, self.hits, self.misses, self.confirmed),
+            names=("id", "confidence", "hits", "misses", "confirmed"),
+        )
 
     def _associate(
         self, det_boxes: np.ndarray, scores: np.ndarray, start_prob: np.ndarray, embeddings
@@ -70,10 +80,9 @@ class Tracker:
         detections, whether each starts a confirmed track. ``embeddings``
         is None unless every detection has one."""
         cfg = self.config
-        x_cls_det = scores
-        x_cls_trk = np.array([t.confidence for t in self.tracks])
+        x_cls_det, x_cls_trk = scores, self.confidence
         x_se_det = np.where(np.isnan(start_prob), cfg.default_start_prob, start_prob)
-        x_se_trk = np.full(len(self.tracks), cfg.default_end_prob)
+        x_se_trk = np.full(len(self.ids), cfg.default_end_prob)
         need = None
         if cfg.associator == "mip":
             # Only pairs that can beat both outside options are scored;
@@ -86,13 +95,10 @@ class Tracker:
                     affinity_needed(x_cls_trk, x_se_trk, *costs),
                 )
 
+        lacks = np.isnan(self.embeddings).all(axis=1)
+        track_embeddings = None if lacks.any() else self.embeddings
         aff = compute_affinities(
-            det_boxes,
-            self.mean[:, :MEAS_DIM],
-            embeddings,
-            [t.embedding for t in self.tracks],
-            cfg,
-            need=need,
+            det_boxes, self.mean[:, :MEAS_DIM], embeddings, track_embeddings, cfg, need=need
         )
         if cfg.associator == "hungarian":
             # The baseline trusts all inputs: matched pairs keep ids,
@@ -113,18 +119,20 @@ class Tracker:
         result = solve_mip(problem)
         return result.matches, result.y_se_det.astype(bool)
 
-    def _check_embeddings(self, frame: int, batch: DetectionBatch) -> None:
-        """Reject a batch whose embedding size differs from the tracks',
-        before any state changes."""
-        if batch.embeddings is None:
+    def _fit_embeddings(self, frame: int, batch: DetectionBatch) -> None:
+        """Give the embedding table the batch's embedding size, or reject
+        the batch if a track has an embedding of another size. The size
+        may change only while no track has one. Runs before any other
+        state changes."""
+        if batch.embeddings is None or batch.embeddings.shape[1] == self.embeddings.shape[1]:
             return
-        size = next((t.embedding.size for t in self.tracks if t.embedding is not None), None)
-        if size is not None and batch.embeddings.shape[1] != size:
+        if not np.isnan(self.embeddings).all():
             i = int(batch.has_embedding.argmax())
             raise ValueError(
                 f"frame {frame}, detection {i}: embedding has {batch.embeddings.shape[1]} "
-                f"values, expected {size}"
+                f"values, expected {self.embeddings.shape[1]}"
             )
+        self.embeddings = np.full((len(self.ids), batch.embeddings.shape[1]), np.nan)
 
     def step(self, frame: int, detections) -> FrameResult:
         """Process one frame and return its confirmed associated tracks.
@@ -141,7 +149,7 @@ class Tracker:
                 f"frames must be strictly increasing: got {frame} after {self._last_frame}"
             )
         batch = DetectionBatch.from_detections(detections, frame)
-        self._check_embeddings(frame, batch)
+        self._fit_embeddings(frame, batch)
         self._last_frame = frame
 
         keep = batch.scores >= cfg.theta_cls
@@ -159,63 +167,58 @@ class Tracker:
             embeddings if has_embedding.all() else None,
         )
 
-        det_rows = [d for d, _ in matches]
-        track_rows = [k for _, k in matches]
-        self.mean[track_rows], self.cov[track_rows] = kf_update(
-            self.mean[track_rows], self.cov[track_rows], det_boxes[det_rows], cfg
-        )
-
-        score_list = scores.tolist()
-        emitted: list[tuple[int, Box3D, float]] = []
-        for d, k in matches:
-            track = self.tracks[k]
-            g = cfg.confidence_smoothing
-            track.confidence = g * track.confidence + (1.0 - g) * score_list[d]
-            if has_embedding[d]:
-                track.embedding = embeddings[d]
-            track.hits += 1
-            track.misses = 0
-            if track.status is TrackStatus.TENTATIVE and track.hits > cfg.theta_hit:
-                track.status = TrackStatus.CONFIRMED
-            if track.status is TrackStatus.CONFIRMED:
-                box = Box3D.from_array(self.mean[k, :MEAS_DIM])
-                emitted.append((track.id, box, track.confidence))
+        d, k = np.array(matches, dtype=np.intp).reshape(-1, 2).T
+        self.mean[k], self.cov[k] = kf_update(self.mean[k], self.cov[k], det_boxes[d], cfg)
+        g = cfg.confidence_smoothing
+        self.confidence[k] = g * self.confidence[k] + (1.0 - g) * scores[d]
+        if embeddings is not None:
+            given = has_embedding[d]
+            self.embeddings[k[given]] = embeddings[d[given]]
 
         # Coasting tracks keep their predicted state and accrue a miss;
         # an end decision is soft so a wrongly ended track can recover.
-        matched_tracks = set(track_rows)
-        for k, track in enumerate(self.tracks):
-            if k not in matched_tracks:
-                track.misses += 1
-                track.hits = 0
+        matched = np.zeros(len(self.ids), dtype=bool)
+        matched[k] = True
+        self.hits = np.where(matched, self.hits + 1, 0)
+        self.misses = np.where(matched, 0, self.misses + 1)
+        self.confirmed |= matched & (self.hits > cfg.theta_hit)
 
-        # Births are appended confirmed starts first, then tentatives.
-        unmatched = set(range(len(det_boxes))) - set(det_rows)
-        births = sorted(unmatched, key=lambda d: (not starts[d], d))
-        for d in births:
-            confirmed = bool(starts[d])
-            track = Track(
-                id=self._next_id,
-                embedding=embeddings[d] if has_embedding[d] else None,
-                confidence=score_list[d],
-                hits=int(confirmed),
-                misses=int(not confirmed),  # a tentative birth counts as missed once
-                status=TrackStatus.CONFIRMED if confirmed else TrackStatus.TENTATIVE,
-            )
-            self._next_id += 1
-            self.tracks.append(track)
-            if confirmed:
-                emitted.append((track.id, Box3D.from_array(det_boxes[d]), track.confidence))
-        birth_mean, birth_cov = kf_init(det_boxes[births], cfg)
-        self.mean = np.concatenate((self.mean, birth_mean))
-        self.cov = np.concatenate((self.cov, birth_cov))
+        # Births are appended confirmed starts first, then tentatives,
+        # which count as missed once.
+        unmatched = np.ones(len(det_boxes), dtype=bool)
+        unmatched[d] = False
+        born = np.flatnonzero(unmatched)
+        if born.size:
+            born = np.concatenate((born[starts[born]], born[~starts[born]]))
+            born_confirmed = starts[born]
+            mean, cov = kf_init(det_boxes[born], cfg)
+            if embeddings is None:
+                embeddings = np.full((len(det_boxes), self.embeddings.shape[1]), np.nan)
+            new = {
+                "ids": np.arange(self._next_id, self._next_id + born.size),
+                "confidence": scores[born],
+                "hits": born_confirmed.astype(np.int64),
+                "misses": (~born_confirmed).astype(np.int64),
+                "confirmed": born_confirmed,
+                "embeddings": embeddings[born],
+                "mean": mean,
+                "cov": cov,
+            }
+            self._next_id += born.size
+            for name in _COLUMNS:
+                setattr(self, name, np.concatenate((getattr(self, name), new[name])))
 
-        keep = [t.misses <= cfg.theta_miss for t in self.tracks]
-        self.tracks = [t for t, alive in zip(self.tracks, keep) if alive]
-        self.mean, self.cov = self.mean[keep], self.cov[keep]
+        alive = self.misses <= cfg.theta_miss
+        if not alive.all():
+            for name in _COLUMNS:
+                setattr(self, name, getattr(self, name)[alive])
 
-        emitted.sort()  # by id, which is unique
-        return FrameResult(frame=frame, tracks=emitted)
+        # A track is emitted when it is confirmed and was not missed this
+        # frame: a matched track or a confirmed birth.
+        out = np.flatnonzero(self.confirmed & (self.misses == 0))
+        ids, boxes, confidence = self.ids[out], self.mean[out, :MEAS_DIM], self.confidence[out]
+        emitted = zip(ids.tolist(), map(Box3D.from_array, boxes), confidence.tolist())
+        return FrameResult(frame=frame, tracks=list(emitted))
 
 
 def run_sequence(

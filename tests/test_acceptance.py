@@ -166,8 +166,8 @@ def test_criterion_3_affinity_bounds():
         out = compute_affinities(
             np.array([d.box.to_array() for d in dets]),
             np.array(predicted),
-            [d.embedding for d in dets],
-            track_embeddings,
+            np.asarray([d.embedding for d in dets]),
+            np.asarray(track_embeddings),
             cfg,
         )
         refined_ok = refined_ok and bool(

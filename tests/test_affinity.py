@@ -51,12 +51,20 @@ def make_track(track_id, box, embedding=None) -> SimpleNamespace:
     )
 
 
+def stacked(embeddings):
+    """Per-row embeddings as the (K, D) array the tracker passes, or None
+    when any row lacks one."""
+    if any(e is None for e in embeddings):
+        return None
+    return np.asarray(embeddings, dtype=float)
+
+
 def affinities(dets, tracks, cfg=TrackerConfig(), **kwargs):
     return compute_affinities(
         box_array([d.box for d in dets]),
         box_array([t.box for t in tracks]),
-        [d.embedding for d in dets],
-        [t.embedding for t in tracks],
+        stacked([d.embedding for d in dets]),
+        stacked([t.embedding for t in tracks]),
         cfg,
         **kwargs,
     )
@@ -92,8 +100,8 @@ def pinned_frame():
     )
     dets = tracks[rng.integers(0, 50, 45)].copy()
     dets[:, :3] += rng.normal(0.0, 0.5, (45, 3))
-    det_emb = list(rng.normal(size=(45, 16)))
-    trk_emb = list(rng.normal(size=(50, 16)))
+    det_emb = rng.normal(size=(45, 16))
+    trk_emb = rng.normal(size=(50, 16))
     costs = (100.0, 22.0, 1.0)
     need = (
         affinity_needed(rng.uniform(0.85, 1.0, 45), np.full(45, 0.5), *costs),
@@ -436,8 +444,8 @@ def gate_frames(draw):
     return dict(
         dets=dets,
         tracks=tracks,
-        det_emb=det_emb,
-        trk_emb=trk_emb,
+        det_emb=stacked(det_emb),
+        trk_emb=stacked(trk_emb),
         ratio=draw(st.sampled_from([0.0, 1.0, 10.0, math.inf])),
         use_dis=flags[0],
         use_iou=flags[1],
@@ -525,7 +533,7 @@ class TestCandidateGate:
             affinity_needed([1.0, 1.0], [0.5, 0.5], *costs),
             affinity_needed([1.0, 1.0], [0.492, 0.5], *costs),
         )
-        args = (dets, tracks, [None] * 2, [None] * 2, TrackerConfig(use_iou=False))
+        args = (dets, tracks, None, None, TrackerConfig(use_iou=False))
         with mock.patch.object(affinity_module, "_GATE_MIN_PAIRS", 0):
             gated = compute_affinities(*args, need=lambda: need)
         dense = compute_affinities(*args)
@@ -550,12 +558,10 @@ class TestCandidateGate:
         dets = tracks + np.column_stack((rng.normal(0, 0.2, (60, 2)), np.zeros((60, 5))))
         need = affinity_needed(np.full(60, 0.95), np.full(60, 0.5), 100.0, 22.0, 1.0)
         cfg = TrackerConfig()
-        out = compute_affinities(
-            dets, tracks, [None] * 60, [None] * 60, cfg, need=lambda: (need, need)
-        )
+        out = compute_affinities(dets, tracks, None, None, cfg, need=lambda: (need, need))
         rows, cols = out.pairs
         assert sorted(zip(rows.tolist(), cols.tolist())) == [(k, k) for k in range(60)]
-        dense = compute_affinities(dets, tracks, [None] * 60, [None] * 60, cfg)
+        dense = compute_affinities(dets, tracks, None, None, cfg)
         assert out.refined.tolist() == dense.refined[rows, cols].tolist()
 
     def test_no_gate_without_need_or_for_small_frames(self):
@@ -571,12 +577,7 @@ class TestCandidateGate:
         small = affinities([make_det(box)], tracks)
         assert small.pairs is None and small.refined.shape == (1, 2)
         out = compute_affinities(
-            box_array([box]),
-            box_array([box, far]),
-            [None],
-            [None, None],
-            TrackerConfig(),
-            need=need,
+            box_array([box]), box_array([box, far]), None, None, TrackerConfig(), need=need
         )
         assert out.pairs is None and out.refined.shape == (1, 2)
         # a frame the gate cannot cut does not work out the need

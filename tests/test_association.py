@@ -98,7 +98,14 @@ class TestSolveMip:
         p = problem([], [], np.zeros((0, 0)))
         r = solve_mip(p)
         assert r.objective == 0.0
-        assert r.y_aff.shape == (0, 0)
+        assert r.matches == []
+
+    def test_constraint_check_rejects_a_node_matched_twice(self):
+        p = problem([1.0, 1.0], [1.0, 1.0], np.ones((2, 2)))
+        assert solve_mip(p).satisfies_constraints()
+        for matches in ([(0, 0), (0, 0)], [(0, 0), (0, 1)], [(0, 1), (1, 1)]):
+            result = result_from_matches(p, objective_coefficients(p), matches)
+            assert not result.satisfies_constraints(), matches
 
     def test_certain_start_end_all_selected(self):
         p = problem(
@@ -278,7 +285,7 @@ class TestCandidatePairs:
             allowed = rng.random(p.shape) < density
             result = solve_mip(on_pairs(p, allowed))
             assert result.satisfies_constraints(), seed
-            assert not np.any(result.y_aff[~allowed]), seed
+            assert all(allowed[d, k] for d, k in result.matches), seed
             expected = milp_oracle(p, allowed)
             assert result.objective == pytest.approx(expected, rel=0.0, abs=1e-9), seed
 
@@ -312,9 +319,11 @@ class TestCandidatePairs:
             allowed = rng.random((3, 4)) < 0.4
             result = solve_mip(on_pairs(p, allowed))
             assert result.objective == 0.0 and result.satisfies_constraints()
-            assert not np.any(result.y_aff[~allowed])
-            free = (result.y_aff.sum(axis=1) == 0)[:, None] & (result.y_aff.sum(axis=0) == 0)
-            assert not np.any(allowed & free)
+            assert all(allowed[d, k] for d, k in result.matches)
+            free_det, free_trk = np.ones(3, dtype=bool), np.ones(4, dtype=bool)
+            free_det[[d for d, _ in result.matches]] = False
+            free_trk[[k for _, k in result.matches]] = False
+            assert not np.any(allowed & free_det[:, None] & free_trk)
         # a positive pair is matched first, the zero-slack pair fills in
         x_aff = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
         p = problem([1.0] * 2, [1.0] * 3, x_aff, x_se_det=[0.0] * 2, x_se_trk=[0.0] * 3)

@@ -1,11 +1,17 @@
 """The benchmark looks program names up by string and reports a missing
-one as a null metric. These tests make a rename fail here instead."""
+one as a null metric, and it reads the tracker's state between steps.
+These tests make a rename, or a change of that state, fail here instead."""
 
 import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from mipmot.io_formats import DetectionBatch
+from mipmot.simgen import generate, scenario_template
+from mipmot.tracker import Tracker
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -50,3 +56,23 @@ def test_harness_names_found():
 def test_name_resolves(module, attr):
     target = importlib.import_module(module)
     assert hasattr(target, attr), f"{module}.{attr} is gone"
+
+
+def test_properties_read_the_tracker(monkeypatch):
+    """``Properties.on_step`` counts what it reads from the tracker."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    worker = importlib.import_module("worker")
+    _, detections = generate(scenario_template("clutter", seed=0))
+    by_frame = {}
+    for d in detections:
+        by_frame.setdefault(d.frame, []).append(d)
+    tracker, props, alive = Tracker(), worker.Properties(), []
+    for frame in range(max(by_frame) + 1):
+        batch = DetectionBatch.from_detections(by_frame.get(frame, []), frame)
+        tracker.step(frame, batch)
+        props.on_step(frame, batch, tracker)
+        if frame >= worker.WARMUP_FRAMES:
+            alive.append(len(tracker.ids))
+    summary = props.summary()
+    assert summary["tracks_alive"] == pytest.approx(np.mean(alive))
+    assert summary["births_per_frame"] > 0 and summary["coasting_per_frame"] > 0

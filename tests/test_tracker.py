@@ -5,7 +5,7 @@ from mipmot import tracker as tracker_module
 from mipmot.geometry import Box3D
 from mipmot.io_formats import Detection, DetectionBatch
 from mipmot.simgen import generate, scenario_template
-from mipmot.tracker import Tracker, TrackerConfig, TrackStatus, run_sequence
+from mipmot.tracker import Tracker, TrackerConfig, run_sequence
 
 
 def det(frame, x, y, score=1.0, start_prob=None, embedding=None):
@@ -38,7 +38,7 @@ class TestStep:
         tracker = Tracker()
         result = tracker.step(0, [det(0, 0.0, 0.0, score=0.99, start_prob=1.0)])
         assert len(result.tracks) == 1
-        assert tracker.tracks[0].status is TrackStatus.CONFIRMED
+        assert tracker.tracks[0].confirmed
 
     def test_midscore_detection_enters_tentative(self):
         tracker = Tracker()
@@ -46,7 +46,7 @@ class TestStep:
         assert result.tracks == []  # tentative tracks are never emitted
         assert len(tracker.tracks) == 1
         track = tracker.tracks[0]
-        assert track.status is TrackStatus.TENTATIVE
+        assert not track.confirmed
         assert track.misses == 1
         result = tracker.step(1, [det(1, 0.0, 0.0, score=0.9)])
         assert len(result.tracks) == 1  # matched once, theta_hit=0 confirms
@@ -54,7 +54,7 @@ class TestStep:
     def test_below_threshold_detections_dropped(self):
         tracker = Tracker()
         tracker.step(0, [det(0, 0.0, 0.0, score=0.5)])
-        assert tracker.tracks == []
+        assert len(tracker.tracks) == 0
 
     def test_out_of_order_frame_rejected(self):
         tracker = Tracker()
@@ -67,18 +67,19 @@ class TestStep:
     def test_embedding_size_change_rejected_before_any_change(self):
         tracker = Tracker()
         tracker.step(0, [det(0, 0.0, 0.0, embedding=[1.0, 2.0, 3.0, 4.0])])
-        (track,) = tracker.tracks
-        before = (tracker.mean.copy(), tracker.cov.copy(), track.misses, tracker._last_frame)
+        tracks = tracker.tracks
+        before = (tracker.mean.copy(), tracker.cov.copy(), tracker.embeddings.copy())
         frame = [
             det(1, 0.1, 0.0, embedding=[1.0, 2.0, 3.0, 4.0]),
             det(1, 9.0, 0.0, embedding=[1.0, 2.0, 3.0]),
         ]
         with pytest.raises(ValueError, match="frame 1, detection 1: embedding has 3 values"):
             tracker.step(1, frame)
-        assert tracker.tracks == [track]
+        np.testing.assert_array_equal(tracker.tracks, tracks)
         np.testing.assert_array_equal(tracker.mean, before[0])
         np.testing.assert_array_equal(tracker.cov, before[1])
-        assert (track.misses, tracker._last_frame) == before[2:]
+        np.testing.assert_array_equal(tracker.embeddings, before[2])
+        assert tracker._last_frame == 0
         # the frame can be given again once fixed
         assert len(tracker.step(1, frame[:1]).tracks) == 1
 
@@ -86,13 +87,12 @@ class TestStep:
     def test_non_integer_frame_rejected_before_any_change(self, frame):
         tracker = Tracker()
         tracker.step(0, [det(0, 0.0, 0.0)])
-        (track,) = tracker.tracks
-        before = (tracker.mean.copy(), track.misses, track.hits, tracker._last_frame)
+        tracks, mean = tracker.tracks, tracker.mean.copy()
         with pytest.raises(ValueError, match="frame must be an integer"):
             tracker.step(frame, [det(1, 0.1, 0.0)])
-        assert tracker.tracks == [track]
-        np.testing.assert_array_equal(tracker.mean, before[0])
-        assert (track.misses, track.hits, tracker._last_frame) == before[1:]
+        np.testing.assert_array_equal(tracker.tracks, tracks)
+        np.testing.assert_array_equal(tracker.mean, mean)
+        assert tracker._last_frame == 0
         assert tracker.step(1, [det(1, 0.1, 0.0)]).frame == 1
 
     def test_negative_frame_rejected_before_any_change(self):
@@ -106,16 +106,15 @@ class TestStep:
     def test_detections_of_another_frame_rejected_before_any_change(self):
         tracker = Tracker()
         tracker.step(0, [det(0, 0.0, 0.0)])
-        (track,) = tracker.tracks
-        before = (tracker.mean.copy(), track.misses, track.hits, tracker._last_frame)
+        tracks, mean = tracker.tracks, tracker.mean.copy()
         batch = DetectionBatch.from_detections([det(5, 0.1, 0.0)], 5)
         with pytest.raises(ValueError, match="frame 2: the batch is of frame 5"):
             tracker.step(2, batch)
         with pytest.raises(ValueError, match="frame 2, detection 1: the detection is of frame 5"):
             tracker.step(2, [det(2, 0.1, 0.0), det(5, 9.0, 0.0)])
-        assert tracker.tracks == [track]
-        np.testing.assert_array_equal(tracker.mean, before[0])
-        assert (track.misses, track.hits, tracker._last_frame) == before[1:]
+        np.testing.assert_array_equal(tracker.tracks, tracks)
+        np.testing.assert_array_equal(tracker.mean, mean)
+        assert tracker._last_frame == 0
         assert tracker.step(2, [det(2, 0.1, 0.0)]).frame == 2
 
     def test_one_filter_call_per_frame_and_boxes_only_for_output(self, monkeypatch):
@@ -148,6 +147,11 @@ class TestStep:
             assert calls["Box3D"] <= len(result.tracks)
             assert tracker.mean.shape == (len(tracker.tracks), 10)
             assert tracker.cov.shape == (len(tracker.tracks), 10, 10)
+            # every column of the table is row-aligned, and the rows are
+            # in id order, so the emitted tracks need no sort
+            for name in ("confidence", "hits", "misses", "confirmed", "embeddings"):
+                assert len(getattr(tracker, name)) == len(tracker.ids), name
+            assert np.all(np.diff(tracker.ids) > 0)
 
     def test_batch_and_list_give_the_same_result(self):
         frame = [det(0, 0.0, 0.0, start_prob=0.7), det(0, 9.0, 0.0, score=0.9, embedding=[1.0])]
@@ -165,13 +169,13 @@ class TestStep:
             embeddings=[[1.0, 2.0], [np.nan, np.nan]],
         )
         tracker.step(0, batch)
-        with_embedding, without = tracker.tracks
-        np.testing.assert_array_equal(with_embedding.embedding, [1.0, 2.0])
-        assert without.embedding is None
+        assert len(tracker.ids) == 2
+        np.testing.assert_array_equal(tracker.embeddings[0], [1.0, 2.0])
+        assert np.isnan(tracker.embeddings[1]).all()
         # a match with a detection that has none keeps the track's embedding
         tracker.step(1, [det(1, 0.1, 0.0), det(1, 20.1, 0.0, embedding=[3.0, 4.0])])
-        np.testing.assert_array_equal(tracker.tracks[0].embedding, [1.0, 2.0])
-        np.testing.assert_array_equal(tracker.tracks[1].embedding, [3.0, 4.0])
+        np.testing.assert_array_equal(tracker.embeddings[0], [1.0, 2.0])
+        np.testing.assert_array_equal(tracker.embeddings[1], [3.0, 4.0])
 
     def test_batch_embedding_size_checked_against_tracks(self):
         tracker = Tracker()
@@ -186,6 +190,22 @@ class TestStep:
         with pytest.raises(ValueError, match=message):
             tracker.step(1, batch)
         assert tracker._last_frame == 0
+
+    def test_embedding_size_free_once_no_track_has_one(self):
+        """The tracks' embedding size binds a batch only while a live
+        track has an embedding."""
+        tracker = Tracker()
+        tracker.step(0, [det(0, 0.0, 0.0, embedding=[1.0, 2.0]), det(0, 20.0, 0.0)])
+        for frame in range(1, 4):  # the track with an embedding misses 3 > 2 times
+            tracker.step(frame, [det(frame, 20.0, 0.0)])
+        assert len(tracker.ids) == 1 and np.isnan(tracker.embeddings).all()
+        frame = [
+            det(4, 20.0, 0.0, embedding=[1.0, 2.0, 3.0]),
+            det(4, -20.0, 0.0, embedding=[3.0, 2.0, 1.0]),
+        ]
+        result = tracker.step(4, frame)
+        assert len(result.tracks) == 2
+        np.testing.assert_array_equal(tracker.embeddings, [[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
 
     def test_crossing_objects_keep_ids(self):
         tracker = Tracker()
@@ -209,7 +229,7 @@ class TestLifecycle:
         tracker.step(0, [det(0, 0.0, 0.0, score=0.9)])  # tentative, misses=1
         tracker.step(1, [])  # misses=2
         tracker.step(2, [])  # misses=3 > 2: deleted
-        assert tracker.tracks == []
+        assert len(tracker.tracks) == 0
 
     def test_confirmed_track_bridges_occlusion(self):
         tracker = Tracker()
@@ -225,7 +245,7 @@ class TestLifecycle:
         tracker.step(0, [det(0, 0.0, 0.0)])
         for frame in range(1, 4):
             tracker.step(frame, [])
-        assert tracker.tracks == []
+        assert len(tracker.tracks) == 0
 
     def test_miss_resets_hit_streak(self):
         tracker = Tracker(TrackerConfig(theta_hit=1))
