@@ -11,7 +11,7 @@ from .association import (
 from .config import TrackerConfig
 from .evaluation import MotReport, evaluate_sequence, aggregate_reports
 from .geometry import Box3D, bev_iou
-from .io_formats import Detection, DetectionBatch, LabelRecord
+from .io_formats import Detection, DetectionBatch
 from .motion import kf_init, kf_predict, kf_update
 from .simgen import ScenarioConfig, generate, scenario_template
 from .tracker import FrameResult, Tracker, run_sequence
@@ -26,7 +26,6 @@ __all__ = [
     "Detection",
     "DetectionBatch",
     "FrameResult",
-    "LabelRecord",
     "MotReport",
     "ScenarioConfig",
     "Tracker",

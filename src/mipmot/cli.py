@@ -20,7 +20,6 @@ from pathlib import Path
 
 from . import evaluation, io_formats, simgen
 from .config import ASSOCIATORS, TrackerConfig
-from .geometry import Box3D
 from .tracker import FrameResult, run_sequence
 
 # Config keys that `track` and `sweep` also take as flags: --theta-cls
@@ -47,17 +46,25 @@ def _sequences(directory: Path, suffix: str) -> dict[str, Path]:
     }
 
 
-def results_to_frames(results: list[FrameResult]) -> dict[int, dict[int, Box3D]]:
-    return {
-        r.frame: {tid: box for tid, box, _ in r.tracks} for r in results if r.tracks
-    }
+def _kitti_files(directory: Path) -> dict[str, Path]:
+    """{sequence: file} of the KITTI files ``<seq>.txt``, without the
+    ``<seq>.dets.txt`` and ``<seq>.labels.txt`` files beside them."""
+    files = _sequences(directory, ".txt")
+    return {name: p for name, p in files.items() if not name.endswith((".dets", ".labels"))}
 
 
-def labels_to_frames(records) -> dict[int, dict[int, Box3D]]:
-    frames: dict[int, dict[int, Box3D]] = {}
-    for rec in records:
-        frames.setdefault(rec.frame, {})[rec.track_id] = rec.box
-    return frames
+def results_to_frames(results: list[FrameResult]) -> dict:
+    """{frame: rows} of the frames with tracks."""
+    return {r.frame: r.tracks for r in results if len(r.tracks)}
+
+
+def labels_to_frames(table) -> dict:
+    """{frame: rows} of a label or result table, frames ascending and file
+    order within a frame."""
+    order, groups = io_formats.frame_groups(table["frame"])
+    if order is not None:
+        table = table[order]
+    return {frame: table[a:b] for frame, a, b in groups}
 
 
 def cmd_track(args) -> int:
@@ -83,14 +90,8 @@ def cmd_track(args) -> int:
 
 
 def _evaluate_dirs(results_dir: Path, labels_dir: Path, iou_threshold: float):
-    label_files = _sequences(labels_dir, ".labels.txt")
-    if not label_files:
-        label_files = _sequences(labels_dir, ".txt")
-    result_files = {
-        name: path
-        for name, path in _sequences(results_dir, ".txt").items()
-        if not name.endswith((".dets", ".labels"))
-    }
+    label_files = _sequences(labels_dir, ".labels.txt") or _kitti_files(labels_dir)
+    result_files = _kitti_files(results_dir)
     missing = sorted(set(label_files) - set(result_files))
     extra = sorted(set(result_files) - set(label_files))
     if missing or extra:

@@ -1,5 +1,11 @@
 """CLEARMOT evaluation of tracking output against ground truth.
 
+Each frame's objects are rows of a record array, read by their ``id``
+and ``box`` (x, y, z, l, w, h, a) fields: a frame's slice of a
+``read_kitti_labels`` table, whose ``score`` is NaN where the file has
+no score column, or a ``FrameResult.tracks``. The evaluator computes
+one BEV IoU matrix per frame from the boxes, in row order.
+
 Matching uses ground-plane rotated-rectangle IoU with a strict
 threshold (a pair counts only when IoU exceeds it). Correspondences
 persist: a pairing from the previous frame is kept while it stays
@@ -17,8 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import Box3D, bev_iou_matrix
+from .geometry import bev_iou_matrix
 from .geometry import bev_iou  # noqa: F401  (a public name the benchmark counts)
+from .io_formats import ROW_DTYPE
 
 DEFAULT_IOU_THRESHOLD = 0.5
 
@@ -87,36 +94,23 @@ class MotReport:
         }
 
 
-def frame_iou_matrix(
-    gt_boxes: dict[int, Box3D], hyp_boxes: dict[int, Box3D]
-) -> np.ndarray:
-    """BEV IoU of every ground-truth box (rows) against every hypothesis
-    (columns), both in dict order."""
-    return bev_iou_matrix(
-        [b.to_array() for b in gt_boxes.values()],
-        [b.to_array() for b in hyp_boxes.values()],
-    )
-
-
 def match_frame(
-    gt_boxes: dict[int, Box3D],
-    hyp_boxes: dict[int, Box3D],
+    gt_ids: list[int],
+    hyp_ids: list[int],
+    iou: np.ndarray,
     prev_correspondence: dict[int, int],
     iou_threshold: float = DEFAULT_IOU_THRESHOLD,
-    iou: np.ndarray | None = None,
 ) -> dict[int, int]:
     """Match one frame's ground truth to hypotheses, honoring continuity.
 
-    Surviving previous pairings are kept when still above the
-    threshold; everything else is matched to maximize total IoU, with
-    pairs at or below the threshold rejected. ``iou`` is the frame's
-    ``frame_iou_matrix``, computed here when not given. Returns
-    {gt_id: hyp_id}.
+    ``iou`` is the frame's BEV IoU matrix, ground truth ``gt_ids`` (rows)
+    against hypotheses ``hyp_ids`` (columns). Surviving previous
+    pairings are kept when still above the threshold; everything else is
+    matched to maximize total IoU, with pairs at or below the threshold
+    rejected. Returns {gt_id: hyp_id}.
     """
-    if iou is None:
-        iou = frame_iou_matrix(gt_boxes, hyp_boxes)
-    gt_row = {g: i for i, g in enumerate(gt_boxes)}
-    hyp_col = {h: j for j, h in enumerate(hyp_boxes)}
+    gt_row = {g: i for i, g in enumerate(gt_ids)}
+    hyp_col = {h: j for j, h in enumerate(hyp_ids)}
     correspondence: dict[int, int] = {}
     taken_hyps: set[int] = set()
     for gt_id, hyp_id in prev_correspondence.items():
@@ -125,8 +119,8 @@ def match_frame(
                 correspondence[gt_id] = hyp_id
                 taken_hyps.add(hyp_id)
 
-    free_gt = [g for g in gt_boxes if g not in correspondence]
-    free_hyp = [h for h in hyp_boxes if h not in taken_hyps]
+    free_gt = [g for g in gt_ids if g not in correspondence]
+    free_hyp = [h for h in hyp_ids if h not in taken_hyps]
     if free_gt and free_hyp:
         free = iou[np.ix_([gt_row[g] for g in free_gt], [hyp_col[h] for h in free_hyp])]
         rows, cols = linear_sum_assignment(free, maximize=True)
@@ -160,18 +154,21 @@ class Accumulator:
     _tracks: dict[int, _GtTrackState] = field(default_factory=dict)
     _prev: dict[int, int] = field(default_factory=dict)
 
-    def update(self, gt_boxes: dict[int, Box3D], hyp_boxes: dict[int, Box3D]):
-        iou = frame_iou_matrix(gt_boxes, hyp_boxes)
-        corr = match_frame(gt_boxes, hyp_boxes, self._prev, self.iou_threshold, iou)
-        self.num_gt_boxes += len(gt_boxes)
-        self.fp += len(hyp_boxes) - len(corr)
-        self.fn += len(gt_boxes) - len(corr)
+    def update(self, gt: np.ndarray, hyp: np.ndarray):
+        """Add one frame, given its ground truth and hypotheses as rows
+        with the fields ``id`` and ``box``."""
+        gt_ids, hyp_ids = gt["id"].tolist(), hyp["id"].tolist()
+        iou = bev_iou_matrix(gt["box"], hyp["box"])
+        corr = match_frame(gt_ids, hyp_ids, iou, self._prev, self.iou_threshold)
+        self.num_gt_boxes += len(gt_ids)
+        self.fp += len(hyp_ids) - len(corr)
+        self.fn += len(gt_ids) - len(corr)
         self.tp += len(corr)
-        gt_row = {g: i for i, g in enumerate(gt_boxes)}
-        hyp_col = {h: j for j, h in enumerate(hyp_boxes)}
+        gt_row = {g: i for i, g in enumerate(gt_ids)}
+        hyp_col = {h: j for j, h in enumerate(hyp_ids)}
         for gt_id, hyp_id in corr.items():
             self.iou_sum += float(iou[gt_row[gt_id], hyp_col[hyp_id]])
-        for gt_id in gt_boxes:
+        for gt_id in gt_ids:
             st = self._tracks.setdefault(gt_id, _GtTrackState())
             st.present += 1
             if gt_id in corr:
@@ -206,15 +203,23 @@ class Accumulator:
 
 
 def evaluate_sequence(
-    gt_frames: dict[int, dict[int, Box3D]],
-    hyp_frames: dict[int, dict[int, Box3D]],
+    gt_frames: dict[int, np.ndarray],
+    hyp_frames: dict[int, np.ndarray],
     iou_threshold: float = DEFAULT_IOU_THRESHOLD,
 ) -> MotReport:
-    """Evaluate one sequence given {frame: {id: box}} on both sides."""
+    """Evaluate one sequence given {frame: rows} on both sides.
+
+    A frame's rows are a record array with at least the fields ``id``
+    and ``box`` (x, y, z, l, w, h, a), such as a slice of a
+    ``read_kitti_labels`` table or a ``FrameResult.tracks``; each id
+    appears once in a frame. A frame absent from one side has no rows
+    there.
+    """
     acc = Accumulator(iou_threshold=iou_threshold)
     frames = sorted(set(gt_frames) | set(hyp_frames))
+    none = np.zeros(0, ROW_DTYPE)
     for frame in frames:
-        acc.update(gt_frames.get(frame, {}), hyp_frames.get(frame, {}))
+        acc.update(gt_frames.get(frame, none), hyp_frames.get(frame, none))
     return acc.report()
 
 

@@ -25,8 +25,6 @@ _TREE_MIN_PAIRS = 8192
 
 _TAU = 2.0 * math.pi
 
-_FIELDS = ("x", "y", "z", "l", "w", "h", "a")
-
 # Signs of (l/2, w/2) at the footprint corners, counter-clockwise.
 _CORNER_SIGNS = np.array([[1.0, -1.0, -1.0, 1.0], [1.0, 1.0, -1.0, -1.0]])
 
@@ -73,17 +71,6 @@ class Box3D:
         return np.array(
             [self.x, self.y, self.z, self.l, self.w, self.h, self.a], dtype=float
         )
-
-    @classmethod
-    def _from_checked(cls, x, y, z, l, w, h, a) -> "Box3D":
-        """A box of floats a reader has already checked as a table: finite,
-        extents nonnegative, heading wrapped. It skips the checks of
-        ``__init__``. The fields are set one by one, as ``__init__`` sets
-        them: filling ``__dict__`` at once would double a box's memory."""
-        box = object.__new__(cls)
-        for name, value in zip(_FIELDS, (x, y, z, l, w, h, a)):
-            object.__setattr__(box, name, value)
-        return box
 
     @classmethod
     def from_array(cls, v) -> "Box3D":

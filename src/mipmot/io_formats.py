@@ -45,11 +45,22 @@ line, ``frame id type truncated occluded alpha bbox(4) h w l x y z
 rotation_y [score]``. The image-plane fields cannot be produced here
 and are written as the customary -1 / -10 placeholders. Their numeric
 columns are read and checked in bulk in the same way, with the same
-token check and the extents rule of ``Box3D``.
+token check and the extents rule of ``Box3D``. A kept row may not
+repeat the (frame, id) pair of an earlier kept row.
+
+Objects are stored as record arrays, never as one object per row.
+``read_kitti_labels`` (and ``simgen.generate``) give one table for a
+whole file, in file order, with the fields ``frame``, ``type``, ``id``,
+``box`` (x, y, z, l, w, h, a) and ``score``; the score is NaN where the
+file has no score column. One frame's objects, such as a tracker's
+``FrameResult.tracks``, have the fields ``id``, ``box`` and ``score``
+(``ROW_DTYPE``). ``write_kitti_labels`` and ``write_kitti_tracking``
+write from these arrays and leave a NaN score out.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -136,6 +147,36 @@ def _real_array(name: str, values) -> np.ndarray:
     if arr.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be real numbers, got dtype {arr.dtype}")
     return arr.astype(float)
+
+
+# One frame's objects, one record each: the track id, the (x, y, z, l,
+# w, h, a) box and the score, NaN where there is none.
+ROW_DTYPE = np.dtype([("id", np.int64), ("box", np.float64, (7,)), ("score", np.float64)])
+
+# The frames and ids a table holds.
+_INT64 = range(-(2**63), 2**63)
+
+
+def object_table(frames, ids, types, boxes, scores) -> np.recarray:
+    """The objects of a whole file as one record array: ``frame``,
+    ``type`` and the fields of ``ROW_DTYPE``."""
+    types = np.asarray(types, dtype=str)
+    dtype = [("frame", np.int64), ("type", types.dtype), *ROW_DTYPE.descr]
+    return np.rec.fromarrays((frames, types, ids, np.reshape(boxes, (-1, 7)), scores), dtype=dtype)
+
+
+def frame_groups(frames: np.ndarray) -> tuple[np.ndarray | None, list[tuple[int, int, int]]]:
+    """Group rows by ascending frame: the stable order that does it (None
+    when the rows already are in frame order, so that each group is a
+    slice of them) and the (frame, start, stop) of each group in that
+    order."""
+    if not len(frames):
+        return None, []
+    order = np.argsort(frames, kind="stable") if (frames[1:] < frames[:-1]).any() else None
+    if order is not None:
+        frames = frames[order]
+    cuts = [0, *(np.flatnonzero(frames[1:] != frames[:-1]) + 1).tolist(), len(frames)]
+    return order, [(int(frames[a]), a, b) for a, b in zip(cuts, cuts[1:])]
 
 
 class DetectionBatch(Sequence):
@@ -260,17 +301,6 @@ class DetectionBatch(Sequence):
 
     def __repr__(self) -> str:
         return f"DetectionBatch(frame={self.frame}, {len(self)} detections)"
-
-
-@dataclass
-class LabelRecord:
-    """One ground-truth (or result) object in one frame, KITTI style."""
-
-    frame: int
-    track_id: int
-    object_type: str
-    box: Box3D
-    score: Optional[float] = None
 
 
 class FormatError(ValueError):
@@ -462,20 +492,16 @@ class _DetectionReader:
             embeddings = np.concatenate(
                 [np.full((len(f), size), np.nan) if e is None else e for f, _, e in self.parts]
             )
-        # One stable sort groups the records by frame; a file already in
-        # frame order is kept as is, so each frame's arrays are views.
-        if (frames[1:] < frames[:-1]).any():
-            order = np.argsort(frames, kind="stable")
-            frames, values = frames[order], values[order]
+        order, groups = frame_groups(frames)
+        if order is not None:
+            values = values[order]
             embeddings = None if embeddings is None else embeddings[order]
         values[:, 6] = wrap_angle(values[:, 6])
-        cuts = [0, *(np.flatnonzero(frames[1:] != frames[:-1]) + 1).tolist(), len(frames)]
         out = {}
-        for a, b in zip(cuts, cuts[1:]):
+        for frame, a, b in groups:
             emb = None if embeddings is None else embeddings[a:b]
             if emb is not None and np.isnan(emb[:, 0]).all():
                 emb = None
-            frame = int(frames[a])
             out[frame] = DetectionBatch._checked(
                 frame, values[a:b, :7], values[a:b, 7], values[a:b, 8], emb
             )
@@ -533,61 +559,80 @@ def write_detections(detections, path, json_lines: bool = False) -> None:
                 f.write(" ".join(fields) + "\n")
 
 
-def read_kitti_labels(path, keep_types=None):
-    """Read KITTI tracking labels (or results) as a list of LabelRecord.
+def _first_repeat(frames: np.ndarray, ids: np.ndarray) -> int | None:
+    """The first row, in row order, whose (frame, id) pair an earlier row
+    holds; None when every pair is distinct."""
+    order = np.lexsort((ids, frames))  # stable: row order within a pair
+    frames, ids = frames[order], ids[order]
+    repeats = order[1:][(frames[1:] == frames[:-1]) & (ids[1:] == ids[:-1])]
+    return int(repeats.min()) if repeats.size else None
 
-    The 2D bbox, truncation and occlusion fields are read for validation
-    but not kept. ``keep_types`` optionally restricts the object classes;
-    DontCare rows (negative ids) are always dropped. Every number must
-    be finite; the extents of a kept row must be nonnegative.
+
+def read_kitti_labels(path, keep_types=None) -> np.recarray:
+    """Read KITTI tracking labels (or results) as one table, in file order.
+
+    The table is a record array with the fields ``frame``, ``type``,
+    ``id``, ``box`` (x, y, z, l, w, h, a) and ``score``, NaN where a
+    row has no score column. The 2D bbox, truncation and occlusion
+    fields are read for validation but not kept. ``keep_types``
+    optionally restricts the object classes; DontCare rows (negative
+    ids) are always dropped. Every number must be finite; the extents of
+    a kept row must be nonnegative, and its (frame, id) pair must not
+    repeat an earlier kept row's.
     """
     path = os.fspath(path)
-    out: list[LabelRecord] = []
     rows: list[tuple] = []  # (line number, frame, id, type, 15 numbers as text, score given)
+    # (line numbers, frames, ids, types, 15 numbers) of the kept rows, a chunk each
+    kept = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0, str), np.zeros((0, 15)))]
 
     def flush() -> None:
-        """Check the pending rows as a table, then keep their records. A
+        """Check the pending rows as a table, then keep the rows to keep. A
         table that does not read or holds a faulty row is read again one
         row at a time, to fail at the first faulty one."""
         if not rows:
             return
-        kept = [
-            i
-            for i, (_, _, track_id, object_type, _, _) in enumerate(rows)
-            if track_id >= 0 and (keep_types is None or object_type in keep_types)
-        ]
-        is_kept = np.zeros(len(rows), dtype=bool)
-        is_kept[kept] = True
-        values = _floats([row[4] for row in rows])
+        linenos, frames, ids, types, numbers, scored = zip(*rows)
+        rows.clear()
+        ids, scored = np.array(ids, dtype=np.int64), np.array(scored)
+        keep = ids >= 0
+        if keep_types is not None:
+            keep &= np.array([object_type in keep_types for object_type in types])
+        values = _floats(numbers)
         if values is not None:
-            scored = np.array([row[5] for row in rows], dtype=bool)
             bad = ~np.isfinite(values[:, :14]).all(axis=1) | (scored & ~np.isfinite(values[:, 14]))
-            if (bad | (is_kept & (values[:, 7:10] < 0.0).any(axis=1))).any():
+            if (bad | (keep & (values[:, 7:10] < 0.0).any(axis=1))).any():
                 values = None
+        fault = None
         if values is None:
-            table = []
-            for i, (lineno, _, _, _, numbers, scored) in enumerate(rows):
+            values = np.full((len(ids), 15), np.nan)
+            for i, (lineno, text, given) in enumerate(zip(linenos, numbers, scored)):
                 try:
-                    v = [_number(t) for t in numbers.split()[: 14 + scored]]
-                    if is_kept[i]:
+                    v = [_number(t) for t in text.split()[: 14 + given]]
+                    if keep[i]:
                         Box3D(v[10], v[11], v[12], v[9], v[8], v[7], v[13])
                 except ValueError as e:
-                    _fail(path, lineno, str(e))
-                table.append(v + [math.nan] * (not scored))
-            values = np.array(table)
-        table = values[kept]
-        boxes = table[:, [10, 11, 12, 9, 8, 7, 13]]
-        boxes[:, 6] = wrap_angle(boxes[:, 6])
-        for i, box, score in zip(kept, boxes.tolist(), table[:, 14].tolist()):
-            _, frame, track_id, object_type, _, score_given = rows[i]
-            score = score if score_given else None
-            out.append(
-                LabelRecord(frame, track_id, object_type, Box3D._from_checked(*box), score)
-            )
-        rows.clear()
+                    fault = (lineno, str(e))
+                    keep[i:] = False
+                    break
+                values[i, : len(v)] = v
+        columns = (linenos, np.array(frames, dtype=np.int64), ids, np.array(types), values)
+        kept.append(tuple(np.asarray(column)[keep] for column in columns))
+        if fault is not None:
+            fail(*fault)
+
+    def table() -> tuple[np.ndarray, ...]:
+        """The kept rows so far; fails at the first repeated (frame, id) pair."""
+        linenos, frames, ids, types, values = (np.concatenate(c) for c in zip(*kept))
+        i = _first_repeat(frames, ids)
+        if i is not None:
+            first = linenos[(frames == frames[i]) & (ids == ids[i])][0]
+            msg = f"duplicate (frame, id) pair: ({frames[i]}, {ids[i]}), first on line {first}"
+            _fail(path, linenos[i], msg)
+        return frames, ids, types, values
 
     def fail(lineno: int, msg: str):
         flush()
+        table()
         _fail(path, lineno, msg)
 
     with open(path, "r", encoding="utf-8") as f:
@@ -602,6 +647,8 @@ def read_kitti_labels(path, keep_types=None):
                 track_id = int(tokens[1])
             except ValueError:
                 fail(lineno, "bad frame or track id")
+            if frame not in _INT64 or track_id not in _INT64:
+                fail(lineno, "frame or track id beyond 64 bits")
             # 15 numbers on every row: a missing score reads as NaN.
             scored = len(tokens) == 18
             numbers = " ".join(tokens[3:] if scored else [*tokens[3:], "nan"])
@@ -609,52 +656,53 @@ def read_kitti_labels(path, keep_types=None):
             if len(rows) == _CHUNK_LINES:
                 flush()
     flush()
-    return out
+    frames, ids, types, values = table()
+    boxes = values[:, [10, 11, 12, 9, 8, 7, 13]]
+    boxes[:, 6] = wrap_angle(boxes[:, 6])
+    return object_table(frames, ids, types, boxes, values[:, 14])
 
 
 # frame id type truncation occlusion, the image-plane placeholders, then
-# h w l x y z rotation_y. %-formatting takes two thirds of the time of
-# the same row as an f-string, and gives the same text.
+# h w l x y z rotation_y and the score; "%.0s" writes a NaN score as
+# nothing. %-formatting takes two thirds of the time of the same row as
+# an f-string, and gives the same text.
 _KITTI_ROW = "%s %s %s %s -10 -1 -1 -1 -1 %.6f %.6f %.6f %.6f %.6f %.6f %.6f"
+_KITTI_ROWS = (_KITTI_ROW + " %.6f\n", _KITTI_ROW + "%.0s\n")
 
 
-def _kitti_row(frame, track_id, object_type, visibility, box, score) -> str:
-    """One line of the KITTI tracking layout. ``visibility`` holds the
-    truncation and occlusion fields; the score is left out when None."""
-    row = _KITTI_ROW % (
-        frame, track_id, object_type, visibility, box.h, box.w, box.l, box.x, box.y, box.z, box.a
-    )
-    return row + "\n" if score is None else "%s %.6f\n" % (row, score)
+def _write_kitti(path, frames, types, visibility, rows) -> None:
+    """Write rows with the fields of ``ROW_DTYPE`` in the KITTI tracking
+    layout, with one call. ``visibility`` holds the truncation and
+    occlusion fields; a NaN score is left out."""
+    columns = [frames.tolist(), rows["id"].tolist(), types, itertools.repeat(visibility)]
+    columns += [rows["box"][:, k].tolist() for k in (5, 4, 3, 0, 1, 2, 6)]
+    columns.append(rows["score"].tolist())
+    unscored = np.isnan(rows["score"]).tolist()
+    lines = [_KITTI_ROWS[u] % row for u, row in zip(unscored, zip(*columns))]
+    with open(os.fspath(path), "w", encoding="utf-8") as f:
+        f.write("".join(lines))
 
 
 def write_kitti_tracking(frame_results, path, object_type: str = "Car") -> None:
     """Write tracker output in the KITTI tracking result layout.
 
     ``frame_results`` is an iterable of FrameResult-like objects with a
-    ``frame`` index and ``tracks`` list of (id, box, score) entries,
-    sorted by frame. Truncation and occlusion are written as -1, the
-    image-plane fields as -10 / -1 placeholders. A duplicate (frame, id)
+    ``frame`` index and ``tracks`` record array (fields ``id``, ``box``
+    and ``score``, as ``ROW_DTYPE``), sorted by frame. Truncation and
+    occlusion are written as -1, the image-plane fields as -10 / -1
+    placeholders, and a NaN score is left out. A duplicate (frame, id)
     pair fails before the file is opened.
     """
-    seen: set[tuple[int, int]] = set()
-    lines = []
-    for result in frame_results:
-        for track_id, box, score in result.tracks:
-            key = (result.frame, track_id)
-            if key in seen:
-                raise ValueError(f"duplicate (frame, id) pair: {key}")
-            seen.add(key)
-            lines.append(_kitti_row(result.frame, track_id, object_type, "-1 -1", box, score))
-    with open(os.fspath(path), "w", encoding="utf-8") as f:
-        f.write("".join(lines))
+    results = list(frame_results)
+    tracks = np.concatenate([np.zeros(0, ROW_DTYPE), *(r.tracks for r in results)])
+    frames = np.repeat([r.frame for r in results], [len(r.tracks) for r in results])
+    i = _first_repeat(frames, tracks["id"])
+    if i is not None:
+        raise ValueError(f"duplicate (frame, id) pair: ({frames[i]}, {tracks['id'][i]})")
+    _write_kitti(path, frames, itertools.repeat(object_type), "-1 -1", tracks)
 
 
-def write_kitti_labels(records, path) -> None:
-    """Write LabelRecords in the KITTI tracking label layout, with
-    truncation and occlusion 0."""
-    lines = [
-        _kitti_row(rec.frame, rec.track_id, rec.object_type, "0 0", rec.box, rec.score)
-        for rec in records
-    ]
-    with open(os.fspath(path), "w", encoding="utf-8") as f:
-        f.write("".join(lines))
+def write_kitti_labels(table, path) -> None:
+    """Write a label table, as ``read_kitti_labels`` gives it, in the KITTI
+    tracking label layout, with truncation and occlusion 0."""
+    _write_kitti(path, table["frame"], table["type"].tolist(), "0 0", table)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Box3D, wrap_angle
-from .io_formats import Detection, LabelRecord
+from .io_formats import Detection, object_table
 
 _MASK64 = (1 << 64) - 1
 
@@ -139,8 +139,12 @@ def _occluded(cfg: ScenarioConfig, obj: int, frame: int) -> bool:
     return False
 
 
-def generate(cfg: ScenarioConfig) -> tuple[list[LabelRecord], list[Detection]]:
-    """Produce ground-truth labels and detection records for a scenario."""
+def generate(cfg: ScenarioConfig) -> tuple[np.recarray, list[Detection]]:
+    """Produce ground-truth labels and detection records for a scenario.
+
+    The labels are one table, as ``io_formats.read_kitti_labels`` gives
+    it: frame, type, id (the object's index), box and a NaN score.
+    """
     rng = SplitMix64(cfg.seed)
     half = 0.4 * cfg.extent  # spawn inside 80% of the world
     z0 = 0.5 * cfg.box_h
@@ -175,14 +179,13 @@ def generate(cfg: ScenarioConfig) -> tuple[list[LabelRecord], list[Detection]]:
         for spec in specs
     ]
 
-    labels: list[LabelRecord] = []
+    label_boxes: list[tuple] = []  # every object in every frame, frame by frame
     detections: list[Detection] = []
     for frame in range(cfg.num_frames):
         for i, state in enumerate(states):
             x, y, speed, angle = state
             heading = wrap_angle(angle)
-            gt_box = Box3D(x, y, z0, cfg.box_l, cfg.box_w, cfg.box_h, heading)
-            labels.append(LabelRecord(frame, i, cfg.object_type, gt_box))
+            label_boxes.append((x, y, z0, cfg.box_l, cfg.box_w, cfg.box_h, heading))
             state[0] = x + speed * math.cos(angle)
             state[1] = y + speed * math.sin(angle)
             state[3] = angle + cfg.turn_rate
@@ -233,6 +236,10 @@ def generate(cfg: ScenarioConfig) -> tuple[list[LabelRecord], list[Detection]]:
                 embedding = np.array([rng.normal() for _ in range(cfg.embedding_dim)])
             detections.append(Detection(frame, fp_box, score, embedding))
 
+    n = len(label_boxes)
+    frames = np.repeat(np.arange(cfg.num_frames), len(states))
+    ids = np.tile(np.arange(len(states)), cfg.num_frames)
+    labels = object_table(frames, ids, [cfg.object_type] * n, label_boxes, np.full(n, np.nan))
     return labels, detections
 
 

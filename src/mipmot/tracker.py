@@ -27,8 +27,8 @@ import numpy as np
 from .affinity import compute_affinities
 from .association import AssociationProblem, affinity_needed, hungarian_baseline, solve_mip
 from .config import TrackerConfig
-from .geometry import Box3D
-from .io_formats import Detection, DetectionBatch, check_frame
+from .geometry import wrap_angle
+from .io_formats import ROW_DTYPE, Detection, DetectionBatch, check_frame
 from .motion import MEAS_DIM, STATE_DIM, kf_init, kf_predict, kf_update
 
 # The row-aligned arrays of the track table.
@@ -37,10 +37,13 @@ _COLUMNS = ("ids", "confidence", "hits", "misses", "confirmed", "embeddings", "m
 
 @dataclass
 class FrameResult:
-    """Confirmed, currently-associated tracks of one frame."""
+    """Confirmed, currently-associated tracks of one frame: a record array
+    of ``io_formats.ROW_DTYPE``, one record per track with its ``id``,
+    ``box`` (x, y, z, l, w, h, a) and ``score``, the track's confidence,
+    in id order."""
 
     frame: int
-    tracks: list[tuple[int, Box3D, float]]
+    tracks: np.recarray
 
 
 class Tracker:
@@ -216,9 +219,10 @@ class Tracker:
         # A track is emitted when it is confirmed and was not missed this
         # frame: a matched track or a confirmed birth.
         out = np.flatnonzero(self.confirmed & (self.misses == 0))
-        ids, boxes, confidence = self.ids[out], self.mean[out, :MEAS_DIM], self.confidence[out]
-        emitted = zip(ids.tolist(), map(Box3D.from_array, boxes), confidence.tolist())
-        return FrameResult(frame=frame, tracks=list(emitted))
+        boxes = self.mean[out, :MEAS_DIM]
+        boxes[:, 6] = wrap_angle(boxes[:, 6])
+        tracks = np.rec.fromarrays((self.ids[out], boxes, self.confidence[out]), dtype=ROW_DTYPE)
+        return FrameResult(frame=frame, tracks=tracks)
 
 
 def run_sequence(

@@ -12,7 +12,7 @@ import math
 import os
 
 from mipmot.geometry import Box3D
-from mipmot.io_formats import Detection, FormatError, LabelRecord, is_real
+from mipmot.io_formats import Detection, FormatError, is_real
 
 
 def _fail(path: str, lineno: int, msg: str):
@@ -133,12 +133,14 @@ def read_detections(path) -> dict[int, list[Detection]]:
     return {frame: by_frame[frame] for frame in sorted(by_frame)}
 
 
-def read_kitti_labels(path, keep_types=None) -> list[LabelRecord]:
-    """The LabelRecords of a KITTI tracking label (or result) file, in
-    file order; rows with a negative id, or of a type outside
-    ``keep_types``, are dropped."""
+def read_kitti_labels(path, keep_types=None) -> list[tuple]:
+    """The (frame, id, type, Box3D, score or None) records of a KITTI
+    tracking label (or result) file, in file order; rows with a negative
+    id, or of a type outside ``keep_types``, are dropped. A kept row
+    whose (frame, id) pair an earlier kept row holds is a fault."""
     path = os.fspath(path)
     records = []
+    first_line = {}  # (frame, id) -> line number of its kept row
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             tokens = line.split()
@@ -158,6 +160,14 @@ def read_kitti_labels(path, keep_types=None) -> list[LabelRecord]:
                 box = Box3D(x, y, z, l, w, h, a)
             except ValueError as e:
                 _fail(path, lineno, str(e))
+            if (frame, track_id) in first_line:
+                _fail(
+                    path,
+                    lineno,
+                    f"duplicate (frame, id) pair: ({frame}, {track_id}), "
+                    f"first on line {first_line[frame, track_id]}",
+                )
+            first_line[frame, track_id] = lineno
             score = values[14] if len(values) == 15 else None
-            records.append(LabelRecord(frame, track_id, tokens[2], box, score))
+            records.append((frame, track_id, tokens[2], box, score))
     return records

@@ -160,6 +160,38 @@ class TestEval:
         assert code == 0, err
         assert "100.00%" in out
 
+    def test_kitti_named_labels_beside_detections(self, tmp_path, capsys):
+        """Labels named ``<seq>.txt`` next to ``<seq>.dets.txt``, the layout
+        ``track`` reads: the detection file is not taken for a sequence."""
+        seqs = tmp_path / "seqs"
+        simulate(capsys, seqs, name="0000")
+        (seqs / "0000.labels.txt").rename(seqs / "0000.txt")
+        code, _, err = run(
+            capsys, "track", "--input-dir", str(seqs), "--output-dir", str(tmp_path / "out")
+        )
+        assert code == 0, err
+        report = tmp_path / "report.json"
+        code, _, err = run(
+            capsys, "eval", "--results-dir", str(tmp_path / "out"),
+            "--labels-dir", str(seqs), "--json-out", str(report),
+        )
+        assert code == 0, err
+        assert sorted(json.loads(report.read_text())) == ["0000", "OVERALL"]
+        assert json.loads(report.read_text())["0000"]["MOTA"] == 1.0
+
+    def test_repeated_result_row_rejected(self, tmp_path, capsys):
+        simulate(capsys, tmp_path / "seqs", name="seq0")
+        first = (tmp_path / "seqs" / "seq0.labels.txt").read_text().splitlines()[0]
+        results = tmp_path / "results"
+        results.mkdir()
+        (results / "seq0.txt").write_text(f"{first}\n{first}\n")
+        code, _, err = run(
+            capsys, "eval", "--results-dir", str(results),
+            "--labels-dir", str(tmp_path / "seqs"),
+        )
+        assert code == 1
+        assert "seq0.txt:2: duplicate (frame, id) pair: (0, 0), first on line 1" in err
+
     def test_missing_sequence_listed(self, tmp_path, capsys):
         simulate(capsys, tmp_path / "seqs", name="seq0")
         simulate(capsys, tmp_path / "seqs", name="seq1", seed=1)

@@ -16,7 +16,12 @@ from mipmot.evaluation import (
     match_frame,
 )
 from mipmot import geometry
-from mipmot.geometry import Box3D
+from mipmot.cli import labels_to_frames
+from mipmot.geometry import Box3D, bev_iou_matrix
+from mipmot.io_formats import read_kitti_labels, write_kitti_labels, write_kitti_tracking
+from mipmot.simgen import generate, scenario_template
+from mipmot.tracker import run_sequence
+from tables import rows
 
 
 def box(x, y, l=4.0, w=2.0, a=0.0):
@@ -36,39 +41,54 @@ def as_frames(per_id):
     return frames
 
 
+def evaluate(gt, hyp, iou_threshold=0.5):
+    """evaluate_sequence of {frame: {id: box}} on both sides."""
+    gt_rows = {frame: rows(boxes) for frame, boxes in gt.items()}
+    hyp_rows = {frame: rows(boxes) for frame, boxes in hyp.items()}
+    return evaluate_sequence(gt_rows, hyp_rows, iou_threshold)
+
+
+def match(gt_boxes, hyp_boxes, prev, iou_threshold=0.5):
+    """match_frame of {id: box} on both sides, given the IoU matrix the
+    evaluator computes."""
+    gt, hyp = rows(gt_boxes), rows(hyp_boxes)
+    iou = bev_iou_matrix(gt["box"], hyp["box"])
+    return match_frame(gt["id"].tolist(), hyp["id"].tolist(), iou, prev, iou_threshold)
+
+
 class TestMatchFrame:
     def test_identity(self):
         gt = {0: box(0, 0), 1: box(20, 0)}
-        corr = match_frame(gt, dict(gt), {})
+        corr = match(gt, dict(gt), {})
         assert corr == {0: 0, 1: 1}
 
     def test_below_threshold_rejected(self):
         gt = {0: box(0, 0)}
         hyp = {5: box(3.0, 0)}  # IoU 1/7 on a 4m box
-        assert match_frame(gt, hyp, {}) == {}
+        assert match(gt, hyp, {}) == {}
 
     def test_threshold_is_strict(self):
         # 3m boxes shifted by 1m overlap 2/3 of their area: IoU is
         # exactly 0.5 in float arithmetic and must be rejected.
         gt = {0: box(0, 0, l=3.0)}
         hyp = {1: box(1.0, 0, l=3.0)}
-        assert match_frame(gt, hyp, {}) == {}
+        assert match(gt, hyp, {}) == {}
         barely = {1: box(0.999, 0, l=3.0)}
-        assert match_frame(gt, barely, {}) == {0: 1}
+        assert match(gt, barely, {}) == {0: 1}
 
     def test_previous_correspondence_survives(self):
         # both pairings are valid; the established one must be kept even
         # though the crossed pairing has larger total IoU
         gt = {0: box(0.0, 0), 1: box(1.2, 0)}
         hyp = {10: box(0.4, 0), 11: box(0.8, 0)}
-        fresh = match_frame(gt, hyp, {})
+        fresh = match(gt, hyp, {})
         assert fresh == {0: 10, 1: 11}
-        kept = match_frame(gt, hyp, {0: 11, 1: 10})
+        kept = match(gt, hyp, {0: 11, 1: 10})
         assert kept == {0: 11, 1: 10}
 
     def test_empty_sides(self):
-        assert match_frame({}, {0: box(0, 0)}, {}) == {}
-        assert match_frame({0: box(0, 0)}, {}, {}) == {}
+        assert match({}, {0: box(0, 0)}, {}) == {}
+        assert match({0: box(0, 0)}, {}, {}) == {}
 
 
 def oracle_match_frame(gt_boxes, hyp_boxes, prev, iou_threshold=0.5):
@@ -121,7 +141,7 @@ class TestMatchFrameOracle:
     def test_same_mapping_as_scalar_iou_loop(self, frame, threshold):
         gt, hyp, prev = frame
         expected = oracle_match_frame(gt, hyp, prev, threshold)
-        assert match_frame(gt, hyp, prev, threshold) == expected
+        assert match(gt, hyp, prev, threshold) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(frames(), st.sampled_from([0.1, 0.5, 0.7]))
@@ -130,7 +150,7 @@ class TestMatchFrameOracle:
         expected = oracle_match_frame(gt, hyp, prev, threshold)
         # the k-d tree query at every size, not only beyond the size where it pays off
         with mock.patch.object(geometry, "_TREE_MIN_PAIRS", 0):
-            assert match_frame(gt, hyp, prev, threshold) == expected
+            assert match(gt, hyp, prev, threshold) == expected
 
     @pytest.mark.parametrize("scene", ["far", "empty gt", "empty hyp", "coincident"])
     def test_tree_query_scenes(self, scene):
@@ -145,7 +165,7 @@ class TestMatchFrameOracle:
         else:
             hyp = {10 + g: box(b.x, b.y, l=2.5, w=3.0, a=1.0) for g, b in gt.items()}
         with mock.patch.object(geometry, "_TREE_MIN_PAIRS", 0):
-            got = match_frame(gt, hyp, {}, 0.1)
+            got = match(gt, hyp, {}, 0.1)
         assert got == oracle_match_frame(gt, hyp, {}, 0.1)
         assert len(got) == {"far": 0, "empty gt": 0, "empty hyp": 0, "coincident": 5}[scene]
 
@@ -155,7 +175,7 @@ class TestMatchFrameOracle:
         acc = Accumulator()
         prev, iou_sum = {}, 0.0
         for gt, hyp, _ in sequence:
-            acc.update(gt, hyp)
+            acc.update(rows(gt), rows(hyp))
             prev = oracle_match_frame(gt, hyp, prev)
             for g, h in prev.items():
                 iou_sum += oracle_bev_iou(gt[g], hyp[h])
@@ -207,7 +227,7 @@ class TestClearMotOracle:
             expected = clearmot_oracle.evaluate(gt_frames, hyp_frames, threshold)
         except clearmot_oracle.TiedMatching:
             assume(False)
-        got = evaluate_sequence(gt_frames, hyp_frames, threshold).as_dict()
+        got = evaluate(gt_frames, hyp_frames, threshold).as_dict()
         assert got.pop("MOTP") == pytest.approx(expected.pop("MOTP"), rel=1e-12)
         assert {k: got[k] for k in expected} == expected
 
@@ -215,7 +235,7 @@ class TestClearMotOracle:
 class TestAccumulate:
     def test_perfect_tracking(self):
         gt = as_frames({0: straight_run(10), 1: straight_run(10, y=10.0)})
-        rep = evaluate_sequence(gt, gt)
+        rep = evaluate(gt, gt)
         assert rep.mota == 1.0
         assert rep.motp == pytest.approx(1.0)
         assert (rep.fp, rep.fn, rep.idsw, rep.frag) == (0, 0, 0, 0)
@@ -223,14 +243,14 @@ class TestAccumulate:
 
     def test_missing_hypothesis_counts_fn(self):
         gt = as_frames({0: straight_run(5)})
-        rep = evaluate_sequence(gt, {})
+        rep = evaluate(gt, {})
         assert rep.fn == 5
         assert rep.mota == pytest.approx(0.0)
 
     def test_extra_hypothesis_counts_fp(self):
         gt = as_frames({0: straight_run(5)})
         hyp = as_frames({0: straight_run(5), 99: straight_run(5, y=50.0)})
-        rep = evaluate_sequence(gt, hyp)
+        rep = evaluate(gt, hyp)
         assert rep.fp == 5
         assert rep.mota == pytest.approx(0.0)
 
@@ -239,7 +259,7 @@ class TestAccumulate:
         first = {f: b for f, b in straight_run(5).items()}
         second = {f: b for f, b in straight_run(10).items() if f >= 5}
         hyp = as_frames({1: first, 2: second})
-        rep = evaluate_sequence(gt, hyp)
+        rep = evaluate(gt, hyp)
         assert rep.idsw == 1
         assert rep.fn == 0
 
@@ -251,7 +271,7 @@ class TestAccumulate:
                 2: {f: b for f, b in straight_run(10).items() if f >= 6},
             }
         )
-        rep = evaluate_sequence(gt, hyp)
+        rep = evaluate(gt, hyp)
         assert rep.idsw == 1  # counted against the most recent match
         assert rep.frag == 1
 
@@ -259,7 +279,7 @@ class TestAccumulate:
         traj = straight_run(10)
         gt = as_frames({0: traj})
         hyp = as_frames({7: {f: b for f, b in traj.items() if f not in (4, 5)}})
-        rep = evaluate_sequence(gt, hyp)
+        rep = evaluate(gt, hyp)
         assert rep.frag == 1
         assert rep.idsw == 0
         assert rep.fn == 2
@@ -278,11 +298,11 @@ class TestAccumulate:
                 for i in range(4)
             }
         )
-        base = evaluate_sequence(gt, hyp)
+        base = evaluate(gt, hyp)
         relabeled = {
             f: {tid + 777: b for tid, b in frame.items()} for f, frame in hyp.items()
         }
-        again = evaluate_sequence(gt, relabeled)
+        again = evaluate(gt, relabeled)
         assert base.as_dict() == again.as_dict()
 
     def test_mt_pt_ml_partition(self):
@@ -300,7 +320,7 @@ class TestAccumulate:
                 2: {f: b for f, b in straight_run(10, y=40.0).items() if f < 1},
             }
         )
-        rep = evaluate_sequence(gt, hyp)
+        rep = evaluate(gt, hyp)
         assert rep.mt == pytest.approx(1 / 3)
         assert rep.pt == pytest.approx(1 / 3)
         assert rep.ml == pytest.approx(1 / 3)
@@ -309,17 +329,17 @@ class TestAccumulate:
     def test_fp_injection_never_raises_mota(self):
         rng = np.random.default_rng(97)
         gt = as_frames({0: straight_run(20), 1: straight_run(20, y=15.0)})
-        clean = evaluate_sequence(gt, gt)
+        clean = evaluate(gt, gt)
         noisy = {}
         for i, (f, frame) in enumerate(gt.items()):
             extended = dict(frame)
             extended[500 + i] = box(rng.uniform(50, 90), rng.uniform(-40, 40))
             noisy[f] = extended
-        rep = evaluate_sequence(gt, noisy)
+        rep = evaluate(gt, noisy)
         assert rep.mota <= clean.mota
 
     def test_zero_gt_flagged(self):
-        rep = evaluate_sequence({}, as_frames({1: straight_run(3)}))
+        rep = evaluate({}, as_frames({1: straight_run(3)}))
         assert not rep.mota_defined
         assert rep.mota == 1.0
         assert rep.fp == 3
@@ -337,7 +357,7 @@ class TestAccumulate:
                 f: b for f, b in straight_run(30, y=y).items() if f not in drop
             }
             interrupted += 1
-        rep = evaluate_sequence(gt, as_frames(hyp_trajs))
+        rep = evaluate(gt, as_frames(hyp_trajs))
         assert rep.frag >= interrupted
 
 
@@ -345,8 +365,8 @@ class TestAggregate:
     def test_counts_pool(self):
         gt1 = as_frames({0: straight_run(10)})
         gt2 = as_frames({0: straight_run(6, y=30.0)})
-        r1 = evaluate_sequence(gt1, gt1)
-        r2 = evaluate_sequence(gt2, {})
+        r1 = evaluate(gt1, gt1)
+        r2 = evaluate(gt2, {})
         agg = aggregate_reports([r1, r2])
         assert agg.num_gt_boxes == 16
         assert agg.fn == 6
@@ -356,7 +376,7 @@ class TestAggregate:
 
     def test_table_formatting(self):
         gt = as_frames({0: straight_run(4)})
-        rep = evaluate_sequence(gt, gt)
+        rep = evaluate(gt, gt)
         table = format_report_table({"seq0": rep})
         assert "MOTA" in table and "seq0" in table and "100.00%" in table
 
@@ -367,5 +387,33 @@ class TestAccumulatorStreaming:
         hyp = as_frames({5: straight_run(8), 6: straight_run(8, y=9.0)})
         acc = Accumulator()
         for frame in sorted(gt):
-            acc.update(gt[frame], hyp.get(frame, {}))
-        assert acc.report().as_dict() == evaluate_sequence(gt, hyp).as_dict()
+            acc.update(rows(gt[frame]), rows(hyp.get(frame, {})))
+        assert acc.report().as_dict() == evaluate(gt, hyp).as_dict()
+
+
+class TestRowsFromFileToScore:
+    def test_no_box_built_from_file_to_score(self, tmp_path, monkeypatch):
+        """Reading a label and a result file, grouping their rows by frame
+        and scoring them builds no Box3D: the boxes stay arrays."""
+        labels, detections = generate(scenario_template("clutter", seed=0))
+        by_frame = {}
+        for d in detections:
+            by_frame.setdefault(d.frame, []).append(d)
+        write_kitti_labels(labels, tmp_path / "labels.txt")
+        write_kitti_tracking(run_sequence(by_frame), tmp_path / "results.txt")
+
+        built = []
+        init = Box3D.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Box3D, "__init__", counted)
+        gt = labels_to_frames(read_kitti_labels(tmp_path / "labels.txt"))
+        hyp = labels_to_frames(read_kitti_labels(tmp_path / "results.txt"))
+        report = evaluate_sequence(gt, hyp)
+        assert built == []
+        assert report.num_gt_boxes == len(labels) and report.tp > 0
+        box(0, 0)  # the count sees a box that is built
+        assert len(built) == 1

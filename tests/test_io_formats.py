@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 import io_oracle
 from mipmot import io_formats
+from mipmot.cli import labels_to_frames
 from mipmot.geometry import Box3D
 from mipmot.io_formats import (
     Detection,
     DetectionBatch,
     FormatError,
-    LabelRecord,
+    object_table,
     read_detections,
     read_kitti_labels,
     write_detections,
@@ -22,6 +23,7 @@ from mipmot.io_formats import (
     write_kitti_tracking,
 )
 from mipmot.tracker import FrameResult
+from tables import rows
 
 
 def random_detection(rng, frame) -> Detection:
@@ -247,9 +249,27 @@ def detection_fields(det: Detection, rounded) -> tuple:
     )
 
 
+def table_records(table) -> list[tuple]:
+    """The (frame, id, type, box values, score or None) of each row of a
+    label table, as Python values."""
+    columns = (table[name].tolist() for name in ("frame", "id", "type", "box", "score"))
+    return [
+        (frame, track_id, object_type, box, None if math.isnan(score) else score)
+        for frame, track_id, object_type, box, score in zip(*columns)
+    ]
+
+
+def label_table(records) -> np.recarray:
+    """The label table of (frame, id, type, Box3D, score or None) records."""
+    frames, ids, types, boxes, scores = zip(*records) if records else [()] * 5
+    boxes = [b.to_array() for b in boxes]
+    return object_table(frames, ids, types, boxes, [np.nan if s is None else s for s in scores])
+
+
 def read_back(path) -> list[tuple]:
     return [
-        (r.frame, r.track_id, r.object_type, r.box, r.score) for r in read_kitti_labels(path)
+        (frame, track_id, object_type, Box3D(*box), score)
+        for frame, track_id, object_type, box, score in table_records(read_kitti_labels(path))
     ]
 
 
@@ -290,21 +310,25 @@ class TestKittiFiles:
     def test_result_file_round_trip(self, tmp_path_factory, frames, object_type):
         path = tmp_path_factory.mktemp("kitti") / "res.txt"
         results = [
-            FrameResult(frame=f, tracks=[(i, box, score) for i, (box, score) in tracks.items()])
+            FrameResult(
+                frame=f,
+                tracks=rows(
+                    {i: box for i, (box, _) in tracks.items()}, [s for _, s in tracks.values()]
+                ),
+            )
             for f, tracks in frames.items()
         ]
         write_kitti_tracking(results, path, object_type=object_type)
         assert read_back(path) == [
-            (r.frame, i, object_type, as_written(box), float(f"{score:.6f}"))
-            for r in results
-            for i, box, score in r.tracks
+            (f, i, object_type, as_written(box), float(f"{score:.6f}"))
+            for f, tracks in frames.items()
+            for i, (box, score) in tracks.items()
         ]
 
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(
-            st.builds(
-                LabelRecord,
+            st.tuples(
                 st.integers(0, 10**6),
                 st.integers(0, 10**6),
                 OBJECT_TYPES,
@@ -312,25 +336,20 @@ class TestKittiFiles:
                 st.none() | UNIT,
             ),
             max_size=8,
+            unique_by=lambda record: record[:2],  # a (frame, id) pair appears once
         )
     )
     def test_label_file_round_trip(self, tmp_path_factory, records):
         path = tmp_path_factory.mktemp("kitti") / "labels.txt"
-        write_kitti_labels(records, path)
+        write_kitti_labels(label_table(records), path)
         assert read_back(path) == [
-            (
-                r.frame,
-                r.track_id,
-                r.object_type,
-                as_written(r.box),
-                None if r.score is None else float(f"{r.score:.6f}"),
-            )
-            for r in records
+            (frame, i, object_type, as_written(box), None if s is None else float(f"{s:.6f}"))
+            for frame, i, object_type, box, s in records
         ]
 
     def test_write_one_line_17_fields(self, tmp_path):
         path = tmp_path / "res.txt"
-        result = FrameResult(frame=0, tracks=[(1, Box3D(1, 2, 3, 4, 2, 1.5, 0.1), 0.9)])
+        result = FrameResult(frame=0, tracks=rows({1: Box3D(1, 2, 3, 4, 2, 1.5, 0.1)}, [0.9]))
         write_kitti_tracking([result], path)
         lines = path.read_text().splitlines()
         assert len(lines) == 1
@@ -345,7 +364,8 @@ class TestKittiFiles:
 
     def test_duplicate_frame_id_rejected(self, tmp_path):
         box = Box3D(0, 0, 0, 1, 1, 1, 0)
-        result = FrameResult(frame=0, tracks=[(1, box, 0.9), (1, box, 0.8)])
+        tracks = np.concatenate([rows({1: box}, [0.9]), rows({1: box}, [0.8])])
+        result = FrameResult(frame=0, tracks=tracks)
         with pytest.raises(ValueError, match="duplicate"):
             write_kitti_tracking([result], tmp_path / "res.txt")
 
@@ -353,32 +373,46 @@ class TestKittiFiles:
         path = tmp_path / "res.txt"
         box = Box3D(1.25, -3.5, 0.75, 4.1, 1.9, 1.6, -0.7)
         results = [
-            FrameResult(frame=0, tracks=[(3, box, 0.95)]),
-            FrameResult(frame=1, tracks=[(3, box, 0.94), (5, box, 0.75)]),
+            FrameResult(frame=0, tracks=rows({3: box}, [0.95])),
+            FrameResult(frame=1, tracks=rows({3: box, 5: box}, [0.94, 0.75])),
         ]
         write_kitti_tracking(results, path)
-        records = read_kitti_labels(path)
-        assert [(r.frame, r.track_id) for r in records] == [(0, 3), (1, 3), (1, 5)]
-        np.testing.assert_allclose(records[0].box.to_array(), box.to_array(), atol=1e-6)
-        assert records[0].score == pytest.approx(0.95, abs=1e-6)
+        table = read_kitti_labels(path)
+        assert list(zip(table["frame"].tolist(), table["id"].tolist())) == [(0, 3), (1, 3), (1, 5)]
+        np.testing.assert_allclose(table["box"][0], box.to_array(), atol=1e-6)
+        assert table["score"][0] == pytest.approx(0.95, abs=1e-6)
 
     def test_labels_round_trip(self, tmp_path):
         path = tmp_path / "labels.txt"
         records = [
-            LabelRecord(0, 0, "Car", Box3D(1, 2, 0.75, 4, 2, 1.5, 0.3)),
-            LabelRecord(0, 1, "Car", Box3D(-5, 2, 0.75, 4, 2, 1.5, -0.3)),
-            LabelRecord(1, 0, "Car", Box3D(1.5, 2, 0.75, 4, 2, 1.5, 0.3)),
+            (0, 0, "Car", Box3D(1, 2, 0.75, 4, 2, 1.5, 0.3), None),
+            (0, 1, "Car", Box3D(-5, 2, 0.75, 4, 2, 1.5, -0.3), None),
+            (1, 0, "Car", Box3D(1.5, 2, 0.75, 4, 2, 1.5, 0.3), None),
         ]
-        write_kitti_labels(records, path)
-        parsed = read_kitti_labels(path)
+        write_kitti_labels(label_table(records), path)
+        parsed = table_records(read_kitti_labels(path))
         assert len(parsed) == 3
         for a, b in zip(records, parsed):
-            assert (a.frame, a.track_id, a.object_type) == (
-                b.frame,
-                b.track_id,
-                b.object_type,
-            )
-            np.testing.assert_allclose(a.box.to_array(), b.box.to_array(), atol=1e-6)
+            assert a[:3] == b[:3] and b[4] is None
+            np.testing.assert_allclose(a[3].to_array(), b[3], atol=1e-6)
+
+    def test_table_grouped_by_frame(self, tmp_path):
+        """labels_to_frames gives ascending frames and the file order within
+        a frame, whether or not the file is in frame order."""
+        rng = np.random.default_rng(5)
+        frames = rng.integers(0, 4, 200)
+        row = "%d %d Car 0 0 -10 -1 -1 -1 -1 1.5 1.8 4.0 %d 2 0.75 0.1\n"
+        path = tmp_path / "labels.txt"
+        path.write_text("".join(row % (f, 1000 - i, i) for i, f in enumerate(frames.tolist())))
+        table = read_kitti_labels(path)
+        grouped = labels_to_frames(table)
+        assert list(grouped) == [0, 1, 2, 3]
+        for frame, rows in grouped.items():
+            lines = np.flatnonzero(frames == frame)
+            assert rows["id"].tolist() == (1000 - lines).tolist()
+            np.testing.assert_array_equal(rows["box"][:, 0], lines)
+        in_order = labels_to_frames(table[np.argsort(frames, kind="stable")])
+        assert all(in_order[f].tobytes() == grouped[f].tobytes() for f in grouped)
 
     def test_negative_ids_skipped_by_default(self, tmp_path):
         path = tmp_path / "labels.txt"
@@ -386,8 +420,7 @@ class TestKittiFiles:
             "0 -1 DontCare 0 0 -10 -1 -1 -1 -1 1 1 1 0 0 0 0\n"
             "0 2 Car 0 0 -10 -1 -1 -1 -1 1.5 1.8 4.0 1 2 0.75 0.1\n"
         )
-        records = read_kitti_labels(path)
-        assert [r.track_id for r in records] == [2]
+        assert read_kitti_labels(path)["id"].tolist() == [2]
 
     def test_type_filter(self, tmp_path):
         path = tmp_path / "labels.txt"
@@ -395,8 +428,7 @@ class TestKittiFiles:
             "0 1 Pedestrian 0 0 -10 -1 -1 -1 -1 1.8 0.6 0.8 1 2 0.9 0.0\n"
             "0 2 Car 0 0 -10 -1 -1 -1 -1 1.5 1.8 4.0 1 2 0.75 0.1\n"
         )
-        records = read_kitti_labels(path, keep_types={"Car"})
-        assert [r.object_type for r in records] == ["Car"]
+        assert read_kitti_labels(path, keep_types={"Car"})["type"].tolist() == ["Car"]
 
     def test_bad_field_count(self, tmp_path):
         path = tmp_path / "labels.txt"
@@ -743,6 +775,7 @@ class TestBulkReading:
     def test_label_faults_in_file_order(self, tmp_path, chunk):
         good = "0 1 Car 0 0 -10 -1 -1 -1 -1 1.5 1.8 4.0 1 2 0.75 0.1"
         negative = "0 1 Car 0 0 -10 -1 -1 -1 -1 1.5 -1.8 4.0 1 2 0.75 0.1"
+        other_frame = good.replace("0 1 Car", "1 1 Car")
         cases = [
             ([good, negative, "0 1 Car"], ":2: Box3D extents must be nonnegative, got l=4.0"),
             ([good, "0 1 Car", negative], ":2: expected 17 or 18 fields, got 3"),
@@ -750,6 +783,17 @@ class TestBulkReading:
             ([good, good.replace("-10", "ten")], ":2: not a number: 'ten'"),
             # a DontCare row is checked for numbers but not for extents
             ([negative.replace("0 1 Car", "0 -1 DontCare"), good.replace("-10", "nan")], ":2: non"),
+            # a kept row repeating an earlier kept row's (frame, id) pair
+            (
+                [good, good, "0 1 Car"],
+                r":2: duplicate \(frame, id\) pair: \(0, 1\), first on line 1",
+            ),
+            (
+                [good, other_frame, good.replace("0 1 Car", "0 2 Car"), other_frame, "0 1 Car"],
+                r":4: duplicate \(frame, id\) pair: \(1, 1\), first on line 2",
+            ),
+            ([good, other_frame, other_frame, negative], r":3: duplicate .* first on line 2"),
+            ([good, negative.replace("0 1", "0 2"), good], ":2: Box3D extents must be"),
         ]
         for lines, message in cases:
             path = tmp_path / "labels.txt"
@@ -758,11 +802,22 @@ class TestBulkReading:
                 with pytest.raises(FormatError, match=message):
                     read_kitti_labels(path)
 
+    def test_pairs_repeat_only_among_kept_rows(self, tmp_path):
+        good = "0 1 Car 0 0 -10 -1 -1 -1 -1 1.5 1.8 4.0 1 2 0.75 0.1"
+        dontcare = good.replace("0 1 Car", "0 -1 DontCare")
+        van = good.replace("Car", "Van")
+        path = tmp_path / "labels.txt"
+        path.write_text("\n".join([dontcare, dontcare, van, good, good.replace("0 1", "1 1")]))
+        assert read_kitti_labels(path, keep_types={"Car"})["id"].tolist() == [1, 1]
+        with pytest.raises(FormatError, match=":4: duplicate .* first on line 3"):
+            read_kitti_labels(path)
+
     def test_duplicate_pair_leaves_no_file(self, tmp_path):
         box = Box3D(0, 0, 0, 1, 1, 1, 0)
         path = tmp_path / "res.txt"
+        tracks = np.concatenate([rows({1: box}, [0.9]), rows({1: box}, [0.8])])
         with pytest.raises(ValueError, match="duplicate"):
-            write_kitti_tracking([FrameResult(0, [(1, box, 0.9), (1, box, 0.8)])], path)
+            write_kitti_tracking([FrameResult(0, tracks)], path)
         assert not path.exists()
 
 
@@ -774,17 +829,23 @@ LABEL_FAULTS = [
     "negative extent, DontCare",
     "16 fields",
     "bad id",
+    "duplicate",
 ]
 
 
 @st.composite
-def label_line(draw, fault=None):
-    """One line of a KITTI label file: a record of any id (a DontCare row
-    has a negative one, and may have negative extents), with a score or
-    not, its numbers in one of the ways a number is written; with
-    ``fault``, a line with that fault."""
-    track_id = draw(st.integers(-2, 20))
-    object_type = "DontCare" if track_id < 0 else draw(st.sampled_from(["Car", "Van"]))
+def label_line(draw, frame, fault=None):
+    """One line of a KITTI label file of the given frame: a record of any
+    id (a DontCare row has a negative one, and may have negative
+    extents), with a score or not, its numbers in one of the ways a
+    number is written; with ``fault``, a line with that fault. The
+    "duplicate" line is a kept record without a fault: the test repeats
+    it."""
+    if fault == "duplicate":  # a record every keep_types keeps
+        track_id, object_type = draw(st.integers(0, 20)), "Car"
+    else:
+        track_id = draw(st.integers(-2, 20))
+        object_type = "DontCare" if track_id < 0 else draw(st.sampled_from(["Car", "Van"]))
     values = draw(st.lists(st.floats(-1e3, 1e3), min_size=14, max_size=14))
     extents = st.floats(-50.0 if track_id < 0 else 0.0, 50.0)
     values[7:10] = draw(st.lists(extents, min_size=3, max_size=3))
@@ -806,7 +867,7 @@ def label_line(draw, fault=None):
         numbers[draw(st.integers(0, len(numbers) - 1))] = draw(st.sampled_from(spellings))
     elif fault is not None and fault.startswith("negative extent"):
         numbers[draw(st.integers(7, 9))] = "-1.5"
-    fields = [str(draw(st.integers(0, 50))), str(track_id), object_type, *numbers]
+    fields = [str(frame), str(track_id), object_type, *numbers]
     if fault == "16 fields":
         del fields[draw(st.integers(0, 15)) :]
         fields += ["0"] * (16 - len(fields))
@@ -822,15 +883,13 @@ def label_outcome(read, path, keep_types):
         records = read(path, keep_types=keep_types)
     except FormatError as e:
         return str(e)
+    if isinstance(records, np.ndarray):  # the package's table
+        records = table_records(records)
+    else:  # the reference's records, with a Box3D each
+        records = [(*r[:3], r[3].to_array().tolist(), r[4]) for r in records]
     return [
-        (
-            r.frame,
-            r.track_id,
-            r.object_type,
-            [v.hex() for v in r.box.to_array().tolist()],
-            None if r.score is None else r.score.hex(),
-        )
-        for r in records
+        (frame, track_id, object_type, [v.hex() for v in box], None if s is None else s.hex())
+        for frame, track_id, object_type, box, s in records
     ]
 
 
@@ -844,9 +903,18 @@ class TestLabelReaderOracle:
     @settings(max_examples=25, deadline=None)
     @given(st.data())
     def test_same_records_or_error(self, tmp_path_factory, chunk, fault, data):
-        lines = data.draw(st.lists(label_line() | st.sampled_from(["", "   "]), max_size=10))
-        target = data.draw(st.integers(0, len(lines)))
-        lines.insert(target, data.draw(label_line(fault)))
+        # Each line has its own frame, so that only the faulty line repeats
+        # a (frame, id) pair.
+        n = data.draw(st.integers(0, 10))
+        frame_numbers = st.lists(st.integers(0, 50), min_size=n + 1, max_size=n + 1, unique=True)
+        frames = data.draw(frame_numbers)
+        blank = st.sampled_from(["", "   "])
+        lines = [data.draw(label_line(frame) | blank) for frame in frames[:n]]
+        target = data.draw(st.integers(0, n))
+        lines.insert(target, data.draw(label_line(frames[n], fault)))
+        if fault == "duplicate":  # a copy of the line goes before it
+            lines.insert(data.draw(st.integers(0, target)), lines[target])
+            target += 1
         keep_types = data.draw(st.none() | st.just({"Car", "DontCare"}))
         path = tmp_path_factory.mktemp("labels") / "labels.txt"
         path.write_text("\n".join(lines) + "\n")
