@@ -166,9 +166,6 @@ def cmd_sweep(args) -> int:
     scenario = _scenario_from_args(args)
     labels, detections = simgen.generate(scenario)
     gt = labels_to_frames(labels)
-    dets_by_frame: dict[int, list] = {}
-    for det in detections:
-        dets_by_frame.setdefault(det.frame, []).append(det)
 
     with open(args.grid, "r", encoding="utf-8") as f:
         grid = json.load(f)
@@ -181,14 +178,14 @@ def cmd_sweep(args) -> int:
     configs = [base.override(**dict(zip(keys, combo))) for combo in combos]
     rows = []
     for combo, cfg in zip(combos, configs):
-        results = run_sequence(dets_by_frame, cfg, num_frames=scenario.num_frames)
+        results = run_sequence(detections, cfg, num_frames=scenario.num_frames)
         report = evaluation.evaluate_sequence(
             gt, results_to_frames(results), cfg.eval_iou_threshold
         )
         metrics = report.as_dict()
         # csv writes None as an empty cell; a null grid value reads "null"
-        labels = ["null" if v is None else v for v in combo]
-        rows.append(labels + [metrics[m.upper()] for m in SWEEP_METRICS])
+        cells = ["null" if v is None else v for v in combo]
+        rows.append(cells + [metrics[m.upper()] for m in SWEEP_METRICS])
 
     with open(args.output, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
@@ -233,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic sequence")
     group = p_sim.add_mutually_exclusive_group(required=True)
-    group.add_argument("--template", choices=["clean", "crossing", "clutter"])
+    group.add_argument("--template", choices=simgen.TEMPLATES)
     group.add_argument("--scenario", help="scenario config JSON file")
     p_sim.add_argument("--output-dir", required=True)
     p_sim.add_argument("--name")
@@ -243,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="grid-run track+eval on a scenario")
     p_sweep.add_argument("--config")
     group = p_sweep.add_mutually_exclusive_group(required=True)
-    group.add_argument("--template", choices=["clean", "crossing", "clutter"])
+    group.add_argument("--template", choices=simgen.TEMPLATES)
     group.add_argument("--scenario")
     p_sweep.add_argument("--grid", required=True, help="JSON {key: [values]}")
     p_sweep.add_argument("--output", required=True, help="metrics CSV path")

@@ -7,13 +7,16 @@ no score column, or a ``FrameResult.tracks``. The evaluator computes
 one BEV IoU matrix per frame from the boxes, in row order.
 
 Matching uses ground-plane rotated-rectangle IoU with a strict
-threshold (a pair counts only when IoU exceeds it). Correspondences
+threshold (a pair is allowed only when IoU exceeds it). Correspondences
 persist: a pairing from the previous frame is kept while it stays
-above the threshold, and only the remaining objects enter the
-maximum-total-IoU bipartite matching. Identity switches are counted
-against the most recent matched hypothesis of each ground-truth
-trajectory, fragmentations whenever a trajectory resumes being tracked
-after an interior gap.
+above the threshold. The remaining objects take, among their allowed
+pairs, the matching with the most pairs and, among those, the largest
+total IoU, the rule of the KITTI tracking devkit and py-motmetrics
+(Bernardin & Stiefelhagen 2008). Between matchings equal in both, the
+one ``scipy.optimize.linear_sum_assignment`` returns is taken.
+Identity switches are counted against the most recent matched
+hypothesis of each ground-truth trajectory, fragmentations whenever a
+trajectory resumes being tracked after an interior gap.
 """
 
 from __future__ import annotations
@@ -105,9 +108,11 @@ def match_frame(
 
     ``iou`` is the frame's BEV IoU matrix, ground truth ``gt_ids`` (rows)
     against hypotheses ``hyp_ids`` (columns). Surviving previous
-    pairings are kept when still above the threshold; everything else is
-    matched to maximize total IoU, with pairs at or below the threshold
-    rejected. Returns {gt_id: hyp_id}.
+    pairings are kept when still above the threshold. A pair at or below
+    the threshold is forbidden; the rest get the matching of the most
+    allowed pairs and then the largest total IoU. Ties between matchings
+    equal in both go to the one ``linear_sum_assignment`` returns.
+    Returns {gt_id: hyp_id}.
     """
     gt_row = {g: i for i, g in enumerate(gt_ids)}
     hyp_col = {h: j for j, h in enumerate(hyp_ids)}
@@ -123,9 +128,12 @@ def match_frame(
     free_hyp = [h for h in hyp_ids if h not in taken_hyps]
     if free_gt and free_hyp:
         free = iou[np.ix_([gt_row[g] for g in free_gt], [hyp_col[h] for h in free_hyp])]
-        rows, cols = linear_sum_assignment(free, maximize=True)
-        for i, j in zip(rows, cols):
-            if free[i, j] > iou_threshold:
+        allowed = free > iou_threshold
+        # An allowed pair costs 1 - IoU, at most 1; a forbidden one costs
+        # more than all the allowed pairs of an assignment together.
+        cost = np.where(allowed, 1.0 - free, min(free.shape) + 1.0)
+        for i, j in zip(*linear_sum_assignment(cost)):
+            if allowed[i, j]:
                 correspondence[free_gt[i]] = free_hyp[j]
     return correspondence
 

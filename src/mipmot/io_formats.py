@@ -20,13 +20,19 @@ are auto-detected from the first non-blank character:
   types: the frame is an integer, the box a list of 7 numbers, the
   scores and embedding entries numbers (a bool or string is rejected).
 
-``read_detections`` gives one ``DetectionBatch`` per frame: the frame's
-boxes, scores, start probabilities and embeddings as arrays, checked
-once. Each line is split into its fields as text; the numbers of a few
-thousand lines at a time are then read by one ``np.loadtxt`` call,
-which reads a number to the same bits as Python's ``float``, and
-checked as a table. A faulty file fails at its first faulty line, with
-the file and line number.
+A detection sequence has one form in memory, ``{frame:
+DetectionBatch}``: ascending frames, only the frames that have
+detections, each batch holding the frame's boxes, scores, start
+probabilities and embeddings as arrays, checked once, in file order.
+``read_detections`` gives it, as does ``simgen.generate``, and
+``write_detections`` writes it back, whole frames at a time, with 6
+decimals in text and 9 in JSON lines.
+
+``read_detections`` splits each line into its fields as text; the
+numbers of a few thousand lines at a time are then read by one
+``np.loadtxt`` call, which reads a number to the same bits as Python's
+``float``, and checked as a table. A faulty file fails at its first
+faulty line, with the file and line number.
 
 A structural fault (brackets, the number of fields, the frame token,
 the shape of a JSON record) fails as its line is split. A chunk of
@@ -529,34 +535,43 @@ def read_detections(path) -> dict[int, DetectionBatch]:
     return reader.batches()
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.6f}"
+# frame, the box and the score; a given start probability and embedding follow.
+_TEXT_ROW = "%d" + " %.6f" * 8
 
 
 def write_detections(detections, path, json_lines: bool = False) -> None:
-    """Write detection records; inverse of read_detections."""
-    with open(os.fspath(path), "w", encoding="utf-8") as f:
-        for det in detections:
+    """Write ``{frame: DetectionBatch}``, as ``read_detections`` gives it.
+
+    Frames are written in the dict's order, each batch's rows in their
+    order. Text lines hold 6 decimals, JSON lines 9 (``round``); a start
+    probability or embedding is written only where a detection has one.
+    """
+    lines = []
+    for batch in detections.values():
+        heads = np.column_stack([batch.boxes, batch.scores]).tolist()
+        embeddings = batch.embeddings
+        if embeddings is None:
+            embeddings = np.full((len(batch), 1), np.nan)
+        for head, p, e in zip(heads, batch.start_prob.tolist(), embeddings.tolist()):
+            # NaN marks a start probability or embedding the detection lacks
+            p, e = (None if math.isnan(p) else p), (None if math.isnan(e[0]) else e)
             if json_lines:
-                rec = {
-                    "frame": det.frame,
-                    "box": [round(v, 9) for v in det.box.to_array().tolist()],
-                    "score": round(det.score, 9),
-                }
-                if det.start_prob is not None:
-                    rec["start_prob"] = round(det.start_prob, 9)
-                if det.embedding is not None:
-                    rec["embedding"] = [round(v, 9) for v in det.embedding.tolist()]
-                f.write(json.dumps(rec, sort_keys=True) + "\n")
+                rec = {"frame": batch.frame, "box": [round(v, 9) for v in head[:7]]}
+                rec["score"] = round(head[7], 9)
+                if p is not None:
+                    rec["start_prob"] = round(p, 9)
+                if e is not None:
+                    rec["embedding"] = [round(v, 9) for v in e]
+                lines.append(json.dumps(rec, sort_keys=True))
             else:
-                fields = [str(det.frame)]
-                fields += [_fmt(v) for v in det.box.to_array()]
-                fields.append(_fmt(det.score))
-                if det.start_prob is not None:
-                    fields.append(_fmt(det.start_prob))
-                if det.embedding is not None:
-                    fields.append("[" + " ".join(_fmt(v) for v in det.embedding) + "]")
-                f.write(" ".join(fields) + "\n")
+                line = _TEXT_ROW % (batch.frame, *head)
+                if p is not None:
+                    line += " %.6f" % p
+                if e is not None:
+                    line += " [" + " ".join(["%.6f"] * len(e)) % tuple(e) + "]"
+                lines.append(line)
+    with open(os.fspath(path), "w", encoding="utf-8") as f:
+        f.write("".join(line + "\n" for line in lines))
 
 
 def _first_repeat(frames: np.ndarray, ids: np.ndarray) -> int | None:

@@ -6,6 +6,12 @@ inside per-object occlusion windows, mixed with Poisson-count false
 positives carrying low confidences. Embeddings are drawn around one
 mean vector per identity (or per group, to model lookalike objects).
 
+``generate`` gives the data in the forms the readers give: the labels
+as one table, as ``io_formats.read_kitti_labels`` gives it, and the
+detections as ``{frame: DetectionBatch}``, as
+``io_formats.read_detections`` gives them. It builds one batch per frame
+and no object per detection.
+
 All randomness comes from an explicitly specified generator so the
 same config reproduces byte-identical files anywhere; see SplitMix64.
 """
@@ -17,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Box3D, wrap_angle
-from .io_formats import Detection, object_table
+from .geometry import wrap_angle
+from .io_formats import DetectionBatch, object_table
 
 _MASK64 = (1 << 64) - 1
 
@@ -139,11 +145,15 @@ def _occluded(cfg: ScenarioConfig, obj: int, frame: int) -> bool:
     return False
 
 
-def generate(cfg: ScenarioConfig) -> tuple[np.recarray, list[Detection]]:
-    """Produce ground-truth labels and detection records for a scenario.
+def generate(cfg: ScenarioConfig) -> tuple[np.recarray, dict[int, DetectionBatch]]:
+    """Produce ground-truth labels and detections for a scenario.
 
     The labels are one table, as ``io_formats.read_kitti_labels`` gives
-    it: frame, type, id (the object's index), box and a NaN score.
+    it: frame, type, id (the object's index), box and a NaN score. The
+    detections are ``{frame: DetectionBatch}``, as
+    ``io_formats.read_detections`` gives them: ascending frames, only
+    the frames with detections, the objects' detections in object order
+    and then the false positives.
     """
     rng = SplitMix64(cfg.seed)
     half = 0.4 * cfg.extent  # spawn inside 80% of the world
@@ -180,8 +190,9 @@ def generate(cfg: ScenarioConfig) -> tuple[np.recarray, list[Detection]]:
     ]
 
     label_boxes: list[tuple] = []  # every object in every frame, frame by frame
-    detections: list[Detection] = []
+    detections: dict[int, DetectionBatch] = {}
     for frame in range(cfg.num_frames):
+        boxes, scores, embeddings = [], [], []
         for i, state in enumerate(states):
             x, y, speed, angle = state
             heading = wrap_angle(angle)
@@ -192,7 +203,7 @@ def generate(cfg: ScenarioConfig) -> tuple[np.recarray, list[Detection]]:
 
             if _occluded(cfg, i, frame):
                 continue
-            det_box = Box3D(
+            boxes.append((
                 x + rng.normal(0.0, cfg.pos_noise) if cfg.pos_noise else x,
                 y + rng.normal(0.0, cfg.pos_noise) if cfg.pos_noise else y,
                 z0 + rng.normal(0.0, cfg.pos_noise) if cfg.pos_noise else z0,
@@ -200,18 +211,17 @@ def generate(cfg: ScenarioConfig) -> tuple[np.recarray, list[Detection]]:
                 cfg.box_w,
                 cfg.box_h,
                 heading,
-            )
-            score = (
+            ))
+            scores.append(
                 _clip01(rng.normal(cfg.tp_score_mean, cfg.tp_score_sigma))
                 if cfg.tp_score_sigma
                 else _clip01(cfg.tp_score_mean)
             )
-            embedding = None
             if cfg.embedding_dim > 0:
-                embedding = means[i] + np.array(
-                    [rng.normal(0.0, cfg.embedding_noise) for _ in range(cfg.embedding_dim)]
+                embeddings.append(
+                    means[i]
+                    + [rng.normal(0.0, cfg.embedding_noise) for _ in range(cfg.embedding_dim)]
                 )
-            detections.append(Detection(frame, det_box, score, embedding))
 
         for _ in range(rng.poisson(cfg.fp_rate)):
             if cfg.fp_near_sigma > 0.0 and states:
@@ -221,20 +231,15 @@ def generate(cfg: ScenarioConfig) -> tuple[np.recarray, list[Detection]]:
             else:
                 fx = rng.uniform(-0.5 * cfg.extent, 0.5 * cfg.extent)
                 fy = rng.uniform(-0.5 * cfg.extent, 0.5 * cfg.extent)
-            fp_box = Box3D(
-                fx,
-                fy,
-                z0,
-                cfg.box_l,
-                cfg.box_w,
-                cfg.box_h,
-                rng.uniform(-math.pi, math.pi),
-            )
-            score = _clip01(rng.uniform(cfg.fp_score_low, cfg.fp_score_high))
-            embedding = None
+            # the batch wraps this heading
+            heading = rng.uniform(-math.pi, math.pi)
+            boxes.append((fx, fy, z0, cfg.box_l, cfg.box_w, cfg.box_h, heading))
+            scores.append(_clip01(rng.uniform(cfg.fp_score_low, cfg.fp_score_high)))
             if cfg.embedding_dim > 0:
-                embedding = np.array([rng.normal() for _ in range(cfg.embedding_dim)])
-            detections.append(Detection(frame, fp_box, score, embedding))
+                embeddings.append([rng.normal() for _ in range(cfg.embedding_dim)])
+
+        if boxes:
+            detections[frame] = DetectionBatch(frame, boxes, scores, embeddings=embeddings or None)
 
     n = len(label_boxes)
     frames = np.repeat(np.arange(cfg.num_frames), len(states))
@@ -260,13 +265,19 @@ def crossing_objects(
     return specs
 
 
+# The names ``scenario_template`` takes.
+TEMPLATES = ("clean", "crossing", "clutter")
+
+
 def scenario_template(name: str, seed: int = 0) -> ScenarioConfig:
-    """Named scenarios used by the experiment harness.
+    """Named scenarios used by the experiment harness (``TEMPLATES``).
 
     clean     ideal detections, for sanity checks
     crossing  lookalike pairs with head-on crossings and occlusions
-    clutter   noisy confidences plus uniform false positives
+    clutter   noisy confidences plus near-object false positives
     """
+    if name not in TEMPLATES:
+        raise ValueError(f"unknown scenario template: {name!r}")
     if name == "clean":
         return ScenarioConfig(num_objects=10, num_frames=100, seed=seed)
     if name == "crossing":
@@ -283,23 +294,21 @@ def scenario_template(name: str, seed: int = 0) -> ScenarioConfig:
             pos_noise=0.05,
             seed=seed,
         )
-    if name == "clutter":
-        # Ghost detections near objects plus short per-object dropouts:
-        # an associator that trusts every input is forced into bad
-        # matches exactly when the true detection is missing.
-        occlusions = [(i, 18 + 5 * i, 2) for i in range(8)]
-        return ScenarioConfig(
-            num_objects=8,
-            num_frames=80,
-            extent=60.0,
-            fp_rate=2.0,
-            fp_near_sigma=2.0,
-            occlusions=occlusions,
-            pos_noise=0.1,
-            tp_score_mean=0.97,
-            tp_score_sigma=0.015,
-            fp_score_low=0.86,
-            fp_score_high=0.99,
-            seed=seed,
-        )
-    raise ValueError(f"unknown scenario template: {name!r}")
+    # clutter: ghost detections near objects plus short per-object
+    # dropouts. An associator that trusts every input is forced into bad
+    # matches exactly when the true detection is missing.
+    occlusions = [(i, 18 + 5 * i, 2) for i in range(8)]
+    return ScenarioConfig(
+        num_objects=8,
+        num_frames=80,
+        extent=60.0,
+        fp_rate=2.0,
+        fp_near_sigma=2.0,
+        occlusions=occlusions,
+        pos_noise=0.1,
+        tp_score_mean=0.97,
+        tp_score_sigma=0.015,
+        fp_score_low=0.86,
+        fp_score_high=0.99,
+        seed=seed,
+    )

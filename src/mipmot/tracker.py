@@ -232,9 +232,10 @@ def run_sequence(
 ) -> list[FrameResult]:
     """Track a whole sequence; frames absent from the input are empty.
 
-    ``detections_by_frame`` maps a frame to its ``DetectionBatch`` or
-    list of ``Detection``s. Frames run from 0 through the last frame
-    present (or num_frames).
+    ``detections_by_frame`` is ``{frame: DetectionBatch}``, as
+    ``read_detections`` and ``simgen.generate`` give it; a frame may
+    also map to a hand-built list of ``Detection``s. Frames run from 0
+    through the last frame present (or num_frames).
     """
     tracker = Tracker(config)
     if num_frames is None:

@@ -8,10 +8,11 @@ rule and strict threshold). Frame by frame, in ascending order:
 * a ground-truth box and a hypothesis pair only when their ground-plane
   IoU exceeds the threshold;
 * a pairing of the previous frame is kept while it stays above it;
-* the remaining ground truth and hypotheses take the assignment with
-  the largest total IoU among all assignments of as many pairs as the
-  smaller side holds (found here by trying every one), and its pairs at
-  or below the threshold are dropped.
+* the remaining ground truth and hypotheses take, among all assignments
+  of as many pairs as the smaller side holds (found here by trying every
+  one), one that keeps the most pairs above the threshold and, among
+  those, the largest total IoU of the kept pairs; its pairs at or below
+  the threshold are dropped.
 
 Then, per ground-truth trajectory, over the frames where it is present:
 an identity switch is a match whose hypothesis differs from the one of
@@ -20,9 +21,10 @@ follows a frame where the trajectory, matched before, went unmatched.
 A trajectory matched in at least 80% of its frames is mostly tracked,
 in at most 20% mostly lost, and partly tracked otherwise.
 
-Tie rule: when two assignments of the largest total IoU (equal within
-1e-9) keep different pairs, the scipy solver and this enumeration may
-pick different ones; ``match_frame`` raises ``TiedMatching`` then.
+Tie rule: when two assignments that keep the most pairs, with the
+largest total IoU (equal within 1e-9), keep different pairs, the scipy
+solver and this enumeration may pick different ones; ``match_frame``
+raises ``TiedMatching`` then.
 """
 
 import itertools
@@ -36,7 +38,8 @@ ML_SHARE = 0.2
 
 
 class TiedMatching(Exception):
-    """Two assignments of the largest total IoU keep different pairs."""
+    """Two assignments of the most kept pairs and the largest total IoU
+    keep different pairs."""
 
 
 def bev_iou(b1, b2) -> float:
@@ -68,10 +71,11 @@ def match_frame(gt, hyp, prev, threshold) -> dict:
     scored = []
     for pairs in assignments(free_gt, free_hyp):
         ious = [bev_iou(gt[g], hyp[h]) for g, h in pairs]
-        kept = frozenset((g, h) for (g, h), iou in zip(pairs, ious) if iou > threshold)
-        scored.append((sum(ious), kept))
-    best = max(total for total, _ in scored)
-    kept_sets = {kept for total, kept in scored if total >= best - 1e-9}
+        kept = {(g, h): iou for (g, h), iou in zip(pairs, ious) if iou > threshold}
+        scored.append((len(kept), sum(kept.values()), frozenset(kept)))
+    most = max(count for count, _, _ in scored)
+    best = max(total for count, total, _ in scored if count == most)
+    kept_sets = {kept for count, total, kept in scored if count == most and total >= best - 1e-9}
     if len(kept_sets) > 1:
         raise TiedMatching
     corr.update(dict(kept_sets.pop()))

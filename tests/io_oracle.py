@@ -1,10 +1,14 @@
-"""Per-line readers of detection and KITTI label files.
+"""Per-line readers of detection and KITTI label files, and a per-line
+writer of detection files.
 
-The references that ``mipmot.io_formats.read_detections`` and
-``read_kitti_labels`` are compared against. They parse one line at a
-time with Python's ``float`` and ``int``, check each record by building
-its ``Box3D`` (and ``Detection``), and fail at the first faulty line
-with the message the bulk readers give for a line with one fault.
+The references that ``mipmot.io_formats.read_detections``,
+``read_kitti_labels`` and ``write_detections`` are compared against.
+The readers parse one line at a time with Python's ``float`` and
+``int``, check each record by building its ``Box3D`` (and
+``Detection``), and fail at the first faulty line with the message the
+bulk readers give for a line with one fault. The writer writes one
+``Detection`` per line, in list order, so that it can write the frames
+of a file in any order.
 """
 
 import json
@@ -131,6 +135,32 @@ def read_detections(path) -> dict[int, list[Detection]]:
     for rec in records:
         by_frame.setdefault(rec.frame, []).append(rec)
     return {frame: by_frame[frame] for frame in sorted(by_frame)}
+
+
+def write_detections(detections, path, json_lines: bool = False) -> None:
+    """Write ``Detection`` records one line each, in list order: text with
+    6 decimals, or JSON lines with 9 (``round``)."""
+    with open(os.fspath(path), "w", encoding="utf-8") as f:
+        for det in detections:
+            if json_lines:
+                rec = {
+                    "frame": det.frame,
+                    "box": [round(v, 9) for v in det.box.to_array().tolist()],
+                    "score": round(det.score, 9),
+                }
+                if det.start_prob is not None:
+                    rec["start_prob"] = round(det.start_prob, 9)
+                if det.embedding is not None:
+                    rec["embedding"] = [round(v, 9) for v in det.embedding.tolist()]
+                f.write(json.dumps(rec, sort_keys=True) + "\n")
+            else:
+                fields = [str(det.frame), *(f"{v:.6f}" for v in det.box.to_array())]
+                fields.append(f"{det.score:.6f}")
+                if det.start_prob is not None:
+                    fields.append(f"{det.start_prob:.6f}")
+                if det.embedding is not None:
+                    fields.append("[" + " ".join(f"{v:.6f}" for v in det.embedding) + "]")
+                f.write(" ".join(fields) + "\n")
 
 
 def read_kitti_labels(path, keep_types=None) -> list[tuple]:

@@ -21,6 +21,7 @@ from mipmot.evaluation import evaluate_sequence
 from mipmot.geometry import Box3D
 from mipmot.io_formats import (
     Detection,
+    DetectionBatch,
     read_detections,
     write_detections,
     write_kitti_tracking,
@@ -45,10 +46,7 @@ def random_box(rng, spread) -> Box3D:
 
 def track_scenario(cfg, tracker_cfg):
     labels, dets = generate(cfg)
-    by_frame = {}
-    for det in dets:
-        by_frame.setdefault(det.frame, []).append(det)
-    results = run_sequence(by_frame, tracker_cfg, num_frames=cfg.num_frames)
+    results = run_sequence(dets, tracker_cfg, num_frames=cfg.num_frames)
     return evaluate_sequence(labels_to_frames(labels), results_to_frames(results))
 
 
@@ -281,32 +279,31 @@ def test_criterion_8_determinism_and_round_trips(tmp_path):
     identical = outputs[0] == outputs[1]
 
     rng = np.random.default_rng(23)
-    round_trip_ok = True
-    records = []
-    for _ in range(50):
-        emb = rng.normal(size=6) if rng.random() < 0.5 else None
-        records.append(
+    batches = {}
+    for frame in range(10):
+        records = [
             Detection(
-                frame=int(rng.integers(0, 10)),
+                frame=frame,
                 box=random_box(rng, 50.0),
                 score=float(rng.uniform(0, 1)),
-                embedding=emb,
+                embedding=rng.normal(size=6) if rng.random() < 0.5 else None,
                 start_prob=float(rng.uniform(0, 1)) if rng.random() < 0.5 else None,
             )
-        )
+            for _ in range(int(rng.integers(0, 10)))
+        ]
+        if records:
+            batches[frame] = DetectionBatch.from_detections(records, frame)
     rt_path = tmp_path / "roundtrip.txt"
-    write_detections(records, rt_path)
-    recovered = [d for frame in read_detections(rt_path).values() for d in frame]
-    by_frame_order = sorted(records, key=lambda d: d.frame)
-    for a, b in zip(by_frame_order, recovered):
-        round_trip_ok = round_trip_ok and np.allclose(
-            a.box.to_array(), b.box.to_array(), atol=1e-6
-        )
-        round_trip_ok = round_trip_ok and abs(a.score - b.score) <= 1e-6
-        if a.embedding is not None:
-            round_trip_ok = round_trip_ok and np.allclose(
-                a.embedding, b.embedding, atol=1e-6
-            )
+    write_detections(batches, rt_path)
+    recovered = read_detections(rt_path)
+    round_trip_ok = list(recovered) == list(batches)
+    for frame, a in batches.items():
+        b = recovered.get(frame, a)
+        for name in ("boxes", "scores", "start_prob", "embeddings"):
+            x, y = getattr(a, name), getattr(b, name)
+            round_trip_ok = round_trip_ok and (x is None) == (y is None)
+            if x is not None and y is not None:
+                round_trip_ok = round_trip_ok and np.allclose(x, y, atol=1e-6, equal_nan=True)
     verdict(
         identical and round_trip_ok,
         "criterion 8 (determinism and round-trips)",

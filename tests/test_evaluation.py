@@ -76,6 +76,22 @@ class TestMatchFrame:
         barely = {1: box(0.999, 0, l=3.0)}
         assert match(gt, barely, {}) == {0: 1}
 
+    def test_pairs_at_or_below_threshold_forbidden_before_assigning(self):
+        # IoUs [[0.494, 0.526], [0.203, 0.435]]: the assignment of the
+        # largest total IoU over all pairs keeps no pair above 0.5
+        gt = {0: box(-0.83, -1.18, 3.46, 3.33, -0.65), 1: box(-0.25, -0.70, 3.50, 1.48, 0.10)}
+        hyp = {10: box(-0.65, -1.83, 3.68, 2.08, 0.16), 11: box(-0.67, -1.29, 2.54, 2.40, 1.45)}
+        assert match(gt, hyp, {}) == {0: 11}
+        report = evaluate({0: gt}, {0: hyp})
+        assert (report.tp, report.fn, report.fp) == (1, 1, 1)
+
+    def test_most_pairs_before_largest_total(self):
+        # 4m boxes: IoU 1 for gt 0 and hyp 10, 3/13 for the pairs 2.5m apart
+        gt = {0: box(0.0, 0), 1: box(2.5, 0)}
+        hyp = {10: box(0.0, 0), 11: box(-2.5, 0)}
+        assert match(gt, hyp, {}, iou_threshold=0.1) == {0: 11, 1: 10}
+        assert match(gt, hyp, {}, iou_threshold=0.3) == {0: 10}
+
     def test_previous_correspondence_survives(self):
         # both pairings are valid; the established one must be kept even
         # though the crossed pairing has larger total IoU
@@ -105,8 +121,10 @@ def oracle_match_frame(gt_boxes, hyp_boxes, prev, iou_threshold=0.5):
         iou = np.array(
             [[oracle_bev_iou(gt_boxes[g], hyp_boxes[h]) for h in free_hyp] for g in free_gt]
         )
-        for i, j in zip(*linear_sum_assignment(iou, maximize=True)):
-            if iou[i, j] > iou_threshold:
+        allowed = iou > iou_threshold
+        cost = np.where(allowed, 1.0 - iou, min(iou.shape) + 1.0)
+        for i, j in zip(*linear_sum_assignment(cost)):
+            if allowed[i, j]:
                 corr[free_gt[i]] = free_hyp[j]
     return corr
 
@@ -396,11 +414,8 @@ class TestRowsFromFileToScore:
         """Reading a label and a result file, grouping their rows by frame
         and scoring them builds no Box3D: the boxes stay arrays."""
         labels, detections = generate(scenario_template("clutter", seed=0))
-        by_frame = {}
-        for d in detections:
-            by_frame.setdefault(d.frame, []).append(d)
         write_kitti_labels(labels, tmp_path / "labels.txt")
-        write_kitti_tracking(run_sequence(by_frame), tmp_path / "results.txt")
+        write_kitti_tracking(run_sequence(detections), tmp_path / "results.txt")
 
         built = []
         init = Box3D.__init__

@@ -78,7 +78,7 @@ class TestDetectionFiles:
         rng = np.random.default_rng(83)
         dets = [random_detection(rng, int(rng.integers(0, 20))) for _ in range(60)]
         path = tmp_path / "roundtrip.txt"
-        write_detections(dets, path, json_lines=json_lines)
+        io_oracle.write_detections(dets, path, json_lines=json_lines)
         frames = read_detections(path)
         flat = [d for frame in sorted(frames) for d in frames[frame]]
         dets_sorted = sorted(dets, key=lambda d: d.frame)
@@ -275,12 +275,14 @@ def read_back(path) -> list[tuple]:
 
 class TestDetectionRoundTrip:
     """Text files hold 6 decimals and JSON lines 9; reading groups the
-    records by ascending frame and keeps the file order within a frame."""
+    records by ascending frame and keeps the file order within a frame.
+    The files are written one record per line, in any frame order, by
+    the reference writer of tests/io_oracle.py."""
 
     @staticmethod
     def round_trip(tmp_path_factory, dets, json_lines, rounded):
         path = tmp_path_factory.mktemp("dets") / "dets.txt"
-        write_detections(dets, path, json_lines=json_lines)
+        io_oracle.write_detections(dets, path, json_lines=json_lines)
         frames = read_detections(path)
         got = [detection_fields(d, float) for f in frames for d in frames[f]]
         by_frame = sorted(dets, key=lambda d: d.frame)
@@ -295,6 +297,27 @@ class TestDetectionRoundTrip:
     @given(detection_files())
     def test_json_round_trip(self, tmp_path_factory, dets):
         self.round_trip(tmp_path_factory, dets, True, lambda v: round(float(v), 9))
+
+    @pytest.mark.parametrize("json_lines", [False, True])
+    @settings(max_examples=60, deadline=None)
+    @given(detection_files())
+    def test_batches_written_as_the_reference_writes_their_rows(
+        self, tmp_path_factory, json_lines, dets
+    ):
+        """``write_detections`` of {frame: DetectionBatch} writes the bytes
+        the reference writes for the batches' rows, frame by frame."""
+        frames = sorted({d.frame for d in dets})
+        batches = {
+            f: DetectionBatch.from_detections([d for d in dets if d.frame == f], f)
+            for f in frames
+        }
+        directory = tmp_path_factory.mktemp("dets")
+        write_detections(batches, directory / "batches.txt", json_lines=json_lines)
+        records = [d for batch in batches.values() for d in batch]
+        io_oracle.write_detections(records, directory / "rows.txt", json_lines=json_lines)
+        written = (directory / "batches.txt").read_bytes()
+        assert written == (directory / "rows.txt").read_bytes()
+        assert len(written.splitlines()) == len(dets)
 
 
 class TestKittiFiles:

@@ -63,12 +63,9 @@ def test_properties_read_the_tracker(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     worker = importlib.import_module("worker")
     _, detections = generate(scenario_template("clutter", seed=0))
-    by_frame = {}
-    for d in detections:
-        by_frame.setdefault(d.frame, []).append(d)
     tracker, props, alive = Tracker(), worker.Properties(), []
-    for frame in range(max(by_frame) + 1):
-        batch = DetectionBatch.from_detections(by_frame.get(frame, []), frame)
+    for frame in range(max(detections) + 1):
+        batch = DetectionBatch.from_detections(detections.get(frame, []), frame)
         tracker.step(frame, batch)
         props.on_step(frame, batch, tracker)
         if frame >= worker.WARMUP_FRAMES:

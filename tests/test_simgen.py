@@ -3,9 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from mipmot import geometry, io_formats
 from mipmot.cli import labels_to_frames
-from mipmot.io_formats import write_detections, write_kitti_labels
+from mipmot.geometry import wrap_angle
+from mipmot.io_formats import (
+    DetectionBatch,
+    read_detections,
+    write_detections,
+    write_kitti_labels,
+)
 from mipmot.simgen import (
+    TEMPLATES,
     ObjectSpec,
     ScenarioConfig,
     SplitMix64,
@@ -53,38 +61,51 @@ class TestSplitMix64:
         assert [a.next_u64() for _ in range(100)] == [b.next_u64() for _ in range(100)]
 
 
+def batch_bytes(dets) -> list[tuple]:
+    """The frames and array bits of {frame: DetectionBatch}."""
+    return [
+        (frame, b.boxes.tobytes(), b.scores.tobytes(), b.start_prob.tobytes(),
+         None if b.embeddings is None else b.embeddings.tobytes())
+        for frame, b in dets.items()
+    ]
+
+
+def as_written(values: np.ndarray, json_lines: bool) -> np.ndarray:
+    """Each value as a detection file holds it: 6 decimals in text, 9 in
+    JSON lines; NaN stays NaN."""
+    keep = (lambda v: round(v, 9)) if json_lines else (lambda v: float(f"{v:.6f}"))
+    return np.reshape([keep(v) for v in values.ravel().tolist()], values.shape)
+
+
 class TestGenerate:
     def test_clean_limit_detections_equal_gt(self):
         cfg = ScenarioConfig(num_objects=4, num_frames=20, seed=3)
         labels, dets = generate(cfg)
         assert len(labels) == 80
-        assert len(dets) == 80
-        by_key = dict(zip(zip(labels["frame"].tolist(), labels["id"].tolist()), labels["box"]))
-        for i, det in enumerate(dets):
-            gt = by_key[(det.frame, i % 4)]
-            np.testing.assert_array_equal(det.box.to_array(), gt)
-            assert det.score == 1.0
+        gt = labels_to_frames(labels)
+        assert list(dets) == list(gt) == list(range(20))
+        for frame, batch in dets.items():
+            assert isinstance(batch, DetectionBatch) and batch.frame == frame
+            np.testing.assert_array_equal(batch.boxes, gt[frame]["box"])
+            np.testing.assert_array_equal(batch.scores, 1.0)
+            assert np.isnan(batch.start_prob).all() and batch.embeddings is None
 
     def test_occlusion_window_drops_frames(self):
         cfg = ScenarioConfig(
             num_objects=5, num_frames=20, occlusions=[(3, 10, 2)], seed=1
         )
-        _, dets = generate(cfg)
-        frames_per_obj = {}
-        for det in dets:
-            # clean scenario: detections appear in object order per frame
-            frames_per_obj.setdefault(det.frame, []).append(det)
-        assert len(frames_per_obj[9]) == 5
-        assert len(frames_per_obj[10]) == 4
-        assert len(frames_per_obj[11]) == 4
-        assert len(frames_per_obj[12]) == 5
+        labels, dets = generate(cfg)
+        assert [len(dets[frame]) for frame in (9, 10, 11, 12)] == [5, 4, 4, 5]
+        # clean scenario: detections appear in object order per frame
+        gt = labels_to_frames(labels)
+        np.testing.assert_array_equal(dets[10].boxes, gt[10]["box"][[0, 1, 2, 4]])
 
     def test_same_seed_reproduces(self):
         cfg = scenario_template("clutter", seed=7)
         l1, d1 = generate(cfg)
         l2, d2 = generate(cfg)
         assert l1.tobytes() == l2.tobytes()
-        assert repr(d1) == repr(d2)
+        assert batch_bytes(d1) == batch_bytes(d2)
 
     def test_written_files_are_identical(self, tmp_path):
         cfg = scenario_template("crossing", seed=2)
@@ -98,7 +119,7 @@ class TestGenerate:
     def test_fp_count_follows_rate(self):
         cfg = ScenarioConfig(num_objects=1, num_frames=1000, fp_rate=2.0, seed=13)
         _, dets = generate(cfg)
-        n_fp = len(dets) - 1000
+        n_fp = sum(len(batch) for batch in dets.values()) - 1000
         # total is Poisson(2000): three sigma is about 134
         assert abs(n_fp - 2000) < 3 * math.sqrt(2000)
 
@@ -108,9 +129,10 @@ class TestGenerate:
             fp_score_high=0.8, seed=17,
         )
         _, dets = generate(cfg)
-        fp_scores = [d.score for d in dets if d.score != 1.0]
-        assert fp_scores
-        assert all(0.6 <= s <= 0.8 for s in fp_scores)
+        scores = np.concatenate([batch.scores for batch in dets.values()])
+        fp_scores = scores[scores != 1.0]
+        assert len(fp_scores)
+        assert ((0.6 <= fp_scores) & (fp_scores <= 0.8)).all()
 
     def test_embedding_groups_share_means(self):
         specs = [
@@ -122,11 +144,56 @@ class TestGenerate:
             num_frames=40, objects=specs, embedding_dim=8, embedding_noise=0.01, seed=5
         )
         _, dets = generate(cfg)
-        first = [d for d in dets if d.frame == 0]
-        paired = np.abs(first[0].embedding - first[1].embedding).mean()
-        other = np.abs(first[0].embedding - first[2].embedding).mean()
+        first = dets[0].embeddings
+        paired = np.abs(first[0] - first[1]).mean()
+        other = np.abs(first[0] - first[2]).mean()
         assert paired < 0.05
         assert other > 0.2
+
+    @pytest.mark.parametrize("json_lines", [False, True])
+    @pytest.mark.parametrize("name", TEMPLATES)
+    def test_written_batches_read_back(self, tmp_path, name, json_lines):
+        """Reading the written detections gives generate's batches back,
+        each value at the precision of the layout, the heading wrapped
+        after rounding; a frame whose detections have no embedding reads
+        back without one."""
+        _, dets = generate(scenario_template(name, seed=1))
+        path = tmp_path / "dets.txt"
+        write_detections(dets, path, json_lines=json_lines)
+        back = read_detections(path)
+        assert list(back) == list(dets)
+        for frame, batch in dets.items():
+            got = back[frame]
+            boxes = as_written(batch.boxes, json_lines)
+            boxes[:, 6] = wrap_angle(boxes[:, 6])
+            assert got.boxes.tobytes() == boxes.tobytes()
+            assert got.scores.tobytes() == as_written(batch.scores, json_lines).tobytes()
+            np.testing.assert_array_equal(got.start_prob, batch.start_prob)
+            assert (got.embeddings is None) == (batch.embeddings is None)
+            if batch.embeddings is not None:
+                expected = as_written(batch.embeddings, json_lines)
+                assert got.embeddings.tobytes() == expected.tobytes()
+
+    def test_builds_no_box_or_detection(self, monkeypatch):
+        """generate builds one batch per frame with detections, and no
+        Box3D or Detection object per detection."""
+        built = {"Box3D": 0, "Detection": 0}
+
+        def counted(name, init):
+            def wrapper(self, *args, **kwargs):
+                built[name] += 1
+                init(self, *args, **kwargs)
+
+            return wrapper
+
+        for cls in (geometry.Box3D, io_formats.Detection):
+            monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
+        for name in TEMPLATES:
+            labels, dets = generate(scenario_template(name, seed=1))
+            assert len(labels) and sum(len(batch) for batch in dets.values()) > len(dets)
+        assert built == {"Box3D": 0, "Detection": 0}
+        dets[max(dets)][0]  # the count sees a view that is built
+        assert built == {"Box3D": 1, "Detection": 1}
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
@@ -150,7 +217,7 @@ class TestTemplates:
         assert {s.group for s in specs} == {0, 1, 2}
 
     def test_templates_build(self):
-        for name in ("clean", "crossing", "clutter"):
+        for name in TEMPLATES:
             labels, dets = generate(scenario_template(name))
             assert len(labels) and dets
 

@@ -132,13 +132,10 @@ class TestStep:
 
         _, detections = generate(scenario_template("clutter", seed=0))
         monkeypatch.setattr(Box3D, "__init__", counted("Box3D", Box3D.__init__))
-        by_frame = {}
-        for d in detections:
-            by_frame.setdefault(d.frame, []).append(d)
         tracker = Tracker()
-        for frame in range(max(by_frame) + 1):
+        for frame in range(max(detections) + 1):
             calls.update(dict.fromkeys(calls, 0))
-            result = tracker.step(frame, by_frame.get(frame, []))
+            result = tracker.step(frame, detections.get(frame, []))
             assert max(calls[n] for n in ("kf_init", "kf_predict", "kf_update")) <= 1
             # the emitted tracks are rows of arrays, not boxes
             assert calls["Box3D"] == 0
@@ -370,14 +367,12 @@ class TestShuffleWithinFrame:
         for seed in range(3):
             scenario = scenario_template(template, seed=seed)
             _, detections = generate(scenario)
-            by_frame = {}
-            for d in detections:
-                by_frame.setdefault(d.frame, []).append(d)
             rng = np.random.default_rng(seed)
             shuffled = {
-                f: [dets[i] for i in rng.permutation(len(dets))] for f, dets in by_frame.items()
+                f: [batch[i] for i in rng.permutation(len(batch))]
+                for f, batch in detections.items()
             }
-            expected = trajectories(self.run(by_frame, cfg, scenario.num_frames, False))
+            expected = trajectories(self.run(detections, cfg, scenario.num_frames, False))
             assert expected
             for as_batch in (False, True):
                 got = trajectories(self.run(shuffled, cfg, scenario.num_frames, as_batch))
