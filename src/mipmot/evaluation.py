@@ -3,8 +3,11 @@
 Each frame's objects are rows of a record array, read by their ``id``
 and ``box`` (x, y, z, l, w, h, a) fields: a frame's slice of a
 ``read_kitti_labels`` table, whose ``score`` is NaN where the file has
-no score column, or a ``FrameResult.tracks``. The evaluator computes
-one BEV IoU matrix per frame from the boxes, in row order.
+no score column, or a ``FrameResult.tracks``. The evaluator scores a
+whole sequence at once: ``geometry.bev_iou_matrices`` runs the overlap
+kernel over every frame's candidate pairs together, then hands out one
+BEV IoU matrix per frame, in row order, just before that frame is
+matched.
 
 Matching uses ground-plane rotated-rectangle IoU with a strict
 threshold (a pair is allowed only when IoU exceeds it). Correspondences
@@ -26,9 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import bev_iou_matrix
+from .geometry import bev_iou_matrices
 from .geometry import bev_iou  # noqa: F401  (a public name the benchmark counts)
-from .io_formats import ROW_DTYPE
+from .io_formats import ROW_DTYPE, _first_repeat
 
 DEFAULT_IOU_THRESHOLD = 0.5
 
@@ -162,11 +165,11 @@ class Accumulator:
     _tracks: dict[int, _GtTrackState] = field(default_factory=dict)
     _prev: dict[int, int] = field(default_factory=dict)
 
-    def update(self, gt: np.ndarray, hyp: np.ndarray):
+    def update(self, gt: np.ndarray, hyp: np.ndarray, iou: np.ndarray):
         """Add one frame, given its ground truth and hypotheses as rows
-        with the fields ``id`` and ``box``."""
+        with the fields ``id`` and ``box``, and their BEV IoU matrix
+        (``geometry.bev_iou_matrix`` of the boxes)."""
         gt_ids, hyp_ids = gt["id"].tolist(), hyp["id"].tolist()
-        iou = bev_iou_matrix(gt["box"], hyp["box"])
         corr = match_frame(gt_ids, hyp_ids, iou, self._prev, self.iou_threshold)
         self.num_gt_boxes += len(gt_ids)
         self.fp += len(hyp_ids) - len(corr)
@@ -220,15 +223,30 @@ def evaluate_sequence(
     A frame's rows are a record array with at least the fields ``id``
     and ``box`` (x, y, z, l, w, h, a), such as a slice of a
     ``read_kitti_labels`` table or a ``FrameResult.tracks``; each id
-    appears once in a frame. A frame absent from one side has no rows
-    there.
+    appears once in a frame, or ValueError names the side, frame and id
+    that repeat. A frame absent from one side has no rows there.
     """
+    for side, rows in (("ground truth", gt_frames), ("hypothesis", hyp_frames)):
+        _check_ids_once(side, rows)
     acc = Accumulator(iou_threshold=iou_threshold)
-    frames = sorted(set(gt_frames) | set(hyp_frames))
     none = np.zeros(0, ROW_DTYPE)
-    for frame in frames:
-        acc.update(gt_frames.get(frame, none), hyp_frames.get(frame, none))
+    frames = [
+        (gt_frames.get(frame, none), hyp_frames.get(frame, none))
+        for frame in sorted(set(gt_frames) | set(hyp_frames))
+    ]
+    ious = bev_iou_matrices((gt["box"], hyp["box"]) for gt, hyp in frames)
+    for (gt, hyp), iou in zip(frames, ious):
+        acc.update(gt, hyp, iou)
     return acc.report()
+
+
+def _check_ids_once(side: str, frames: dict[int, np.ndarray]) -> None:
+    """Fail at the first id that repeats within a frame of one side."""
+    ids = np.concatenate([np.zeros(0, np.int64)] + [rows["id"] for rows in frames.values()])
+    frame_of = np.repeat(list(frames), [len(rows) for rows in frames.values()])
+    i = _first_repeat(frame_of, ids)
+    if i is not None:
+        raise ValueError(f"{side} repeats id {ids[i]} in frame {frame_of[i]}")
 
 
 def aggregate_reports(reports: list[MotReport]) -> MotReport:

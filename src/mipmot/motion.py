@@ -68,12 +68,20 @@ def kf_update(mean, cov, observations, cfg: TrackerConfig) -> tuple[np.ndarray, 
     obs = np.asarray(observations, dtype=float)
     if obs.shape != mean.shape[:-1] + (MEAS_DIM,):
         raise ValueError(f"observations of shape {obs.shape} do not fit means {mean.shape}")
-    innovation = obs - mean @ H.T
+    # H selects the first MEAS_DIM state entries, so each product with it
+    # is a slice, with the same bits as the matmul.
+    innovation = obs - mean[..., :MEAS_DIM]
     innovation[..., HEADING_IDX] = wrap_angle(innovation[..., HEADING_IDX])
-    S = H @ cov @ H.T + np.diag(cfg.kalman_r_diag)
+    S = cov[..., :MEAS_DIM, :MEAS_DIM] + np.diag(cfg.kalman_r_diag)
     # K = P H^T S^-1; S is symmetric so solve once instead of inverting.
-    K = np.swapaxes(np.linalg.solve(S, H @ cov), -1, -2)
+    K = np.swapaxes(np.linalg.solve(S, cov[..., :MEAS_DIM, :]), -1, -2)
     mean = mean + (K @ innovation[..., None])[..., 0]
     mean[..., HEADING_IDX] = wrap_angle(mean[..., HEADING_IDX])
-    cov = (np.eye(STATE_DIM) - K @ H) @ cov
-    return mean, 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    # I - K H: -K in the first MEAS_DIM columns, plus the identity.
+    i_kh = np.zeros(cov.shape)
+    np.negative(K, out=i_kh[..., :MEAS_DIM])
+    i_kh += np.eye(STATE_DIM)
+    cov = i_kh @ cov
+    cov += np.swapaxes(cov, -1, -2)
+    cov *= 0.5
+    return mean, cov

@@ -193,7 +193,8 @@ class TestMatchFrameOracle:
         acc = Accumulator()
         prev, iou_sum = {}, 0.0
         for gt, hyp, _ in sequence:
-            acc.update(rows(gt), rows(hyp))
+            gt_rows, hyp_rows = rows(gt), rows(hyp)
+            acc.update(gt_rows, hyp_rows, bev_iou_matrix(gt_rows["box"], hyp_rows["box"]))
             prev = oracle_match_frame(gt, hyp, prev)
             for g, h in prev.items():
                 iou_sum += oracle_bev_iou(gt[g], hyp[h])
@@ -362,6 +363,26 @@ class TestAccumulate:
         assert rep.mota == 1.0
         assert rep.fp == 3
 
+    @pytest.mark.parametrize("side", ["ground truth", "hypothesis"])
+    def test_repeated_id_in_a_frame_rejected(self, side):
+        # one id at two boxes of a frame: matching by id merged the two
+        # rows and scored FP 1, FN 1 and GT_TRACKS 1 without an error
+        twice = np.concatenate([rows({1: box(0, 0)}), rows({1: box(10, 0)})])
+        repeated = {2: rows({1: box(0, 0)}), 3: twice}
+        distinct = {3: rows({5: box(0, 0), 6: box(10, 0)})}
+        gt, hyp = (repeated, distinct) if side == "ground truth" else (distinct, repeated)
+        with pytest.raises(ValueError, match=f"^{side} repeats id 1 in frame 3$"):
+            evaluate_sequence(gt, hyp)
+
+    def test_one_kernel_call_per_sequence(self):
+        gt = as_frames({0: straight_run(10), 1: straight_run(10, y=3.0)})
+        hyp = as_frames({5: straight_run(10, x0=0.5), 6: straight_run(10, y=3.5)})
+        kernel = geometry.bev_intersection_areas
+        with mock.patch.object(geometry, "bev_intersection_areas", wraps=kernel) as calls:
+            report = evaluate(gt, hyp)
+        assert calls.call_count == 1
+        assert (report.tp, report.fp, report.fn) == (20, 0, 0)
+
     def test_frag_lower_bound_invariant(self):
         rng = np.random.default_rng(113)
         traj = straight_run(30)
@@ -405,7 +426,8 @@ class TestAccumulatorStreaming:
         hyp = as_frames({5: straight_run(8), 6: straight_run(8, y=9.0)})
         acc = Accumulator()
         for frame in sorted(gt):
-            acc.update(rows(gt[frame]), rows(hyp.get(frame, {})))
+            gt_rows, hyp_rows = rows(gt[frame]), rows(hyp.get(frame, {}))
+            acc.update(gt_rows, hyp_rows, bev_iou_matrix(gt_rows["box"], hyp_rows["box"]))
         assert acc.report().as_dict() == evaluate(gt, hyp).as_dict()
 
 

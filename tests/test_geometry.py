@@ -24,6 +24,7 @@ from mipmot.geometry import (
     bev_corners_array,
     bev_intersection_areas,
     bev_iou,
+    bev_iou_matrices,
     bev_iou_matrix,
     polygon_area,
     wrap_angle,
@@ -340,6 +341,95 @@ class TestOverlapKernel:
         rotated = Box3D(0, 0, 0, 1, 1, 1, math.pi / 4)
         area = bev_intersection_areas(as_array([square]), as_array([rotated]))[0]
         assert area == pytest.approx(2.0 * (SQRT2 - 1.0), abs=1e-12)
+
+
+def bits(array) -> bytes:
+    return np.ascontiguousarray(array).tobytes()
+
+
+class TestBatchedPass:
+    """One kernel pass over the candidate pairs of many frames gives
+    each frame the bits of its own pass."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(box_pairs(), min_size=1, max_size=12), st.data())
+    def test_kernel_bits_do_not_depend_on_the_batch(self, pairs, data):
+        left, right = as_array(a for a, _ in pairs), as_array(b for _, b in pairs)
+        batch = bev_intersection_areas(left, right)
+        alone = [bev_intersection_areas(a[None], b[None]) for a, b in zip(left, right)]
+        assert bits(batch) == bits(np.concatenate(alone))
+        order = np.array(data.draw(st.permutations(range(len(pairs)))))
+        assert bits(bev_intersection_areas(left[order], right[order])) == bits(batch[order])
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(pairs)), max_size=4)))
+        parts = [
+            bev_intersection_areas(left[start:stop], right[start:stop])
+            for start, stop in zip([0] + cuts, cuts + [len(pairs)])
+        ]
+        assert bits(np.concatenate(parts)) == bits(batch)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(boxes(spread=3.0), max_size=5), st.lists(boxes(spread=3.0), max_size=5)
+            ),
+            max_size=6,
+        ),
+        st.sampled_from([1, 3, 512]),
+    )
+    def test_matrices_equal_one_frame_at_a_time(self, frames, kernel_pairs):
+        frames = [(as_array(a), as_array(b)) for a, b in frames]
+        alone = [bev_iou_matrix(a, b) for a, b in frames]
+        with mock.patch.object(geometry, "_KERNEL_PAIRS", kernel_pairs):
+            got = list(bev_iou_matrices(frames))
+        assert [m.shape for m in got] == [m.shape for m in alone]
+        assert [bits(m) for m in got] == [bits(m) for m in alone]
+
+    @staticmethod
+    def scenes(rng):
+        """Frames of overlapping boxes, with an empty side in some."""
+        def some(n):
+            return as_array(random_box(rng, spread=2.0) for _ in range(n))
+        return [(some(m), some(n)) for m, n in [(3, 4), (0, 3), (2, 0), (5, 5), (0, 0), (1, 2)]]
+
+    def test_slices_split_frames(self):
+        frames = self.scenes(np.random.default_rng(5))
+        alone = [bev_iou_matrix(a, b) for a, b in frames]
+        kernel = geometry.bev_intersection_areas
+        with mock.patch.object(geometry, "_KERNEL_PAIRS", 3), mock.patch.object(
+            geometry, "bev_intersection_areas", wraps=kernel
+        ) as calls:
+            got = list(bev_iou_matrices(frames))
+        sizes = [len(call.args[0]) for call in calls.call_args_list]
+        candidates = sum(np.count_nonzero(m) for m in alone)
+        assert sizes[:-1] == [3] * (len(sizes) - 1) and sum(sizes) >= candidates > 3
+        assert [m.shape for m in got] == [(3, 4), (0, 3), (2, 0), (5, 5), (0, 0), (1, 2)]
+        assert [bits(m) for m in got] == [bits(m) for m in alone]
+
+    def test_no_candidate_pair(self):
+        frames = [
+            (as_array([Box3D(0, 0, 0, 2, 1, 1)]), as_array([Box3D(50, 0, 0, 2, 1, 1)])),
+            (np.zeros((0, 7)), as_array([Box3D(0, 0, 0, 2, 1, 1)])),
+            (as_array([Box3D(0, 0, 0, 2, 1, 1)] * 2), np.zeros((0, 7))),
+        ]
+        with mock.patch.object(geometry, "bev_intersection_areas") as kernel:
+            got = list(bev_iou_matrices(frames))
+        kernel.assert_not_called()
+        assert [m.shape for m in got] == [(1, 1), (0, 1), (2, 0)]
+        assert not any(m.any() for m in got)
+        assert list(bev_iou_matrices([])) == []
+
+    def test_tree_query_beside_dense_frames(self):
+        # frames of 9 pairs and more take the k-d tree, smaller ones not
+        frames = self.scenes(np.random.default_rng(11))
+        dense = [bev_iou_matrix(a, b) for a, b in frames]
+        with mock.patch.object(geometry, "_TREE_MIN_PAIRS", 8), mock.patch.object(
+            geometry, "_KERNEL_PAIRS", 3
+        ):
+            alone = [bev_iou_matrix(a, b) for a, b in frames]
+            got = list(bev_iou_matrices(frames))
+        assert any(m.size > 8 for m in got) and any(0 < m.size <= 8 for m in got)
+        assert [bits(m) for m in got] == [bits(m) for m in alone] == [bits(m) for m in dense]
 
 
 class TestIou3d:

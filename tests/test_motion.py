@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mipmot.config import TrackerConfig
-from mipmot.geometry import Box3D
-from mipmot.motion import A, STATE_DIM, kf_init, kf_predict, kf_update
+from mipmot.geometry import Box3D, wrap_angle
+from mipmot.motion import A, H, STATE_DIM, kf_init, kf_predict, kf_update
 
 # The default initial covariance, used as a covariance to predict from.
 P0 = np.diag(TrackerConfig().kalman_p0_diag)
@@ -214,6 +214,18 @@ def filter_rows(draw):
     return boxes, mean, cov, obs
 
 
+def textbook_update(mean, cov, obs, cfg):
+    """The Kalman measurement update written with the matrix H."""
+    innovation = obs - mean @ H.T
+    innovation[..., 6] = wrap_angle(innovation[..., 6])
+    S = H @ cov @ H.T + np.diag(cfg.kalman_r_diag)
+    K = np.swapaxes(np.linalg.solve(S, H @ cov), -1, -2)
+    mean = mean + (K @ innovation[..., None])[..., 0]
+    mean[..., 6] = wrap_angle(mean[..., 6])
+    cov = (np.eye(STATE_DIM) - K @ H) @ cov
+    return mean, 0.5 * (cov + np.swapaxes(cov, -1, -2))
+
+
 def assert_rows_bitwise(stacked, single_calls):
     """Every row of the stacked outputs has the bytes of its own call."""
     for k, single in enumerate(single_calls):
@@ -237,6 +249,20 @@ class TestStacked:
             kf_update(mean, cov, obs, cfg),
             [kf_update(mean[k], cov[k], obs[k], cfg) for k in range(t)],
         )
+
+    @settings(max_examples=100, deadline=None)
+    @given(filter_rows(), st.booleans())
+    def test_update_equals_textbook_form(self, rows, dense):
+        """kf_update reads H by slicing; the H matmuls give the same bits."""
+        _, mean, cov, obs = rows
+        cfg = TrackerConfig()
+        if dense:
+            rng = np.random.default_rng(len(mean))
+            cov = np.array([random_psd(rng, STATE_DIM) for _ in mean]).reshape(cov.shape)
+        # the stack, and each row as one track
+        for args in [(mean, cov, obs), *zip(mean, cov, obs)]:
+            for got, expected in zip(kf_update(*args, cfg), textbook_update(*args, cfg)):
+                np.testing.assert_array_equal(got, expected)
 
     def test_empty_stack(self):
         cfg = TrackerConfig()
