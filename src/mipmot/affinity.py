@@ -168,8 +168,7 @@ def candidate_pairs(
     alpha * appearance + beta * motion can reach need_det[d] +
     need_trk[k], or None to score every pair.
 
-    ``need`` is a zero-argument callable that returns (need_det,
-    need_trk); it is called only for a frame the gate may cut.
+    ``need`` is the (need_det, need_trk) pair of per-node arrays.
     ``appearance`` is the frame's (M, N) appearance matrix; the motion
     part is bounded from the boxes alone. Let r be a box's footprint
     circumradius, q = h / 2 and rho = hypot(r, q). The IoU is 0 unless
@@ -193,7 +192,7 @@ def candidate_pairs(
     m, n = len(d), len(t)
     if m * n <= _GATE_MIN_PAIRS:
         return None
-    need_det, need_trk = need()
+    need_det, need_trk = need
     # The least affinity the motion part must add to some pair.
     appearance_max = alpha * appearance.max() if alpha else 0.0
     short = float(need_det.min() + need_trk.min() - appearance_max)
@@ -245,10 +244,9 @@ def compute_affinities(
     (N, D) array, each None when any of its rows lacks an embedding;
     then appearance is disabled for the frame (alpha = 0, beta = 1).
     ``cfg`` supplies ``beta_over_alpha``, ``use_dis`` and ``use_iou``.
-    With ``need``, a zero-argument callable that returns (need_det,
-    need_trk), only the ``candidate_pairs`` that can reach need_det[d] +
-    need_trk[k] are scored, unless every pair is in reach; otherwise
-    every pair is.
+    With ``need``, the (need_det, need_trk) pair of per-node arrays, only
+    the ``candidate_pairs`` that can reach need_det[d] + need_trk[k] are
+    scored, unless every pair is in reach; otherwise every pair is.
     """
     alpha = 1.0 / (1.0 + cfg.beta_over_alpha)
     beta = 1.0 - alpha

@@ -26,7 +26,9 @@ detections, each batch holding the frame's boxes, scores, start
 probabilities and embeddings as arrays, checked once, in file order.
 ``read_detections`` gives it, as does ``simgen.generate``, and
 ``write_detections`` writes it back, whole frames at a time, with 6
-decimals in text and 9 in JSON lines.
+decimals in text and 9 in JSON lines. A batch is also the tracker's one
+input form for a frame. ``Detection`` states the rules of one row; it is
+the view that indexing a batch gives, and it names a faulty row.
 
 ``read_detections`` splits each line into its fields as text; the
 numbers of a few thousand lines at a time are then read by one
@@ -94,15 +96,21 @@ def is_real(v) -> bool:
     )
 
 
+# The frames and ids a table holds.
+_INT64 = range(-(2**63), 2**63)
+
+
 def check_frame(frame) -> int:
-    """A frame index as an int; a bool, non-integer or negative frame is
-    rejected."""
+    """A frame index as an int; a bool, non-integer or negative frame, or
+    one beyond 64 bits, is rejected."""
     if type(frame) is not int:
         if not isinstance(frame, numbers.Integral) or isinstance(frame, (bool, np.bool_)):
             raise ValueError(f"frame must be an integer, got {frame!r}")
         frame = int(frame)
     if frame < 0:
         raise ValueError(f"frame must be nonnegative, got {frame}")
+    if frame not in _INT64:
+        raise ValueError(f"frame beyond 64 bits: {frame}")
     return frame
 
 
@@ -159,9 +167,6 @@ def _real_array(name: str, values) -> np.ndarray:
 # w, h, a) box and the score, NaN where there is none.
 ROW_DTYPE = np.dtype([("id", np.int64), ("box", np.float64, (7,)), ("score", np.float64)])
 
-# The frames and ids a table holds.
-_INT64 = range(-(2**63), 2**63)
-
 
 def object_table(frames, ids, types, boxes, scores) -> np.recarray:
     """The objects of a whole file as one record array: ``frame``,
@@ -192,7 +197,7 @@ class DetectionBatch(Sequence):
     (M,) and ``start_prob`` (M,), NaN where a detection has none.
     ``embeddings`` is (M, D), with a NaN row where a detection has none,
     or None when no detection has one. Indexing and iteration give a
-    ``Detection`` view of one row.
+    ``Detection`` view of one row. The frame is an integer in [0, 2**63).
     """
 
     def __init__(self, frame, boxes, scores, start_prob=None, embeddings=None):
@@ -246,40 +251,6 @@ class DetectionBatch(Sequence):
         batch = cls.__new__(cls)
         batch._set(frame, boxes, scores, start_prob, embeddings)
         return batch
-
-    @classmethod
-    def from_detections(cls, detections, frame) -> "DetectionBatch":
-        """The batch of one frame's ``Detection``s; a batch is returned as
-        is. A batch or detection of another frame is rejected."""
-        if isinstance(detections, DetectionBatch):
-            if detections.frame != frame:
-                raise ValueError(f"frame {frame}: the batch is of frame {detections.frame}")
-            return detections
-        detections = list(detections)
-        for i, d in enumerate(detections):
-            if d.frame != frame:
-                raise ValueError(
-                    f"frame {frame}, detection {i}: the detection is of frame {d.frame}"
-                )
-        embeddings = None
-        given = [(i, d.embedding) for i, d in enumerate(detections) if d.embedding is not None]
-        if given:
-            size = given[0][1].size
-            embeddings = np.full((len(detections), size), np.nan)
-            for i, e in given:
-                if e.size != size:
-                    raise ValueError(
-                        f"frame {frame}, detection {i}: embedding has {e.size} values, "
-                        f"expected {size}"
-                    )
-                embeddings[i] = e
-        return cls(
-            frame,
-            np.array([d.box.to_array() for d in detections]).reshape(-1, 7),
-            [d.score for d in detections],
-            [np.nan if d.start_prob is None else d.start_prob for d in detections],
-            embeddings,
-        )
 
     @property
     def has_embedding(self) -> np.ndarray:
@@ -457,7 +428,10 @@ class _DetectionReader:
             full[with_embedding] = emb
         has_embedding = np.array([e is not None for e in embeddings])
         bad = _broken(head[:, 1:8], head[:, 8], head[:, 9], np.array(given), full, has_embedding)
-        return None if (bad | (frames < 0)).any() else (head[:, 1:], full)
+        # A frame beyond 64 bits makes the column uint64 or object.
+        if frames.dtype != np.int64 or (bad | (frames < 0)).any():
+            return None
+        return head[:, 1:], full
 
     def walk(self, rows) -> tuple[np.ndarray, np.ndarray | None]:
         """The arrays ``read`` gives, of rows read one at a time, each

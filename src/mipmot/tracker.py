@@ -1,13 +1,15 @@
 """Online per-sequence tracking pipeline.
 
-Each frame: filter detections by classification confidence, predict
-every track one frame ahead, compute detection-track affinities, run
-the association solver, update matched Kalman states and apply the
-lifecycle rules. There is no incubation period: a detection selected
-as a start becomes a confirmed track immediately, while detections the
-solver leaves unselected enter as tentative tracks with one miss
-already counted. Tracks coast on prediction while missed and are
-dropped once their consecutive misses exceed the miss threshold.
+A frame's detections come as one ``DetectionBatch``; an empty sequence
+stands for a frame without any. Each frame: filter detections by
+classification confidence, predict every track one frame ahead, compute
+detection-track affinities, run the association solver, update matched
+Kalman states and apply the lifecycle rules. There is no incubation
+period: a detection selected as a start becomes a confirmed track
+immediately, while detections the solver leaves unselected enter as
+tentative tracks with one miss already counted. Tracks coast on
+prediction while missed and are dropped once their consecutive misses
+exceed the miss threshold.
 
 The tracks are one table of row-aligned arrays, row k being one track:
 ``ids``, ``confidence``, the ``hits`` and ``misses`` streaks,
@@ -28,7 +30,7 @@ from .affinity import compute_affinities
 from .association import AssociationProblem, affinity_needed, hungarian_baseline, solve_mip
 from .config import TrackerConfig
 from .geometry import wrap_angle
-from .io_formats import ROW_DTYPE, Detection, DetectionBatch, check_frame
+from .io_formats import ROW_DTYPE, DetectionBatch, check_frame
 from .motion import MEAS_DIM, STATE_DIM, kf_init, kf_predict, kf_update
 
 # The row-aligned arrays of the track table.
@@ -88,15 +90,12 @@ class Tracker:
         x_se_trk = np.full(len(self.ids), cfg.default_end_prob)
         need = None
         if cfg.associator == "mip":
-            # Only pairs that can beat both outside options are scored;
-            # the bound is worked out only for a frame the gate may cut.
+            # Only pairs that can beat both outside options are scored.
             costs = (cfg.w_cls, cfg.w_aff, cfg.w_se)
-
-            def need():
-                return (
-                    affinity_needed(x_cls_det, x_se_det, *costs),
-                    affinity_needed(x_cls_trk, x_se_trk, *costs),
-                )
+            need = (
+                affinity_needed(x_cls_det, x_se_det, *costs),
+                affinity_needed(x_cls_trk, x_se_trk, *costs),
+            )
 
         lacks = np.isnan(self.embeddings).all(axis=1)
         track_embeddings = None if lacks.any() else self.embeddings
@@ -140,10 +139,11 @@ class Tracker:
     def step(self, frame: int, detections) -> FrameResult:
         """Process one frame and return its confirmed associated tracks.
 
-        ``detections`` is the frame's ``DetectionBatch`` or a list of
-        ``Detection``s, which is made into one; a batch or detection of
-        another frame, or a negative frame, is rejected before any state
-        changes.
+        ``detections`` is the frame's ``DetectionBatch``, or an empty
+        sequence for a frame without detections. A frame that is not an
+        integer in [0, 2**63) or not after the last one, or a batch of
+        another frame (``ValueError``), and any other input (``TypeError``)
+        are rejected before any state changes.
         """
         cfg = self.config
         frame = check_frame(frame)
@@ -151,7 +151,14 @@ class Tracker:
             raise ValueError(
                 f"frames must be strictly increasing: got {frame} after {self._last_frame}"
             )
-        batch = DetectionBatch.from_detections(detections, frame)
+        batch = detections
+        if not isinstance(batch, DetectionBatch):
+            if len(batch):
+                name = type(batch).__name__
+                raise TypeError(f"frame {frame}: detections must be a DetectionBatch, got {name}")
+            batch = DetectionBatch(frame, [], [])
+        elif batch.frame != frame:
+            raise ValueError(f"frame {frame}: the batch is of frame {batch.frame}")
         self._fit_embeddings(frame, batch)
         self._last_frame = frame
 
@@ -226,16 +233,15 @@ class Tracker:
 
 
 def run_sequence(
-    detections_by_frame: dict[int, DetectionBatch | list[Detection]],
+    detections_by_frame: dict[int, DetectionBatch],
     config: TrackerConfig | None = None,
     num_frames: int | None = None,
 ) -> list[FrameResult]:
     """Track a whole sequence; frames absent from the input are empty.
 
     ``detections_by_frame`` is ``{frame: DetectionBatch}``, as
-    ``read_detections`` and ``simgen.generate`` give it; a frame may
-    also map to a hand-built list of ``Detection``s. Frames run from 0
-    through the last frame present (or num_frames).
+    ``read_detections`` and ``simgen.generate`` give it. Frames run from
+    0 through the last frame present (or num_frames).
     """
     tracker = Tracker(config)
     if num_frames is None:

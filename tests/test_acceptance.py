@@ -29,6 +29,7 @@ from mipmot.io_formats import (
 from mipmot.motion import kf_init, kf_predict, kf_update
 from mipmot.simgen import generate, scenario_template
 from mipmot.tracker import Tracker, TrackerConfig, run_sequence
+from tables import batch
 
 
 def verdict(ok: bool, criterion: str, detail: str):
@@ -292,7 +293,7 @@ def test_criterion_8_determinism_and_round_trips(tmp_path):
             for _ in range(int(rng.integers(0, 10)))
         ]
         if records:
-            batches[frame] = DetectionBatch.from_detections(records, frame)
+            batches[frame] = batch(frame, *records)
     rt_path = tmp_path / "roundtrip.txt"
     write_detections(batches, rt_path)
     recovered = read_detections(rt_path)
@@ -317,18 +318,10 @@ def test_criterion_9_throughput():
     lanes = [(-60.0 + 6.0 * i, 0.6 + 0.02 * i) for i in range(20)]
 
     def frame_dets(frame):
-        dets = []
-        for i, (y, speed) in enumerate(lanes):
-            x = -40.0 + speed * frame + 4.0 * i
-            dets.append(
-                Detection(
-                    frame=frame,
-                    box=Box3D(x, y, 0.75, 4.0, 1.8, 1.5, 0.0),
-                    score=1.0,
-                    embedding=rng.normal(size=32),
-                )
-            )
-        return dets
+        y, speed = np.array(lanes).T
+        x = -40.0 + speed * frame + 4.0 * np.arange(20)
+        boxes = np.column_stack((x, y, np.tile([0.75, 4.0, 1.8, 1.5, 0.0], (20, 1))))
+        return DetectionBatch(frame, boxes, np.ones(20), embeddings=rng.normal(size=(20, 32)))
 
     tracker.step(0, frame_dets(0))  # builds the 20 tracks
     times = []

@@ -141,7 +141,7 @@ def test_refined_bytes_pinned(ratio):
     cfg = TrackerConfig(beta_over_alpha=ratio)
     dense = compute_affinities(dets, tracks, det_emb, trk_emb, cfg)
     with mock.patch.object(affinity_module, "_GATE_MIN_PAIRS", 0):
-        gated = compute_affinities(dets, tracks, det_emb, trk_emb, cfg, need=lambda: need)
+        gated = compute_affinities(dets, tracks, det_emb, trk_emb, cfg, need=need)
     digest = hashlib.sha256()
     for array in (dense.refined, gated.refined, *gated.pairs):
         digest.update(np.ascontiguousarray(array).tobytes())
@@ -486,7 +486,7 @@ class TestCandidateGate:
         # The gate is used at every frame size here, not only beyond
         # the size where it pays off.
         with mock.patch.object(affinity_module, "_GATE_MIN_PAIRS", 0):
-            gated = compute_affinities(*args, need=lambda: need)
+            gated = compute_affinities(*args, need=need)
         return gated, dense
 
     @settings(max_examples=300, deadline=None)
@@ -535,7 +535,7 @@ class TestCandidateGate:
         )
         args = (dets, tracks, None, None, TrackerConfig(use_iou=False))
         with mock.patch.object(affinity_module, "_GATE_MIN_PAIRS", 0):
-            gated = compute_affinities(*args, need=lambda: need)
+            gated = compute_affinities(*args, need=need)
         dense = compute_affinities(*args)
         assert dense.motion[0, 0] == pytest.approx(1.0 - 0.1 / math.sqrt(300.0))
         assert list(zip(*gated.pairs)) == [(0, 0)]
@@ -558,7 +558,7 @@ class TestCandidateGate:
         dets = tracks + np.column_stack((rng.normal(0, 0.2, (60, 2)), np.zeros((60, 5))))
         need = affinity_needed(np.full(60, 0.95), np.full(60, 0.5), 100.0, 22.0, 1.0)
         cfg = TrackerConfig()
-        out = compute_affinities(dets, tracks, None, None, cfg, need=lambda: (need, need))
+        out = compute_affinities(dets, tracks, None, None, cfg, need=(need, need))
         rows, cols = out.pairs
         assert sorted(zip(rows.tolist(), cols.tolist())) == [(k, k) for k in range(60)]
         dense = compute_affinities(dets, tracks, None, None, cfg)
@@ -567,12 +567,7 @@ class TestCandidateGate:
     def test_no_gate_without_need_or_for_small_frames(self):
         box = Box3D(0, 0, 0, 4, 2, 1.5, 0)
         far = Box3D(1e4, 0, 0, 4, 2, 1.5, 0)
-        calls = []
-
-        def need():
-            calls.append(1)
-            return np.array([5.0]), np.array([5.0, 5.0])
-
+        need = np.array([5.0]), np.array([5.0, 5.0])
         tracks = [make_track(0, box), make_track(1, far)]
         small = affinities([make_det(box)], tracks)
         assert small.pairs is None and small.refined.shape == (1, 2)
@@ -580,5 +575,3 @@ class TestCandidateGate:
             box_array([box]), box_array([box, far]), None, None, TrackerConfig(), need=need
         )
         assert out.pairs is None and out.refined.shape == (1, 2)
-        # a frame the gate cannot cut does not work out the need
-        assert calls == []

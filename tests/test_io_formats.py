@@ -23,7 +23,7 @@ from mipmot.io_formats import (
     write_kitti_tracking,
 )
 from mipmot.tracker import FrameResult
-from tables import rows
+from tables import batch, rows
 
 
 def random_detection(rng, frame) -> Detection:
@@ -163,6 +163,24 @@ class TestDetectionFiles:
         d = read_detections(path)[2][0]
         assert (d.box, d.score, d.start_prob) == (Box3D(1, 2, 3, 4, 2, 1, 0), 1.0, 0.0)
         assert type(d.score) is float and type(d.start_prob) is float
+
+    @pytest.mark.parametrize("chunk", [1, io_formats._CHUNK_LINES])
+    @pytest.mark.parametrize("frame", [2**63, 2**64, 10**20])
+    @pytest.mark.parametrize("json_lines", [False, True])
+    def test_frame_beyond_64_bits_rejected_at_its_line(self, tmp_path, json_lines, frame, chunk):
+        """A frame column that does not fit int64 is read again row by
+        row, and the frame is named at its line, as the reference names it."""
+        first = '{"frame": 0, "box": [1, 2, 3, 4, 2, 1.5, 0.1], "score": 0.9}'
+        if json_lines:
+            line = first.replace('"frame": 0', f'"frame": {frame}')
+        else:
+            line = f"{frame} 1 2 3 4 2 1.5 0.1 0.9"
+        path = tmp_path / "big.txt"
+        path.write_text(f"{first}\n{line}\n")
+        with mock.patch.object(io_formats, "_CHUNK_LINES", chunk):
+            with pytest.raises(FormatError, match=rf"big\.txt:2: frame beyond 64 bits: {frame}$"):
+                read_detections(path)
+        assert outcome(io_oracle.read_detections, path) == f"{path}:2: frame beyond 64 bits: {frame}"
 
     def test_rejects_embedding_size_change(self, tmp_path):
         path = tmp_path / "dims.txt"
@@ -307,10 +325,7 @@ class TestDetectionRoundTrip:
         """``write_detections`` of {frame: DetectionBatch} writes the bytes
         the reference writes for the batches' rows, frame by frame."""
         frames = sorted({d.frame for d in dets})
-        batches = {
-            f: DetectionBatch.from_detections([d for d in dets if d.frame == f], f)
-            for f in frames
-        }
+        batches = {f: batch(f, *[d for d in dets if d.frame == f]) for f in frames}
         directory = tmp_path_factory.mktemp("dets")
         write_detections(batches, directory / "batches.txt", json_lines=json_lines)
         records = [d for batch in batches.values() for d in batch]
@@ -724,6 +739,7 @@ class TestDetectionBatch:
             ),
             (dict(embeddings=[[1.0, 2.0]]), r"embeddings must be an \(2, D\) array"),
             (dict(embeddings=np.zeros((2, 0))), r"embeddings must be an \(2, D\) array"),
+            (dict(frame=2**63), "frame beyond 64 bits: 9223372036854775808"),
         ],
     )
     def test_checked_on_construction(self, change, message):
@@ -731,25 +747,6 @@ class TestDetectionBatch:
         fields.update(change)
         with pytest.raises(ValueError, match=message):
             DetectionBatch(**fields)
-
-    def test_from_detections(self):
-        dets = [
-            Detection(2, Box3D(0, 0, 0, 4, 2, 1.5, 0.5), 0.9, start_prob=0.3),
-            Detection(2, Box3D(5, 1, 0, 4, 2, 1.5, -0.5), 0.8, embedding=[1.0, 2.0]),
-        ]
-        batch = DetectionBatch.from_detections(dets, 2)
-        assert DetectionBatch.from_detections(batch, 2) is batch
-        assert [d.box for d in batch] == [d.box for d in dets]
-        np.testing.assert_array_equal(batch.start_prob, [0.3, np.nan])
-        np.testing.assert_array_equal(batch.has_embedding, [False, True])
-        assert len(DetectionBatch.from_detections([], 0)) == 0
-
-    def test_from_detections_rejects_embedding_size_change(self):
-        box = Box3D(0, 0, 0, 4, 2, 1.5, 0.0)
-        dets = [Detection(0, box, 0.9, embedding=[1.0, 2.0]), Detection(0, box, 0.9, embedding=[1])]
-        message = "frame 0, detection 1: embedding has 1 values, expected 2"
-        with pytest.raises(ValueError, match=message):
-            DetectionBatch.from_detections(dets, 0)
 
 
 class TestBulkReading:

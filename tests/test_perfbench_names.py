@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mipmot.io_formats import DetectionBatch
 from mipmot.simgen import generate, scenario_template
 from mipmot.tracker import Tracker
 
@@ -65,9 +64,10 @@ def test_properties_read_the_tracker(monkeypatch):
     _, detections = generate(scenario_template("clutter", seed=0))
     tracker, props, alive = Tracker(), worker.Properties(), []
     for frame in range(max(detections) + 1):
-        batch = DetectionBatch.from_detections(detections.get(frame, []), frame)
-        tracker.step(frame, batch)
-        props.on_step(frame, batch, tracker)
+        # as Run.track passes them: a frame without detections is []
+        frame_dets = detections.get(frame, [])
+        tracker.step(frame, frame_dets)
+        props.on_step(frame, frame_dets, tracker)
         if frame >= worker.WARMUP_FRAMES:
             alive.append(len(tracker.ids))
     summary = props.summary()

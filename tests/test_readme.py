@@ -1,0 +1,25 @@
+"""The README's Python API example runs as written, so it cannot drift
+from the API."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def python_api_example() -> str:
+    """The code of the ``python`` block in the README's ``### Python API``
+    section."""
+    section = README.read_text(encoding="utf-8").split("\n### Python API\n", 1)[1]
+    section = re.split(r"\n##+ ", section, maxsplit=1)[0]
+    (code,) = re.findall(r"```python\n(.*?)```", section, re.S)
+    return code
+
+
+def test_python_api_example_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    exec(compile(python_api_example(), f"{README}:Python API", "exec"), {"__name__": "readme"})
+    # one line for the one tracked frame, then a batch's box shape and a score
+    frame_line, batch_line = capsys.readouterr().out.splitlines()
+    assert frame_line.startswith("0 ") and batch_line.startswith("(")
+    assert (tmp_path / "crossing.dets.txt").stat().st_size > 0
