@@ -77,15 +77,14 @@ def cmd_track(args) -> int:
     output_dir.mkdir(parents=True, exist_ok=True)
     for name, det_path in sequences.items():
         dets = io_formats.read_detections(det_path)
-        num_frames = (max(dets) + 1) if dets else 0
         start = time.perf_counter()
-        results = run_sequence(dets, cfg, num_frames=num_frames)
+        results = run_sequence(dets, cfg)
         elapsed = time.perf_counter() - start
         io_formats.write_kitti_tracking(
             results, output_dir / f"{name}.txt", object_type=cfg.object_type
         )
-        per_frame_ms = 1000.0 * elapsed / num_frames if num_frames else 0.0
-        print(f"{name}: {num_frames} frames, {per_frame_ms:.2f} ms/frame")
+        per_frame_ms = 1000.0 * elapsed / len(results) if results else 0.0
+        print(f"{name}: {len(results)} frames stepped, {per_frame_ms:.2f} ms/frame")
     return 0
 
 

@@ -51,10 +51,14 @@ value fault names the structural one, wherever it stands.
 Label and result files use the KITTI tracking layout: one object per
 line, ``frame id type truncated occluded alpha bbox(4) h w l x y z
 rotation_y [score]``. The image-plane fields cannot be produced here
-and are written as the customary -1 / -10 placeholders. Their numeric
-columns are read and checked in bulk in the same way, with the same
-token check and the extents rule of ``Box3D``. A kept row may not
-repeat the (frame, id) pair of an earlier kept row.
+and are written as the customary -1 / -10 placeholders. A whole file is
+read by one structured ``np.loadtxt`` call, with the field count of its
+first non-blank line, and its rules are checked as vectors over that
+table: finite numbers, the extents rule of ``Box3D``, and no kept row
+repeating the (frame, id) pair of an earlier kept row. A file that does
+not read so, breaks a rule or may have a type name cut short is read
+again one line at a time, with the detection reader's token check, and
+fails at its first faulty line.
 
 Objects are stored as record arrays, never as one object per row.
 ``read_kitti_labels`` (and ``simgen.generate``) give one table for a
@@ -98,6 +102,10 @@ def is_real(v) -> bool:
 
 # The frames and ids a table holds.
 _INT64 = range(-(2**63), 2**63)
+
+# The type names a label file's bulk read holds. np.loadtxt cuts a longer
+# one short without an error, so a name of this length or more takes the walk.
+_TYPE_WIDTH = 32
 
 
 def check_frame(frame) -> int:
@@ -557,6 +565,83 @@ def _first_repeat(frames: np.ndarray, ids: np.ndarray) -> int | None:
     return int(repeats.min()) if repeats.size else None
 
 
+def _label_rows(path: str, keep_types) -> tuple | None:
+    """The kept rows of a label file as (frames, ids, types, numbers),
+    ``numbers`` holding h w l x y z rotation_y and the score (NaN without
+    a score column): the file read by one ``np.loadtxt`` call, its first
+    non-blank line deciding the field count, and checked as a table.
+    None when the file does not read so (no data line, a decoding fault,
+    a line ``np.loadtxt`` does not read, 17 and 18 fields mixed), holds a
+    faulty row, or has a type name that may have been cut short."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            text = f.read()
+        fields = len(text.lstrip().partition("\n")[0].split())  # of the first non-blank line
+        # A string field drops trailing NULs, which the walk keeps.
+        if fields not in (17, 18) or "\0" in text:
+            return None
+        dtype = [("frame", np.int64), ("id", np.int64), ("type", f"U{_TYPE_WIDTH}")]
+        dtype.append(("numbers", np.float64, (fields - 3,)))
+        table = np.loadtxt(path, dtype=dtype, comments=None, ndmin=1, encoding="utf-8")
+    except ValueError:
+        return None
+    keep = table["id"] >= 0
+    if keep_types is not None:
+        keep &= np.array([t in keep_types for t in table["type"].tolist()], dtype=bool)
+    kept, type_lengths = table[keep], np.char.str_len(table["type"])
+    numbers = kept["numbers"][:, 7:]
+    if (
+        not np.isfinite(table["numbers"]).all()
+        or (numbers[:, :3] < 0.0).any()
+        or type_lengths.max() >= _TYPE_WIDTH
+        or _first_repeat(kept["frame"], kept["id"]) is not None
+    ):
+        return None
+    if fields == 17:
+        numbers = np.column_stack((numbers, np.full(len(numbers), np.nan)))
+    # The type field as wide as its longest kept name, as the walk gives it.
+    types = kept["type"].astype(f"U{type_lengths[keep].max(initial=1)}")
+    return kept["frame"], kept["id"], types, numbers
+
+
+def _walk_labels(path: str, keep_types) -> tuple:
+    """The rows ``_label_rows`` gives, of the file read one line at a time
+    and each line checked in turn: its field count, frame and id, numbers,
+    box and (frame, id) pair. Fails at the first faulty line."""
+    rows, first_line = [], {}  # (frame, id) -> line number of its kept row
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            tokens = line.split()
+            if not tokens:
+                continue
+            if len(tokens) not in (17, 18):
+                _fail(path, lineno, f"expected 17 or 18 fields, got {len(tokens)}")
+            try:
+                frame, track_id = int(tokens[0]), int(tokens[1])
+            except ValueError:
+                _fail(path, lineno, "bad frame or track id")
+            if frame not in _INT64 or track_id not in _INT64:
+                _fail(path, lineno, "frame or track id beyond 64 bits")
+            try:
+                numbers = [_number(t) for t in tokens[3:]]
+                keep = track_id >= 0 and (keep_types is None or tokens[2] in keep_types)
+                if keep:
+                    h, w, l, x, y, z, a = numbers[7:14]
+                    Box3D(x, y, z, l, w, h, a)
+            except ValueError as e:
+                _fail(path, lineno, str(e))
+            if not keep:
+                continue
+            first = first_line.setdefault((frame, track_id), lineno)
+            if first != lineno:
+                msg = f"duplicate (frame, id) pair: ({frame}, {track_id}), first on line {first}"
+                _fail(path, lineno, msg)
+            score = numbers[14:] or [math.nan]
+            rows.append((frame, track_id, tokens[2], numbers[7:14] + score))
+    frames, ids, types, numbers = zip(*rows) if rows else ((),) * 4
+    return np.array(frames, np.int64), np.array(ids, np.int64), types, np.reshape(numbers, (-1, 8))
+
+
 def read_kitti_labels(path, keep_types=None) -> np.recarray:
     """Read KITTI tracking labels (or results) as one table, in file order.
 
@@ -568,87 +653,18 @@ def read_kitti_labels(path, keep_types=None) -> np.recarray:
     ids) are always dropped. Every number must be finite; the extents of
     a kept row must be nonnegative, and its (frame, id) pair must not
     repeat an earlier kept row's.
+
+    The file is read by one ``np.loadtxt`` call and its rules checked
+    as vectors over the table. A file that does not read so, breaks a
+    rule or may have a type name cut short is read again one line at a
+    time, which fails at the first faulty line, with the file and line
+    number.
     """
     path = os.fspath(path)
-    rows: list[tuple] = []  # (line number, frame, id, type, 15 numbers as text, score given)
-    # (line numbers, frames, ids, types, 15 numbers) of the kept rows, a chunk each
-    kept = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0, str), np.zeros((0, 15)))]
-
-    def flush() -> None:
-        """Check the pending rows as a table, then keep the rows to keep. A
-        table that does not read or holds a faulty row is read again one
-        row at a time, to fail at the first faulty one."""
-        if not rows:
-            return
-        linenos, frames, ids, types, numbers, scored = zip(*rows)
-        rows.clear()
-        ids, scored = np.array(ids, dtype=np.int64), np.array(scored)
-        keep = ids >= 0
-        if keep_types is not None:
-            keep &= np.array([object_type in keep_types for object_type in types])
-        values = _floats(numbers)
-        if values is not None:
-            bad = ~np.isfinite(values[:, :14]).all(axis=1) | (scored & ~np.isfinite(values[:, 14]))
-            if (bad | (keep & (values[:, 7:10] < 0.0).any(axis=1))).any():
-                values = None
-        fault = None
-        if values is None:
-            values = np.full((len(ids), 15), np.nan)
-            for i, (lineno, text, given) in enumerate(zip(linenos, numbers, scored)):
-                try:
-                    v = [_number(t) for t in text.split()[: 14 + given]]
-                    if keep[i]:
-                        Box3D(v[10], v[11], v[12], v[9], v[8], v[7], v[13])
-                except ValueError as e:
-                    fault = (lineno, str(e))
-                    keep[i:] = False
-                    break
-                values[i, : len(v)] = v
-        columns = (linenos, np.array(frames, dtype=np.int64), ids, np.array(types), values)
-        kept.append(tuple(np.asarray(column)[keep] for column in columns))
-        if fault is not None:
-            fail(*fault)
-
-    def table() -> tuple[np.ndarray, ...]:
-        """The kept rows so far; fails at the first repeated (frame, id) pair."""
-        linenos, frames, ids, types, values = (np.concatenate(c) for c in zip(*kept))
-        i = _first_repeat(frames, ids)
-        if i is not None:
-            first = linenos[(frames == frames[i]) & (ids == ids[i])][0]
-            msg = f"duplicate (frame, id) pair: ({frames[i]}, {ids[i]}), first on line {first}"
-            _fail(path, linenos[i], msg)
-        return frames, ids, types, values
-
-    def fail(lineno: int, msg: str):
-        flush()
-        table()
-        _fail(path, lineno, msg)
-
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            if len(tokens) not in (17, 18):
-                fail(lineno, f"expected 17 or 18 fields, got {len(tokens)}")
-            try:
-                frame = int(tokens[0])
-                track_id = int(tokens[1])
-            except ValueError:
-                fail(lineno, "bad frame or track id")
-            if frame not in _INT64 or track_id not in _INT64:
-                fail(lineno, "frame or track id beyond 64 bits")
-            # 15 numbers on every row: a missing score reads as NaN.
-            scored = len(tokens) == 18
-            numbers = " ".join(tokens[3:] if scored else [*tokens[3:], "nan"])
-            rows.append((lineno, frame, track_id, tokens[2], numbers, scored))
-            if len(rows) == _CHUNK_LINES:
-                flush()
-    flush()
-    frames, ids, types, values = table()
-    boxes = values[:, [10, 11, 12, 9, 8, 7, 13]]
+    frames, ids, types, numbers = _label_rows(path, keep_types) or _walk_labels(path, keep_types)
+    boxes = numbers[:, [3, 4, 5, 2, 1, 0, 6]]
     boxes[:, 6] = wrap_angle(boxes[:, 6])
-    return object_table(frames, ids, types, boxes, values[:, 14])
+    return object_table(frames, ids, types, boxes, numbers[:, 7])
 
 
 # frame id type truncation occlusion, the image-plane placeholders, then

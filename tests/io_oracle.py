@@ -166,8 +166,9 @@ def write_detections(detections, path, json_lines: bool = False) -> None:
 def read_kitti_labels(path, keep_types=None) -> list[tuple]:
     """The (frame, id, type, Box3D, score or None) records of a KITTI
     tracking label (or result) file, in file order; rows with a negative
-    id, or of a type outside ``keep_types``, are dropped. A kept row
-    whose (frame, id) pair an earlier kept row holds is a fault."""
+    id, or of a type outside ``keep_types``, are dropped. A frame or id
+    beyond 64 bits, and a kept row whose (frame, id) pair an earlier kept
+    row holds, are faults."""
     path = os.fspath(path)
     records = []
     first_line = {}  # (frame, id) -> line number of its kept row
@@ -182,6 +183,8 @@ def read_kitti_labels(path, keep_types=None) -> list[tuple]:
                 frame, track_id = int(tokens[0]), int(tokens[1])
             except ValueError:
                 _fail(path, lineno, "bad frame or track id")
+            if not all(-(2**63) <= v < 2**63 for v in (frame, track_id)):
+                _fail(path, lineno, "frame or track id beyond 64 bits")
             values = [_parse_float(t, path, lineno) for t in tokens[3:]]
             if track_id < 0 or (keep_types is not None and tokens[2] not in keep_types):
                 continue

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import time
 
 import pytest
 
@@ -71,6 +72,24 @@ class TestTrack:
         assert "ms/frame" in out
         result = tmp_path / "out" / "seq0.txt"
         assert result.exists() and result.read_text().strip()
+
+    def test_frame_near_64_bits(self, tmp_path, capsys):
+        """A one-line file at frame 2**63 - 1 steps one frame, not every
+        frame before it, and writes its row."""
+        (tmp_path / "seqs").mkdir()
+        (tmp_path / "seqs" / "seq0.dets.txt").write_text(f"{2**63 - 1} 0 0 0.75 4 1.8 1.5 0 1.0\n")
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "track", "--input-dir", str(tmp_path / "seqs"),
+            "--output-dir", str(tmp_path / "out"),
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 0, err
+        assert out.startswith("seq0: 1 frames stepped, ")
+        row = (tmp_path / "out" / "seq0.txt").read_text().split()
+        assert row[:3] == [str(2**63 - 1), "1", "Car"] and row[10:17] == [
+            "1.500000", "1.800000", "4.000000", "0.000000", "0.000000", "0.750000", "0.000000"
+        ]
 
     def test_rerun_byte_identical(self, tmp_path, capsys):
         simulate(capsys, tmp_path / "seqs", template="clutter", name="s")

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -946,3 +947,125 @@ class TestLabelReaderOracle:
             assert isinstance(expected, list)
         else:
             assert expected.startswith(f"{path}:{target + 1}: ")
+
+
+@st.composite
+def valid_label_files(draw):
+    """The lines of a label file without a fault, all with a score or all
+    without: records of a few types, DontCare rows with a negative id (and
+    extents of any sign), blank lines, numbers in one of the ways a number
+    is written. Returns (lines, keep_types)."""
+    scored = draw(st.booleans())
+    keep_types = draw(st.none() | st.just({"Car"}) | st.just({"Car", "Pedestrian", "DontCare"}))
+    lines, pairs = [], set()  # the (frame, id) pairs of the kept rows
+    for _ in range(draw(st.integers(1, 12))):
+        frame, track_id = draw(st.integers(0, 5)), draw(st.integers(-2, 6))
+        object_type = draw(st.sampled_from(["Car", "Pedestrian", "Van"]))
+        if track_id < 0:
+            object_type = "DontCare"
+        if track_id >= 0 and (keep_types is None or object_type in keep_types):
+            if (frame, track_id) in pairs:
+                continue
+            pairs.add((frame, track_id))
+        values = draw(st.lists(st.floats(-1e3, 1e3), min_size=14, max_size=14))
+        extents = st.floats(-50.0 if track_id < 0 else 0.0, 50.0)
+        values[7:10] = draw(st.lists(extents, min_size=3, max_size=3))
+        if scored:
+            values.append(draw(UNIT))
+        form = draw(NUMBER_FORMS)
+        fields = [str(frame), str(track_id), object_type, *(numeral(v, form) for v in values)]
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+        lines.append(draw(st.sampled_from([" ", "\t", "  "])).join(fields))
+    return lines, keep_types
+
+
+LABEL_ROW = "0 1 Car 0 0 -10 -1 -1 -1 -1 1.5 1.8 4.0 1 2 0.75 0.1"
+
+
+class TestLabelFastPath:
+    """A valid file with one field count is read by one np.loadtxt call;
+    a file that does not read so, or has a faulty row, takes the per-line
+    walk, and either way the outcome is the reference's."""
+
+    def outcomes(self, path, keep_types=None):
+        """The package's and the reference's outcomes, and how many times
+        the package walked the file."""
+        with mock.patch.object(io_formats, "_walk_labels", wraps=io_formats._walk_labels) as walk:
+            got = label_outcome(read_kitti_labels, path, keep_types)
+        return got, label_outcome(io_oracle.read_kitti_labels, path, keep_types), walk.call_count
+
+    @settings(max_examples=150, deadline=None)
+    @given(valid_label_files())
+    def test_valid_files_read_in_bulk(self, tmp_path_factory, file):
+        lines, keep_types = file
+        path = tmp_path_factory.mktemp("labels") / "labels.txt"
+        path.write_text("\n".join(lines) + "\n")
+        got, expected, walks = self.outcomes(path, keep_types)
+        assert got == expected and walks == 0
+        width = max((len(record[2]) for record in expected), default=1)
+        assert read_kitti_labels(path, keep_types).dtype == object_table(
+            [], [], np.array([], f"U{width}"), np.zeros((0, 7)), []
+        ).dtype
+
+    @pytest.mark.parametrize(
+        "lines, keep_types, walks",
+        [
+            # type names one shorter than, as long as and longer than the string width
+            ([LABEL_ROW.replace("Car", "C" * (io_formats._TYPE_WIDTH - 1))], None, 0),
+            ([LABEL_ROW.replace("Car", "C" * io_formats._TYPE_WIDTH)], None, 1),
+            ([LABEL_ROW.replace("Car", "C" * (io_formats._TYPE_WIDTH + 1))], None, 1),
+            ([LABEL_ROW, LABEL_ROW.replace("Car", "C" * (io_formats._TYPE_WIDTH + 1))], {"Car"}, 1),
+            # a string field drops a trailing NUL, which the type keeps
+            ([LABEL_ROW.replace("Car", "Car\0")], {"Car"}, 1),
+            # 17 and 18 fields mixed, either first
+            ([LABEL_ROW, LABEL_ROW.replace("0 1", "1 1") + " 0.5"], None, 1),
+            ([LABEL_ROW + " 0.5", LABEL_ROW.replace("0 1", "1 1")], None, 1),
+            # ids only int reads: +5 reads in bulk too, 5.0 is a fault
+            ([LABEL_ROW.replace("0 1", "0 +5")], None, 0),
+            ([LABEL_ROW.replace("0 1", "0 5.0")], None, 1),
+            ([LABEL_ROW.replace("0 1", "0 ٥")], None, 1),  # ARABIC-INDIC DIGIT FIVE
+            ([LABEL_ROW.replace("0 1", "0 1_0")], None, 1),
+            # the last frame 64 bits hold, and the first they do not
+            ([LABEL_ROW.replace("0 1", f"{2**63 - 1} 1")], None, 0),
+            ([LABEL_ROW, LABEL_ROW.replace("0 1", f"{2**63} 1")], None, 1),
+            ([LABEL_ROW.replace("0 1", f"0 {-(2**63) - 1}")], None, 1),
+            # whitespace that str.split and np.loadtxt both split at
+            ([LABEL_ROW.replace(" Car ", "\x0bCar\xa0")], None, 0),
+            ([LABEL_ROW.replace("Car", "C\xa0r")], None, 1),
+            ([LABEL_ROW.replace("Car", "C\x0br") + " 0.5"], None, 1),
+            # a numeral only float reads, and a non-finite one
+            ([LABEL_ROW.replace("1.5", "1_5")], None, 1),
+            ([LABEL_ROW, LABEL_ROW.replace("1.5", "1e500")], None, 1),
+            # a faulty DontCare row
+            ([LABEL_ROW.replace("0 1 Car", "0 -1 DontCare").replace("1.8", "-1.8")], None, 0),
+            ([LABEL_ROW.replace("0 1 Car", "0 -1 DontCare").replace("1.8", "nan")], None, 1),
+        ],
+    )
+    def test_boundaries(self, tmp_path, lines, keep_types, walks):
+        path = tmp_path / "labels.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        got, expected, walked = self.outcomes(path, keep_types)
+        assert got == expected and walked == walks
+
+    def test_width_of_the_type_field(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        long = "P" * (io_formats._TYPE_WIDTH + 3)
+        for types, width in [(["Car"], 3), (["Car", "Pedestrian"], 10), (["Car", long], len(long))]:
+            rows = [LABEL_ROW.replace("0 1 Car", f"0 {i} {t}") for i, t in enumerate(types)]
+            path.write_text("\n".join(rows) + "\n")
+            table = read_kitti_labels(path)
+            assert table.dtype["type"] == np.dtype(f"<U{width}") and table["type"].tolist() == types
+        # a dropped row's type does not widen the field
+        path.write_text(LABEL_ROW + "\n" + LABEL_ROW.replace("0 1 Car", "0 -1 DontCare") + "\n")
+        assert read_kitti_labels(path).dtype["type"] == np.dtype("<U3")
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "   \n\t\n", "\x0b\n \xa0 \n"])
+    def test_files_without_records(self, tmp_path, text):
+        path = tmp_path / "labels.txt"
+        path.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = read_kitti_labels(path)
+        assert len(table) == 0 and io_oracle.read_kitti_labels(path) == []
+        assert table.dtype == object_table([], [], [], np.zeros((0, 7)), []).dtype

@@ -1,3 +1,4 @@
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -344,6 +345,41 @@ class TestDeterminism:
         by_frame = {0: batch(0, det(0.0, 0.0)), 4: batch(4, det(0.0, 0.0))}
         results = run_sequence(by_frame)
         assert [r.frame for r in results] == [0, 1, 2, 3, 4]
+
+    def test_run_sequence_skips_frames_without_tracks(self):
+        """A lone frame near 2**63 is stepped at once: the empty frames
+        before it, with no track to change, are skipped."""
+        last = 2**63 - 1
+        start = time.perf_counter()
+        results = run_sequence({last: batch(last, det(0.0, 0.0))})
+        assert time.perf_counter() - start < 1.0
+        assert [(r.frame, r.tracks["id"].tolist()) for r in results] == [(last, [1])]
+
+    @pytest.mark.parametrize("theta_miss", [0, 2, 5])
+    def test_skipped_frames_change_no_row(self, theta_miss):
+        """run_sequence steps an empty frame only while a track lives, at
+        most theta_miss + 1 after a frame with detections; its results are
+        those of stepping every frame, less empty frames without a row."""
+        rng = np.random.default_rng(theta_miss)
+        cfg = TrackerConfig(theta_miss=theta_miss)
+        frames = np.cumsum(rng.integers(1, 8, size=15)).tolist()
+        # three still objects, each seen on a frame with probability 0.7
+        by_frame = {}
+        for f in frames:
+            seen = [x for x in (0.0, 10.0, 20.0) if rng.random() < 0.7]
+            by_frame[f] = batch(f, *(det(x + rng.normal(0, 0.1), 0.0) for x in seen))
+        num_frames = frames[-1] + 10
+        tracker = Tracker(cfg)
+        every = [tracker.step(f, by_frame.get(f, [])) for f in range(num_frames)]
+        results = run_sequence(by_frame, cfg, num_frames)
+        stepped = {r.frame for r in results}
+        assert [(r.frame, r.tracks.tobytes()) for r in results] == [
+            (r.frame, r.tracks.tobytes()) for r in every if r.frame in stepped
+        ]
+        assert not any(len(r.tracks) for r in every if r.frame not in stepped)
+        assert stepped >= set(frames) and len(stepped) < num_frames
+        for s in stepped - set(frames):
+            assert s - max(f for f in frames if f < s) <= theta_miss + 1
 
 
 def trajectories(results) -> list:
