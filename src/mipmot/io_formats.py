@@ -31,22 +31,24 @@ input form for a frame. ``Detection`` states the rules of one row; it is
 the view that indexing a batch gives, and it names a faulty row.
 
 ``read_detections`` splits each line into its fields as text; the
-numbers of a few thousand lines at a time are then read by one
-``np.loadtxt`` call, which reads a number to the same bits as Python's
-``float``, and checked as a table. A faulty file fails at its first
-faulty line, with the file and line number.
+numbers of the whole file are then read by one ``np.loadtxt`` call for
+the leading fields and one for the embeddings, which read a number to
+the same bits as Python's ``float``, and checked as a table. A faulty
+file fails at its first faulty line, with the file and line number.
 
-A structural fault (brackets, the number of fields, the frame token,
-the shape of a JSON record) fails as its line is split. A chunk of
-lines whose numbers do not all read, or that holds a row breaking a
-rule, is read again one row at a time, and each row is checked in the
-order a per-record reader checks it: a text line's tokens, embedding
-first (``not a number`` or ``non-finite value``); then the rules of
-``Box3D`` and ``Detection``, by building them, so that their messages
-are the ones given; then the embedding size against the file's first
-embedding. A line whose faults are all value faults thus names the
-first of them in that order; only a line with both a structural and a
-value fault names the structural one, wherever it stands.
+A structural fault (a byte that is not UTF-8, brackets, the number of
+fields, the frame token, the shape of a JSON record) is found as its
+line is split; the lines before it are read and checked first, so that
+an earlier faulty line still fails first. When the numbers do not all
+read, or a row breaks a rule, the rows are read again one at a time,
+and each row is checked in the order a per-record reader checks it: a
+text line's tokens, embedding first (``not a number`` or ``non-finite
+value``); then the rules of ``Box3D`` and ``Detection``, by building
+them, so that their messages are the ones given; then the embedding
+size against the file's first embedding. A line whose faults are all
+value faults thus names the first of them in that order; only a line
+with both a structural and a value fault names the structural one,
+wherever it stands.
 
 Label and result files use the KITTI tracking layout: one object per
 line, ``frame id type truncated occluded alpha bbox(4) h w l x y z
@@ -55,10 +57,11 @@ and are written as the customary -1 / -10 placeholders. A whole file is
 read by one structured ``np.loadtxt`` call, with the field count of its
 first non-blank line, and its rules are checked as vectors over that
 table: finite numbers, the extents rule of ``Box3D``, and no kept row
-repeating the (frame, id) pair of an earlier kept row. A file that does
-not read so, breaks a rule or may have a type name cut short is read
-again one line at a time, with the detection reader's token check, and
-fails at its first faulty line.
+repeating the (frame, id) pair of an earlier kept row. DontCare rows and
+rows with a negative id are dropped. A file that does not read so
+(one that is not UTF-8 included), breaks a rule or may have a type name
+cut short is read again one line at a time, with the detection reader's
+token check, and fails at its first faulty line.
 
 Objects are stored as record arrays, never as one object per row.
 ``read_kitti_labels`` (and ``simgen.generate``) give one table for a
@@ -85,11 +88,6 @@ from typing import Optional
 import numpy as np
 
 from .geometry import Box3D, wrap_angle
-
-# Lines whose numbers are read by one np.loadtxt call. Bounds the text
-# held at once, about 0.4 MB per 1000 lines of 32-D embeddings.
-_CHUNK_LINES = 4096
-
 
 # The readers give Python floats and ints; those skip the slower checks
 # against the abstract number types.
@@ -318,182 +316,146 @@ def _floats(rows) -> np.ndarray | None:
         return None
 
 
-class _DetectionReader:
-    """The records of one detection file, checked a chunk of lines at a time.
-
-    A line is split into its fields as text and kept as a row: its line
-    number, frame, head (a frame column, the 7 box values, the score and
-    the start probability, "nan" when absent), whether the start
-    probability is given, its embedding text or None, and whether the
-    line is text (whose numbers are checked token by token) or JSON.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        self.rows: list[tuple] = []
-        self.first_embedding: tuple[int, int] | None = None  # (size, line number)
-        self.parts: list[tuple] = []  # (frames, values, embeddings) of each checked chunk
-
-    def fail(self, lineno: int, msg: str):
-        """Fail at ``lineno`` once the rows before it, which may hold an
-        earlier fault, are checked."""
-        self.flush()
-        _fail(self.path, lineno, msg)
-
-    def add(self, lineno, frame, head, has_start_prob, embedding, text) -> None:
-        self.rows.append((lineno, frame, head, has_start_prob, embedding, text))
-        if len(self.rows) == _CHUNK_LINES:
-            self.flush()
-
-    def add_text(self, line: str, lineno: int) -> None:
-        embedding = None
-        if "[" in line:
-            head, _, tail = line.partition("[")
-            vec = tail.rsplit("]", 1)
-            if len(vec) != 2 or vec[1].strip():
-                self.fail(lineno, "malformed embedding brackets")
-            embedding = vec[0].replace(",", " ")
-            if not embedding.strip():
-                self.fail(lineno, "empty embedding")
-            line = head
-        tokens = line.split()
-        if len(tokens) not in (9, 10):
-            self.fail(lineno, f"expected 9 or 10 leading fields, got {len(tokens)}")
+def _check_utf8(line: str) -> None:
+    """Reject a line read with ``errors="surrogateescape"`` that holds a
+    byte that is not UTF-8, which that reading keeps as a lone surrogate."""
+    if not line.isascii():
         try:
-            frame = int(tokens[0])
-        except ValueError:
-            self.fail(lineno, f"bad frame index: {tokens[0]!r}")
-        given = len(tokens) == 10
-        self.add(lineno, frame, line if given else line + " nan", given, embedding, True)
+            line.encode("utf-8")
+        except UnicodeEncodeError as e:
+            raise ValueError(f"not UTF-8: byte {ord(line[e.start]) - 0xDC00:#04x}") from None
 
-    def add_json(self, line: str, lineno: int) -> None:
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            self.fail(lineno, f"bad JSON: {e.msg}")
-        if not isinstance(obj, dict):
-            self.fail(lineno, "JSON record must be an object")
-        unknown = set(obj) - {"frame", "box", "score", "embedding", "start_prob"}
-        if unknown:
-            self.fail(lineno, f"unknown keys: {sorted(unknown)}")
-        missing = [k for k in ("frame", "box", "score") if k not in obj]
-        if missing:
-            self.fail(lineno, f"missing key: {missing[0]}")
-        frame, box, score = obj["frame"], obj["box"], obj["score"]
-        start_prob, embedding = obj.get("start_prob"), obj.get("embedding")
-        if not isinstance(frame, int) or isinstance(frame, bool):
-            self.fail(lineno, f"frame must be an integer, got {frame!r}")
-        if not (isinstance(box, list) and len(box) == 7 and all(map(is_real, box))):
-            self.fail(lineno, f"box must be a list of 7 numbers, got {box!r}")
-        if not is_real(score):
-            self.fail(lineno, f"score must be a number, got {score!r}")
-        if start_prob is not None and not is_real(start_prob):
-            self.fail(lineno, f"start_prob must be a number, got {start_prob!r}")
-        if embedding is not None and not (
-            isinstance(embedding, list) and all(map(is_real, embedding))
-        ):
-            self.fail(lineno, "embedding must be a list of numbers")
-        if embedding == []:
-            self.fail(lineno, "embedding must be a nonempty 1-D vector")
-        try:
-            given = start_prob is not None
-            head = [*map(float, box), float(score), float(start_prob) if given else math.nan]
-            if embedding is not None:
-                embedding = " ".join(map(repr, map(float, embedding)))
-        except OverflowError as e:
-            self.fail(lineno, str(e))
-        # repr() writes each float so that reading it back gives the same bits.
-        head = "0 " + " ".join(map(repr, head))
-        self.add(lineno, frame, head, given, embedding, False)
 
-    def flush(self) -> None:
-        """Read and check the pending rows; fail at the first faulty one."""
-        rows, self.rows = self.rows, []
-        if rows:
-            frames = np.array([row[1] for row in rows])
-            self.parts.append((frames, *(self.read(rows, frames) or self.walk(rows))))
+def _split_text(line: str) -> tuple:
+    """The fields of a text line's row that follow its line number (see
+    ``_read_rows``); a structural fault raises a ValueError naming it."""
+    embedding = None
+    if "[" in line:
+        head, _, tail = line.partition("[")
+        vec = tail.rsplit("]", 1)
+        if len(vec) != 2 or vec[1].strip():
+            raise ValueError("malformed embedding brackets")
+        embedding = vec[0].replace(",", " ")
+        if not embedding.strip():
+            raise ValueError("empty embedding")
+        line = head
+    tokens = line.split()
+    if len(tokens) not in (9, 10):
+        raise ValueError(f"expected 9 or 10 leading fields, got {len(tokens)}")
+    try:
+        frame = int(tokens[0])
+    except ValueError:
+        raise ValueError(f"bad frame index: {tokens[0]!r}") from None
+    given = len(tokens) == 10
+    return frame, line if given else line + " nan", given, embedding, True
 
-    def read(self, rows, frames) -> tuple[np.ndarray, np.ndarray | None] | None:
-        """The (M, 9) box, score and start probability array and the
-        embedding array of the rows, read by ``np.loadtxt``; None when a
-        row does not read, has an embedding of another size or breaks a
-        rule."""
-        linenos, _, heads, given, embeddings, _ = zip(*rows)
-        head = _floats(heads)
-        if head is None:
-            return None
-        with_embedding = [i for i, e in enumerate(embeddings) if e is not None]
-        full = None
-        if with_embedding:
-            emb = _floats([embeddings[i] for i in with_embedding])
-            if emb is None:
-                return None
-            if self.first_embedding is None:
-                self.first_embedding = (emb.shape[1], linenos[with_embedding[0]])
-            if emb.shape[1] != self.first_embedding[0]:
-                return None
+
+def _split_json(line: str) -> tuple:
+    """The fields of a JSON line's row that follow its line number (see
+    ``_read_rows``); a structural fault raises a ValueError naming it."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"bad JSON: {e.msg}") from None
+    if not isinstance(obj, dict):
+        raise ValueError("JSON record must be an object")
+    unknown = set(obj) - {"frame", "box", "score", "embedding", "start_prob"}
+    if unknown:
+        raise ValueError(f"unknown keys: {sorted(unknown)}")
+    missing = [k for k in ("frame", "box", "score") if k not in obj]
+    if missing:
+        raise ValueError(f"missing key: {missing[0]}")
+    frame, box, score = obj["frame"], obj["box"], obj["score"]
+    start_prob, embedding = obj.get("start_prob"), obj.get("embedding")
+    if not isinstance(frame, int) or isinstance(frame, bool):
+        raise ValueError(f"frame must be an integer, got {frame!r}")
+    if not (isinstance(box, list) and len(box) == 7 and all(map(is_real, box))):
+        raise ValueError(f"box must be a list of 7 numbers, got {box!r}")
+    if not is_real(score):
+        raise ValueError(f"score must be a number, got {score!r}")
+    if start_prob is not None and not is_real(start_prob):
+        raise ValueError(f"start_prob must be a number, got {start_prob!r}")
+    if embedding is not None and not (
+        isinstance(embedding, list) and all(map(is_real, embedding))
+    ):
+        raise ValueError("embedding must be a list of numbers")
+    if embedding == []:
+        raise ValueError("embedding must be a nonempty 1-D vector")
+    try:
+        given = start_prob is not None
+        head = [*map(float, box), float(score), float(start_prob) if given else math.nan]
+        if embedding is not None:
+            embedding = " ".join(map(repr, map(float, embedding)))
+    except OverflowError as e:
+        raise ValueError(str(e)) from None
+    # repr() writes each float so that reading it back gives the same bits.
+    return frame, "0 " + " ".join(map(repr, head)), given, embedding, False
+
+
+def _read_rows(path: str, rows: list[tuple]) -> tuple:
+    """The frames (M,), the (M, 9) box, score and start probability array
+    and the (M, D) embedding array (NaN rows where a row has none; None
+    when no row has one) of a detection file's rows.
+
+    A row holds a line's number, frame, head (a frame column, the 7 box
+    values, the score and the start probability, "nan" when absent),
+    whether the start probability is given, its embedding text or None,
+    and whether the line is text (whose numbers are checked token by
+    token) or JSON. The heads are read by one ``np.loadtxt`` call and
+    the embeddings by another, and checked as a table; when a check
+    fails, the rows are walked one at a time, which fails at the first
+    faulty row."""
+    frames = np.array([row[1] for row in rows])
+    heads, embeddings = [row[2] for row in rows], [row[4] for row in rows]
+    given = np.array([row[3] for row in rows])
+    has_embedding = np.array([e is not None for e in embeddings])
+    head, full = _floats(heads), None
+    if has_embedding.any():
+        emb = _floats(list(itertools.compress(embeddings, has_embedding)))
+        if emb is not None:
             full = np.full((len(rows), emb.shape[1]), np.nan)
-            full[with_embedding] = emb
-        has_embedding = np.array([e is not None for e in embeddings])
-        bad = _broken(head[:, 1:8], head[:, 8], head[:, 9], np.array(given), full, has_embedding)
-        # A frame beyond 64 bits makes the column uint64 or object.
-        if frames.dtype != np.int64 or (bad | (frames < 0)).any():
-            return None
-        return head[:, 1:], full
+            full[has_embedding] = emb
+    # Every head and embedding read, and one int64 frame column: a frame
+    # beyond 64 bits makes the column uint64 or object.
+    if (
+        head is not None
+        and (full is not None) == has_embedding.any()
+        and frames.dtype == np.int64
+        and (frames >= 0).all()
+        and not _broken(head[:, 1:8], head[:, 8], head[:, 9], given, full, has_embedding).any()
+    ):
+        return frames, head[:, 1:], full
+    return frames, *_walk(path, rows)
 
-    def walk(self, rows) -> tuple[np.ndarray, np.ndarray | None]:
-        """The arrays ``read`` gives, of rows read one at a time, each
-        checked in turn: a text line's tokens, embedding first; then the
-        rules of ``Box3D`` and ``Detection``, by building them; then the
-        embedding size. Fails at the first faulty row."""
-        table, vectors = [], {}
-        for i, (lineno, frame, head, given, embedding, text) in enumerate(rows):
-            number = _number if text else float
-            try:
-                vector = None if embedding is None else [number(t) for t in embedding.split()]
-                values = [number(t) for t in head.split()[1 : 9 + given]]
-                start_prob = values[8] if given else None
-                Detection(frame, Box3D(*values[:7]), values[7], vector, start_prob)
-            except ValueError as e:
-                _fail(self.path, lineno, str(e))
-            if vector is not None:
-                size, first = self.first_embedding = self.first_embedding or (len(vector), lineno)
-                if len(vector) != size:
-                    msg = f"embedding has {len(vector)} values, line {first} has {size}"
-                    _fail(self.path, lineno, msg)
-                vectors[i] = vector
-            table.append(values + [math.nan] * (not given))
-        full = None
-        if vectors:
-            full = np.full((len(rows), self.first_embedding[0]), np.nan)
-            full[list(vectors)] = list(vectors.values())
-        return np.array(table), full
 
-    def batches(self) -> dict[int, DetectionBatch]:
-        self.flush()
-        if not self.parts:
-            return {}
-        frames, values = (np.concatenate([part[k] for part in self.parts]) for k in (0, 1))
-        embeddings = None
-        if self.first_embedding is not None:
-            size = self.first_embedding[0]
-            embeddings = np.concatenate(
-                [np.full((len(f), size), np.nan) if e is None else e for f, _, e in self.parts]
-            )
-        order, groups = frame_groups(frames)
-        if order is not None:
-            values = values[order]
-            embeddings = None if embeddings is None else embeddings[order]
-        values[:, 6] = wrap_angle(values[:, 6])
-        out = {}
-        for frame, a, b in groups:
-            emb = None if embeddings is None else embeddings[a:b]
-            if emb is not None and np.isnan(emb[:, 0]).all():
-                emb = None
-            out[frame] = DetectionBatch._checked(
-                frame, values[a:b, :7], values[a:b, 7], values[a:b, 8], emb
-            )
-        return out
+def _walk(path: str, rows: list[tuple]) -> tuple[np.ndarray, np.ndarray | None]:
+    """The arrays ``_read_rows`` gives, of rows read one at a time, each
+    checked in turn: a text line's tokens, embedding first; then the
+    rules of ``Box3D`` and ``Detection``, by building them; then the
+    embedding size against the first embedding's. Fails at the first
+    faulty row."""
+    table, vectors, first = [], {}, None  # first: (size, line number) of the first embedding
+    for i, (lineno, frame, head, given, embedding, text) in enumerate(rows):
+        number = _number if text else float
+        try:
+            vector = None if embedding is None else [number(t) for t in embedding.split()]
+            values = [number(t) for t in head.split()[1 : 9 + given]]
+            start_prob = values[8] if given else None
+            Detection(frame, Box3D(*values[:7]), values[7], vector, start_prob)
+        except ValueError as e:
+            _fail(path, lineno, str(e))
+        if vector is not None:
+            size, first_line = first = first or (len(vector), lineno)
+            if len(vector) != size:
+                msg = f"embedding has {len(vector)} values, line {first_line} has {size}"
+                _fail(path, lineno, msg)
+            vectors[i] = vector
+        table.append(values + [math.nan] * (not given))
+    full = None
+    if vectors:
+        full = np.full((len(rows), first[0]), np.nan)
+        full[list(vectors)] = list(vectors.values())
+    return np.array(table), full
 
 
 def read_detections(path) -> dict[int, DetectionBatch]:
@@ -502,19 +464,43 @@ def read_detections(path) -> dict[int, DetectionBatch]:
     Frames are returned in ascending order; the in-file order within a
     frame is preserved. Every embedding in a file has the same size,
     since tracks compare embeddings across frames.
+
+    Each line is split into its fields as text, up to the first line
+    with a structural fault; the numbers of those lines are then read
+    and checked at once (``_read_rows``), so that an earlier faulty line
+    fails first, before the structural fault fails at its line.
     """
     path = os.fspath(path)
-    reader = _DetectionReader(path)
-    with open(path, "r", encoding="utf-8") as f:
+    rows, fault = [], None
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
-            stripped = line.strip()
-            if not stripped or stripped[0] == "#":
-                continue
-            if stripped[0] == "{":
-                reader.add_json(stripped, lineno)
-            else:
-                reader.add_text(stripped, lineno)
-    return reader.batches()
+            try:
+                _check_utf8(line)
+                line = line.strip()
+                if line and line[0] != "#":
+                    rows.append((lineno, *(_split_json if line[0] == "{" else _split_text)(line)))
+            except ValueError as e:
+                fault = (lineno, str(e))
+                break
+    empty = np.zeros(0, np.int64), np.zeros((0, 9)), None
+    frames, values, embeddings = _read_rows(path, rows) if rows else empty
+    del rows  # the row text is not held while the batches are built
+    if fault is not None:
+        _fail(path, *fault)
+    order, groups = frame_groups(frames)
+    if order is not None:
+        values = values[order]
+        embeddings = None if embeddings is None else embeddings[order]
+    values[:, 6] = wrap_angle(values[:, 6])
+    out = {}
+    for frame, a, b in groups:
+        emb = None if embeddings is None else embeddings[a:b]
+        if emb is not None and np.isnan(emb[:, 0]).all():
+            emb = None
+        out[frame] = DetectionBatch._checked(
+            frame, values[a:b, :7], values[a:b, 7], values[a:b, 8], emb
+        )
+    return out
 
 
 # frame, the box and the score; a given start probability and embedding follow.
@@ -585,7 +571,7 @@ def _label_rows(path: str, keep_types) -> tuple | None:
         table = np.loadtxt(path, dtype=dtype, comments=None, ndmin=1, encoding="utf-8")
     except ValueError:
         return None
-    keep = table["id"] >= 0
+    keep = (table["id"] >= 0) & (table["type"] != "DontCare")
     if keep_types is not None:
         keep &= np.array([t in keep_types for t in table["type"].tolist()], dtype=bool)
     kept, type_lengths = table[keep], np.char.str_len(table["type"])
@@ -609,8 +595,12 @@ def _walk_labels(path: str, keep_types) -> tuple:
     and each line checked in turn: its field count, frame and id, numbers,
     box and (frame, id) pair. Fails at the first faulty line."""
     rows, first_line = [], {}  # (frame, id) -> line number of its kept row
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
+            try:
+                _check_utf8(line)
+            except ValueError as e:
+                _fail(path, lineno, str(e))
             tokens = line.split()
             if not tokens:
                 continue
@@ -624,7 +614,8 @@ def _walk_labels(path: str, keep_types) -> tuple:
                 _fail(path, lineno, "frame or track id beyond 64 bits")
             try:
                 numbers = [_number(t) for t in tokens[3:]]
-                keep = track_id >= 0 and (keep_types is None or tokens[2] in keep_types)
+                keep = track_id >= 0 and tokens[2] != "DontCare"
+                keep = keep and (keep_types is None or tokens[2] in keep_types)
                 if keep:
                     h, w, l, x, y, z, a = numbers[7:14]
                     Box3D(x, y, z, l, w, h, a)
@@ -649,16 +640,17 @@ def read_kitti_labels(path, keep_types=None) -> np.recarray:
     ``id``, ``box`` (x, y, z, l, w, h, a) and ``score``, NaN where a
     row has no score column. The 2D bbox, truncation and occlusion
     fields are read for validation but not kept. ``keep_types``
-    optionally restricts the object classes; DontCare rows (negative
-    ids) are always dropped. Every number must be finite; the extents of
-    a kept row must be nonnegative, and its (frame, id) pair must not
-    repeat an earlier kept row's.
+    optionally restricts the object classes; rows of type DontCare, and
+    rows with a negative id, are always dropped. Every number must be
+    finite, a dropped row's too; the extents of a kept row must be
+    nonnegative, and its (frame, id) pair must not repeat an earlier
+    kept row's.
 
     The file is read by one ``np.loadtxt`` call and its rules checked
     as vectors over the table. A file that does not read so, breaks a
     rule or may have a type name cut short is read again one line at a
     time, which fails at the first faulty line, with the file and line
-    number.
+    number; so does a line holding a byte that is not UTF-8.
     """
     path = os.fspath(path)
     frames, ids, types, numbers = _label_rows(path, keep_types) or _walk_labels(path, keep_types)

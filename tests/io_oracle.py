@@ -165,8 +165,9 @@ def write_detections(detections, path, json_lines: bool = False) -> None:
 
 def read_kitti_labels(path, keep_types=None) -> list[tuple]:
     """The (frame, id, type, Box3D, score or None) records of a KITTI
-    tracking label (or result) file, in file order; rows with a negative
-    id, or of a type outside ``keep_types``, are dropped. A frame or id
+    tracking label (or result) file, in file order; DontCare rows, rows
+    with a negative id and rows of a type outside ``keep_types`` are
+    dropped. A frame or id
     beyond 64 bits, and a kept row whose (frame, id) pair an earlier kept
     row holds, are faults."""
     path = os.fspath(path)
@@ -186,7 +187,9 @@ def read_kitti_labels(path, keep_types=None) -> list[tuple]:
             if not all(-(2**63) <= v < 2**63 for v in (frame, track_id)):
                 _fail(path, lineno, "frame or track id beyond 64 bits")
             values = [_parse_float(t, path, lineno) for t in tokens[3:]]
-            if track_id < 0 or (keep_types is not None and tokens[2] not in keep_types):
+            if track_id < 0 or tokens[2] == "DontCare":
+                continue
+            if keep_types is not None and tokens[2] not in keep_types:
                 continue
             h, w, l, x, y, z, a = values[7:14]
             try:

@@ -116,6 +116,19 @@ class TestDetectionFiles:
         with pytest.raises(FormatError, match=":2:"):
             read_detections(path)
 
+    def test_byte_not_utf8_rejected_at_its_line(self, tmp_path):
+        """A byte that is not UTF-8 fails at its line, after the faults of
+        earlier lines; a comment line must be UTF-8 too."""
+        good = b"0 1 2 3 4 2 1.5 0.1 0.9\n"
+        path = tmp_path / "d.txt"
+        for second in (b"0 1 2 3 4 2 1.5 0.1 0.9\xe9\n", b"# caf\xe9\n"):
+            path.write_bytes(good + second + good)
+            with pytest.raises(FormatError, match=r"d\.txt:2: not UTF-8: byte 0xe9$"):
+                read_detections(path)
+        path.write_bytes(good.replace(b"0.9", b"1.5") + b"\xe9\n")
+        with pytest.raises(FormatError, match=r"d\.txt:1: score must be in"):
+            read_detections(path)
+
     def test_rejects_nan(self, tmp_path):
         path = tmp_path / "nan.txt"
         path.write_text("0 nan 2 3 4 2 1.5 0.1 0.9\n")
@@ -165,22 +178,22 @@ class TestDetectionFiles:
         assert (d.box, d.score, d.start_prob) == (Box3D(1, 2, 3, 4, 2, 1, 0), 1.0, 0.0)
         assert type(d.score) is float and type(d.start_prob) is float
 
-    @pytest.mark.parametrize("chunk", [1, io_formats._CHUNK_LINES])
+    @pytest.mark.parametrize("trail", [1, 4096])
     @pytest.mark.parametrize("frame", [2**63, 2**64, 10**20])
     @pytest.mark.parametrize("json_lines", [False, True])
-    def test_frame_beyond_64_bits_rejected_at_its_line(self, tmp_path, json_lines, frame, chunk):
+    def test_frame_beyond_64_bits_rejected_at_its_line(self, tmp_path, json_lines, frame, trail):
         """A frame column that does not fit int64 is read again row by
-        row, and the frame is named at its line, as the reference names it."""
+        row, and the frame is named at its line, as the reference names
+        it; ``trail`` good lines follow the faulty one."""
         first = '{"frame": 0, "box": [1, 2, 3, 4, 2, 1.5, 0.1], "score": 0.9}'
         if json_lines:
             line = first.replace('"frame": 0', f'"frame": {frame}')
         else:
             line = f"{frame} 1 2 3 4 2 1.5 0.1 0.9"
         path = tmp_path / "big.txt"
-        path.write_text(f"{first}\n{line}\n")
-        with mock.patch.object(io_formats, "_CHUNK_LINES", chunk):
-            with pytest.raises(FormatError, match=rf"big\.txt:2: frame beyond 64 bits: {frame}$"):
-                read_detections(path)
+        path.write_text(f"{first}\n{line}\n" + f"{first}\n" * trail)
+        with pytest.raises(FormatError, match=rf"big\.txt:2: frame beyond 64 bits: {frame}$"):
+            read_detections(path)
         assert outcome(io_oracle.read_detections, path) == f"{path}:2: frame beyond 64 bits: {frame}"
 
     def test_rejects_embedding_size_change(self, tmp_path):
@@ -453,6 +466,34 @@ class TestKittiFiles:
         in_order = labels_to_frames(table[np.argsort(frames, kind="stable")])
         assert all(in_order[f].tobytes() == grouped[f].tobytes() for f in grouped)
 
+    def test_dontcare_rows_dropped_by_type(self, tmp_path):
+        """A DontCare row is dropped whatever its id and ``keep_types``, in
+        bulk and in the walk; its numbers must still be finite."""
+        line = "0 3 DontCare 0 0 -10 -1 -1 -1 -1 1.5 1.8 4.0 1 2 0.75 0.1"
+        path = tmp_path / "labels.txt"
+        path.write_text(line + "\n")
+        for keep_types in (None, {"Car", "DontCare"}):
+            assert len(read_kitti_labels(path, keep_types)) == 0
+            assert io_oracle.read_kitti_labels(path, keep_types) == []
+        # 1_0 is read only by the walk
+        path.write_text(line + "\n" + line.replace("3 DontCare", "1_0 Car") + "\n")
+        assert read_kitti_labels(path)["id"].tolist() == [10]
+        path.write_text(line.replace("1.8", "nan") + "\n")
+        with pytest.raises(FormatError, match=r"labels\.txt:1: non-finite value: 'nan'"):
+            read_kitti_labels(path)
+
+    def test_byte_not_utf8_rejected_at_its_line(self, tmp_path):
+        """A byte that is not UTF-8 fails at its line, after the faults of
+        earlier lines."""
+        line = b"0 1 Car 0 0 -10 -1 -1 -1 -1 1.5 1.8 4.0 1 2 0.75 0.1\n"
+        path = tmp_path / "labels.txt"
+        path.write_bytes(line + line.replace(b"Car", b"Caf\xe9").replace(b"0 1", b"1 1") + line)
+        with pytest.raises(FormatError, match=r"labels\.txt:2: not UTF-8: byte 0xe9$"):
+            read_kitti_labels(path)
+        path.write_bytes(line + line + b"\xe9\n")
+        with pytest.raises(FormatError, match=r"labels\.txt:2: duplicate"):
+            read_kitti_labels(path)
+
     def test_negative_ids_skipped_by_default(self, tmp_path):
         path = tmp_path / "labels.txt"
         path.write_text(
@@ -611,20 +652,19 @@ VALUE_FAULTS = [
 class TestReaderOracle:
     """The bulk reader against the per-line reference of tests/io_oracle.py.
 
-    Each runs with the default chunk of lines and with chunks of 3, so
-    that chunk boundaries fall inside the files.
+    Each file follows ``skipped`` comment lines, 3 or 4096, so that its
+    line numbers count lines that no reader keeps.
     """
 
-    @pytest.mark.parametrize("chunk", [3, io_formats._CHUNK_LINES])
+    @pytest.mark.parametrize("skipped", [3, 4096])
     @settings(max_examples=80, deadline=None)
     @given(oracle_files())
-    def test_same_records(self, tmp_path_factory, chunk, file):
+    def test_same_records(self, tmp_path_factory, skipped, file):
         lines, records, _ = file
         path = tmp_path_factory.mktemp("oracle") / "dets.txt"
-        path.write_text("\n".join(lines) + "\n")
-        with mock.patch.object(io_formats, "_CHUNK_LINES", chunk):
-            got = outcome(read_detections, path)
-            frames = read_detections(path)
+        path.write_text("# skipped\n" * skipped + "\n".join(lines) + "\n")
+        got = outcome(read_detections, path)
+        frames = read_detections(path)
         assert got == outcome(io_oracle.read_detections, path)
         assert len(got) == len(records)
         for frame, batch in frames.items():
@@ -632,23 +672,23 @@ class TestReaderOracle:
             for i, d in enumerate(batch):
                 assert d.box.to_array().tobytes() == batch.boxes[i].tobytes()
 
-    @pytest.mark.parametrize("chunk", [3, io_formats._CHUNK_LINES])
+    @pytest.mark.parametrize("skipped", [3, 4096])
     @pytest.mark.parametrize("fault", FAULTS)
     @settings(max_examples=25, deadline=None)
     @given(oracle_files(min_size=1), st.data())
-    def test_same_error(self, tmp_path_factory, chunk, fault, file, data):
+    def test_same_error(self, tmp_path_factory, skipped, fault, file, data):
         """One line with one fault: both readers fail at its line, with
         the same message (a changed embedding size fails where it first
         differs from the file's first embedding)."""
         lines, records, size = file
+        lines = ["# skipped"] * skipped + lines
         target = data.draw(st.integers(0, len(records) - 1))
         bad_line = data.draw(record_line(records[target], fault, size))
         numbered = [i for i, line in enumerate(lines) if line.strip() and line[0] != "#"]
         lines[numbered[target]] = bad_line
         path = tmp_path_factory.mktemp("oracle") / "dets.txt"
         path.write_text("\n".join(lines) + "\n")
-        with mock.patch.object(io_formats, "_CHUNK_LINES", chunk):
-            got = outcome(read_detections, path)
+        got = outcome(read_detections, path)
         expected = outcome(io_oracle.read_detections, path)
         assert got == expected
         others = [r for i, r in enumerate(records) if i != target and r[5] is not None]
@@ -657,7 +697,7 @@ class TestReaderOracle:
         if fault != "embedding size":
             assert expected.startswith(f"{path}:{numbered[target] + 1}: ")
 
-    @pytest.mark.parametrize("chunk", [3, io_formats._CHUNK_LINES])
+    @pytest.mark.parametrize("skipped", [3, 4096])
     @settings(max_examples=150, deadline=None)
     @given(
         oracle_files(min_size=1),
@@ -665,18 +705,18 @@ class TestReaderOracle:
         st.data(),
     )
     def test_same_error_for_value_faults_on_one_line(
-        self, tmp_path_factory, chunk, file, faults, data
+        self, tmp_path_factory, skipped, file, faults, data
     ):
         """Two or three value faults on one text line: both readers fail
         at its line and name the same one of them."""
         lines, records, size = file
+        lines = ["# skipped"] * skipped + lines
         target = data.draw(st.integers(0, len(records) - 1))
         numbered = [i for i, line in enumerate(lines) if line.strip() and line[0] != "#"]
         lines[numbered[target]] = data.draw(record_line(records[target], tuple(faults), size))
         path = tmp_path_factory.mktemp("oracle") / "dets.txt"
         path.write_text("\n".join(lines) + "\n")
-        with mock.patch.object(io_formats, "_CHUNK_LINES", chunk):
-            got = outcome(read_detections, path)
+        got = outcome(read_detections, path)
         expected = outcome(io_oracle.read_detections, path)
         assert got == expected
         assert expected.startswith(f"{path}:{numbered[target] + 1}: ")
@@ -771,10 +811,11 @@ class TestBulkReading:
         assert (frames[0][0].box.x, frames[0][0].box.y) == (10.0, 2.0)
         assert len(frames[1]) == 1
 
-    @pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
-    def test_first_faulty_line_across_chunks(self, tmp_path, chunk):
+    @pytest.mark.parametrize("trail", [1, 2, 3, 4096])
+    def test_first_faulty_line_across_chunks(self, tmp_path, trail):
         """A value fault is reported before a later structural one, and a
-        structural one before a later value fault, across chunk bounds."""
+        structural one before a later value fault, with ``trail`` good
+        lines after each case's lines."""
         good = "0 1 0 0 4 2 1.5 0 0.9 [1 2]"
         cases = [
             ([good, good, "0 1 0 0 4 2 1.5 0 1.5 [1 2]", "0 1 2"], ":3: score must be in"),
@@ -787,13 +828,23 @@ class TestBulkReading:
         ]
         for lines, message in cases:
             path = tmp_path / "d.txt"
-            path.write_text("\n".join(lines) + "\n")
-            with mock.patch.object(io_formats, "_CHUNK_LINES", chunk):
-                with pytest.raises(FormatError, match=message):
-                    read_detections(path)
+            path.write_text("\n".join(lines + [good] * trail) + "\n")
+            with pytest.raises(FormatError, match=message):
+                read_detections(path)
 
-    @pytest.mark.parametrize("chunk", [1, 2, 4096])
-    def test_label_faults_in_file_order(self, tmp_path, chunk):
+    def test_value_fault_before_structural_fault_thousands_of_lines_later(self, tmp_path):
+        good = "0 1 0 0 4 2 1.5 0 0.9 [1 2]"
+        lines = [good.replace("0.9", "1.5")] + [good] * 4998 + ["0 1 2"]
+        path = tmp_path / "d.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=r"d\.txt:1: score must be in"):
+            read_detections(path)
+        assert outcome(io_oracle.read_detections, path).startswith(f"{path}:1: score must be in")
+
+    @pytest.mark.parametrize("trail", [1, 2, 4096])
+    def test_label_faults_in_file_order(self, tmp_path, trail):
+        """Each case's first faulty line is named, with ``trail`` good
+        lines of other frames after the case's lines."""
         good = "0 1 Car 0 0 -10 -1 -1 -1 -1 1.5 1.8 4.0 1 2 0.75 0.1"
         negative = "0 1 Car 0 0 -10 -1 -1 -1 -1 1.5 -1.8 4.0 1 2 0.75 0.1"
         other_frame = good.replace("0 1 Car", "1 1 Car")
@@ -816,12 +867,12 @@ class TestBulkReading:
             ([good, other_frame, other_frame, negative], r":3: duplicate .* first on line 2"),
             ([good, negative.replace("0 1", "0 2"), good], ":2: Box3D extents must be"),
         ]
+        after = [good.replace("0 1 Car", f"{2 + i} 1 Car") for i in range(trail)]
         for lines, message in cases:
             path = tmp_path / "labels.txt"
-            path.write_text("\n".join(lines) + "\n")
-            with mock.patch.object(io_formats, "_CHUNK_LINES", chunk):
-                with pytest.raises(FormatError, match=message):
-                    read_kitti_labels(path)
+            path.write_text("\n".join(lines + after) + "\n")
+            with pytest.raises(FormatError, match=message):
+                read_kitti_labels(path)
 
     def test_pairs_repeat_only_among_kept_rows(self, tmp_path):
         good = "0 1 Car 0 0 -10 -1 -1 -1 -1 1.5 1.8 4.0 1 2 0.75 0.1"
@@ -857,8 +908,8 @@ LABEL_FAULTS = [
 @st.composite
 def label_line(draw, frame, fault=None):
     """One line of a KITTI label file of the given frame: a record of any
-    id (a DontCare row has a negative one, and may have negative
-    extents), with a score or not, its numbers in one of the ways a
+    id (a row with a negative one is a DontCare row; a DontCare row may
+    have negative extents), with a score or not, its numbers in one of the ways a
     number is written; with ``fault``, a line with that fault. The
     "duplicate" line is a kept record without a fault: the test repeats
     it."""
@@ -866,9 +917,10 @@ def label_line(draw, frame, fault=None):
         track_id, object_type = draw(st.integers(0, 20)), "Car"
     else:
         track_id = draw(st.integers(-2, 20))
-        object_type = "DontCare" if track_id < 0 else draw(st.sampled_from(["Car", "Van"]))
+        types = st.sampled_from(["Car", "Van", "DontCare"])
+        object_type = "DontCare" if track_id < 0 else draw(types)
     values = draw(st.lists(st.floats(-1e3, 1e3), min_size=14, max_size=14))
-    extents = st.floats(-50.0 if track_id < 0 else 0.0, 50.0)
+    extents = st.floats(-50.0 if object_type == "DontCare" else 0.0, 50.0)
     values[7:10] = draw(st.lists(extents, min_size=3, max_size=3))
     score = draw(st.none() | UNIT)
     if score is not None:
@@ -916,14 +968,14 @@ def label_outcome(read, path, keep_types):
 
 class TestLabelReaderOracle:
     """read_kitti_labels against the per-line reference of tests/io_oracle.py,
-    on label files with one faulty line, with chunks of 1, 3 and the
-    default number of lines."""
+    on label files with one faulty line, each after ``skipped`` blank
+    lines, 1, 3 or 4096."""
 
-    @pytest.mark.parametrize("chunk", [1, 3, io_formats._CHUNK_LINES])
+    @pytest.mark.parametrize("skipped", [1, 3, 4096])
     @pytest.mark.parametrize("fault", LABEL_FAULTS)
     @settings(max_examples=25, deadline=None)
     @given(st.data())
-    def test_same_records_or_error(self, tmp_path_factory, chunk, fault, data):
+    def test_same_records_or_error(self, tmp_path_factory, skipped, fault, data):
         # Each line has its own frame, so that only the faulty line repeats
         # a (frame, id) pair.
         n = data.draw(st.integers(0, 10))
@@ -938,37 +990,37 @@ class TestLabelReaderOracle:
             target += 1
         keep_types = data.draw(st.none() | st.just({"Car", "DontCare"}))
         path = tmp_path_factory.mktemp("labels") / "labels.txt"
-        path.write_text("\n".join(lines) + "\n")
-        with mock.patch.object(io_formats, "_CHUNK_LINES", chunk):
-            got = label_outcome(read_kitti_labels, path, keep_types)
+        path.write_text("\n" * skipped + "\n".join(lines) + "\n")
+        got = label_outcome(read_kitti_labels, path, keep_types)
         expected = label_outcome(io_oracle.read_kitti_labels, path, keep_types)
         assert got == expected
         if fault == "negative extent, DontCare":
             assert isinstance(expected, list)
         else:
-            assert expected.startswith(f"{path}:{target + 1}: ")
+            assert expected.startswith(f"{path}:{skipped + target + 1}: ")
 
 
 @st.composite
 def valid_label_files(draw):
     """The lines of a label file without a fault, all with a score or all
-    without: records of a few types, DontCare rows with a negative id (and
-    extents of any sign), blank lines, numbers in one of the ways a number
+    without: records of a few types, DontCare rows of any id (and extents
+    of any sign), blank lines, numbers in one of the ways a number
     is written. Returns (lines, keep_types)."""
     scored = draw(st.booleans())
     keep_types = draw(st.none() | st.just({"Car"}) | st.just({"Car", "Pedestrian", "DontCare"}))
     lines, pairs = [], set()  # the (frame, id) pairs of the kept rows
     for _ in range(draw(st.integers(1, 12))):
         frame, track_id = draw(st.integers(0, 5)), draw(st.integers(-2, 6))
-        object_type = draw(st.sampled_from(["Car", "Pedestrian", "Van"]))
+        object_type = draw(st.sampled_from(["Car", "Pedestrian", "Van", "DontCare"]))
         if track_id < 0:
             object_type = "DontCare"
-        if track_id >= 0 and (keep_types is None or object_type in keep_types):
+        dropped = object_type == "DontCare"
+        if not dropped and (keep_types is None or object_type in keep_types):
             if (frame, track_id) in pairs:
                 continue
             pairs.add((frame, track_id))
         values = draw(st.lists(st.floats(-1e3, 1e3), min_size=14, max_size=14))
-        extents = st.floats(-50.0 if track_id < 0 else 0.0, 50.0)
+        extents = st.floats(-50.0 if dropped else 0.0, 50.0)
         values[7:10] = draw(st.lists(extents, min_size=3, max_size=3))
         if scored:
             values.append(draw(UNIT))
@@ -1040,6 +1092,9 @@ class TestLabelFastPath:
             # a faulty DontCare row
             ([LABEL_ROW.replace("0 1 Car", "0 -1 DontCare").replace("1.8", "-1.8")], None, 0),
             ([LABEL_ROW.replace("0 1 Car", "0 -1 DontCare").replace("1.8", "nan")], None, 1),
+            # a DontCare row with a nonnegative id is dropped by its type
+            ([LABEL_ROW.replace("0 1 Car", "0 3 DontCare").replace("1.8", "-1.8")], None, 0),
+            ([LABEL_ROW.replace("0 1 Car", "0 3 DontCare").replace("1.8", "nan")], None, 1),
         ],
     )
     def test_boundaries(self, tmp_path, lines, keep_types, walks):
