@@ -90,6 +90,8 @@ def cmd_track(args) -> int:
 
 def _evaluate_dirs(results_dir: Path, labels_dir: Path, iou_threshold: float):
     label_files = _sequences(labels_dir, ".labels.txt") or _kitti_files(labels_dir)
+    if not label_files:
+        raise CliError(f"no *.labels.txt or KITTI *.txt label files in {labels_dir}")
     result_files = _kitti_files(results_dir)
     missing = sorted(set(label_files) - set(result_files))
     extra = sorted(set(result_files) - set(label_files))
@@ -109,12 +111,12 @@ def _evaluate_dirs(results_dir: Path, labels_dir: Path, iou_threshold: float):
 
 
 def cmd_eval(args) -> int:
-    # An explicit --iou-threshold wins over the config's eval_iou_threshold.
-    threshold = args.iou_threshold
-    if threshold is None:
-        cfg = TrackerConfig() if args.config is None else TrackerConfig.from_file(args.config)
-        threshold = cfg.eval_iou_threshold
-    reports = _evaluate_dirs(Path(args.results_dir), Path(args.labels_dir), threshold)
+    cfg = TrackerConfig() if args.config is None else TrackerConfig.from_file(args.config)
+    # An explicit --iou-threshold wins over the config's eval_iou_threshold
+    # and is checked by the same rule.
+    if args.iou_threshold is not None:
+        cfg = cfg.override(eval_iou_threshold=args.iou_threshold)
+    reports = _evaluate_dirs(Path(args.results_dir), Path(args.labels_dir), cfg.eval_iou_threshold)
     overall = evaluation.aggregate_reports(list(reports.values()))
     table = dict(reports)
     table["OVERALL"] = overall
@@ -134,15 +136,29 @@ def _scenario_from_args(args) -> simgen.ScenarioConfig:
         return simgen.scenario_template(args.template, seed=args.seed)
     with open(args.scenario, "r", encoding="utf-8") as f:
         data = json.load(f)
+    if not isinstance(data, dict):
+        raise CliError("scenario file must hold a JSON object")
     known = {f.name for f in dataclasses.fields(simgen.ScenarioConfig)}
     unknown = set(data) - known
     if unknown:
         raise CliError(f"unknown scenario keys: {sorted(unknown)}")
-    if "objects" in data and data["objects"] is not None:
-        data["objects"] = [simgen.ObjectSpec(**o) for o in data["objects"]]
-    if "occlusions" in data:
-        data["occlusions"] = [tuple(o) for o in data["occlusions"]]
+    if data.get("objects") is not None:
+        data["objects"] = _object_specs(data["objects"])
     return simgen.ScenarioConfig(**data)
+
+
+def _object_specs(objects) -> list[simgen.ObjectSpec]:
+    """The ``objects`` of a scenario file: JSON objects with the keys
+    x, y, vx, vy and optionally group."""
+    keys = {f.name for f in dataclasses.fields(simgen.ObjectSpec)}
+    if not isinstance(objects, list):
+        raise CliError(f"scenario objects must be a list, got {objects!r}")
+    for k, o in enumerate(objects):
+        if not isinstance(o, dict) or not keys - {"group"} <= set(o) <= keys:
+            raise CliError(
+                f"scenario object {k} must hold x, y, vx, vy and optionally group, got {o!r}"
+            )
+    return [simgen.ObjectSpec(**o) for o in objects]
 
 
 def cmd_simulate(args) -> int:

@@ -12,13 +12,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass
 from typing import Optional
 
 from .evaluation import DEFAULT_IOU_THRESHOLD
-from .io_formats import is_real
+from .io_formats import is_integer, is_real
 from .motion import MEAS_DIM, STATE_DIM
 
 ASSOCIATORS = ("mip", "hungarian")
@@ -83,7 +82,7 @@ class TrackerConfig:
             object.__setattr__(self, name, float(value))
         for name in ("theta_hit", "theta_miss"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
+            if not is_integer(value) or value < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         for name in ("use_dis", "use_iou"):

@@ -17,14 +17,17 @@ pairs, the matching with the most pairs and, among those, the largest
 total IoU, the rule of the KITTI tracking devkit and py-motmetrics
 (Bernardin & Stiefelhagen 2008). Between matchings equal in both, the
 one ``scipy.optimize.linear_sum_assignment`` returns is taken.
-Identity switches are counted against the most recent matched
-hypothesis of each ground-truth trajectory, fragmentations whenever a
-trajectory resumes being tracked after an interior gap.
+Each frame is matched in turn and adds its rows to the sequence's match
+table: every ground-truth row, and for each match its hypothesis id and
+IoU. One array pass over that table counts the sequence. Identity
+switches are counted against the most recent matched hypothesis of each
+ground-truth trajectory, fragmentations whenever a trajectory resumes
+being tracked after an interior gap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -106,111 +109,40 @@ def match_frame(
     iou: np.ndarray,
     prev_correspondence: dict[int, int],
     iou_threshold: float = DEFAULT_IOU_THRESHOLD,
-) -> dict[int, int]:
+) -> list[tuple[int, int]]:
     """Match one frame's ground truth to hypotheses, honoring continuity.
 
     ``iou`` is the frame's BEV IoU matrix, ground truth ``gt_ids`` (rows)
-    against hypotheses ``hyp_ids`` (columns). Surviving previous
-    pairings are kept when still above the threshold. A pair at or below
-    the threshold is forbidden; the rest get the matching of the most
+    against hypotheses ``hyp_ids`` (columns); ``prev_correspondence`` is
+    the previous frame's {gt_id: hyp_id}. Surviving previous pairings
+    are kept when still above the threshold. A pair at or below the
+    threshold is forbidden; the rest get the matching of the most
     allowed pairs and then the largest total IoU. Ties between matchings
     equal in both go to the one ``linear_sum_assignment`` returns.
-    Returns {gt_id: hyp_id}.
+    Returns the matches as (gt row, hypothesis column) pairs: the kept
+    pairings in the order of ``prev_correspondence``, then the new ones.
     """
     gt_row = {g: i for i, g in enumerate(gt_ids)}
     hyp_col = {h: j for j, h in enumerate(hyp_ids)}
-    correspondence: dict[int, int] = {}
-    taken_hyps: set[int] = set()
+    pairs: list[tuple[int, int]] = []
     for gt_id, hyp_id in prev_correspondence.items():
         if gt_id in gt_row and hyp_id in hyp_col:
-            if iou[gt_row[gt_id], hyp_col[hyp_id]] > iou_threshold:
-                correspondence[gt_id] = hyp_id
-                taken_hyps.add(hyp_id)
+            i, j = gt_row[gt_id], hyp_col[hyp_id]
+            if iou[i, j] > iou_threshold:
+                pairs.append((i, j))
 
-    free_gt = [g for g in gt_ids if g not in correspondence]
-    free_hyp = [h for h in hyp_ids if h not in taken_hyps]
-    if free_gt and free_hyp:
-        free = iou[np.ix_([gt_row[g] for g in free_gt], [hyp_col[h] for h in free_hyp])]
+    free_rows = sorted(set(range(len(gt_ids))) - {i for i, _ in pairs})
+    free_cols = sorted(set(range(len(hyp_ids))) - {j for _, j in pairs})
+    if free_rows and free_cols:
+        free = iou[np.ix_(free_rows, free_cols)]
         allowed = free > iou_threshold
         # An allowed pair costs 1 - IoU, at most 1; a forbidden one costs
         # more than all the allowed pairs of an assignment together.
         cost = np.where(allowed, 1.0 - free, min(free.shape) + 1.0)
         for i, j in zip(*linear_sum_assignment(cost)):
             if allowed[i, j]:
-                correspondence[free_gt[i]] = free_hyp[j]
-    return correspondence
-
-
-@dataclass
-class _GtTrackState:
-    present: int = 0
-    matched: int = 0
-    last_hyp: int | None = None
-    in_gap: bool = False
-    ever_matched: bool = False
-
-
-@dataclass
-class Accumulator:
-    """Streams frames of one sequence and accumulates CLEARMOT counts."""
-
-    iou_threshold: float = DEFAULT_IOU_THRESHOLD
-    fp: int = 0
-    fn: int = 0
-    idsw: int = 0
-    frag: int = 0
-    num_gt_boxes: int = 0
-    tp: int = 0
-    iou_sum: float = 0.0
-    _tracks: dict[int, _GtTrackState] = field(default_factory=dict)
-    _prev: dict[int, int] = field(default_factory=dict)
-
-    def update(self, gt: np.ndarray, hyp: np.ndarray, iou: np.ndarray):
-        """Add one frame, given its ground truth and hypotheses as rows
-        with the fields ``id`` and ``box``, and their BEV IoU matrix
-        (``geometry.bev_iou_matrix`` of the boxes)."""
-        gt_ids, hyp_ids = gt["id"].tolist(), hyp["id"].tolist()
-        corr = match_frame(gt_ids, hyp_ids, iou, self._prev, self.iou_threshold)
-        self.num_gt_boxes += len(gt_ids)
-        self.fp += len(hyp_ids) - len(corr)
-        self.fn += len(gt_ids) - len(corr)
-        self.tp += len(corr)
-        gt_row = {g: i for i, g in enumerate(gt_ids)}
-        hyp_col = {h: j for j, h in enumerate(hyp_ids)}
-        for gt_id, hyp_id in corr.items():
-            self.iou_sum += float(iou[gt_row[gt_id], hyp_col[hyp_id]])
-        for gt_id in gt_ids:
-            st = self._tracks.setdefault(gt_id, _GtTrackState())
-            st.present += 1
-            if gt_id in corr:
-                hyp_id = corr[gt_id]
-                st.matched += 1
-                if st.last_hyp is not None and st.last_hyp != hyp_id:
-                    self.idsw += 1
-                if st.ever_matched and st.in_gap:
-                    self.frag += 1
-                st.last_hyp = hyp_id
-                st.in_gap = False
-                st.ever_matched = True
-            elif st.ever_matched:
-                st.in_gap = True
-        self._prev = corr
-
-    def report(self) -> MotReport:
-        mt = pt = ml = 0
-        for st in self._tracks.values():
-            ratio = st.matched / st.present if st.present else 0.0
-            if ratio >= MT_CUTOFF:
-                mt += 1
-            elif ratio <= ML_CUTOFF:
-                ml += 1
-            else:
-                pt += 1
-        return MotReport.from_counts(
-            fp=self.fp, fn=self.fn, idsw=self.idsw, frag=self.frag,
-            num_gt_boxes=self.num_gt_boxes, num_gt_tracks=len(self._tracks),
-            tp=self.tp, iou_sum=self.iou_sum, mt=mt, pt=pt, ml=ml,
-        )
+                pairs.append((free_rows[i], free_cols[j]))
+    return pairs
 
 
 def evaluate_sequence(
@@ -228,16 +160,59 @@ def evaluate_sequence(
     """
     for side, rows in (("ground truth", gt_frames), ("hypothesis", hyp_frames)):
         _check_ids_once(side, rows)
-    acc = Accumulator(iou_threshold=iou_threshold)
     none = np.zeros(0, ROW_DTYPE)
     frames = [
         (gt_frames.get(frame, none), hyp_frames.get(frame, none))
         for frame in sorted(set(gt_frames) | set(hyp_frames))
     ]
     ious = bev_iou_matrices((gt["box"], hyp["box"]) for gt, hyp in frames)
+    # The match table: every ground-truth row of the sequence, frame by
+    # frame, and for each match its row, hypothesis id and IoU, in order.
+    gt_ids, matched_rows, matched_hyps, matched_ious = [], [], [], []
+    num_hyp, prev = 0, {}
     for (gt, hyp), iou in zip(frames, ious):
-        acc.update(gt, hyp, iou)
-    return acc.report()
+        frame_gt, frame_hyp = gt["id"].tolist(), hyp["id"].tolist()
+        pairs = match_frame(frame_gt, frame_hyp, iou, prev, iou_threshold)
+        prev = {frame_gt[i]: frame_hyp[j] for i, j in pairs}
+        matched_rows.extend(len(gt_ids) + i for i, _ in pairs)
+        matched_hyps.extend(prev.values())
+        matched_ious.extend(iou[i, j] for i, j in pairs)
+        gt_ids.extend(frame_gt)
+        num_hyp += len(frame_hyp)
+    return _count(np.array(gt_ids, np.int64), matched_rows, matched_hyps, matched_ious, num_hyp)
+
+
+def _count(gt_ids, matched_rows, matched_hyps, matched_ious, num_hyp) -> MotReport:
+    """The CLEARMOT report of a match table (see ``evaluate_sequence``).
+
+    A stable sort by ground-truth id lays out each trajectory in frame
+    order. Among its matched rows, one whose previous matched row has
+    another hypothesis is an identity switch, and one with unmatched
+    rows since its previous matched row is a fragmentation.
+    """
+    matched = np.zeros(len(gt_ids), bool)
+    matched[matched_rows] = True
+    hyp_of = np.zeros(len(gt_ids), np.int64)
+    hyp_of[matched_rows] = matched_hyps
+    order = np.argsort(gt_ids, kind="stable")
+    ids, matched, hyp_of = gt_ids[order], matched[order], hyp_of[order]
+    at = np.flatnonzero(matched)
+    same_track = ids[at[1:]] == ids[at[:-1]]
+    idsw = int(np.count_nonzero(same_track & (hyp_of[at[1:]] != hyp_of[at[:-1]])))
+    frag = int(np.count_nonzero(same_track & (np.diff(at) > 1)))
+    _, track, present = np.unique(ids, return_inverse=True, return_counts=True)
+    ratio = np.bincount(track, weights=matched, minlength=len(present)) / present
+    mt = int(np.count_nonzero(ratio >= MT_CUTOFF))
+    ml = int(np.count_nonzero(ratio <= ML_CUTOFF))
+    tp = len(matched_rows)
+    # np.add.accumulate adds left to right, in match order; np.sum would
+    # add pairwise and move the last bits of MOTP
+    iou_sum = float(np.add.accumulate([0.0] + matched_ious)[-1])
+    return MotReport.from_counts(
+        fp=num_hyp - tp, fn=len(gt_ids) - tp, idsw=idsw, frag=frag,
+        num_gt_boxes=len(gt_ids), num_gt_tracks=len(present), tp=tp, iou_sum=iou_sum,
+        mt=mt, pt=len(present) - mt - ml, ml=ml,
+    )
 
 
 def _check_ids_once(side: str, frames: dict[int, np.ndarray]) -> None:

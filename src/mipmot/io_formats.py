@@ -98,6 +98,11 @@ def is_real(v) -> bool:
     )
 
 
+def is_integer(v) -> bool:
+    """An integer (numpy integers included), but not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, (bool, np.bool_))
+
+
 # The frames and ids a table holds.
 _INT64 = range(-(2**63), 2**63)
 
@@ -110,7 +115,7 @@ def check_frame(frame) -> int:
     """A frame index as an int; a bool, non-integer or negative frame, or
     one beyond 64 bits, is rejected."""
     if type(frame) is not int:
-        if not isinstance(frame, numbers.Integral) or isinstance(frame, (bool, np.bool_)):
+        if not is_integer(frame):
             raise ValueError(f"frame must be an integer, got {frame!r}")
         frame = int(frame)
     if frame < 0:

@@ -19,12 +19,13 @@ same config reproduces byte-identical files anywhere; see SplitMix64.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import wrap_angle
-from .io_formats import DetectionBatch, object_table
+from .io_formats import DetectionBatch, is_integer, is_real, object_table
 
 _MASK64 = (1 << 64) - 1
 
@@ -96,6 +97,30 @@ class ObjectSpec:
     vy: float
     group: int | None = None  # objects in one group share an embedding mean
 
+    def __post_init__(self):
+        for name in ("x", "y", "vx", "vy"):
+            _check_real(name, getattr(self, name))
+        if self.group is not None and not is_integer(self.group):
+            raise ValueError(f"group must be an integer or null, got {self.group!r}")
+
+
+def _check_real(name: str, value, nonnegative: bool = False) -> None:
+    # false for NaN, the infinities and an int too large for a float
+    if not is_real(value) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if nonnegative and value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value!r}")
+
+
+# The counts of a scenario, and its real-valued keys: the rates and
+# spreads of _NONNEGATIVE cannot be negative.
+_COUNTS = ("num_objects", "num_frames", "embedding_dim")
+_REALS = (
+    "extent", "speed_min", "speed_max", "turn_rate", "fp_near_sigma", "tp_score_mean",
+    "fp_score_low", "fp_score_high", "box_l", "box_w", "box_h",
+)
+_NONNEGATIVE = ("fp_rate", "pos_noise", "tp_score_sigma", "embedding_noise")
+
 
 @dataclass
 class ScenarioConfig:
@@ -127,9 +152,25 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("fp_rate", "pos_noise", "tp_score_sigma", "embedding_noise"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        for name in _COUNTS + ("seed",):
+            value = getattr(self, name)
+            if not is_integer(value) or (name in _COUNTS and value < 0):
+                kind = "an integer" if name == "seed" else "a nonnegative integer"
+                raise ValueError(f"{name} must be {kind}, got {value!r}")
+        for name in _REALS + _NONNEGATIVE:
+            _check_real(name, getattr(self, name), nonnegative=name in _NONNEGATIVE)
+        if not isinstance(self.object_type, str) or len(self.object_type.split()) != 1:
+            raise ValueError(f"object_type must be one word, got {self.object_type!r}")
+        occlusions = self.occlusions
+        if not isinstance(occlusions, (list, tuple)) or not all(
+            isinstance(o, (list, tuple)) and len(o) == 3 and all(map(is_integer, o))
+            for o in occlusions
+        ):
+            raise ValueError(
+                f"occlusions must be a list of [object, start_frame, num_frames] integers, "
+                f"got {occlusions!r}"
+            )
+        self.occlusions = [tuple(o) for o in occlusions]
         if self.objects is not None:
             self.num_objects = len(self.objects)
 

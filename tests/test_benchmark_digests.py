@@ -2,9 +2,9 @@
 
 Each workload of ``perfbench/workloads.py`` is generated at the
 benchmark's default seed, tracked with the default config and scored
-as the benchmark does. The sha256 of the KITTI result file and the
-CLEARMOT report must not move: a speed change to tracking or evaluation
-is only a speed change while both stay the same.
+as the benchmark does. The sha256 of the KITTI result file and every
+field of the CLEARMOT report must not move: a speed change to tracking
+or evaluation is only a speed change while both stay the same.
 """
 
 import hashlib
@@ -21,22 +21,31 @@ from mipmot.tracker import run_sequence
 
 WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
-# workload: (result sha256, MOTA, MOTP) at seed 1
+# workload: (result sha256, CLEARMOT report) at seed 1
 PINNED = {
     "kitti-20": (
         "6b54ee14bce5c361b6f9af1c31b5736129d6c9c5dded81eb3c378adf88d61a33",
-        0.99,
-        0.8033517382400681,
+        {
+            "MOTA": 0.99, "MOTP": 0.8033517382400681, "FP": 0, "FN": 20, "IDSW": 0,
+            "FRAG": 0, "MT": 1.0, "PT": 0.0, "ML": 0.0, "GT": 2000, "GT_TRACKS": 20,
+            "TP": 1980, "MOTA_DEFINED": True,
+        },
     ),
     "sparse-300": (
         "eaabe6d844014070fe2390b3efbfc19c6d873de7263626b600d95ffec0865348",
-        0.9666666666666667,
-        0.822451061039074,
+        {
+            "MOTA": 0.9666666666666667, "MOTP": 0.822451061039074, "FP": 0, "FN": 300,
+            "IDSW": 0, "FRAG": 0, "MT": 1.0, "PT": 0.0, "ML": 0.0, "GT": 9000,
+            "GT_TRACKS": 300, "TP": 8700, "MOTA_DEFINED": True,
+        },
     ),
     "dense-clutter": (
         "da49a10282862d6dab9889da868f6a97cb97114c891ef513f1ceec67b79e83e6",
-        0.7644444444444445,
-        0.8035414111467607,
+        {
+            "MOTA": 0.7644444444444445, "MOTP": 0.8035414111467607, "FP": 564, "FN": 233,
+            "IDSW": 51, "FRAG": 82, "MT": 1.0, "PT": 0.0, "ML": 0.0, "GT": 3600,
+            "GT_TRACKS": 60, "TP": 3367, "MOTA_DEFINED": True,
+        },
     ),
 }
 
@@ -67,4 +76,4 @@ def test_workload_outputs_pinned(workloads, tmp_path, name):
     gt = labels_to_frames(io_formats.read_kitti_labels(tmp_path / "seq.labels.txt"))
     hyp = labels_to_frames(io_formats.read_kitti_labels(tmp_path / "seq.txt"))
     report = evaluation.evaluate_sequence(gt, hyp)
-    assert (digest, report.mota, report.motp) == PINNED[name]
+    assert (digest, report.as_dict()) == PINNED[name]

@@ -60,6 +60,43 @@ class TestSimulate:
         assert code == 1
         assert "num_object" in err
 
+    @pytest.mark.parametrize(
+        "scenario, message",
+        [
+            (5, "scenario file must hold a JSON object"),
+            ({"num_frames": "x"}, "num_frames must be a nonnegative integer, got 'x'"),
+            ({"num_objects": -3}, "num_objects must be a nonnegative integer, got -3"),
+            ({"fp_rate": None}, "fp_rate must be a finite number, got None"),
+            ({"extent": 10**400}, "extent must be a finite number"),
+            ({"objects": [{"x": 0}]}, "scenario object 0 must hold x, y, vx, vy"),
+            ({"objects": [{"x": 0, "y": 0, "vx": "a", "vy": 1}]}, "vx must be a finite number"),
+            ({"objects": 5}, "scenario objects must be a list, got 5"),
+            ({"occlusions": [[0, 1]]}, "occlusions must be a list of [object, start_frame"),
+        ],
+        ids=[
+            "number", "text-count", "negative-count", "null-rate", "huge-extent", "object-keys",
+            "object-value", "objects-number", "occlusion-pair",
+        ],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_malformed_scenario_rejected(self, tmp_path, capsys, scenario, message, command):
+        """A scenario file of the wrong shape or types fails with its
+        message before anything is generated."""
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        if command == "simulate":
+            argv = ["simulate", "--scenario", str(path), "--output-dir", str(tmp_path / "out")]
+        else:
+            (tmp_path / "grid.json").write_text(json.dumps({"theta_cls": [0.5]}))
+            argv = [
+                "sweep", "--scenario", str(path), "--grid", str(tmp_path / "grid.json"),
+                "--output", str(tmp_path / "out.csv"),
+            ]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "out.csv").exists()
+
 
 class TestTrack:
     def test_end_to_end(self, tmp_path, capsys):
@@ -283,11 +320,27 @@ class TestEval:
         assert overall["MOTA"] == (1.0 if matched else -1.0)
 
     def test_bad_config_threshold_rejected(self, tmp_path, capsys, shifted):
+        """A threshold outside [0, 1] fails by the config's rule, whether
+        the config file or --iou-threshold gives it."""
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"eval_iou_threshold": 1.5}))
-        code, _, err = run(capsys, *shifted, "--config", str(path))
+        flags = (["--iou-threshold", value] for value in ("-1", "1.5", "nan"))
+        for extra in (["--config", str(path)], *flags):
+            code, _, err = run(capsys, *shifted, *extra)
+            assert code == 1, extra
+            assert "error: eval_iou_threshold must be a number in [0, 1]" in err, extra
+
+    def test_empty_labels_dir_rejected(self, tmp_path, capsys):
+        """Two empty directories score nothing, instead of MOTA 100%."""
+        (tmp_path / "results").mkdir()
+        (tmp_path / "labels").mkdir()
+        code, out, err = run(
+            capsys, "eval", "--results-dir", str(tmp_path / "results"),
+            "--labels-dir", str(tmp_path / "labels"),
+        )
         assert code == 1
-        assert "eval_iou_threshold" in err
+        assert out == ""
+        assert f"label files in {tmp_path / 'labels'}" in err
 
 
 class TestSweep:

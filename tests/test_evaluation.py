@@ -9,7 +9,6 @@ from scipy.optimize import linear_sum_assignment
 import clearmot_oracle
 from clearmot_oracle import bev_iou as oracle_bev_iou
 from mipmot.evaluation import (
-    Accumulator,
     aggregate_reports,
     evaluate_sequence,
     format_report_table,
@@ -50,10 +49,12 @@ def evaluate(gt, hyp, iou_threshold=0.5):
 
 def match(gt_boxes, hyp_boxes, prev, iou_threshold=0.5):
     """match_frame of {id: box} on both sides, given the IoU matrix the
-    evaluator computes."""
+    evaluator computes, as {gt_id: hyp_id}."""
     gt, hyp = rows(gt_boxes), rows(hyp_boxes)
     iou = bev_iou_matrix(gt["box"], hyp["box"])
-    return match_frame(gt["id"].tolist(), hyp["id"].tolist(), iou, prev, iou_threshold)
+    gt_ids, hyp_ids = gt["id"].tolist(), hyp["id"].tolist()
+    pairs = match_frame(gt_ids, hyp_ids, iou, prev, iou_threshold)
+    return {gt_ids[i]: hyp_ids[j] for i, j in pairs}
 
 
 class TestMatchFrame:
@@ -190,15 +191,19 @@ class TestMatchFrameOracle:
     @settings(max_examples=50, deadline=None)
     @given(st.lists(frames(), min_size=1, max_size=4))
     def test_iou_sum_adds_scalar_ious_in_match_order(self, sequence):
-        acc = Accumulator()
-        prev, iou_sum = {}, 0.0
+        """MOTP is the scalar IoUs of the matches added one by one, in
+        frame order and each frame's match order, over TP: bit for bit."""
+        prev, iou_sum, tp = {}, 0.0, 0
         for gt, hyp, _ in sequence:
-            gt_rows, hyp_rows = rows(gt), rows(hyp)
-            acc.update(gt_rows, hyp_rows, bev_iou_matrix(gt_rows["box"], hyp_rows["box"]))
             prev = oracle_match_frame(gt, hyp, prev)
             for g, h in prev.items():
                 iou_sum += oracle_bev_iou(gt[g], hyp[h])
-        assert acc.iou_sum == iou_sum
+            tp += len(prev)
+        gt_frames = {f: gt for f, (gt, _, _) in enumerate(sequence)}
+        hyp_frames = {f: hyp for f, (_, hyp, _) in enumerate(sequence)}
+        report = evaluate(gt_frames, hyp_frames)
+        assert report.tp == tp
+        assert report.motp == (iou_sum / tp if tp else 0.0)
 
 
 @st.composite
@@ -418,17 +423,6 @@ class TestAggregate:
         rep = evaluate(gt, gt)
         table = format_report_table({"seq0": rep})
         assert "MOTA" in table and "seq0" in table and "100.00%" in table
-
-
-class TestAccumulatorStreaming:
-    def test_matches_batch_evaluation(self):
-        gt = as_frames({0: straight_run(8), 1: straight_run(8, y=9.0)})
-        hyp = as_frames({5: straight_run(8), 6: straight_run(8, y=9.0)})
-        acc = Accumulator()
-        for frame in sorted(gt):
-            gt_rows, hyp_rows = rows(gt[frame]), rows(hyp.get(frame, {}))
-            acc.update(gt_rows, hyp_rows, bev_iou_matrix(gt_rows["box"], hyp_rows["box"]))
-        assert acc.report().as_dict() == evaluate(gt, hyp).as_dict()
 
 
 class TestRowsFromFileToScore:

@@ -1,5 +1,6 @@
-"""Golden outputs: sha256 digests of the files ``mipmot simulate`` writes
-and of the KITTI result files of ``mipmot track``.
+"""Golden outputs: sha256 digests of the files ``mipmot simulate`` writes,
+of the KITTI result files of ``mipmot track`` and of the JSON reports
+of ``mipmot eval``.
 
 Each tracking case simulates a template and seed (or a scenario file)
 with ``mipmot simulate``, tracks it with ``mipmot track --config`` and
@@ -114,6 +115,22 @@ SIMULATE_GOLDEN = {
 }
 
 
+# (template, seed) -> sha256 of the ``mipmot eval --json-out`` report of
+# the "mip" result file against the template's labels: every CLEARMOT
+# count and ratio, byte for byte.
+EVAL_GOLDEN = {
+    ("clean", 0): "2c3a66e87728b2d3ba6930c33fa5490743575ca760f16efdeb340104a20af4a1",
+    ("clean", 1): "f426d5d22151f033d538b5df4b79f850153f6eec3df883c53f378e87cd78cbbf",
+    ("clean", 2): "ac3f604632910c052e1720fcc2065cb7b3baaf1d541385a2a1d6f7feceb0a710",
+    ("crossing", 0): "9588f6033f79a040dceb9bbc3a89bf677a2a7dc4fa435528092ebd3121ac9da3",
+    ("crossing", 1): "f8f70419a84765b2c67b176664d48873eea41a12863c11c7658937060f5f9f43",
+    ("crossing", 2): "0063cb77c77328f579c4615e1cf5659504321846ecf1a75cada8e67230cd1e30",
+    ("clutter", 0): "7f1caae1de0b9ce00e16e5acfce705254cea82aab4e5fe9597abeef202e841c2",
+    ("clutter", 1): "e0fe5e4d76fe9d5220e5c582af235b87fc620c1f8c2e016e737f62eb031e99f5",
+    ("clutter", 2): "86a1910a9a8a08c1f66cfe259e7f66483ea7c56ac26a294e139c6d6de18f0c55",
+}
+
+
 @pytest.fixture(scope="module")
 def scenarios(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
@@ -152,6 +169,19 @@ def test_result_digest(scenarios, tmp_path, capsys, template, seed, config):
     digest = result_digest(scenarios, tmp_path, template, seed, config)
     capsys.readouterr()
     assert digest == GOLDEN[template, seed, config]
+
+
+@pytest.mark.parametrize("template, seed", sorted(EVAL_GOLDEN))
+def test_eval_report_digest(scenarios, tmp_path, capsys, template, seed):
+    result_digest(scenarios, tmp_path, template, seed, "mip")
+    report = tmp_path / "report.json"
+    argv = [
+        "eval", "--results-dir", str(tmp_path / "out"),
+        "--labels-dir", str(scenarios / f"{template}-{seed}"), "--json-out", str(report),
+    ]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == EVAL_GOLDEN[template, seed]
 
 
 @pytest.mark.parametrize("template, suffix", sorted(SIMULATE_GOLDEN))
