@@ -159,6 +159,28 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be {kind}, got {value!r}")
         for name in _REALS + _NONNEGATIVE:
             _check_real(name, getattr(self, name), nonnegative=name in _NONNEGATIVE)
+        # An object moves by its speed every frame, from within 0.4 * extent
+        # when drawn from the speed range: its path must stay in floats.
+        frames = min(self.num_frames, sys.float_info.max)
+        if self.objects is None:
+            low, high = float(self.speed_min), float(self.speed_max)
+            if not math.isfinite(high - low):
+                raise ValueError(
+                    f"speed_max - speed_min must be a finite number, got speed_min {low!r} "
+                    f"and speed_max {high!r}"
+                )
+            if not math.isfinite(0.4 * abs(float(self.extent)) + max(abs(low), abs(high)) * frames):
+                raise ValueError(
+                    f"speed_min {low!r} and speed_max {high!r} move an object beyond the float "
+                    f"range in {self.num_frames} frames"
+                )
+        for k, spec in enumerate(self.objects or ()):
+            start = max(abs(float(spec.x)), abs(float(spec.y)))
+            if not math.isfinite(start + math.hypot(spec.vx, spec.vy) * frames):
+                raise ValueError(
+                    f"object {k}: vx {spec.vx!r} and vy {spec.vy!r} move it from x {spec.x!r}, "
+                    f"y {spec.y!r} beyond the float range in {self.num_frames} frames"
+                )
         if not isinstance(self.object_type, str) or len(self.object_type.split()) != 1:
             raise ValueError(f"object_type must be one word, got {self.object_type!r}")
         occlusions = self.occlusions

@@ -14,9 +14,21 @@ exceed the miss threshold.
 The tracks are one table of row-aligned arrays, row k being one track:
 ``ids``, ``confidence``, the ``hits`` and ``misses`` streaks,
 ``confirmed``, ``embeddings`` (T, D) with a NaN row where a track has
-none, and the Kalman ``mean`` and ``cov``. The lifecycle rules are masks
-over them. Births are appended in id order and deletions keep the order
-of the rest, so the rows are always sorted by id.
+none, the Kalman ``mean`` (T, 10) and ``cov_index``. The lifecycle rules
+are masks over them. Births are appended in id order and deletions keep
+the order of the rest, so the rows are always sorted by id.
+
+The Kalman covariances are a table beside it: ``cov_table`` (U, 10, 10)
+holds each track's covariance, shared between tracks, and track k's is
+``cov_table[cov_index[k]]``. A covariance depends only on P0, Q, R and
+the frames its track was matched on, never on the measurements
+(``motion``), so the tracks born on one frame and matched on the same
+frames share one entry. A frame's births share one P0 entry, predict
+maps the U entries, and update solves once per entry of the matched
+rows into a new entry for them, so a row that coasts keeps the old one.
+At the end of each frame the entries no track points at are dropped.
+Every entry has the bytes that each of its tracks would get if filtered
+alone, so the sharing changes no result.
 """
 
 from __future__ import annotations
@@ -34,7 +46,7 @@ from .io_formats import ROW_DTYPE, DetectionBatch, check_frame
 from .motion import MEAS_DIM, STATE_DIM, kf_init, kf_predict, kf_update
 
 # The row-aligned arrays of the track table.
-_COLUMNS = ("ids", "confidence", "hits", "misses", "confirmed", "embeddings", "mean", "cov")
+_COLUMNS = ("ids", "confidence", "hits", "misses", "confirmed", "embeddings", "mean", "cov_index")
 
 
 @dataclass
@@ -52,7 +64,8 @@ class Tracker:
     """Single-sequence online tracker. Frames must arrive in order.
 
     Its state is the track table: ``ids``, ``confidence``, ``hits``,
-    ``misses``, ``confirmed``, ``embeddings``, ``mean`` and ``cov``.
+    ``misses``, ``confirmed``, ``embeddings``, ``mean`` and ``cov_index``,
+    and the covariance table ``cov_table`` that ``cov_index`` points into.
     """
 
     def __init__(self, config: TrackerConfig | None = None):
@@ -65,7 +78,8 @@ class Tracker:
         # No columns until a detection brings an embedding: every row lacks one.
         self.embeddings = np.zeros((0, 0))
         self.mean = np.zeros((0, STATE_DIM))
-        self.cov = np.zeros((0, STATE_DIM, STATE_DIM))
+        self.cov_index = np.zeros(0, dtype=np.intp)
+        self.cov_table = np.zeros((0, STATE_DIM, STATE_DIM))
         self._next_id = 1
         self._last_frame: Optional[int] = None
 
@@ -136,6 +150,12 @@ class Tracker:
             )
         self.embeddings = np.full((len(self.ids), batch.embeddings.shape[1]), np.nan)
 
+    def _drop_unused_covariances(self) -> None:
+        """Drop the covariance entries no track points at."""
+        used = np.bincount(self.cov_index, minlength=len(self.cov_table)) > 0
+        self.cov_table = self.cov_table[used]
+        self.cov_index = (np.cumsum(used) - 1)[self.cov_index]
+
     def step(self, frame: int, detections) -> FrameResult:
         """Process one frame and return its confirmed associated tracks.
 
@@ -168,7 +188,7 @@ class Tracker:
         has_embedding = batch.has_embedding[keep]
         embeddings = None if batch.embeddings is None else batch.embeddings[keep]
 
-        self.mean, self.cov = kf_predict(self.mean, self.cov, cfg)
+        self.mean, self.cov_table = kf_predict(self.mean, self.cov_table, cfg)
 
         matches, starts = self._associate(
             det_boxes,
@@ -178,7 +198,16 @@ class Tracker:
         )
 
         d, k = np.array(matches, dtype=np.intp).reshape(-1, 2).T
-        self.mean[k], self.cov[k] = kf_update(self.mean[k], self.cov[k], det_boxes[d], cfg)
+        # The matched rows' entries are updated into new ones: a row that
+        # coasts may still point at the old entry.
+        index = self.cov_index[k]
+        entries = np.flatnonzero(np.bincount(index, minlength=len(self.cov_table)))
+        index = np.searchsorted(entries, index)
+        self.mean[k], updated = kf_update(
+            self.mean[k], self.cov_table[entries], det_boxes[d], cfg, index=index
+        )
+        self.cov_index[k] = len(self.cov_table) + index
+        self.cov_table = np.concatenate((self.cov_table, updated))
         g = cfg.confidence_smoothing
         self.confidence[k] = g * self.confidence[k] + (1.0 - g) * scores[d]
         if embeddings is not None:
@@ -202,6 +231,7 @@ class Tracker:
             born = np.concatenate((born[starts[born]], born[~starts[born]]))
             born_confirmed = starts[born]
             mean, cov = kf_init(det_boxes[born], cfg)
+            self.cov_table = np.concatenate((self.cov_table, cov[:1]))
             if embeddings is None:
                 embeddings = np.full((len(det_boxes), self.embeddings.shape[1]), np.nan)
             new = {
@@ -212,7 +242,7 @@ class Tracker:
                 "confirmed": born_confirmed,
                 "embeddings": embeddings[born],
                 "mean": mean,
-                "cov": cov,
+                "cov_index": np.full(born.size, len(self.cov_table) - 1),
             }
             self._next_id += born.size
             for name in _COLUMNS:
@@ -222,6 +252,7 @@ class Tracker:
         if not alive.all():
             for name in _COLUMNS:
                 setattr(self, name, getattr(self, name)[alive])
+        self._drop_unused_covariances()
 
         # A track is emitted when it is confirmed and was not missed this
         # frame: a matched track or a confirmed birth.

@@ -72,10 +72,35 @@ class TestSimulate:
             ({"objects": [{"x": 0, "y": 0, "vx": "a", "vy": 1}]}, "vx must be a finite number"),
             ({"objects": 5}, "scenario objects must be a list, got 5"),
             ({"occlusions": [[0, 1]]}, "occlusions must be a list of [object, start_frame"),
+            (
+                {"speed_min": 1e308, "speed_max": -1e308},
+                "speed_max - speed_min must be a finite number, got speed_min 1e+308",
+            ),
+            (
+                {"speed_min": 1e308, "speed_max": 1e308, "num_frames": 3},
+                "speed_min 1e+308 and speed_max 1e+308 move an object beyond the float range",
+            ),
+            (
+                {"objects": [{"x": 0, "y": 0, "vx": 1e308, "vy": 1e308}], "num_frames": 3},
+                "object 0: vx 1e+308 and vy 1e+308 move it from x 0, y 0 beyond the float range",
+            ),
+            # the objects' reach is checked, and the speed range they override is not
+            (
+                {
+                    "speed_min": 1e308,
+                    "speed_max": -1e308,
+                    "objects": [
+                        {"x": 0, "y": 0, "vx": 1, "vy": 1},
+                        {"x": 1e308, "y": 0, "vx": 1e308, "vy": 0},
+                    ],
+                },
+                "object 1: vx 1e+308 and vy 0 move it from x 1e+308, y 0 beyond the float range",
+            ),
         ],
         ids=[
             "number", "text-count", "negative-count", "null-rate", "huge-extent", "object-keys",
-            "object-value", "objects-number", "occlusion-pair",
+            "object-value", "objects-number", "occlusion-pair", "speed-range", "speed-reach",
+            "object-reach", "object-reach-over-range",
         ],
     )
     @pytest.mark.parametrize("command", ["simulate", "sweep"])

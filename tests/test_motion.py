@@ -196,7 +196,8 @@ headings = st.one_of(st.sampled_from(NEAR_CUT), st.floats(-math.pi, math.pi))
 @st.composite
 def filter_rows(draw):
     """T in 0..12 rows of means, tracker-shaped covariances (diagonal
-    plus position-velocity coupling) and observations."""
+    plus position-velocity coupling) and observations. Rows repeat
+    covariances, as tracks sharing a covariance entry do."""
     t = draw(st.integers(0, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     boxes = np.column_stack(
@@ -206,11 +207,13 @@ def filter_rows(draw):
     mean = np.column_stack((boxes, rng.normal(scale=0.5, size=(t, 3))))
     obs = boxes + rng.normal(scale=0.3, size=(t, 7))
     obs[:, 6] = draw(st.lists(headings, min_size=t, max_size=t))
-    var = rng.uniform(0.05, 10.0, (t, STATE_DIM))
+    u = draw(st.integers(min(t, 1), t))
+    var = rng.uniform(0.05, 10.0, (u, STATE_DIM))
     cov = var[:, :, None] * np.eye(STATE_DIM)
     for i in range(3):
-        c = rng.uniform(-0.9, 0.9, t) * np.sqrt(var[:, i] * var[:, i + 7])
+        c = rng.uniform(-0.9, 0.9, u) * np.sqrt(var[:, i] * var[:, i + 7])
         cov[:, i, i + 7] = cov[:, i + 7, i] = c
+    cov = cov[draw(st.lists(st.integers(0, u - 1), min_size=t, max_size=t)) if u else []]
     return boxes, mean, cov, obs
 
 
@@ -224,6 +227,15 @@ def textbook_update(mean, cov, obs, cfg):
     mean[..., 6] = wrap_angle(mean[..., 6])
     cov = (np.eye(STATE_DIM) - K @ H) @ cov
     return mean, 0.5 * (cov + np.swapaxes(cov, -1, -2))
+
+
+def covariance_table(cov):
+    """The distinct covariances of a stack, in order of first row, and
+    each row's entry."""
+    first = {}
+    index = np.array([first.setdefault(c.tobytes(), k) for k, c in enumerate(cov)], dtype=int)
+    rows = np.array(sorted(first.values()), dtype=int)
+    return cov[rows], np.searchsorted(rows, index)
 
 
 def assert_rows_bitwise(stacked, single_calls):
@@ -249,6 +261,30 @@ class TestStacked:
             kf_update(mean, cov, obs, cfg),
             [kf_update(mean[k], cov[k], obs[k], cfg) for k in range(t)],
         )
+
+    @settings(max_examples=150, deadline=None)
+    @given(filter_rows(), st.randoms(use_true_random=False))
+    def test_shared_entries_equal_per_row(self, rows, random):
+        """Rows pointing at one covariance entry get, from a call over
+        the table, the bytes of their own per-row calls: each row's mean,
+        and the covariance of its entry."""
+        _, mean, cov, obs = rows
+        cfg = TrackerConfig()
+        entries, index = covariance_table(cov)
+        # the table's order, and an entry no row points at, change nothing
+        order = random.sample(range(len(entries) + 1), len(entries) + 1)
+        table = np.concatenate((entries, P0[None]))[order]
+        index = np.argsort(order)[index]
+        predicted_mean, predicted_table = kf_predict(mean, table, cfg)
+        updated_mean, updated_table = kf_update(mean, table, obs, cfg, index=index)
+        assert updated_table.shape == table.shape
+        for k in range(len(mean)):
+            one_mean, one_cov = kf_predict(mean[k], cov[k], cfg)
+            assert predicted_mean[k].tobytes() == one_mean.tobytes()
+            assert predicted_table[index[k]].tobytes() == one_cov.tobytes()
+            one_mean, one_cov = kf_update(mean[k], cov[k], obs[k], cfg)
+            assert updated_mean[k].tobytes() == one_mean.tobytes()
+            assert updated_table[index[k]].tobytes() == one_cov.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(filter_rows(), st.booleans())
@@ -277,3 +313,5 @@ class TestStacked:
         mean, cov = kf_init(np.zeros((3, 7)), cfg)
         with pytest.raises(ValueError, match="do not fit means"):
             kf_update(mean, cov, np.zeros((2, 7)), cfg)
+        with pytest.raises(ValueError, match="index of shape \\(2,\\) does not fit means"):
+            kf_update(mean, cov[:1], np.zeros((3, 7)), cfg, index=np.zeros(2, dtype=int))

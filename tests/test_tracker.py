@@ -18,6 +18,14 @@ def det(x, y, score=1.0, start_prob=None, embedding=None):
     return SimpleNamespace(box=box, score=score, start_prob=start_prob, embedding=embedding)
 
 
+def assert_covariance_table(tracker):
+    """Each track points at one covariance entry, and every entry is
+    pointed at."""
+    assert tracker.cov_index.shape == tracker.ids.shape
+    assert tracker.cov_table.shape[1:] == (10, 10)
+    assert np.bincount(tracker.cov_index, minlength=len(tracker.cov_table)).all()
+
+
 class TestStep:
     def test_empty_frame_no_tracks(self):
         result = Tracker().step(0, [])
@@ -68,14 +76,14 @@ class TestStep:
         tracker = Tracker()
         tracker.step(0, batch(0, det(0.0, 0.0, embedding=[1.0, 2.0, 3.0, 4.0])))
         tracks = tracker.tracks
-        before = (tracker.mean.copy(), tracker.cov.copy(), tracker.embeddings.copy())
+        before = (tracker.mean.copy(), tracker.cov_table.copy(), tracker.embeddings.copy())
         frame = batch(1, det(0.1, 0.0), det(9.0, 0.0, embedding=[1.0, 2.0, 3.0]))
         message = "frame 1, detection 1: embedding has 3 values, expected 4"
         with pytest.raises(ValueError, match=message):
             tracker.step(1, frame)
         np.testing.assert_array_equal(tracker.tracks, tracks)
         np.testing.assert_array_equal(tracker.mean, before[0])
-        np.testing.assert_array_equal(tracker.cov, before[1])
+        np.testing.assert_array_equal(tracker.cov_table, before[1])
         np.testing.assert_array_equal(tracker.embeddings, before[2])
         assert tracker._last_frame == 0
         # the frame can be given again once fixed
@@ -142,12 +150,47 @@ class TestStep:
             # the emitted tracks are rows of arrays, not boxes
             assert calls["Box3D"] == 0
             assert tracker.mean.shape == (len(tracker.tracks), 10)
-            assert tracker.cov.shape == (len(tracker.tracks), 10, 10)
+            assert_covariance_table(tracker)
             # every column of the table is row-aligned, and the rows are
             # in id order, so the emitted tracks need no sort
             for name in ("confidence", "hits", "misses", "confirmed", "embeddings"):
                 assert len(getattr(tracker, name)) == len(tracker.ids), name
             assert np.all(np.diff(tracker.ids) > 0)
+
+    def test_tracks_with_one_history_share_one_covariance(self, monkeypatch):
+        """Tracks born on one frame and matched on the same frames hold one
+        covariance entry, and the update solves once per entry of the
+        matched rows. Tracks born on frames 0, 3 and 10 keep one entry per
+        birth frame, and the track missed on frame 20 splits off its own.
+        Entries are not merged: those of frames 0 and 3 have equal bytes
+        once both reach the filter's fixed point, after 71 updates."""
+        solved = []
+
+        def counted_solve(a, b):
+            solved.append(len(a))
+            return solve(a, b)
+
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        births = {0.0: 0, 20.0: 0, 40.0: 3, 60.0: 10, 80.0: 10}
+        history = {}  # x -> (birth frame, missed on frame 20)
+        tracker = Tracker()
+        for frame in range(90):
+            shown = [x for x, born in births.items() if born <= frame and (x, frame) != (20.0, 20)]
+            matched = {history[x] for x in shown if x in history}
+            history = {
+                x: (born, x == 20.0 and frame >= 20) for x, born in births.items() if born <= frame
+            }
+            solved.clear()
+            tracker.step(frame, batch(frame, *(det(x, 0.0) for x in shown)))
+            assert solved == [len(matched)]
+            assert_covariance_table(tracker)
+            assert len(tracker.cov_table) == len(set(history.values()))
+        assert len(tracker.ids) == 5
+        assert tracker.cov_index[3] == tracker.cov_index[4]  # born on frame 10
+        first, second = tracker.cov_table[tracker.cov_index[[0, 2]]]
+        assert tracker.cov_index[0] != tracker.cov_index[2]
+        assert first.tobytes() == second.tobytes()
 
     def test_empty_sequence_coasts_and_other_input_rejected(self):
         """``[]`` is a frame without detections; any other input that is
