@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import itertools
 import json
 import sys
@@ -19,7 +18,7 @@ import time
 from pathlib import Path
 
 from . import evaluation, io_formats, simgen
-from .config import ASSOCIATORS, TrackerConfig
+from .config import ASSOCIATORS, TrackerConfig, load_json
 from .tracker import FrameResult, run_sequence
 
 # Config keys that `track` and `sweep` also take as flags: --theta-cls
@@ -134,31 +133,7 @@ def cmd_eval(args) -> int:
 def _scenario_from_args(args) -> simgen.ScenarioConfig:
     if args.template:
         return simgen.scenario_template(args.template, seed=args.seed)
-    with open(args.scenario, "r", encoding="utf-8") as f:
-        data = json.load(f)
-    if not isinstance(data, dict):
-        raise CliError("scenario file must hold a JSON object")
-    known = {f.name for f in dataclasses.fields(simgen.ScenarioConfig)}
-    unknown = set(data) - known
-    if unknown:
-        raise CliError(f"unknown scenario keys: {sorted(unknown)}")
-    if data.get("objects") is not None:
-        data["objects"] = _object_specs(data["objects"])
-    return simgen.ScenarioConfig(**data)
-
-
-def _object_specs(objects) -> list[simgen.ObjectSpec]:
-    """The ``objects`` of a scenario file: JSON objects with the keys
-    x, y, vx, vy and optionally group."""
-    keys = {f.name for f in dataclasses.fields(simgen.ObjectSpec)}
-    if not isinstance(objects, list):
-        raise CliError(f"scenario objects must be a list, got {objects!r}")
-    for k, o in enumerate(objects):
-        if not isinstance(o, dict) or not keys - {"group"} <= set(o) <= keys:
-            raise CliError(
-                f"scenario object {k} must hold x, y, vx, vy and optionally group, got {o!r}"
-            )
-    return [simgen.ObjectSpec(**o) for o in objects]
+    return load_json(simgen.ScenarioConfig, args.scenario, "scenario file")
 
 
 def cmd_simulate(args) -> int:
@@ -193,7 +168,7 @@ def cmd_sweep(args) -> int:
     configs = [base.override(**dict(zip(keys, combo))) for combo in combos]
     rows = []
     for combo, cfg in zip(combos, configs):
-        results = run_sequence(detections, cfg, num_frames=scenario.num_frames)
+        results = run_sequence(detections, cfg)
         report = evaluation.evaluate_sequence(
             gt, results_to_frames(results), cfg.eval_iou_threshold
         )

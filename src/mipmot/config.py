@@ -5,6 +5,14 @@ config file and, for a few of them, command-line flags. Unknown keys
 are rejected by name and every value is checked for type and range, so
 a bad config fails before the first frame. The defaults are the field
 defaults below.
+
+The field checker is shared with ``simgen.ScenarioConfig`` and
+``simgen.ObjectSpec``: each type declares one rule per field (``real``,
+``reals`` or ``rule``) and ``check_fields`` runs them. A real-valued
+field takes a number that fits a float and passes the field's range
+test. ``from_json`` builds any of the three from a JSON object, with
+unknown and missing keys rejected by name, and ``load_json`` from a
+JSON file.
 """
 
 from __future__ import annotations
@@ -22,24 +30,123 @@ from .motion import MEAS_DIM, STATE_DIM
 
 ASSOCIATORS = ("mip", "hungarian")
 
-_UNIT = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
-_POSITIVE = (lambda v: 0.0 < v < math.inf, "positive and finite")
 
-# Each real-valued key: the test its value must pass, and how the error
-# message states that test. NaN fails every test.
-_REAL_KEYS = {
-    "theta_cls": _UNIT,
-    "default_start_prob": _UNIT,
-    "default_end_prob": _UNIT,
+def rule(text: str, accept, convert=None):
+    """A field rule, ``(name, value) -> value``: the value must pass
+    ``accept``, else the error reads ``<name> must be <text>, got
+    <value>``; it is given back through ``convert``, if given."""
+
+    def check(name, value):
+        if not accept(value):
+            raise ValueError(f"{name} must be {text}, got {value!r}")
+        return value if convert is None else convert(value)
+
+    return check
+
+
+def nullable(check):
+    """The field rule ``check`` that also takes None."""
+    return lambda name, value: None if value is None else check(name, value)
+
+
+def _float(value) -> float | None:
+    """A real number as a float; None for any other value and for an
+    integer too large for a float."""
+    try:
+        return float(value) if is_real(value) else None
+    except OverflowError:
+        return None
+
+
+def real(*tests):
+    """A field rule for a real number that fits a float, given back as
+    one. ``tests`` are ``(test, text)`` pairs run in order on the float;
+    the text of the first that fails, or of the first pair for any other
+    value, makes the error ``<name> must be <text>, got <value>``."""
+
+    def check(name, value):
+        number = _float(value)
+        for test, text in tests:
+            if number is None or not test(number):
+                raise ValueError(f"{name} must be {text}, got {value!r}")
+        return number
+
+    return check
+
+
+def reals(size: int, test, text: str):
+    """A field rule for a list of ``size`` finite real numbers that pass
+    ``test``, given back as a tuple of floats."""
+
+    def check(name, value):
+        if isinstance(value, (str, bytes)) or not hasattr(value, "__len__") or len(value) != size:
+            raise ValueError(f"{name} must be a list of {size} numbers, got {value!r}")
+        numbers = [_float(v) for v in value]
+        if not all(v is not None and math.isfinite(v) and test(v) for v in numbers):
+            raise ValueError(f"{name} entries must be finite and {text}, got {value!r}")
+        return tuple(numbers)
+
+    return check
+
+
+COUNT = rule("a nonnegative integer", lambda v: is_integer(v) and v >= 0, int)
+# KITTI files are whitespace-separated
+WORD = rule("one word", lambda v: isinstance(v, str) and len(v.split()) == 1)
+
+
+def check_fields(obj, rules: dict) -> dict:
+    """``{name: value}`` of each field of ``obj`` that ``rules`` names,
+    as its rule gives the value back. The first field that fails its
+    rule raises a ValueError that names it."""
+    return {name: check(name, getattr(obj, name)) for name, check in rules.items()}
+
+
+def from_json(cls, data, what: str):
+    """``cls(**data)`` for a dataclass ``cls``, when ``data`` is a JSON
+    object that holds every field without a default and no other key;
+    ``what`` names the object in the errors."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must hold a JSON object")
+    fields = dataclasses.fields(cls)
+    unknown = set(data) - {f.name for f in fields}
+    if unknown:
+        raise ValueError(f"{what} has unknown keys: {sorted(unknown)}")
+    required = [f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING]
+    if not set(required) <= set(data):
+        optional = ", ".join(f.name for f in fields if f.name not in required)
+        raise ValueError(
+            f"{what} must hold {', '.join(required)} and optionally {optional}, got {data!r}"
+        )
+    return cls(**data)
+
+
+def load_json(cls, path, what: str):
+    """``from_json`` of the JSON file at ``path``."""
+    with open(os.fspath(path), "r", encoding="utf-8") as f:
+        return from_json(cls, json.load(f), what)
+
+
+_UNIT = real((lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"))
+_POSITIVE = real((lambda v: 0.0 < v < math.inf, "a number positive and finite"))
+
+# The rule of each key. NaN fails every test of a real.
+_RULES = {
+    **dict.fromkeys(("theta_cls", "default_start_prob", "default_end_prob"), _UNIT),
+    **dict.fromkeys(("theta_hit", "theta_miss"), COUNT),
     # infinity is allowed: alpha = 0, motion only
-    "beta_over_alpha": (lambda v: v >= 0.0, "nonnegative"),
-    "w_cls": _POSITIVE,
-    "w_aff": _POSITIVE,
-    "w_se": _POSITIVE,
-    "ha_gate": (math.isfinite, "finite or null"),
-    "confidence_smoothing": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    "beta_over_alpha": real((lambda v: v >= 0.0, "a number nonnegative")),
+    **dict.fromkeys(("use_dis", "use_iou"), rule("true or false", lambda v: isinstance(v, bool))),
+    **dict.fromkeys(("w_cls", "w_aff", "w_se"), _POSITIVE),
+    "associator": rule(f"one of {ASSOCIATORS}", lambda v: v in ASSOCIATORS),
+    "ha_gate": nullable(real((math.isfinite, "a number finite or null"))),
+    "confidence_smoothing": real((lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")),
     "eval_iou_threshold": _UNIT,
-    "kalman_q_scale": (lambda v: 0.0 <= v < math.inf, "nonnegative and finite"),
+    "object_type": WORD,
+    # P0 and Q may be singular; a positive R keeps the innovation
+    # covariance invertible.
+    "kalman_p0_diag": reals(STATE_DIM, lambda v: v >= 0.0, "nonnegative"),
+    "kalman_r_diag": reals(MEAS_DIM, lambda v: v > 0.0, "positive"),
+    "kalman_q_scale": real((lambda v: 0.0 <= v < math.inf, "a number nonnegative and finite")),
 }
 
 
@@ -73,59 +180,18 @@ class TrackerConfig:
     kalman_q_scale: float = 0.01  # process covariance, times identity
 
     def __post_init__(self):
-        for name, (test, text) in _REAL_KEYS.items():
-            value = getattr(self, name)
-            if name == "ha_gate" and value is None:
-                continue
-            if not is_real(value) or not test(value):
-                raise ValueError(f"{name} must be a number {text}, got {value!r}")
-            object.__setattr__(self, name, float(value))
-        for name in ("theta_hit", "theta_miss"):
-            value = getattr(self, name)
-            if not is_integer(value) or value < 0:
-                raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        for name in ("use_dis", "use_iou"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        for name, value in check_fields(self, _RULES).items():
+            object.__setattr__(self, name, value)
         if not (self.use_dis or self.use_iou):
             raise ValueError("use_dis and use_iou cannot both be false")
-        if self.associator not in ASSOCIATORS:
-            raise ValueError(f"associator must be one of {ASSOCIATORS}, got {self.associator!r}")
-        # KITTI result files are whitespace-separated
-        if not isinstance(self.object_type, str) or len(self.object_type.split()) != 1:
-            raise ValueError(f"object_type must be one word, got {self.object_type!r}")
-        # P0 and Q may be singular; a positive R keeps the innovation
-        # covariance invertible.
-        self._check_diagonal("kalman_p0_diag", STATE_DIM, lambda v: v >= 0.0, "nonnegative")
-        self._check_diagonal("kalman_r_diag", MEAS_DIM, lambda v: v > 0.0, "positive")
-
-    def _check_diagonal(self, name: str, size: int, test, text: str) -> None:
-        value = getattr(self, name)
-        if isinstance(value, (str, bytes)) or not hasattr(value, "__len__") or len(value) != size:
-            raise ValueError(f"{name} must be a list of {size} numbers, got {value!r}")
-        if not all(is_real(v) and math.isfinite(v) and test(v) for v in value):
-            raise ValueError(f"{name} entries must be finite and {text}, got {value!r}")
-        object.__setattr__(self, name, tuple(float(v) for v in value))
-
-    @classmethod
-    def _check_keys(cls, keys) -> None:
-        unknown = set(keys) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrackerConfig":
-        cls._check_keys(data)
-        return cls(**data)
+        return from_json(cls, data, "config")
 
     @classmethod
     def from_file(cls, path) -> "TrackerConfig":
-        with open(os.fspath(path), "r", encoding="utf-8") as f:
-            data = json.load(f)
-        if not isinstance(data, dict):
-            raise ValueError("config file must hold a JSON object")
-        return cls.from_dict(data)
+        return load_json(cls, path, "config file")
 
     def save(self, path) -> None:
         with open(os.fspath(path), "w", encoding="utf-8") as f:
@@ -135,5 +201,4 @@ class TrackerConfig:
     def override(self, **changes) -> "TrackerConfig":
         """New config with the given fields replaced; None is a value
         (it clears ``ha_gate``) and is checked like any other."""
-        self._check_keys(changes)
-        return dataclasses.replace(self, **changes)
+        return self.from_dict({**dataclasses.asdict(self), **changes})

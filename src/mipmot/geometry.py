@@ -232,9 +232,12 @@ def bev_iou_matrices(frames):
 
     The overlap kernel runs only on the pairs whose footprint
     circumcircles meet; every other pair cannot overlap and scores 0.
-    The candidate pairs of every frame go through the kernel together,
-    ``_KERNEL_PAIRS`` at a time. The kernel gives a pair the same bits in
-    any batch, so each matrix equals the one of its frame alone. The
+    Every frame's ``a`` boxes, and its ``b`` boxes, are stacked into one
+    array, and the candidate pairs of every frame, as rows of the
+    stacks, go through the kernel together, ``_KERNEL_PAIRS`` at a time.
+    Each slice gathers its own rows, so the boxes of all the pairs are
+    never held at once. The kernel gives a pair the same bits in any
+    batch, so each matrix equals the one of its frame alone. The
     matrices are built one at a time, as they are drawn.
     """
     frames = [
@@ -242,34 +245,23 @@ def bev_iou_matrices(frames):
         for a, b in frames
     ]
     pairs = [_candidate_pairs(a, b) for a, b in frames]
-    slices = _kernel_slices(frames, pairs)
-    ious = np.concatenate([np.zeros(0)] + [_bev_ious(a, b) for a, b in slices])
+    a_all = np.concatenate([np.zeros((0, 7))] + [a for a, _ in frames])
+    b_all = np.concatenate([np.zeros((0, 7))] + [b for _, b in frames])
+    # each frame's pairs as rows of the stacks: offset by the frames before
+    a_start = np.cumsum([0] + [len(a) for a, _ in frames])
+    b_start = np.cumsum([0] + [len(b) for _, b in frames])
+    i_all = np.concatenate([np.zeros(0, np.intp)] + [i + s for (i, _), s in zip(pairs, a_start)])
+    j_all = np.concatenate([np.zeros(0, np.intp)] + [j + s for (_, j), s in zip(pairs, b_start)])
+    ious = np.concatenate([np.zeros(0)] + [
+        _bev_ious(a_all[i_all[k : k + _KERNEL_PAIRS]], b_all[j_all[k : k + _KERNEL_PAIRS]])
+        for k in range(0, len(i_all), _KERNEL_PAIRS)
+    ])
     stop = 0
     for (a, b), (i, j) in zip(frames, pairs):
         out = np.zeros((len(a), len(b)))
         out[i, j] = ious[stop : stop + len(i)]
         stop += len(i)
         yield out
-
-
-def _kernel_slices(frames, pairs):
-    """The box pairs of every frame's candidate pairs, in order,
-    _KERNEL_PAIRS at a time. Each slice gathers its own rows, so the
-    boxes of all the pairs are never held at once."""
-    left, right, size = [], [], 0
-    for (a, b), (i, j) in zip(frames, pairs):
-        start = 0
-        while start < len(i):
-            stop = min(len(i), start + _KERNEL_PAIRS - size)
-            left.append(a[i[start:stop]])
-            right.append(b[j[start:stop]])
-            size += stop - start
-            start = stop
-            if size == _KERNEL_PAIRS:
-                yield np.concatenate(left), np.concatenate(right)
-                left, right, size = [], [], 0
-    if size:
-        yield np.concatenate(left), np.concatenate(right)
 
 
 def _candidate_pairs(a, b) -> tuple[np.ndarray, np.ndarray]:

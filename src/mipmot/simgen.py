@@ -14,6 +14,12 @@ and no object per detection.
 
 All randomness comes from an explicitly specified generator so the
 same config reproduces byte-identical files anywhere; see SplitMix64.
+
+``ScenarioConfig`` and ``ObjectSpec`` are checked when built by the
+field checker of ``config`` (``check_fields``), with the rules declared
+below, and a scenario file and its ``objects`` load through
+``config.from_json``. Only the occlusions and the reach of the objects'
+paths have checks of their own here.
 """
 
 from __future__ import annotations
@@ -24,8 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import COUNT, WORD, check_fields, from_json, nullable, real, rule
 from .geometry import wrap_angle
-from .io_formats import DetectionBatch, is_integer, is_real, object_table
+from .io_formats import DetectionBatch, is_integer, object_table
 
 _MASK64 = (1 << 64) - 1
 
@@ -98,28 +105,30 @@ class ObjectSpec:
     group: int | None = None  # objects in one group share an embedding mean
 
     def __post_init__(self):
-        for name in ("x", "y", "vx", "vy"):
-            _check_real(name, getattr(self, name))
-        if self.group is not None and not is_integer(self.group):
-            raise ValueError(f"group must be an integer or null, got {self.group!r}")
+        check_fields(self, _OBJECT_RULES)
 
 
-def _check_real(name: str, value, nonnegative: bool = False) -> None:
-    # false for NaN, the infinities and an int too large for a float
-    if not is_real(value) or not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    if nonnegative and value < 0:
-        raise ValueError(f"{name} must be nonnegative, got {value!r}")
-
-
-# The counts of a scenario, and its real-valued keys: the rates and
-# spreads of _NONNEGATIVE cannot be negative.
-_COUNTS = ("num_objects", "num_frames", "embedding_dim")
-_REALS = (
-    "extent", "speed_min", "speed_max", "turn_rate", "fp_near_sigma", "tp_score_mean",
-    "fp_score_low", "fp_score_high", "box_l", "box_w", "box_h",
-)
-_NONNEGATIVE = ("fp_rate", "pos_noise", "tp_score_sigma", "embedding_noise")
+_FINITE = (math.isfinite, "a finite number")
+_REAL = real(_FINITE)
+_OBJECT_RULES = {
+    **dict.fromkeys(("x", "y", "vx", "vy"), _REAL),
+    "group": nullable(rule("an integer or null", is_integer)),
+}
+# The rule of each scenario key but the occlusions and the objects. The
+# values are checked, not converted: the scenario holds them as given.
+_RULES = {
+    **dict.fromkeys(("num_objects", "num_frames", "embedding_dim"), COUNT),
+    "seed": rule("an integer", is_integer),
+    **dict.fromkeys(("extent", "speed_min", "speed_max", "turn_rate", "fp_near_sigma"), _REAL),
+    **dict.fromkeys(("tp_score_mean", "fp_score_low", "fp_score_high"), _REAL),
+    **dict.fromkeys(("box_l", "box_w", "box_h"), _REAL),
+    # rates and spreads cannot be negative
+    **dict.fromkeys(
+        ("fp_rate", "pos_noise", "tp_score_sigma", "embedding_noise"),
+        real(_FINITE, (lambda v: v >= 0.0, "nonnegative")),
+    ),
+    "object_type": WORD,
+}
 
 
 @dataclass
@@ -152,13 +161,14 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in _COUNTS + ("seed",):
-            value = getattr(self, name)
-            if not is_integer(value) or (name in _COUNTS and value < 0):
-                kind = "an integer" if name == "seed" else "a nonnegative integer"
-                raise ValueError(f"{name} must be {kind}, got {value!r}")
-        for name in _REALS + _NONNEGATIVE:
-            _check_real(name, getattr(self, name), nonnegative=name in _NONNEGATIVE)
+        check_fields(self, _RULES)
+        if self.objects is not None:
+            if not isinstance(self.objects, (list, tuple)):
+                raise ValueError(f"scenario objects must be a list, got {self.objects!r}")
+            self.objects = [
+                o if isinstance(o, ObjectSpec) else from_json(ObjectSpec, o, f"scenario object {k}")
+                for k, o in enumerate(self.objects)
+            ]
         # An object moves by its speed every frame, from within 0.4 * extent
         # when drawn from the speed range: its path must stay in floats.
         frames = min(self.num_frames, sys.float_info.max)
@@ -181,8 +191,6 @@ class ScenarioConfig:
                     f"object {k}: vx {spec.vx!r} and vy {spec.vy!r} move it from x {spec.x!r}, "
                     f"y {spec.y!r} beyond the float range in {self.num_frames} frames"
                 )
-        if not isinstance(self.object_type, str) or len(self.object_type.split()) != 1:
-            raise ValueError(f"object_type must be one word, got {self.object_type!r}")
         occlusions = self.occlusions
         if not isinstance(occlusions, (list, tuple)) or not all(
             isinstance(o, (list, tuple)) and len(o) == 3 and all(map(is_integer, o))

@@ -264,31 +264,25 @@ class Tracker:
 
 
 def run_sequence(
-    detections_by_frame: dict[int, DetectionBatch],
-    config: TrackerConfig | None = None,
-    num_frames: int | None = None,
+    detections_by_frame: dict[int, DetectionBatch], config: TrackerConfig | None = None
 ) -> list[FrameResult]:
     """Track a whole sequence; frames absent from the input are empty.
 
     ``detections_by_frame`` is ``{frame: DetectionBatch}``, as
     ``read_detections`` and ``simgen.generate`` give it. Frames run from
-    0 through the last frame present (or ``num_frames - 1``). Every frame
-    with detections is stepped, and a frame without detections only
-    while the tracker holds a track: at most ``theta_miss + 1`` frames
-    after each frame with detections, by when every track has been
-    dropped. Without a track, an empty frame would change nothing and
-    emit nothing. The result holds one ``FrameResult`` per frame
-    stepped, in frame order.
+    0 through the last frame present. Every frame with detections is
+    stepped, and a frame without detections only while the tracker holds
+    a track: at most ``theta_miss + 1`` frames after each frame with
+    detections, by when every track has been dropped. Without a track,
+    an empty frame would change nothing and emit nothing. The result
+    holds one ``FrameResult`` per frame stepped, in frame order.
     """
     tracker, results = Tracker(config), []
-    if num_frames is None:
-        num_frames = (max(detections_by_frame) + 1) if detections_by_frame else 0
     frame = 0  # the first frame not yet stepped
-    for stop in [*sorted(f for f in detections_by_frame if 0 <= f < num_frames), num_frames]:
+    for stop in sorted(detections_by_frame):
         while frame < stop and len(tracker.ids):
             results.append(tracker.step(frame, []))
             frame += 1
-        if stop < num_frames:
-            results.append(tracker.step(stop, detections_by_frame[stop]))
+        results.append(tracker.step(stop, detections_by_frame[stop]))
         frame = stop + 1
     return results

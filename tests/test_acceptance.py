@@ -47,7 +47,7 @@ def random_box(rng, spread) -> Box3D:
 
 def track_scenario(cfg, tracker_cfg):
     labels, dets = generate(cfg)
-    results = run_sequence(dets, tracker_cfg, num_frames=cfg.num_frames)
+    results = run_sequence(dets, tracker_cfg)
     return evaluate_sequence(labels_to_frames(labels), results_to_frames(results))
 
 
@@ -273,7 +273,7 @@ def test_criterion_8_determinism_and_round_trips(tmp_path):
         det_path = tmp_path / f"run{attempt}.dets.txt"
         write_detections(dets, det_path)
         by_frame = read_detections(det_path)
-        results = run_sequence(by_frame, TrackerConfig(), num_frames=cfg.num_frames)
+        results = run_sequence(by_frame, TrackerConfig())
         res_path = tmp_path / f"run{attempt}.txt"
         write_kitti_tracking(results, res_path)
         outputs.append(det_path.read_bytes() + res_path.read_bytes())

@@ -69,7 +69,7 @@ def test_workload_outputs_pinned(workloads, tmp_path, name):
     workload = workloads.WORKLOADS[name]
     workloads.generate_files(workload, workloads.DEFAULT_SEED, tmp_path)
     detections = io_formats.read_detections(tmp_path / "seq.dets.txt")
-    results = run_sequence(detections, TrackerConfig(), num_frames=workload.frames)
+    results = run_sequence(detections, TrackerConfig())
     io_formats.write_kitti_tracking(results, tmp_path / "seq.txt")
     digest = hashlib.sha256((tmp_path / "seq.txt").read_bytes()).hexdigest()
 

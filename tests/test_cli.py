@@ -71,6 +71,11 @@ class TestSimulate:
             ({"objects": [{"x": 0}]}, "scenario object 0 must hold x, y, vx, vy"),
             ({"objects": [{"x": 0, "y": 0, "vx": "a", "vy": 1}]}, "vx must be a finite number"),
             ({"objects": 5}, "scenario objects must be a list, got 5"),
+            ({"objects": [5]}, "scenario object 0 must hold a JSON object"),
+            (
+                {"objects": [{"x": 0, "y": 0, "vx": 0, "vy": 0, "z": 0}]},
+                "scenario object 0 has unknown keys: ['z']",
+            ),
             ({"occlusions": [[0, 1]]}, "occlusions must be a list of [object, start_frame"),
             (
                 {"speed_min": 1e308, "speed_max": -1e308},
@@ -99,8 +104,8 @@ class TestSimulate:
         ],
         ids=[
             "number", "text-count", "negative-count", "null-rate", "huge-extent", "object-keys",
-            "object-value", "objects-number", "occlusion-pair", "speed-range", "speed-reach",
-            "object-reach", "object-reach-over-range",
+            "object-value", "objects-number", "object-number", "object-extra-key", "occlusion-pair",
+            "speed-range", "speed-reach", "object-reach", "object-reach-over-range",
         ],
     )
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
@@ -210,6 +215,17 @@ class TestTrack:
         )
         assert code == 1
         assert err.startswith("error:") and "theta_miss" in err
+
+    def test_config_value_too_large_for_float(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"w_cls": 10**400}))
+        simulate(capsys, tmp_path / "seqs", name="seq0")
+        code, _, err = run(
+            capsys, "track", "--config", str(cfg),
+            "--input-dir", str(tmp_path / "seqs"), "--output-dir", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert err.startswith("error: w_cls")
 
     def test_int_accepted_for_float(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -441,6 +457,15 @@ class TestSweep:
         )
         assert code == 1
         assert "w_clss" in err
+
+    def test_grid_value_too_large_for_float(self, tmp_path, capsys):
+        grid = self._grid(tmp_path, {"w_cls": [10**400]})
+        code, _, err = run(
+            capsys, "sweep", "--template", "clean", "--grid", str(grid),
+            "--output", str(tmp_path / "m.csv"),
+        )
+        assert code == 1
+        assert err.startswith("error: w_cls")
 
     def test_associator_side_by_side(self, tmp_path, capsys):
         # same detections through both associators, one row each

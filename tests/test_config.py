@@ -5,6 +5,15 @@ import math
 import pytest
 
 from mipmot.config import TrackerConfig
+from mipmot.simgen import ObjectSpec, ScenarioConfig
+
+# Every real-valued field of the types the shared field checker checks.
+REAL_FIELDS = [
+    (cls, f.name)
+    for cls in (TrackerConfig, ScenarioConfig, ObjectSpec)
+    for f in dataclasses.fields(cls)
+    if f.type in ("float", "Optional[float]")
+]
 
 
 class TestValidation:
@@ -38,11 +47,23 @@ class TestValidation:
             ("kalman_r_diag", [0.5] * 6 + [0.0]),
             ("kalman_r_diag", [0.5] * 6 + [math.nan]),
             ("kalman_q_scale", -0.01),
+            # integers too large for a float
+            ("w_cls", 10**400),
+            ("beta_over_alpha", 10**400),
+            ("ha_gate", 10**400),
+            ("kalman_q_scale", 10**400),
+            ("kalman_r_diag", [10**400] + [0.5] * 6),
         ],
     )
     def test_bad_value_names_key(self, key, value):
         with pytest.raises(ValueError, match=key):
             TrackerConfig(**{key: value})
+
+    @pytest.mark.parametrize("cls, key", REAL_FIELDS)
+    def test_int_too_large_for_float_names_key(self, cls, key):
+        required = dict(x=0, y=0, vx=0, vy=0) if cls is ObjectSpec else {}
+        with pytest.raises(ValueError, match=f"^{key} must be "):
+            cls(**{**required, key: 10**400})
 
     def test_motion_needs_a_term(self):
         with pytest.raises(ValueError, match="use_dis"):

@@ -414,7 +414,7 @@ class TestDeterminism:
         num_frames = frames[-1] + 10
         tracker = Tracker(cfg)
         every = [tracker.step(f, by_frame.get(f, [])) for f in range(num_frames)]
-        results = run_sequence(by_frame, cfg, num_frames)
+        results = run_sequence(by_frame, cfg)
         stepped = {r.frame for r in results}
         assert [(r.frame, r.tracks.tobytes()) for r in results] == [
             (r.frame, r.tracks.tobytes()) for r in every if r.frame in stepped
@@ -457,7 +457,7 @@ class TestShuffleWithinFrame:
             shuffled = {
                 f: self.permuted(b, rng.permutation(len(b))) for f, b in detections.items()
             }
-            expected = trajectories(run_sequence(detections, cfg, scenario.num_frames))
+            expected = trajectories(run_sequence(detections, cfg))
             assert expected
-            got = trajectories(run_sequence(shuffled, cfg, scenario.num_frames))
+            got = trajectories(run_sequence(shuffled, cfg))
             assert got == expected, seed
