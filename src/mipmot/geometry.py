@@ -4,10 +4,14 @@ Boxes are upright cuboids: an (x, y, z) center, (l, w, h) extents and a
 heading angle about the vertical (z) axis. Overlap is computed as a
 rotated-rectangle intersection in the ground plane (bird's-eye view)
 times the vertical interval overlap, which is exact for upright boxes.
-Every overlap goes through one batched kernel, ``bev_intersection_areas``.
-The distance-IoU affinity built on it is ``affinity.motion_affinity_matrix``;
-the evaluator's IoU matrices come from ``bev_iou_matrices``, one kernel
-pass over the candidate pairs of a whole sequence of frames.
+Every overlap goes through one batched kernel, ``bev_intersection_areas``:
+one fixed-shape pass over (K, 4) arrays that integrates each footprint's
+edges in the other box's frame, so an area depends only on where the two
+boxes sit relative to each other. ``tests/exact_area.py`` checks it
+against an exact rational clip. The distance-IoU affinity built on it
+is ``affinity.motion_affinity_matrix``; the evaluator's IoU matrices
+come from ``bev_iou_matrices``, one kernel pass over the candidate pairs
+of a whole sequence of frames.
 """
 
 from __future__ import annotations
@@ -25,19 +29,22 @@ EPS = 1e-9
 # than building k-d trees (measured crossover: about 10,000 pairs).
 _TREE_MIN_PAIRS = 8192
 
-# The overlap kernel costs about 0.4 ms a call whatever its size, so
+# The overlap kernel costs about 70 us a call plus 0.33 us a pair, so
 # ``bev_iou_matrices`` runs it over every frame's candidate pairs
 # together, this many pairs a call. The perfbench sequences' 2,374,
 # 9,404 and 7,375 candidate pairs (kitti-20, sparse-300, dense-clutter)
-# take 5, 19 and 15 calls instead of one a frame (100, 30, 60). The
-# kernel's temporaries grow with the slice; at 512 pairs, peak RSS
-# stayed within 1.5% of one call a frame on all three (2-core VM).
+# take 5, 19 and 15 calls instead of one a frame (100, 30, 60). Larger
+# slices saved at most 6% of ``evaluate_sequence`` on those three, while
+# its traced heap peak grew from 0.9-4.4 MB at 512 pairs to 2.5-9.5 MB
+# for one call in all (2-core VM).
 _KERNEL_PAIRS = 512
 
 _TAU = 2.0 * math.pi
 
 # Signs of (l/2, w/2) at the footprint corners, counter-clockwise.
 _CORNER_SIGNS = np.array([[1.0, -1.0, -1.0, 1.0], [1.0, 1.0, -1.0, -1.0]])
+# The corner after each one: footprint edge k runs from corner k to it.
+_NEXT = np.array([1, 2, 3, 0])
 
 
 def wrap_angle(a):
@@ -130,93 +137,67 @@ def polygon_area(poly) -> float:
     return 0.5 * acc
 
 
-def _clip_half_plane(poly, count, a, b):
-    """Clip each row's polygon by the half-plane left of the line a -> b.
-
-    ``poly`` is (K, W, 2) with the first ``count[k]`` vertices of row k
-    in use. Each vertex emits the crossing of the edge that ends at it,
-    then itself if inside, and the emitted points are compacted in that
-    order: one Sutherland-Hodgman step, with the scalar clip's
-    arithmetic, for every row at once.
-    """
-    k, width = poly.shape[:2]
-    if width == 0:
-        return poly, count
-    ax, ay = a[:, 0:1], a[:, 1:2]
-    ex, ey = b[:, 0:1] - ax, b[:, 1:2] - ay
-    x, y = poly[..., 0], poly[..., 1]
-    index = np.arange(width)
-    used = index < count[:, None]
-    inside = ex * (y - ay) - ey * (x - ax) >= 0.0
-    # The edge into vertex 0 starts at the row's last vertex.
-    last = (np.arange(k), count - 1)
-    prev_x, prev_y, prev_in = np.empty_like(x), np.empty_like(y), np.empty_like(inside)
-    for prev, cur in ((prev_x, x), (prev_y, y), (prev_in, inside)):
-        prev[:, 0] = cur[last]
-        prev[:, 1:] = cur[:, :-1]
-    dx, dy = x - prev_x, y - prev_y
-    denom = ex * dy - ey * dx
-    points = np.empty((k, width, 2, 2))
-    points[:, :, 1] = poly
-    # Rows without a crossing divide by zero; their points are not emitted.
-    # A footprint with subnormal extents may overflow; it is flat, so its
-    # area is set to 0 afterwards.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t = (ex * (ay - prev_y) - ey * (ax - prev_x)) / denom
-        points[:, :, 0, 0] = prev_x + t * dx
-        points[:, :, 0, 1] = prev_y + t * dy
-    emit = np.empty((k, width, 2), dtype=bool)
-    emit[:, :, 0] = used & (inside != prev_in) & (denom != 0.0)
-    emit[:, :, 1] = used & inside
-    emit = emit.reshape(k, 2 * width)
-    slot = np.cumsum(emit, axis=1) - 1
-    count = slot[:, -1] + 1
-    new_width = int(count.max(initial=0))
-    out = np.zeros((k, new_width, 2))
-    src = np.flatnonzero(emit)
-    dest = src // (2 * width) * new_width + slot.ravel()[src]
-    out.reshape(-1, 2)[dest] = points.reshape(-1, 2)[src]
-    return out, count
-
-
-def _shoelace(poly, count):
-    """Areas of the (K, W, 2) polygons, first ``count[k]`` vertices each.
-
-    The terms are added left to right by ``cumsum``, in
-    ``polygon_area``'s order (``np.sum`` would add them pairwise), so
-    each area is bit for bit the scalar one.
-    """
-    k, width = poly.shape[:2]
-    if width == 0:
-        return np.zeros(k)
-    x, y = poly[..., 0], poly[..., 1]
-    index = np.arange(width)
-    rows = np.arange(k)[:, None]
-    after = np.where(index + 1 < count[:, None], index + 1, 0)
-    terms = x * y[rows, after] - x[rows, after] * y
-    terms = np.where(index < count[:, None], terms, 0.0)
-    return np.where(count >= 3, 0.5 * np.cumsum(terms, axis=1)[:, -1], 0.0)
-
-
 def bev_intersection_areas(a, b) -> np.ndarray:
     """Ground-plane intersection areas of paired boxes.
 
     ``a`` and ``b`` are (K, 7) box arrays; entry k is the area of box
-    a[k]'s footprint clipped by box b[k]'s. A footprint or an
-    intersection with area below EPS counts as zero. All pairs run the
-    same array steps, a Sutherland-Hodgman clip by 4 edges with the
-    polygons padded to the longest (at most 8 vertices) and masked, and
-    each area is bit for bit the scalar clip's.
+    a[k]'s footprint inside box b[k]'s. A footprint whose ``l * w`` is
+    below EPS is flat and overlaps nothing, and an intersection below
+    EPS counts as zero; every area lies in [0, the smaller footprint's].
+
+    Box a's corners are placed in box b's frame, from the difference of
+    the two centres and headings, so an area does not depend on where
+    the pair sits. There b is ``|x| <= L, |y| <= W`` (half its length
+    and width), and the overlap is the integral over ``|x| <= L`` of
+    ``clip(upper(x)) - clip(lower(x))``, where upper and lower bound a's
+    convex footprint and clip is to ``[-W, W]``. Walking a's edges
+    counter-clockwise, that is the sum of ``-(u1 - u0) * mean`` over
+    the edges: ``u0`` and ``u1`` are the edge's end x-values clamped to
+    ``[-L, L]`` and ``mean`` the average of the clipped, linear y over
+    that span, in closed form. The integrand is continuous in the
+    corners, so coincident and touching edges need no rule. Every pair
+    runs the same (K, 4) array steps, so a pair gets the same bits in
+    any batch.
     """
-    poly = bev_corners_array(a)
-    clipper = bev_corners_array(b)
-    k = len(poly)
-    flat = _shoelace(np.concatenate((poly, clipper)), np.full(2 * k, 4)) < EPS
-    flat = flat[:k] | flat[k:]
-    count = np.full(k, 4)
-    for i in range(4):
-        poly, count = _clip_half_plane(poly, count, clipper[:, i], clipper[:, (i + 1) % 4])
-    area = _shoelace(poly, count)
+    a = np.asarray(a, dtype=float).reshape(-1, 7)
+    b = np.asarray(b, dtype=float).reshape(-1, 7)
+    cos_b, sin_b = np.cos(b[:, 6:7]), np.sin(b[:, 6:7])
+    heading = a[:, 6:7] - b[:, 6:7]
+    cos_r, sin_r = np.cos(heading), np.sin(heading)
+    dx, dy = a[:, 0:1] - b[:, 0:1], a[:, 1:2] - b[:, 1:2]
+    along = 0.5 * a[:, 3:4] * _CORNER_SIGNS[0]
+    across = 0.5 * a[:, 4:5] * _CORNER_SIGNS[1]
+    # a's corners, counter-clockwise, and the corners after them
+    x = (cos_b * dx + sin_b * dy) + (cos_r * along - sin_r * across)
+    y = (cos_b * dy - sin_b * dx) + (sin_r * along + cos_r * across)
+    x_next, y_next = x[:, _NEXT], y[:, _NEXT]
+    half_l, half_w = 0.5 * b[:, 3:4], 0.5 * b[:, 4:5]
+    u0 = np.minimum(np.maximum(x, -half_l), half_l)
+    u1 = np.minimum(np.maximum(x_next, -half_l), half_l)
+    # A vertical edge (run 0) and an edge outside |x| <= L have u0 == u1
+    # and add nothing; their nan and inf steps are masked at the end.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        run, rise = x_next - x, y_next - y
+        y0 = y + (u0 - x) / run * rise
+        y1 = y + (u1 - x) / run * rise
+        low, high = np.minimum(y0, y1), np.maximum(y0, y1)
+        span = high - low
+        # the edge's y runs from low to high; the shares of that span
+        # below -W and below W
+        s1 = np.minimum(np.maximum((-half_w - low) / span, 0.0), 1.0)
+        s2 = np.minimum(np.maximum((half_w - low) / span, 0.0), 1.0)
+        # -W over s1, W over 1 - s2, and a line in between
+        inner = (s2 - s1) * (0.5 * (np.maximum(low, -half_w) + np.minimum(high, half_w)))
+        mean = np.where(
+            span > 0.0,
+            half_w * (1.0 - s2 - s1) + inner,
+            np.minimum(np.maximum(low, -half_w), half_w),
+        )
+        terms = np.where(u1 != u0, (u0 - u1) * mean, 0.0)
+    area = terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
+    area_a, area_b = a[:, 3] * a[:, 4], b[:, 3] * b[:, 4]
+    area = np.minimum(area, np.minimum(area_a, area_b))
+    flat = (area_a < EPS) | (area_b < EPS)
     return np.where(flat | (area < EPS), 0.0, area)
 
 

@@ -27,10 +27,11 @@ solver and this enumeration may pick different ones; ``match_frame``
 raises ``TiedMatching`` then.
 """
 
+import functools
 import itertools
+from fractions import Fraction
 
-from clip_oracle import convex_polygon_intersection_area
-from diou_oracle import bev_corners
+import exact_area
 from mipmot.geometry import EPS
 
 MT_SHARE = 0.8
@@ -42,11 +43,16 @@ class TiedMatching(Exception):
     keep different pairs."""
 
 
+@functools.lru_cache(maxsize=1 << 14)
 def bev_iou(b1, b2) -> float:
-    """Ground-plane IoU of two boxes by the scalar clip."""
-    inter = convex_polygon_intersection_area(bev_corners(b1), bev_corners(b2))
-    union = b1.l * b1.w + b2.l * b2.w - inter
-    return 0.0 if union <= EPS else min(1.0, max(0.0, inter / union))
+    """Ground-plane IoU of two boxes from their exact overlap, as the
+    float nearest it. Each pair is scored once: the enumeration asks for
+    the same pairs in many assignments."""
+    inter = exact_area.area(b1, b2)
+    if inter < EPS:
+        inter = Fraction(0)
+    union = Fraction(b1.l * b1.w) + Fraction(b2.l * b2.w) - inter
+    return 0.0 if union <= EPS else float(min(1, inter / union))
 
 
 def assignments(gts, hyps):

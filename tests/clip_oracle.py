@@ -1,8 +1,10 @@
 """Scalar Sutherland-Hodgman clip over Python floats.
 
-The reference that the batched overlap kernel of ``mipmot.geometry``
-is compared against, bit for bit: it clips one pair at a time and adds
-the shoelace terms with ``polygon_area``, in the order the kernel keeps.
+A float clip of two convex polygons given by their points, with the
+shoelace sum of ``polygon_area``, for the acceptance check of a rotated
+square. It works in world coordinates, so its last bits depend on where
+the polygons sit; the overlap kernel of ``mipmot.geometry`` is checked
+against the exact clip of ``exact_area.py`` instead.
 """
 
 from mipmot.geometry import EPS, polygon_area

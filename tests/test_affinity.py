@@ -9,15 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import softmax
 
-from clip_oracle import convex_polygon_intersection_area
+import exact_area
 from diou_oracle import (
-    bev_corners,
     diou_affinity,
     distance_term,
     iou_3d,
     raw_appearance_score,
     volume,
 )
+from exact_area import within
 from mipmot import affinity as affinity_module
 from mipmot.affinity import (
     compute_affinities,
@@ -32,7 +32,7 @@ from mipmot.association import (
     solve_mip,
 )
 from mipmot.config import TrackerConfig
-from mipmot.geometry import EPS, Box3D
+from mipmot.geometry import Box3D
 from mipmot.io_formats import Detection
 
 MOTION_ONLY = TrackerConfig(beta_over_alpha=math.inf)
@@ -79,9 +79,9 @@ def make_det(box, score=1.0, embedding=None) -> Detection:
 # affinities byte for byte, since the golden result files move only when
 # an association flips.
 PINNED_REFINED = {
-    0.7: "7d6f8013c0f20232ccd7a26ed42cc2577ddc6813a4ed6c0d097ef8d6d760e290",
-    3.0: "e5373a455620138fd0458e2e45ae0bd597f81708ccb0e243c3df6a0158a8f8dc",
-    10.0: "222f790b6670b1686bd0e3137f281ad2fa8b7ff48600bd119825642a664ddf38",
+    0.7: "b8222f8329832d0dd48b2dc2489d3563ccff331fa8dcff0acfad704c24d5fc2b",
+    3.0: "9938931383c81c9d11e87010179c370fc477da383573c4669a02fac4bae5da93",
+    10.0: "c3b8d46c4d90f1e8251ccf2ceb807bd86aa75599b76ced2616800d9d9710202e",
 }
 
 
@@ -267,26 +267,24 @@ class TestMotionMatrix:
         st.lists(st.builds(_box, st.integers(0, 2**32 - 1)), max_size=6),
         st.lists(st.builds(_box, st.integers(0, 2**32 - 1)), max_size=6),
     )
-    def test_iou_term_equals_scalar_clip_per_pair(self, dets, trks):
-        """The batched IoU term, bit for bit, against one scalar clip per pair."""
-        expected = np.zeros((len(dets), len(trks)))
+    def test_iou_term_matches_exact_area_per_pair(self, dets, trks):
+        """The batched IoU term against each pair's exact footprint
+        overlap times its height overlap."""
+        d_arr, t_arr = box_array(dets), box_array(trks)
+        iou = motion_affinity_matrix(d_arr, t_arr, use_dis=False)
         for i, d in enumerate(dets):
             for j, t in enumerate(trks):
                 lo = max(d.z - 0.5 * d.h, t.z - 0.5 * t.h)
                 dz = min(d.z + 0.5 * d.h, t.z + 0.5 * t.h) - lo
                 if dz <= 0.0:
+                    assert iou[i, j] == 0.0
                     continue
-                inter = convex_polygon_intersection_area(bev_corners(d), bev_corners(t)) * dz
-                union = volume(d) + volume(t) - inter
-                if union > EPS:
-                    expected[i, j] = min(1.0, max(0.0, inter / union))
-        d_arr, t_arr = box_array(dets), box_array(trks)
-        iou = motion_affinity_matrix(d_arr, t_arr, use_dis=False)
-        assert iou.tolist() == expected.tolist()
+                bounds = exact_area.iou_bounds(d, t, dz, volume(d) + volume(t))
+                assert within(iou[i, j], bounds), (d, t, iou[i, j])
         if dets and trks:
             dis = motion_affinity_matrix(d_arr, t_arr, use_iou=False)
             full = motion_affinity_matrix(d_arr, t_arr)
-            assert full.tolist() == (dis + expected).tolist()
+            assert full.tolist() == (dis + iou).tolist()
 
     def test_coincident_zero_size_boxes(self):
         # a distance term of 1 (degenerate diagonal) and an IoU of 0 (no

@@ -26,7 +26,7 @@ PINNED = {
     "kitti-20": (
         "6b54ee14bce5c361b6f9af1c31b5736129d6c9c5dded81eb3c378adf88d61a33",
         {
-            "MOTA": 0.99, "MOTP": 0.8033517382400681, "FP": 0, "FN": 20, "IDSW": 0,
+            "MOTA": 0.99, "MOTP": 0.8033517382400688, "FP": 0, "FN": 20, "IDSW": 0,
             "FRAG": 0, "MT": 1.0, "PT": 0.0, "ML": 0.0, "GT": 2000, "GT_TRACKS": 20,
             "TP": 1980, "MOTA_DEFINED": True,
         },
@@ -34,7 +34,7 @@ PINNED = {
     "sparse-300": (
         "eaabe6d844014070fe2390b3efbfc19c6d873de7263626b600d95ffec0865348",
         {
-            "MOTA": 0.9666666666666667, "MOTP": 0.822451061039074, "FP": 0, "FN": 300,
+            "MOTA": 0.9666666666666667, "MOTP": 0.8224510610390685, "FP": 0, "FN": 300,
             "IDSW": 0, "FRAG": 0, "MT": 1.0, "PT": 0.0, "ML": 0.0, "GT": 9000,
             "GT_TRACKS": 300, "TP": 8700, "MOTA_DEFINED": True,
         },
@@ -42,7 +42,7 @@ PINNED = {
     "dense-clutter": (
         "da49a10282862d6dab9889da868f6a97cb97114c891ef513f1ceec67b79e83e6",
         {
-            "MOTA": 0.7644444444444445, "MOTP": 0.8035414111467607, "FP": 564, "FN": 233,
+            "MOTA": 0.7644444444444445, "MOTP": 0.8035414111467603, "FP": 564, "FN": 233,
             "IDSW": 51, "FRAG": 82, "MT": 1.0, "PT": 0.0, "ML": 0.0, "GT": 3600,
             "GT_TRACKS": 60, "TP": 3367, "MOTA_DEFINED": True,
         },

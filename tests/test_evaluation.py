@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import clearmot_oracle
+import exact_area
 from clearmot_oracle import bev_iou as oracle_bev_iou
+from exact_area import within
 from mipmot.evaluation import (
     aggregate_reports,
     evaluate_sequence,
@@ -109,7 +111,7 @@ class TestMatchFrame:
 
 
 def oracle_match_frame(gt_boxes, hyp_boxes, prev, iou_threshold=0.5):
-    """match_frame with one scalar IoU per pair, in the pairs' order."""
+    """match_frame with one exact-area IoU per pair, in the pairs' order."""
     corr, taken = {}, set()
     for g, h in prev.items():
         if g in gt_boxes and h in hyp_boxes:
@@ -191,13 +193,16 @@ class TestMatchFrameOracle:
     @settings(max_examples=50, deadline=None)
     @given(st.lists(frames(), min_size=1, max_size=4))
     def test_iou_sum_adds_scalar_ious_in_match_order(self, sequence):
-        """MOTP is the scalar IoUs of the matches added one by one, in
-        frame order and each frame's match order, over TP: bit for bit."""
+        """MOTP is the one-pair IoUs of the matches added one by one, in
+        frame order and each frame's match order, over TP: bit for bit.
+        Each of those IoUs lies in the exact reference's bounds."""
         prev, iou_sum, tp = {}, 0.0, 0
         for gt, hyp, _ in sequence:
             prev = oracle_match_frame(gt, hyp, prev)
             for g, h in prev.items():
-                iou_sum += oracle_bev_iou(gt[g], hyp[h])
+                iou = geometry.bev_iou(gt[g], hyp[h])
+                assert within(iou, exact_area.iou_bounds(gt[g], hyp[h]))
+                iou_sum += iou
             tp += len(prev)
         gt_frames = {f: gt for f, (gt, _, _) in enumerate(sequence)}
         hyp_frames = {f: hyp for f, (_, hyp, _) in enumerate(sequence)}

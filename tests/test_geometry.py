@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exact_area
 from clip_oracle import convex_polygon_intersection_area
 from diou_oracle import (
     bev_corners,
@@ -17,6 +19,7 @@ from diou_oracle import (
     iou_3d,
     volume,
 )
+from exact_area import within
 from mipmot import geometry
 from mipmot.geometry import (
     EPS,
@@ -184,13 +187,16 @@ class TestPolygonIntersection:
         assert convex_polygon_intersection_area(line, self.UNIT_SQUARE) == 0.0
 
 
-def oracle_bev_iou(b1: Box3D, b2: Box3D) -> float:
-    """Ground-plane IoU from the scalar clip, one pair at a time."""
-    inter = convex_polygon_intersection_area(bev_corners(b1), bev_corners(b2))
-    union = b1.l * b1.w + b2.l * b2.w - inter
-    if union <= EPS:
-        return 0.0
-    return min(1.0, max(0.0, inter / union))
+def assert_ious_exact(got, left, right):
+    """Each entry of an IoU matrix lies in the exact reference's bounds."""
+    for i, a in enumerate(left):
+        for j, b in enumerate(right):
+            assert within(got[i, j], exact_area.iou_bounds(a, b)), (a, b, got[i, j])
+
+
+def pairwise_ious(left, right):
+    """The IoU matrix from one one-pair kernel call per entry."""
+    return [[bev_iou(a, b) for b in right] for a in left]
 
 
 HEADINGS = st.floats(-4.0, 4.0) | st.sampled_from(
@@ -240,14 +246,12 @@ def as_array(boxes_):
 class TestOverlapKernel:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(box_pairs(), max_size=12))
-    def test_areas_equal_scalar_clip(self, pairs):
+    def test_areas_match_exact_reference(self, pairs):
         left, right = as_array(a for a, _ in pairs), as_array(b for _, b in pairs)
         got = bev_intersection_areas(left, right)
-        expected = [
-            convex_polygon_intersection_area(bev_corners(a), bev_corners(b)) for a, b in pairs
-        ]
         assert got.shape == (len(pairs),)
-        assert got.tolist() == expected
+        for area, (a, b) in zip(got, pairs):
+            assert within(area, exact_area.area_bounds(a, b)), (a, b, area)
 
     def test_no_pairs(self):
         empty = np.zeros((0, 7))
@@ -258,10 +262,9 @@ class TestOverlapKernel:
     @given(st.lists(boxes(spread=4.0), max_size=6), st.lists(boxes(spread=4.0), max_size=6))
     def test_iou_matrix_equals_pairwise(self, left, right):
         got = bev_iou_matrix(as_array(left), as_array(right))
-        expected = [[oracle_bev_iou(a, b) for b in right] for a in left]
         assert got.shape == (len(left), len(right))
-        assert got.tolist() == expected
-        assert [[bev_iou(a, b) for b in right] for a in left] == expected
+        assert got.tolist() == pairwise_ious(left, right)
+        assert_ious_exact(got, left, right)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -281,9 +284,9 @@ class TestOverlapKernel:
         # the k-d tree query at every size, not only beyond the size where it pays off
         with mock.patch.object(geometry, "_TREE_MIN_PAIRS", 0):
             got = bev_iou_matrix(as_array(left), as_array(right))
-        expected = [[oracle_bev_iou(a, b) for b in right] for a in left]
         assert got.shape == (len(left), len(right))
-        assert got.tolist() == expected
+        assert got.tolist() == pairwise_ious(left, right)
+        assert_ious_exact(got, left, right)
 
     def test_tree_query_at_size(self):
         # 110 x 110 boxes on a grid: beyond _TREE_MIN_PAIRS, so the tree is used
@@ -301,7 +304,8 @@ class TestOverlapKernel:
         assert got.tolist() == dense.tolist()
         assert np.count_nonzero(got) > len(left)
         for i, j in zip(*np.nonzero(got)):
-            assert got[i, j] == oracle_bev_iou(left[i], right[j])
+            assert got[i, j] == bev_iou(left[i], right[j])
+            assert within(got[i, j], exact_area.iou_bounds(left[i], right[j]))
 
     def test_tree_query_empty_side(self):
         one = as_array([Box3D(0, 0, 0, 1, 1, 1)])
@@ -321,7 +325,7 @@ class TestOverlapKernel:
             assert corners.tolist() == expected.tolist()
 
     def test_point_footprint_overlaps_nothing(self):
-        # A clip by a point has only zero-length edges, which keep every vertex.
+        # a point footprint is flat, whichever side of the pair it is on
         box = Box3D(0, 0, 0, 4, 2, 2, 0.3)
         point = Box3D(0.5, 0.2, 0, 0, 0, 0.5, 1.0)
         areas = bev_intersection_areas(as_array([box, point]), as_array([point, box]))
@@ -329,7 +333,7 @@ class TestOverlapKernel:
         assert iou_3d(box, point) == 0.0 and iou_3d(point, box) == 0.0
 
     def test_subnormal_extents_overlap_nothing(self):
-        # the clip's crossing points overflow for such a footprint; the
+        # such a footprint's edge slopes divide by subnormal runs; the
         # pair is flat and scores 0 without a floating-point warning
         tiny = Box3D(0, 0, 0, 1.1e-308, 1.1e-308, 1, 0.3)
         box = Box3D(0.1, 0, 0, 2, 1, 1, 0)
@@ -341,6 +345,110 @@ class TestOverlapKernel:
         rotated = Box3D(0, 0, 0, 1, 1, 1, math.pi / 4)
         area = bev_intersection_areas(as_array([square]), as_array([rotated]))[0]
         assert area == pytest.approx(2.0 * (SQRT2 - 1.0), abs=1e-12)
+
+
+# Extents from 0, and subnormal, to 1 km; centres up to 10 km out.
+EXTENTS = st.floats(0.0, 1e3) | st.sampled_from([0.0, 5e-324, 1.1e-308, 1e-5, 1e3])
+CENTRES = st.floats(-1e4, 1e4)
+
+
+def quarter_turn(box, k):
+    """The same footprint as (w, l, a + k pi/2), or (l, w, ...) for even k."""
+    l, w = (box.w, box.l) if k % 2 else (box.l, box.w)
+    return dataclasses.replace(box, l=l, w=w, a=box.a + k * math.pi / 2)
+
+
+@st.composite
+def wide_boxes(draw):
+    x, y = draw(CENTRES), draw(CENTRES)
+    return Box3D(x, y, 0.0, draw(EXTENTS), draw(EXTENTS), 1.0, draw(HEADINGS))
+
+
+@st.composite
+def wide_pairs(draw):
+    """A box anywhere within 10 km and a second one that overlaps it,
+    coincides with it, is shifted by half its length or width, lies
+    inside it or is its footprint given a quarter turn further."""
+    a = draw(wide_boxes())
+    kind = draw(st.sampled_from(["near", "coincident", "half", "nested", "quarter"]))
+    c, s = math.cos(a.a), math.sin(a.a)
+    if kind == "coincident":
+        return a, a
+    if kind == "half":
+        du, dv = draw(st.sampled_from([(0.5 * a.l, 0.0), (0.0, 0.5 * a.w)]))
+        return a, dataclasses.replace(a, x=a.x + du * c - dv * s, y=a.y + du * s + dv * c)
+    if kind == "nested":
+        k, u, v = (draw(st.floats(0.0, 1.0)) for _ in range(3))
+        du, dv = (1.0 - k) * (u - 0.5) * a.l, (1.0 - k) * (v - 0.5) * a.w
+        return a, dataclasses.replace(
+            a, x=a.x + du * c - dv * s, y=a.y + du * s + dv * c, l=k * a.l, w=k * a.w
+        )
+    if kind == "quarter":
+        return a, quarter_turn(a, draw(st.integers(-3, 4)))
+    # a second box centred within half the first's length and width of it
+    b = draw(wide_boxes())
+    u, v = draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))
+    return a, dataclasses.replace(b, x=a.x + u * a.l, y=a.y + v * a.w)
+
+
+def on_grid(box, step=2.0**-16):
+    """The box with its centre rounded to a multiple of ``step``."""
+    return dataclasses.replace(box, x=round(box.x / step) * step, y=round(box.y / step) * step)
+
+
+class TestExactArea:
+    """The kernel against the exact reference, within
+    ``exact_area.tolerance``, for boxes up to 10 km out."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(wide_pairs(), min_size=1, max_size=6))
+    def test_areas_match_exact_reference(self, pairs):
+        left, right = as_array(a for a, _ in pairs), as_array(b for _, b in pairs)
+        got = bev_intersection_areas(left, right)
+        swapped = bev_intersection_areas(right, left)
+        smaller = np.minimum(left[:, 3] * left[:, 4], right[:, 3] * right[:, 4])
+        assert np.isfinite(got).all()
+        assert (0.0 <= got).all() and (got <= smaller).all()
+        for k, (a, b) in enumerate(pairs):
+            exact = exact_area.area(a, b)
+            assert within(got[k], exact_area.area_bounds(a, b, exact)), (a, b, got[k])
+            assert within(swapped[k], exact_area.area_bounds(b, a, exact)), (b, a, swapped[k])
+            assert abs(got[k] - swapped[k]) <= exact_area.tolerance(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        wide_pairs(),
+        st.integers(-10**4 * 2**16, 10**4 * 2**16),
+        st.integers(-10**4 * 2**16, 10**4 * 2**16),
+    )
+    def test_iou_does_not_depend_on_a_common_shift(self, pair, sx, sy):
+        # on a grid of 2**-16 m every shifted centre is exact, so the two
+        # pairs are the same pair, placed elsewhere
+        a, b = (on_grid(box) for box in pair)
+        sx, sy = sx * 2.0**-16, sy * 2.0**-16
+        moved = [dataclasses.replace(box, x=box.x + sx, y=box.y + sy) for box in (a, b)]
+        iou = bev_iou_matrix(as_array([a]), as_array([b]))
+        assert bits(bev_iou_matrix(as_array(moved[:1]), as_array(moved[1:]))) == bits(iou)
+
+    @settings(max_examples=200, deadline=None)
+    @given(wide_boxes())
+    def test_box_against_itself_scores_one(self, box):
+        # in its own frame a box's corners are exactly (+-l/2, +-w/2)
+        area = bev_intersection_areas(as_array([box]), as_array([box]))[0]
+        iou = bev_iou(box, box)
+        if box.l * box.w < EPS:
+            assert (area, iou) == (0.0, 0.0)
+        else:
+            assert (area, iou) == (box.l * box.w, 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(wide_boxes(), st.integers(-3, 4))
+    def test_quarter_turn_scores_own_area(self, box, k):
+        turned = quarter_turn(box, k)
+        own = box.l * box.w
+        tol = exact_area.tolerance(box, turned)
+        for got in bev_intersection_areas(as_array([box, turned]), as_array([turned, box])):
+            assert abs(got - own) <= tol or (got == 0.0 and own < EPS + tol)
 
 
 def bits(array) -> bytes:

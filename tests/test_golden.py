@@ -119,15 +119,15 @@ SIMULATE_GOLDEN = {
 # the "mip" result file against the template's labels: every CLEARMOT
 # count and ratio, byte for byte.
 EVAL_GOLDEN = {
-    ("clean", 0): "2c3a66e87728b2d3ba6930c33fa5490743575ca760f16efdeb340104a20af4a1",
-    ("clean", 1): "f426d5d22151f033d538b5df4b79f850153f6eec3df883c53f378e87cd78cbbf",
-    ("clean", 2): "ac3f604632910c052e1720fcc2065cb7b3baaf1d541385a2a1d6f7feceb0a710",
+    ("clean", 0): "1868ef566c5d95c11a4aa80a86f1ebe44901f52658687f8c61966acb689933d7",
+    ("clean", 1): "2978f394621e6882feec95d1f368c8e48c2eff456527d106cee528c04228aadf",
+    ("clean", 2): "6ad6f7cda36360963a15604a3315459b312d77bfb60bb8f9e7858e8ecd7897c3",
     ("crossing", 0): "9588f6033f79a040dceb9bbc3a89bf677a2a7dc4fa435528092ebd3121ac9da3",
-    ("crossing", 1): "f8f70419a84765b2c67b176664d48873eea41a12863c11c7658937060f5f9f43",
-    ("crossing", 2): "0063cb77c77328f579c4615e1cf5659504321846ecf1a75cada8e67230cd1e30",
+    ("crossing", 1): "31e84e6e956dd38d5786fbea7437504ecbc874be9562532735e8d4e34abcbfb3",
+    ("crossing", 2): "916c680c31c95c3540d076a2307f721874bac17ce454efc258aef35947e0c414",
     ("clutter", 0): "7f1caae1de0b9ce00e16e5acfce705254cea82aab4e5fe9597abeef202e841c2",
-    ("clutter", 1): "e0fe5e4d76fe9d5220e5c582af235b87fc620c1f8c2e016e737f62eb031e99f5",
-    ("clutter", 2): "86a1910a9a8a08c1f66cfe259e7f66483ea7c56ac26a294e139c6d6de18f0c55",
+    ("clutter", 1): "7e737b8a1355aa69d2871bde6ffcef94accf8aa4f2fe93effcccf23e53d6b433",
+    ("clutter", 2): "9d7ac7f88ab0b87edcf8a32f3410cf446f2edfb3c4974d3bc0a4cf60cc3317fa",
 }
 
 
