@@ -10,7 +10,7 @@ from .association import (
 )
 from .config import TrackerConfig
 from .evaluation import MotReport, evaluate_sequence, aggregate_reports
-from .geometry import Box3D, bev_iou
+from .geometry import bev_iou
 from .io_formats import Detection, DetectionBatch
 from .motion import kf_init, kf_predict, kf_update
 from .simgen import ScenarioConfig, generate, scenario_template
@@ -22,7 +22,6 @@ __all__ = [
     "AffinityMatrix",
     "AssociationProblem",
     "AssociationResult",
-    "Box3D",
     "Detection",
     "DetectionBatch",
     "FrameResult",

@@ -1,7 +1,11 @@
 """Oriented 3D box geometry.
 
-Boxes are upright cuboids: an (x, y, z) center, (l, w, h) extents and a
-heading angle about the vertical (z) axis. Overlap is computed as a
+Boxes are upright cuboids, each a 7-vector (x, y, z, l, w, h, a) and
+many an (N, 7) array: the center, the extents along the heading, across
+it and up, and the heading about the vertical (z) axis, wrapped to
+(-pi, pi] (``wrap_angle``). The rules of a valid box (finite fields,
+nonnegative extents, a finite volume) are checked where boxes enter the
+program, by the row rules of ``io_formats``. Overlap is computed as a
 rotated-rectangle intersection in the ground plane (bird's-eye view)
 times the vertical interval overlap, which is exact for upright boxes.
 Every overlap goes through one batched kernel, ``bev_intersection_areas``:
@@ -17,7 +21,6 @@ of a whole sequence of frames.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -50,52 +53,11 @@ _NEXT = np.array([1, 2, 3, 0])
 def wrap_angle(a):
     """Normalize an angle, or each angle of an array, to (-pi, pi].
 
-    Wrapping its own output changes no bit. A float stays a Python float,
-    which keeps ``Box3D`` cheap; ``np.mod`` and ``np.where`` cost 4 us a scalar.
+    Wrapping its own output changes no bit. A float stays a Python float;
+    ``np.mod`` and ``np.where`` would cost 4 us a scalar.
     """
     a = a % _TAU
     return a - _TAU * (a > math.pi)
-
-
-@dataclass(frozen=True)
-class Box3D:
-    """Oriented 3D bounding box in a right-handed world frame.
-
-    l is the extent along the heading direction, w the lateral extent,
-    h the vertical extent. The heading a is stored wrapped to (-pi, pi].
-    """
-
-    x: float
-    y: float
-    z: float
-    l: float
-    w: float
-    h: float
-    a: float = 0.0
-
-    def __post_init__(self):
-        for name in ("x", "y", "z", "l", "w", "h", "a"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"Box3D field {name} is not finite: {v!r}")
-        if self.l < 0 or self.w < 0 or self.h < 0:
-            raise ValueError(
-                f"Box3D extents must be nonnegative, got l={self.l} w={self.w} h={self.h}"
-            )
-        object.__setattr__(self, "a", float(wrap_angle(self.a)))
-
-    def to_array(self) -> np.ndarray:
-        """Return the (x, y, z, l, w, h, a) 7-vector."""
-        return np.array(
-            [self.x, self.y, self.z, self.l, self.w, self.h, self.a], dtype=float
-        )
-
-    @classmethod
-    def from_array(cls, v) -> "Box3D":
-        v = np.asarray(v, dtype=float)
-        if v.shape != (7,):
-            raise ValueError(f"expected a 7-vector, got shape {v.shape}")
-        return cls(*v.tolist())
 
 
 def bev_corners_array(boxes) -> np.ndarray:
@@ -280,11 +242,13 @@ def _bev_ious(a, b) -> np.ndarray:
     return np.where(union <= EPS, 0.0, iou)
 
 
-def bev_iou(b1: Box3D, b2: Box3D) -> float:
-    """Ground-plane rotated-rectangle IoU of two boxes, in [0, 1].
+def bev_iou(a, b) -> float:
+    """Ground-plane rotated-rectangle IoU of two boxes, each a
+    (x, y, z, l, w, h, a) 7-vector, in [0, 1].
 
     The evaluator scores with ``bev_iou_matrices``; this one-pair call is
     kept as ``evaluation.bev_iou``, whose calls the benchmark counts by
     name.
     """
-    return float(_bev_ious(b1.to_array()[None], b2.to_array()[None])[0])
+    a, b = (np.asarray(box, dtype=float).reshape(1, 7) for box in (a, b))
+    return float(_bev_ious(a, b)[0])

@@ -27,8 +27,20 @@ probabilities and embeddings as arrays, checked once, in file order.
 ``read_detections`` gives it, as does ``simgen.generate``, and
 ``write_detections`` writes it back, whole frames at a time, with 6
 decimals in text and 9 in JSON lines. A batch is also the tracker's one
-input form for a frame. ``Detection`` states the rules of one row; it is
-the view that indexing a batch gives, and it names a faulty row.
+input form for a frame; indexing it gives a ``Detection``, an unchecked
+view of one row.
+
+The rules of a row are stated once, as one table of rules over many
+rows, each rule the mask of the rows that break it and the message of
+such a row, in the order a row is checked. The box rules
+(``_box_rules``): every field x, y, z, l, w, h, a finite (the message
+names the first that is not), the extents nonnegative, and the volume
+``l * w * h`` finite, so that no footprint or volume overflows a float.
+Then the detection rules (``_detection_rules``): the score in [0, 1], a
+given start probability in [0, 1], a given embedding finite. A
+``DetectionBatch``, the bulk checks of both readers and their
+line-by-line walks all check rows against this table, and a faulty row
+is named by the first rule it breaks (``_first_fault``).
 
 ``read_detections`` splits each line into its fields as text; the
 numbers of the whole file are then read by one ``np.loadtxt`` call for
@@ -40,15 +52,15 @@ A structural fault (a byte that is not UTF-8, brackets, the number of
 fields, the frame token, the shape of a JSON record) is found as its
 line is split; the lines before it are read and checked first, so that
 an earlier faulty line still fails first. When the numbers do not all
-read, or a row breaks a rule, the rows are read again one at a time,
-and each row is checked in the order a per-record reader checks it: a
-text line's tokens, embedding first (``not a number`` or ``non-finite
-value``); then the rules of ``Box3D`` and ``Detection``, by building
-them, so that their messages are the ones given; then the embedding
-size against the file's first embedding. A line whose faults are all
-value faults thus names the first of them in that order; only a line
-with both a structural and a value fault names the structural one,
-wherever it stands.
+read, or a row breaks a rule, the rows are read again one at a time, up
+to the first whose tokens do not read (a text line's embedding first:
+``not a number`` or ``non-finite value``), and the rows read are checked
+as a table, each row in the order a per-record reader checks it: the
+box rules, the frame, the detection rules, then the embedding size
+against the file's first embedding. A line whose faults are all value
+faults thus names the first of them in that order; only a line with
+both a structural and a value fault names the structural one, wherever
+it stands.
 
 Label and result files use the KITTI tracking layout: one object per
 line, ``frame id type truncated occluded alpha bbox(4) h w l x y z
@@ -56,7 +68,7 @@ rotation_y [score]``. The image-plane fields cannot be produced here
 and are written as the customary -1 / -10 placeholders. A whole file is
 read by one structured ``np.loadtxt`` call, with the field count of its
 first non-blank line, and its rules are checked as vectors over that
-table: finite numbers, the extents rule of ``Box3D``, and no kept row
+table: finite numbers, the box rules for a kept row, and no kept row
 repeating the (frame, id) pair of an earlier kept row. DontCare rows and
 rows with a negative id are dropped. A file that does not read so
 (one that is not UTF-8 included), breaks a rule or may have a type name
@@ -82,12 +94,11 @@ import numbers
 import operator
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import Box3D, wrap_angle
+from .geometry import wrap_angle
 
 # The readers give Python floats and ints; those skip the slower checks
 # against the abstract number types.
@@ -111,6 +122,15 @@ _INT64 = range(-(2**63), 2**63)
 _TYPE_WIDTH = 32
 
 
+def _frame_fault(frame: int) -> str | None:
+    """The fault of a frame index that is negative or beyond 64 bits."""
+    if frame < 0:
+        return f"frame must be nonnegative, got {frame}"
+    if frame not in _INT64:
+        return f"frame beyond 64 bits: {frame}"
+    return None
+
+
 def check_frame(frame) -> int:
     """A frame index as an int; a bool, non-integer or negative frame, or
     one beyond 64 bits, is rejected."""
@@ -118,52 +138,76 @@ def check_frame(frame) -> int:
         if not is_integer(frame):
             raise ValueError(f"frame must be an integer, got {frame!r}")
         frame = int(frame)
-    if frame < 0:
-        raise ValueError(f"frame must be nonnegative, got {frame}")
-    if frame not in _INT64:
-        raise ValueError(f"frame beyond 64 bits: {frame}")
+    fault = _frame_fault(frame)
+    if fault is not None:
+        raise ValueError(fault)
     return frame
 
 
-@dataclass
-class Detection:
-    """One frame's measurement of one object."""
+def _box_rules(box) -> list[tuple]:
+    """The box rules over (M, 7) boxes, in the order a box is checked,
+    each the mask of the boxes that break it and the message of box i:
+    every field finite (the message names the first that is not), the
+    extents nonnegative, and the volume ``l * w * h`` finite, so that no
+    footprint or volume overflows a float."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        volume = box[:, 3] * box[:, 4] * box[:, 5]  # also NaN when l * w overflows and h is 0
+
+    def not_finite(i):
+        name, v = next((n, v) for n, v in zip("xyzlwha", box[i].tolist()) if not math.isfinite(v))
+        return f"box field {name} is not finite: {v!r}"
+
+    def got(i):
+        return "got l={} w={} h={}".format(*box[i, 3:6].tolist())
+
+    return [
+        (~np.isfinite(box).all(axis=1), not_finite),
+        ((box[:, 3:6] < 0.0).any(axis=1), lambda i: f"box extents must be nonnegative, {got(i)}"),
+        (~np.isfinite(volume), lambda i: f"box volume l * w * h is not finite, {got(i)}"),
+    ]
+
+
+def _detection_rules(score, start_prob, given, embedding, has_embedding) -> list[tuple]:
+    """The detection rules, which a detection row keeps after the box
+    rules, over (M,) scores and start probabilities, whether each start
+    probability is given, (M, D) embeddings (None when no row has one)
+    and whether each is given; in the same form as ``_box_rules``: the
+    score in [0, 1], a given start probability in [0, 1] and a given
+    embedding finite."""
+    nonfinite = has_embedding
+    if embedding is not None:
+        nonfinite = has_embedding & ~np.isfinite(embedding).all(axis=1)
+    return [
+        (~((score >= 0.0) & (score <= 1.0)), lambda i: f"score must be in [0, 1], got {score[i]}"),
+        (
+            given & ~((start_prob >= 0.0) & (start_prob <= 1.0)),
+            lambda i: f"start_prob must be in [0, 1], got {start_prob[i]}",
+        ),
+        (nonfinite, lambda i: "embedding contains non-finite values"),
+    ]
+
+
+def _first_fault(rules) -> tuple[int, str] | None:
+    """The first row that breaks one of ``rules`` and the message of the
+    first rule it breaks; None when every row keeps every rule."""
+    broken = np.logical_or.reduce([mask for mask, _ in rules])
+    if not broken.any():
+        return None
+    i = int(broken.argmax())
+    return i, next(message for mask, message in rules if mask[i])(i)
+
+
+class Detection(NamedTuple):
+    """One row of a ``DetectionBatch``, as indexing the batch gives it:
+    the frame, the (x, y, z, l, w, h, a) box as a (7,) array, the score,
+    and the embedding and start probability, None where the detection
+    has none. A view, unchecked: the batch holds the checked arrays."""
 
     frame: int
-    box: Box3D
+    box: np.ndarray
     score: float
     embedding: Optional[np.ndarray] = None
     start_prob: Optional[float] = None
-
-    def __post_init__(self):
-        self.frame = check_frame(self.frame)
-        if not is_real(self.score):
-            raise ValueError(f"score must be a number, got {self.score!r}")
-        if not (math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
-            raise ValueError(f"score must be in [0, 1], got {self.score}")
-        if self.start_prob is not None:
-            if not is_real(self.start_prob):
-                raise ValueError(f"start_prob must be a number, got {self.start_prob!r}")
-            if not (math.isfinite(self.start_prob) and 0.0 <= self.start_prob <= 1.0):
-                raise ValueError(f"start_prob must be in [0, 1], got {self.start_prob}")
-        if self.embedding is not None:
-            self.embedding = np.asarray(self.embedding, dtype=float)
-            if self.embedding.ndim != 1 or self.embedding.size == 0:
-                raise ValueError("embedding must be a nonempty 1-D vector")
-            if not np.all(np.isfinite(self.embedding)):
-                raise ValueError("embedding contains non-finite values")
-
-
-def _broken(boxes, scores, start_prob, has_start_prob, embeddings, has_embedding):
-    """(M,) bool: the rows that break a rule of ``Box3D`` or ``Detection``:
-    a finite box with nonnegative extents, a score and a given start
-    probability in [0, 1], a finite embedding where given."""
-    bad = ~np.isfinite(boxes).all(axis=1) | (boxes[:, 3:6] < 0.0).any(axis=1)
-    bad |= ~((scores >= 0.0) & (scores <= 1.0))
-    bad |= has_start_prob & ~((start_prob >= 0.0) & (start_prob <= 1.0))
-    if embeddings is not None:
-        bad |= has_embedding & ~np.isfinite(embeddings).all(axis=1)
-    return bad
 
 
 def _real_array(name: str, values) -> np.ndarray:
@@ -208,7 +252,9 @@ class DetectionBatch(Sequence):
     (M,) and ``start_prob`` (M,), NaN where a detection has none.
     ``embeddings`` is (M, D), with a NaN row where a detection has none,
     or None when no detection has one. Indexing and iteration give a
-    ``Detection`` view of one row. The frame is an integer in [0, 2**63).
+    ``Detection`` view of one row. The frame is an integer in [0, 2**63),
+    and each row keeps the row rules; a faulty row is named by its index
+    and the first rule it breaks.
     """
 
     def __init__(self, frame, boxes, scores, start_prob=None, embeddings=None):
@@ -233,19 +279,11 @@ class DetectionBatch(Sequence):
                     f"embeddings must be an ({m}, D) array, D >= 1, got shape {embeddings.shape}"
                 )
             has_embedding = ~np.isnan(embeddings).all(axis=1)
-        # The first faulty row is built as a Detection, which names its fault.
-        bad = _broken(boxes, scores, start_prob, ~np.isnan(start_prob), embeddings, has_embedding)
-        for i in np.flatnonzero(bad):
-            try:
-                Detection(
-                    frame,
-                    Box3D(*boxes[i].tolist()),
-                    float(scores[i]),
-                    embeddings[i] if has_embedding[i] else None,
-                    None if math.isnan(start_prob[i]) else float(start_prob[i]),
-                )
-            except ValueError as e:
-                raise ValueError(f"detection {i}: {e}") from None
+        given = ~np.isnan(start_prob)
+        detection = _detection_rules(scores, start_prob, given, embeddings, has_embedding)
+        fault = _first_fault(_box_rules(boxes) + detection)
+        if fault is not None:
+            raise ValueError("detection {}: {}".format(*fault))
         boxes[:, 6] = wrap_angle(boxes[:, 6])
         self._set(frame, boxes, scores, start_prob, embeddings if has_embedding.any() else None)
 
@@ -279,13 +317,8 @@ class DetectionBatch(Sequence):
         embedding = None
         if self.embeddings is not None and not math.isnan(self.embeddings[i, 0]):
             embedding = self.embeddings[i]
-        return Detection(
-            frame=self.frame,
-            box=Box3D.from_array(self.boxes[i]),
-            score=float(self.scores[i]),
-            embedding=embedding,
-            start_prob=None if math.isnan(start_prob) else start_prob,
-        )
+        start_prob = None if math.isnan(start_prob) else start_prob
+        return Detection(self.frame, self.boxes[i], float(self.scores[i]), embedding, start_prob)
 
     def __repr__(self) -> str:
         return f"DetectionBatch(frame={self.frame}, {len(self)} detections)"
@@ -427,40 +460,60 @@ def _read_rows(path: str, rows: list[tuple]) -> tuple:
         and (full is not None) == has_embedding.any()
         and frames.dtype == np.int64
         and (frames >= 0).all()
-        and not _broken(head[:, 1:8], head[:, 8], head[:, 9], given, full, has_embedding).any()
+        and _first_fault(
+            _box_rules(head[:, 1:8])
+            + _detection_rules(head[:, 8], head[:, 9], given, full, has_embedding)
+        )
+        is None
     ):
         return frames, head[:, 1:], full
     return frames, *_walk(path, rows)
 
 
 def _walk(path: str, rows: list[tuple]) -> tuple[np.ndarray, np.ndarray | None]:
-    """The arrays ``_read_rows`` gives, of rows read one at a time, each
-    checked in turn: a text line's tokens, embedding first; then the
-    rules of ``Box3D`` and ``Detection``, by building them; then the
-    embedding size against the first embedding's. Fails at the first
+    """The arrays ``_read_rows`` gives, of rows read one at a time up to
+    the first whose tokens do not read (a text line's embedding first)
+    or whose embedding size differs from the first embedding's, then
+    checked as a table: each row against the box rules, its frame and
+    the detection rules, before its embedding size. Fails at the first
     faulty row."""
-    table, vectors, first = [], {}, None  # first: (size, line number) of the first embedding
-    for i, (lineno, frame, head, given, embedding, text) in enumerate(rows):
+    values, vectors, fault, first = [], [], None, None  # first: (size, line) of the first embedding
+    for lineno, _, head, given, embedding, text in rows:
         number = _number if text else float
         try:
             vector = None if embedding is None else [number(t) for t in embedding.split()]
-            values = [number(t) for t in head.split()[1 : 9 + given]]
-            start_prob = values[8] if given else None
-            Detection(frame, Box3D(*values[:7]), values[7], vector, start_prob)
+            head = [number(t) for t in head.split()[1 : 9 + given]]
         except ValueError as e:
-            _fail(path, lineno, str(e))
+            fault = lineno, str(e)
+            break
+        values.append(head + [math.nan] * (not given))
+        vectors.append(vector)
         if vector is not None:
             size, first_line = first = first or (len(vector), lineno)
             if len(vector) != size:
-                msg = f"embedding has {len(vector)} values, line {first_line} has {size}"
-                _fail(path, lineno, msg)
-            vectors[i] = vector
-        table.append(values + [math.nan] * (not given))
-    full = None
-    if vectors:
-        full = np.full((len(rows), first[0]), np.nan)
-        full[list(vectors)] = list(vectors.values())
-    return np.array(table), full
+                fault = lineno, f"embedding has {len(vector)} values, line {first_line} has {size}"
+                break
+    n = len(values)
+    table = np.reshape(values, (n, 9))
+    has_embedding = np.array([v is not None for v in vectors], dtype=bool)
+    padded = np.zeros((n, max(map(len, filter(None, vectors)), default=0)))  # tails left 0
+    for i in np.flatnonzero(has_embedding):
+        padded[i, : len(vectors[i])] = vectors[i]
+    given = np.array([row[3] for row in rows[:n]], dtype=bool)
+    frame_faults = [_frame_fault(row[1]) for row in rows[:n]]
+    rules = _box_rules(table[:, :7])
+    rules.append((np.array([f is not None for f in frame_faults], bool), lambda i: frame_faults[i]))
+    row_fault = _first_fault(
+        rules + _detection_rules(table[:, 7], table[:, 8], given, padded, has_embedding)
+    )
+    if row_fault is not None:
+        _fail(path, rows[row_fault[0]][0], row_fault[1])
+    if fault is not None:
+        _fail(path, *fault)
+    if not has_embedding.any():
+        return table, None
+    padded[~has_embedding] = np.nan
+    return table, padded
 
 
 def read_detections(path) -> dict[int, DetectionBatch]:
@@ -556,14 +609,18 @@ def _first_repeat(frames: np.ndarray, ids: np.ndarray) -> int | None:
     return int(repeats.min()) if repeats.size else None
 
 
+# The (x, y, z, l, w, h, a) box among a label row's h w l x y z rotation_y.
+_LABEL_BOX = [3, 4, 5, 2, 1, 0, 6]
+
+
 def _label_rows(path: str, keep_types) -> tuple | None:
-    """The kept rows of a label file as (frames, ids, types, numbers),
-    ``numbers`` holding h w l x y z rotation_y and the score (NaN without
-    a score column): the file read by one ``np.loadtxt`` call, its first
-    non-blank line deciding the field count, and checked as a table.
-    None when the file does not read so (no data line, a decoding fault,
-    a line ``np.loadtxt`` does not read, 17 and 18 fields mixed), holds a
-    faulty row, or has a type name that may have been cut short."""
+    """The kept rows of a label file as (frames, ids, types, boxes,
+    scores), the score NaN without a score column: the file read by one
+    ``np.loadtxt`` call, its first non-blank line deciding the field
+    count, and checked as a table. None when the file does not read so
+    (no data line, a decoding fault, a line ``np.loadtxt`` does not read,
+    17 and 18 fields mixed), holds a faulty row, or has a type name that
+    may have been cut short."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
@@ -580,62 +637,65 @@ def _label_rows(path: str, keep_types) -> tuple | None:
     if keep_types is not None:
         keep &= np.array([t in keep_types for t in table["type"].tolist()], dtype=bool)
     kept, type_lengths = table[keep], np.char.str_len(table["type"])
-    numbers = kept["numbers"][:, 7:]
+    boxes = kept["numbers"][:, 7:14][:, _LABEL_BOX]
     if (
         not np.isfinite(table["numbers"]).all()
-        or (numbers[:, :3] < 0.0).any()
+        or _first_fault(_box_rules(boxes)) is not None
         or type_lengths.max() >= _TYPE_WIDTH
         or _first_repeat(kept["frame"], kept["id"]) is not None
     ):
         return None
-    if fields == 17:
-        numbers = np.column_stack((numbers, np.full(len(numbers), np.nan)))
+    scores = kept["numbers"][:, 14] if fields == 18 else np.full(len(kept), np.nan)
     # The type field as wide as its longest kept name, as the walk gives it.
     types = kept["type"].astype(f"U{type_lengths[keep].max(initial=1)}")
-    return kept["frame"], kept["id"], types, numbers
+    return kept["frame"], kept["id"], types, boxes, scores
 
 
 def _walk_labels(path: str, keep_types) -> tuple:
     """The rows ``_label_rows`` gives, of the file read one line at a time
-    and each line checked in turn: its field count, frame and id, numbers,
-    box and (frame, id) pair. Fails at the first faulty line."""
-    rows, first_line = [], {}  # (frame, id) -> line number of its kept row
+    up to the first faulty line (its field count, frame and id, numbers,
+    or a (frame, id) pair an earlier kept row holds); the kept rows read
+    are then checked against the box rules, which a line keeps before
+    its pair is checked. Fails at the first faulty line."""
+    rows, lines, first_line, fault = [], [], {}, None  # first_line: (frame, id) -> line
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
             try:
                 _check_utf8(line)
-            except ValueError as e:
-                _fail(path, lineno, str(e))
-            tokens = line.split()
-            if not tokens:
-                continue
-            if len(tokens) not in (17, 18):
-                _fail(path, lineno, f"expected 17 or 18 fields, got {len(tokens)}")
-            try:
-                frame, track_id = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                _fail(path, lineno, "bad frame or track id")
-            if frame not in _INT64 or track_id not in _INT64:
-                _fail(path, lineno, "frame or track id beyond 64 bits")
-            try:
+                tokens = line.split()
+                if not tokens:
+                    continue
+                if len(tokens) not in (17, 18):
+                    raise ValueError(f"expected 17 or 18 fields, got {len(tokens)}")
+                try:
+                    frame, track_id = int(tokens[0]), int(tokens[1])
+                except ValueError:
+                    raise ValueError("bad frame or track id") from None
+                if frame not in _INT64 or track_id not in _INT64:
+                    raise ValueError("frame or track id beyond 64 bits")
                 numbers = [_number(t) for t in tokens[3:]]
-                keep = track_id >= 0 and tokens[2] != "DontCare"
-                keep = keep and (keep_types is None or tokens[2] in keep_types)
-                if keep:
-                    h, w, l, x, y, z, a = numbers[7:14]
-                    Box3D(x, y, z, l, w, h, a)
             except ValueError as e:
-                _fail(path, lineno, str(e))
-            if not keep:
+                fault = lineno, str(e)
+                break
+            keep = track_id >= 0 and tokens[2] != "DontCare"
+            if not keep or (keep_types is not None and tokens[2] not in keep_types):
                 continue
+            rows.append((frame, track_id, tokens[2], numbers[7:14] + (numbers[14:] or [math.nan])))
+            lines.append(lineno)
             first = first_line.setdefault((frame, track_id), lineno)
             if first != lineno:
-                msg = f"duplicate (frame, id) pair: ({frame}, {track_id}), first on line {first}"
-                _fail(path, lineno, msg)
-            score = numbers[14:] or [math.nan]
-            rows.append((frame, track_id, tokens[2], numbers[7:14] + score))
+                pair = f"({frame}, {track_id}), first on line {first}"
+                fault = lineno, f"duplicate (frame, id) pair: {pair}"
+                break
     frames, ids, types, numbers = zip(*rows) if rows else ((),) * 4
-    return np.array(frames, np.int64), np.array(ids, np.int64), types, np.reshape(numbers, (-1, 8))
+    numbers = np.reshape(numbers, (-1, 8))
+    boxes = numbers[:, _LABEL_BOX]
+    box_fault = _first_fault(_box_rules(boxes))
+    if box_fault is not None:
+        _fail(path, lines[box_fault[0]], box_fault[1])
+    if fault is not None:
+        _fail(path, *fault)
+    return np.array(frames, np.int64), np.array(ids, np.int64), types, boxes, numbers[:, 7]
 
 
 def read_kitti_labels(path, keep_types=None) -> np.recarray:
@@ -647,9 +707,9 @@ def read_kitti_labels(path, keep_types=None) -> np.recarray:
     fields are read for validation but not kept. ``keep_types``
     optionally restricts the object classes; rows of type DontCare, and
     rows with a negative id, are always dropped. Every number must be
-    finite, a dropped row's too; the extents of a kept row must be
-    nonnegative, and its (frame, id) pair must not repeat an earlier
-    kept row's.
+    finite, a dropped row's too; a kept row must keep the box rules
+    (nonnegative extents and a finite volume), and its (frame, id) pair
+    must not repeat an earlier kept row's.
 
     The file is read by one ``np.loadtxt`` call and its rules checked
     as vectors over the table. A file that does not read so, breaks a
@@ -658,10 +718,10 @@ def read_kitti_labels(path, keep_types=None) -> np.recarray:
     number; so does a line holding a byte that is not UTF-8.
     """
     path = os.fspath(path)
-    frames, ids, types, numbers = _label_rows(path, keep_types) or _walk_labels(path, keep_types)
-    boxes = numbers[:, [3, 4, 5, 2, 1, 0, 6]]
+    rows = _label_rows(path, keep_types) or _walk_labels(path, keep_types)
+    frames, ids, types, boxes, scores = rows
     boxes[:, 6] = wrap_angle(boxes[:, 6])
-    return object_table(frames, ids, types, boxes, numbers[:, 7])
+    return object_table(frames, ids, types, boxes, scores)
 
 
 # frame id type truncation occlusion, the image-plane placeholders, then

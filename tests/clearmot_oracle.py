@@ -43,15 +43,20 @@ class TiedMatching(Exception):
     keep different pairs."""
 
 
-@functools.lru_cache(maxsize=1 << 14)
 def bev_iou(b1, b2) -> float:
-    """Ground-plane IoU of two boxes from their exact overlap, as the
-    float nearest it. Each pair is scored once: the enumeration asks for
-    the same pairs in many assignments."""
+    """Ground-plane IoU of two boxes (7-vectors) from their exact overlap,
+    as the float nearest it."""
+    return _bev_iou(tuple(b1), tuple(b2))
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _bev_iou(b1, b2) -> float:
+    """``bev_iou`` of two box tuples. Each pair is scored once: the
+    enumeration asks for the same pairs in many assignments."""
     inter = exact_area.area(b1, b2)
     if inter < EPS:
         inter = Fraction(0)
-    union = Fraction(b1.l * b1.w) + Fraction(b2.l * b2.w) - inter
+    union = Fraction(b1[3] * b1[4]) + Fraction(b2[3] * b2[4]) - inter
     return 0.0 if union <= EPS else float(min(1, inter / union))
 
 

@@ -15,25 +15,27 @@ import math
 
 import numpy as np
 
-from mipmot.geometry import EPS, Box3D, bev_corners_array, bev_intersection_areas
+from mipmot.geometry import EPS, bev_corners_array, bev_intersection_areas
+
+# Boxes are (x, y, z, l, w, h, a) 7-vectors, as ``tables.box`` builds them.
 
 
-def bev_corners(box: Box3D) -> np.ndarray:
+def bev_corners(box) -> np.ndarray:
     """Ground-plane footprint of a box as a (4, 2) array, counter-clockwise.
 
     The polygon area equals l * w.
     """
-    return bev_corners_array(box.to_array())[0]
+    return bev_corners_array(box)[0]
 
 
-def volume(box: Box3D) -> float:
-    return box.l * box.w * box.h
+def volume(box) -> float:
+    return box[3] * box[4] * box[5]
 
 
-def corners_3d(box: Box3D) -> np.ndarray:
+def corners_3d(box) -> np.ndarray:
     """All 8 corners of a box as an (8, 3) array (bottom face then top face)."""
     bev = bev_corners(box)
-    zs = np.array([box.z - 0.5 * box.h, box.z + 0.5 * box.h])
+    zs = np.array([box[2] - 0.5 * box[5], box[2] + 0.5 * box[5]])
     out = np.empty((8, 3))
     out[:4, :2] = bev
     out[:4, 2] = zs[0]
@@ -42,20 +44,20 @@ def corners_3d(box: Box3D) -> np.ndarray:
     return out
 
 
-def _z_overlap(b1: Box3D, b2: Box3D) -> float:
-    lo = max(b1.z - 0.5 * b1.h, b2.z - 0.5 * b2.h)
-    hi = min(b1.z + 0.5 * b1.h, b2.z + 0.5 * b2.h)
+def _z_overlap(b1, b2) -> float:
+    lo = max(b1[2] - 0.5 * b1[5], b2[2] - 0.5 * b2[5])
+    hi = min(b1[2] + 0.5 * b1[5], b2[2] + 0.5 * b2[5])
     return max(0.0, hi - lo)
 
 
-def intersection_volume(b1: Box3D, b2: Box3D) -> float:
+def intersection_volume(b1, b2) -> float:
     dz = _z_overlap(b1, b2)
     if dz <= 0.0:
         return 0.0
-    return float(bev_intersection_areas(b1.to_array()[None], b2.to_array()[None])[0]) * dz
+    return float(bev_intersection_areas(b1[None], b2[None])[0]) * dz
 
 
-def iou_3d(b1: Box3D, b2: Box3D) -> float:
+def iou_3d(b1, b2) -> float:
     """3D intersection-over-union of two oriented boxes, in [0, 1]."""
     inter = intersection_volume(b1, b2)
     union = volume(b1) + volume(b2) - inter
@@ -64,20 +66,20 @@ def iou_3d(b1: Box3D, b2: Box3D) -> float:
     return min(1.0, max(0.0, inter / union))
 
 
-def enclosing_diagonal(b1: Box3D, b2: Box3D) -> float:
+def enclosing_diagonal(b1, b2) -> float:
     """Diagonal of the smallest axis-aligned box covering both boxes."""
     corners = np.vstack((corners_3d(b1), corners_3d(b2)))
     extent = corners.max(axis=0) - corners.min(axis=0)
     return float(np.linalg.norm(extent))
 
 
-def center_distance(b1: Box3D, b2: Box3D) -> float:
+def center_distance(b1, b2) -> float:
     return math.sqrt(
-        (b1.x - b2.x) ** 2 + (b1.y - b2.y) ** 2 + (b1.z - b2.z) ** 2
+        (b1[0] - b2[0]) ** 2 + (b1[1] - b2[1]) ** 2 + (b1[2] - b2[2]) ** 2
     )
 
 
-def distance_term(b1: Box3D, b2: Box3D) -> float:
+def distance_term(b1, b2) -> float:
     """Normalized-center-distance score in [0, 1].
 
     1 - dist(centers) / enclosing_diagonal; 1 when the centers coincide.
@@ -90,7 +92,7 @@ def distance_term(b1: Box3D, b2: Box3D) -> float:
     return max(0.0, 1.0 - center_distance(b1, b2) / diag)
 
 
-def diou_affinity(b1: Box3D, b2: Box3D) -> float:
+def diou_affinity(b1, b2) -> float:
     """Distance-IoU affinity in [0, 2]: distance term plus 3D IoU.
 
     The distance term keeps the affinity informative when the boxes do

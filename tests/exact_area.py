@@ -8,6 +8,8 @@ footprint by the other and the shoelace sum of the clipped polygon then
 run without rounding, so the area is exact for those corners wherever
 the boxes sit.
 
+Boxes are (x, y, z, l, w, h, a) 7-vectors or tuples.
+
 The kernel's rules for degenerate input are applied as it states them:
 a footprint whose float ``l * w`` is below ``EPS`` is flat and overlaps
 nothing, and an overlap below ``EPS`` counts as zero.
@@ -29,9 +31,10 @@ RELATIVE = 8 * sys.float_info.epsilon
 
 def corners(box):
     """The exact counter-clockwise corners of a box's footprint."""
-    x, y = Fraction(box.x), Fraction(box.y)
-    c, s = Fraction(math.cos(box.a)), Fraction(math.sin(box.a))
-    hl, hw = Fraction(box.l) / 2, Fraction(box.w) / 2
+    x, y, _, l, w, _, a = box
+    x, y = Fraction(x), Fraction(y)
+    c, s = Fraction(math.cos(a)), Fraction(math.sin(a))
+    hl, hw = Fraction(l) / 2, Fraction(w) / 2
     return [(x + sl * hl * c - sw * hw * s, y + sl * hl * s + sw * hw * c) for sl, sw in _SIGNS]
 
 
@@ -68,7 +71,7 @@ def _shoelace(poly):
 
 def area(b1, b2) -> Fraction:
     """The exact ground-plane overlap of two boxes, 0 if one is flat."""
-    if b1.l * b1.w < EPS or b2.l * b2.w < EPS:
+    if b1[3] * b1[4] < EPS or b2[3] * b2[4] < EPS:
         return Fraction(0)
     return _shoelace(_clip(corners(b1), corners(b2)))
 
@@ -85,7 +88,7 @@ def tolerance(b1, b2) -> float:
     A 1 km by 1 cm footprint and the same one turned by pi differ by
     about 7e6 epsilons of their areas in the exact reference itself.
     """
-    return RELATIVE * 0.5 * (b1.l**2 + b1.w**2 + b2.l**2 + b2.w**2)
+    return RELATIVE * 0.5 * (b1[3] ** 2 + b1[4] ** 2 + b2[3] ** 2 + b2[4] ** 2)
 
 
 def area_bounds(b1, b2, exact=None) -> tuple[Fraction, Fraction]:
@@ -108,7 +111,7 @@ def iou_bounds(b1, b2, height=1.0, total=None) -> tuple[Fraction, Fraction]:
     """
     lo, hi = area_bounds(b1, b2)
     h = Fraction(height)
-    total = Fraction(b1.l * b1.w) + Fraction(b2.l * b2.w) if total is None else Fraction(total)
+    total = Fraction(b1[3] * b1[4]) + Fraction(b2[3] * b2[4]) if total is None else Fraction(total)
     slack = Fraction(2 * RELATIVE)
     least_union = total - hi * h
     if least_union <= EPS * (1 + slack):

@@ -4,19 +4,65 @@ writer of detection files.
 The references that ``mipmot.io_formats.read_detections``,
 ``read_kitti_labels`` and ``write_detections`` are compared against.
 The readers parse one line at a time with Python's ``float`` and
-``int``, check each record by building its ``Box3D`` (and
-``Detection``), and fail at the first faulty line with the message the
-bulk readers give for a line with one fault. The writer writes one
-``Detection`` per line, in list order, so that it can write the frames
-of a file in any order.
+``int``, check each record against the row rules, stated here as scalar
+checks of their own (``check_box``, ``check_detection``), and fail at
+the first faulty line with the message the bulk readers give for a line
+with one fault. The writer writes one record per line, in list order,
+so that it can write the frames of a file in any order.
 """
 
 import json
 import math
 import os
+from typing import NamedTuple, Optional
 
-from mipmot.geometry import Box3D
-from mipmot.io_formats import Detection, FormatError, is_real
+from mipmot.geometry import wrap_angle
+from mipmot.io_formats import FormatError, is_real
+
+
+class Record(NamedTuple):
+    """One detection as the reference reads it: the box as a list of 7
+    floats, its heading wrapped to (-pi, pi]; the embedding a list of
+    floats or None, the start probability a float or None."""
+
+    frame: int
+    box: list
+    score: float
+    embedding: Optional[list] = None
+    start_prob: Optional[float] = None
+
+
+def check_box(box) -> list:
+    """The box rules, checked in order: each of x, y, z, l, w, h, a
+    finite, the extents nonnegative, the volume ``l * w * h`` finite.
+    Returns the box with its heading wrapped."""
+    for name, v in zip("xyzlwha", box):
+        if not math.isfinite(v):
+            raise ValueError(f"box field {name} is not finite: {v!r}")
+    x, y, z, l, w, h, a = box
+    if l < 0 or w < 0 or h < 0:
+        raise ValueError(f"box extents must be nonnegative, got l={l} w={w} h={h}")
+    if not math.isfinite(l * w * h):
+        raise ValueError(f"box volume l * w * h is not finite, got l={l} w={w} h={h}")
+    return [x, y, z, l, w, h, wrap_angle(a)]
+
+
+def check_detection(frame, box, score, embedding, start_prob) -> Record:
+    """The rules of a detection record, checked in order: the box rules,
+    the frame nonnegative and within 64 bits, the score in [0, 1], a
+    given start probability in [0, 1], a given embedding finite."""
+    box = check_box(box)
+    if frame < 0:
+        raise ValueError(f"frame must be nonnegative, got {frame}")
+    if frame >= 2**63:
+        raise ValueError(f"frame beyond 64 bits: {frame}")
+    if not 0.0 <= score <= 1.0:
+        raise ValueError(f"score must be in [0, 1], got {score}")
+    if start_prob is not None and not 0.0 <= start_prob <= 1.0:
+        raise ValueError(f"start_prob must be in [0, 1], got {start_prob}")
+    if embedding is not None and not all(map(math.isfinite, embedding)):
+        raise ValueError("embedding contains non-finite values")
+    return Record(frame, box, score, embedding, start_prob)
 
 
 def _fail(path: str, lineno: int, msg: str):
@@ -33,7 +79,7 @@ def _parse_float(token: str, path: str, lineno: int) -> float:
     return v
 
 
-def _parse_text(line: str, path: str, lineno: int) -> Detection:
+def _parse_text(line: str, path: str, lineno: int) -> Record:
     embedding = None
     if "[" in line:
         head, _, tail = line.partition("[")
@@ -55,18 +101,12 @@ def _parse_text(line: str, path: str, lineno: int) -> Detection:
     values = [_parse_float(t, path, lineno) for t in tokens[1:]]
     start_prob = values[8] if len(values) == 9 else None
     try:
-        return Detection(
-            frame=frame,
-            box=Box3D(*values[:7]),
-            score=values[7],
-            embedding=embedding,
-            start_prob=start_prob,
-        )
+        return check_detection(frame, values[:7], values[7], embedding, start_prob)
     except ValueError as e:
         _fail(path, lineno, str(e))
 
 
-def _parse_json(line: str, path: str, lineno: int) -> Detection:
+def _parse_json(line: str, path: str, lineno: int) -> Record:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as e:
@@ -93,20 +133,22 @@ def _parse_json(line: str, path: str, lineno: int) -> Detection:
         isinstance(embedding, list) and all(map(is_real, embedding))
     ):
         _fail(path, lineno, "embedding must be a list of numbers")
+    if embedding == []:
+        _fail(path, lineno, "embedding must be a nonempty 1-D vector")
     try:
-        return Detection(
-            frame=frame,
-            box=Box3D(*(float(v) for v in box)),
-            score=float(score),
-            embedding=embedding,
-            start_prob=None if start_prob is None else float(start_prob),
+        return check_detection(
+            frame,
+            [float(v) for v in box],
+            float(score),
+            None if embedding is None else [float(v) for v in embedding],
+            None if start_prob is None else float(start_prob),
         )
-    except (TypeError, ValueError, OverflowError) as e:
+    except (ValueError, OverflowError) as e:
         _fail(path, lineno, str(e))
 
 
-def read_detections(path) -> dict[int, list[Detection]]:
-    """{frame: [Detection]} in ascending frame order, file order within a
+def read_detections(path) -> dict[int, list[Record]]:
+    """{frame: [Record]} in ascending frame order, file order within a
     frame; every embedding in the file has the same size."""
     path = os.fspath(path)
     records = []
@@ -122,39 +164,41 @@ def read_detections(path) -> dict[int, list[Detection]]:
                 rec = _parse_text(stripped, path, lineno)
             if rec.embedding is not None:
                 if first_embedding is None:
-                    first_embedding = (rec.embedding.size, lineno)
-                elif rec.embedding.size != first_embedding[0]:
+                    first_embedding = (len(rec.embedding), lineno)
+                elif len(rec.embedding) != first_embedding[0]:
                     _fail(
                         path,
                         lineno,
-                        f"embedding has {rec.embedding.size} values, "
+                        f"embedding has {len(rec.embedding)} values, "
                         f"line {first_embedding[1]} has {first_embedding[0]}",
                     )
             records.append(rec)
-    by_frame: dict[int, list[Detection]] = {}
+    by_frame: dict[int, list[Record]] = {}
     for rec in records:
         by_frame.setdefault(rec.frame, []).append(rec)
     return {frame: by_frame[frame] for frame in sorted(by_frame)}
 
 
 def write_detections(detections, path, json_lines: bool = False) -> None:
-    """Write ``Detection`` records one line each, in list order: text with
-    6 decimals, or JSON lines with 9 (``round``)."""
+    """Write detection records (objects with a ``frame``, a 7-value
+    ``box``, a ``score`` and a ``start_prob`` and ``embedding`` or None)
+    one line each, in list order: text with 6 decimals, or JSON lines
+    with 9 (``round``)."""
     with open(os.fspath(path), "w", encoding="utf-8") as f:
         for det in detections:
             if json_lines:
                 rec = {
                     "frame": det.frame,
-                    "box": [round(v, 9) for v in det.box.to_array().tolist()],
+                    "box": [round(float(v), 9) for v in det.box],
                     "score": round(det.score, 9),
                 }
                 if det.start_prob is not None:
                     rec["start_prob"] = round(det.start_prob, 9)
                 if det.embedding is not None:
-                    rec["embedding"] = [round(v, 9) for v in det.embedding.tolist()]
+                    rec["embedding"] = [round(float(v), 9) for v in det.embedding]
                 f.write(json.dumps(rec, sort_keys=True) + "\n")
             else:
-                fields = [str(det.frame), *(f"{v:.6f}" for v in det.box.to_array())]
+                fields = [str(det.frame), *(f"{v:.6f}" for v in det.box)]
                 fields.append(f"{det.score:.6f}")
                 if det.start_prob is not None:
                     fields.append(f"{det.start_prob:.6f}")
@@ -164,12 +208,12 @@ def write_detections(detections, path, json_lines: bool = False) -> None:
 
 
 def read_kitti_labels(path, keep_types=None) -> list[tuple]:
-    """The (frame, id, type, Box3D, score or None) records of a KITTI
+    """The (frame, id, type, box, score or None) records of a KITTI
     tracking label (or result) file, in file order; DontCare rows, rows
     with a negative id and rows of a type outside ``keep_types`` are
-    dropped. A frame or id
-    beyond 64 bits, and a kept row whose (frame, id) pair an earlier kept
-    row holds, are faults."""
+    dropped; a box is a list of 7 floats. A frame or id beyond 64 bits,
+    a kept row that breaks a box rule, and a kept row whose (frame, id)
+    pair an earlier kept row holds, are faults."""
     path = os.fspath(path)
     records = []
     first_line = {}  # (frame, id) -> line number of its kept row
@@ -193,7 +237,7 @@ def read_kitti_labels(path, keep_types=None) -> list[tuple]:
                 continue
             h, w, l, x, y, z, a = values[7:14]
             try:
-                box = Box3D(x, y, z, l, w, h, a)
+                box = check_box([x, y, z, l, w, h, a])
             except ValueError as e:
                 _fail(path, lineno, str(e))
             if (frame, track_id) in first_line:

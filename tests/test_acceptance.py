@@ -18,7 +18,6 @@ from mipmot.affinity import compute_affinities, motion_affinity_matrix, softmax_
 from mipmot.association import AssociationProblem, solve_mip
 from mipmot.cli import labels_to_frames, results_to_frames
 from mipmot.evaluation import evaluate_sequence
-from mipmot.geometry import Box3D
 from mipmot.io_formats import (
     Detection,
     DetectionBatch,
@@ -29,7 +28,7 @@ from mipmot.io_formats import (
 from mipmot.motion import kf_init, kf_predict, kf_update
 from mipmot.simgen import generate, scenario_template
 from mipmot.tracker import Tracker, TrackerConfig, run_sequence
-from tables import batch
+from tables import batch, box
 
 
 def verdict(ok: bool, criterion: str, detail: str):
@@ -37,8 +36,8 @@ def verdict(ok: bool, criterion: str, detail: str):
     assert ok, f"{criterion}: {detail}"
 
 
-def random_box(rng, spread) -> Box3D:
-    return Box3D(
+def random_box(rng, spread) -> np.ndarray:
+    return box(
         *rng.uniform(-spread, spread, 3),
         *rng.uniform(0.5, 4.0, 3),
         rng.uniform(-math.pi, math.pi),
@@ -81,21 +80,19 @@ def test_criterion_1_mip_exactness():
     )
 
 
-def _monte_carlo_iou(b1: Box3D, b2: Box3D, rng, samples=1_000_000) -> float:
-    local = rng.uniform(-0.5, 0.5, size=(samples, 3)) * np.array([b1.l, b1.w, b1.h])
-    c, s = math.cos(b1.a), math.sin(b1.a)
-    x = c * local[:, 0] - s * local[:, 1] + b1.x
-    y = s * local[:, 0] + c * local[:, 1] + b1.y
-    z = local[:, 2] + b1.z
-    c2, s2 = math.cos(b2.a), math.sin(b2.a)
-    dx, dy = x - b2.x, y - b2.y
+def _monte_carlo_iou(b1, b2, rng, samples=1_000_000) -> float:
+    x1, y1, z1, l1, w1, h1, a1 = b1
+    x2, y2, z2, l2, w2, h2, a2 = b2
+    local = rng.uniform(-0.5, 0.5, size=(samples, 3)) * np.array([l1, w1, h1])
+    c, s = math.cos(a1), math.sin(a1)
+    x = c * local[:, 0] - s * local[:, 1] + x1
+    y = s * local[:, 0] + c * local[:, 1] + y1
+    z = local[:, 2] + z1
+    c2, s2 = math.cos(a2), math.sin(a2)
+    dx, dy = x - x2, y - y2
     u = c2 * dx + s2 * dy
     v = -s2 * dx + c2 * dy
-    hit = (
-        (np.abs(u) <= 0.5 * b2.l)
-        & (np.abs(v) <= 0.5 * b2.w)
-        & (np.abs(z - b2.z) <= 0.5 * b2.h)
-    )
+    hit = (np.abs(u) <= 0.5 * l2) & (np.abs(v) <= 0.5 * w2) & (np.abs(z - z2) <= 0.5 * h2)
     inter = volume(b1) * float(hit.mean())
     union = volume(b1) + volume(b2) - inter
     return inter / union if union > 0 else 0.0
@@ -108,7 +105,7 @@ def test_criterion_2_geometry_oracle():
     for _ in range(200):
         a = random_box(rng, spread=2.0)
         b = random_box(rng, spread=2.0)
-        iou = motion_affinity_matrix(a.to_array()[None], b.to_array()[None], use_dis=False)
+        iou = motion_affinity_matrix(a[None], b[None], use_dis=False)
         worst = max(worst, abs(iou[0, 0] - _monte_carlo_iou(a, b, rng)))
     square = [(0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5), (0.5, -0.5)]
     rotated = [
@@ -145,7 +142,7 @@ def test_criterion_3_affinity_bounds():
     diou_ok = True
     for _ in range(500):
         a, b = random_box(rng, 12.0), random_box(rng, 12.0)
-        v = motion_affinity_matrix(a.to_array()[None], b.to_array()[None])[0, 0]
+        v = motion_affinity_matrix(a[None], b[None])[0, 0]
         diou_ok = diou_ok and 0.0 <= v <= 2.0
 
     cfg = TrackerConfig()
@@ -159,11 +156,11 @@ def test_criterion_3_affinity_bounds():
         ]
         predicted, track_embeddings = [], []
         for _ in range(int(rng.integers(1, 6))):
-            mean, _ = kf_predict(*kf_init(random_box(rng, 8.0).to_array(), cfg), cfg)
+            mean, _ = kf_predict(*kf_init(random_box(rng, 8.0), cfg), cfg)
             predicted.append(mean[:7])
             track_embeddings.append(rng.normal(size=8))
         out = compute_affinities(
-            np.array([d.box.to_array() for d in dets]),
+            np.array([d.box for d in dets]),
             np.array(predicted),
             np.asarray([d.embedding for d in dets]),
             np.asarray(track_embeddings),
@@ -231,7 +228,7 @@ def test_criterion_7_kalman_correctness():
 
     def prediction_errors(velocity):
         velocity = np.asarray(velocity, float)
-        mean, cov = kf_init(Box3D(0, 0, 0, 4, 2, 1.5, 0).to_array(), cfg)
+        mean, cov = kf_init(box(0, 0, 0, 4, 2, 1.5, 0), cfg)
         errors = []
         for frame in range(1, 13):
             mean, cov = kf_predict(mean, cov, cfg)
@@ -252,7 +249,7 @@ def test_criterion_7_kalman_correctness():
         details.append(f"{name}: monotone={monotone}, velocity error {v_err:.1e}")
 
     rng = np.random.default_rng(3)
-    mean, cov = kf_init(Box3D(0, 0, 0, 4, 2, 1.5, 0).to_array(), cfg)
+    mean, cov = kf_init(box(0, 0, 0, 4, 2, 1.5, 0), cfg)
     min_eig = np.inf
     for _ in range(1000):
         mean, cov = kf_predict(mean, cov, cfg)

@@ -32,14 +32,14 @@ from mipmot.association import (
     solve_mip,
 )
 from mipmot.config import TrackerConfig
-from mipmot.geometry import Box3D
 from mipmot.io_formats import Detection
+from tables import box as make_box
 
 MOTION_ONLY = TrackerConfig(beta_over_alpha=math.inf)
 
 
 def box_array(boxes) -> np.ndarray:
-    return np.array([b.to_array() for b in boxes]).reshape(-1, 7)
+    return np.array(list(boxes), dtype=float).reshape(-1, 7)
 
 
 def make_track(track_id, box, embedding=None) -> SimpleNamespace:
@@ -115,7 +115,7 @@ class TestWeights:
     as recorded on the returned AffinityMatrix."""
 
     def weights(self, ratio):
-        box = Box3D(0, 0, 0, 4, 2, 1.5, 0)
+        box = make_box(0, 0, 0, 4, 2, 1.5, 0)
         out = affinities(
             [make_det(box, embedding=[1.0])],
             [make_track(1, box, embedding=[1.0])],
@@ -232,13 +232,13 @@ class TestSoftmaxRanking:
             softmax_ranking([[np.inf, 0.0]])
 
 
-def _box(seed: int) -> Box3D:
+def _box(seed: int) -> np.ndarray:
     """A box near the origin, often overlapping others, sometimes flat,
     square-on or quarter-turned."""
     rng = np.random.default_rng(seed)
     l, w, h = rng.choice([0.0, 1.0, 2.0, *rng.uniform(0.5, 4, 3)], 3)
     a = rng.choice([0.0, math.pi / 2, rng.uniform(-3, 3)])
-    return Box3D(*rng.uniform(-3, 3, 3), l, w, h, a)
+    return make_box(*rng.uniform(-3, 3, 3), l, w, h, a)
 
 
 class TestMotionMatrix:
@@ -246,7 +246,7 @@ class TestMotionMatrix:
         rng = np.random.default_rng(61)
 
         def rand_box():
-            return Box3D(
+            return make_box(
                 *rng.uniform(-6, 6, 3), *rng.uniform(0.5, 4, 3), rng.uniform(-3, 3)
             )
 
@@ -274,8 +274,8 @@ class TestMotionMatrix:
         iou = motion_affinity_matrix(d_arr, t_arr, use_dis=False)
         for i, d in enumerate(dets):
             for j, t in enumerate(trks):
-                lo = max(d.z - 0.5 * d.h, t.z - 0.5 * t.h)
-                dz = min(d.z + 0.5 * d.h, t.z + 0.5 * t.h) - lo
+                lo = max(d[2] - 0.5 * d[5], t[2] - 0.5 * t[5])
+                dz = min(d[2] + 0.5 * d[5], t[2] + 0.5 * t[5]) - lo
                 if dz <= 0.0:
                     assert iou[i, j] == 0.0
                     continue
@@ -289,7 +289,7 @@ class TestMotionMatrix:
     def test_coincident_zero_size_boxes(self):
         # a distance term of 1 (degenerate diagonal) and an IoU of 0 (no
         # volume); the scalar oracle's diou_affinity gives 2.0 here
-        point = box_array([Box3D(1, 1, 1, 0, 0, 0, 0)])
+        point = box_array([make_box(1, 1, 1, 0, 0, 0, 0)])
         assert motion_affinity_matrix(point, point).tolist() == [[1.0]]
         assert motion_affinity_matrix(point, point, use_iou=False).tolist() == [[1.0]]
         assert motion_affinity_matrix(point, point, use_dis=False).tolist() == [[0.0]]
@@ -301,7 +301,7 @@ class TestMotionMatrix:
 
 class TestComputeAffinities:
     def test_coincident_identical_embedding(self):
-        box = Box3D(0, 0, 0, 4, 2, 1.5, 0)
+        box = make_box(0, 0, 0, 4, 2, 1.5, 0)
         emb = [1.0, 2.0, 3.0]
         det = make_det(box, embedding=emb)
         track = make_track(1, box, embedding=emb)
@@ -311,15 +311,15 @@ class TestComputeAffinities:
 
     def test_motion_only_weights(self):
         rng = np.random.default_rng(67)
-        dets = [make_det(Box3D(*rng.uniform(-5, 5, 3), 4, 2, 1.5, 0)) for _ in range(3)]
+        dets = [make_det(make_box(*rng.uniform(-5, 5, 3), 4, 2, 1.5, 0)) for _ in range(3)]
         tracks = [
-            make_track(i, Box3D(*rng.uniform(-5, 5, 3), 4, 2, 1.5, 0)) for i in range(4)
+            make_track(i, make_box(*rng.uniform(-5, 5, 3), 4, 2, 1.5, 0)) for i in range(4)
         ]
         out = affinities(dets, tracks, MOTION_ONLY)
         np.testing.assert_array_equal(out.refined, out.motion)
 
     def test_appearance_disabled_without_embeddings(self):
-        box = Box3D(0, 0, 0, 4, 2, 1.5, 0)
+        box = make_box(0, 0, 0, 4, 2, 1.5, 0)
         det = make_det(box)  # no embedding
         track = make_track(1, box, embedding=[1.0, 2.0])
         out = affinities([det], [track])
@@ -330,11 +330,13 @@ class TestComputeAffinities:
         # appearance is the ranked raw matrix of the carried embeddings
         rng = np.random.default_rng(79)
         dets = [
-            make_det(Box3D(*rng.uniform(-5, 5, 3), 4, 2, 1.5, 0), embedding=rng.normal(size=4))
+            make_det(make_box(*rng.uniform(-5, 5, 3), 4, 2, 1.5, 0), embedding=rng.normal(size=4))
             for _ in range(2)
         ]
         tracks = [
-            make_track(i, Box3D(*rng.uniform(-5, 5, 3), 4, 2, 1.5, 0), embedding=rng.normal(size=4))
+            make_track(
+                i, make_box(*rng.uniform(-5, 5, 3), 4, 2, 1.5, 0), embedding=rng.normal(size=4)
+            )
             for i in range(3)
         ]
         out = affinities(dets, tracks)
@@ -348,7 +350,7 @@ class TestComputeAffinities:
     def test_empty_inputs(self):
         out = affinities([], [])
         assert out.refined.shape == (0, 0)
-        box = Box3D(0, 0, 0, 4, 2, 1.5, 0)
+        box = make_box(0, 0, 0, 4, 2, 1.5, 0)
         out = affinities([make_det(box)], [])
         assert out.refined.shape == (1, 0)
 
@@ -357,7 +359,7 @@ class TestComputeAffinities:
         dim = 8
         dets = [
             make_det(
-                Box3D(*rng.uniform(-10, 10, 3), *rng.uniform(0.5, 4, 3), 0),
+                make_box(*rng.uniform(-10, 10, 3), *rng.uniform(0.5, 4, 3), 0),
                 embedding=rng.normal(size=dim),
             )
             for _ in range(6)
@@ -365,7 +367,7 @@ class TestComputeAffinities:
         tracks = [
             make_track(
                 i,
-                Box3D(*rng.uniform(-10, 10, 3), *rng.uniform(0.5, 4, 3), 0),
+                make_box(*rng.uniform(-10, 10, 3), *rng.uniform(0.5, 4, 3), 0),
                 embedding=rng.normal(size=dim),
             )
             for i in range(6)
@@ -376,13 +378,13 @@ class TestComputeAffinities:
 
     def test_argmax_invariant_under_translation(self):
         rng = np.random.default_rng(73)
-        boxes = [Box3D(*rng.uniform(-10, 10, 3), 4, 2, 1.5, 0) for _ in range(5)]
-        det = make_det(Box3D(1.0, 2.0, 0.0, 4, 2, 1.5, 0))
+        boxes = [make_box(*rng.uniform(-10, 10, 3), 4, 2, 1.5, 0) for _ in range(5)]
+        det = make_det(make_box(1.0, 2.0, 0.0, 4, 2, 1.5, 0))
         tracks = [make_track(i, b) for i, b in enumerate(boxes)]
         base = affinities([det], tracks, MOTION_ONLY)
 
         def shift(b, dx, dy, dz):
-            return Box3D(b.x + dx, b.y + dy, b.z + dz, b.l, b.w, b.h, b.a)
+            return b + [dx, dy, dz, 0, 0, 0, 0]
 
         moved_det = make_det(shift(det.box, 30, -12, 4))
         moved_tracks = [
@@ -563,8 +565,8 @@ class TestCandidateGate:
         assert out.refined.tolist() == dense.refined[rows, cols].tolist()
 
     def test_no_gate_without_need_or_for_small_frames(self):
-        box = Box3D(0, 0, 0, 4, 2, 1.5, 0)
-        far = Box3D(1e4, 0, 0, 4, 2, 1.5, 0)
+        box = make_box(0, 0, 0, 4, 2, 1.5, 0)
+        far = make_box(1e4, 0, 0, 4, 2, 1.5, 0)
         need = np.array([5.0]), np.array([5.0, 5.0])
         tracks = [make_track(0, box), make_track(1, far)]
         small = affinities([make_det(box)], tracks)

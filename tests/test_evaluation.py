@@ -18,15 +18,16 @@ from mipmot.evaluation import (
 )
 from mipmot import geometry
 from mipmot.cli import labels_to_frames
-from mipmot.geometry import Box3D, bev_iou_matrix
+from mipmot.geometry import bev_iou_matrix
 from mipmot.io_formats import read_kitti_labels, write_kitti_labels, write_kitti_tracking
 from mipmot.simgen import generate, scenario_template
 from mipmot.tracker import run_sequence
+import tables
 from tables import rows
 
 
 def box(x, y, l=4.0, w=2.0, a=0.0):
-    return Box3D(x, y, 0.75, l, w, 1.5, a)
+    return tables.box(x, y, 0.75, l, w, 1.5, a)
 
 
 def straight_run(n, x0=0.0, dx=1.0, y=0.0):
@@ -139,7 +140,7 @@ def frames(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(0, 8))
     gt = {
-        int(g): Box3D(
+        int(g): tables.box(
             *rng.uniform(-6, 6, 2), 0.75, *rng.uniform(1, 5, 2), 1.5, rng.uniform(-3, 3)
         )
         for g in rng.permutation(20)[:n]
@@ -148,9 +149,9 @@ def frames(draw):
     for g, b in gt.items():
         if rng.random() < 0.8:
             dx, dy, da = rng.normal(0, 0.4, 3)
-            hyp[100 + g] = Box3D(b.x + dx, b.y + dy, b.z, b.l, b.w, b.h, b.a + da)
+            hyp[100 + g] = tables.box(b[0] + dx, b[1] + dy, *b[2:6], b[6] + da)
     for k in range(int(rng.integers(0, 3))):
-        hyp[200 + k] = Box3D(*rng.uniform(-6, 6, 2), 0.75, 4, 2, 1.5, rng.uniform(-3, 3))
+        hyp[200 + k] = tables.box(*rng.uniform(-6, 6, 2), 0.75, 4, 2, 1.5, rng.uniform(-3, 3))
     hyp_ids = list(hyp) + [999]
     prev = {g: int(rng.choice(hyp_ids)) for g in list(gt) + [77] if rng.random() < 0.5}
     return gt, hyp, prev
@@ -176,15 +177,15 @@ class TestMatchFrameOracle:
     @pytest.mark.parametrize("scene", ["far", "empty gt", "empty hyp", "coincident"])
     def test_tree_query_scenes(self, scene):
         gt = {g: box(50.0 * g, 0.0, a=0.3 * g) for g in range(5)}
-        hyp = {10 + g: box(b.x + 0.3, 0.2, a=b.a + 0.1) for g, b in gt.items()}
+        hyp = {10 + g: box(b[0] + 0.3, 0.2, a=b[6] + 0.1) for g, b in gt.items()}
         if scene == "far":
-            hyp = {10 + g: box(b.x + 25.0, 0.0) for g, b in gt.items()}
+            hyp = {10 + g: box(b[0] + 25.0, 0.0) for g, b in gt.items()}
         elif scene == "empty gt":
             gt = {}
         elif scene == "empty hyp":
             hyp = {}
         else:
-            hyp = {10 + g: box(b.x, b.y, l=2.5, w=3.0, a=1.0) for g, b in gt.items()}
+            hyp = {10 + g: box(b[0], b[1], l=2.5, w=3.0, a=1.0) for g, b in gt.items()}
         with mock.patch.object(geometry, "_TREE_MIN_PAIRS", 0):
             got = match(gt, hyp, {}, 0.1)
         assert got == oracle_match_frame(gt, hyp, {}, 0.1)
@@ -228,13 +229,13 @@ def sequences(draw):
         for g in range(4):
             if rng.random() < 0.8:
                 x, y = start[g] + f * velocity[g]
-                gt[g] = Box3D(x, y, 0.75, *sizes[g], 1.5, headings[g] + 0.1 * f)
+                gt[g] = tables.box(x, y, 0.75, *sizes[g], 1.5, headings[g] + 0.1 * f)
         hyp = {}
         for g, b in gt.items():
             h = 10 + (g if rng.random() < 0.8 else int(rng.integers(0, 4)))
             if rng.random() < 0.8 and h not in hyp:
                 dx, dy, da = rng.normal(0, 0.4, 3)
-                hyp[h] = Box3D(b.x + dx, b.y + dy, b.z, b.l, b.w, b.h, b.a + da)
+                hyp[h] = tables.box(b[0] + dx, b[1] + dy, *b[2:6], b[6] + da)
         while len(hyp) < 4 and rng.random() < 0.3:
             hyp[20 + len(hyp)] = box(*rng.uniform(-5, 5, 2), a=rng.uniform(-3, 3))
         if rng.random() < 0.9:
@@ -431,25 +432,16 @@ class TestAggregate:
 
 
 class TestRowsFromFileToScore:
-    def test_no_box_built_from_file_to_score(self, tmp_path, monkeypatch):
+    def test_no_box_built_from_file_to_score(self, tmp_path):
         """Reading a label and a result file, grouping their rows by frame
-        and scoring them builds no Box3D: the boxes stay arrays."""
+        and scoring them: the boxes stay arrays, one record array of rows
+        per frame, from file to score."""
         labels, detections = generate(scenario_template("clutter", seed=0))
         write_kitti_labels(labels, tmp_path / "labels.txt")
         write_kitti_tracking(run_sequence(detections), tmp_path / "results.txt")
-
-        built = []
-        init = Box3D.__init__
-
-        def counted(self, *args, **kwargs):
-            built.append(args)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(Box3D, "__init__", counted)
         gt = labels_to_frames(read_kitti_labels(tmp_path / "labels.txt"))
         hyp = labels_to_frames(read_kitti_labels(tmp_path / "results.txt"))
+        for frame in (*gt.values(), *hyp.values()):
+            assert frame["box"].dtype == np.float64 and frame["box"].shape == (len(frame), 7)
         report = evaluate_sequence(gt, hyp)
-        assert built == []
         assert report.num_gt_boxes == len(labels) and report.tp > 0
-        box(0, 0)  # the count sees a box that is built
-        assert len(built) == 1

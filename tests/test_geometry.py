@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from unittest import mock
 
@@ -23,7 +22,6 @@ from exact_area import within
 from mipmot import geometry
 from mipmot.geometry import (
     EPS,
-    Box3D,
     bev_corners_array,
     bev_intersection_areas,
     bev_iou,
@@ -32,14 +30,23 @@ from mipmot.geometry import (
     polygon_area,
     wrap_angle,
 )
+from mipmot.io_formats import DetectionBatch
+from tables import box as make_box
 
 SQRT2 = math.sqrt(2.0)
 
 
-def random_box(rng, spread=5.0, min_size=0.5, max_size=4.0) -> Box3D:
+def replace(box, **fields):
+    """The box with the named fields (x, y, z, l, w, h, a) replaced."""
+    values = dict(zip("xyzlwha", box))
+    values.update(fields)
+    return make_box(**values)
+
+
+def random_box(rng, spread=5.0, min_size=0.5, max_size=4.0) -> np.ndarray:
     x, y, z = rng.uniform(-spread, spread, 3)
     l, w, h = rng.uniform(min_size, max_size, 3)
-    return Box3D(x, y, z, l, w, h, rng.uniform(-math.pi, math.pi))
+    return make_box(x, y, z, l, w, h, rng.uniform(-math.pi, math.pi))
 
 
 def rasterized_intersection(p, q, resolution=1e-3):
@@ -59,48 +66,59 @@ def rasterized_intersection(p, q, resolution=1e-3):
     return inside.sum() * resolution * resolution
 
 
-def monte_carlo_iou(b1: Box3D, b2: Box3D, rng, samples=100_000) -> float:
+def monte_carlo_iou(b1, b2, rng, samples=100_000) -> float:
     """Volume-sampling oracle: sample inside b1, count hits inside b2."""
-    local = rng.uniform(-0.5, 0.5, size=(samples, 3)) * np.array([b1.l, b1.w, b1.h])
-    c, s = math.cos(b1.a), math.sin(b1.a)
+    local = rng.uniform(-0.5, 0.5, size=(samples, 3)) * np.array([b1[3], b1[4], b1[5]])
+    c, s = math.cos(b1[6]), math.sin(b1[6])
     world = np.empty_like(local)
-    world[:, 0] = c * local[:, 0] - s * local[:, 1] + b1.x
-    world[:, 1] = s * local[:, 0] + c * local[:, 1] + b1.y
-    world[:, 2] = local[:, 2] + b1.z
+    world[:, 0] = c * local[:, 0] - s * local[:, 1] + b1[0]
+    world[:, 1] = s * local[:, 0] + c * local[:, 1] + b1[1]
+    world[:, 2] = local[:, 2] + b1[2]
     # express in b2's frame
-    dx = world[:, 0] - b2.x
-    dy = world[:, 1] - b2.y
-    c2, s2 = math.cos(b2.a), math.sin(b2.a)
+    dx = world[:, 0] - b2[0]
+    dy = world[:, 1] - b2[1]
+    c2, s2 = math.cos(b2[6]), math.sin(b2[6])
     u = c2 * dx + s2 * dy
     v = -s2 * dx + c2 * dy
     hit = (
-        (np.abs(u) <= 0.5 * b2.l)
-        & (np.abs(v) <= 0.5 * b2.w)
-        & (np.abs(world[:, 2] - b2.z) <= 0.5 * b2.h)
+        (np.abs(u) <= 0.5 * b2[3])
+        & (np.abs(v) <= 0.5 * b2[4])
+        & (np.abs(world[:, 2] - b2[2]) <= 0.5 * b2[5])
     )
     inter = volume(b1) * hit.mean()
     union = volume(b1) + volume(b2) - inter
     return inter / union if union > 0 else 0.0
 
 
+def checked(*boxes):
+    """The boxes of a ``DetectionBatch`` built from them, which checks
+    them against the box rules and wraps their headings."""
+    return DetectionBatch(0, boxes, [1.0] * len(boxes)).boxes
+
+
 class TestBox3D:
+    """A 3D box is an (x, y, z, l, w, h, a) 7-vector, checked against the
+    box rules where it enters the program, as a ``DetectionBatch`` is."""
+
     def test_heading_normalized(self):
-        assert Box3D(0, 0, 0, 1, 1, 1, 3 * math.pi).a == pytest.approx(math.pi)
-        assert Box3D(0, 0, 0, 1, 1, 1, -math.pi).a == pytest.approx(math.pi)
+        headings = checked([0, 0, 0, 1, 1, 1, 3 * math.pi], [0, 0, 0, 1, 1, 1, -math.pi])[:, 6]
+        assert headings.tolist() == pytest.approx([math.pi, math.pi])
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Box3D(math.nan, 0, 0, 1, 1, 1, 0)
-        with pytest.raises(ValueError):
-            Box3D(0, 0, 0, math.inf, 1, 1, 0)
+        with pytest.raises(ValueError, match="detection 0: box field x is not finite: nan"):
+            checked([math.nan, 0, 0, 1, 1, 1, 0])
+        with pytest.raises(ValueError, match="detection 1: box field l is not finite: inf"):
+            checked([0, 0, 0, 1, 1, 1, 0], [0, 0, 0, math.inf, 1, 1, 0])
 
     def test_rejects_negative_extent(self):
-        with pytest.raises(ValueError):
-            Box3D(0, 0, 0, -1, 1, 1, 0)
+        with pytest.raises(ValueError, match="box extents must be nonnegative, got l=-1.0"):
+            checked([0, 0, 0, -1, 1, 1, 0])
 
     def test_array_round_trip(self):
-        box = Box3D(1, 2, 3, 4, 2, 1.5, 0.1)
-        assert Box3D.from_array(box.to_array()) == box
+        """A box passes through a batch and its row view bit for bit."""
+        box = make_box(1, 2, 3, 4, 2, 1.5, 0.1)
+        batch = DetectionBatch(0, [box], [1.0])
+        assert batch.boxes[0].tobytes() == batch[0].box.tobytes() == box.tobytes()
 
     def test_wrap_angle_range(self):
         for a in np.linspace(-10, 10, 201):
@@ -132,19 +150,19 @@ class TestBox3D:
 
 class TestBevCorners:
     def test_axis_aligned_unit_box(self):
-        corners = {tuple(np.round(c, 9)) for c in bev_corners(Box3D(0, 0, 0, 1, 1, 1, 0))}
+        corners = {tuple(np.round(c, 9)) for c in bev_corners(make_box(0, 0, 0, 1, 1, 1, 0))}
         assert corners == {(0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5), (0.5, -0.5)}
 
     def test_quarter_turn_square_symmetry(self):
-        a = {tuple(np.round(c, 9)) for c in bev_corners(Box3D(0, 0, 0, 1, 1, 1, 0))}
+        a = {tuple(np.round(c, 9)) for c in bev_corners(make_box(0, 0, 0, 1, 1, 1, 0))}
         b = {
             tuple(np.round(c, 9))
-            for c in bev_corners(Box3D(0, 0, 0, 1, 1, 1, math.pi / 2))
+            for c in bev_corners(make_box(0, 0, 0, 1, 1, 1, math.pi / 2))
         }
         assert a == b
 
     def test_shoelace_area_rotated(self):
-        poly = bev_corners(Box3D(0, 0, 0, 2, 1, 1, math.pi / 4))
+        poly = bev_corners(make_box(0, 0, 0, 2, 1, 1, math.pi / 4))
         assert polygon_area(poly) == pytest.approx(2.0, abs=1e-12)
 
     def test_area_equals_lw_random(self):
@@ -152,7 +170,7 @@ class TestBevCorners:
         for _ in range(100):
             box = random_box(rng)
             assert polygon_area(bev_corners(box)) == pytest.approx(
-                box.l * box.w, abs=1e-9
+                box[3] * box[4], abs=1e-9
             )
 
 
@@ -171,7 +189,7 @@ class TestPolygonIntersection:
         ) == pytest.approx(0.5)
 
     def test_rotated_square_against_raster_oracle(self):
-        rotated = bev_corners(Box3D(0, 0, 0, 1, 1, 1, math.pi / 4))
+        rotated = bev_corners(make_box(0, 0, 0, 1, 1, 1, math.pi / 4))
         area = convex_polygon_intersection_area(self.UNIT_SQUARE, rotated)
         expected = 2.0 * (SQRT2 - 1.0)
         assert area == pytest.approx(expected, abs=1e-9)
@@ -208,7 +226,7 @@ HEADINGS = st.floats(-4.0, 4.0) | st.sampled_from(
 def boxes(draw, spread=10.0):
     x, y, z = (draw(st.floats(-spread, spread)) for _ in range(3))
     l, w, h = (draw(st.floats(0.0, 6.0)) for _ in range(3))
-    return Box3D(x, y, z, l, w, h, draw(HEADINGS))
+    return make_box(x, y, z, l, w, h, draw(HEADINGS))
 
 
 @st.composite
@@ -226,21 +244,21 @@ def box_pairs(draw):
         return a, a
     if kind == "nested":
         k = draw(st.floats(0.0, 1.0))
-        return a, Box3D(a.x, a.y, a.z, k * a.l, k * a.w, a.h, a.a)
+        return a, replace(a, l=k * a[3], w=k * a[4])
     if kind == "touching":
         # shifted by one length along the heading: the footprints share an edge
-        c, s = math.cos(a.a), math.sin(a.a)
-        return a, Box3D(a.x + a.l * c, a.y + a.l * s, a.z, a.l, a.w, a.h, a.a)
+        c, s = math.cos(a[6]), math.sin(a[6])
+        return a, replace(a, x=a[0] + a[3] * c, y=a[1] + a[3] * s)
     if kind == "quarter":
-        return a, Box3D(a.x, a.y, a.z, a.l, a.w, a.h, a.a + math.pi / 2)
+        return a, replace(a, a=a[6] + math.pi / 2)
     if kind == "flat":
         b = draw(boxes(spread=3.0))
-        return a, Box3D(b.x, b.y, b.z, b.l, 0.0, b.h, b.a)
-    return a, Box3D(a.x + 1e3, a.y - 1e3, a.z, a.l, a.w, a.h, a.a)
+        return a, replace(b, w=0.0)
+    return a, replace(a, x=a[0] + 1e3, y=a[1] - 1e3)
 
 
 def as_array(boxes_):
-    return np.array([b.to_array() for b in boxes_]).reshape(-1, 7)
+    return np.array(list(boxes_), dtype=float).reshape(-1, 7)
 
 
 class TestOverlapKernel:
@@ -256,7 +274,7 @@ class TestOverlapKernel:
     def test_no_pairs(self):
         empty = np.zeros((0, 7))
         assert bev_intersection_areas(empty, empty).shape == (0,)
-        assert bev_iou_matrix(empty, as_array([Box3D(0, 0, 0, 1, 1, 1)])).shape == (0, 1)
+        assert bev_iou_matrix(empty, as_array([make_box(0, 0, 0, 1, 1, 1)])).shape == (0, 1)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(boxes(spread=4.0), max_size=6), st.lists(boxes(spread=4.0), max_size=6))
@@ -276,11 +294,10 @@ class TestOverlapKernel:
         if layout == "far":
             # every box farther from the others than any two circumcircles reach
             right = [
-                Box3D(b.x + 100.0 * (k + 1), b.y, b.z, b.l, b.w, b.h, b.a)
-                for k, b in enumerate(right)
+                replace(b, x=b[0] + 100.0 * (k + 1)) for k, b in enumerate(right)
             ]
         elif layout == "coincident":
-            right = [Box3D(a.x, a.y, b.z, b.l, b.w, b.h, b.a) for a, b in zip(left, right)]
+            right = [replace(b, x=a[0], y=a[1]) for a, b in zip(left, right)]
         # the k-d tree query at every size, not only beyond the size where it pays off
         with mock.patch.object(geometry, "_TREE_MIN_PAIRS", 0):
             got = bev_iou_matrix(as_array(left), as_array(right))
@@ -292,9 +309,9 @@ class TestOverlapKernel:
         # 110 x 110 boxes on a grid: beyond _TREE_MIN_PAIRS, so the tree is used
         rng = np.random.default_rng(149)
         grid = np.array([(x, y) for x in range(11) for y in range(10)], dtype=float) * 6.0
-        left = [Box3D(x, y, 0, *rng.uniform(0.5, 6.0, 3), rng.uniform(-4, 4)) for x, y in grid]
+        left = [make_box(x, y, 0, *rng.uniform(0.5, 6.0, 3), rng.uniform(-4, 4)) for x, y in grid]
         right = [
-            Box3D(b.x + rng.normal(0, 1.0), b.y + rng.normal(0, 1.0), 0, b.l, b.w, b.h, b.a + 0.3)
+            replace(b, x=b[0] + rng.normal(0, 1.0), y=b[1] + rng.normal(0, 1.0), a=b[6] + 0.3)
             for b in left
         ]
         assert len(left) * len(right) > geometry._TREE_MIN_PAIRS
@@ -308,7 +325,7 @@ class TestOverlapKernel:
             assert within(got[i, j], exact_area.iou_bounds(left[i], right[j]))
 
     def test_tree_query_empty_side(self):
-        one = as_array([Box3D(0, 0, 0, 1, 1, 1)])
+        one = as_array([make_box(0, 0, 0, 1, 1, 1)])
         with mock.patch.object(geometry, "_TREE_MIN_PAIRS", -1):
             assert bev_iou_matrix(np.zeros((0, 7)), one).shape == (0, 1)
             assert bev_iou_matrix(one, np.zeros((0, 7))).shape == (1, 0)
@@ -317,17 +334,17 @@ class TestOverlapKernel:
     @given(st.lists(boxes(), min_size=1, max_size=6))
     def test_corners_match_scalar_rotation(self, boxes_):
         for box, corners in zip(boxes_, bev_corners_array(as_array(boxes_))):
-            hl, hw = 0.5 * box.l, 0.5 * box.w
-            c, s = math.cos(box.a), math.sin(box.a)
+            hl, hw = 0.5 * box[3], 0.5 * box[4]
+            c, s = math.cos(box[6]), math.sin(box[6])
             local = np.array([[hl, hw], [-hl, hw], [-hl, -hw], [hl, -hw]])
             rot = np.array([[c, -s], [s, c]])
-            expected = local @ rot.T + np.array([box.x, box.y])
+            expected = local @ rot.T + np.array([box[0], box[1]])
             assert corners.tolist() == expected.tolist()
 
     def test_point_footprint_overlaps_nothing(self):
         # a point footprint is flat, whichever side of the pair it is on
-        box = Box3D(0, 0, 0, 4, 2, 2, 0.3)
-        point = Box3D(0.5, 0.2, 0, 0, 0, 0.5, 1.0)
+        box = make_box(0, 0, 0, 4, 2, 2, 0.3)
+        point = make_box(0.5, 0.2, 0, 0, 0, 0.5, 1.0)
         areas = bev_intersection_areas(as_array([box, point]), as_array([point, box]))
         assert areas.tolist() == [0.0, 0.0]
         assert iou_3d(box, point) == 0.0 and iou_3d(point, box) == 0.0
@@ -335,14 +352,14 @@ class TestOverlapKernel:
     def test_subnormal_extents_overlap_nothing(self):
         # such a footprint's edge slopes divide by subnormal runs; the
         # pair is flat and scores 0 without a floating-point warning
-        tiny = Box3D(0, 0, 0, 1.1e-308, 1.1e-308, 1, 0.3)
-        box = Box3D(0.1, 0, 0, 2, 1, 1, 0)
+        tiny = make_box(0, 0, 0, 1.1e-308, 1.1e-308, 1, 0.3)
+        box = make_box(0.1, 0, 0, 2, 1, 1, 0)
         areas = bev_intersection_areas(as_array([tiny, box]), as_array([box, tiny]))
         assert areas.tolist() == [0.0, 0.0]
 
     def test_rotated_square_analytic(self):
-        square = Box3D(0, 0, 0, 1, 1, 1, 0)
-        rotated = Box3D(0, 0, 0, 1, 1, 1, math.pi / 4)
+        square = make_box(0, 0, 0, 1, 1, 1, 0)
+        rotated = make_box(0, 0, 0, 1, 1, 1, math.pi / 4)
         area = bev_intersection_areas(as_array([square]), as_array([rotated]))[0]
         assert area == pytest.approx(2.0 * (SQRT2 - 1.0), abs=1e-12)
 
@@ -354,14 +371,14 @@ CENTRES = st.floats(-1e4, 1e4)
 
 def quarter_turn(box, k):
     """The same footprint as (w, l, a + k pi/2), or (l, w, ...) for even k."""
-    l, w = (box.w, box.l) if k % 2 else (box.l, box.w)
-    return dataclasses.replace(box, l=l, w=w, a=box.a + k * math.pi / 2)
+    l, w = (box[4], box[3]) if k % 2 else (box[3], box[4])
+    return replace(box, l=l, w=w, a=box[6] + k * math.pi / 2)
 
 
 @st.composite
 def wide_boxes(draw):
     x, y = draw(CENTRES), draw(CENTRES)
-    return Box3D(x, y, 0.0, draw(EXTENTS), draw(EXTENTS), 1.0, draw(HEADINGS))
+    return make_box(x, y, 0.0, draw(EXTENTS), draw(EXTENTS), 1.0, draw(HEADINGS))
 
 
 @st.composite
@@ -371,29 +388,29 @@ def wide_pairs(draw):
     inside it or is its footprint given a quarter turn further."""
     a = draw(wide_boxes())
     kind = draw(st.sampled_from(["near", "coincident", "half", "nested", "quarter"]))
-    c, s = math.cos(a.a), math.sin(a.a)
+    c, s = math.cos(a[6]), math.sin(a[6])
     if kind == "coincident":
         return a, a
     if kind == "half":
-        du, dv = draw(st.sampled_from([(0.5 * a.l, 0.0), (0.0, 0.5 * a.w)]))
-        return a, dataclasses.replace(a, x=a.x + du * c - dv * s, y=a.y + du * s + dv * c)
+        du, dv = draw(st.sampled_from([(0.5 * a[3], 0.0), (0.0, 0.5 * a[4])]))
+        return a, replace(a, x=a[0] + du * c - dv * s, y=a[1] + du * s + dv * c)
     if kind == "nested":
         k, u, v = (draw(st.floats(0.0, 1.0)) for _ in range(3))
-        du, dv = (1.0 - k) * (u - 0.5) * a.l, (1.0 - k) * (v - 0.5) * a.w
-        return a, dataclasses.replace(
-            a, x=a.x + du * c - dv * s, y=a.y + du * s + dv * c, l=k * a.l, w=k * a.w
+        du, dv = (1.0 - k) * (u - 0.5) * a[3], (1.0 - k) * (v - 0.5) * a[4]
+        return a, replace(
+            a, x=a[0] + du * c - dv * s, y=a[1] + du * s + dv * c, l=k * a[3], w=k * a[4]
         )
     if kind == "quarter":
         return a, quarter_turn(a, draw(st.integers(-3, 4)))
     # a second box centred within half the first's length and width of it
     b = draw(wide_boxes())
     u, v = draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))
-    return a, dataclasses.replace(b, x=a.x + u * a.l, y=a.y + v * a.w)
+    return a, replace(b, x=a[0] + u * a[3], y=a[1] + v * a[4])
 
 
 def on_grid(box, step=2.0**-16):
     """The box with its centre rounded to a multiple of ``step``."""
-    return dataclasses.replace(box, x=round(box.x / step) * step, y=round(box.y / step) * step)
+    return replace(box, x=round(box[0] / step) * step, y=round(box[1] / step) * step)
 
 
 class TestExactArea:
@@ -426,7 +443,7 @@ class TestExactArea:
         # pairs are the same pair, placed elsewhere
         a, b = (on_grid(box) for box in pair)
         sx, sy = sx * 2.0**-16, sy * 2.0**-16
-        moved = [dataclasses.replace(box, x=box.x + sx, y=box.y + sy) for box in (a, b)]
+        moved = [replace(box, x=box[0] + sx, y=box[1] + sy) for box in (a, b)]
         iou = bev_iou_matrix(as_array([a]), as_array([b]))
         assert bits(bev_iou_matrix(as_array(moved[:1]), as_array(moved[1:]))) == bits(iou)
 
@@ -436,16 +453,16 @@ class TestExactArea:
         # in its own frame a box's corners are exactly (+-l/2, +-w/2)
         area = bev_intersection_areas(as_array([box]), as_array([box]))[0]
         iou = bev_iou(box, box)
-        if box.l * box.w < EPS:
+        if box[3] * box[4] < EPS:
             assert (area, iou) == (0.0, 0.0)
         else:
-            assert (area, iou) == (box.l * box.w, 1.0)
+            assert (area, iou) == (box[3] * box[4], 1.0)
 
     @settings(max_examples=200, deadline=None)
     @given(wide_boxes(), st.integers(-3, 4))
     def test_quarter_turn_scores_own_area(self, box, k):
         turned = quarter_turn(box, k)
-        own = box.l * box.w
+        own = box[3] * box[4]
         tol = exact_area.tolerance(box, turned)
         for got in bev_intersection_areas(as_array([box, turned]), as_array([turned, box])):
             assert abs(got - own) <= tol or (got == 0.0 and own < EPS + tol)
@@ -516,9 +533,9 @@ class TestBatchedPass:
 
     def test_no_candidate_pair(self):
         frames = [
-            (as_array([Box3D(0, 0, 0, 2, 1, 1)]), as_array([Box3D(50, 0, 0, 2, 1, 1)])),
-            (np.zeros((0, 7)), as_array([Box3D(0, 0, 0, 2, 1, 1)])),
-            (as_array([Box3D(0, 0, 0, 2, 1, 1)] * 2), np.zeros((0, 7))),
+            (as_array([make_box(0, 0, 0, 2, 1, 1)]), as_array([make_box(50, 0, 0, 2, 1, 1)])),
+            (np.zeros((0, 7)), as_array([make_box(0, 0, 0, 2, 1, 1)])),
+            (as_array([make_box(0, 0, 0, 2, 1, 1)] * 2), np.zeros((0, 7))),
         ]
         with mock.patch.object(geometry, "bev_intersection_areas") as kernel:
             got = list(bev_iou_matrices(frames))
@@ -542,19 +559,19 @@ class TestBatchedPass:
 
 class TestIou3d:
     def test_identity(self):
-        box = Box3D(1, 2, 3, 2, 1, 1.5, 0.3)
+        box = make_box(1, 2, 3, 2, 1, 1.5, 0.3)
         assert iou_3d(box, box) == pytest.approx(1.0)
 
     def test_axis_aligned_half_offset(self):
-        a = Box3D(0, 0, 0, 1, 1, 1, 0)
-        b = Box3D(0.5, 0, 0, 1, 1, 1, 0)
+        a = make_box(0, 0, 0, 1, 1, 1, 0)
+        b = make_box(0.5, 0, 0, 1, 1, 1, 0)
         assert iou_3d(a, b) == pytest.approx(1.0 / 3.0)
         rng = np.random.default_rng(5)
         assert monte_carlo_iou(a, b, rng) == pytest.approx(1.0 / 3.0, abs=5e-3)
 
     def test_disjoint(self):
-        a = Box3D(0, 0, 0, 1, 1, 1, 0)
-        b = Box3D(10, 0, 0, 1, 1, 1, 0)
+        a = make_box(0, 0, 0, 1, 1, 1, 0)
+        b = make_box(10, 0, 0, 1, 1, 1, 0)
         assert iou_3d(a, b) == 0.0
 
     def test_bounds_and_symmetry(self):
@@ -575,9 +592,9 @@ class TestIou3d:
             c, s = math.cos(theta), math.sin(theta)
 
             def move(box):
-                x = c * box.x - s * box.y + tx
-                y = s * box.x + c * box.y + ty
-                return Box3D(x, y, box.z + tz, box.l, box.w, box.h, box.a + theta)
+                x = c * box[0] - s * box[1] + tx
+                y = s * box[0] + c * box[1] + ty
+                return replace(box, x=x, y=y, z=box[2] + tz, a=box[6] + theta)
 
             assert iou_3d(move(a), move(b)) == pytest.approx(base, abs=1e-6)
 
@@ -593,12 +610,12 @@ class TestIou3d:
 
 class TestEnclosingDiagonal:
     def test_coincident_unit_cubes(self):
-        box = Box3D(0, 0, 0, 1, 1, 1, 0)
+        box = make_box(0, 0, 0, 1, 1, 1, 0)
         assert enclosing_diagonal(box, box) == pytest.approx(math.sqrt(3.0))
 
     def test_nine_meters_apart(self):
-        a = Box3D(0, 0, 0, 1, 1, 1, 0)
-        b = Box3D(9, 0, 0, 1, 1, 1, 0)
+        a = make_box(0, 0, 0, 1, 1, 1, 0)
+        b = make_box(9, 0, 0, 1, 1, 1, 0)
         assert enclosing_diagonal(a, b) == pytest.approx(math.sqrt(102.0))
 
     def test_corner_enumeration_oracle(self):
@@ -612,18 +629,18 @@ class TestEnclosingDiagonal:
             assert enclosing_diagonal(a, b) == pytest.approx(expected, abs=1e-9)
 
     def test_degenerate_zero(self):
-        z = Box3D(1, 1, 1, 0, 0, 0, 0)
+        z = make_box(1, 1, 1, 0, 0, 0, 0)
         assert enclosing_diagonal(z, z) == 0.0
 
 
 class TestDiouAffinity:
     def test_identity(self):
-        box = Box3D(3, -2, 1, 4, 2, 1.5, 0.7)
+        box = make_box(3, -2, 1, 4, 2, 1.5, 0.7)
         assert diou_affinity(box, box) == pytest.approx(2.0)
 
     def test_nine_meter_cubes(self):
-        a = Box3D(0, 0, 0, 1, 1, 1, 0)
-        b = Box3D(9, 0, 0, 1, 1, 1, 0)
+        a = make_box(0, 0, 0, 1, 1, 1, 0)
+        b = make_box(9, 0, 0, 1, 1, 1, 0)
         expected = 1.0 - 9.0 / math.sqrt(102.0)
         assert diou_affinity(a, b) == pytest.approx(expected, abs=1e-9)
 
@@ -640,32 +657,32 @@ class TestDiouAffinity:
             assert 0.0 <= diou_affinity(a, b) <= 2.0
 
     def test_degenerate_coincident(self):
-        z = Box3D(1, 1, 1, 0, 0, 0, 0)
+        z = make_box(1, 1, 1, 0, 0, 0, 0)
         assert diou_affinity(z, z) == 2.0
 
     def test_distance_term_identity_iff_coincident(self):
-        a = Box3D(0, 0, 0, 2, 1, 1, 0.2)
-        assert distance_term(a, Box3D(0, 0, 0, 3, 2, 1, 1.0)) == pytest.approx(1.0)
-        assert distance_term(a, Box3D(0.1, 0, 0, 2, 1, 1, 0.2)) < 1.0
+        a = make_box(0, 0, 0, 2, 1, 1, 0.2)
+        assert distance_term(a, make_box(0, 0, 0, 3, 2, 1, 1.0)) == pytest.approx(1.0)
+        assert distance_term(a, make_box(0.1, 0, 0, 2, 1, 1, 0.2)) < 1.0
 
     def test_distance_term_monotone_in_offset(self):
-        a = Box3D(0, 0, 0, 2, 1, 1, 0)
-        values = [distance_term(a, Box3D(d, 0, 0, 2, 1, 1, 0)) for d in np.linspace(0, 20, 30)]
+        a = make_box(0, 0, 0, 2, 1, 1, 0)
+        values = [distance_term(a, make_box(d, 0, 0, 2, 1, 1, 0)) for d in np.linspace(0, 20, 30)]
         assert all(x >= y - 1e-12 for x, y in zip(values, values[1:]))
 
 
 class TestBevIou:
     def test_identity_and_disjoint(self):
-        a = Box3D(0, 0, 0, 2, 1, 1, 0.4)
+        a = make_box(0, 0, 0, 2, 1, 1, 0.4)
         assert bev_iou(a, a) == pytest.approx(1.0)
-        assert bev_iou(a, Box3D(50, 0, 0, 2, 1, 1, 0)) == 0.0
+        assert bev_iou(a, make_box(50, 0, 0, 2, 1, 1, 0)) == 0.0
 
     def test_height_ignored(self):
-        a = Box3D(0, 0, 0, 2, 1, 1, 0)
-        b = Box3D(0, 0, 100, 2, 1, 5, 0)
+        a = make_box(0, 0, 0, 2, 1, 1, 0)
+        b = make_box(0, 0, 100, 2, 1, 5, 0)
         assert bev_iou(a, b) == pytest.approx(1.0)
 
     def test_center_distance(self):
-        a = Box3D(0, 0, 0, 1, 1, 1, 0)
-        b = Box3D(3, 4, 0, 1, 1, 1, 0)
+        a = make_box(0, 0, 0, 1, 1, 1, 0)
+        b = make_box(3, 4, 0, 1, 1, 1, 0)
         assert center_distance(a, b) == pytest.approx(5.0)

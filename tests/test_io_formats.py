@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import io_oracle
 from mipmot import io_formats
 from mipmot.cli import labels_to_frames
-from mipmot.geometry import Box3D
 from mipmot.io_formats import (
     Detection,
     DetectionBatch,
@@ -25,10 +24,11 @@ from mipmot.io_formats import (
 )
 from mipmot.tracker import FrameResult
 from tables import batch, rows
+from tables import box as make_box
 
 
 def random_detection(rng, frame) -> Detection:
-    box = Box3D(
+    box = make_box(
         *rng.uniform(-90, 90, 3),
         *rng.uniform(0.5, 8, 3),
         rng.uniform(-math.pi, math.pi),
@@ -46,7 +46,7 @@ def random_detection(rng, frame) -> Detection:
 
 def assert_detections_close(a: Detection, b: Detection, tol=1e-6):
     assert a.frame == b.frame
-    np.testing.assert_allclose(a.box.to_array(), b.box.to_array(), atol=tol)
+    np.testing.assert_allclose(a.box, b.box, atol=tol)
     assert a.score == pytest.approx(b.score, abs=tol)
     assert (a.start_prob is None) == (b.start_prob is None)
     if a.start_prob is not None:
@@ -71,7 +71,7 @@ class TestDetectionFiles:
         )
         frames = read_detections(path)
         assert list(frames) == [0, 1]
-        assert [d.box.x for d in frames[0]] == [1.0, 2.0]
+        assert [d.box[0] for d in frames[0]] == [1.0, 2.0]
         assert len(frames[1]) == 1
 
     @pytest.mark.parametrize("json_lines", [False, True])
@@ -157,7 +157,7 @@ class TestDetectionFiles:
             ('"embedding": [true, false]', "embedding must be a list of numbers"),
             ('"score": 1e400', "score must be in"),
             ('"score": 1' + "0" * 400, "int too large"),
-            ('"box": [0, 0, 0, 1, 1, 1, 1e400]', "Box3D field a is not finite"),
+            ('"box": [0, 0, 0, 1, 1, 1, 1e400]', "box field a is not finite"),
         ],
     )
     def test_rejects_bad_json_values(self, tmp_path, field, message):
@@ -175,7 +175,7 @@ class TestDetectionFiles:
         path = tmp_path / "ints.jsonl"
         path.write_text('{"frame": 2, "box": [1, 2, 3, 4, 2, 1, 0], "score": 1, "start_prob": 0}\n')
         d = read_detections(path)[2][0]
-        assert (d.box, d.score, d.start_prob) == (Box3D(1, 2, 3, 4, 2, 1, 0), 1.0, 0.0)
+        assert (d.box.tolist(), d.score, d.start_prob) == ([1, 2, 3, 4, 2, 1, 0], 1.0, 0.0)
         assert type(d.score) is float and type(d.start_prob) is float
 
     @pytest.mark.parametrize("trail", [1, 4096])
@@ -207,8 +207,12 @@ class TestDetectionFiles:
             read_detections(path)
 
     def test_score_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            Detection(frame=0, box=Box3D(0, 0, 0, 1, 1, 1, 0), score=1.5)
+        """Detections built in memory form a ``DetectionBatch``, which
+        checks every row as the readers do."""
+        boxes = [[0, 0, 0, 1, 1, 1, 0]]
+        for scores, start_prob in [([1.5], None), ([-0.1], None), ([0.5], [1.5])]:
+            with pytest.raises(ValueError, match="detection 0: (score|start_prob) must be in"):
+                DetectionBatch(0, boxes, scores, start_prob)
 
     @pytest.mark.parametrize(
         "fields, message",
@@ -216,37 +220,39 @@ class TestDetectionFiles:
             (dict(frame=1.7), "frame must be an integer, got 1.7"),
             (dict(frame=True), "frame must be an integer, got True"),
             (dict(frame="3"), "frame must be an integer, got '3'"),
-            (dict(score=True), "score must be a number, got True"),
-            (dict(score="0.9"), "score must be a number, got '0.9'"),
-            (dict(start_prob=False), "start_prob must be a number, got False"),
-            (dict(start_prob="1"), "start_prob must be a number, got '1'"),
+            (dict(scores=[True]), "scores must be real numbers, got dtype bool"),
+            (dict(scores=["0.9"]), "scores must be real numbers, got dtype <U3"),
+            (dict(start_prob=[False]), "start_prob must be real numbers, got dtype bool"),
+            (dict(start_prob=["1"]), "start_prob must be real numbers, got dtype <U1"),
         ],
     )
     def test_in_memory_types_rejected(self, fields, message):
-        values = {**dict(frame=0, box=Box3D(0, 0, 0, 1, 1, 1, 0), score=0.9), **fields}
+        """Detections built in memory form a ``DetectionBatch``, which
+        takes real numbers only; a bool or string is not converted."""
+        values = {**dict(frame=0, boxes=[[0, 0, 0, 1, 1, 1, 0]], scores=[0.9]), **fields}
         with pytest.raises(ValueError, match=message):
-            Detection(**values)
+            DetectionBatch(**values)
 
     def test_numpy_scalars_accepted(self):
-        det = Detection(
-            frame=np.int64(3), box=Box3D(0, 0, 0, 1, 1, 1, 0), score=np.float32(0.5),
-            start_prob=np.float64(0.25),
+        batch = DetectionBatch(
+            np.int64(3), [[0, 0, 0, 1, 1, 1, 0]], np.float32([0.5]), np.float64([0.25])
         )
-        assert det.frame == 3 and type(det.frame) is int
+        assert batch.frame == 3 and type(batch.frame) is int
+        assert batch[0].score == 0.5 and batch[0].start_prob == 0.25
 
 
 COORDS = st.floats(-1e4, 1e4)
 KITTI_BOXES = st.builds(
-    Box3D, COORDS, COORDS, COORDS, *[st.floats(0.0, 50.0)] * 3, st.floats(-10.0, 10.0)
+    make_box, COORDS, COORDS, COORDS, *[st.floats(0.0, 50.0)] * 3, st.floats(-10.0, 10.0)
 )
 OBJECT_TYPES = st.text("abcXYZ_-019", min_size=1, max_size=10)
 UNIT = st.floats(0.0, 1.0)
 
 
-def as_written(box: Box3D) -> Box3D:
+def as_written(box) -> list:
     """The box a KITTI file holds: every field at 6 decimals, the heading
     wrapped again after rounding."""
-    return Box3D(*(float(f"{v:.6f}") for v in box.to_array()))
+    return make_box(*(float(f"{v:.6f}") for v in box)).tolist()
 
 
 @st.composite
@@ -274,7 +280,7 @@ def detection_fields(det: Detection, rounded) -> tuple:
     """A detection's values, each passed through ``rounded``."""
     return (
         det.frame,
-        Box3D(*(rounded(v) for v in det.box.to_array())),
+        make_box(*(rounded(v) for v in det.box)).tolist(),
         rounded(det.score),
         None if det.start_prob is None else rounded(det.start_prob),
         None if det.embedding is None else [rounded(v) for v in det.embedding],
@@ -292,17 +298,13 @@ def table_records(table) -> list[tuple]:
 
 
 def label_table(records) -> np.recarray:
-    """The label table of (frame, id, type, Box3D, score or None) records."""
+    """The label table of (frame, id, type, box, score or None) records."""
     frames, ids, types, boxes, scores = zip(*records) if records else [()] * 5
-    boxes = [b.to_array() for b in boxes]
     return object_table(frames, ids, types, boxes, [np.nan if s is None else s for s in scores])
 
 
 def read_back(path) -> list[tuple]:
-    return [
-        (frame, track_id, object_type, Box3D(*box), score)
-        for frame, track_id, object_type, box, score in table_records(read_kitti_labels(path))
-    ]
+    return table_records(read_kitti_labels(path))
 
 
 class TestDetectionRoundTrip:
@@ -401,7 +403,7 @@ class TestKittiFiles:
 
     def test_write_one_line_17_fields(self, tmp_path):
         path = tmp_path / "res.txt"
-        result = FrameResult(frame=0, tracks=rows({1: Box3D(1, 2, 3, 4, 2, 1.5, 0.1)}, [0.9]))
+        result = FrameResult(frame=0, tracks=rows({1: make_box(1, 2, 3, 4, 2, 1.5, 0.1)}, [0.9]))
         write_kitti_tracking([result], path)
         lines = path.read_text().splitlines()
         assert len(lines) == 1
@@ -415,7 +417,7 @@ class TestKittiFiles:
         assert path.read_text() == ""
 
     def test_duplicate_frame_id_rejected(self, tmp_path):
-        box = Box3D(0, 0, 0, 1, 1, 1, 0)
+        box = make_box(0, 0, 0, 1, 1, 1, 0)
         tracks = np.concatenate([rows({1: box}, [0.9]), rows({1: box}, [0.8])])
         result = FrameResult(frame=0, tracks=tracks)
         with pytest.raises(ValueError, match="duplicate"):
@@ -423,7 +425,7 @@ class TestKittiFiles:
 
     def test_parse_back_recovers_ids_and_boxes(self, tmp_path):
         path = tmp_path / "res.txt"
-        box = Box3D(1.25, -3.5, 0.75, 4.1, 1.9, 1.6, -0.7)
+        box = make_box(1.25, -3.5, 0.75, 4.1, 1.9, 1.6, -0.7)
         results = [
             FrameResult(frame=0, tracks=rows({3: box}, [0.95])),
             FrameResult(frame=1, tracks=rows({3: box, 5: box}, [0.94, 0.75])),
@@ -431,22 +433,22 @@ class TestKittiFiles:
         write_kitti_tracking(results, path)
         table = read_kitti_labels(path)
         assert list(zip(table["frame"].tolist(), table["id"].tolist())) == [(0, 3), (1, 3), (1, 5)]
-        np.testing.assert_allclose(table["box"][0], box.to_array(), atol=1e-6)
+        np.testing.assert_allclose(table["box"][0], box, atol=1e-6)
         assert table["score"][0] == pytest.approx(0.95, abs=1e-6)
 
     def test_labels_round_trip(self, tmp_path):
         path = tmp_path / "labels.txt"
         records = [
-            (0, 0, "Car", Box3D(1, 2, 0.75, 4, 2, 1.5, 0.3), None),
-            (0, 1, "Car", Box3D(-5, 2, 0.75, 4, 2, 1.5, -0.3), None),
-            (1, 0, "Car", Box3D(1.5, 2, 0.75, 4, 2, 1.5, 0.3), None),
+            (0, 0, "Car", make_box(1, 2, 0.75, 4, 2, 1.5, 0.3), None),
+            (0, 1, "Car", make_box(-5, 2, 0.75, 4, 2, 1.5, -0.3), None),
+            (1, 0, "Car", make_box(1.5, 2, 0.75, 4, 2, 1.5, 0.3), None),
         ]
         write_kitti_labels(label_table(records), path)
         parsed = table_records(read_kitti_labels(path))
         assert len(parsed) == 3
         for a, b in zip(records, parsed):
             assert a[:3] == b[:3] and b[4] is None
-            np.testing.assert_allclose(a[3].to_array(), b[3], atol=1e-6)
+            np.testing.assert_allclose(a[3], b[3], atol=1e-6)
 
     def test_table_grouped_by_frame(self, tmp_path):
         """labels_to_frames gives ascending frames and the file order within
@@ -574,6 +576,9 @@ def record_line(draw, rec, fault=None, size=1):
     close = "]"
     if "embedding size" in faults:
         vector = ["0.25"] * (size + 1)
+    if "overflowing volume" in faults:
+        # l * w * h overflows, or l * w does and h is 0: inf times 0
+        fields[4:7] = ["1e200", "1e200", draw(st.sampled_from(["1e200", "0"]))]
     if "start_prob -0.1" in faults:
         fields[9:] = ["-0.1"]
     if "negative extent" in faults:
@@ -617,10 +622,10 @@ def outcome(read, path):
         (
             f,
             d.frame,
-            [v.hex() for v in d.box.to_array().tolist()],
+            [v.hex() for v in np.asarray(d.box).tolist()],
             d.score.hex(),
             None if d.start_prob is None else d.start_prob.hex(),
-            None if d.embedding is None else [v.hex() for v in d.embedding.tolist()],
+            None if d.embedding is None else [v.hex() for v in np.asarray(d.embedding).tolist()],
         )
         for f, dets in frames.items()
         for d in dets
@@ -636,6 +641,7 @@ FAULTS = [
     "8 leading fields",
     "unclosed bracket",
     "embedding size",
+    "overflowing volume",
 ]
 
 VALUE_FAULTS = [
@@ -646,6 +652,7 @@ VALUE_FAULTS = [
     "score 1.5",
     "start_prob -0.1",
     "embedding size",
+    "overflowing volume",
 ]
 
 
@@ -670,7 +677,7 @@ class TestReaderOracle:
         for frame, batch in frames.items():
             assert isinstance(batch, DetectionBatch) and batch.frame == frame
             for i, d in enumerate(batch):
-                assert d.box.to_array().tobytes() == batch.boxes[i].tobytes()
+                assert d.box.tobytes() == batch.boxes[i].tobytes()
 
     @pytest.mark.parametrize("skipped", [3, 4096])
     @pytest.mark.parametrize("fault", FAULTS)
@@ -730,13 +737,13 @@ class TestDetectionBatch:
             3, self.BOXES, [0.9, 0.8], [np.nan, 0.25], [[1.0, 2.0], [np.nan, np.nan]]
         )
         assert len(batch) == 2 and batch
-        assert batch.boxes[1, 6] == Box3D(5, 1, 0, 4, 2, 1.5, 4.0).a  # wrapped
+        assert batch.boxes[1, 6] == make_box(5, 1, 0, 4, 2, 1.5, 4.0)[6]  # wrapped
         np.testing.assert_array_equal(batch.has_embedding, [True, False])
         first, second = batch
         assert (first.frame, first.score, first.start_prob) == (3, 0.9, None)
         np.testing.assert_array_equal(first.embedding, [1.0, 2.0])
         assert (second.start_prob, second.embedding) == (0.25, None)
-        assert batch[-1].box == second.box
+        assert batch[-1].box.tobytes() == second.box.tobytes()
         with pytest.raises(IndexError):
             batch[2]
         with pytest.raises(TypeError):
@@ -768,11 +775,11 @@ class TestDetectionBatch:
             (dict(start_prob=[np.inf, 0.5]), "detection 0: start_prob must be in"),
             (
                 dict(boxes=[[0, 0, 0, 4, 2, 1.5, 0], [0, 0, np.inf, 4, 2, 1.5, 0]]),
-                "detection 1: Box3D field z is not finite: inf",
+                "detection 1: box field z is not finite: inf",
             ),
             (
                 dict(boxes=[[0, 0, 0, 4, -2, 1.5, 0]] * 2),
-                "detection 0: Box3D extents must be nonnegative, got l=4.0 w=-2.0 h=1.5",
+                "detection 0: box extents must be nonnegative, got l=4.0 w=-2.0 h=1.5",
             ),
             (
                 dict(embeddings=[[1.0, np.nan], [1.0, 2.0]]),
@@ -781,6 +788,10 @@ class TestDetectionBatch:
             (dict(embeddings=[[1.0, 2.0]]), r"embeddings must be an \(2, D\) array"),
             (dict(embeddings=np.zeros((2, 0))), r"embeddings must be an \(2, D\) array"),
             (dict(frame=2**63), "frame beyond 64 bits: 9223372036854775808"),
+            (
+                dict(boxes=[[0, 0, 0, 4, 2, 1.5, 0], [0, 0, 0, 1e200, 1e200, 0.0, 0]]),
+                r"detection 1: box volume l \* w \* h is not finite, got l=1e\+200 w=1e\+200 h=0.0",
+            ),
         ],
     )
     def test_checked_on_construction(self, change, message):
@@ -808,7 +819,7 @@ class TestBulkReading:
         path = tmp_path / "d.txt"
         path.write_text("0 1_0 ٢ 0 4 2 1.5 0 0.9\n1 1 0 0 4 2 1.5 0 0.9\n", encoding="utf-8")
         frames = read_detections(path)
-        assert (frames[0][0].box.x, frames[0][0].box.y) == (10.0, 2.0)
+        assert frames[0][0].box[:2].tolist() == [10.0, 2.0]
         assert len(frames[1]) == 1
 
     @pytest.mark.parametrize("trail", [1, 2, 3, 4096])
@@ -849,7 +860,7 @@ class TestBulkReading:
         negative = "0 1 Car 0 0 -10 -1 -1 -1 -1 1.5 -1.8 4.0 1 2 0.75 0.1"
         other_frame = good.replace("0 1 Car", "1 1 Car")
         cases = [
-            ([good, negative, "0 1 Car"], ":2: Box3D extents must be nonnegative, got l=4.0"),
+            ([good, negative, "0 1 Car"], ":2: box extents must be nonnegative, got l=4.0"),
             ([good, "0 1 Car", negative], ":2: expected 17 or 18 fields, got 3"),
             ([good, good.replace(" 1 2 ", " 1 inf "), "x 1 Car"], ":2: non-finite value: 'inf'"),
             ([good, good.replace("-10", "ten")], ":2: not a number: 'ten'"),
@@ -865,7 +876,7 @@ class TestBulkReading:
                 r":4: duplicate \(frame, id\) pair: \(1, 1\), first on line 2",
             ),
             ([good, other_frame, other_frame, negative], r":3: duplicate .* first on line 2"),
-            ([good, negative.replace("0 1", "0 2"), good], ":2: Box3D extents must be"),
+            ([good, negative.replace("0 1", "0 2"), good], ":2: box extents must be"),
         ]
         after = [good.replace("0 1 Car", f"{2 + i} 1 Car") for i in range(trail)]
         for lines, message in cases:
@@ -885,7 +896,7 @@ class TestBulkReading:
             read_kitti_labels(path)
 
     def test_duplicate_pair_leaves_no_file(self, tmp_path):
-        box = Box3D(0, 0, 0, 1, 1, 1, 0)
+        box = make_box(0, 0, 0, 1, 1, 1, 0)
         path = tmp_path / "res.txt"
         tracks = np.concatenate([rows({1: box}, [0.9]), rows({1: box}, [0.8])])
         with pytest.raises(ValueError, match="duplicate"):
@@ -902,6 +913,7 @@ LABEL_FAULTS = [
     "16 fields",
     "bad id",
     "duplicate",
+    "overflowing volume",
 ]
 
 
@@ -925,7 +937,7 @@ def label_line(draw, frame, fault=None):
     score = draw(st.none() | UNIT)
     if score is not None:
         values.append(score)
-    if fault == "negative extent":
+    if fault in ("negative extent", "overflowing volume"):
         track_id, object_type = draw(st.integers(0, 20)), "Car"
     elif fault == "negative extent, DontCare":
         track_id, object_type = -1, "DontCare"
@@ -940,6 +952,8 @@ def label_line(draw, frame, fault=None):
         numbers[draw(st.integers(0, len(numbers) - 1))] = draw(st.sampled_from(spellings))
     elif fault is not None and fault.startswith("negative extent"):
         numbers[draw(st.integers(7, 9))] = "-1.5"
+    elif fault == "overflowing volume":  # h w l; inf times 0 when h is 0
+        numbers[7:10] = [draw(st.sampled_from(["1e200", "0"])), "1e200", "1e200"]
     fields = [str(frame), str(track_id), object_type, *numbers]
     if fault == "16 fields":
         del fields[draw(st.integers(0, 15)) :]
@@ -958,8 +972,6 @@ def label_outcome(read, path, keep_types):
         return str(e)
     if isinstance(records, np.ndarray):  # the package's table
         records = table_records(records)
-    else:  # the reference's records, with a Box3D each
-        records = [(*r[:3], r[3].to_array().tolist(), r[4]) for r in records]
     return [
         (frame, track_id, object_type, [v.hex() for v in box], None if s is None else s.hex())
         for frame, track_id, object_type, box, s in records

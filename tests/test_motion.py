@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mipmot.config import TrackerConfig
-from mipmot.geometry import Box3D, wrap_angle
+from mipmot.geometry import wrap_angle
 from mipmot.motion import A, H, STATE_DIM, kf_init, kf_predict, kf_update
+from tables import box
 
 # The default initial covariance, used as a covariance to predict from.
 P0 = np.diag(TrackerConfig().kalman_p0_diag)
@@ -18,8 +19,8 @@ def random_psd(rng, n):
     return a @ a.T + 0.1 * np.eye(n)
 
 
-def predicted_box(mean) -> Box3D:
-    return Box3D.from_array(mean[:7])
+def predicted_box(mean) -> list:
+    return box(*mean[:7]).tolist()
 
 
 class TestConfig:
@@ -32,7 +33,7 @@ class TestConfig:
 class TestInit:
     def test_direct_copy(self):
         cfg = TrackerConfig()
-        mean, _ = kf_init(Box3D(1, 2, 3, 4, 2, 1.5, 0.1).to_array(), cfg)
+        mean, _ = kf_init(box(1, 2, 3, 4, 2, 1.5, 0.1), cfg)
         np.testing.assert_allclose(
             mean, [1, 2, 3, 4, 2, 1.5, 0.1, 0, 0, 0]
         )
@@ -40,15 +41,15 @@ class TestInit:
     def test_covariance_is_p0(self):
         p0_diag = (2.0, 2.0, 1.0, 0.2, 0.2, 0.2, 0.3, 5.0, 5.0, 1.0)
         cfg = TrackerConfig(kalman_p0_diag=p0_diag)
-        _, cov = kf_init(Box3D(0, 0, 0, 1, 1, 1, 0).to_array(), cfg)
+        _, cov = kf_init(box(0, 0, 0, 1, 1, 1, 0), cfg)
         np.testing.assert_array_equal(cov, np.diag(p0_diag))
         _, cov = kf_init(np.zeros(7), TrackerConfig())
         np.testing.assert_array_equal(cov, P0)
 
     def test_deterministic(self):
         cfg = TrackerConfig()
-        box = Box3D(5, -1, 2, 4, 2, 1.5, -0.4).to_array()
-        (mean_a, cov_a), (mean_b, cov_b) = kf_init(box, cfg), kf_init(box, cfg)
+        b = box(5, -1, 2, 4, 2, 1.5, -0.4)
+        (mean_a, cov_a), (mean_b, cov_b) = kf_init(b, cfg), kf_init(b, cfg)
         np.testing.assert_array_equal(mean_a, mean_b)
         np.testing.assert_array_equal(cov_a, cov_b)
 
@@ -60,13 +61,13 @@ class TestPredict:
         predicted, _ = kf_predict(mean, P0, cfg)
         np.testing.assert_allclose(predicted[:3], [1.5, 2.0, 2.5])
         np.testing.assert_allclose(predicted[3:], mean[3:])
-        assert predicted_box(predicted) == Box3D(1.5, 2.0, 2.5, 4, 2, 1.5, 0.1)
+        assert predicted_box(predicted) == box(1.5, 2.0, 2.5, 4, 2, 1.5, 0.1).tolist()
 
     def test_zero_velocity_identity(self):
         cfg = TrackerConfig()
-        box = Box3D(1, 2, 3, 4, 2, 1.5, 0.1)
-        predicted, _ = kf_predict(*kf_init(box.to_array(), cfg), cfg)
-        assert predicted_box(predicted) == box
+        b = box(1, 2, 3, 4, 2, 1.5, 0.1)
+        predicted, _ = kf_predict(*kf_init(b, cfg), cfg)
+        assert predicted_box(predicted) == b.tolist()
 
     def test_covariance_equation_oracle(self):
         # direct matrix arithmetic on random symmetric covariances
@@ -96,14 +97,14 @@ class TestPredict:
 class TestUpdate:
     def test_perfect_measurement_limit(self):
         cfg = TrackerConfig(kalman_r_diag=[1e-12] * 7)
-        predicted = kf_predict(*kf_init(Box3D(0, 0, 0, 1, 1, 1, 0).to_array(), cfg), cfg)
+        predicted = kf_predict(*kf_init(box(0, 0, 0, 1, 1, 1, 0), cfg), cfg)
         obs = np.array([5, 6, 7, 2, 1, 0.5, 0.3])
         updated, _ = kf_update(*predicted, obs, cfg)
         np.testing.assert_allclose(updated[:7], obs, atol=1e-6)
 
     def test_zero_innovation_keeps_mean(self):
         cfg = TrackerConfig()
-        mean, cov = kf_predict(*kf_init(Box3D(1, 2, 3, 4, 2, 1.5, 0.1).to_array(), cfg), cfg)
+        mean, cov = kf_predict(*kf_init(box(1, 2, 3, 4, 2, 1.5, 0.1), cfg), cfg)
         updated, _ = kf_update(mean, cov, mean[:7], cfg)
         np.testing.assert_allclose(updated, mean, atol=1e-12)
 
@@ -129,7 +130,7 @@ class TestUpdate:
         h2 = np.array([[1.0, 0.0]])
 
         velocity = 0.7
-        mean, cov = kf_init(Box3D(0, 0, 0, 1, 1, 1, 0).to_array(), cfg)
+        mean, cov = kf_init(box(0, 0, 0, 1, 1, 1, 0), cfg)
         mu = np.array([0.0, 0.0])
         P = p0.copy()
         for frame in range(1, 11):
@@ -156,7 +157,7 @@ class TestFilterBehavior:
         cfg = TrackerConfig()
         v = np.array([0.8, -0.4, 0.1])
         start = np.array([0.0, 0.0, 1.0])
-        mean, cov = kf_init(Box3D(*start, 4, 2, 1.5, 0.2).to_array(), cfg)
+        mean, cov = kf_init(box(*start, 4, 2, 1.5, 0.2), cfg)
         errors = []
         for frame in range(1, 12):
             mean, cov = kf_predict(mean, cov, cfg)
@@ -171,7 +172,7 @@ class TestFilterBehavior:
     def test_covariance_stays_psd(self):
         cfg = TrackerConfig()
         rng = np.random.default_rng(9)
-        mean, cov = kf_init(Box3D(0, 0, 0, 4, 2, 1.5, 0).to_array(), cfg)
+        mean, cov = kf_init(box(0, 0, 0, 4, 2, 1.5, 0), cfg)
         for _ in range(1000):
             mean, cov = kf_predict(mean, cov, cfg)
             obs = mean[:7] + rng.normal(scale=0.3, size=7)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mipmot import geometry, io_formats
+from mipmot import io_formats
 from mipmot.cli import labels_to_frames
 from mipmot.geometry import wrap_angle
 from mipmot.io_formats import (
@@ -175,25 +175,23 @@ class TestGenerate:
                 assert got.embeddings.tobytes() == expected.tobytes()
 
     def test_builds_no_box_or_detection(self, monkeypatch):
-        """generate builds one batch per frame with detections, and no
-        Box3D or Detection object per detection."""
-        built = {"Box3D": 0, "Detection": 0}
+        """generate builds one batch per frame with detections, its boxes
+        an array, and no Detection view per detection."""
+        views = []
 
-        def counted(name, init):
-            def wrapper(self, *args, **kwargs):
-                built[name] += 1
-                init(self, *args, **kwargs)
+        def counted(*args):
+            views.append(args)
+            return detection(*args)
 
-            return wrapper
-
-        for cls in (geometry.Box3D, io_formats.Detection):
-            monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
+        detection = io_formats.Detection
+        monkeypatch.setattr(io_formats, "Detection", counted)
         for name in TEMPLATES:
             labels, dets = generate(scenario_template(name, seed=1))
             assert len(labels) and sum(len(batch) for batch in dets.values()) > len(dets)
-        assert built == {"Box3D": 0, "Detection": 0}
+            assert all(batch.boxes.shape == (len(batch), 7) for batch in dets.values())
+        assert views == []
         dets[max(dets)][0]  # the count sees a view that is built
-        assert built == {"Box3D": 1, "Detection": 1}
+        assert len(views) == 1
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):

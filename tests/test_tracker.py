@@ -5,17 +5,16 @@ import numpy as np
 import pytest
 
 from mipmot import tracker as tracker_module
-from mipmot.geometry import Box3D
-from mipmot.io_formats import DetectionBatch
+from mipmot.io_formats import ROW_DTYPE, DetectionBatch
 from mipmot.simgen import generate, scenario_template
 from mipmot.tracker import Tracker, TrackerConfig, run_sequence
-from tables import batch
+from tables import batch, box
 
 
 def det(x, y, score=1.0, start_prob=None, embedding=None):
     """A car-sized detection at (x, y): one row of a ``batch``."""
-    box = Box3D(x, y, 0.75, 4.0, 1.8, 1.5, 0.0)
-    return SimpleNamespace(box=box, score=score, start_prob=start_prob, embedding=embedding)
+    b = box(x, y, 0.75, 4.0, 1.8, 1.5, 0.0)
+    return SimpleNamespace(box=b, score=score, start_prob=start_prob, embedding=embedding)
 
 
 def assert_covariance_table(tracker):
@@ -128,7 +127,7 @@ class TestStep:
         assert tracker.step(2, batch(2, det(0.1, 0.0))).frame == 2
 
     def test_one_filter_call_per_frame_and_boxes_only_for_output(self, monkeypatch):
-        calls = dict.fromkeys(("kf_init", "kf_predict", "kf_update", "Box3D"), 0)
+        calls = dict.fromkeys(("kf_init", "kf_predict", "kf_update"), 0)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -141,14 +140,13 @@ class TestStep:
             monkeypatch.setattr(tracker_module, name, counted(name, getattr(tracker_module, name)))
 
         _, detections = generate(scenario_template("clutter", seed=0))
-        monkeypatch.setattr(Box3D, "__init__", counted("Box3D", Box3D.__init__))
         tracker = Tracker()
         for frame in range(max(detections) + 1):
             calls.update(dict.fromkeys(calls, 0))
             result = tracker.step(frame, detections.get(frame, []))
-            assert max(calls[n] for n in ("kf_init", "kf_predict", "kf_update")) <= 1
-            # the emitted tracks are rows of arrays, not boxes
-            assert calls["Box3D"] == 0
+            assert max(calls.values()) <= 1
+            # the emitted tracks are rows of arrays
+            assert result.tracks.dtype == ROW_DTYPE
             assert tracker.mean.shape == (len(tracker.tracks), 10)
             assert_covariance_table(tracker)
             # every column of the table is row-aligned, and the rows are
