@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -26,9 +26,12 @@ if TYPE_CHECKING:
 # Relative slack on the gate's radii, so float rounding in the k-d tree
 # and in the bounds never drops a pair that can be matched.
 _MARGIN = 1e-9
-# Up to this many pairs, scoring all of them costs less than the gate's
-# two k-d trees and bounds (measured crossover: about 2000 pairs).
-_GATE_MIN_PAIRS = 2048
+# Up to this many pairs, scoring all of them and solving on the dense
+# matrix costs less than the gate's two k-d trees and bounds and solving
+# on the pairs it keeps. Measured on tracks 50 m apart, each seen once
+# (2-core VM): the gate and pair scoring alone break even with dense
+# scoring at about 6,400 pairs, and with the solve at about 10,000.
+_GATE_MIN_PAIRS = 8192
 
 
 @dataclass
@@ -82,43 +85,121 @@ def softmax_ranking(raw) -> np.ndarray:
     return P
 
 
-def _box_table(boxes):
-    """Per-box quantities of an (N, 7) box array reused across all pairings."""
+class _Boxes(NamedTuple):
+    """The per-box columns of an (N, 7) box array that every pairing
+    reads: the centre, the bounds of the axis-aligned box around the
+    footprint and the height interval, the footprint circumradius, half
+    the height and the volume."""
+
+    arr: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    x_lo: np.ndarray
+    x_hi: np.ndarray
+    y_lo: np.ndarray
+    y_hi: np.ndarray
+    z_lo: np.ndarray
+    z_hi: np.ndarray
+    radii: np.ndarray
+    half_h: np.ndarray
+    volumes: np.ndarray
+
+
+def _box_table(boxes) -> _Boxes:
+    """The box table of an (N, 7) box array; a table is returned as it is.
+
+    Each quantity is a column, so that a pair's quantities are built one
+    coordinate at a time. The footprint bounds are elementwise minima
+    and maxima of the four corner columns of
+    ``geometry.bev_corners_array``, whose matrix product rounds the
+    corners differently from a rotation written out per coordinate:
+    those corners fix the bits of the enclosing diagonal.
+    """
+    if isinstance(boxes, _Boxes):
+        return boxes
     arr = np.asarray(boxes, dtype=float)
-    z_lo = arr[:, 2] - 0.5 * arr[:, 5]
-    z_hi = arr[:, 2] + 0.5 * arr[:, 5]
-    volumes = arr[:, 3] * arr[:, 4] * arr[:, 5]
-    radii = 0.5 * np.hypot(arr[:, 3], arr[:, 4])
+    half_h = 0.5 * arr[:, 5]
     corners = geometry.bev_corners_array(arr)
-    aabb_min = np.column_stack((corners.min(axis=1), z_lo))
-    aabb_max = np.column_stack((corners.max(axis=1), z_hi))
-    return arr, z_lo, z_hi, volumes, radii, aabb_min, aabb_max
+    x_lo, x_hi = _bounds(corners[:, :, 0])
+    y_lo, y_hi = _bounds(corners[:, :, 1])
+    return _Boxes(
+        arr=arr,
+        x=arr[:, 0],
+        y=arr[:, 1],
+        z=arr[:, 2],
+        x_lo=x_lo,
+        x_hi=x_hi,
+        y_lo=y_lo,
+        y_hi=y_hi,
+        z_lo=arr[:, 2] - half_h,
+        z_hi=arr[:, 2] + half_h,
+        radii=0.5 * np.hypot(arr[:, 3], arr[:, 4]),
+        half_h=half_h,
+        volumes=arr[:, 3] * arr[:, 4] * arr[:, 5],
+    )
 
 
-def _motion_pairs(det, trk, pairs, use_dis, use_iou) -> np.ndarray:
+def _bounds(c):
+    """The elementwise min and max of the four columns of an (N, 4) array."""
+    return (
+        np.minimum(np.minimum(c[:, 0], c[:, 1]), np.minimum(c[:, 2], c[:, 3])),
+        np.maximum(np.maximum(c[:, 0], c[:, 1]), np.maximum(c[:, 2], c[:, 3])),
+    )
+
+
+def _square_span(lo_d, hi_d, lo_t, hi_t):
+    """The squared extent of each pair's enclosing box along one axis."""
+    s = np.maximum(hi_d, hi_t)
+    s -= np.minimum(lo_d, lo_t)
+    s *= s
+    return s
+
+
+def _motion_pairs(det: _Boxes, trk: _Boxes, pairs, use_dis, use_iou) -> np.ndarray:
     """Motion affinities of the (rows, cols) pairs of two box tables, or
-    of every pair as an (M, N) matrix when ``pairs`` is None. Both run
-    the same arithmetic per pair: the dense call indexes each table by
-    a broadcasting view instead of gathering rows."""
-    (d_arr, d_lo, d_hi, d_vol, d_rad, d_min, d_max) = det
-    (t_arr, t_lo, t_hi, t_vol, t_rad, t_min, t_max) = trk
+    of every pair as an (M, N) matrix when ``pairs`` is None.
+
+    Both forms run the same arithmetic per pair: the dense call indexes
+    each column by a broadcasting view instead of gathering it. Every
+    per-pair quantity is one (M, N) or (K,) array, built one coordinate
+    at a time and updated in place, with each sum in a fixed order: the
+    distance of the centres sqrt((dx * dx + dy * dy) + dz * dz), their
+    footprint distance sqrt(dx * dx + dy * dy) from the same partial
+    sum, and the enclosing diagonal sqrt((sx * sx + sy * sy) + sz * sz)
+    from the three per-axis spans.
+    """
     i, j = (np.s_[:, None], np.s_[None, :]) if pairs is None else pairs
-    diff = d_arr[i][..., :3] - t_arr[j][..., :3]
-    out = np.zeros(diff.shape[:-1])
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    dxy2 = det.x[i] - trk.x[j]
+    dxy2 *= dxy2
+    dy = det.y[i] - trk.y[j]
+    dy *= dy
+    dxy2 += dy
     if use_dis:
-        span = np.maximum(d_max[i], t_max[j]) - np.minimum(d_min[i], t_min[j])
-        diag = np.sqrt(np.sum(span * span, axis=-1))
+        out = det.z[i] - trk.z[j]
+        out *= out
+        out += dxy2
+        np.sqrt(out, out=out)  # the distance of the centres
+        diag = _square_span(det.x_lo[i], det.x_hi[i], trk.x_lo[j], trk.x_hi[j])
+        diag += _square_span(det.y_lo[i], det.y_hi[i], trk.y_lo[j], trk.y_hi[j])
+        diag += _square_span(det.z_lo[i], det.z_hi[i], trk.z_lo[j], trk.z_hi[j])
+        np.sqrt(diag, out=diag)
         degenerate = diag <= geometry.EPS
-        safe = np.where(degenerate, 1.0, diag)
-        out += np.where(degenerate, 1.0, np.maximum(0.0, 1.0 - dist / safe))
+        np.copyto(diag, 1.0, where=degenerate)
+        out /= diag
+        np.subtract(1.0, out, out=out)
+        np.maximum(out, 0.0, out=out)
+        np.copyto(out, 1.0, where=degenerate)
+    else:
+        out = np.zeros(dxy2.shape)
     if use_iou:
-        dz = np.minimum(d_hi[i], t_hi[j]) - np.maximum(d_lo[i], t_lo[j])
-        dxy = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
-        hit = np.nonzero((dz > 0.0) & (dxy <= d_rad[i] + t_rad[j]))
+        overlap = np.minimum(det.z_hi[i], trk.z_hi[j])
+        overlap -= np.maximum(det.z_lo[i], trk.z_lo[j])
+        dxy = np.sqrt(dxy2, out=dxy2)
+        hit = np.nonzero((overlap > 0.0) & (dxy <= det.radii[i] + trk.radii[j]))
         a, b = hit if pairs is None else (i[hit], j[hit])
-        inter = geometry.bev_intersection_areas(d_arr[a], t_arr[b]) * dz[hit]
-        union = d_vol[a] + t_vol[b] - inter
+        inter = geometry.bev_intersection_areas(det.arr[a], trk.arr[b]) * overlap[hit]
+        union = det.volumes[a] + trk.volumes[b] - inter
         with np.errstate(divide="ignore", invalid="ignore"):
             iou = np.minimum(1.0, np.maximum(0.0, inter / union))
         out[hit] += np.where(union > geometry.EPS, iou, 0.0)
@@ -133,24 +214,28 @@ def motion_affinity_matrix(
     pairs=None,
 ) -> np.ndarray:
     """Pairwise motion affinities between (M, 7) detection boxes and
-    (N, 7) predicted track boxes: the (M, N) matrix, or with
-    ``pairs = (rows, cols)`` the (K,) affinities of those pairs only.
+    (N, 7) predicted track boxes, or their ``_box_table``s: the (M, N)
+    matrix, or with ``pairs = (rows, cols)`` the (K,) affinities of
+    those pairs only.
 
     With both terms enabled this is the distance-IoU affinity in
     [0, 2], the package's one definition of it; the flags exist for
     ablations. The distance term is 1 - dist / diagonal, with the
     diagonal of the axis-aligned box enclosing both boxes, and 1 when
     that diagonal is at most EPS. The overlap kernel runs once, on the
-    pairs whose footprint circumcircles overlap.
+    pairs whose footprint circumcircles overlap. Each per-pair quantity
+    is built from the tables' columns one coordinate at a time
+    (``_motion_pairs``), with no (M, N, 3) array, and a pair's value
+    has the same bits in the dense and the pair form.
     """
     if not (use_dis or use_iou):
         raise ValueError("at least one motion term must be enabled")
-    m, n = len(det_boxes), len(predicted_boxes)
+    det, trk = _box_table(det_boxes), _box_table(predicted_boxes)
+    m, n = len(det.arr), len(trk.arr)
     if pairs is None and (m == 0 or n == 0):
         return np.zeros((m, n))
     if pairs is not None and len(pairs[0]) == 0:
         return np.zeros(0)
-    det, trk = _box_table(det_boxes), _box_table(predicted_boxes)
     return _motion_pairs(det, trk, pairs, use_dis, use_iou)
 
 
@@ -168,13 +253,14 @@ def candidate_pairs(
     alpha * appearance + beta * motion can reach need_det[d] +
     need_trk[k], or None to score every pair.
 
-    ``need`` is the (need_det, need_trk) pair of per-node arrays.
-    ``appearance`` is the frame's (M, N) appearance matrix; the motion
-    part is bounded from the boxes alone. Let r be a box's footprint
-    circumradius, q = h / 2 and rho = hypot(r, q). The IoU is 0 unless
-    the centres are closer than rho_d + rho_k (and rho_d + rho_k is at
-    most 2 * hypot(r, q) over the largest r and q of the frame). Along
-    each axis the enclosing box spans at most the
+    ``det_boxes`` and ``predicted`` are (M, 7) and (N, 7) box arrays or
+    their ``_box_table``s. ``need`` is the (need_det, need_trk) pair of
+    per-node arrays. ``appearance`` is the frame's (M, N) appearance
+    matrix; the motion part is bounded from the boxes alone. Let r be a
+    box's footprint circumradius, q = h / 2 and rho = hypot(r, q). The
+    IoU is 0 unless the centres are closer than rho_d + rho_k (and
+    rho_d + rho_k is at most 2 * hypot(r, q) over the largest r and q
+    of the frame). Along each axis the enclosing box spans at most the
     centre offset plus twice the pair's larger half-extent, so its
     diagonal is at most dist + s with s = 2 * hypot(r, r, q) over the
     pair's larger r and q, and the distance term 1 - dist / diagonal
@@ -187,10 +273,8 @@ def candidate_pairs(
     or when the radius spans every centre: scoring the dense matrix is
     then cheaper than gathering pairs.
     """
-    d = np.asarray(det_boxes, dtype=float)
-    t = np.asarray(predicted, dtype=float)
-    m, n = len(d), len(t)
-    if m * n <= _GATE_MIN_PAIRS:
+    det, trk = _box_table(det_boxes), _box_table(predicted)
+    if len(det.arr) * len(trk.arr) <= _GATE_MIN_PAIRS:
         return None
     need_det, need_trk = need
     # The least affinity the motion part must add to some pair.
@@ -198,21 +282,18 @@ def candidate_pairs(
     short = float(need_det.min() + need_trk.min() - appearance_max)
     if short <= 0.0:
         return None
-    r_d, r_t = 0.5 * np.hypot(d[:, 3], d[:, 4]), 0.5 * np.hypot(t[:, 3], t[:, 4])
-    q_d, q_t = 0.5 * d[:, 5], 0.5 * t[:, 5]
+    r_d, r_t, q_d, q_t = det.radii, trk.radii, det.half_h, trk.half_h
     r_max, q_max = max(r_d.max(), r_t.max()), max(q_d.max(), q_t.max())
     radius = 2.0 * math.hypot(r_max, q_max) if use_iou else 0.0
     if use_dis:
         s_max = 2.0 * math.sqrt(2.0 * r_max * r_max + q_max * q_max)
         radius = max(radius, s_max * (beta / short - 1.0))
     radius = radius * (1.0 + _MARGIN) + geometry.EPS
-    centres = np.concatenate((d[:, :3], t[:, :3]))
-    if radius >= np.linalg.norm(np.ptp(centres, axis=0)):
+    d, t = det.arr[:, :3], trk.arr[:, :3]
+    if radius >= np.linalg.norm(np.ptp(np.concatenate((d, t)), axis=0)):
         return None
 
-    near = cKDTree(d[:, :3]).sparse_distance_matrix(
-        cKDTree(t[:, :3]), radius, output_type="ndarray"
-    )
+    near = cKDTree(d).sparse_distance_matrix(cKDTree(t), radius, output_type="ndarray")
     rows, cols, dist = near["i"], near["j"], near["v"]
     bound = alpha * appearance[rows, cols]
     if use_dis:
@@ -268,14 +349,14 @@ def compute_affinities(
         appearance = softmax_ranking(raw_appearance_matrix(det_embeddings, track_embeddings))
 
     use_dis, use_iou = cfg.use_dis, cfg.use_iou
+    # One table per side, which the gate and the scorer both read.
+    det, trk = _box_table(det_boxes), _box_table(predicted)
     pairs = None
     if need is not None:
         pairs = candidate_pairs(
-            det_boxes, predicted, need, appearance, alpha, beta, use_dis=use_dis, use_iou=use_iou
+            det, trk, need, appearance, alpha, beta, use_dis=use_dis, use_iou=use_iou
         )
-    motion = motion_affinity_matrix(
-        det_boxes, predicted, use_dis=use_dis, use_iou=use_iou, pairs=pairs
-    )
+    motion = motion_affinity_matrix(det, trk, use_dis=use_dis, use_iou=use_iou, pairs=pairs)
     if pairs is not None:
         appearance = appearance[pairs]
     refined = alpha * appearance + beta * motion

@@ -4,10 +4,11 @@ Boxes are upright cuboids, each a 7-vector (x, y, z, l, w, h, a) and
 many an (N, 7) array: the center, the extents along the heading, across
 it and up, and the heading about the vertical (z) axis, wrapped to
 (-pi, pi] (``wrap_angle``). The rules of a valid box (finite fields,
-nonnegative extents, a finite volume) are checked where boxes enter the
-program, by the row rules of ``io_formats``. Overlap is computed as a
-rotated-rectangle intersection in the ground plane (bird's-eye view)
-times the vertical interval overlap, which is exact for upright boxes.
+nonnegative extents, coordinates and extents at most 1e100 in
+magnitude) are checked where boxes enter the program, by the row rules
+of ``io_formats``. Overlap is computed as a rotated-rectangle
+intersection in the ground plane (bird's-eye view) times the vertical
+interval overlap, which is exact for upright boxes.
 Every overlap goes through one batched kernel, ``bev_intersection_areas``:
 one fixed-shape pass over (K, 4) arrays that integrates each footprint's
 edges in the other box's frame, so an area depends only on where the two

@@ -34,10 +34,14 @@ The rules of a row are stated once, as one table of rules over many
 rows, each rule the mask of the rows that break it and the message of
 such a row, in the order a row is checked. The box rules
 (``_box_rules``): every field x, y, z, l, w, h, a finite (the message
-names the first that is not), the extents nonnegative, and the volume
-``l * w * h`` finite, so that no footprint or volume overflows a float.
-Then the detection rules (``_detection_rules``): the score in [0, 1], a
-given start probability in [0, 1], a given embedding finite. A
+names the first that is not), the extents nonnegative, and each of x,
+y, z, l, w, h at most 1e100 in magnitude (``_BOX_LIMIT``; the message
+names the first that is not). Within that limit nothing the program
+computes from two boxes overflows a float: the squared distance of
+their centres and the diagonal of the box enclosing both, their
+footprints and volumes and the sums of two. Then the detection rules
+(``_detection_rules``): the score in [0, 1], a given start probability
+in [0, 1], a given embedding finite. A
 ``DetectionBatch``, the bulk checks of both readers and their
 line-by-line walks all check rows against this table, and a faulty row
 is named by the first rule it breaks (``_first_fault``).
@@ -114,6 +118,13 @@ def is_integer(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, (bool, np.bool_))
 
 
+# The largest magnitude of a box's x, y, z, l, w and h. Below it, what is
+# computed from two boxes stays finite: the square of a difference of
+# their coordinates or of an enclosing span (at most about 1e201, three
+# of them summed), a footprint or the sum of two (2e200), a volume or
+# the sum of two (2e300).
+_BOX_LIMIT = 1e100
+
 # The frames and ids a table holds.
 _INT64 = range(-(2**63), 2**63)
 
@@ -148,14 +159,20 @@ def _box_rules(box) -> list[tuple]:
     """The box rules over (M, 7) boxes, in the order a box is checked,
     each the mask of the boxes that break it and the message of box i:
     every field finite (the message names the first that is not), the
-    extents nonnegative, and the volume ``l * w * h`` finite, so that no
-    footprint or volume overflows a float."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        volume = box[:, 3] * box[:, 4] * box[:, 5]  # also NaN when l * w overflows and h is 0
+    extents nonnegative, and each of x, y, z, l, w, h at most
+    ``_BOX_LIMIT`` in magnitude (the message names the first that is
+    not), so that nothing computed from two boxes overflows a float."""
+
+    def first(i, fields, fault):
+        return next((n, v) for n, v in zip(fields, box[i].tolist()) if fault(v))
 
     def not_finite(i):
-        name, v = next((n, v) for n, v in zip("xyzlwha", box[i].tolist()) if not math.isfinite(v))
+        name, v = first(i, "xyzlwha", lambda v: not math.isfinite(v))
         return f"box field {name} is not finite: {v!r}"
+
+    def beyond(i):
+        name, v = first(i, "xyzlwh", lambda v: abs(v) > _BOX_LIMIT)
+        return f"box field {name} is beyond {_BOX_LIMIT!r} in magnitude: {v!r}"
 
     def got(i):
         return "got l={} w={} h={}".format(*box[i, 3:6].tolist())
@@ -163,7 +180,7 @@ def _box_rules(box) -> list[tuple]:
     return [
         (~np.isfinite(box).all(axis=1), not_finite),
         ((box[:, 3:6] < 0.0).any(axis=1), lambda i: f"box extents must be nonnegative, {got(i)}"),
-        (~np.isfinite(volume), lambda i: f"box volume l * w * h is not finite, {got(i)}"),
+        ((np.abs(box[:, :6]) > _BOX_LIMIT).any(axis=1), beyond),
     ]
 
 
@@ -708,8 +725,9 @@ def read_kitti_labels(path, keep_types=None) -> np.recarray:
     optionally restricts the object classes; rows of type DontCare, and
     rows with a negative id, are always dropped. Every number must be
     finite, a dropped row's too; a kept row must keep the box rules
-    (nonnegative extents and a finite volume), and its (frame, id) pair
-    must not repeat an earlier kept row's.
+    (nonnegative extents, each coordinate and extent at most 1e100 in
+    magnitude), and its (frame, id) pair must not repeat an earlier
+    kept row's.
 
     The file is read by one ``np.loadtxt`` call and its rules checked
     as vectors over the table. A file that does not read so, breaks a

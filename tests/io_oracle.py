@@ -34,16 +34,17 @@ class Record(NamedTuple):
 
 def check_box(box) -> list:
     """The box rules, checked in order: each of x, y, z, l, w, h, a
-    finite, the extents nonnegative, the volume ``l * w * h`` finite.
-    Returns the box with its heading wrapped."""
+    finite, the extents nonnegative, each of x, y, z, l, w, h at most
+    1e100 in magnitude. Returns the box with its heading wrapped."""
     for name, v in zip("xyzlwha", box):
         if not math.isfinite(v):
             raise ValueError(f"box field {name} is not finite: {v!r}")
     x, y, z, l, w, h, a = box
     if l < 0 or w < 0 or h < 0:
         raise ValueError(f"box extents must be nonnegative, got l={l} w={w} h={h}")
-    if not math.isfinite(l * w * h):
-        raise ValueError(f"box volume l * w * h is not finite, got l={l} w={w} h={h}")
+    for name, v in zip("xyzlwh", box):
+        if abs(v) > 1e100:
+            raise ValueError(f"box field {name} is beyond 1e+100 in magnitude: {v!r}")
     return [x, y, z, l, w, h, wrap_angle(a)]
 
 

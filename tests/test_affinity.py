@@ -110,6 +110,41 @@ def pinned_frame():
     return dets, tracks, det_emb, trk_emb, need
 
 
+# sha256 of ``motion_affinity_matrix`` on ``motion_frame``, the dense
+# matrix and then the values of its pair list, per (use_dis, use_iou):
+# each motion term byte for byte.
+PINNED_MOTION = {
+    (True, True): "ab8daf09e8ba4af8c15cb0387e079384372a1b7fec88414aaf1347f596db3fa2",
+    (True, False): "1478abfb1dc454efb767fce89ee27e179d58417ae4786e7c0e1295dfd09e4b8d",
+    (False, True): "65071a3465256a1e5bad029d04d57b817dc3c79319a0b8393e11dc1af19d9247",
+}
+
+
+def motion_frame():
+    """The boxes of ``pinned_frame`` and one zero-size detection and
+    track at one centre, whose enclosing diagonal is degenerate, with a
+    fixed list of 400 random pairs and that degenerate pair."""
+    dets, tracks, *_ = pinned_frame()
+    point = [[5.0, -7.0, 0.5, 0.0, 0.0, 0.0, 1.0]]
+    dets, tracks = np.concatenate((dets, point)), np.concatenate((tracks, point))
+    rng = np.random.default_rng(2311)
+    rows = np.append(rng.integers(0, len(dets), 400), len(dets) - 1)
+    cols = np.append(rng.integers(0, len(tracks), 400), len(tracks) - 1)
+    return dets, tracks, (rows, cols)
+
+
+@pytest.mark.parametrize("use_dis, use_iou", sorted(PINNED_MOTION))
+def test_motion_bytes_pinned(use_dis, use_iou):
+    dets, tracks, pairs = motion_frame()
+    dense = motion_affinity_matrix(dets, tracks, use_dis=use_dis, use_iou=use_iou)
+    gathered = motion_affinity_matrix(dets, tracks, use_dis=use_dis, use_iou=use_iou, pairs=pairs)
+    assert dense[-1, -1] == gathered[-1] == (1.0 if use_dis else 0.0)
+    digest = hashlib.sha256()
+    for array in (dense, gathered):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    assert digest.hexdigest() == PINNED_MOTION[use_dis, use_iou]
+
+
 class TestWeights:
     """alpha = 1 / (1 + r) and beta = 1 - alpha for r = ``beta_over_alpha``,
     as recorded on the returned AffinityMatrix."""
@@ -285,6 +320,30 @@ class TestMotionMatrix:
             dis = motion_affinity_matrix(d_arr, t_arr, use_iou=False)
             full = motion_affinity_matrix(d_arr, t_arr)
             assert full.tolist() == (dis + iou).tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.builds(_box, st.integers(0, 2**32 - 1)), min_size=1, max_size=6),
+        st.lists(st.builds(_box, st.integers(0, 2**32 - 1)), min_size=1, max_size=6),
+        st.sampled_from([0.0, 1e4, -3e7]),
+        st.sampled_from([(True, True), (True, False), (False, True)]),
+        st.data(),
+    )
+    def test_pairs_match_dense_bits(self, dets, trks, offset, flags, data):
+        """The pair form of any pair list carries the dense matrix's
+        values at those pairs bit for bit, near the origin or far off."""
+        d_arr, t_arr = box_array(dets), box_array(trks)
+        d_arr[:, :2] += offset
+        t_arr[:, :2] += offset
+        k = data.draw(st.integers(0, 12))
+        index = [st.lists(st.integers(0, len(side) - 1), min_size=k, max_size=k) for side in (dets, trks)]
+        rows, cols = (np.array(data.draw(s), dtype=int) for s in index)
+        use_dis, use_iou = flags
+        dense = motion_affinity_matrix(d_arr, t_arr, use_dis=use_dis, use_iou=use_iou)
+        gathered = motion_affinity_matrix(
+            d_arr, t_arr, use_dis=use_dis, use_iou=use_iou, pairs=(rows, cols)
+        )
+        assert gathered.tobytes() == dense[rows, cols].tobytes()
 
     def test_coincident_zero_size_boxes(self):
         # a distance term of 1 (degenerate diagonal) and an IoU of 0 (no
@@ -545,22 +604,24 @@ class TestCandidateGate:
         assert got.matches == solve_mip(problem_of(frame, dense.refined)).matches == [(0, 0)]
 
     def test_sparse_scene_scores_few_pairs(self):
-        # 60 tracks 50 m apart, each seen again 0.2 m away
+        # tracks 50 m apart, each seen again 0.2 m away, just more of
+        # them than the gate's least frame size holds
+        n = math.isqrt(affinity_module._GATE_MIN_PAIRS) + 1
         rng = np.random.default_rng(139)
         tracks = np.column_stack(
             (
-                np.arange(60.0) * 50.0,
-                rng.uniform(-5, 5, 60),
-                np.zeros(60),
-                np.tile([4.0, 2.0, 1.5, 0.0], (60, 1)),
+                np.arange(float(n)) * 50.0,
+                rng.uniform(-5, 5, n),
+                np.zeros(n),
+                np.tile([4.0, 2.0, 1.5, 0.0], (n, 1)),
             )
         )
-        dets = tracks + np.column_stack((rng.normal(0, 0.2, (60, 2)), np.zeros((60, 5))))
-        need = affinity_needed(np.full(60, 0.95), np.full(60, 0.5), 100.0, 22.0, 1.0)
+        dets = tracks + np.column_stack((rng.normal(0, 0.2, (n, 2)), np.zeros((n, 5))))
+        need = affinity_needed(np.full(n, 0.95), np.full(n, 0.5), 100.0, 22.0, 1.0)
         cfg = TrackerConfig()
         out = compute_affinities(dets, tracks, None, None, cfg, need=(need, need))
         rows, cols = out.pairs
-        assert sorted(zip(rows.tolist(), cols.tolist())) == [(k, k) for k in range(60)]
+        assert sorted(zip(rows.tolist(), cols.tolist())) == [(k, k) for k in range(n)]
         dense = compute_affinities(dets, tracks, None, None, cfg)
         assert out.refined.tolist() == dense.refined[rows, cols].tolist()
 

@@ -520,6 +520,9 @@ class TestKittiFiles:
 
 
 NUMBER_FORMS = st.sampled_from(["repr", "fixed", "exp", "int"])
+# A coordinate beyond the box rules' limit of 1e100 in magnitude, by as
+# little as one float.
+BEYOND_LIMIT = st.sampled_from(["1e200", "-1e200", "1.0000000000000002e100", "-2e100"])
 
 
 def numeral(v: float, form: str) -> str:
@@ -579,6 +582,8 @@ def record_line(draw, rec, fault=None, size=1):
     if "overflowing volume" in faults:
         # l * w * h overflows, or l * w does and h is 0: inf times 0
         fields[4:7] = ["1e200", "1e200", draw(st.sampled_from(["1e200", "0"]))]
+    if "coordinate beyond 1e100" in faults:
+        fields[draw(st.integers(1, 3))] = draw(BEYOND_LIMIT)
     if "start_prob -0.1" in faults:
         fields[9:] = ["-0.1"]
     if "negative extent" in faults:
@@ -642,6 +647,7 @@ FAULTS = [
     "unclosed bracket",
     "embedding size",
     "overflowing volume",
+    "coordinate beyond 1e100",
 ]
 
 VALUE_FAULTS = [
@@ -653,6 +659,7 @@ VALUE_FAULTS = [
     "start_prob -0.1",
     "embedding size",
     "overflowing volume",
+    "coordinate beyond 1e100",
 ]
 
 
@@ -790,7 +797,11 @@ class TestDetectionBatch:
             (dict(frame=2**63), "frame beyond 64 bits: 9223372036854775808"),
             (
                 dict(boxes=[[0, 0, 0, 4, 2, 1.5, 0], [0, 0, 0, 1e200, 1e200, 0.0, 0]]),
-                r"detection 1: box volume l \* w \* h is not finite, got l=1e\+200 w=1e\+200 h=0.0",
+                r"detection 1: box field l is beyond 1e\+100 in magnitude: 1e\+200",
+            ),
+            (
+                dict(boxes=[[0, 0, 0, 4, 2, 1.5, 0], [0, -2e100, 0, 4, 2, 1.5, 0]]),
+                r"detection 1: box field y is beyond 1e\+100 in magnitude: -2e\+100",
             ),
         ],
     )
@@ -914,6 +925,7 @@ LABEL_FAULTS = [
     "bad id",
     "duplicate",
     "overflowing volume",
+    "coordinate beyond 1e100",
 ]
 
 
@@ -937,7 +949,7 @@ def label_line(draw, frame, fault=None):
     score = draw(st.none() | UNIT)
     if score is not None:
         values.append(score)
-    if fault in ("negative extent", "overflowing volume"):
+    if fault in ("negative extent", "overflowing volume", "coordinate beyond 1e100"):
         track_id, object_type = draw(st.integers(0, 20)), "Car"
     elif fault == "negative extent, DontCare":
         track_id, object_type = -1, "DontCare"
@@ -954,6 +966,8 @@ def label_line(draw, frame, fault=None):
         numbers[draw(st.integers(7, 9))] = "-1.5"
     elif fault == "overflowing volume":  # h w l; inf times 0 when h is 0
         numbers[7:10] = [draw(st.sampled_from(["1e200", "0"])), "1e200", "1e200"]
+    elif fault == "coordinate beyond 1e100":  # x y z
+        numbers[draw(st.integers(10, 12))] = draw(BEYOND_LIMIT)
     fields = [str(frame), str(track_id), object_type, *numbers]
     if fault == "16 fields":
         del fields[draw(st.integers(0, 15)) :]
