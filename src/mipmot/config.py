@@ -12,7 +12,8 @@ The field checker is shared with ``simgen.ScenarioConfig`` and
 field takes a number that fits a float and passes the field's range
 test. ``from_json`` builds any of the three from a JSON object, with
 unknown and missing keys rejected by name, and ``load_json`` from a
-JSON file.
+JSON file. The rule of ``eval_iou_threshold``, ``UNIT``, and its
+default are also those of ``evaluation``'s ``iou_threshold``.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-from .evaluation import DEFAULT_IOU_THRESHOLD
 from .io_formats import is_integer, is_real
 from .motion import MEAS_DIM, STATE_DIM
 
 ASSOCIATORS = ("mip", "hungarian")
+
+DEFAULT_IOU_THRESHOLD = 0.5  # of CLEARMOT matching
 
 
 def rule(text: str, accept, convert=None):
@@ -126,12 +128,12 @@ def load_json(cls, path, what: str):
         return from_json(cls, json.load(f), what)
 
 
-_UNIT = real((lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"))
+UNIT = real((lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"))
 _POSITIVE = real((lambda v: 0.0 < v < math.inf, "a number positive and finite"))
 
 # The rule of each key. NaN fails every test of a real.
 _RULES = {
-    **dict.fromkeys(("theta_cls", "default_start_prob", "default_end_prob"), _UNIT),
+    **dict.fromkeys(("theta_cls", "default_start_prob", "default_end_prob"), UNIT),
     **dict.fromkeys(("theta_hit", "theta_miss"), COUNT),
     # infinity is allowed: alpha = 0, motion only
     "beta_over_alpha": real((lambda v: v >= 0.0, "a number nonnegative")),
@@ -140,7 +142,7 @@ _RULES = {
     "associator": rule(f"one of {ASSOCIATORS}", lambda v: v in ASSOCIATORS),
     "ha_gate": nullable(real((math.isfinite, "a number finite or null"))),
     "confidence_smoothing": real((lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")),
-    "eval_iou_threshold": _UNIT,
+    "eval_iou_threshold": UNIT,
     "object_type": WORD,
     # P0 and Q may be singular; a positive R keeps the innovation
     # covariance invertible.

@@ -5,24 +5,26 @@ and ``box`` (x, y, z, l, w, h, a) fields: a frame's slice of a
 ``read_kitti_labels`` table, whose ``score`` is NaN where the file has
 no score column, or a ``FrameResult.tracks``. The evaluator scores a
 whole sequence at once: ``geometry.bev_iou_matrices`` runs the overlap
-kernel over every frame's candidate pairs together, then hands out one
-BEV IoU matrix per frame, in row order, just before that frame is
-matched.
+kernel over every frame's candidate pairs together and gives their
+IoUs as one pair list, cut by frame. No frame's IoU matrix is built.
 
 Matching uses ground-plane rotated-rectangle IoU with a strict
-threshold (a pair is allowed only when IoU exceeds it). Correspondences
-persist: a pairing from the previous frame is kept while it stays
-above the threshold. The remaining objects take, among their allowed
+threshold (a pair is allowed only when IoU exceeds it), a number in
+[0, 1] by the rule of the config's ``eval_iou_threshold``.
+Correspondences persist: a pairing from the previous frame is kept
+while it stays allowed. The remaining objects take, among their allowed
 pairs, the matching with the most pairs and, among those, the largest
 total IoU, the rule of the KITTI tracking devkit and py-motmetrics
 (Bernardin & Stiefelhagen 2008). Between matchings equal in both, the
 one ``scipy.optimize.linear_sum_assignment`` returns is taken.
-Each frame is matched in turn and adds its rows to the sequence's match
-table: every ground-truth row, and for each match its hypothesis id and
-IoU. One array pass over that table counts the sequence. Identity
-switches are counted against the most recent matched hypothesis of each
-ground-truth trajectory, fragmentations whenever a trajectory resumes
-being tracked after an interior gap.
+Each frame is matched in turn, from its pairs and the previous frame's
+matches as id arrays, and adds its matches to the sequence's match
+table: for each match its ground-truth row, hypothesis id and IoU, as
+arrays. One array pass over that table and every ground-truth row
+counts the sequence. Identity switches are counted against the most
+recent matched hypothesis of each ground-truth trajectory,
+fragmentations whenever a trajectory resumes being tracked after an
+interior gap.
 """
 
 from __future__ import annotations
@@ -32,11 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .config import DEFAULT_IOU_THRESHOLD, UNIT
 from .geometry import bev_iou_matrices
 from .geometry import bev_iou  # noqa: F401  (a public name the benchmark counts)
 from .io_formats import ROW_DTYPE, _first_repeat
 
-DEFAULT_IOU_THRESHOLD = 0.5
+# the rows of a frame absent from one side
+_NONE = np.zeros(0, ROW_DTYPE)
 
 MT_CUTOFF = 0.8
 ML_CUTOFF = 0.2
@@ -104,45 +108,70 @@ class MotReport:
 
 
 def match_frame(
-    gt_ids: list[int],
-    hyp_ids: list[int],
-    iou: np.ndarray,
-    prev_correspondence: dict[int, int],
+    gt_ids: np.ndarray,
+    hyp_ids: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    ious: np.ndarray,
+    prev_gt: np.ndarray,
+    prev_hyp: np.ndarray,
     iou_threshold: float = DEFAULT_IOU_THRESHOLD,
-) -> list[tuple[int, int]]:
+) -> np.ndarray:
     """Match one frame's ground truth to hypotheses, honoring continuity.
 
-    ``iou`` is the frame's BEV IoU matrix, ground truth ``gt_ids`` (rows)
-    against hypotheses ``hyp_ids`` (columns); ``prev_correspondence`` is
-    the previous frame's {gt_id: hyp_id}. Surviving previous pairings
-    are kept when still above the threshold. A pair at or below the
-    threshold is forbidden; the rest get the matching of the most
-    allowed pairs and then the largest total IoU. Ties between matchings
-    equal in both go to the one ``linear_sum_assignment`` returns.
-    Returns the matches as (gt row, hypothesis column) pairs: the kept
-    pairings in the order of ``prev_correspondence``, then the new ones.
+    ``gt_ids`` and ``hyp_ids`` are the frame's ids, one per row; its
+    pairs are ground-truth row ``rows[k]``, hypothesis row ``cols[k]``
+    and their BEV IoU ``ious[k]``, and a pair not listed scores 0, as
+    in ``geometry.IouPairs``. ``prev_gt[k]`` and ``prev_hyp[k]`` are the
+    ids of the previous frame's k-th match. A pair is allowed when its
+    IoU exceeds ``iou_threshold``, a number in [0, 1] (else ValueError).
+    The previous matches still allowed are kept; the free rows and
+    columns take the matching of the most allowed pairs and then the
+    largest total IoU: ``linear_sum_assignment`` over every free row and
+    column, a forbidden pair costing ``min(shape) + 1``, run only when an
+    allowed pair lies there. Ties between matchings equal in both go to
+    the one it returns. Returns the matches as indices of the frame's
+    pairs: the kept ones in the previous frame's match order, then the
+    new ones in the assignment's.
     """
-    gt_row = {g: i for i, g in enumerate(gt_ids)}
-    hyp_col = {h: j for j, h in enumerate(hyp_ids)}
-    pairs: list[tuple[int, int]] = []
-    for gt_id, hyp_id in prev_correspondence.items():
-        if gt_id in gt_row and hyp_id in hyp_col:
-            i, j = gt_row[gt_id], hyp_col[hyp_id]
-            if iou[i, j] > iou_threshold:
-                pairs.append((i, j))
+    iou_threshold = UNIT("iou_threshold", iou_threshold)
+    allowed = (ious > iou_threshold).nonzero()[0]
+    rows, cols = rows[allowed], cols[allowed]
+    kept = _kept(gt_ids[rows], hyp_ids[cols], prev_gt, prev_hyp)
+    matches = allowed[kept]
+    if len(kept) == len(allowed):  # every allowed pair is kept: none is free
+        return matches
+    taken_row = np.zeros(len(gt_ids), bool)
+    taken_row[rows[kept]] = True
+    taken_col = np.zeros(len(hyp_ids), bool)
+    taken_col[cols[kept]] = True
+    new = (~(taken_row[rows] | taken_col[cols])).nonzero()[0]
+    if not len(new):
+        return matches
+    # the free block, each free row and column at its rank among them
+    row_at, col_at = (~taken_row).cumsum() - 1, (~taken_col).cumsum() - 1
+    shape = (row_at[-1] + 1, col_at[-1] + 1)
+    at = (row_at[rows[new]], col_at[cols[new]])
+    # An allowed pair costs 1 - IoU, at most 1; a forbidden one costs
+    # more than all the allowed pairs of an assignment together.
+    cost = np.full(shape, min(shape) + 1.0)
+    cost[at] = 1.0 - ious[allowed[new]]
+    pair = np.full(shape, -1)
+    pair[at] = new
+    new = pair[linear_sum_assignment(cost)]
+    return np.concatenate((matches, allowed[new[new >= 0]]))
 
-    free_rows = sorted(set(range(len(gt_ids))) - {i for i, _ in pairs})
-    free_cols = sorted(set(range(len(hyp_ids))) - {j for _, j in pairs})
-    if free_rows and free_cols:
-        free = iou[np.ix_(free_rows, free_cols)]
-        allowed = free > iou_threshold
-        # An allowed pair costs 1 - IoU, at most 1; a forbidden one costs
-        # more than all the allowed pairs of an assignment together.
-        cost = np.where(allowed, 1.0 - free, min(free.shape) + 1.0)
-        for i, j in zip(*linear_sum_assignment(cost)):
-            if allowed[i, j]:
-                pairs.append((free_rows[i], free_cols[j]))
-    return pairs
+
+def _kept(pair_gt, pair_hyp, prev_gt, prev_hyp) -> np.ndarray:
+    """Indices of the pairs, given by their ground-truth and hypothesis
+    ids, that are matches of the previous frame, in its match order."""
+    if not len(prev_gt) or not len(pair_gt):
+        return np.zeros(0, np.intp)
+    # the previous match of each pair's ground truth, if it has one
+    order = prev_gt.argsort()
+    at = order.take(prev_gt.searchsorted(pair_gt, sorter=order), mode="wrap")
+    hit = ((prev_gt[at] == pair_gt) & (prev_hyp[at] == pair_hyp)).nonzero()[0]
+    return hit[at[hit].argsort()]
 
 
 def evaluate_sequence(
@@ -156,34 +185,57 @@ def evaluate_sequence(
     and ``box`` (x, y, z, l, w, h, a), such as a slice of a
     ``read_kitti_labels`` table or a ``FrameResult.tracks``; each id
     appears once in a frame, or ValueError names the side, frame and id
-    that repeat. A frame absent from one side has no rows there.
+    that repeat. A frame absent from one side has no rows there. The
+    frames are matched in ascending order, each against the one before
+    it, and ``iou_threshold`` is a number in [0, 1] (else ValueError).
     """
-    for side, rows in (("ground truth", gt_frames), ("hypothesis", hyp_frames)):
-        _check_ids_once(side, rows)
-    none = np.zeros(0, ROW_DTYPE)
-    frames = [
-        (gt_frames.get(frame, none), hyp_frames.get(frame, none))
-        for frame in sorted(set(gt_frames) | set(hyp_frames))
-    ]
-    ious = bev_iou_matrices((gt["box"], hyp["box"]) for gt, hyp in frames)
-    # The match table: every ground-truth row of the sequence, frame by
-    # frame, and for each match its row, hypothesis id and IoU, in order.
-    gt_ids, matched_rows, matched_hyps, matched_ious = [], [], [], []
-    num_hyp, prev = 0, {}
-    for (gt, hyp), iou in zip(frames, ious):
-        frame_gt, frame_hyp = gt["id"].tolist(), hyp["id"].tolist()
-        pairs = match_frame(frame_gt, frame_hyp, iou, prev, iou_threshold)
-        prev = {frame_gt[i]: frame_hyp[j] for i, j in pairs}
-        matched_rows.extend(len(gt_ids) + i for i, _ in pairs)
-        matched_hyps.extend(prev.values())
-        matched_ious.extend(iou[i, j] for i, j in pairs)
-        gt_ids.extend(frame_gt)
-        num_hyp += len(frame_hyp)
-    return _count(np.array(gt_ids, np.int64), matched_rows, matched_hyps, matched_ious, num_hyp)
+    iou_threshold = UNIT("iou_threshold", iou_threshold)
+    frames = sorted(set(gt_frames) | set(hyp_frames))
+    gt_ids, gt_boxes, gt_start = _side("ground truth", gt_frames, frames)
+    hyp_ids, hyp_boxes, hyp_start = _side("hypothesis", hyp_frames, frames)
+    pairs = bev_iou_matrices(zip(gt_boxes, hyp_boxes))
+    # The match table: for each match of the sequence, frame by frame and
+    # in match order, its ground-truth row, hypothesis id and IoU.
+    matched_rows, matched_hyps, matched_ious = [], [], []
+    prev_gt = prev_hyp = np.zeros(0, np.int64)
+    p, g, h = pairs.start.tolist(), gt_start.tolist(), hyp_start.tolist()
+    for f in range(len(frames)):
+        frame_gt, frame_hyp = gt_ids[g[f] : g[f + 1]], hyp_ids[h[f] : h[f + 1]]
+        rows, cols = pairs.rows[p[f] : p[f + 1]], pairs.cols[p[f] : p[f + 1]]
+        ious = pairs.ious[p[f] : p[f + 1]]
+        m = match_frame(frame_gt, frame_hyp, rows, cols, ious, prev_gt, prev_hyp, iou_threshold)
+        rows = rows[m]
+        prev_gt, prev_hyp = frame_gt[rows], frame_hyp[cols[m]]
+        matched_rows.append(rows + g[f])
+        matched_hyps.append(prev_hyp)
+        matched_ious.append(ious[m])
+    return _count(
+        gt_ids,
+        np.concatenate([np.zeros(0, np.intp)] + matched_rows),
+        np.concatenate([np.zeros(0, np.int64)] + matched_hyps),
+        np.concatenate([np.zeros(0)] + matched_ious),
+        len(hyp_ids),
+    )
+
+
+def _side(side: str, frames: dict[int, np.ndarray], order: list) -> tuple:
+    """One side's ids and the start of each frame's, over the frames in
+    ``order`` (a frame it lacks has no rows), and its frames' boxes.
+    Fails at the first id that repeats within a frame."""
+    rows = [np.asarray(frames.get(frame, _NONE)) for frame in order]
+    counts = [len(r) for r in rows]
+    ids = np.concatenate([_NONE["id"]] + [r["id"] for r in rows])
+    frame_of = np.repeat(order, counts)
+    i = _first_repeat(frame_of, ids)
+    if i is not None:
+        raise ValueError(f"{side} repeats id {ids[i]} in frame {frame_of[i]}")
+    return ids, [r["box"] for r in rows], np.cumsum([0] + counts)
 
 
 def _count(gt_ids, matched_rows, matched_hyps, matched_ious, num_hyp) -> MotReport:
-    """The CLEARMOT report of a match table (see ``evaluate_sequence``).
+    """The CLEARMOT report of a match table (see ``evaluate_sequence``):
+    every ground-truth id of the sequence, frame by frame, and for each
+    match its row among them, hypothesis id and IoU, as arrays.
 
     A stable sort by ground-truth id lays out each trajectory in frame
     order. Among its matched rows, one whose previous matched row has
@@ -207,21 +259,12 @@ def _count(gt_ids, matched_rows, matched_hyps, matched_ious, num_hyp) -> MotRepo
     tp = len(matched_rows)
     # np.add.accumulate adds left to right, in match order; np.sum would
     # add pairwise and move the last bits of MOTP
-    iou_sum = float(np.add.accumulate([0.0] + matched_ious)[-1])
+    iou_sum = float(np.add.accumulate(np.concatenate(([0.0], matched_ious)))[-1])
     return MotReport.from_counts(
         fp=num_hyp - tp, fn=len(gt_ids) - tp, idsw=idsw, frag=frag,
         num_gt_boxes=len(gt_ids), num_gt_tracks=len(present), tp=tp, iou_sum=iou_sum,
         mt=mt, pt=len(present) - mt - ml, ml=ml,
     )
-
-
-def _check_ids_once(side: str, frames: dict[int, np.ndarray]) -> None:
-    """Fail at the first id that repeats within a frame of one side."""
-    ids = np.concatenate([np.zeros(0, np.int64)] + [rows["id"] for rows in frames.values()])
-    frame_of = np.repeat(list(frames), [len(rows) for rows in frames.values()])
-    i = _first_repeat(frame_of, ids)
-    if i is not None:
-        raise ValueError(f"{side} repeats id {ids[i]} in frame {frame_of[i]}")
 
 
 def aggregate_reports(reports: list[MotReport]) -> MotReport:

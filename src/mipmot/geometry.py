@@ -14,14 +14,16 @@ one fixed-shape pass over (K, 4) arrays that integrates each footprint's
 edges in the other box's frame, so an area depends only on where the two
 boxes sit relative to each other. ``tests/exact_area.py`` checks it
 against an exact rational clip. The distance-IoU affinity built on it
-is ``affinity.motion_affinity_matrix``; the evaluator's IoU matrices
-come from ``bev_iou_matrices``, one kernel pass over the candidate pairs
-of a whole sequence of frames.
+is ``affinity.motion_affinity_matrix``; the evaluator's IoUs come from
+``bev_iou_matrices``, one kernel pass over the candidate pairs of a
+whole sequence of frames, given as those pairs (``IouPairs``), not as
+one matrix per frame.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -164,48 +166,64 @@ def bev_intersection_areas(a, b) -> np.ndarray:
     return np.where(flat | (area < EPS), 0.0, area)
 
 
+class IouPairs(NamedTuple):
+    """Ground-plane IoUs of the candidate pairs of a sequence of frames.
+
+    Frame f's pairs are entries ``start[f]:start[f + 1]`` of ``rows``,
+    ``cols`` and ``ious``: the row of its ``a`` box, the row of its
+    ``b`` box, both within the frame, and their IoU. A pair not listed
+    has IoU 0.
+    """
+
+    start: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    ious: np.ndarray
+
+
 def bev_iou_matrix(a, b) -> np.ndarray:
     """Ground-plane IoU of every pair of an (M, 7) and an (N, 7) box
-    array: ``bev_iou_matrices`` of the one frame."""
-    return next(bev_iou_matrices([(a, b)]))
+    array: ``bev_iou_matrices`` of the one frame, scattered."""
+    a = np.asarray(a, dtype=float).reshape(-1, 7)
+    b = np.asarray(b, dtype=float).reshape(-1, 7)
+    pairs = bev_iou_matrices([(a, b)])
+    out = np.zeros((len(a), len(b)))
+    out[pairs.rows, pairs.cols] = pairs.ious
+    return out
 
 
-def bev_iou_matrices(frames):
-    """Ground-plane IoU matrices of a sequence of (a, b) box array pairs,
-    (M, 7) and (N, 7) each: one (M, N) matrix per pair, in order.
+def bev_iou_matrices(frames) -> IouPairs:
+    """Ground-plane IoUs of a sequence of (a, b) box array pairs, (M, 7)
+    and (N, 7) each, as the ``IouPairs`` of their candidate pairs.
 
-    The overlap kernel runs only on the pairs whose footprint
+    The candidate pairs of a frame are those whose footprint
     circumcircles meet; every other pair cannot overlap and scores 0.
     Every frame's ``a`` boxes, and its ``b`` boxes, are stacked into one
     array, and the candidate pairs of every frame, as rows of the
-    stacks, go through the kernel together, ``_KERNEL_PAIRS`` at a time.
-    Each slice gathers its own rows, so the boxes of all the pairs are
-    never held at once. The kernel gives a pair the same bits in any
-    batch, so each matrix equals the one of its frame alone. The
-    matrices are built one at a time, as they are drawn.
+    stacks, go through the overlap kernel together, ``_KERNEL_PAIRS`` at
+    a time. Each slice gathers its own rows, so the boxes of all the
+    pairs are never held at once. The kernel gives a pair the same bits
+    in any batch, so each frame's IoUs equal the ones of its frame alone.
     """
     frames = [
         (np.asarray(a, dtype=float).reshape(-1, 7), np.asarray(b, dtype=float).reshape(-1, 7))
         for a, b in frames
     ]
     pairs = [_candidate_pairs(a, b) for a, b in frames]
+    start = np.cumsum([0] + [len(i) for i, _ in pairs])
+    rows = np.concatenate([np.zeros(0, np.intp)] + [i for i, _ in pairs])
+    cols = np.concatenate([np.zeros(0, np.intp)] + [j for _, j in pairs])
     a_all = np.concatenate([np.zeros((0, 7))] + [a for a, _ in frames])
     b_all = np.concatenate([np.zeros((0, 7))] + [b for _, b in frames])
     # each frame's pairs as rows of the stacks: offset by the frames before
-    a_start = np.cumsum([0] + [len(a) for a, _ in frames])
-    b_start = np.cumsum([0] + [len(b) for _, b in frames])
-    i_all = np.concatenate([np.zeros(0, np.intp)] + [i + s for (i, _), s in zip(pairs, a_start)])
-    j_all = np.concatenate([np.zeros(0, np.intp)] + [j + s for (_, j), s in zip(pairs, b_start)])
+    counts = np.diff(start)
+    i_all = rows + np.repeat(np.cumsum([0] + [len(a) for a, _ in frames])[:-1], counts)
+    j_all = cols + np.repeat(np.cumsum([0] + [len(b) for _, b in frames])[:-1], counts)
     ious = np.concatenate([np.zeros(0)] + [
         _bev_ious(a_all[i_all[k : k + _KERNEL_PAIRS]], b_all[j_all[k : k + _KERNEL_PAIRS]])
         for k in range(0, len(i_all), _KERNEL_PAIRS)
     ])
-    stop = 0
-    for (a, b), (i, j) in zip(frames, pairs):
-        out = np.zeros((len(a), len(b)))
-        out[i, j] = ious[stop : stop + len(i)]
-        stop += len(i)
-        yield out
+    return IouPairs(start, rows, cols, ious)
 
 
 def _candidate_pairs(a, b) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,8 @@ same config reproduces byte-identical files anywhere; see SplitMix64.
 field checker of ``config`` (``check_fields``), with the rules declared
 below, and a scenario file and its ``objects`` load through
 ``config.from_json``. Only the occlusions and the reach of the objects'
-paths have checks of their own here.
+paths have checks of their own here: a path must stay within the box
+coordinate limit of ``io_formats``' row rules (1e100 in magnitude).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .config import COUNT, WORD, check_fields, from_json, nullable, real, rule
 from .geometry import wrap_angle
-from .io_formats import DetectionBatch, is_integer, object_table
+from .io_formats import _BOX_LIMIT, DetectionBatch, is_integer, object_table
 
 _MASK64 = (1 << 64) - 1
 
@@ -170,7 +171,8 @@ class ScenarioConfig:
                 for k, o in enumerate(self.objects)
             ]
         # An object moves by its speed every frame, from within 0.4 * extent
-        # when drawn from the speed range: its path must stay in floats.
+        # when drawn from the speed range: its path must stay within the
+        # magnitude the row rules allow a box coordinate.
         frames = min(self.num_frames, sys.float_info.max)
         if self.objects is None:
             low, high = float(self.speed_min), float(self.speed_max)
@@ -179,17 +181,19 @@ class ScenarioConfig:
                     f"speed_max - speed_min must be a finite number, got speed_min {low!r} "
                     f"and speed_max {high!r}"
                 )
-            if not math.isfinite(0.4 * abs(float(self.extent)) + max(abs(low), abs(high)) * frames):
+            beyond = _beyond(0.4 * abs(float(self.extent)) + max(abs(low), abs(high)) * frames)
+            if beyond:
                 raise ValueError(
-                    f"speed_min {low!r} and speed_max {high!r} move an object beyond the float "
-                    f"range in {self.num_frames} frames"
+                    f"speed_min {low!r} and speed_max {high!r} move an object beyond {beyond} "
+                    f"in {self.num_frames} frames"
                 )
         for k, spec in enumerate(self.objects or ()):
             start = max(abs(float(spec.x)), abs(float(spec.y)))
-            if not math.isfinite(start + math.hypot(spec.vx, spec.vy) * frames):
+            beyond = _beyond(start + math.hypot(spec.vx, spec.vy) * frames)
+            if beyond:
                 raise ValueError(
                     f"object {k}: vx {spec.vx!r} and vy {spec.vy!r} move it from x {spec.x!r}, "
-                    f"y {spec.y!r} beyond the float range in {self.num_frames} frames"
+                    f"y {spec.y!r} beyond {beyond} in {self.num_frames} frames"
                 )
         occlusions = self.occlusions
         if not isinstance(occlusions, (list, tuple)) or not all(
@@ -203,6 +207,15 @@ class ScenarioConfig:
         self.occlusions = [tuple(o) for o in occlusions]
         if self.objects is not None:
             self.num_objects = len(self.objects)
+
+
+def _beyond(reach: float) -> str | None:
+    """What a path that reaches ``reach`` from the origin goes beyond: the
+    float range, or the box coordinate limit of the row rules; None when
+    it stays within both."""
+    if not math.isfinite(reach):
+        return "the float range"
+    return f"{_BOX_LIMIT!r} in magnitude" if reach > _BOX_LIMIT else None
 
 
 def _clip01(v: float) -> float:

@@ -101,11 +101,21 @@ class TestSimulate:
                 },
                 "object 1: vx 1e+308 and vy 0 move it from x 1e+308, y 0 beyond the float range",
             ),
+            # within the float range, beyond the row rules' 1e100
+            (
+                {"speed_min": 0, "speed_max": 1e99, "num_frames": 100},
+                "speed_min 0.0 and speed_max 1e+99 move an object beyond 1e+100 in magnitude",
+            ),
+            (
+                {"objects": [{"x": 1e150, "y": 0, "vx": 1, "vy": 0}], "num_frames": 3},
+                "object 0: vx 1 and vy 0 move it from x 1e+150, y 0 beyond 1e+100 in magnitude",
+            ),
         ],
         ids=[
             "number", "text-count", "negative-count", "null-rate", "huge-extent", "object-keys",
             "object-value", "objects-number", "object-number", "object-extra-key", "occlusion-pair",
             "speed-range", "speed-reach", "object-reach", "object-reach-over-range",
+            "speed-beyond-box-limit", "object-beyond-box-limit",
         ],
     )
     @pytest.mark.parametrize("command", ["simulate", "sweep"])

@@ -18,7 +18,8 @@ from mipmot.evaluation import (
 )
 from mipmot import geometry
 from mipmot.cli import labels_to_frames
-from mipmot.geometry import bev_iou_matrix
+from mipmot.config import TrackerConfig
+from mipmot.geometry import bev_iou_matrices
 from mipmot.io_formats import read_kitti_labels, write_kitti_labels, write_kitti_tracking
 from mipmot.simgen import generate, scenario_template
 from mipmot.tracker import run_sequence
@@ -51,13 +52,16 @@ def evaluate(gt, hyp, iou_threshold=0.5):
 
 
 def match(gt_boxes, hyp_boxes, prev, iou_threshold=0.5):
-    """match_frame of {id: box} on both sides, given the IoU matrix the
-    evaluator computes, as {gt_id: hyp_id}."""
+    """match_frame of {id: box} on both sides, given the frame's pairs
+    the evaluator scores and the previous matches {gt_id: hyp_id}, as
+    {gt_id: hyp_id} in match order."""
     gt, hyp = rows(gt_boxes), rows(hyp_boxes)
-    iou = bev_iou_matrix(gt["box"], hyp["box"])
-    gt_ids, hyp_ids = gt["id"].tolist(), hyp["id"].tolist()
-    pairs = match_frame(gt_ids, hyp_ids, iou, prev, iou_threshold)
-    return {gt_ids[i]: hyp_ids[j] for i, j in pairs}
+    pairs = bev_iou_matrices([(gt["box"], hyp["box"])])
+    prev_gt, prev_hyp = (np.array(list(ids), np.int64) for ids in (prev, prev.values()))
+    m = match_frame(
+        gt["id"], hyp["id"], pairs.rows, pairs.cols, pairs.ious, prev_gt, prev_hyp, iou_threshold
+    )
+    return dict(zip(gt["id"][pairs.rows[m]].tolist(), hyp["id"][pairs.cols[m]].tolist()))
 
 
 class TestMatchFrame:
@@ -109,6 +113,97 @@ class TestMatchFrame:
     def test_empty_sides(self):
         assert match({}, {0: box(0, 0)}, {}) == {}
         assert match({0: box(0, 0)}, {}, {}) == {}
+
+
+class TestPinnedMatching:
+    """Ties and continuity across frames, which the oracle skips
+    (``TiedMatching``) or does not isolate."""
+
+    @pytest.mark.parametrize(
+        "gt_order, hyp_order, expected",
+        [
+            ([1, 2, 3], [10, 11, 12], [(1, 10), (2, 11), (3, 12)]),
+            ([1, 2, 3], [11, 10, 12], [(1, 11), (2, 10), (3, 12)]),
+            ([3, 2, 1], [10, 11, 12], [(3, 12), (2, 10), (1, 11)]),
+        ],
+    )
+    def test_tie_goes_by_row_and_column_order(self, gt_order, hyp_order, expected):
+        # two coincident ground-truth boxes against two coincident
+        # hypotheses: both pairings total IoU 2, so the assignment's
+        # order decides; a far pair shares their free block
+        gt = {1: box(0, 0), 2: box(0, 0), 3: box(30, 0)}
+        hyp = {10: box(0, 0), 11: box(0, 0), 12: box(30.4, 0)}
+        got = match({g: gt[g] for g in gt_order}, {h: hyp[h] for h in hyp_order}, {})
+        assert list(got.items()) == expected
+        report = evaluate({0: gt, 1: gt}, {0: hyp, 1: {h: hyp[h] for h in hyp_order}})
+        assert (report.tp, report.idsw) == (6, 0)
+
+    def test_kept_in_previous_order_then_new(self):
+        gt = {0: box(0, 0), 1: box(10, 0), 2: box(20, 0), 3: box(30, 0)}
+        hyp = {13: box(30, 0), 12: box(20, 0), 11: box(10, 0), 10: box(0, 0)}
+        # gt 3's pairing is gone from this frame's hypotheses, so gt 3 is free
+        prev = {2: 12, 0: 10, 3: 99}
+        got = match(gt, hyp, prev)
+        assert list(got.items()) == [(2, 12), (0, 10), (1, 11), (3, 13)]
+
+    # Frame 0 pairs gt 0 with hyp 11 and gt 1 with hyp 10; in the last
+    # frame the crossed pairing has the larger total IoU, so only a
+    # carried pairing keeps the identities.
+    FIRST = ({0: box(0.0, 0), 1: box(1.2, 0)}, {11: box(0.0, 0), 10: box(1.2, 0)})
+    LAST = ({0: box(0.0, 0), 1: box(1.2, 0)}, {10: box(0.4, 0), 11: box(0.8, 0)})
+
+    def test_pairing_carries_across_a_frame_absent_from_both_sides(self):
+        (gt0, hyp0), (gt2, hyp2) = self.FIRST, self.LAST
+        report = evaluate({0: gt0, 2: gt2}, {0: hyp0, 2: hyp2})
+        assert (report.tp, report.idsw, report.frag) == (4, 0, 0)
+        assert match(gt2, hyp2, match(gt0, hyp0, {})) == {0: 11, 1: 10}
+
+    @pytest.mark.parametrize("side", ["ground truth", "hypothesis"])
+    def test_frame_on_one_side_only_clears_the_pairings(self, side):
+        (gt0, hyp0), (gt2, hyp2) = self.FIRST, self.LAST
+        gt, hyp = {0: gt0, 2: gt2}, {0: hyp0, 2: hyp2}
+        if side == "ground truth":
+            gt[1] = gt0
+        else:
+            hyp[1] = hyp0
+        report = evaluate(gt, hyp)
+        assert report.tp == 4 and report.idsw == 2
+        assert (report.fn, report.fp, report.frag) == (
+            (2, 0, 2) if side == "ground truth" else (0, 2, 0)
+        )
+
+
+class TestThresholdRule:
+    """The threshold is a number in [0, 1], by the rule of the config's
+    ``eval_iou_threshold``; each entry point checks it."""
+
+    BAD = [-0.5, 1.5, float("nan"), float("inf"), "0.5", True, None]
+
+    @pytest.mark.parametrize("threshold", BAD)
+    def test_rejected_with_the_config_message(self, threshold):
+        with pytest.raises(ValueError) as config_error:
+            TrackerConfig(eval_iou_threshold=threshold)
+        message = str(config_error.value).replace("eval_iou_threshold", "iou_threshold")
+        one = {0: {1: box(0, 0)}}
+        with pytest.raises(ValueError) as error:
+            evaluate(one, one, threshold)
+        assert str(error.value) == message
+        with pytest.raises(ValueError) as error:
+            match(one[0], one[0], {}, threshold)
+        assert str(error.value) == message
+
+    def test_far_pair_at_a_negative_threshold(self):
+        # a zero IoU passed "> -0.5", so this far pair scored TP 1
+        gt, hyp = {0: {1: box(0, 0)}}, {0: {2: box(100, 0)}}
+        with pytest.raises(ValueError, match=r"^iou_threshold must be a number in \[0, 1\]"):
+            evaluate(gt, hyp, -0.5)
+        report = evaluate(gt, hyp, 0.0)
+        assert (report.tp, report.fn, report.fp) == (0, 1, 1)
+
+    @pytest.mark.parametrize("threshold", [0, 0.0, 1, 1.0, np.float64(0.5)])
+    def test_bounds_accepted(self, threshold):
+        one = {0: {1: box(0, 0)}}
+        assert evaluate(one, one, threshold).tp == (0 if threshold == 1 else 1)
 
 
 def oracle_match_frame(gt_boxes, hyp_boxes, prev, iou_threshold=0.5):

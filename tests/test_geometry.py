@@ -492,6 +492,32 @@ class TestBatchedPass:
         ]
         assert bits(np.concatenate(parts)) == bits(batch)
 
+    @staticmethod
+    def scattered(pairs, frames):
+        """Each frame's IoU matrix, scattered from the pair form, after
+        checking the form: frames in order, each pair listed once."""
+        assert pairs.start[0] == 0 and pairs.start[-1] == len(pairs.rows)
+        assert len(pairs.start) == len(frames) + 1 and (np.diff(pairs.start) >= 0).all()
+        assert len(pairs.rows) == len(pairs.cols) == len(pairs.ious)
+        out = []
+        for f, (a, b) in enumerate(frames):
+            k = slice(pairs.start[f], pairs.start[f + 1])
+            matrix = np.zeros((len(a), len(b)))
+            matrix[pairs.rows[k], pairs.cols[k]] = pairs.ious[k]
+            listed = np.zeros(matrix.shape, int)
+            np.add.at(listed, (pairs.rows[k], pairs.cols[k]), 1)
+            assert (listed <= 1).all()
+            out.append(matrix)
+        return out
+
+    @staticmethod
+    def one_pair_ious(frames):
+        """Each frame's IoU matrix from one one-pair ``bev_iou`` call per entry."""
+        return [
+            np.array(pairwise_ious(a, b), dtype=float).reshape(len(a), len(b))
+            for a, b in frames
+        ]
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.lists(
@@ -504,11 +530,17 @@ class TestBatchedPass:
     )
     def test_matrices_equal_one_frame_at_a_time(self, frames, kernel_pairs):
         frames = [(as_array(a), as_array(b)) for a, b in frames]
-        alone = [bev_iou_matrix(a, b) for a, b in frames]
         with mock.patch.object(geometry, "_KERNEL_PAIRS", kernel_pairs):
-            got = list(bev_iou_matrices(frames))
-        assert [m.shape for m in got] == [m.shape for m in alone]
-        assert [bits(m) for m in got] == [bits(m) for m in alone]
+            pairs = bev_iou_matrices(frames)
+        got = self.scattered(pairs, frames)
+        assert [bits(m) for m in got] == [bits(m) for m in self.one_pair_ious(frames)]
+        # each frame's slice is the pair form of that frame alone
+        for f, (a, b) in enumerate(frames):
+            alone = bev_iou_matrices([(a, b)])
+            k = slice(pairs.start[f], pairs.start[f + 1])
+            assert bits(pairs.rows[k]) == bits(alone.rows)
+            assert bits(pairs.cols[k]) == bits(alone.cols)
+            assert bits(pairs.ious[k]) == bits(alone.ious)
 
     @staticmethod
     def scenes(rng):
@@ -519,17 +551,16 @@ class TestBatchedPass:
 
     def test_slices_split_frames(self):
         frames = self.scenes(np.random.default_rng(5))
-        alone = [bev_iou_matrix(a, b) for a, b in frames]
         kernel = geometry.bev_intersection_areas
         with mock.patch.object(geometry, "_KERNEL_PAIRS", 3), mock.patch.object(
             geometry, "bev_intersection_areas", wraps=kernel
         ) as calls:
-            got = list(bev_iou_matrices(frames))
+            pairs = bev_iou_matrices(frames)
         sizes = [len(call.args[0]) for call in calls.call_args_list]
-        candidates = sum(np.count_nonzero(m) for m in alone)
-        assert sizes[:-1] == [3] * (len(sizes) - 1) and sum(sizes) >= candidates > 3
+        assert sizes[:-1] == [3] * (len(sizes) - 1) and sum(sizes) == len(pairs.ious) > 3
+        got = self.scattered(pairs, frames)
         assert [m.shape for m in got] == [(3, 4), (0, 3), (2, 0), (5, 5), (0, 0), (1, 2)]
-        assert [bits(m) for m in got] == [bits(m) for m in alone]
+        assert [bits(m) for m in got] == [bits(m) for m in self.one_pair_ious(frames)]
 
     def test_no_candidate_pair(self):
         frames = [
@@ -538,23 +569,46 @@ class TestBatchedPass:
             (as_array([make_box(0, 0, 0, 2, 1, 1)] * 2), np.zeros((0, 7))),
         ]
         with mock.patch.object(geometry, "bev_intersection_areas") as kernel:
-            got = list(bev_iou_matrices(frames))
+            pairs = bev_iou_matrices(frames)
         kernel.assert_not_called()
+        assert pairs.start.tolist() == [0, 0, 0, 0] and len(pairs.ious) == 0
+        got = self.scattered(pairs, frames)
         assert [m.shape for m in got] == [(1, 1), (0, 1), (2, 0)]
-        assert not any(m.any() for m in got)
-        assert list(bev_iou_matrices([])) == []
+        empty = bev_iou_matrices([])
+        assert empty.start.tolist() == [0] and len(empty.rows) == len(empty.ious) == 0
 
     def test_tree_query_beside_dense_frames(self):
         # frames of 9 pairs and more take the k-d tree, smaller ones not
         frames = self.scenes(np.random.default_rng(11))
-        dense = [bev_iou_matrix(a, b) for a, b in frames]
         with mock.patch.object(geometry, "_TREE_MIN_PAIRS", 8), mock.patch.object(
             geometry, "_KERNEL_PAIRS", 3
         ):
-            alone = [bev_iou_matrix(a, b) for a, b in frames]
-            got = list(bev_iou_matrices(frames))
+            got = self.scattered(bev_iou_matrices(frames), frames)
         assert any(m.size > 8 for m in got) and any(0 < m.size <= 8 for m in got)
-        assert [bits(m) for m in got] == [bits(m) for m in alone] == [bits(m) for m in dense]
+        assert [bits(m) for m in got] == [bits(m) for m in self.one_pair_ious(frames)]
+
+    def test_tree_query_at_size_among_empty_frames(self):
+        # a frame of 110 x 110 boxes on a grid, beyond _TREE_MIN_PAIRS, so
+        # the tree is used, between frames with an empty side
+        rng = np.random.default_rng(151)
+        grid = np.array([(x, y) for x in range(11) for y in range(10)], dtype=float) * 6.0
+        left = [make_box(x, y, 0, *rng.uniform(0.5, 6.0, 3), rng.uniform(-4, 4)) for x, y in grid]
+        right = [
+            replace(b, x=b[0] + rng.normal(0, 1.0), y=b[1] + rng.normal(0, 1.0), a=b[6] + 0.3)
+            for b in left
+        ]
+        assert len(left) * len(right) > geometry._TREE_MIN_PAIRS
+        none = np.zeros((0, 7))
+        frames = [(none, as_array(right[:3])), (as_array(left), as_array(right)), (none, none)]
+        frames.append((as_array(left[:2]), none))
+        pairs = bev_iou_matrices(frames)
+        # the tree keeps far fewer pairs than the 12,100 of the big frame
+        assert len(left) < pairs.start[2] - pairs.start[1] < 5 * len(left)
+        got = self.scattered(pairs, frames)
+        assert [bits(m) for m in got] == [bits(m) for m in self.one_pair_ious(frames)]
+        with mock.patch.object(geometry, "_TREE_MIN_PAIRS", math.inf):
+            dense = self.scattered(bev_iou_matrices(frames), frames)
+        assert [bits(m) for m in dense] == [bits(m) for m in got]
 
 
 class TestIou3d:

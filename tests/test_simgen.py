@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -196,6 +197,37 @@ class TestGenerate:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             ScenarioConfig(fp_rate=-1.0)
+
+    @pytest.mark.parametrize(
+        "scenario, message",
+        [
+            (
+                dict(objects=[ObjectSpec(x=1e150, y=0, vx=1, vy=0)], num_frames=3),
+                "object 0: vx 1 and vy 0 move it from x 1e+150, y 0 beyond 1e+100 in magnitude",
+            ),
+            (
+                dict(objects=[ObjectSpec(0, 0, 0, 0), ObjectSpec(0, 9e99, 0, 2e98)], num_frames=6),
+                "object 1: vx 0 and vy 2e+98 move it from x 0, y 9e+99 beyond 1e+100",
+            ),
+            (
+                dict(speed_min=0, speed_max=1e99, num_frames=100),
+                "speed_min 0.0 and speed_max 1e+99 move an object beyond 1e+100 in magnitude",
+            ),
+        ],
+        ids=["object-start", "object-path", "speed-range"],
+    )
+    def test_path_beyond_the_box_limit_rejected(self, scenario, message):
+        # the config passed these, and generate failed at a detection row
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            ScenarioConfig(**scenario)
+
+    def test_path_just_inside_the_box_limit_generates(self):
+        specs = [ObjectSpec(x=1e100, y=-1e100, vx=0, vy=0), ObjectSpec(x=9e99, y=0, vx=1e97, vy=0)]
+        labels, dets = generate(ScenarioConfig(objects=specs, num_frames=50))
+        assert np.abs(labels["box"][:, :2]).max() == 1e100
+        assert len(dets) == 50
+        labels, _ = generate(ScenarioConfig(speed_min=0, speed_max=1e97, num_frames=100))
+        assert np.abs(labels["box"][:, :2]).max() > 1e98
 
 
 class TestTemplates:
