@@ -6,6 +6,11 @@ scores come from the distance-IoU affinity between each detection box
 and each track's predicted box. The two are fused as a weighted sum
 with alpha + beta = 1 and beta = ``beta_over_alpha`` * alpha: r = 0
 disables motion, r = inf disables appearance.
+
+A frame that the gate cuts (``candidate_pairs``) is kept in pair form:
+the softmax's column and row sums span every pair, but its values, and
+the motion scores, are formed only at the gate's pairs, with the bits
+the dense matrices would hold there.
 """
 
 from __future__ import annotations
@@ -53,12 +58,63 @@ class AffinityMatrix:
 
 
 def raw_appearance_matrix(det_embeddings, track_embeddings) -> np.ndarray:
-    """Pairwise raw appearance scores, M detections by N tracks."""
+    """Pairwise raw appearance scores, M detections by N tracks: minus
+    the mean absolute difference of two D-value embeddings, D >= 1."""
     d = np.asarray(det_embeddings, dtype=float)
     t = np.asarray(track_embeddings, dtype=float)
-    if d.ndim != 2 or t.ndim != 2 or d.shape[1] != t.shape[1]:
+    if d.ndim != 2 or t.ndim != 2 or d.shape[1] != t.shape[1] or d.shape[1] == 0:
         raise ValueError(f"incompatible embedding arrays: {d.shape} vs {t.shape}")
-    return -cdist(d, t, "cityblock") / d.shape[1]
+    # c / (-D) has the bits of (-c) / D.
+    raw = cdist(d, t, "cityblock")
+    raw /= -d.shape[1]
+    return raw
+
+
+class _Softmax(NamedTuple):
+    """The two halves of ``softmax_ranking`` before their division:
+    ``p = exp(raw - colmax)`` with its column sums and
+    ``q = exp(raw - rowmax)`` with its row sums. The ranking of a pair
+    is ``(p / colsum + q / rowsum) * 0.5``, the same IEEE operations
+    whether it is formed for the whole matrix (``dense``) or for some
+    pairs (``at``), so both give a pair the same bits."""
+
+    p: np.ndarray
+    colsum: np.ndarray
+    q: np.ndarray
+    rowsum: np.ndarray
+
+    @classmethod
+    def of(cls, raw: np.ndarray) -> _Softmax:
+        if not np.all(np.isfinite(raw)):
+            raise ValueError("raw scores contain non-finite values")
+        # In place: two (M, N) arrays.
+        p = raw - raw.max(axis=0, keepdims=True)
+        np.exp(p, out=p)
+        q = raw - raw.max(axis=1, keepdims=True)
+        np.exp(q, out=q)
+        return cls(p, p.sum(axis=0), q, q.sum(axis=1))
+
+    def dense(self) -> np.ndarray:
+        """The (M, N) ranking, formed in place over ``p`` and ``q``."""
+        p, q = self.p, self.q
+        p /= self.colsum
+        q /= self.rowsum[:, None]
+        p += q
+        p *= 0.5
+        return p
+
+    def at(self, rows, cols) -> np.ndarray:
+        """The (K,) ranking of the (rows, cols) pairs."""
+        out = self.p[rows, cols] / self.colsum[cols]
+        out += self.q[rows, cols] / self.rowsum[rows]
+        out *= 0.5
+        return out
+
+    def bound(self) -> float:
+        """An upper bound on every entry of the ranking: a column's
+        largest ``p`` is exp(0) = 1, so no p / colsum exceeds
+        fl(1 / min colsum), and likewise for q; rounding is monotone."""
+        return (1.0 / self.colsum.min() + 1.0 / self.rowsum.min()) * 0.5
 
 
 def softmax_ranking(raw) -> np.ndarray:
@@ -66,23 +122,14 @@ def softmax_ranking(raw) -> np.ndarray:
 
     P is the column-wise softmax (each column sums to 1), Q the
     row-wise softmax (each row sums to 1); the result is (P + Q) / 2.
-    Invariant under adding a constant to every entry.
+    Invariant under adding a constant to every entry. A frame the gate
+    cuts forms the same values only at its candidate pairs
+    (``candidate_pairs``), from the same column and row sums.
     """
     raw = np.asarray(raw, dtype=float)
     if raw.size == 0:
         return raw.reshape(raw.shape).copy()
-    if not np.all(np.isfinite(raw)):
-        raise ValueError("raw scores contain non-finite values")
-    # In place: two (M, N) arrays instead of eight, with the same bits.
-    P = raw - raw.max(axis=0, keepdims=True)
-    np.exp(P, out=P)
-    P /= P.sum(axis=0, keepdims=True)
-    Q = raw - raw.max(axis=1, keepdims=True)
-    np.exp(Q, out=Q)
-    Q /= Q.sum(axis=1, keepdims=True)
-    P += Q
-    P *= 0.5
-    return P
+    return _Softmax.of(raw).dense()
 
 
 class _Boxes(NamedTuple):
@@ -243,7 +290,7 @@ def candidate_pairs(
     det_boxes,
     predicted,
     need,
-    appearance,
+    raw,
     alpha: float,
     beta: float,
     use_dis: bool = True,
@@ -251,14 +298,21 @@ def candidate_pairs(
 ):
     """The (rows, cols) pairs whose refined affinity
     alpha * appearance + beta * motion can reach need_det[d] +
-    need_trk[k], or None to score every pair.
+    need_trk[k], with the (K,) appearance of those pairs, as
+    ``(rows, cols, appearance)``; or None to score every pair.
 
     ``det_boxes`` and ``predicted`` are (M, 7) and (N, 7) box arrays or
     their ``_box_table``s. ``need`` is the (need_det, need_trk) pair of
-    per-node arrays. ``appearance`` is the frame's (M, N) appearance
-    matrix; the motion part is bounded from the boxes alone. Let r be a
-    box's footprint circumradius, q = h / 2 and rho = hypot(r, q). The
-    IoU is 0 unless the centres are closer than rho_d + rho_k (and
+    per-node arrays. ``raw`` is the frame's (M, N) raw appearance
+    matrix, or None when appearance is off (alpha is then 0, and every
+    appearance 0). The appearance is its ``softmax_ranking``, whose
+    column and row sums span every pair but whose values are formed
+    only at the pairs found here, with the bits of the dense matrix;
+    the largest is bounded from the sums alone (``_Softmax.bound``).
+
+    The motion part is bounded from the boxes alone. Let r be a box's
+    footprint circumradius, q = h / 2 and rho = hypot(r, q). The IoU is
+    0 unless the centres are closer than rho_d + rho_k (and
     rho_d + rho_k is at most 2 * hypot(r, q) over the largest r and q
     of the frame). Along each axis the enclosing box spans at most the
     centre offset plus twice the pair's larger half-extent, so its
@@ -277,8 +331,9 @@ def candidate_pairs(
     if len(det.arr) * len(trk.arr) <= _GATE_MIN_PAIRS:
         return None
     need_det, need_trk = need
+    softmax = None if raw is None else _Softmax.of(raw)
     # The least affinity the motion part must add to some pair.
-    appearance_max = alpha * appearance.max() if alpha else 0.0
+    appearance_max = 0.0 if softmax is None else alpha * softmax.bound()
     short = float(need_det.min() + need_trk.min() - appearance_max)
     if short <= 0.0:
         return None
@@ -295,7 +350,8 @@ def candidate_pairs(
 
     near = cKDTree(d).sparse_distance_matrix(cKDTree(t), radius, output_type="ndarray")
     rows, cols, dist = near["i"], near["j"], near["v"]
-    bound = alpha * appearance[rows, cols]
+    appearance = np.zeros(rows.size) if softmax is None else softmax.at(rows, cols)
+    bound = alpha * appearance
     if use_dis:
         r, q = np.maximum(r_d[rows], r_t[cols]), np.maximum(q_d[rows], q_t[cols])
         s = 2.0 * np.sqrt(2.0 * r * r + q * q)
@@ -306,7 +362,7 @@ def candidate_pairs(
         reach = np.hypot(r_d[rows], q_d[rows]) + np.hypot(r_t[cols], q_t[cols])
         bound = bound + beta * (dist <= reach * (1.0 + _MARGIN))
     keep = bound >= need_det[rows] + need_trk[cols]
-    return rows[keep], cols[keep]
+    return rows[keep], cols[keep], appearance[keep]
 
 
 def compute_affinities(
@@ -327,7 +383,10 @@ def compute_affinities(
     ``cfg`` supplies ``beta_over_alpha``, ``use_dis`` and ``use_iou``.
     With ``need``, the (need_det, need_trk) pair of per-node arrays, only
     the ``candidate_pairs`` that can reach need_det[d] + need_trk[k] are
-    scored, unless every pair is in reach; otherwise every pair is.
+    scored, unless every pair is in reach: their appearance is formed at
+    the gate's pairs from the softmax's row and column sums, and no
+    (M, N) appearance matrix is built. Otherwise every pair is scored,
+    the appearance by ``softmax_ranking``.
     """
     alpha = 1.0 / (1.0 + cfg.beta_over_alpha)
     beta = 1.0 - alpha
@@ -342,23 +401,25 @@ def compute_affinities(
             beta=beta,
         )
 
+    raw = None
     if alpha == 0.0 or det_embeddings is None or track_embeddings is None:
-        appearance = np.zeros((m, n))
         alpha, beta = 0.0, 1.0
     else:
-        appearance = softmax_ranking(raw_appearance_matrix(det_embeddings, track_embeddings))
+        raw = raw_appearance_matrix(det_embeddings, track_embeddings)
 
     use_dis, use_iou = cfg.use_dis, cfg.use_iou
     # One table per side, which the gate and the scorer both read.
     det, trk = _box_table(det_boxes), _box_table(predicted)
-    pairs = None
+    gated = None
     if need is not None:
-        pairs = candidate_pairs(
-            det, trk, need, appearance, alpha, beta, use_dis=use_dis, use_iou=use_iou
-        )
+        gated = candidate_pairs(det, trk, need, raw, alpha, beta, use_dis=use_dis, use_iou=use_iou)
+    if gated is None:
+        pairs = None
+        appearance = np.zeros((m, n)) if raw is None else softmax_ranking(raw)
+    else:
+        rows, cols, appearance = gated
+        pairs = rows, cols
     motion = motion_affinity_matrix(det, trk, use_dis=use_dis, use_iou=use_iou, pairs=pairs)
-    if pairs is not None:
-        appearance = appearance[pairs]
     refined = alpha * appearance + beta * motion
     return AffinityMatrix(
         appearance=appearance,

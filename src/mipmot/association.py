@@ -69,7 +69,8 @@ class AssociationProblem:
             inside = (rows >= 0) & (rows < m) & (cols >= 0) & (cols < n)
             if not inside.all():
                 raise ValueError(f"a pair lies outside the {m}x{n} problem")
-            if np.unique(rows * n + cols).size != rows.size:
+            key = np.sort(rows * n + cols)
+            if (key[1:] == key[:-1]).any():
                 raise ValueError("a pair is listed twice")
         if self.x_se_det.shape != (m,) or self.x_se_trk.shape != (n,):
             raise ValueError("start/end probability sizes do not match")
@@ -99,11 +100,13 @@ class AssociationResult:
     # Matched (detection, track) index pairs, by detection index: the
     # pairs whose y_aff is 1; every other y_aff is 0.
     matches: list[tuple[int, int]]
+    # The same pairs as two index arrays, detections and tracks.
+    matched: tuple[np.ndarray, np.ndarray]
 
     def satisfies_constraints(self) -> bool:
         """Selection equals match-plus-start (end) on every node, and no
         node is selected more than once."""
-        d, k = np.array(self.matches, dtype=np.intp).reshape(-1, 2).T
+        d, k = self.matched
         ok_det = np.array_equal(
             self.y_cls_det, np.bincount(d, minlength=self.y_cls_det.size) + self.y_se_det
         )
@@ -163,26 +166,30 @@ def result_from_matches(p, coefficients, matches) -> AssociationResult:
     Unmatched nodes take their start/end option exactly when its gain
     c_cls + c_se is nonnegative (up to _TIE_EPS).
     """
-    c_cls_det, c_cls_trk, c_aff, c_se_det, c_se_trk = coefficients
+    n = p.shape[1]
+    d, k = np.array(sorted(matches), dtype=np.intp).reshape(-1, 2).T
+    c_aff = coefficients[2]
+    if p.pairs is None:
+        return _result(p, coefficients, d, k, c_aff[d, k])
+    # In match order, so the sum is the same as on the dense matrix.
+    key = p.pairs[0] * n + p.pairs[1]
+    at = np.flatnonzero(np.isin(key, d * n + k))
+    if at.size != d.size:
+        raise ValueError("a match is not a candidate pair")
+    return _result(p, coefficients, d, k, c_aff[at[np.argsort(key[at])]])
+
+
+def _result(p, coefficients, d, k, matched_aff) -> AssociationResult:
+    """The result of the matches (d[i], k[i]), sorted by (d, k), whose
+    affinity coefficients are ``matched_aff``, summed in that order."""
+    c_cls_det, c_cls_trk, _, c_se_det, c_se_trk = coefficients
     m, n = p.shape
-    matches = sorted(matches)
-    d = np.array([pair[0] for pair in matches], dtype=np.intp)
-    k = np.array([pair[1] for pair in matches], dtype=np.intp)
     matched_det = np.bincount(d, minlength=m)
     matched_trk = np.bincount(k, minlength=n)
     y_se_det = ((matched_det == 0) & (c_cls_det + c_se_det >= -_TIE_EPS)).astype(int)
     y_se_trk = ((matched_trk == 0) & (c_cls_trk + c_se_trk >= -_TIE_EPS)).astype(int)
     y_cls_det = matched_det + y_se_det
     y_cls_trk = matched_trk + y_se_trk
-    if p.pairs is None:
-        matched_aff = c_aff[d, k]
-    else:
-        # In match order, so the sum is the same as on the dense matrix.
-        key = p.pairs[0] * n + p.pairs[1]
-        at = np.flatnonzero(np.isin(key, d * n + k))
-        if at.size != d.size:
-            raise ValueError("a match is not a candidate pair")
-        matched_aff = c_aff[at[np.argsort(key[at])]]
     objective = float(
         c_cls_det @ y_cls_det
         + c_cls_trk @ y_cls_trk
@@ -196,7 +203,8 @@ def result_from_matches(p, coefficients, matches) -> AssociationResult:
         y_se_det=y_se_det,
         y_se_trk=y_se_trk,
         objective=objective,
-        matches=matches,
+        matches=list(zip(d.tolist(), k.tolist())),
+        matched=(d, k),
     )
 
 
@@ -214,6 +222,11 @@ def solve_mip(p: AssociationProblem) -> AssociationResult:
     nothing. Among equal-objective solutions, unmatched pairs whose
     match would cost exactly nothing are matched afterwards, in (d, k)
     order, so ids are carried instead of re-created.
+
+    Each step yields the positions of its matches among the kept pairs
+    (the assignment reads them from a position matrix beside its weight
+    matrix), so the matched affinities are gathered by position, in
+    (d, k) order, with no lookup of the matches in the pair list.
     """
     m, n = p.shape
     coefficients = objective_coefficients(p)
@@ -223,29 +236,29 @@ def solve_mip(p: AssociationProblem) -> AssociationResult:
     if p.pairs is None:
         slack = c_cls_det[:, None] + c_cls_trk[None, :] + c_aff - out_det[:, None] - out_trk
         rows, cols = np.nonzero(slack >= 0.0)
-        slack = slack[rows, cols]
+        slack, aff = slack[rows, cols], c_aff[rows, cols]
     else:
         rows, cols = p.pairs
         slack = c_cls_det[rows] + c_cls_trk[cols] + c_aff - out_det[rows] - out_trk[cols]
-        keep = slack >= 0.0
-        rows, cols, slack = rows[keep], cols[keep], slack[keep]
+        keep = np.flatnonzero(slack >= 0.0)
+        rows, cols, slack, aff = rows[keep], cols[keep], slack[keep], c_aff[keep]
 
     lone = np.bincount(rows, minlength=m)[rows] == 1
     lone &= np.bincount(cols, minlength=n)[cols] == 1
-    matches = list(zip(rows[lone].tolist(), cols[lone].tolist()))
-    rest = ~lone
-    if rest.any():
+    at = [np.flatnonzero(lone)]
+    rest = np.flatnonzero(~lone)
+    if rest.size:
         r, c = rows[rest], cols[rest]
         sub_rows = np.flatnonzero(np.bincount(r, minlength=m))
         sub_cols = np.flatnonzero(np.bincount(c, minlength=n))
         i, j = np.searchsorted(sub_rows, r), np.searchsorted(sub_cols, c)
         weight = np.zeros((sub_rows.size, sub_cols.size))
         weight[i, j] = slack[rest]
-        kept = np.zeros(weight.shape, dtype=bool)
-        kept[i, j] = True
-        a, b = linear_sum_assignment(weight, maximize=True)
-        take = kept[a, b]
-        matches += zip(sub_rows[a[take]].tolist(), sub_cols[b[take]].tolist())
+        where = np.full(weight.shape, -1, dtype=np.intp)
+        where[i, j] = rest
+        where = where[linear_sum_assignment(weight, maximize=True)]
+        at.append(where[where >= 0])
+    at = np.concatenate(at)
 
     # Zero-cost augmentation: matching an unmatched pair whose gain
     # exactly offsets both outside options changes nothing in the
@@ -253,13 +266,18 @@ def solve_mip(p: AssociationProblem) -> AssociationResult:
     zero = np.flatnonzero(slack == 0.0)
     if zero.size:
         free_det, free_trk = np.ones(m, dtype=bool), np.ones(n, dtype=bool)
-        free_det[[d for d, _ in matches]] = False
-        free_trk[[k for _, k in matches]] = False
-        for d, k in sorted(zip(rows[zero].tolist(), cols[zero].tolist())):
+        free_det[rows[at]] = False
+        free_trk[cols[at]] = False
+        extra = []
+        zero = zero[np.lexsort((cols[zero], rows[zero]))]
+        for z, d, k in zip(zero.tolist(), rows[zero].tolist(), cols[zero].tolist()):
             if free_det[d] and free_trk[k]:
-                matches.append((d, k))
+                extra.append(z)
                 free_det[d] = free_trk[k] = False
-    return result_from_matches(p, coefficients, matches)
+        at = np.concatenate((at, np.array(extra, dtype=np.intp)))
+
+    at = at[np.lexsort((cols[at], rows[at]))]
+    return _result(p, coefficients, rows[at], cols[at], aff[at])
 
 
 def hungarian_baseline(x_aff, gate: float | None = None) -> list[tuple[int, int]]:

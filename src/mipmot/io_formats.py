@@ -41,10 +41,11 @@ computes from two boxes overflows a float: the squared distance of
 their centres and the diagonal of the box enclosing both, their
 footprints and volumes and the sums of two. Then the detection rules
 (``_detection_rules``): the score in [0, 1], a given start probability
-in [0, 1], a given embedding finite. A
-``DetectionBatch``, the bulk checks of both readers and their
-line-by-line walks all check rows against this table, and a faulty row
-is named by the first rule it breaks (``_first_fault``).
+in [0, 1], a given embedding finite, each of its values at most 1e100
+in magnitude (``_EMBEDDING_LIMIT``), so that the distance of two
+embeddings stays finite. A ``DetectionBatch``, the bulk checks of both
+readers and their line-by-line walks all check rows against this table,
+and a faulty row is named by the first rule it breaks (``_first_fault``).
 
 ``read_detections`` splits each line into its fields as text; the
 numbers of the whole file are then read by one ``np.loadtxt`` call for
@@ -125,6 +126,10 @@ def is_integer(v) -> bool:
 # the sum of two (2e300).
 _BOX_LIMIT = 1e100
 
+# The largest magnitude of an embedding value. Below it, the L1 distance
+# of two embeddings of D values stays finite for any D below 8e207.
+_EMBEDDING_LIMIT = 1e100
+
 # The frames and ids a table holds.
 _INT64 = range(-(2**63), 2**63)
 
@@ -189,11 +194,18 @@ def _detection_rules(score, start_prob, given, embedding, has_embedding) -> list
     rules, over (M,) scores and start probabilities, whether each start
     probability is given, (M, D) embeddings (None when no row has one)
     and whether each is given; in the same form as ``_box_rules``: the
-    score in [0, 1], a given start probability in [0, 1] and a given
-    embedding finite."""
-    nonfinite = has_embedding
+    score in [0, 1], a given start probability in [0, 1], a given
+    embedding finite and each of its values at most ``_EMBEDDING_LIMIT``
+    in magnitude (the message names the first that is not)."""
+    nonfinite = beyond = has_embedding
     if embedding is not None:
         nonfinite = has_embedding & ~np.isfinite(embedding).all(axis=1)
+        beyond = has_embedding & (np.abs(embedding) > _EMBEDDING_LIMIT).any(axis=1)
+
+    def beyond_limit(i):
+        v = next(v for v in embedding[i].tolist() if abs(v) > _EMBEDDING_LIMIT)
+        return f"embedding value is beyond {_EMBEDDING_LIMIT!r} in magnitude: {v!r}"
+
     return [
         (~((score >= 0.0) & (score <= 1.0)), lambda i: f"score must be in [0, 1], got {score[i]}"),
         (
@@ -201,6 +213,7 @@ def _detection_rules(score, start_prob, given, embedding, has_embedding) -> list
             lambda i: f"start_prob must be in [0, 1], got {start_prob[i]}",
         ),
         (nonfinite, lambda i: "embedding contains non-finite values"),
+        (beyond, beyond_limit),
     ]
 
 

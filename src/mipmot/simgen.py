@@ -18,9 +18,11 @@ same config reproduces byte-identical files anywhere; see SplitMix64.
 ``ScenarioConfig`` and ``ObjectSpec`` are checked when built by the
 field checker of ``config`` (``check_fields``), with the rules declared
 below, and a scenario file and its ``objects`` load through
-``config.from_json``. Only the occlusions and the reach of the objects'
-paths have checks of their own here: a path must stay within the box
-coordinate limit of ``io_formats``' row rules (1e100 in magnitude).
+``config.from_json``. Only the occlusions and the reach of what is
+generated have checks of their own here: the objects' paths, the
+detections' noise around them and the false positives' spread must stay
+within the box coordinate limit of ``io_formats``' row rules (1e100 in
+magnitude), as the box extents must by their field rule.
 """
 
 from __future__ import annotations
@@ -109,6 +111,10 @@ class ObjectSpec:
         check_fields(self, _OBJECT_RULES)
 
 
+# The largest magnitude of a standard normal draw: the Box-Muller radius
+# sqrt(-2 ln u1) with u1 >= 2**-53 is at most 8.5717.
+_NORMAL_REACH = 8.58
+
 _FINITE = (math.isfinite, "a finite number")
 _REAL = real(_FINITE)
 _OBJECT_RULES = {
@@ -122,7 +128,11 @@ _RULES = {
     "seed": rule("an integer", is_integer),
     **dict.fromkeys(("extent", "speed_min", "speed_max", "turn_rate", "fp_near_sigma"), _REAL),
     **dict.fromkeys(("tp_score_mean", "fp_score_low", "fp_score_high"), _REAL),
-    **dict.fromkeys(("box_l", "box_w", "box_h"), _REAL),
+    # a box extent keeps the row rules' limit
+    **dict.fromkeys(
+        ("box_l", "box_w", "box_h"),
+        real(_FINITE, (lambda v: 0.0 <= v <= _BOX_LIMIT, f"in [0, {_BOX_LIMIT!r}]")),
+    ),
     # rates and spreads cannot be negative
     **dict.fromkeys(
         ("fp_rate", "pos_noise", "tp_score_sigma", "embedding_noise"),
@@ -170,31 +180,7 @@ class ScenarioConfig:
                 o if isinstance(o, ObjectSpec) else from_json(ObjectSpec, o, f"scenario object {k}")
                 for k, o in enumerate(self.objects)
             ]
-        # An object moves by its speed every frame, from within 0.4 * extent
-        # when drawn from the speed range: its path must stay within the
-        # magnitude the row rules allow a box coordinate.
-        frames = min(self.num_frames, sys.float_info.max)
-        if self.objects is None:
-            low, high = float(self.speed_min), float(self.speed_max)
-            if not math.isfinite(high - low):
-                raise ValueError(
-                    f"speed_max - speed_min must be a finite number, got speed_min {low!r} "
-                    f"and speed_max {high!r}"
-                )
-            beyond = _beyond(0.4 * abs(float(self.extent)) + max(abs(low), abs(high)) * frames)
-            if beyond:
-                raise ValueError(
-                    f"speed_min {low!r} and speed_max {high!r} move an object beyond {beyond} "
-                    f"in {self.num_frames} frames"
-                )
-        for k, spec in enumerate(self.objects or ()):
-            start = max(abs(float(spec.x)), abs(float(spec.y)))
-            beyond = _beyond(start + math.hypot(spec.vx, spec.vy) * frames)
-            if beyond:
-                raise ValueError(
-                    f"object {k}: vx {spec.vx!r} and vy {spec.vy!r} move it from x {spec.x!r}, "
-                    f"y {spec.y!r} beyond {beyond} in {self.num_frames} frames"
-                )
+        self._check_reach()
         occlusions = self.occlusions
         if not isinstance(occlusions, (list, tuple)) or not all(
             isinstance(o, (list, tuple)) and len(o) == 3 and all(map(is_integer, o))
@@ -207,6 +193,55 @@ class ScenarioConfig:
         self.occlusions = [tuple(o) for o in occlusions]
         if self.objects is not None:
             self.num_objects = len(self.objects)
+
+    def _check_reach(self):
+        """Every generated box coordinate stays within the magnitude the
+        row rules allow. An object moves by its speed every frame, from
+        within 0.4 * extent when drawn from the speed range; a detection
+        lies within _NORMAL_REACH * pos_noise of its object (and its z of
+        box_h / 2), and a false positive within 0.5 * extent of the
+        origin, or within _NORMAL_REACH * fp_near_sigma of an object."""
+        frames = min(self.num_frames, sys.float_info.max)
+        reach = 0.0  # how far an object's path gets from the origin
+        if self.objects is None:
+            low, high = float(self.speed_min), float(self.speed_max)
+            if not math.isfinite(high - low):
+                raise ValueError(
+                    f"speed_max - speed_min must be a finite number, got speed_min {low!r} "
+                    f"and speed_max {high!r}"
+                )
+            reach = 0.4 * abs(float(self.extent)) + max(abs(low), abs(high)) * frames
+            beyond = _beyond(reach)
+            if beyond:
+                raise ValueError(
+                    f"speed_min {low!r} and speed_max {high!r} move an object beyond {beyond} "
+                    f"in {self.num_frames} frames"
+                )
+        for k, spec in enumerate(self.objects or ()):
+            start = max(abs(float(spec.x)), abs(float(spec.y)))
+            path = start + math.hypot(spec.vx, spec.vy) * frames
+            beyond = _beyond(path)
+            if beyond:
+                raise ValueError(
+                    f"object {k}: vx {spec.vx!r} and vy {spec.vy!r} move it from x {spec.x!r}, "
+                    f"y {spec.y!r} beyond {beyond} in {self.num_frames} frames"
+                )
+            reach = max(reach, path)
+        z = 0.5 * float(self.box_h)  # a detection's height before its noise
+        beyond = _beyond(max(reach, z) + _NORMAL_REACH * float(self.pos_noise))
+        if beyond:
+            raise ValueError(f"pos_noise {self.pos_noise!r} moves a detection beyond {beyond}")
+        if self.fp_rate > 0.0:
+            objects = self.num_objects if self.objects is None else len(self.objects)
+            if self.fp_near_sigma > 0.0 and objects:
+                name, spread = "fp_near_sigma", reach + _NORMAL_REACH * float(self.fp_near_sigma)
+            else:
+                name, spread = "extent", 0.5 * abs(float(self.extent))
+            beyond = _beyond(spread)
+            if beyond:
+                raise ValueError(
+                    f"{name} {getattr(self, name)!r} puts a false positive beyond {beyond}"
+                )
 
 
 def _beyond(reach: float) -> str | None:

@@ -94,10 +94,10 @@ class Tracker:
 
     def _associate(
         self, det_boxes: np.ndarray, scores: np.ndarray, start_prob: np.ndarray, embeddings
-    ) -> tuple[list[tuple[int, int]], np.ndarray]:
-        """Matched (detection, track) pairs and, for the unmatched
-        detections, whether each starts a confirmed track. ``embeddings``
-        is None unless every detection has one."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The matched detection and track rows, as two index arrays, and,
+        for the unmatched detections, whether each starts a confirmed
+        track. ``embeddings`` is None unless every detection has one."""
         cfg = self.config
         x_cls_det, x_cls_trk = scores, self.confidence
         x_se_det = np.where(np.isnan(start_prob), cfg.default_start_prob, start_prob)
@@ -120,7 +120,8 @@ class Tracker:
             # The baseline trusts all inputs: matched pairs keep ids,
             # everything left over starts or ends unconditionally.
             matches = hungarian_baseline(aff.refined, gate=cfg.ha_gate)
-            return matches, np.ones(len(det_boxes), dtype=bool)
+            d, k = np.array(matches, dtype=np.intp).reshape(-1, 2).T
+            return d, k, np.ones(len(det_boxes), dtype=bool)
         problem = AssociationProblem(
             x_cls_det=x_cls_det,
             x_cls_trk=x_cls_trk,
@@ -133,7 +134,7 @@ class Tracker:
             pairs=aff.pairs,
         )
         result = solve_mip(problem)
-        return result.matches, result.y_se_det.astype(bool)
+        return *result.matched, result.y_se_det.astype(bool)
 
     def _fit_embeddings(self, frame: int, batch: DetectionBatch) -> None:
         """Give the embedding table the batch's embedding size, or reject
@@ -190,14 +191,13 @@ class Tracker:
 
         self.mean, self.cov_table = kf_predict(self.mean, self.cov_table, cfg)
 
-        matches, starts = self._associate(
+        d, k, starts = self._associate(
             det_boxes,
             scores,
             batch.start_prob[keep],
             embeddings if has_embedding.all() else None,
         )
 
-        d, k = np.array(matches, dtype=np.intp).reshape(-1, 2).T
         # The matched rows' entries are updated into new ones: a row that
         # coasts may still point at the old entry.
         index = self.cov_index[k]

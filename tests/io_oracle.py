@@ -51,7 +51,8 @@ def check_box(box) -> list:
 def check_detection(frame, box, score, embedding, start_prob) -> Record:
     """The rules of a detection record, checked in order: the box rules,
     the frame nonnegative and within 64 bits, the score in [0, 1], a
-    given start probability in [0, 1], a given embedding finite."""
+    given start probability in [0, 1], a given embedding finite, each of
+    its values at most 1e100 in magnitude."""
     box = check_box(box)
     if frame < 0:
         raise ValueError(f"frame must be nonnegative, got {frame}")
@@ -63,6 +64,9 @@ def check_detection(frame, box, score, embedding, start_prob) -> Record:
         raise ValueError(f"start_prob must be in [0, 1], got {start_prob}")
     if embedding is not None and not all(map(math.isfinite, embedding)):
         raise ValueError("embedding contains non-finite values")
+    for v in embedding or ():
+        if abs(v) > 1e100:
+            raise ValueError(f"embedding value is beyond 1e+100 in magnitude: {v!r}")
     return Record(frame, box, score, embedding, start_prob)
 
 

@@ -2,8 +2,11 @@
 
 It enumerates every feasible assignment of small instances, so the
 tests can check ``solve_mip`` against an optimum found without its
-assignment reduction.
+assignment reduction. ``assert_same_result`` compares two results field
+by field.
 """
+
+import dataclasses
 
 import numpy as np
 
@@ -84,3 +87,19 @@ def brute_force_oracle(p: AssociationProblem) -> AssociationResult:
     # recomputed from the materialized variables.
     result.objective = float(best_obj)
     return result
+
+
+def assert_same_result(got: AssociationResult, expected: AssociationResult):
+    """Every field of two results equal: the arrays in dtype and values,
+    the objective in its bits."""
+    for field in dataclasses.fields(AssociationResult):
+        a, b = getattr(got, field.name), getattr(expected, field.name)
+        if field.name == "objective":
+            assert a.hex() == b.hex(), field.name
+        elif isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist(), field.name
+        elif isinstance(a, tuple):
+            assert [v.dtype for v in a] == [v.dtype for v in b], field.name
+            assert [v.tolist() for v in a] == [v.tolist() for v in b], field.name
+        else:
+            assert a == b, field.name

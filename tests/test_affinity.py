@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from types import SimpleNamespace
 from unittest import mock
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 from scipy.special import softmax
 
 import exact_area
@@ -18,6 +20,7 @@ from diou_oracle import (
     volume,
 )
 from exact_area import within
+from mip_oracle import assert_same_result
 from mipmot import affinity as affinity_module
 from mipmot.affinity import (
     compute_affinities,
@@ -29,6 +32,7 @@ from mipmot.association import (
     AssociationProblem,
     affinity_needed,
     objective_coefficients,
+    result_from_matches,
     solve_mip,
 )
 from mipmot.config import TrackerConfig
@@ -183,6 +187,30 @@ def test_refined_bytes_pinned(ratio):
     assert digest.hexdigest() == PINNED_REFINED[ratio]
 
 
+# sha256 of the dense appearance matrix and the gated appearance values
+# of ``pinned_frame``, per beta_over_alpha: the two-way softmax byte for
+# byte, over all pairs and at the gate's pairs.
+PINNED_APPEARANCE = {
+    0.7: "d68ae4247524bf1fd1b9832c3db2c152f340f1ab77622a5f7d805888a1b439f4",
+    3.0: "9a854e10b2f7ec7fd78f19595a2da143ee48133aa735e7da70a03deeb6a53b52",
+    10.0: "f61698349786a3915a0060c43c336d68f93810ac20431a77adc9067c949208ae",
+}
+
+
+@pytest.mark.parametrize("ratio", sorted(PINNED_APPEARANCE))
+def test_appearance_bytes_pinned(ratio):
+    dets, tracks, det_emb, trk_emb, need = pinned_frame()
+    cfg = TrackerConfig(beta_over_alpha=ratio)
+    dense = compute_affinities(dets, tracks, det_emb, trk_emb, cfg)
+    with mock.patch.object(affinity_module, "_GATE_MIN_PAIRS", 0):
+        gated = compute_affinities(dets, tracks, det_emb, trk_emb, cfg, need=need)
+    assert gated.pairs is not None
+    digest = hashlib.sha256()
+    for array in (dense.appearance, gated.appearance):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    assert digest.hexdigest() == PINNED_APPEARANCE[ratio]
+
+
 class TestRawAppearance:
     def test_identical_is_zero(self):
         e = np.array([0.3, -1.2, 5.0])
@@ -201,6 +229,20 @@ class TestRawAppearance:
         with pytest.raises(ValueError):
             raw_appearance_score([1.0, 2.0], [1.0, 2.0, 3.0])
 
+    def test_zero_length_embeddings_rejected(self):
+        message = "incompatible embedding arrays: (2, 0) vs (3, 0)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            raw_appearance_matrix(np.zeros((2, 0)), np.zeros((3, 0)))
+
+    def test_bits_of_the_negated_mean(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            dim = int(rng.integers(1, 40))
+            dets = rng.normal(size=(3, dim)) * 10.0 ** rng.integers(-5, 5)
+            trks = rng.normal(size=(4, dim))
+            expected = -cdist(dets, trks, "cityblock") / dim
+            assert raw_appearance_matrix(dets, trks).tobytes() == expected.tobytes()
+
     def test_matrix_matches_scalar(self):
         rng = np.random.default_rng(19)
         dets = rng.normal(size=(4, 6))
@@ -211,6 +253,24 @@ class TestRawAppearance:
                 assert mat[i, j] == pytest.approx(
                     raw_appearance_score(dets[i], trks[j]), abs=1e-12
                 )
+
+
+@st.composite
+def raw_matrices(draw):
+    """Raw appearance matrices: a single row or column or both, few
+    distinct values so that entries tie, and rows or columns that span
+    more than 745, so that some exps underflow to 0."""
+    shape = st.one_of(st.just(1), st.integers(2, 12))
+    m, n = draw(shape), draw(shape)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "ties", "wide"]))
+    if kind == "ties":
+        return rng.choice([-1.0, 0.0, 2.5], (m, n))
+    raw = rng.normal(size=(m, n)) * rng.uniform(0.1, 40.0)
+    if kind == "wide":
+        raw[rng.random((m, n)) < 0.3] -= rng.uniform(745.0, 2000.0)
+        raw.flat[rng.integers(raw.size)] += 800.0
+    return raw
 
 
 class TestSoftmaxRanking:
@@ -265,6 +325,20 @@ class TestSoftmaxRanking:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             softmax_ranking([[np.inf, 0.0]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_matrices(), st.integers(0, 2**32 - 1))
+    def test_pair_form_has_the_dense_bits(self, raw, seed):
+        """The ranking formed at some pairs from the column and row sums
+        has the bits of the dense matrix there, and the bound from the
+        sums is at least its largest entry."""
+        dense = softmax_ranking(raw)
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(0, 3 * raw.size + 1))
+        rows, cols = rng.integers(0, raw.shape[0], k), rng.integers(0, raw.shape[1], k)
+        parts = affinity_module._Softmax.of(raw)
+        assert parts.at(rows, cols).tobytes() == dense[rows, cols].tobytes()
+        assert parts.bound() >= dense.max()
 
 
 def _box(seed: int) -> np.ndarray:
@@ -566,6 +640,17 @@ class TestCandidateGate:
             assert gated.refined.tolist() == dense.refined[gated.pairs].tolist()
             assert gated.motion.tolist() == dense.motion[gated.pairs].tolist()
         assert np.all(slack[left_out] < 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(gate_frames())
+    def test_solution_is_its_matches_filled_in(self, frame):
+        """solve_mip's result is the one result_from_matches fills in for
+        its matches, field by field, on the dense and the gated form."""
+        gated, dense = self.gated_and_dense(frame)
+        for p in (problem_of(frame, dense.refined), problem_of(frame, gated.refined, gated.pairs)):
+            result = solve_mip(p)
+            filled = result_from_matches(p, objective_coefficients(p), result.matches)
+            assert_same_result(result, filled)
 
     @settings(max_examples=300, deadline=None)
     @given(gate_frames())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from milp_oracle import milp_oracle
-from mip_oracle import brute_force_oracle
+from mip_oracle import assert_same_result, brute_force_oracle
 from mipmot.association import (
     AssociationProblem,
     affinity_needed,
@@ -274,6 +274,17 @@ class TestMilpOracle:
             expected = milp_oracle(p)
             assert result.objective == pytest.approx(expected, rel=0.0, abs=1e-9), seed
             assert result.objective >= greedy_objective(p) - 1e-9, seed
+
+    def test_solution_is_its_matches_filled_in(self):
+        """solve_mip's result is the one result_from_matches fills in for
+        its matches, field by field, on the dense and the pair form."""
+        for seed in range(200):
+            p = milp_instance(seed)
+            allowed = np.random.default_rng(2000 + seed).random(p.shape) < 0.5
+            for q in (p, on_pairs(p, allowed), on_pairs(p, np.ones(p.shape, bool))):
+                result = solve_mip(q)
+                filled = result_from_matches(q, objective_coefficients(q), result.matches)
+                assert_same_result(result, filled)
 
 
 class TestCandidatePairs:

@@ -110,12 +110,30 @@ class TestSimulate:
                 {"objects": [{"x": 1e150, "y": 0, "vx": 1, "vy": 0}], "num_frames": 3},
                 "object 0: vx 1 and vy 0 move it from x 1e+150, y 0 beyond 1e+100 in magnitude",
             ),
+            # a generated box beyond the row rules' 1e100
+            (
+                {"box_l": 1e150, "num_objects": 1, "num_frames": 2},
+                "box_l must be in [0, 1e+100], got 1e+150",
+            ),
+            (
+                {"box_w": -1, "num_objects": 1, "num_frames": 2},
+                "box_w must be in [0, 1e+100], got -1",
+            ),
+            (
+                {"pos_noise": 1e120, "num_objects": 1, "num_frames": 2},
+                "pos_noise 1e+120 moves a detection beyond 1e+100 in magnitude",
+            ),
+            (
+                {"extent": 2.4e100, "fp_rate": 3, "num_objects": 1, "num_frames": 2},
+                "extent 2.4e+100 puts a false positive beyond 1e+100 in magnitude",
+            ),
         ],
         ids=[
             "number", "text-count", "negative-count", "null-rate", "huge-extent", "object-keys",
             "object-value", "objects-number", "object-number", "object-extra-key", "occlusion-pair",
             "speed-range", "speed-reach", "object-reach", "object-reach-over-range",
-            "speed-beyond-box-limit", "object-beyond-box-limit",
+            "speed-beyond-box-limit", "object-beyond-box-limit", "box-extent-beyond-box-limit",
+            "negative-box-extent", "noise-beyond-box-limit", "false-positive-beyond-box-limit",
         ],
     )
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
@@ -149,6 +167,20 @@ class TestTrack:
         assert "ms/frame" in out
         result = tmp_path / "out" / "seq0.txt"
         assert result.exists() and result.read_text().strip()
+
+    def test_embedding_beyond_limit_fails_at_its_line(self, tmp_path, capsys):
+        """Embedding values whose distance overflows fail at their file
+        and line, not in the appearance softmax of a later frame."""
+        (tmp_path / "seqs").mkdir()
+        (tmp_path / "seqs" / "seq0.dets.txt").write_text(
+            "0 0 0 0.75 4 1.8 1.5 0 0.9 [1e308 0]\n1 0 0 0.75 4 1.8 1.5 0 0.9 [-1e308 0]\n"
+        )
+        code, _, err = run(
+            capsys, "track", "--input-dir", str(tmp_path / "seqs"),
+            "--output-dir", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert "seq0.dets.txt:1: embedding value is beyond 1e+100 in magnitude: 1e+308" in err
 
     def test_frame_near_64_bits(self, tmp_path, capsys):
         """A one-line file at frame 2**63 - 1 steps one frame, not every

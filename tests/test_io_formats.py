@@ -584,6 +584,9 @@ def record_line(draw, rec, fault=None, size=1):
         fields[4:7] = ["1e200", "1e200", draw(st.sampled_from(["1e200", "0"]))]
     if "coordinate beyond 1e100" in faults:
         fields[draw(st.integers(1, 3))] = draw(BEYOND_LIMIT)
+    if "embedding beyond 1e100" in faults:
+        vector = vector or ["0.25"] * size
+        vector[draw(st.integers(0, len(vector) - 1))] = draw(BEYOND_LIMIT)
     if "start_prob -0.1" in faults:
         fields[9:] = ["-0.1"]
     if "negative extent" in faults:
@@ -648,6 +651,7 @@ FAULTS = [
     "embedding size",
     "overflowing volume",
     "coordinate beyond 1e100",
+    "embedding beyond 1e100",
 ]
 
 VALUE_FAULTS = [
@@ -660,6 +664,7 @@ VALUE_FAULTS = [
     "embedding size",
     "overflowing volume",
     "coordinate beyond 1e100",
+    "embedding beyond 1e100",
 ]
 
 
@@ -802,6 +807,10 @@ class TestDetectionBatch:
             (
                 dict(boxes=[[0, 0, 0, 4, 2, 1.5, 0], [0, -2e100, 0, 4, 2, 1.5, 0]]),
                 r"detection 1: box field y is beyond 1e\+100 in magnitude: -2e\+100",
+            ),
+            (
+                dict(embeddings=[[1.0, 2.0], [1e100, -1e308]]),
+                r"detection 1: embedding value is beyond 1e\+100 in magnitude: -1e\+308",
             ),
         ],
     )

@@ -213,8 +213,28 @@ class TestGenerate:
                 dict(speed_min=0, speed_max=1e99, num_frames=100),
                 "speed_min 0.0 and speed_max 1e+99 move an object beyond 1e+100 in magnitude",
             ),
+            (
+                dict(box_l=1e150, num_objects=1, num_frames=2),
+                "box_l must be in [0, 1e+100], got 1e+150",
+            ),
+            (dict(box_w=-1, num_objects=1, num_frames=2), "box_w must be in [0, 1e+100], got -1"),
+            (
+                dict(pos_noise=1e120, num_objects=1, num_frames=2),
+                "pos_noise 1e+120 moves a detection beyond 1e+100 in magnitude",
+            ),
+            (
+                dict(extent=2.4e100, fp_rate=3, num_objects=1, num_frames=2),
+                "extent 2.4e+100 puts a false positive beyond 1e+100 in magnitude",
+            ),
+            (
+                dict(fp_near_sigma=1e101, fp_rate=3, num_objects=1, num_frames=2),
+                "fp_near_sigma 1e+101 puts a false positive beyond 1e+100 in magnitude",
+            ),
         ],
-        ids=["object-start", "object-path", "speed-range"],
+        ids=[
+            "object-start", "object-path", "speed-range", "box-extent", "negative-box-extent",
+            "position-noise", "false-positive-extent", "false-positive-sigma",
+        ],
     )
     def test_path_beyond_the_box_limit_rejected(self, scenario, message):
         # the config passed these, and generate failed at a detection row
@@ -228,6 +248,21 @@ class TestGenerate:
         assert len(dets) == 50
         labels, _ = generate(ScenarioConfig(speed_min=0, speed_max=1e97, num_frames=100))
         assert np.abs(labels["box"][:, :2]).max() > 1e98
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            dict(box_l=1e100, box_w=0.0, box_h=1e100),
+            # 0.4 * extent + 2 frames at speed 1 is 34; 34 + 8.58 * sigma
+            dict(pos_noise=1.165e99),
+            dict(extent=2e100, fp_rate=3),
+            dict(fp_near_sigma=1.165e99, fp_rate=3),
+        ],
+        ids=["box-extent", "position-noise", "false-positive-extent", "false-positive-sigma"],
+    )
+    def test_just_inside_the_box_limit_generates(self, scenario):
+        _, dets = generate(ScenarioConfig(num_objects=1, num_frames=2, seed=3, **scenario))
+        assert len(dets) == 2
 
 
 class TestTemplates:
