@@ -19,6 +19,9 @@ reaches the sum of its two outside options; otherwise giving both
 nodes their outside options scores strictly more. solve_mip keeps the
 pairs that pass and solves a maximum-weight matching on them, which
 is exact.
+
+A result keeps what the solver chose, the matches and the start/end
+choices; each node's selection is worked out from them when read.
 """
 
 from __future__ import annotations
@@ -90,31 +93,37 @@ class AssociationProblem:
 
 @dataclass
 class AssociationResult:
-    """A feasible binary assignment and its objective value."""
+    """A feasible binary assignment and its objective value: the matches
+    (y_aff) and start/end choices (y_se) the solver made. Each node's
+    selection y_cls = y_aff + y_se is worked out from them."""
 
-    y_cls_det: np.ndarray
-    y_cls_trk: np.ndarray
+    # Matched (detection, track) index pairs, sorted by (d, k), as two
+    # index arrays: the pairs whose y_aff is 1; every other y_aff is 0.
+    matched: tuple[np.ndarray, np.ndarray]
     y_se_det: np.ndarray
     y_se_trk: np.ndarray
     objective: float
-    # Matched (detection, track) index pairs, by detection index: the
-    # pairs whose y_aff is 1; every other y_aff is 0.
-    matches: list[tuple[int, int]]
-    # The same pairs as two index arrays, detections and tracks.
-    matched: tuple[np.ndarray, np.ndarray]
+
+    @property
+    def matches(self) -> list[tuple[int, int]]:
+        """The matched pairs as a sorted list of (d, k) ints."""
+        d, k = self.matched
+        return list(zip(d.tolist(), k.tolist()))
+
+    @property
+    def y_cls_det(self) -> np.ndarray:
+        """Each detection's selection: matched plus started."""
+        return np.bincount(self.matched[0], minlength=self.y_se_det.size) + self.y_se_det
+
+    @property
+    def y_cls_trk(self) -> np.ndarray:
+        """Each track's selection: matched plus ended."""
+        return np.bincount(self.matched[1], minlength=self.y_se_trk.size) + self.y_se_trk
 
     def satisfies_constraints(self) -> bool:
-        """Selection equals match-plus-start (end) on every node, and no
-        node is selected more than once."""
-        d, k = self.matched
-        ok_det = np.array_equal(
-            self.y_cls_det, np.bincount(d, minlength=self.y_cls_det.size) + self.y_se_det
-        )
-        ok_trk = np.array_equal(
-            self.y_cls_trk, np.bincount(k, minlength=self.y_cls_trk.size) + self.y_se_trk
-        )
-        once = max(self.y_cls_det.max(initial=0), self.y_cls_trk.max(initial=0)) <= 1
-        return bool(ok_det and ok_trk and once)
+        """No node is selected more than once: none is matched twice, or
+        matched and also started (ended)."""
+        return bool(max(self.y_cls_det.max(initial=0), self.y_cls_trk.max(initial=0)) <= 1)
 
 
 def objective_coefficients(p: AssociationProblem) -> tuple[np.ndarray, ...]:
@@ -188,24 +197,14 @@ def _result(p, coefficients, d, k, matched_aff) -> AssociationResult:
     matched_trk = np.bincount(k, minlength=n)
     y_se_det = ((matched_det == 0) & (c_cls_det + c_se_det >= -_TIE_EPS)).astype(int)
     y_se_trk = ((matched_trk == 0) & (c_cls_trk + c_se_trk >= -_TIE_EPS)).astype(int)
-    y_cls_det = matched_det + y_se_det
-    y_cls_trk = matched_trk + y_se_trk
     objective = float(
-        c_cls_det @ y_cls_det
-        + c_cls_trk @ y_cls_trk
+        c_cls_det @ (matched_det + y_se_det)
+        + c_cls_trk @ (matched_trk + y_se_trk)
         + np.sum(matched_aff)
         + c_se_det @ y_se_det
         + c_se_trk @ y_se_trk
     )
-    return AssociationResult(
-        y_cls_det=y_cls_det,
-        y_cls_trk=y_cls_trk,
-        y_se_det=y_se_det,
-        y_se_trk=y_se_trk,
-        objective=objective,
-        matches=list(zip(d.tolist(), k.tolist())),
-        matched=(d, k),
-    )
+    return AssociationResult((d, k), y_se_det, y_se_trk, objective)
 
 
 def solve_mip(p: AssociationProblem) -> AssociationResult:

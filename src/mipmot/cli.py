@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 from . import evaluation, io_formats, simgen
-from .config import ASSOCIATORS, TrackerConfig, load_json
+from .config import ASSOCIATORS, TrackerConfig, load_json, read_json
 from .tracker import FrameResult, run_sequence
 
 # Config keys that `track` and `sweep` also take as flags: --theta-cls
@@ -157,8 +157,7 @@ def cmd_sweep(args) -> int:
     labels, detections = simgen.generate(scenario)
     gt = labels_to_frames(labels)
 
-    with open(args.grid, "r", encoding="utf-8") as f:
-        grid = json.load(f)
+    grid = read_json(args.grid)
     if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
         raise CliError("grid file must map config keys to value lists")
 

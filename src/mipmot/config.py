@@ -12,8 +12,11 @@ The field checker is shared with ``simgen.ScenarioConfig`` and
 field takes a number that fits a float and passes the field's range
 test. ``from_json`` builds any of the three from a JSON object, with
 unknown and missing keys rejected by name, and ``load_json`` from a
-JSON file. The rule of ``eval_iou_threshold``, ``UNIT``, and its
-default are also those of ``evaluation``'s ``iou_threshold``.
+JSON file. ``read_json``, behind ``load_json`` and the sweep grid, fails
+at the file and line of a syntax error or a byte that is not UTF-8, and
+names a key given twice or nesting too deep. The rule of
+``eval_iou_threshold``, ``UNIT``, and its default are also those of
+``evaluation``'s ``iou_threshold``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-from .io_formats import is_integer, is_real
+from .io_formats import FormatError, is_integer, is_real
 from .motion import MEAS_DIM, STATE_DIM
 
 ASSOCIATORS = ("mip", "hungarian")
@@ -122,10 +125,39 @@ def from_json(cls, data, what: str):
     return cls(**data)
 
 
+def read_json(path):
+    """The JSON value of the file at ``path``. A byte that is not UTF-8
+    and a syntax error fail with a FormatError that names the file and
+    the line; a key given twice in one object, and nesting too deep for
+    the parser, name the file and the fault."""
+    path = os.fspath(path)
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise FormatError(f"{path}:{line}: not UTF-8: byte {data[e.start]:#04x}") from None
+
+    def once(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise FormatError(f"{path}: key {key!r} is given twice")
+            obj[key] = value
+        return obj
+
+    try:
+        return json.loads(text, object_pairs_hook=once)
+    except json.JSONDecodeError as e:
+        raise FormatError(f"{path}:{e.lineno}: bad JSON: {e.msg}") from None
+    except RecursionError:
+        raise FormatError(f"{path}: bad JSON: nested too deeply") from None
+
+
 def load_json(cls, path, what: str):
-    """``from_json`` of the JSON file at ``path``."""
-    with open(os.fspath(path), "r", encoding="utf-8") as f:
-        return from_json(cls, json.load(f), what)
+    """``from_json`` of the JSON file at ``path`` (see ``read_json``)."""
+    return from_json(cls, read_json(path), what)
 
 
 UNIT = real((lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"))

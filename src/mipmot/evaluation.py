@@ -24,12 +24,13 @@ arrays. One array pass over that table and every ground-truth row
 counts the sequence. Identity switches are counted against the most
 recent matched hypothesis of each ground-truth trajectory,
 fragmentations whenever a trajectory resumes being tracked after an
-interior gap.
+interior gap. A ``MotReport`` keeps the counts and works out its ratios
+when read, so pooled sequences add their counts field by field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -48,46 +49,52 @@ ML_CUTOFF = 0.2
 
 @dataclass
 class MotReport:
-    """CLEARMOT counts and ratios, for one sequence or aggregated."""
+    """CLEARMOT counts, for one sequence or pooled, and the CLEAR MOT
+    ratios (Bernardin & Stiefelhagen 2008) worked out from them:
+    MOTA = 1 - (FP + FN + IDSW) / GT, 1 when there is no ground truth;
+    MOTP = summed IoU of the matches / TP; ``mt``, ``pt`` and ``ml`` the
+    shares of the ground-truth tracks mostly tracked, partly tracked and
+    mostly lost."""
 
-    mota: float
-    motp: float
     fp: int
     fn: int
     idsw: int
     frag: int
-    mt: float
-    pt: float
-    ml: float
     num_gt_boxes: int
     num_gt_tracks: int
     tp: int
-    mota_defined: bool
+    iou_sum: float
+    num_mt: int
+    num_pt: int
+    num_ml: int
 
-    @classmethod
-    def from_counts(
-        cls, fp, fn, idsw, frag, num_gt_boxes, num_gt_tracks, tp, iou_sum, mt, pt, ml
-    ) -> "MotReport":
-        """The CLEAR MOT report (Bernardin & Stiefelhagen 2008) of pooled
-        counts: MOTA = 1 - (FP + FN + IDSW) / GT, 1 when there is no
-        ground truth; MOTP = summed IoU of the matches / TP. ``mt``,
-        ``pt`` and ``ml`` count ground-truth tracks."""
-        mota_defined = num_gt_boxes > 0
-        return cls(
-            mota=1.0 - (fp + fn + idsw) / num_gt_boxes if mota_defined else 1.0,
-            motp=iou_sum / tp if tp else 0.0,
-            fp=fp,
-            fn=fn,
-            idsw=idsw,
-            frag=frag,
-            mt=mt / num_gt_tracks if num_gt_tracks else 0.0,
-            pt=pt / num_gt_tracks if num_gt_tracks else 0.0,
-            ml=ml / num_gt_tracks if num_gt_tracks else 0.0,
-            num_gt_boxes=num_gt_boxes,
-            num_gt_tracks=num_gt_tracks,
-            tp=tp,
-            mota_defined=mota_defined,
-        )
+    @property
+    def mota_defined(self) -> bool:
+        return self.num_gt_boxes > 0
+
+    @property
+    def mota(self) -> float:
+        errors = self.fp + self.fn + self.idsw
+        return 1.0 - errors / self.num_gt_boxes if self.mota_defined else 1.0
+
+    @property
+    def motp(self) -> float:
+        return self.iou_sum / self.tp if self.tp else 0.0
+
+    def _share(self, tracks: int) -> float:
+        return tracks / self.num_gt_tracks if self.num_gt_tracks else 0.0
+
+    @property
+    def mt(self) -> float:
+        return self._share(self.num_mt)
+
+    @property
+    def pt(self) -> float:
+        return self._share(self.num_pt)
+
+    @property
+    def ml(self) -> float:
+        return self._share(self.num_ml)
 
     def as_dict(self) -> dict:
         return {
@@ -260,27 +267,18 @@ def _count(gt_ids, matched_rows, matched_hyps, matched_ious, num_hyp) -> MotRepo
     # np.add.accumulate adds left to right, in match order; np.sum would
     # add pairwise and move the last bits of MOTP
     iou_sum = float(np.add.accumulate(np.concatenate(([0.0], matched_ious)))[-1])
-    return MotReport.from_counts(
+    return MotReport(
         fp=num_hyp - tp, fn=len(gt_ids) - tp, idsw=idsw, frag=frag,
         num_gt_boxes=len(gt_ids), num_gt_tracks=len(present), tp=tp, iou_sum=iou_sum,
-        mt=mt, pt=len(present) - mt - ml, ml=ml,
+        num_mt=mt, num_pt=len(present) - mt - ml, num_ml=ml,
     )
 
 
 def aggregate_reports(reports: list[MotReport]) -> MotReport:
-    """Pool per-sequence counts into one overall report."""
-    return MotReport.from_counts(
-        fp=sum(r.fp for r in reports),
-        fn=sum(r.fn for r in reports),
-        idsw=sum(r.idsw for r in reports),
-        frag=sum(r.frag for r in reports),
-        num_gt_boxes=sum(r.num_gt_boxes for r in reports),
-        num_gt_tracks=sum(r.num_gt_tracks for r in reports),
-        tp=sum(r.tp for r in reports),
-        iou_sum=sum(r.motp * r.tp for r in reports),
-        mt=sum(r.mt * r.num_gt_tracks for r in reports),
-        pt=sum(r.pt * r.num_gt_tracks for r in reports),
-        ml=sum(r.ml * r.num_gt_tracks for r in reports),
+    """Pool per-sequence reports into one overall report: each count,
+    and the IoU sum, added over the sequences."""
+    return MotReport(
+        **{f.name: sum(getattr(r, f.name) for r in reports) for f in fields(MotReport)}
     )
 
 

@@ -258,7 +258,8 @@ def _bev_ious(a, b) -> np.ndarray:
     union = a[:, 3] * a[:, 4] + b[:, 3] * b[:, 4] - inter
     with np.errstate(divide="ignore", invalid="ignore"):
         iou = np.minimum(1.0, np.maximum(0.0, inter / union))
-    return np.where(union <= EPS, 0.0, iou)
+    # a union below EPS holds only flat footprints, which overlap nothing
+    return np.where(union < EPS, 0.0, iou)
 
 
 def bev_iou(a, b) -> float:

@@ -180,6 +180,7 @@ class ScenarioConfig:
                 o if isinstance(o, ObjectSpec) else from_json(ObjectSpec, o, f"scenario object {k}")
                 for k, o in enumerate(self.objects)
             ]
+            self.num_objects = len(self.objects)
         self._check_reach()
         occlusions = self.occlusions
         if not isinstance(occlusions, (list, tuple)) or not all(
@@ -191,8 +192,6 @@ class ScenarioConfig:
                 f"got {occlusions!r}"
             )
         self.occlusions = [tuple(o) for o in occlusions]
-        if self.objects is not None:
-            self.num_objects = len(self.objects)
 
     def _check_reach(self):
         """Every generated box coordinate stays within the magnitude the
@@ -232,8 +231,7 @@ class ScenarioConfig:
         if beyond:
             raise ValueError(f"pos_noise {self.pos_noise!r} moves a detection beyond {beyond}")
         if self.fp_rate > 0.0:
-            objects = self.num_objects if self.objects is None else len(self.objects)
-            if self.fp_near_sigma > 0.0 and objects:
+            if self.fp_near_sigma > 0.0 and self.num_objects:
                 name, spread = "fp_near_sigma", reach + _NORMAL_REACH * float(self.fp_near_sigma)
             else:
                 name, spread = "extent", 0.5 * abs(float(self.extent))

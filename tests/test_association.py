@@ -7,6 +7,7 @@ from milp_oracle import milp_oracle
 from mip_oracle import assert_same_result, brute_force_oracle
 from mipmot.association import (
     AssociationProblem,
+    AssociationResult,
     affinity_needed,
     hungarian_baseline,
     objective_coefficients,
@@ -285,6 +286,44 @@ class TestMilpOracle:
                 result = solve_mip(q)
                 filled = result_from_matches(q, objective_coefficients(q), result.matches)
                 assert_same_result(result, filled)
+
+
+class TestStoredChoices:
+    """A result stores the matches and start/end choices; its match list
+    and selections y_cls = y_aff + y_se are worked out from them."""
+
+    def test_node_selected_twice_breaks_the_constraints(self):
+        one, none = np.array([0]), np.zeros(1, int)
+        matched_and_started = AssociationResult((one, one), np.array([1, 0]), none, 0.0)
+        track_matched_twice = AssociationResult(
+            (np.array([0, 1]), np.array([0, 0])), np.zeros(2, int), none, 0.0
+        )
+        assert matched_and_started.y_cls_det.tolist() == [2, 0]
+        assert track_matched_twice.y_cls_trk.tolist() == [2]
+        for result in (matched_and_started, track_matched_twice):
+            assert result.satisfies_constraints() is False
+        assert AssociationResult((one, one), np.array([0, 1]), none, 0.0).satisfies_constraints()
+
+    def test_solver_results_select_each_node_once_at_most(self):
+        rng = np.random.default_rng(101)
+        problems = [random_problem(rng) for _ in range(500)]
+        problems += [milp_instance(seed) for seed in range(200)]
+        for p in problems:
+            for q in (p, on_pairs(p, np.ones(p.shape, bool))):
+                result = solve_mip(q)
+                assert result.satisfies_constraints() is True
+                d, k = result.matched
+                assert result.matches == sorted(zip(d.tolist(), k.tolist()))
+                assert all(type(v) is int for pair in result.matches for v in pair)
+                y_aff = np.zeros(p.shape, int)
+                y_aff[d, k] = 1
+                for y_cls, y_se, matched in (
+                    (result.y_cls_det, result.y_se_det, y_aff.sum(axis=1)),
+                    (result.y_cls_trk, result.y_se_trk, y_aff.sum(axis=0)),
+                ):
+                    assert y_cls.dtype == y_se.dtype == int
+                    assert y_cls.tolist() == (matched + y_se).tolist()
+                    assert set(y_cls.tolist()) <= {0, 1}
 
 
 class TestCandidatePairs:

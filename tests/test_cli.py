@@ -521,3 +521,55 @@ class TestSweep:
         rows = {r["associator"]: r for r in read_csv(out_csv)}
         assert int(rows["mip"]["idsw"]) < int(rows["hungarian"]["idsw"])
         assert float(rows["mip"]["mota"]) > float(rows["hungarian"]["mota"])
+
+
+class TestJsonFiles:
+    """Config, scenario and grid files are read by one reader, which fails
+    at the file and line of a fault, or names a key given twice."""
+
+    @pytest.mark.parametrize(
+        "flag, text, message",
+        [
+            ("--config", b'{"theta_cls": 0.5,,}',
+             ":1: bad JSON: Expecting property name enclosed in double quotes"),
+            ("--scenario", b'{\n"num_frames": 3,\n}',
+             ":3: bad JSON: Expecting property name enclosed in double quotes"),
+            ("--grid", b'{"theta_cls": [0.5, 0.9]', ":1: bad JSON: Expecting ',' delimiter"),
+            ("--config", b'{"theta_cls": 0.5,\n"object_type": "Caf\xe9"}',
+             ":2: not UTF-8: byte 0xe9"),
+            ("--scenario", b'{"object_type": "Caf\xe9"}', ":1: not UTF-8: byte 0xe9"),
+            ("--grid", b'{\n\n"object_type": ["Caf\xe9"]}', ":3: not UTF-8: byte 0xe9"),
+            ("--config", b'{"theta_cls": 0.5, "theta_cls": 0.9}',
+             ": key 'theta_cls' is given twice"),
+            ("--scenario", b'{"objects": [{"x": 0, "y": 0, "x": 1}]}', ": key 'x' is given twice"),
+            ("--grid", b'{"theta_cls": [0.5], "theta_cls": [0.9]}',
+             ": key 'theta_cls' is given twice"),
+        ],
+        ids=[
+            f"{flag[2:]}-{fault}" for fault in ("syntax", "utf8", "repeated-key")
+            for flag in ("--config", "--scenario", "--grid")
+        ],
+    )
+    def test_fault_named_with_its_file(self, tmp_path, capsys, flag, text, message):
+        path = tmp_path / "in.json"
+        path.write_bytes(text)
+        out = str(tmp_path / "out")
+        argv = {
+            "--config": ["track", "--config", str(path), "--input-dir", str(tmp_path),
+                         "--output-dir", out],
+            "--scenario": ["simulate", "--scenario", str(path), "--output-dir", out],
+            "--grid": ["sweep", "--template", "clean", "--grid", str(path), "--output", out],
+        }[flag]
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (1, "")
+        assert err == f"error: {path}{message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_nesting_too_deep_named_with_its_file(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, _, err = run(
+            capsys, "track", "--config", str(path), "--input-dir", str(tmp_path),
+            "--output-dir", str(tmp_path / "out"),
+        )
+        assert (code, err) == (1, f"error: {path}: bad JSON: nested too deeply\n")

@@ -526,6 +526,75 @@ class TestAggregate:
         assert "MOTA" in table and "seq0" in table and "100.00%" in table
 
 
+COUNTS = ("FP", "FN", "IDSW", "FRAG", "GT", "GT_TRACKS", "TP")
+
+
+def joined(pool):
+    """The sequences of ``pool`` one after another as one sequence, each
+    in frames and ids of its own."""
+    gt_frames, hyp_frames = {}, {}
+    for i, sides in enumerate(pool):
+        for joined_side, side in zip((gt_frames, hyp_frames), sides):
+            for frame, boxes in side.items():
+                joined_side[100 * i + frame] = {1000 * i + j: b for j, b in boxes.items()}
+    return gt_frames, hyp_frames
+
+
+def bits(report):
+    """``as_dict`` with each float as its hex and each value's type."""
+    return {
+        k: (type(v), v.hex() if isinstance(v, float) else v) for k, v in report.as_dict().items()
+    }
+
+
+class TestPooling:
+    """aggregate_reports adds the counts and IoU sums of its reports and
+    works out the ratios from the sums."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(sequences(), max_size=4), st.sampled_from([0.1, 0.5]))
+    def test_pool_is_the_report_of_the_sums(self, pool, threshold):
+        reports = [evaluate(gt, hyp, threshold) for gt, hyp in pool]
+        pooled = aggregate_reports(reports)
+        got = pooled.as_dict()
+        for key in COUNTS:
+            assert got[key] == sum(r.as_dict()[key] for r in reports), key
+        tp, iou_sum = got["TP"], sum(r.iou_sum for r in reports)
+        assert pooled.iou_sum == iou_sum
+        assert got["MOTP"] == (iou_sum / tp if tp else 0.0)
+        gt, errors = got["GT"], got["FP"] + got["FN"] + got["IDSW"]
+        assert got["MOTA"] == (1.0 - errors / gt if gt else 1.0)
+        assert got["MOTA_DEFINED"] is (gt > 0)
+        tracks = got["GT_TRACKS"]
+        for key in ("MT", "PT", "ML"):
+            share = sum(r.as_dict()[key] * r.num_gt_tracks for r in reports)
+            assert got[key] == pytest.approx(share / tracks if tracks else 0.0, rel=1e-12)
+        assert pooled.num_mt + pooled.num_pt + pooled.num_ml == tracks
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(sequences(), max_size=4), st.sampled_from([0.1, 0.5]))
+    def test_pool_scores_as_the_joined_sequences(self, pool, threshold):
+        pooled = aggregate_reports([evaluate(gt, hyp, threshold) for gt, hyp in pool])
+        whole = evaluate(*joined(pool), threshold).as_dict()
+        got = pooled.as_dict()
+        assert got.pop("MOTP") == pytest.approx(whole.pop("MOTP"), rel=1e-12)
+        assert got == whole
+
+    @settings(max_examples=50, deadline=None)
+    @given(sequences(), st.sampled_from([0.1, 0.5]))
+    def test_pool_of_one_is_its_report(self, sequence, threshold):
+        report = evaluate(*sequence, threshold)
+        pooled = aggregate_reports([report])
+        assert pooled == report
+        assert bits(pooled) == bits(report)
+
+    def test_pool_of_none(self):
+        got = aggregate_reports([]).as_dict()
+        assert all(got[key] == 0 for key in COUNTS)
+        assert (got["MOTA"], got["MOTP"], got["MT"], got["PT"], got["ML"]) == (1.0, 0, 0, 0, 0)
+        assert got["MOTA_DEFINED"] is False
+
+
 class TestRowsFromFileToScore:
     def test_no_box_built_from_file_to_score(self, tmp_path):
         """Reading a label and a result file, grouping their rows by frame
