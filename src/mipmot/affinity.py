@@ -246,10 +246,7 @@ def _motion_pairs(det: _Boxes, trk: _Boxes, pairs, use_dis, use_iou) -> np.ndarr
         hit = np.nonzero((overlap > 0.0) & (dxy <= det.radii[i] + trk.radii[j]))
         a, b = hit if pairs is None else (i[hit], j[hit])
         inter = geometry.bev_intersection_areas(det.arr[a], trk.arr[b]) * overlap[hit]
-        union = det.volumes[a] + trk.volumes[b] - inter
-        with np.errstate(divide="ignore", invalid="ignore"):
-            iou = np.minimum(1.0, np.maximum(0.0, inter / union))
-        out[hit] += np.where(union > geometry.EPS, iou, 0.0)
+        out[hit] += geometry.overlap_iou(inter, det.volumes[a], trk.volumes[b])
     return out
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import json
 import sys
@@ -87,7 +88,10 @@ def cmd_track(args) -> int:
     return 0
 
 
-def _evaluate_dirs(results_dir: Path, labels_dir: Path, iou_threshold: float):
+def _evaluate_dirs(results_dir: Path, labels_dir: Path, cfg: TrackerConfig):
+    """{sequence: report} of each label file against its result file, both
+    read for the config's ``object_type`` only and matched at its
+    ``eval_iou_threshold``."""
     label_files = _sequences(labels_dir, ".labels.txt") or _kitti_files(labels_dir)
     if not label_files:
         raise CliError(f"no *.labels.txt or KITTI *.txt label files in {labels_dir}")
@@ -102,10 +106,11 @@ def _evaluate_dirs(results_dir: Path, labels_dir: Path, iou_threshold: float):
             parts.append(f"results without labels: {', '.join(extra)}")
         raise CliError("; ".join(parts))
     reports = {}
+    keep = {cfg.object_type}
     for name in sorted(label_files):
-        gt = labels_to_frames(io_formats.read_kitti_labels(label_files[name]))
-        hyp = labels_to_frames(io_formats.read_kitti_labels(result_files[name]))
-        reports[name] = evaluation.evaluate_sequence(gt, hyp, iou_threshold)
+        gt = labels_to_frames(io_formats.read_kitti_labels(label_files[name], keep))
+        hyp = labels_to_frames(io_formats.read_kitti_labels(result_files[name], keep))
+        reports[name] = evaluation.evaluate_sequence(gt, hyp, cfg.eval_iou_threshold)
     return reports
 
 
@@ -115,7 +120,7 @@ def cmd_eval(args) -> int:
     # and is checked by the same rule.
     if args.iou_threshold is not None:
         cfg = cfg.override(eval_iou_threshold=args.iou_threshold)
-    reports = _evaluate_dirs(Path(args.results_dir), Path(args.labels_dir), cfg.eval_iou_threshold)
+    reports = _evaluate_dirs(Path(args.results_dir), Path(args.labels_dir), cfg)
     overall = evaluation.aggregate_reports(list(reports.values()))
     table = dict(reports)
     table["OVERALL"] = overall
@@ -131,9 +136,12 @@ def cmd_eval(args) -> int:
 
 
 def _scenario_from_args(args) -> simgen.ScenarioConfig:
+    """The scenario of --template or --scenario; a given --seed replaces
+    the scenario file's seed, checked again, and a template's default 0."""
     if args.template:
-        return simgen.scenario_template(args.template, seed=args.seed)
-    return load_json(simgen.ScenarioConfig, args.scenario, "scenario file")
+        return simgen.scenario_template(args.template, seed=args.seed or 0)
+    cfg = load_json(simgen.ScenarioConfig, args.scenario, "scenario file")
+    return cfg if args.seed is None else dataclasses.replace(cfg, seed=args.seed)
 
 
 def cmd_simulate(args) -> int:
@@ -146,9 +154,6 @@ def cmd_simulate(args) -> int:
     io_formats.write_kitti_labels(labels, output_dir / f"{name}.labels.txt")
     print(f"wrote {name}.dets.txt and {name}.labels.txt to {output_dir}")
     return 0
-
-
-SWEEP_METRICS = ["mota", "motp", "fp", "fn", "idsw", "frag", "mt", "pt", "ml"]
 
 
 def cmd_sweep(args) -> int:
@@ -174,11 +179,11 @@ def cmd_sweep(args) -> int:
         metrics = report.as_dict()
         # csv writes None as an empty cell; a null grid value reads "null"
         cells = ["null" if v is None else v for v in combo]
-        rows.append(cells + [metrics[m.upper()] for m in SWEEP_METRICS])
+        rows.append(cells + [metrics[m] for m in evaluation.METRICS])
 
     with open(args.output, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(keys + SWEEP_METRICS)
+        writer.writerow(keys + [m.lower() for m in evaluation.METRICS])
         writer.writerows(rows)
     print(f"wrote {len(rows)} rows to {args.output}")
     return 0
@@ -189,6 +194,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mipmot", description="3D multi-object tracking backend"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_scenario(p):
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--template", choices=simgen.TEMPLATES)
+        group.add_argument("--scenario", help="scenario config JSON file")
+        p.add_argument("--seed", type=int, help="default: the scenario file's seed, or 0")
 
     def add_overrides(p):
         for name in OVERRIDES:
@@ -208,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="score results against labels")
     p_eval.add_argument("--results-dir", required=True)
     p_eval.add_argument("--labels-dir", required=True)
-    p_eval.add_argument("--config", help="reads eval_iou_threshold")
+    p_eval.add_argument("--config", help="reads object_type and eval_iou_threshold")
     p_eval.add_argument(
         "--iou-threshold",
         type=float,
@@ -218,22 +229,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic sequence")
-    group = p_sim.add_mutually_exclusive_group(required=True)
-    group.add_argument("--template", choices=simgen.TEMPLATES)
-    group.add_argument("--scenario", help="scenario config JSON file")
+    add_scenario(p_sim)
     p_sim.add_argument("--output-dir", required=True)
     p_sim.add_argument("--name")
-    p_sim.add_argument("--seed", type=int, default=0)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="grid-run track+eval on a scenario")
     p_sweep.add_argument("--config")
-    group = p_sweep.add_mutually_exclusive_group(required=True)
-    group.add_argument("--template", choices=simgen.TEMPLATES)
-    group.add_argument("--scenario")
+    add_scenario(p_sweep)
     p_sweep.add_argument("--grid", required=True, help="JSON {key: [values]}")
     p_sweep.add_argument("--output", required=True, help="metrics CSV path")
-    p_sweep.add_argument("--seed", type=int, default=0)
     add_overrides(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 

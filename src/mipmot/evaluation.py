@@ -46,6 +46,21 @@ _NONE = np.zeros(0, ROW_DTYPE)
 MT_CUTOFF = 0.8
 ML_CUTOFF = 0.2
 
+# The report's headline metrics, in order, each with its table cell: a
+# ratio as a percentage, a count as it is. ``MotReport`` has each as its
+# lower-case attribute, and the sweep's CSV names its columns so.
+METRICS = {
+    "MOTA": "{:.2%}".format,
+    "MOTP": "{:.2%}".format,
+    "FP": str,
+    "FN": str,
+    "IDSW": str,
+    "FRAG": str,
+    "MT": "{:.1%}".format,
+    "PT": "{:.1%}".format,
+    "ML": "{:.1%}".format,
+}
+
 
 @dataclass
 class MotReport:
@@ -97,16 +112,9 @@ class MotReport:
         return self._share(self.num_ml)
 
     def as_dict(self) -> dict:
+        """The ``METRICS``, in their order, then the counts behind them."""
         return {
-            "MOTA": self.mota,
-            "MOTP": self.motp,
-            "FP": self.fp,
-            "FN": self.fn,
-            "IDSW": self.idsw,
-            "FRAG": self.frag,
-            "MT": self.mt,
-            "PT": self.pt,
-            "ML": self.ml,
+            **{name: getattr(self, name.lower()) for name in METRICS},
             "GT": self.num_gt_boxes,
             "GT_TRACKS": self.num_gt_tracks,
             "TP": self.tp,
@@ -284,36 +292,8 @@ def aggregate_reports(reports: list[MotReport]) -> MotReport:
 
 def format_report_table(reports: dict[str, MotReport]) -> str:
     """Aligned plain-text metric table, one row per sequence."""
-    header = [
-        "Sequence",
-        "MOTA",
-        "MOTP",
-        "FP",
-        "FN",
-        "IDSW",
-        "FRAG",
-        "MT",
-        "PT",
-        "ML",
-    ]
-    rows = [header]
+    rows = [["Sequence", *METRICS]]
     for name, r in reports.items():
-        rows.append(
-            [
-                name,
-                f"{100.0 * r.mota:.2f}%",
-                f"{100.0 * r.motp:.2f}%",
-                str(r.fp),
-                str(r.fn),
-                str(r.idsw),
-                str(r.frag),
-                f"{100.0 * r.mt:.1f}%",
-                f"{100.0 * r.pt:.1f}%",
-                f"{100.0 * r.ml:.1f}%",
-            ]
-        )
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    lines = []
-    for row in rows:
-        lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
+        rows.append([name, *(cell(getattr(r, m.lower())) for m, cell in METRICS.items())])
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    return "\n".join("  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows)

@@ -13,11 +13,12 @@ Every overlap goes through one batched kernel, ``bev_intersection_areas``:
 one fixed-shape pass over (K, 4) arrays that integrates each footprint's
 edges in the other box's frame, so an area depends only on where the two
 boxes sit relative to each other. ``tests/exact_area.py`` checks it
-against an exact rational clip. The distance-IoU affinity built on it
-is ``affinity.motion_affinity_matrix``; the evaluator's IoUs come from
-``bev_iou_matrices``, one kernel pass over the candidate pairs of a
-whole sequence of frames, given as those pairs (``IouPairs``), not as
-one matrix per frame.
+against an exact rational clip. An overlap becomes an IoU by one rule,
+``overlap_iou``, in the ground plane and in 3D. The distance-IoU
+affinity built on them is ``affinity.motion_affinity_matrix``; the
+evaluator's IoUs come from ``bev_iou_matrices``, one kernel pass over
+the candidate pairs of a whole sequence of frames, given as those pairs
+(``IouPairs``), not as one matrix per frame.
 """
 
 from __future__ import annotations
@@ -252,14 +253,20 @@ def _candidate_pairs(a, b) -> tuple[np.ndarray, np.ndarray]:
     return hit if dense else (i[hit], j[hit])
 
 
-def _bev_ious(a, b) -> np.ndarray:
-    """Ground-plane IoU of paired (K, 7) box arrays, in [0, 1]."""
-    inter = bev_intersection_areas(a, b)
-    union = a[:, 3] * a[:, 4] + b[:, 3] * b[:, 4] - inter
+def overlap_iou(inter, size_a, size_b) -> np.ndarray:
+    """IoU, in [0, 1], of overlaps ``inter`` of paired shapes of areas
+    (or volumes) ``size_a`` and ``size_b``; the ground-plane and the 3D
+    IoU both take it. A union below EPS holds only flat shapes, which
+    overlap nothing, and scores 0."""
+    union = size_a + size_b - inter
     with np.errstate(divide="ignore", invalid="ignore"):
         iou = np.minimum(1.0, np.maximum(0.0, inter / union))
-    # a union below EPS holds only flat footprints, which overlap nothing
     return np.where(union < EPS, 0.0, iou)
+
+
+def _bev_ious(a, b) -> np.ndarray:
+    """Ground-plane IoU of paired (K, 7) box arrays, in [0, 1]."""
+    return overlap_iou(bev_intersection_areas(a, b), a[:, 3] * a[:, 4], b[:, 3] * b[:, 4])
 
 
 def bev_iou(a, b) -> float:

@@ -76,9 +76,9 @@ first non-blank line, and its rules are checked as vectors over that
 table: finite numbers, the box rules for a kept row, and no kept row
 repeating the (frame, id) pair of an earlier kept row. DontCare rows and
 rows with a negative id are dropped. A file that does not read so
-(one that is not UTF-8 included), breaks a rule or may have a type name
-cut short is read again one line at a time, with the detection reader's
-token check, and fails at its first faulty line.
+(one that is not UTF-8 included) or breaks a rule is read again one line
+at a time, with the detection reader's token check, and fails at its
+first faulty line. Either way a type name is read whole, at any length.
 
 Objects are stored as record arrays, never as one object per row.
 ``read_kitti_labels`` (and ``simgen.generate``) give one table for a
@@ -132,10 +132,6 @@ _EMBEDDING_LIMIT = 1e100
 
 # The frames and ids a table holds.
 _INT64 = range(-(2**63), 2**63)
-
-# The type names a label file's bulk read holds. np.loadtxt cuts a longer
-# one short without an error, so a name of this length or more takes the walk.
-_TYPE_WIDTH = 32
 
 
 def _frame_fault(frame: int) -> str | None:
@@ -639,8 +635,9 @@ def _first_repeat(frames: np.ndarray, ids: np.ndarray) -> int | None:
     return int(repeats.min()) if repeats.size else None
 
 
-# The (x, y, z, l, w, h, a) box among a label row's h w l x y z rotation_y.
-_LABEL_BOX = [3, 4, 5, 2, 1, 0, 6]
+# A KITTI row's h w l x y z rotation_y, as fields of an (x, y, z, l, w,
+# h, a) box; the readers take a row's box in the inverse order, its argsort.
+_KITTI_BOX = [5, 4, 3, 0, 1, 2, 6]
 
 
 def _label_rows(path: str, keep_types) -> tuple | None:
@@ -649,16 +646,14 @@ def _label_rows(path: str, keep_types) -> tuple | None:
     ``np.loadtxt`` call, its first non-blank line deciding the field
     count, and checked as a table. None when the file does not read so
     (no data line, a decoding fault, a line ``np.loadtxt`` does not read,
-    17 and 18 fields mixed), holds a faulty row, or has a type name that
-    may have been cut short."""
+    17 and 18 fields mixed) or holds a faulty row."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
         fields = len(text.lstrip().partition("\n")[0].split())  # of the first non-blank line
-        # A string field drops trailing NULs, which the walk keeps.
-        if fields not in (17, 18) or "\0" in text:
+        if fields not in (17, 18):
             return None
-        dtype = [("frame", np.int64), ("id", np.int64), ("type", f"U{_TYPE_WIDTH}")]
+        dtype = [("frame", np.int64), ("id", np.int64), ("type", object)]
         dtype.append(("numbers", np.float64, (fields - 3,)))
         table = np.loadtxt(path, dtype=dtype, comments=None, ndmin=1, encoding="utf-8")
     except ValueError:
@@ -666,19 +661,16 @@ def _label_rows(path: str, keep_types) -> tuple | None:
     keep = (table["id"] >= 0) & (table["type"] != "DontCare")
     if keep_types is not None:
         keep &= np.array([t in keep_types for t in table["type"].tolist()], dtype=bool)
-    kept, type_lengths = table[keep], np.char.str_len(table["type"])
-    boxes = kept["numbers"][:, 7:14][:, _LABEL_BOX]
+    kept = table[keep]
+    boxes = kept["numbers"][:, 7:14][:, np.argsort(_KITTI_BOX)]
     if (
         not np.isfinite(table["numbers"]).all()
         or _first_fault(_box_rules(boxes)) is not None
-        or type_lengths.max() >= _TYPE_WIDTH
         or _first_repeat(kept["frame"], kept["id"]) is not None
     ):
         return None
     scores = kept["numbers"][:, 14] if fields == 18 else np.full(len(kept), np.nan)
-    # The type field as wide as its longest kept name, as the walk gives it.
-    types = kept["type"].astype(f"U{type_lengths[keep].max(initial=1)}")
-    return kept["frame"], kept["id"], types, boxes, scores
+    return kept["frame"], kept["id"], kept["type"], boxes, scores
 
 
 def _walk_labels(path: str, keep_types) -> tuple:
@@ -719,7 +711,7 @@ def _walk_labels(path: str, keep_types) -> tuple:
                 break
     frames, ids, types, numbers = zip(*rows) if rows else ((),) * 4
     numbers = np.reshape(numbers, (-1, 8))
-    boxes = numbers[:, _LABEL_BOX]
+    boxes = numbers[:, np.argsort(_KITTI_BOX)]
     box_fault = _first_fault(_box_rules(boxes))
     if box_fault is not None:
         _fail(path, lines[box_fault[0]], box_fault[1])
@@ -743,10 +735,10 @@ def read_kitti_labels(path, keep_types=None) -> np.recarray:
     kept row's.
 
     The file is read by one ``np.loadtxt`` call and its rules checked
-    as vectors over the table. A file that does not read so, breaks a
-    rule or may have a type name cut short is read again one line at a
-    time, which fails at the first faulty line, with the file and line
-    number; so does a line holding a byte that is not UTF-8.
+    as vectors over the table, each type name read whole. A file that
+    does not read so or breaks a rule is read again one line at a time,
+    which fails at the first faulty line, with the file and line number;
+    so does a line holding a byte that is not UTF-8.
     """
     path = os.fspath(path)
     rows = _label_rows(path, keep_types) or _walk_labels(path, keep_types)
@@ -768,7 +760,7 @@ def _write_kitti(path, frames, types, visibility, rows) -> None:
     layout, with one call. ``visibility`` holds the truncation and
     occlusion fields; a NaN score is left out."""
     columns = [frames.tolist(), rows["id"].tolist(), types, itertools.repeat(visibility)]
-    columns += [rows["box"][:, k].tolist() for k in (5, 4, 3, 0, 1, 2, 6)]
+    columns += [rows["box"][:, k].tolist() for k in _KITTI_BOX]
     columns.append(rows["score"].tolist())
     unscored = np.isnan(rows["score"]).tolist()
     lines = [_KITTI_ROWS[u] % row for u, row in zip(unscored, zip(*columns))]

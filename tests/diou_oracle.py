@@ -61,7 +61,7 @@ def iou_3d(b1, b2) -> float:
     """3D intersection-over-union of two oriented boxes, in [0, 1]."""
     inter = intersection_volume(b1, b2)
     union = volume(b1) + volume(b2) - inter
-    if union <= EPS:
+    if union < EPS:
         return 0.0
     return min(1.0, max(0.0, inter / union))
 

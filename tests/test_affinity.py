@@ -36,6 +36,7 @@ from mipmot.association import (
     solve_mip,
 )
 from mipmot.config import TrackerConfig
+from mipmot.geometry import bev_iou
 from mipmot.io_formats import Detection
 from tables import box as make_box
 
@@ -426,6 +427,16 @@ class TestMotionMatrix:
         assert motion_affinity_matrix(point, point).tolist() == [[1.0]]
         assert motion_affinity_matrix(point, point, use_iou=False).tolist() == [[1.0]]
         assert motion_affinity_matrix(point, point, use_dis=False).tolist() == [[0.0]]
+
+    def test_footprint_of_eps_overlaps_itself(self):
+        # volume, footprint and union all exactly EPS: the 3D IoU and the
+        # ground-plane IoU share one rule (a union below EPS scores 0), so
+        # both score the box 1 against itself, and so does the oracle
+        flat = make_box(0, 0, 0, 1e-9, 1, 1, 0)
+        boxes = box_array([flat])
+        assert motion_affinity_matrix(boxes, boxes, use_dis=False).tolist() == [[1.0]]
+        assert bev_iou(flat, flat) == 1.0
+        assert iou_3d(flat, flat) == 1.0
 
     def test_requires_a_term(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import pytest
 
 from mipmot.cli import main
 from mipmot.config import TrackerConfig
+from mipmot.evaluation import aggregate_reports, format_report_table
 
 
 def run(capsys, *argv):
@@ -50,6 +51,29 @@ class TestSimulate:
         )
         assert code == 0, err
         assert (tmp_path / "mini.dets.txt").exists()
+
+    def test_seed_replaces_the_scenario_files(self, tmp_path, capsys):
+        """--seed replaces a scenario file's seed; without it the file's
+        seed stands, and a template's is 0."""
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"num_objects": 3, "num_frames": 10, "seed": 4}))
+
+        def dets(name, *argv):
+            argv = argv or ("--scenario", str(scenario))
+            code, _, err = run(
+                capsys, "simulate", *argv, "--output-dir", str(tmp_path), "--name", name
+            )
+            assert code == 0, err
+            return (tmp_path / f"{name}.dets.txt").read_bytes()
+
+        assert dets("s5", "--scenario", str(scenario), "--seed", "5") != dets(
+            "s9", "--scenario", str(scenario), "--seed", "9"
+        )
+        assert dets("file") == dets("s4", "--scenario", str(scenario), "--seed", "4")
+        assert dets("file") != dets("s5", "--scenario", str(scenario), "--seed", "5")
+        assert dets("t", "--template", "clutter") == dets(
+            "t0", "--template", "clutter", "--seed", "0"
+        )
 
     def test_unknown_scenario_key(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
@@ -413,6 +437,33 @@ class TestEval:
             assert code == 1, extra
             assert "error: eval_iou_threshold must be a number in [0, 1]" in err, extra
 
+    @pytest.mark.parametrize(
+        "config, report",
+        [
+            (None, {"MOTA": 1.0, "FP": 0, "FN": 0}),
+            ({"object_type": "Pedestrian"}, {"MOTA": 0.0, "FP": 0, "FN": 1}),
+        ],
+    )
+    def test_scores_the_config_class_only(self, tmp_path, capsys, config, report):
+        """A label file with a Car and a Pedestrian, against a result that
+        tracks the Car: only the rows of the config's ``object_type``, on
+        both sides, are scored."""
+        car = "0 1 Car 0 0 -10 -1 -1 -1 -1 1.5 1.8 4.0 1 2 0.75 0.1"
+        pedestrian = "0 2 Pedestrian 0 0 -10 -1 -1 -1 -1 1.7 0.6 0.8 9 9 0.85 0.1"
+        (tmp_path / "labels").mkdir()
+        (tmp_path / "labels" / "seq0.labels.txt").write_text(f"{car}\n{pedestrian}\n")
+        (tmp_path / "results").mkdir()
+        (tmp_path / "results" / "seq0.txt").write_text(f"{car} 0.9\n")
+        argv = ["eval", "--results-dir", str(tmp_path / "results")]
+        argv += ["--labels-dir", str(tmp_path / "labels"), "--json-out", str(tmp_path / "r.json")]
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "config.json")]
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        overall = json.loads((tmp_path / "r.json").read_text())["OVERALL"]
+        assert {key: overall[key] for key in report} == report
+
     def test_empty_labels_dir_rejected(self, tmp_path, capsys):
         """Two empty directories score nothing, instead of MOTA 100%."""
         (tmp_path / "results").mkdir()
@@ -490,6 +541,37 @@ class TestSweep:
         del ungated["w_cls"]
         assert rows["null"] == ungated
         assert rows["null"] != rows["0.3"]
+
+    def test_metric_columns_are_the_table_header(self, tmp_path, capsys):
+        grid = self._grid(tmp_path, {"theta_cls": [0.85]})
+        out_csv = tmp_path / "metrics.csv"
+        code, _, err = run(
+            capsys, "sweep", "--template", "clean", "--grid", str(grid),
+            "--output", str(out_csv),
+        )
+        assert code == 0, err
+        with open(out_csv, newline="", encoding="utf-8") as f:
+            header = next(csv.reader(f))
+        table = format_report_table({"seq0": aggregate_reports([])}).splitlines()[0].split()
+        assert header == ["theta_cls"] + [name.lower() for name in table[1:]]
+
+    def test_seed_replaces_the_scenario_files(self, tmp_path, capsys):
+        """--seed replaces a scenario file's seed, in the sweep too."""
+        scenario = tmp_path / "scenario.json"
+        fields = {"num_objects": 5, "num_frames": 20, "pos_noise": 0.3, "seed": 4}
+        scenario.write_text(json.dumps(fields))
+        grid = self._grid(tmp_path, {"theta_cls": [0.85]})
+
+        def metrics(*seed):
+            out_csv = tmp_path / "metrics.csv"
+            code, _, err = run(
+                capsys, "sweep", "--scenario", str(scenario), *seed, "--grid", str(grid),
+                "--output", str(out_csv),
+            )
+            assert code == 0, err
+            return read_csv(out_csv)
+
+        assert metrics() == metrics("--seed", "4") != metrics("--seed", "5")
 
     def test_unknown_grid_key(self, tmp_path, capsys):
         grid = self._grid(tmp_path, {"w_clss": [1.0]})

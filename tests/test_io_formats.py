@@ -1098,13 +1098,13 @@ class TestLabelFastPath:
     @pytest.mark.parametrize(
         "lines, keep_types, walks",
         [
-            # type names one shorter than, as long as and longer than the string width
-            ([LABEL_ROW.replace("Car", "C" * (io_formats._TYPE_WIDTH - 1))], None, 0),
-            ([LABEL_ROW.replace("Car", "C" * io_formats._TYPE_WIDTH)], None, 1),
-            ([LABEL_ROW.replace("Car", "C" * (io_formats._TYPE_WIDTH + 1))], None, 1),
-            ([LABEL_ROW, LABEL_ROW.replace("Car", "C" * (io_formats._TYPE_WIDTH + 1))], {"Car"}, 1),
-            # a string field drops a trailing NUL, which the type keeps
-            ([LABEL_ROW.replace("Car", "Car\0")], {"Car"}, 1),
+            # type names around 32 characters read whole, in bulk
+            ([LABEL_ROW.replace("Car", "C" * (32 - 1))], None, 0),
+            ([LABEL_ROW.replace("Car", "C" * 32)], None, 0),
+            ([LABEL_ROW.replace("Car", "C" * (32 + 1))], None, 0),
+            ([LABEL_ROW, LABEL_ROW.replace("Car", "C" * (32 + 1))], {"Car"}, 0),
+            # a trailing NUL is part of the type, in bulk as in the walk
+            ([LABEL_ROW.replace("Car", "Car\0")], {"Car"}, 0),
             # 17 and 18 fields mixed, either first
             ([LABEL_ROW, LABEL_ROW.replace("0 1", "1 1") + " 0.5"], None, 1),
             ([LABEL_ROW + " 0.5", LABEL_ROW.replace("0 1", "1 1")], None, 1),
@@ -1130,6 +1130,8 @@ class TestLabelFastPath:
             # a DontCare row with a nonnegative id is dropped by its type
             ([LABEL_ROW.replace("0 1 Car", "0 3 DontCare").replace("1.8", "-1.8")], None, 0),
             ([LABEL_ROW.replace("0 1 Car", "0 3 DontCare").replace("1.8", "nan")], None, 1),
+            # a type name of 100 characters
+            ([LABEL_ROW.replace("Car", "C" * 100)], None, 0),
         ],
     )
     def test_boundaries(self, tmp_path, lines, keep_types, walks):
@@ -1140,7 +1142,7 @@ class TestLabelFastPath:
 
     def test_width_of_the_type_field(self, tmp_path):
         path = tmp_path / "labels.txt"
-        long = "P" * (io_formats._TYPE_WIDTH + 3)
+        long = "P" * (32 + 3)
         for types, width in [(["Car"], 3), (["Car", "Pedestrian"], 10), (["Car", long], len(long))]:
             rows = [LABEL_ROW.replace("0 1 Car", f"0 {i} {t}") for i, t in enumerate(types)]
             path.write_text("\n".join(rows) + "\n")
