@@ -318,7 +318,11 @@ def candidate_pairs(
     is at most s / (dist + s). Beyond the radius where these bounds
     fall below the smallest need no pair can reach its own need. The
     pairs within it are found with a k-d tree on the centres, and each
-    is kept if its own bound reaches its own need.
+    is kept if its own bound reaches its own need. (The evaluator's
+    sorted sweep, ``geometry.bev_iou_matrices``, finds the same pairs
+    here but costs more: at this radius, about 21 m on a ``sparse-300``
+    frame, a sweep along one axis took 245 us against the tree's
+    148 us.)
 
     None is returned when the frame has at most _GATE_MIN_PAIRS pairs,
     or when the radius spans every centre: scoring the dense matrix is

@@ -18,7 +18,9 @@ against an exact rational clip. An overlap becomes an IoU by one rule,
 affinity built on them is ``affinity.motion_affinity_matrix``; the
 evaluator's IoUs come from ``bev_iou_matrices``, one kernel pass over
 the candidate pairs of a whole sequence of frames, given as those pairs
-(``IouPairs``), not as one matrix per frame.
+(``IouPairs``), not as one matrix per frame. It finds those pairs by
+one sorted sweep over the sequence (``_candidate_pairs``), the same
+path for every frame size.
 """
 
 from __future__ import annotations
@@ -27,14 +29,14 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 # Areas / volumes below this are treated as degenerate.
 EPS = 1e-9
 
-# Up to this many pairs, testing every pair's circumcircles costs less
-# than building k-d trees (measured crossover: about 10,000 pairs).
-_TREE_MIN_PAIRS = 8192
+# ``bev_iou_matrices`` expands the windows of its sorted sweep this many
+# candidate pairs at a time, a few MB of temporaries, so that its memory
+# stays bounded however a frame's boxes crowd the sweep's axis.
+_SWEEP_PAIRS = 2**16
 
 # The overlap kernel costs about 70 us a call plus 0.33 us a pair, so
 # ``bev_iou_matrices`` runs it over every frame's candidate pairs
@@ -172,8 +174,9 @@ class IouPairs(NamedTuple):
 
     Frame f's pairs are entries ``start[f]:start[f + 1]`` of ``rows``,
     ``cols`` and ``ious``: the row of its ``a`` box, the row of its
-    ``b`` box, both within the frame, and their IoU. A pair not listed
-    has IoU 0.
+    ``b`` box, both within the frame, and their IoU. A frame's pairs
+    are listed row-major: by ``a`` row, then by ``b`` row. A pair not
+    listed has IoU 0.
     """
 
     start: np.ndarray
@@ -200,57 +203,96 @@ def bev_iou_matrices(frames) -> IouPairs:
     The candidate pairs of a frame are those whose footprint
     circumcircles meet; every other pair cannot overlap and scores 0.
     Every frame's ``a`` boxes, and its ``b`` boxes, are stacked into one
-    array, and the candidate pairs of every frame, as rows of the
-    stacks, go through the overlap kernel together, ``_KERNEL_PAIRS`` at
-    a time. Each slice gathers its own rows, so the boxes of all the
-    pairs are never held at once. The kernel gives a pair the same bits
-    in any batch, so each frame's IoUs equal the ones of its frame alone.
+    array; ``_candidate_pairs`` finds the candidate pairs of every
+    frame, as rows of the stacks, and they go through the overlap kernel
+    together, ``_KERNEL_PAIRS`` at a time. Each slice gathers its own
+    rows, so the boxes of all the pairs are never held at once. The
+    kernel gives a pair the same bits in any batch, so each frame's IoUs
+    equal the ones of its frame alone.
     """
     frames = [
         (np.asarray(a, dtype=float).reshape(-1, 7), np.asarray(b, dtype=float).reshape(-1, 7))
         for a, b in frames
     ]
-    pairs = [_candidate_pairs(a, b) for a, b in frames]
-    start = np.cumsum([0] + [len(i) for i, _ in pairs])
-    rows = np.concatenate([np.zeros(0, np.intp)] + [i for i, _ in pairs])
-    cols = np.concatenate([np.zeros(0, np.intp)] + [j for _, j in pairs])
+    a_start = np.cumsum([0] + [len(a) for a, _ in frames])
+    b_start = np.cumsum([0] + [len(b) for _, b in frames])
     a_all = np.concatenate([np.zeros((0, 7))] + [a for a, _ in frames])
     b_all = np.concatenate([np.zeros((0, 7))] + [b for _, b in frames])
-    # each frame's pairs as rows of the stacks: offset by the frames before
-    counts = np.diff(start)
-    i_all = rows + np.repeat(np.cumsum([0] + [len(a) for a, _ in frames])[:-1], counts)
-    j_all = cols + np.repeat(np.cumsum([0] + [len(b) for _, b in frames])[:-1], counts)
+    i_all, j_all = _candidate_pairs(a_all, a_start, b_all, b_start)
+    # the pairs are in stacked-row order, so frame f's begin at its first row
+    start = np.searchsorted(i_all, a_start)
+    frame_of = np.repeat(np.arange(len(frames)), np.diff(start))
     ious = np.concatenate([np.zeros(0)] + [
         _bev_ious(a_all[i_all[k : k + _KERNEL_PAIRS]], b_all[j_all[k : k + _KERNEL_PAIRS]])
         for k in range(0, len(i_all), _KERNEL_PAIRS)
     ])
-    return IouPairs(start, rows, cols, ious)
+    return IouPairs(start, i_all - a_start[frame_of], j_all - b_start[frame_of], ious)
 
 
-def _candidate_pairs(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the pairs of two box arrays whose
-    footprint circumcircles meet. Beyond _TREE_MIN_PAIRS pairs, the
-    pairs whose centres lie within the largest reach of two
-    circumcircles are found with a k-d tree first, instead of testing
-    all of them."""
-    if len(a) == 0 or len(b) == 0:
-        return np.zeros(0, np.intp), np.zeros(0, np.intp)
+def _candidate_pairs(a, a_start, b, b_start) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs whose footprint circumcircles meet, of a sequence of
+    frames given as row-stacked box arrays ``a`` and ``b`` and the
+    offsets of each frame's rows in them: the ``a`` and ``b`` rows of
+    each pair, ordered by ``a`` row, then ``b`` row.
+
+    A sorted sweep, as in the broad phase of collision detection,
+    brackets the pairs first, along the axis where the sequence's ``b``
+    centres spread wider. One sort orders ``b`` by frame and by centre
+    on that axis. For each ``a`` centre ``c``, two binary searches then
+    find the ``b`` centres of its frame in ``[c - reach, c + reach]``,
+    ``reach`` being the frame's largest sum of two circumradii with a
+    relative slack of 1e-9, plus EPS. The window's ends are rounded,
+    and rounding is monotone, so a ``b`` centre within ``reach`` of
+    ``c`` lies inside them. The slack covers the rounding of the exact
+    test, which keeps each pair of the window whose ``dx * dx + dy * dy``
+    is at most the square of its two radii's sum. The windows are
+    expanded at most ``_SWEEP_PAIRS`` candidates at a time, cut at ``a``
+    rows (a row whose window holds more is expanded alone).
+    """
     radius_a = 0.5 * np.hypot(a[:, 3], a[:, 4])
     radius_b = 0.5 * np.hypot(b[:, 3], b[:, 4])
-    dense = len(a) * len(b) <= _TREE_MIN_PAIRS
-    if dense:
-        i, j = np.s_[:, None], np.s_[None, :]
-    else:
-        reach = (radius_a.max() + radius_b.max()) * (1.0 + 1e-9) + EPS
-        near = cKDTree(a[:, :2]).sparse_distance_matrix(
-            cKDTree(b[:, :2]), reach, output_type="ndarray"
-        )
-        i, j = near["i"], near["j"]
-    dx = b[:, 0][j] - a[:, 0][i]
-    dy = b[:, 1][j] - a[:, 1][i]
-    reach = radius_a[i] + radius_b[j]
-    hit = np.nonzero(dx * dx + dy * dy <= reach * reach)
-    return hit if dense else (i[hit], j[hit])
+    sizes_a, sizes_b = np.diff(a_start), np.diff(b_start)
+    reach = (_frame_max(radius_a, a_start) + _frame_max(radius_b, b_start)) * (1.0 + 1e-9) + EPS
+    axis = int(len(b) > 0 and np.ptp(b[:, 1]) > np.ptp(b[:, 0]))
+    # numpy orders complex numbers by real part, then imaginary part: by
+    # frame, then by centre on the axis; a frame and a centre convert exactly
+    frame = np.arange(len(sizes_a), dtype=float)
+    key = np.repeat(frame, sizes_b) + 1j * b[:, axis]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    row_frame, row_reach = np.repeat(frame, sizes_a), np.repeat(reach, sizes_a)
+    lo = np.searchsorted(key, row_frame + 1j * (a[:, axis] - row_reach), "left")
+    counts = np.searchsorted(key, row_frame + 1j * (a[:, axis] + row_reach), "right") - lo
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    x, y, radius = b[order, 0], b[order, 1], radius_b[order]
+    found = [np.zeros(0, np.intp)]
+    first = 0
+    while first < len(a):
+        # the rows whose windows fit in one slice, or one row alone
+        last = max(int(np.searchsorted(ends, starts[first] + _SWEEP_PAIRS, "right")), first + 1)
+        rows, n = slice(first, last), counts[first:last]
+        # candidate k of row r is b's sorted row lo[r] + k - starts[r]
+        pos = np.arange(starts[first], ends[last - 1]) + np.repeat(lo[rows] - starts[rows], n)
+        dx = x[pos] - np.repeat(a[rows, 0], n)
+        dy = y[pos] - np.repeat(a[rows, 1], n)
+        reach_ij = np.repeat(radius_a[rows], n) + radius[pos]
+        hit = dx * dx + dy * dy <= reach_ij * reach_ij
+        # each pair as one number, its a row times len(b) plus its b row
+        i = np.repeat(np.arange(first, last), n)[hit]
+        found.append(np.sort(i * len(b) + order[pos[hit]]))
+        first = last
+    return np.divmod(np.concatenate(found), len(b))
+
+
+def _frame_max(values, start) -> np.ndarray:
+    """The largest of each frame's ``values``, frame f's being entries
+    ``start[f]:start[f + 1]``; 0 for a frame without any."""
+    out = np.zeros(len(start) - 1)
+    full = np.diff(start) > 0
+    if full.any():
+        out[full] = np.maximum.reduceat(values, start[:-1][full])
+    return out
 
 
 def overlap_iou(inter, size_a, size_b) -> np.ndarray:

@@ -10,6 +10,7 @@ import clearmot_oracle
 import exact_area
 from clearmot_oracle import bev_iou as oracle_bev_iou
 from exact_area import within
+from pair_oracle import assert_same_pairs, brute_force_pairs
 from mipmot.evaluation import (
     aggregate_reports,
     evaluate_sequence,
@@ -228,6 +229,12 @@ def oracle_match_frame(gt_boxes, hyp_boxes, prev, iou_threshold=0.5):
     return corr
 
 
+def assert_frame_pairs(gt_boxes, hyp_boxes):
+    """The frame's pairs the evaluator scores are the brute-force ones."""
+    frame = [(rows(gt_boxes)["box"], rows(hyp_boxes)["box"])]
+    assert_same_pairs(bev_iou_matrices(frame), brute_force_pairs(frame))
+
+
 @st.composite
 def frames(draw):
     """Ground truth near each other, hypotheses that jitter, drop or add
@@ -265,9 +272,8 @@ class TestMatchFrameOracle:
     def test_tree_query_same_mapping(self, frame, threshold):
         gt, hyp, prev = frame
         expected = oracle_match_frame(gt, hyp, prev, threshold)
-        # the k-d tree query at every size, not only beyond the size where it pays off
-        with mock.patch.object(geometry, "_TREE_MIN_PAIRS", 0):
-            assert match(gt, hyp, prev, threshold) == expected
+        assert_frame_pairs(gt, hyp)
+        assert match(gt, hyp, prev, threshold) == expected
 
     @pytest.mark.parametrize("scene", ["far", "empty gt", "empty hyp", "coincident"])
     def test_tree_query_scenes(self, scene):
@@ -281,8 +287,8 @@ class TestMatchFrameOracle:
             hyp = {}
         else:
             hyp = {10 + g: box(b[0], b[1], l=2.5, w=3.0, a=1.0) for g, b in gt.items()}
-        with mock.patch.object(geometry, "_TREE_MIN_PAIRS", 0):
-            got = match(gt, hyp, {}, 0.1)
+        assert_frame_pairs(gt, hyp)
+        got = match(gt, hyp, {}, 0.1)
         assert got == oracle_match_frame(gt, hyp, {}, 0.1)
         assert len(got) == {"far": 0, "empty gt": 0, "empty hyp": 0, "coincident": 5}[scene]
 

@@ -19,6 +19,7 @@ from diou_oracle import (
     volume,
 )
 from exact_area import within
+from pair_oracle import assert_same_pairs, brute_force_pairs
 from mipmot import geometry
 from mipmot.geometry import (
     EPS,
@@ -298,15 +299,15 @@ class TestOverlapKernel:
             ]
         elif layout == "coincident":
             right = [replace(b, x=a[0], y=a[1]) for a, b in zip(left, right)]
-        # the k-d tree query at every size, not only beyond the size where it pays off
-        with mock.patch.object(geometry, "_TREE_MIN_PAIRS", 0):
-            got = bev_iou_matrix(as_array(left), as_array(right))
+        frame = [(as_array(left), as_array(right))]
+        assert_same_pairs(bev_iou_matrices(frame), brute_force_pairs(frame))
+        got = bev_iou_matrix(as_array(left), as_array(right))
         assert got.shape == (len(left), len(right))
         assert got.tolist() == pairwise_ious(left, right)
         assert_ious_exact(got, left, right)
 
     def test_tree_query_at_size(self):
-        # 110 x 110 boxes on a grid: beyond _TREE_MIN_PAIRS, so the tree is used
+        # 110 x 110 boxes on a grid, 12,100 pairs
         rng = np.random.default_rng(149)
         grid = np.array([(x, y) for x in range(11) for y in range(10)], dtype=float) * 6.0
         left = [make_box(x, y, 0, *rng.uniform(0.5, 6.0, 3), rng.uniform(-4, 4)) for x, y in grid]
@@ -314,11 +315,11 @@ class TestOverlapKernel:
             replace(b, x=b[0] + rng.normal(0, 1.0), y=b[1] + rng.normal(0, 1.0), a=b[6] + 0.3)
             for b in left
         ]
-        assert len(left) * len(right) > geometry._TREE_MIN_PAIRS
+        frame = [(as_array(left), as_array(right))]
+        pairs = bev_iou_matrices(frame)
+        assert_same_pairs(pairs, brute_force_pairs(frame))
+        assert len(left) < len(pairs.rows) < 5 * len(left)
         got = bev_iou_matrix(as_array(left), as_array(right))
-        with mock.patch.object(geometry, "_TREE_MIN_PAIRS", math.inf):
-            dense = bev_iou_matrix(as_array(left), as_array(right))
-        assert got.tolist() == dense.tolist()
         assert np.count_nonzero(got) > len(left)
         for i, j in zip(*np.nonzero(got)):
             assert got[i, j] == bev_iou(left[i], right[j])
@@ -326,9 +327,10 @@ class TestOverlapKernel:
 
     def test_tree_query_empty_side(self):
         one = as_array([make_box(0, 0, 0, 1, 1, 1)])
-        with mock.patch.object(geometry, "_TREE_MIN_PAIRS", -1):
-            assert bev_iou_matrix(np.zeros((0, 7)), one).shape == (0, 1)
-            assert bev_iou_matrix(one, np.zeros((0, 7))).shape == (1, 0)
+        for frame in [(np.zeros((0, 7)), one), (one, np.zeros((0, 7)))]:
+            assert_same_pairs(bev_iou_matrices([frame]), brute_force_pairs([frame]))
+        assert bev_iou_matrix(np.zeros((0, 7)), one).shape == (0, 1)
+        assert bev_iou_matrix(one, np.zeros((0, 7))).shape == (1, 0)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(boxes(), min_size=1, max_size=6))
@@ -578,18 +580,17 @@ class TestBatchedPass:
         assert empty.start.tolist() == [0] and len(empty.rows) == len(empty.ious) == 0
 
     def test_tree_query_beside_dense_frames(self):
-        # frames of 9 pairs and more take the k-d tree, smaller ones not
+        # frames of 9 pairs and more and smaller ones, in kernel slices of 3
         frames = self.scenes(np.random.default_rng(11))
-        with mock.patch.object(geometry, "_TREE_MIN_PAIRS", 8), mock.patch.object(
-            geometry, "_KERNEL_PAIRS", 3
-        ):
-            got = self.scattered(bev_iou_matrices(frames), frames)
+        with mock.patch.object(geometry, "_KERNEL_PAIRS", 3):
+            pairs = bev_iou_matrices(frames)
+        assert_same_pairs(pairs, brute_force_pairs(frames))
+        got = self.scattered(pairs, frames)
         assert any(m.size > 8 for m in got) and any(0 < m.size <= 8 for m in got)
         assert [bits(m) for m in got] == [bits(m) for m in self.one_pair_ious(frames)]
 
     def test_tree_query_at_size_among_empty_frames(self):
-        # a frame of 110 x 110 boxes on a grid, beyond _TREE_MIN_PAIRS, so
-        # the tree is used, between frames with an empty side
+        # a frame of 110 x 110 boxes on a grid between frames with an empty side
         rng = np.random.default_rng(151)
         grid = np.array([(x, y) for x in range(11) for y in range(10)], dtype=float) * 6.0
         left = [make_box(x, y, 0, *rng.uniform(0.5, 6.0, 3), rng.uniform(-4, 4)) for x, y in grid]
@@ -597,18 +598,103 @@ class TestBatchedPass:
             replace(b, x=b[0] + rng.normal(0, 1.0), y=b[1] + rng.normal(0, 1.0), a=b[6] + 0.3)
             for b in left
         ]
-        assert len(left) * len(right) > geometry._TREE_MIN_PAIRS
         none = np.zeros((0, 7))
         frames = [(none, as_array(right[:3])), (as_array(left), as_array(right)), (none, none)]
         frames.append((as_array(left[:2]), none))
         pairs = bev_iou_matrices(frames)
-        # the tree keeps far fewer pairs than the 12,100 of the big frame
+        # the sweep keeps far fewer pairs than the 12,100 of the big frame
         assert len(left) < pairs.start[2] - pairs.start[1] < 5 * len(left)
         got = self.scattered(pairs, frames)
         assert [bits(m) for m in got] == [bits(m) for m in self.one_pair_ious(frames)]
-        with mock.patch.object(geometry, "_TREE_MIN_PAIRS", math.inf):
-            dense = self.scattered(bev_iou_matrices(frames), frames)
-        assert [bits(m) for m in dense] == [bits(m) for m in got]
+        assert_same_pairs(pairs, brute_force_pairs(frames))
+
+
+FAR = 1e100
+
+
+@st.composite
+def sweep_frame(draw):
+    """One frame's two box arrays in a layout that strains the sorted
+    sweep: boxes at random, centres shared across the sides, all
+    centres on one x or one y, one box 1000 times the others' size,
+    boxes of zero extent, or 1 m boxes a few float steps from +-1e100."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    a = as_array(draw(st.lists(boxes(spread=4.0), min_size=m, max_size=m)))
+    b = as_array(draw(st.lists(boxes(spread=4.0), min_size=n, max_size=n)))
+    layout = draw(
+        st.sampled_from(["random", "coincident", "one x", "one y", "huge", "flat", "far"])
+    )
+    if layout == "coincident":
+        k = min(m, n)
+        b[:k, :2] = a[:k, :2]
+    elif layout in ("one x", "one y"):
+        axis = 0 if layout == "one x" else 1
+        a[:, axis] = b[:, axis] = draw(st.floats(-4.0, 4.0))
+    elif layout == "huge" and m + n:
+        side, k = (a, draw(st.integers(0, m - 1))) if m else (b, draw(st.integers(0, n - 1)))
+        side[k, 3:5] = 1000.0 * np.maximum(side[k, 3:5], 1.0)
+    elif layout == "flat":
+        a[:, 3:5] *= draw(st.sampled_from([0.0, 1.0]))
+        b[:, 3:5] = 0.0
+    elif layout == "far":
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        for side in (a, b):
+            # coordinates 0 to 3 float steps inside 1e100: some shared,
+            # some a step apart
+            steps = draw(st.lists(st.integers(0, 3), min_size=2 * len(side), max_size=2 * len(side)))
+            side[:, :2] = sign * (FAR - np.spacing(FAR) * np.reshape(steps, (-1, 2)))
+            side[:, 3:5] = 1.0
+    return a, b
+
+
+class TestSortedSweep:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(sweep_frame(), max_size=5), st.sampled_from([1, 5, geometry._SWEEP_PAIRS]))
+    def test_pairs_equal_brute_force(self, frames, sweep_pairs):
+        # windows expanded one row at a time, a few candidates at a time, or at once
+        with mock.patch.object(geometry, "_SWEEP_PAIRS", sweep_pairs):
+            pairs = bev_iou_matrices(frames)
+        assert_same_pairs(pairs, brute_force_pairs(frames))
+
+    def test_large_circumcircles_that_touch(self):
+        # pairs of boxes 1e5 to 1e13 m across, their centres a few float
+        # steps from the sum of their circumradii apart along one axis: the
+        # exact test keeps some pairs a little beyond that sum, which the
+        # windows must hold too
+        rng = np.random.default_rng(29)
+        frames = []
+        for _ in range(2000):
+            a, b = np.zeros((1, 7)), np.zeros((1, 7))
+            a[0, 3:5] = rng.uniform(1.0, 10.0, 2) * 10.0 ** rng.integers(5, 14)
+            b[0, 3:5] = rng.uniform(0.0, 1.0, 2) * a[0, 3:5]
+            a[0, :2] = rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.integers(-3, 14)
+            reach = 0.5 * np.hypot(a[0, 3], a[0, 4]) + 0.5 * np.hypot(b[0, 3], b[0, 4])
+            axis = rng.integers(2)
+            b[0, :2] = a[0, :2]
+            b[0, axis] = a[0, axis] + reach
+            for _ in range(rng.integers(4)):
+                b[0, axis] = np.nextafter(b[0, axis], np.inf)
+            frames.append((a, b))
+        pairs = bev_iou_matrices(frames)
+        assert_same_pairs(pairs, brute_force_pairs(frames))
+        assert 0 < len(pairs.rows) < len(frames)
+
+    def test_crossing_columns(self):
+        # two crossing columns, the sweep's worst layout: every box of one
+        # column is in the window of each box of the other
+        k = np.arange(60, dtype=float)
+        one = np.zeros((60, 7))
+        one[:, 1], one[:, 3:6] = 6.0 * k - 180.0, (4.0, 1.8, 1.5)
+        other = one.copy()
+        other[:, 0], other[:, 1] = 6.0 * k - 177.0, 3.0
+        boxes_ = np.concatenate([one, other])
+        frames = [(boxes_, boxes_)] * 2
+        for sweep_pairs in (7, geometry._SWEEP_PAIRS):
+            with mock.patch.object(geometry, "_SWEEP_PAIRS", sweep_pairs):
+                pairs = bev_iou_matrices(frames)
+            assert_same_pairs(pairs, brute_force_pairs(frames))
+        same = pairs.rows == pairs.cols
+        assert same.sum() == 240 and (pairs.ious[same] == 1.0).all()
 
 
 class TestIou3d:
