@@ -18,7 +18,8 @@ if its gain ``w_cls*(x_cls_det-1) + w_cls*(x_cls_trk-1) + w_aff*x_aff``
 reaches the sum of its two outside options; otherwise giving both
 nodes their outside options scores strictly more. solve_mip keeps the
 pairs that pass and solves a maximum-weight matching on them, which
-is exact.
+is exact. ``assign_pairs`` solves such a matching over a sparse pair
+list; the evaluator's CLEAR MOT matching is solved by it too.
 
 A result keeps what the solver chose, the matches and the start/end
 choices; each node's selection is worked out from them when read.
@@ -207,6 +208,36 @@ def _result(p, coefficients, d, k, matched_aff) -> AssociationResult:
     return AssociationResult((d, k), y_se_det, y_se_trk, objective)
 
 
+def assign_pairs(rows, cols, weight, m: int, n: int) -> np.ndarray:
+    """Positions, among the pairs (rows[i], cols[i]) of an m × n
+    problem, each listed once with its weight[i] >= 0, of a
+    maximum-weight matching.
+
+    A pair alone in its row and its column is matched directly; these
+    come first, in the pairs' order. The other pairs go to one
+    ``linear_sum_assignment`` over the block of their own rows and
+    columns, in which a cell that is not a pair weighs 0 and matches
+    nothing; their positions are read from a position matrix beside the
+    weight matrix, in the assignment's row order.
+    """
+    lone = np.bincount(rows, minlength=m)[rows] == 1
+    lone &= np.bincount(cols, minlength=n)[cols] == 1
+    at = [np.flatnonzero(lone)]
+    rest = np.flatnonzero(~lone)
+    if rest.size:
+        r, c = rows[rest], cols[rest]
+        sub_rows = np.flatnonzero(np.bincount(r, minlength=m))
+        sub_cols = np.flatnonzero(np.bincount(c, minlength=n))
+        i, j = np.searchsorted(sub_rows, r), np.searchsorted(sub_cols, c)
+        block = np.zeros((sub_rows.size, sub_cols.size))
+        block[i, j] = weight[rest]
+        where = np.full(block.shape, -1, dtype=np.intp)
+        where[i, j] = rest
+        where = where[linear_sum_assignment(block, maximize=True)]
+        at.append(where[where >= 0])
+    return np.concatenate(at)
+
+
 def solve_mip(p: AssociationProblem) -> AssociationResult:
     """Exact maximizer of the association objective.
 
@@ -217,15 +248,14 @@ def solve_mip(p: AssociationProblem) -> AssociationResult:
     the candidate pairs with slack >= 0 are kept. A kept pair whose two
     nodes have no other kept pair is matched directly; the other kept
     pairs go to one maximum-weight assignment over their rows and
-    columns, in which a pair that is not kept weighs 0 and matches
-    nothing. Among equal-objective solutions, unmatched pairs whose
+    columns (``assign_pairs``, with each kept pair's slack as its
+    weight). Among equal-objective solutions, unmatched pairs whose
     match would cost exactly nothing are matched afterwards, in (d, k)
     order, so ids are carried instead of re-created.
 
-    Each step yields the positions of its matches among the kept pairs
-    (the assignment reads them from a position matrix beside its weight
-    matrix), so the matched affinities are gathered by position, in
-    (d, k) order, with no lookup of the matches in the pair list.
+    Each step yields the positions of its matches among the kept pairs,
+    so the matched affinities are gathered by position, in (d, k)
+    order, with no lookup of the matches in the pair list.
     """
     m, n = p.shape
     coefficients = objective_coefficients(p)
@@ -242,22 +272,7 @@ def solve_mip(p: AssociationProblem) -> AssociationResult:
         keep = np.flatnonzero(slack >= 0.0)
         rows, cols, slack, aff = rows[keep], cols[keep], slack[keep], c_aff[keep]
 
-    lone = np.bincount(rows, minlength=m)[rows] == 1
-    lone &= np.bincount(cols, minlength=n)[cols] == 1
-    at = [np.flatnonzero(lone)]
-    rest = np.flatnonzero(~lone)
-    if rest.size:
-        r, c = rows[rest], cols[rest]
-        sub_rows = np.flatnonzero(np.bincount(r, minlength=m))
-        sub_cols = np.flatnonzero(np.bincount(c, minlength=n))
-        i, j = np.searchsorted(sub_rows, r), np.searchsorted(sub_cols, c)
-        weight = np.zeros((sub_rows.size, sub_cols.size))
-        weight[i, j] = slack[rest]
-        where = np.full(weight.shape, -1, dtype=np.intp)
-        where[i, j] = rest
-        where = where[linear_sum_assignment(weight, maximize=True)]
-        at.append(where[where >= 0])
-    at = np.concatenate(at)
+    at = assign_pairs(rows, cols, slack, m, n)
 
     # Zero-cost augmentation: matching an unmatched pair whose gain
     # exactly offsets both outside options changes nothing in the

@@ -15,8 +15,11 @@ Correspondences persist: a pairing from the previous frame is kept
 while it stays allowed. The remaining objects take, among their allowed
 pairs, the matching with the most pairs and, among those, the largest
 total IoU, the rule of the KITTI tracking devkit and py-motmetrics
-(Bernardin & Stiefelhagen 2008). Between matchings equal in both, the
-one ``scipy.optimize.linear_sum_assignment`` returns is taken.
+(Bernardin & Stiefelhagen 2008): the maximum-weight matching of
+``association.assign_pairs``, each free allowed pair weighing its IoU
+plus one more than the number of free allowed pairs, so that one more
+pair outweighs any total IoU. Between matchings equal in both, the one
+``assign_pairs`` returns is taken.
 Each frame is matched in turn, from its pairs and the previous frame's
 matches as id arrays, and adds its matches to the sequence's match
 table: for each match its ground-truth row, hypothesis id and IoU, as
@@ -33,8 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
+from .association import assign_pairs
 from .config import DEFAULT_IOU_THRESHOLD, UNIT
 from .geometry import bev_iou_matrices
 from .geometry import bev_iou  # noqa: F401  (a public name the benchmark counts)
@@ -142,12 +145,13 @@ def match_frame(
     IoU exceeds ``iou_threshold``, a number in [0, 1] (else ValueError).
     The previous matches still allowed are kept; the free rows and
     columns take the matching of the most allowed pairs and then the
-    largest total IoU: ``linear_sum_assignment`` over every free row and
-    column, a forbidden pair costing ``min(shape) + 1``, run only when an
-    allowed pair lies there. Ties between matchings equal in both go to
-    the one it returns. Returns the matches as indices of the frame's
-    pairs: the kept ones in the previous frame's match order, then the
-    new ones in the assignment's.
+    largest total IoU: ``association.assign_pairs`` over the free
+    allowed pairs, each weighing ``iou + (len(free) + 1)``. No matching
+    holds more than ``len(free)`` pairs, so one more pair outweighs any
+    total IoU. Ties between matchings equal in both go to the one it
+    returns. Returns the matches as indices of the frame's pairs: the
+    kept ones in the previous frame's match order, then the new ones in
+    ground-truth row order.
     """
     iou_threshold = UNIT("iou_threshold", iou_threshold)
     allowed = (ious > iou_threshold).nonzero()[0]
@@ -161,20 +165,9 @@ def match_frame(
     taken_col = np.zeros(len(hyp_ids), bool)
     taken_col[cols[kept]] = True
     new = (~(taken_row[rows] | taken_col[cols])).nonzero()[0]
-    if not len(new):
-        return matches
-    # the free block, each free row and column at its rank among them
-    row_at, col_at = (~taken_row).cumsum() - 1, (~taken_col).cumsum() - 1
-    shape = (row_at[-1] + 1, col_at[-1] + 1)
-    at = (row_at[rows[new]], col_at[cols[new]])
-    # An allowed pair costs 1 - IoU, at most 1; a forbidden one costs
-    # more than all the allowed pairs of an assignment together.
-    cost = np.full(shape, min(shape) + 1.0)
-    cost[at] = 1.0 - ious[allowed[new]]
-    pair = np.full(shape, -1)
-    pair[at] = new
-    new = pair[linear_sum_assignment(cost)]
-    return np.concatenate((matches, allowed[new[new >= 0]]))
+    weight = ious[allowed[new]] + (len(new) + 1.0)
+    new = new[assign_pairs(rows[new], cols[new], weight, len(gt_ids), len(hyp_ids))]
+    return np.concatenate((matches, allowed[new[rows[new].argsort()]]))
 
 
 def _kept(pair_gt, pair_hyp, prev_gt, prev_hyp) -> np.ndarray:

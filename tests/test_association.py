@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from milp_oracle import milp_oracle
 from mip_oracle import assert_same_result, brute_force_oracle
@@ -9,6 +11,7 @@ from mipmot.association import (
     AssociationProblem,
     AssociationResult,
     affinity_needed,
+    assign_pairs,
     hungarian_baseline,
     objective_coefficients,
     result_from_matches,
@@ -421,6 +424,84 @@ class TestCandidatePairs:
             at = need_det[:, None] + need_trk + 2e-9 * (1.0 + rng.random(p.shape))
             assert np.all(c_cls_det[:, None] + c_cls_trk + p.w_aff * at
                           >= out_det[:, None] + out_trk - 1e-6), seed
+
+
+def best_matching_weight(rows, cols, weight, m):
+    """The largest total weight of a matching among the pairs, found by
+    trying, row by row, each row unmatched or on each of its pairs."""
+    by_row = [[i for i in range(len(rows)) if rows[i] == d] for d in range(m)]
+
+    def best(d, used):
+        if d == m:
+            return 0.0
+        options = [best(d + 1, used)]
+        for i in by_row[d]:
+            if cols[i] not in used:
+                options.append(weight[i] + best(d + 1, used | {cols[i]}))
+        return max(options)
+
+    return best(0, frozenset())
+
+
+@st.composite
+def pair_lists(draw):
+    """Up to 6 × 6 problems with a sparse, shuffled pair list whose
+    weights are often 0 or equal to one another."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    cells = [(d, k) for d in range(m) for k in range(n)]
+    chosen = draw(st.lists(st.sampled_from(cells), unique=True) if cells else st.just([]))
+    weight = st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(0.0, 10.0))
+    weights = draw(st.lists(weight, min_size=len(chosen), max_size=len(chosen)))
+    rows = np.array([d for d, _ in chosen], dtype=np.intp)
+    cols = np.array([k for _, k in chosen], dtype=np.intp)
+    return rows, cols, np.array(weights, dtype=float), m, n
+
+
+class TestAssignPairs:
+    def check(self, rows, cols, weight, m, n):
+        """``assign_pairs``' positions: a matching among the listed pairs
+        only, of the brute-force largest total weight, the pairs alone in
+        their row and column first, in the pairs' order."""
+        at = assign_pairs(rows, cols, weight, m, n)
+        assert at.dtype == np.intp
+        assert len(set(at.tolist())) == len(at) and all(0 <= i < len(rows) for i in at)
+        assert len(set(rows[at].tolist())) == len(set(cols[at].tolist())) == len(at)
+        expected = best_matching_weight(rows.tolist(), cols.tolist(), weight.tolist(), m)
+        assert sum(weight[at].tolist()) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        lone = [
+            i for i in range(len(rows))
+            if (rows == rows[i]).sum() == 1 and (cols == cols[i]).sum() == 1
+        ]
+        assert at[: len(lone)].tolist() == lone
+        return at
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair_lists())
+    def test_maximum_weight_matching_among_the_pairs(self, problem_):
+        self.check(*problem_)
+
+    def test_lone_pairs_beside_a_contested_block(self):
+        # (0, 0) and (3, 4) are alone in their row and column; rows 1 and
+        # 2 contest columns 1 and 2, where the crossed pairs weigh more
+        rows = np.array([3, 1, 0, 2, 1, 2])
+        cols = np.array([4, 1, 0, 1, 2, 2])
+        weight = np.array([0.5, 1.0, 0.25, 3.0, 3.0, 1.0])
+        at = self.check(rows, cols, weight, 4, 5)
+        assert at.tolist() == [0, 2, 4, 3]
+
+    def test_zero_and_equal_weights(self):
+        rows, cols = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+        for weight in ([0.0] * 4, [2.0] * 4, [0.0, 1.0, 1.0, 0.0]):
+            at = self.check(rows, cols, np.array(weight), 2, 2)
+            assert len(at) == 2
+        # a pair of weight 0 alone in its row and column is matched too
+        assert self.check(np.array([0]), np.array([1]), np.zeros(1), 1, 2).tolist() == [0]
+
+    @pytest.mark.parametrize("m, n", [(0, 0), (0, 3), (3, 0), (2, 2)])
+    def test_no_pairs(self, m, n):
+        empty = np.zeros(0, np.intp)
+        at = assign_pairs(empty, empty, np.zeros(0), m, n)
+        assert at.dtype == np.intp and at.size == 0
 
 
 class TestHungarianBaseline:

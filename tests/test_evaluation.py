@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -139,6 +140,15 @@ class TestPinnedMatching:
         report = evaluate({0: gt, 1: gt}, {0: hyp, 1: {h: hyp[h] for h in hyp_order}})
         assert (report.tp, report.idsw) == (6, 0)
 
+    def test_new_matches_in_row_order_around_a_tied_block(self):
+        # rows 0 and 3 each have one pair; rows 1 and 2 are two coincident
+        # boxes against two coincident hypotheses, a tie the assignment
+        # decides by its order
+        gt = {1: box(-30, 0), 2: box(0, 0), 3: box(0, 0), 4: box(30, 0)}
+        hyp = {10: box(-30.4, 0), 11: box(0, 0), 12: box(0, 0), 13: box(30.4, 0)}
+        got = match(gt, hyp, {})
+        assert list(got.items()) == [(1, 10), (2, 11), (3, 12), (4, 13)]
+
     def test_kept_in_previous_order_then_new(self):
         gt = {0: box(0, 0), 1: box(10, 0), 2: box(20, 0), 3: box(30, 0)}
         hyp = {13: box(30, 0), 12: box(20, 0), 11: box(10, 0), 10: box(0, 0)}
@@ -172,6 +182,28 @@ class TestPinnedMatching:
         assert (report.fn, report.fp, report.frag) == (
             (2, 0, 2) if side == "ground truth" else (0, 2, 0)
         )
+
+
+class TestCrowdedFrames:
+    def test_crossing_columns_without_a_dense_block(self):
+        # two crossing columns of 1,500 cars each, 3 frames, scored against
+        # themselves: every pair is alone in its row and column, so no
+        # (rows x columns) block may be built for the 3,000 matches a frame
+        k = np.arange(1500, dtype=float)
+        one = np.zeros((1500, 7))
+        one[:, 1], one[:, 3:6] = 6.0 * k - 4500.0, (4.0, 1.8, 1.5)
+        other = one.copy()
+        other[:, 0], other[:, 1] = 6.0 * k - 4497.0, 3.0
+        frame = tables.rows(dict(enumerate(np.concatenate([one, other]))))
+        frames = {f: frame for f in range(3)}
+        tracemalloc.start()
+        try:
+            report = evaluate_sequence(frames, frames)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.mota == report.motp == 1.0 and report.tp == 9000
+        assert peak < 20e6
 
 
 class TestThresholdRule:
