@@ -44,9 +44,11 @@ class AffinityMatrix:
     """Per-frame affinity components, detections as rows, tracks as columns.
 
     refined = alpha * appearance + beta * motion, with the weights that
-    were actually applied (appearance may have been disabled). Each
-    component is an (M, N) matrix, or with ``pairs = (rows, cols)`` the
-    (K,) values of those pairs only.
+    were applied: alpha = 1 / (1 + ``beta_over_alpha``) and
+    beta = 1 - alpha when appearance is applied, and alpha = 0, beta = 1
+    when a side lacks embeddings or is empty. Each component is an
+    (M, N) matrix, or with ``pairs = (rows, cols)`` the (K,) values of
+    those pairs only.
     """
 
     appearance: np.ndarray
@@ -87,10 +89,10 @@ class _Softmax(NamedTuple):
     def of(cls, raw: np.ndarray) -> _Softmax:
         if not np.all(np.isfinite(raw)):
             raise ValueError("raw scores contain non-finite values")
-        # In place: two (M, N) arrays.
-        p = raw - raw.max(axis=0, keepdims=True)
+        # In place: two (M, N) arrays. A side of size 0 reduces to -inf.
+        p = raw - raw.max(axis=0, keepdims=True, initial=-np.inf)
         np.exp(p, out=p)
-        q = raw - raw.max(axis=1, keepdims=True)
+        q = raw - raw.max(axis=1, keepdims=True, initial=-np.inf)
         np.exp(q, out=q)
         return cls(p, p.sum(axis=0), q, q.sum(axis=1))
 
@@ -126,10 +128,7 @@ def softmax_ranking(raw) -> np.ndarray:
     cuts forms the same values only at its candidate pairs
     (``candidate_pairs``), from the same column and row sums.
     """
-    raw = np.asarray(raw, dtype=float)
-    if raw.size == 0:
-        return raw.reshape(raw.shape).copy()
-    return _Softmax.of(raw).dense()
+    return _Softmax.of(np.asarray(raw, dtype=float)).dense()
 
 
 class _Boxes(NamedTuple):
@@ -275,11 +274,6 @@ def motion_affinity_matrix(
     if not (use_dis or use_iou):
         raise ValueError("at least one motion term must be enabled")
     det, trk = _box_table(det_boxes), _box_table(predicted_boxes)
-    m, n = len(det.arr), len(trk.arr)
-    if pairs is None and (m == 0 or n == 0):
-        return np.zeros((m, n))
-    if pairs is not None and len(pairs[0]) == 0:
-        return np.zeros(0)
     return _motion_pairs(det, trk, pairs, use_dis, use_iou)
 
 
@@ -379,9 +373,12 @@ def compute_affinities(
     ``det_boxes`` are the (M, 7) detection boxes and ``predicted`` the
     (N, 7) track boxes predicted for this frame. ``det_embeddings`` and
     ``track_embeddings`` are aligned with them as an (M, D) and an
-    (N, D) array, each None when any of its rows lacks an embedding;
-    then appearance is disabled for the frame (alpha = 0, beta = 1).
+    (N, D) array, each None when any of its rows lacks an embedding.
     ``cfg`` supplies ``beta_over_alpha``, ``use_dis`` and ``use_iou``.
+    The weights are alpha = 1 / (1 + ``beta_over_alpha``) and
+    beta = 1 - alpha when appearance is applied; when a side lacks
+    embeddings or is empty, appearance is off for the frame and they
+    are alpha = 0, beta = 1.
     With ``need``, the (need_det, need_trk) pair of per-node arrays, only
     the ``candidate_pairs`` that can reach need_det[d] + need_trk[k] are
     scored, unless every pair is in reach: their appearance is formed at
@@ -392,18 +389,8 @@ def compute_affinities(
     alpha = 1.0 / (1.0 + cfg.beta_over_alpha)
     beta = 1.0 - alpha
     m, n = len(det_boxes), len(predicted)
-    if m == 0 or n == 0:
-        empty = np.zeros((m, n))
-        return AffinityMatrix(
-            appearance=empty.copy(),
-            motion=empty.copy(),
-            refined=empty.copy(),
-            alpha=alpha,
-            beta=beta,
-        )
-
     raw = None
-    if alpha == 0.0 or det_embeddings is None or track_embeddings is None:
+    if alpha == 0.0 or m == 0 or n == 0 or det_embeddings is None or track_embeddings is None:
         alpha, beta = 0.0, 1.0
     else:
         raw = raw_appearance_matrix(det_embeddings, track_embeddings)

@@ -306,8 +306,6 @@ def hungarian_baseline(x_aff, gate: float | None = None) -> list[tuple[int, int]
         raise ValueError(f"affinity matrix must be 2-D, got {x_aff.shape}")
     if not np.all(np.isfinite(x_aff)):
         raise ValueError("affinities must be finite")
-    if x_aff.size == 0:
-        return []
     rows, cols = linear_sum_assignment(x_aff, maximize=True)
     pairs = [(int(d), int(k)) for d, k in zip(rows, cols)]
     if gate is not None:

@@ -290,8 +290,7 @@ def _frame_max(values, start) -> np.ndarray:
     ``start[f]:start[f + 1]``; 0 for a frame without any."""
     out = np.zeros(len(start) - 1)
     full = np.diff(start) > 0
-    if full.any():
-        out[full] = np.maximum.reduceat(values, start[:-1][full])
+    out[full] = np.maximum.reduceat(values, start[:-1][full])
     return out
 
 

@@ -314,6 +314,11 @@ class TestSoftmaxRanking:
     def test_empty(self):
         assert softmax_ranking(np.zeros((0, 0))).shape == (0, 0)
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty_side(self, shape):
+        out = softmax_ranking(np.zeros(shape))
+        assert out.shape == shape and out.dtype == float
+
     def test_monotone_in_raw_entry(self):
         rng = np.random.default_rng(51)
         raw = rng.normal(size=(4, 4))
@@ -442,6 +447,20 @@ class TestMotionMatrix:
         with pytest.raises(ValueError):
             motion_affinity_matrix(box_array([]), box_array([]), use_dis=False, use_iou=False)
 
+    @pytest.mark.parametrize("m, n", [(0, 0), (0, 3), (3, 0)])
+    @pytest.mark.parametrize("flags", [(True, True), (True, False), (False, True)])
+    def test_empty_side(self, m, n, flags):
+        dets, trks = box_array(map(_box, range(m))), box_array(map(_box, range(m, m + n)))
+        out = motion_affinity_matrix(dets, trks, *flags)
+        np.testing.assert_array_equal(out, np.zeros((m, n)))
+
+    @pytest.mark.parametrize("flags", [(True, True), (True, False), (False, True)])
+    def test_no_pairs(self, flags):
+        dets, trks = box_array(map(_box, range(3))), box_array(map(_box, range(3, 5)))
+        empty = np.zeros(0, np.intp)
+        out = motion_affinity_matrix(dets, trks, *flags, pairs=(empty, empty))
+        assert out.shape == (0,) and out.dtype == float
+
 
 class TestComputeAffinities:
     def test_coincident_identical_embedding(self):
@@ -497,6 +516,23 @@ class TestComputeAffinities:
         box = make_box(0, 0, 0, 4, 2, 1.5, 0)
         out = affinities([make_det(box)], [])
         assert out.refined.shape == (1, 0)
+
+    @pytest.mark.parametrize("m, n", [(0, 0), (0, 3), (3, 0)])
+    @pytest.mark.parametrize("embedded", [True, False])
+    @pytest.mark.parametrize("with_need", [False, True])
+    def test_empty_side_applies_no_appearance(self, m, n, embedded, with_need):
+        """A frame with an empty side scores every component as an
+        (M, N) matrix and records the weights it applied: appearance is
+        off, as for a side without embeddings, so alpha 0 and beta 1."""
+        rng = np.random.default_rng(m + 10 * n)
+        dets, trks = box_array(map(_box, range(m))), box_array(map(_box, range(m, m + n)))
+        det_emb, trk_emb = (rng.normal(size=(k, 4)) if embedded else None for k in (m, n))
+        need = (np.zeros(m), np.zeros(n)) if with_need else None
+        out = compute_affinities(dets, trks, det_emb, trk_emb, TrackerConfig(), need=need)
+        for component in (out.appearance, out.motion, out.refined):
+            assert component.shape == (m, n)
+        assert out.pairs is None
+        assert (out.alpha, out.beta) == (0.0, 1.0)
 
     def test_refined_bounds(self):
         rng = np.random.default_rng(71)

@@ -530,6 +530,11 @@ class TestHungarianBaseline:
     def test_empty(self):
         assert hungarian_baseline(np.zeros((0, 3))) == []
 
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    @pytest.mark.parametrize("gate", [None, 0.5])
+    def test_empty_side(self, shape, gate):
+        assert hungarian_baseline(np.zeros(shape), gate=gate) == []
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             hungarian_baseline([[np.nan]])

@@ -315,6 +315,25 @@ class TestLifecycle:
         new_ids = [t[0] for t in r2.tracks if t[0] not in ids]
         assert all(n > max(ids) for n in new_ids)
 
+    @pytest.mark.parametrize(
+        "associator, emitted",
+        [("mip", [(1, [1]), (4, [1])]), ("hungarian", [(0, [1]), (1, [1]), (4, [1])])],
+    )
+    def test_confirmed_track_coasts_over_an_empty_detection_side(self, associator, emitted):
+        """Frame 2's one detection is below theta_cls and frame 3 has
+        none: the track coasts over two frames without a detection, then
+        keeps its id. The MIP starts it tentative at frame 0; the
+        baseline starts it confirmed."""
+        by_frame = {
+            0: batch(0, det(0.0, 0.0, score=0.95)),
+            1: batch(1, det(0.5, 0.0, score=0.95)),
+            2: batch(2, det(1.0, 0.0, score=0.5)),
+            4: batch(4, det(2.0, 0.0, score=0.95)),
+        }
+        results = run_sequence(by_frame, TrackerConfig(associator=associator))
+        rows = [(r.frame, r.tracks["id"].tolist()) for r in results if len(r.tracks)]
+        assert rows == emitted
+
     def test_coasting_uses_prediction(self):
         tracker = Tracker()
         for frame in range(5):
