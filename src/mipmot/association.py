@@ -170,25 +170,6 @@ def affinity_needed(x_cls, x_se, w_cls: float, w_aff: float, w_se: float) -> np.
 _TIE_EPS = 1e-12
 
 
-def result_from_matches(p, coefficients, matches) -> AssociationResult:
-    """Fill the implied variables for a given match set.
-
-    Unmatched nodes take their start/end option exactly when its gain
-    c_cls + c_se is nonnegative (up to _TIE_EPS).
-    """
-    n = p.shape[1]
-    d, k = np.array(sorted(matches), dtype=np.intp).reshape(-1, 2).T
-    c_aff = coefficients[2]
-    if p.pairs is None:
-        return _result(p, coefficients, d, k, c_aff[d, k])
-    # In match order, so the sum is the same as on the dense matrix.
-    key = p.pairs[0] * n + p.pairs[1]
-    at = np.flatnonzero(np.isin(key, d * n + k))
-    if at.size != d.size:
-        raise ValueError("a match is not a candidate pair")
-    return _result(p, coefficients, d, k, c_aff[at[np.argsort(key[at])]])
-
-
 def _result(p, coefficients, d, k, matched_aff) -> AssociationResult:
     """The result of the matches (d[i], k[i]), sorted by (d, k), whose
     affinity coefficients are ``matched_aff``, summed in that order."""

@@ -41,7 +41,7 @@ from .association import assign_pairs
 from .config import DEFAULT_IOU_THRESHOLD, UNIT
 from .geometry import bev_iou_matrices
 from .geometry import bev_iou  # noqa: F401  (a public name the benchmark counts)
-from .io_formats import ROW_DTYPE, _first_repeat
+from .io_formats import ROW_DTYPE, _repeat_rule
 
 # the rows of a frame absent from one side
 _NONE = np.zeros(0, ROW_DTYPE)
@@ -234,8 +234,9 @@ def _side(side: str, frames: dict[int, np.ndarray], order: list) -> tuple:
     counts = [len(r) for r in rows]
     ids = np.concatenate([_NONE["id"]] + [r["id"] for r in rows])
     frame_of = np.repeat(order, counts)
-    i = _first_repeat(frame_of, ids)
-    if i is not None:
+    repeats, _ = _repeat_rule(frame_of, ids)
+    if repeats.any():
+        i = repeats.argmax()
         raise ValueError(f"{side} repeats id {ids[i]} in frame {frame_of[i]}")
     return ids, [r["box"] for r in rows], np.cumsum([0] + counts)
 

@@ -185,17 +185,6 @@ class IouPairs(NamedTuple):
     ious: np.ndarray
 
 
-def bev_iou_matrix(a, b) -> np.ndarray:
-    """Ground-plane IoU of every pair of an (M, 7) and an (N, 7) box
-    array: ``bev_iou_matrices`` of the one frame, scattered."""
-    a = np.asarray(a, dtype=float).reshape(-1, 7)
-    b = np.asarray(b, dtype=float).reshape(-1, 7)
-    pairs = bev_iou_matrices([(a, b)])
-    out = np.zeros((len(a), len(b)))
-    out[pairs.rows, pairs.cols] = pairs.ious
-    return out
-
-
 def bev_iou_matrices(frames) -> IouPairs:
     """Ground-plane IoUs of a sequence of (a, b) box array pairs, (M, 7)
     and (N, 7) each, as the ``IouPairs`` of their candidate pairs.

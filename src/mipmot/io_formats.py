@@ -25,10 +25,9 @@ DetectionBatch}``: ascending frames, only the frames that have
 detections, each batch holding the frame's boxes, scores, start
 probabilities and embeddings as arrays, checked once, in file order.
 ``read_detections`` gives it, as does ``simgen.generate``, and
-``write_detections`` writes it back, whole frames at a time, with 6
-decimals in text and 9 in JSON lines. A batch is also the tracker's one
-input form for a frame; indexing it gives a ``Detection``, an unchecked
-view of one row.
+``write_detections`` writes it back as text lines, whole frames at a
+time, with 6 decimals. A batch is also the tracker's one input form for
+a frame; indexing it gives a ``Detection``, an unchecked view of one row.
 
 The rules of a row are stated once, as one table of rules over many
 rows, each rule the mask of the rows that break it and the message of
@@ -40,45 +39,55 @@ names the first that is not). Within that limit nothing the program
 computes from two boxes overflows a float: the squared distance of
 their centres and the diagonal of the box enclosing both, their
 footprints and volumes and the sums of two. Then the detection rules
-(``_detection_rules``): the score in [0, 1], a given start probability
-in [0, 1], a given embedding finite, each of its values at most 1e100
-in magnitude (``_EMBEDDING_LIMIT``), so that the distance of two
-embeddings stays finite. A ``DetectionBatch``, the bulk checks of both
-readers and their line-by-line walks all check rows against this table,
-and a faulty row is named by the first rule it breaks (``_first_fault``).
-
-``read_detections`` splits each line into its fields as text; the
-numbers of the whole file are then read by one ``np.loadtxt`` call for
-the leading fields and one for the embeddings, which read a number to
-the same bits as Python's ``float``, and checked as a table. A faulty
-file fails at its first faulty line, with the file and line number.
-
-A structural fault (a byte that is not UTF-8, brackets, the number of
-fields, the frame token, the shape of a JSON record) is found as its
-line is split; the lines before it are read and checked first, so that
-an earlier faulty line still fails first. When the numbers do not all
-read, or a row breaks a rule, the rows are read again one at a time, up
-to the first whose tokens do not read (a text line's embedding first:
-``not a number`` or ``non-finite value``), and the rows read are checked
-as a table, each row in the order a per-record reader checks it: the
-box rules, the frame, the detection rules, then the embedding size
-against the file's first embedding. A line whose faults are all value
-faults thus names the first of them in that order; only a line with
-both a structural and a value fault names the structural one, wherever
-it stands.
+(``_detection_rules``): the frame nonnegative and within 64 bits, the
+score in [0, 1], a given start probability in [0, 1], a given embedding
+finite, each of its values at most 1e100 in magnitude
+(``_EMBEDDING_LIMIT``), so that the distance of two embeddings stays
+finite. A ``DetectionBatch`` and both readers check
+rows against this table, and a faulty row is named by the first rule it
+breaks (``_first_fault``).
 
 Label and result files use the KITTI tracking layout: one object per
 line, ``frame id type truncated occluded alpha bbox(4) h w l x y z
 rotation_y [score]``. The image-plane fields cannot be produced here
-and are written as the customary -1 / -10 placeholders. A whole file is
-read by one structured ``np.loadtxt`` call, with the field count of its
-first non-blank line, and its rules are checked as vectors over that
-table: finite numbers, the box rules for a kept row, and no kept row
-repeating the (frame, id) pair of an earlier kept row. DontCare rows and
-rows with a negative id are dropped. A file that does not read so
-(one that is not UTF-8 included) or breaks a rule is read again one line
-at a time, with the detection reader's token check, and fails at its
-first faulty line. Either way a type name is read whole, at any length.
+and are written as the customary -1 / -10 placeholders. DontCare rows
+and rows with a negative id are dropped; every number must be finite,
+a dropped row's too, a kept row keeps the box rules, and no kept row
+repeats the (frame, id) pair of an earlier kept row (``_repeat_rule``).
+A type name is read whole, at any length.
+
+Both readers first read a whole file in bulk and check it as a table.
+``read_detections`` splits each line into its fields as text, then reads
+the numbers of the whole file by one ``np.loadtxt`` call for the leading
+fields and one for the embeddings, which read a number to the same bits
+as Python's ``float``. ``read_kitti_labels`` opens a file once and reads
+it by one structured ``np.loadtxt`` call, with the field count of its
+first non-blank line.
+
+A faulty file fails at its first faulty line, with the file and line
+number, by one reading path for both readers:
+
+* one line loop (``_read_lines``) reads the file up to its first
+  structural fault: a byte that is not UTF-8, then what the reader's
+  line split (``_split_text``, ``_split_json``, ``_split_label``) finds:
+  a detection line's brackets, number of fields, frame token or JSON
+  record shape, a label line's field count and a frame and id beyond
+  64 bits;
+* when the bulk check fails, one numeric walk (``_walk``) reads those
+  rows' tokens one row at a time, up to the first that does not read
+  as a finite number (``not a number`` or ``non-finite value``; a
+  detection line's embedding before its head; the values of a JSON
+  line skip this token check, so that a JSON NaN is named by a rule);
+* one table check (``_check``) names the first faulty row read, by the
+  first rule it breaks: for a detection row the box rules, the frame,
+  the detection rules, then the embedding size against the file's first
+  embedding; for a kept label row the box rules, then its (frame, id)
+  pair.
+
+A faulty row read fails first, then the walk's token fault, then the
+structural fault. A line whose faults are all value faults thus names
+the first of them in that order; only a line with both a structural
+and a value fault names the structural one, wherever it stands.
 
 Objects are stored as record arrays, never as one object per row.
 ``read_kitti_labels`` (and ``simgen.generate``) give one table for a
@@ -185,24 +194,26 @@ def _box_rules(box) -> list[tuple]:
     ]
 
 
-def _detection_rules(score, start_prob, given, embedding, has_embedding) -> list[tuple]:
-    """The detection rules, which a detection row keeps after the box
-    rules, over (M,) scores and start probabilities, whether each start
-    probability is given, (M, D) embeddings (None when no row has one)
-    and whether each is given; in the same form as ``_box_rules``: the
-    score in [0, 1], a given start probability in [0, 1], a given
-    embedding finite and each of its values at most ``_EMBEDDING_LIMIT``
-    in magnitude (the message names the first that is not)."""
-    nonfinite = beyond = has_embedding
-    if embedding is not None:
-        nonfinite = has_embedding & ~np.isfinite(embedding).all(axis=1)
-        beyond = has_embedding & (np.abs(embedding) > _EMBEDDING_LIMIT).any(axis=1)
+def _detection_rules(frames, table, given, has_embedding) -> list[tuple]:
+    """The rules of detection rows in the order a row is checked, in the
+    form of ``_box_rules``: the box rules, then the detection rules: the
+    frame nonnegative and within 64 bits, the score in [0, 1], a given
+    start probability in [0, 1], a given embedding finite and each of its
+    values at most ``_EMBEDDING_LIMIT`` in magnitude (the message names
+    the first that is not). ``table`` holds each row's box, score, start
+    probability and D embedding values (D = 0 when no row has one);
+    ``frames`` is an array of ints, an object array where they do not
+    all fit 64 bits."""
+    score, start_prob, embedding = table[:, 7], table[:, 8], table[:, 9:]
+    nonfinite = has_embedding & ~np.isfinite(embedding).all(axis=1)
+    beyond = has_embedding & (np.abs(embedding) > _EMBEDDING_LIMIT).any(axis=1)
 
     def beyond_limit(i):
         v = next(v for v in embedding[i].tolist() if abs(v) > _EMBEDDING_LIMIT)
         return f"embedding value is beyond {_EMBEDDING_LIMIT!r} in magnitude: {v!r}"
 
-    return [
+    return _box_rules(table[:, :7]) + [
+        ((frames < 0) | (frames >= 2**63), lambda i: _frame_fault(int(frames[i]))),
         (~((score >= 0.0) & (score <= 1.0)), lambda i: f"score must be in [0, 1], got {score[i]}"),
         (
             given & ~((start_prob >= 0.0) & (start_prob <= 1.0)),
@@ -221,6 +232,25 @@ def _first_fault(rules) -> tuple[int, str] | None:
         return None
     i = int(broken.argmax())
     return i, next(message for mask, message in rules if mask[i])(i)
+
+
+def _repeat_rule(frames, ids, lines=None) -> tuple:
+    """The rule, in the form of ``_box_rules``, that no row holds the
+    (frame, id) pair of an earlier row. The message names the pair and,
+    given the rows' ``lines``, the line of the pair's first row."""
+    order = np.lexsort((ids, frames))  # stable: row order within a pair
+    f, d = frames[order], ids[order]
+    repeats = np.zeros(len(order), dtype=bool)
+    repeats[order[1:]] = (f[1:] == f[:-1]) & (d[1:] == d[:-1])
+
+    def message(i):
+        pair = f"duplicate (frame, id) pair: ({frames[i]}, {ids[i]})"
+        if lines is None:
+            return pair
+        first = np.flatnonzero((frames == frames[i]) & (ids == ids[i]))[0]
+        return f"{pair}, first on line {lines[first]}"
+
+    return repeats, message
 
 
 class Detection(NamedTuple):
@@ -297,34 +327,29 @@ class DetectionBatch(Sequence):
         start_prob = _real_array("start_prob", start_prob).reshape(-1)
         if len(scores) != m or len(start_prob) != m:
             raise ValueError(f"{m} boxes but {len(scores)} scores, {len(start_prob)} start_prob")
-        has_embedding = np.zeros(m, dtype=bool)
         if embeddings is not None:
             embeddings = _real_array("embeddings", embeddings)
             if embeddings.ndim != 2 or len(embeddings) != m or embeddings.shape[1] == 0:
                 raise ValueError(
                     f"embeddings must be an ({m}, D) array, D >= 1, got shape {embeddings.shape}"
                 )
-            has_embedding = ~np.isnan(embeddings).all(axis=1)
-        given = ~np.isnan(start_prob)
-        detection = _detection_rules(scores, start_prob, given, embeddings, has_embedding)
-        fault = _first_fault(_box_rules(boxes) + detection)
+        embeddings = np.zeros((m, 0)) if embeddings is None else embeddings
+        has_embedding = ~np.isnan(embeddings).all(axis=1)
+        table = np.column_stack([boxes, scores, start_prob, embeddings])
+        rules = _detection_rules(np.full(m, frame), table, ~np.isnan(start_prob), has_embedding)
+        fault = _first_fault(rules)
         if fault is not None:
             raise ValueError("detection {}: {}".format(*fault))
         boxes[:, 6] = wrap_angle(boxes[:, 6])
-        self._set(frame, boxes, scores, start_prob, embeddings if has_embedding.any() else None)
-
-    def _set(self, frame, boxes, scores, start_prob, embeddings) -> None:
-        self.frame = frame
-        self.boxes = boxes
-        self.scores = scores
-        self.start_prob = start_prob
-        self.embeddings = embeddings
+        self.frame, self.boxes, self.scores, self.start_prob = frame, boxes, scores, start_prob
+        self.embeddings = embeddings if has_embedding.any() else None
 
     @classmethod
     def _checked(cls, frame, boxes, scores, start_prob, embeddings) -> "DetectionBatch":
         """A batch of arrays that ``read_detections`` has already checked."""
         batch = cls.__new__(cls)
-        batch._set(frame, boxes, scores, start_prob, embeddings)
+        batch.frame, batch.boxes, batch.scores, batch.start_prob = frame, boxes, scores, start_prob
+        batch.embeddings = embeddings
         return batch
 
     @property
@@ -380,14 +405,52 @@ def _floats(rows) -> np.ndarray | None:
         return None
 
 
-def _check_utf8(line: str) -> None:
-    """Reject a line read with ``errors="surrogateescape"`` that holds a
-    byte that is not UTF-8, which that reading keeps as a lone surrogate."""
-    if not line.isascii():
+def _read_lines(path: str, split) -> tuple[list, tuple | None]:
+    """The rows that ``split`` makes of a file's lines, each led by its
+    line number, up to the first line with a structural fault, and that
+    fault as (line number, message), or None. A line holding a byte that
+    is not UTF-8 is faulty; blank lines, and lines that ``split`` gives
+    None for, are skipped. ``split`` takes a stripped line and raises a
+    ValueError naming a fault, or an OverflowError for a number too large
+    for a float."""
+    rows = []
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
+        for lineno, line in enumerate(f, start=1):
+            try:
+                if not line.isascii():  # a byte that is not UTF-8 reads as a lone surrogate
+                    line.encode("utf-8")
+                line = line.strip()
+                if line and (row := split(line)) is not None:
+                    rows.append((lineno, *row))
+            except UnicodeEncodeError as e:
+                return rows, (lineno, f"not UTF-8: byte {ord(line[e.start]) - 0xDC00:#04x}")
+            except (ValueError, OverflowError) as e:
+                return rows, (lineno, str(e))
+    return rows, None
+
+
+def _walk(rows) -> tuple[list[list[float]], tuple | None]:
+    """The numbers of (line number, number reader, tokens) rows, read one
+    row at a time up to the first whose tokens do not all read, and that
+    row's (line number, message), or None."""
+    values = []
+    for lineno, number, tokens in rows:
         try:
-            line.encode("utf-8")
-        except UnicodeEncodeError as e:
-            raise ValueError(f"not UTF-8: byte {ord(line[e.start]) - 0xDC00:#04x}") from None
+            values.append([number(t) for t in tokens])
+        except ValueError as e:
+            return values, (lineno, str(e))
+    return values, None
+
+
+def _check(path: str, lines, rules, fault) -> None:
+    """Fail at the line (``lines[i]``) of the first row that breaks one of
+    ``rules`` (see ``_first_fault``), else at ``fault``, a (line number,
+    message) from a later line, if given."""
+    row_fault = _first_fault(rules)
+    if row_fault is not None:
+        _fail(path, lines[row_fault[0]], row_fault[1])
+    if fault is not None:
+        _fail(path, *fault)
 
 
 def _split_text(line: str) -> tuple:
@@ -439,107 +502,75 @@ def _split_json(line: str) -> tuple:
         raise ValueError(f"score must be a number, got {score!r}")
     if start_prob is not None and not is_real(start_prob):
         raise ValueError(f"start_prob must be a number, got {start_prob!r}")
-    if embedding is not None and not (
-        isinstance(embedding, list) and all(map(is_real, embedding))
-    ):
+    if embedding is not None and not (isinstance(embedding, list) and all(map(is_real, embedding))):
         raise ValueError("embedding must be a list of numbers")
     if embedding == []:
         raise ValueError("embedding must be a nonempty 1-D vector")
-    try:
-        given = start_prob is not None
-        head = [*map(float, box), float(score), float(start_prob) if given else math.nan]
-        if embedding is not None:
-            embedding = " ".join(map(repr, map(float, embedding)))
-    except OverflowError as e:
-        raise ValueError(str(e)) from None
+    # float() of an int too large for a float raises an OverflowError,
+    # which _read_lines names as the line's fault.
+    given = start_prob is not None
+    head = [*map(float, box), float(score), float(start_prob) if given else math.nan]
+    if embedding is not None:
+        embedding = " ".join(map(repr, map(float, embedding)))
     # repr() writes each float so that reading it back gives the same bits.
     return frame, "0 " + " ".join(map(repr, head)), given, embedding, False
 
 
-def _read_rows(path: str, rows: list[tuple]) -> tuple:
-    """The frames (M,), the (M, 9) box, score and start probability array
-    and the (M, D) embedding array (NaN rows where a row has none; None
-    when no row has one) of a detection file's rows.
+def _split_detection(line: str) -> tuple | None:
+    """A detection line's row, split as JSON (its first character ``{``)
+    or as text; None for a comment line."""
+    return None if line[0] == "#" else (_split_json if line[0] == "{" else _split_text)(line)
+
+
+def _read_rows(path: str, rows: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """The frames (M,) of a detection file's rows and their (M, 9 + D)
+    table: the box, the score, the start probability (NaN when absent)
+    and the D embedding values (NaN when absent).
 
     A row holds a line's number, frame, head (a frame column, the 7 box
     values, the score and the start probability, "nan" when absent),
     whether the start probability is given, its embedding text or None,
     and whether the line is text (whose numbers are checked token by
     token) or JSON. The heads are read by one ``np.loadtxt`` call and
-    the embeddings by another, and checked as a table; when a check
-    fails, the rows are walked one at a time, which fails at the first
-    faulty row."""
-    frames = np.array([row[1] for row in rows])
-    heads, embeddings = [row[2] for row in rows], [row[4] for row in rows]
-    given = np.array([row[3] for row in rows])
+    the embeddings by another, and checked as a table. When a check
+    fails, the rows are walked one at a time (``_walk``), a row's
+    embedding before its head, and the rows read are checked as a table:
+    each row against ``_detection_rules``, then its embedding size
+    against the first embedding's. This fails at the first faulty row."""
+    lines, frames, heads, given, embeddings, text = zip(*rows)
     has_embedding = np.array([e is not None for e in embeddings])
-    head, full = _floats(heads), None
-    if has_embedding.any():
-        emb = _floats(list(itertools.compress(embeddings, has_embedding)))
-        if emb is not None:
-            full = np.full((len(rows), emb.shape[1]), np.nan)
-            full[has_embedding] = emb
-    # Every head and embedding read, and one int64 frame column: a frame
-    # beyond 64 bits makes the column uint64 or object.
-    if (
-        head is not None
-        and (full is not None) == has_embedding.any()
-        and frames.dtype == np.int64
-        and (frames >= 0).all()
-        and _first_fault(
-            _box_rules(head[:, 1:8])
-            + _detection_rules(head[:, 8], head[:, 9], given, full, has_embedding)
-        )
-        is None
-    ):
-        return frames, head[:, 1:], full
-    return frames, *_walk(path, rows)
-
-
-def _walk(path: str, rows: list[tuple]) -> tuple[np.ndarray, np.ndarray | None]:
-    """The arrays ``_read_rows`` gives, of rows read one at a time up to
-    the first whose tokens do not read (a text line's embedding first)
-    or whose embedding size differs from the first embedding's, then
-    checked as a table: each row against the box rules, its frame and
-    the detection rules, before its embedding size. Fails at the first
-    faulty row."""
-    values, vectors, fault, first = [], [], None, None  # first: (size, line) of the first embedding
-    for lineno, _, head, given, embedding, text in rows:
-        number = _number if text else float
-        try:
-            vector = None if embedding is None else [number(t) for t in embedding.split()]
-            head = [number(t) for t in head.split()[1 : 9 + given]]
-        except ValueError as e:
-            fault = lineno, str(e)
-            break
-        values.append(head + [math.nan] * (not given))
-        vectors.append(vector)
-        if vector is not None:
-            size, first_line = first = first or (len(vector), lineno)
-            if len(vector) != size:
-                fault = lineno, f"embedding has {len(vector)} values, line {first_line} has {size}"
-                break
+    vectors = [e for e in embeddings if e is not None]
+    head, emb = _floats(heads), _floats(vectors) if vectors else np.zeros((0, 0))
+    # A frame beyond 64 bits makes the column uint64, float or object,
+    # and breaks the frame rule.
+    frame_column = np.array(frames)
+    if head is not None and emb is not None:
+        table = np.full((len(rows), 9 + emb.shape[1]), np.nan)
+        table[:, :9] = head[:, 1:]
+        table[has_embedding, 9:] = emb
+        rules = _detection_rules(frame_column, table, np.array(given), has_embedding)
+        if _first_fault(rules) is None:
+            return frame_column, table
+    tokens = ((e or "").split() + h.split()[1 : 9 + g] for h, g, e in zip(heads, given, embeddings))
+    values, fault = _walk(zip(lines, (_number if t else float for t in text), tokens))
     n = len(values)
-    table = np.reshape(values, (n, 9))
-    has_embedding = np.array([v is not None for v in vectors], dtype=bool)
-    padded = np.zeros((n, max(map(len, filter(None, vectors)), default=0)))  # tails left 0
-    for i in np.flatnonzero(has_embedding):
-        padded[i, : len(vectors[i])] = vectors[i]
-    given = np.array([row[3] for row in rows[:n]], dtype=bool)
-    frame_faults = [_frame_fault(row[1]) for row in rows[:n]]
-    rules = _box_rules(table[:, :7])
-    rules.append((np.array([f is not None for f in frame_faults], bool), lambda i: frame_faults[i]))
-    row_fault = _first_fault(
-        rules + _detection_rules(table[:, 7], table[:, 8], given, padded, has_embedding)
-    )
-    if row_fault is not None:
-        _fail(path, rows[row_fault[0]][0], row_fault[1])
-    if fault is not None:
-        _fail(path, *fault)
-    if not has_embedding.any():
-        return table, None
-    padded[~has_embedding] = np.nan
-    return table, padded
+    given = np.array(given[:n], dtype=bool)
+    sizes = np.array([len(v) for v in values], dtype=int) - 8 - given  # of the embeddings
+    table = np.zeros((n, 9 + sizes.max(initial=0)))  # embedding tails left 0
+    for i, (v, k) in enumerate(zip(values, sizes.tolist())):
+        table[i, : len(v) - k] = v[k:]
+        table[i, 9 : 9 + k] = v[:k]
+    table[~given, 8] = np.nan
+    has_embedding = sizes > 0
+    size = next(iter(sizes[has_embedding].tolist()), 0)  # the first embedding's
+
+    def size_fault(i):
+        return f"embedding has {sizes[i]} values, line {lines[has_embedding.argmax()]} has {size}"
+
+    rules = _detection_rules(np.array(frames[:n], dtype=object), table, given, has_embedding)
+    _check(path, lines, rules + [(has_embedding & (sizes != size), size_fault)], fault)
+    table[~has_embedding, 9:] = np.nan
+    return np.array(frames, dtype=np.int64), table
 
 
 def read_detections(path) -> dict[int, DetectionBatch]:
@@ -550,40 +581,25 @@ def read_detections(path) -> dict[int, DetectionBatch]:
     since tracks compare embeddings across frames.
 
     Each line is split into its fields as text, up to the first line
-    with a structural fault; the numbers of those lines are then read
-    and checked at once (``_read_rows``), so that an earlier faulty line
-    fails first, before the structural fault fails at its line.
+    with a structural fault (``_read_lines``); the numbers of those lines
+    are then read and checked at once (``_read_rows``), so that an
+    earlier faulty line fails first, before the structural fault fails
+    at its line.
     """
     path = os.fspath(path)
-    rows, fault = [], None
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
-        for lineno, line in enumerate(f, start=1):
-            try:
-                _check_utf8(line)
-                line = line.strip()
-                if line and line[0] != "#":
-                    rows.append((lineno, *(_split_json if line[0] == "{" else _split_text)(line)))
-            except ValueError as e:
-                fault = (lineno, str(e))
-                break
-    empty = np.zeros(0, np.int64), np.zeros((0, 9)), None
-    frames, values, embeddings = _read_rows(path, rows) if rows else empty
+    rows, fault = _read_lines(path, _split_detection)
+    frames, table = _read_rows(path, rows) if rows else (np.zeros(0, np.int64), np.zeros((0, 9)))
     del rows  # the row text is not held while the batches are built
     if fault is not None:
         _fail(path, *fault)
     order, groups = frame_groups(frames)
-    if order is not None:
-        values = values[order]
-        embeddings = None if embeddings is None else embeddings[order]
-    values[:, 6] = wrap_angle(values[:, 6])
+    table = table if order is None else table[order]
+    table[:, 6] = wrap_angle(table[:, 6])
     out = {}
     for frame, a, b in groups:
-        emb = None if embeddings is None else embeddings[a:b]
-        if emb is not None and np.isnan(emb[:, 0]).all():
-            emb = None
-        out[frame] = DetectionBatch._checked(
-            frame, values[a:b, :7], values[a:b, 7], values[a:b, 8], emb
-        )
+        part = table[a:b]
+        emb = None if np.isnan(part[:, 9:10]).all() else part[:, 9:]  # None when none has one
+        out[frame] = DetectionBatch._checked(frame, part[:, :7], part[:, 7], part[:, 8], emb)
     return out
 
 
@@ -591,48 +607,29 @@ def read_detections(path) -> dict[int, DetectionBatch]:
 _TEXT_ROW = "%d" + " %.6f" * 8
 
 
-def write_detections(detections, path, json_lines: bool = False) -> None:
-    """Write ``{frame: DetectionBatch}``, as ``read_detections`` gives it.
+def write_detections(detections, path) -> None:
+    """Write ``{frame: DetectionBatch}``, as ``read_detections`` gives it,
+    as text lines with 6 decimals.
 
     Frames are written in the dict's order, each batch's rows in their
-    order. Text lines hold 6 decimals, JSON lines 9 (``round``); a start
-    probability or embedding is written only where a detection has one.
+    order; a start probability or embedding is written only where a
+    detection has one.
     """
     lines = []
     for batch in detections.values():
         heads = np.column_stack([batch.boxes, batch.scores]).tolist()
         embeddings = batch.embeddings
-        if embeddings is None:
-            embeddings = np.full((len(batch), 1), np.nan)
+        embeddings = np.full((len(batch), 1), np.nan) if embeddings is None else embeddings
         for head, p, e in zip(heads, batch.start_prob.tolist(), embeddings.tolist()):
             # NaN marks a start probability or embedding the detection lacks
-            p, e = (None if math.isnan(p) else p), (None if math.isnan(e[0]) else e)
-            if json_lines:
-                rec = {"frame": batch.frame, "box": [round(v, 9) for v in head[:7]]}
-                rec["score"] = round(head[7], 9)
-                if p is not None:
-                    rec["start_prob"] = round(p, 9)
-                if e is not None:
-                    rec["embedding"] = [round(v, 9) for v in e]
-                lines.append(json.dumps(rec, sort_keys=True))
-            else:
-                line = _TEXT_ROW % (batch.frame, *head)
-                if p is not None:
-                    line += " %.6f" % p
-                if e is not None:
-                    line += " [" + " ".join(["%.6f"] * len(e)) % tuple(e) + "]"
-                lines.append(line)
+            line = _TEXT_ROW % (batch.frame, *head)
+            if not math.isnan(p):
+                line += " %.6f" % p
+            if not math.isnan(e[0]):
+                line += " [" + " ".join(["%.6f"] * len(e)) % tuple(e) + "]"
+            lines.append(line)
     with open(os.fspath(path), "w", encoding="utf-8") as f:
         f.write("".join(line + "\n" for line in lines))
-
-
-def _first_repeat(frames: np.ndarray, ids: np.ndarray) -> int | None:
-    """The first row, in row order, whose (frame, id) pair an earlier row
-    holds; None when every pair is distinct."""
-    order = np.lexsort((ids, frames))  # stable: row order within a pair
-    frames, ids = frames[order], ids[order]
-    repeats = order[1:][(frames[1:] == frames[:-1]) & (ids[1:] == ids[:-1])]
-    return int(repeats.min()) if repeats.size else None
 
 
 # A KITTI row's h w l x y z rotation_y, as fields of an (x, y, z, l, w,
@@ -640,84 +637,86 @@ def _first_repeat(frames: np.ndarray, ids: np.ndarray) -> int | None:
 _KITTI_BOX = [5, 4, 3, 0, 1, 2, 6]
 
 
-def _label_rows(path: str, keep_types) -> tuple | None:
-    """The kept rows of a label file as (frames, ids, types, boxes,
-    scores), the score NaN without a score column: the file read by one
-    ``np.loadtxt`` call, its first non-blank line deciding the field
-    count, and checked as a table. None when the file does not read so
-    (no data line, a decoding fault, a line ``np.loadtxt`` does not read,
-    17 and 18 fields mixed) or holds a faulty row."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            text = f.read()
-        fields = len(text.lstrip().partition("\n")[0].split())  # of the first non-blank line
-        if fields not in (17, 18):
-            return None
-        dtype = [("frame", np.int64), ("id", np.int64), ("type", object)]
-        dtype.append(("numbers", np.float64, (fields - 3,)))
-        table = np.loadtxt(path, dtype=dtype, comments=None, ndmin=1, encoding="utf-8")
-    except ValueError:
-        return None
+# The fields of a label line before its numbers.
+_LABEL_FIELDS = [("frame", np.int64), ("id", np.int64), ("type", object)]
+
+
+def _kept_rows(table, keep_types) -> tuple[tuple, np.ndarray]:
+    """The rows of a label table that a reader keeps, as (frames, ids,
+    types, boxes, scores), the score NaN without a score column, and the
+    mask of those rows: DontCare rows, rows with a negative id and rows
+    of a type outside ``keep_types`` (when given) are dropped."""
     keep = (table["id"] >= 0) & (table["type"] != "DontCare")
     if keep_types is not None:
         keep &= np.array([t in keep_types for t in table["type"].tolist()], dtype=bool)
     kept = table[keep]
-    boxes = kept["numbers"][:, 7:14][:, np.argsort(_KITTI_BOX)]
-    if (
-        not np.isfinite(table["numbers"]).all()
-        or _first_fault(_box_rules(boxes)) is not None
-        or _first_repeat(kept["frame"], kept["id"]) is not None
-    ):
+    numbers = kept["numbers"]
+    boxes = numbers[:, 7:14][:, np.argsort(_KITTI_BOX)]
+    scores = numbers[:, 14] if numbers.shape[1] == 15 else np.full(len(kept), np.nan)
+    return (kept["frame"], kept["id"], kept["type"], boxes, scores), keep
+
+
+def _label_rules(columns, lines=None) -> list[tuple]:
+    """The rules of kept label rows, as ``_kept_rows`` gives them, in the
+    order a line is checked: the box rules, then a (frame, id) pair no
+    earlier kept row holds (given the rows' ``lines``, the message names
+    the line of that row)."""
+    return _box_rules(columns[3]) + [_repeat_rule(*columns[:2], lines)]
+
+
+def _label_rows(path: str, keep_types) -> tuple | None:
+    """The kept rows of a label file, as ``_kept_rows`` gives them: the
+    file read by one ``np.loadtxt`` call, its first non-blank line
+    deciding the field count, and checked as a table. None when the file
+    does not read so (no data line, a decoding fault, a line
+    ``np.loadtxt`` does not read, 17 and 18 fields mixed) or holds a
+    faulty row."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            fields = len(next((line for line in f if line.strip()), "").split())
+            if fields not in (17, 18):
+                return None
+            f.seek(0)
+            dtype = _LABEL_FIELDS + [("numbers", np.float64, (fields - 3,))]
+            table = np.loadtxt(f, dtype=dtype, comments=None, ndmin=1)
+    except ValueError:
         return None
-    scores = kept["numbers"][:, 14] if fields == 18 else np.full(len(kept), np.nan)
-    return kept["frame"], kept["id"], kept["type"], boxes, scores
+    columns, _ = _kept_rows(table, keep_types)
+    ok = np.isfinite(table["numbers"]).all() and _first_fault(_label_rules(columns)) is None
+    return columns if ok else None
+
+
+def _split_label(line: str) -> tuple:
+    """The frame, id, type and number tokens of a label line; a
+    structural fault (the field count, the frame or id) raises a
+    ValueError naming it."""
+    tokens = line.split()
+    if len(tokens) not in (17, 18):
+        raise ValueError(f"expected 17 or 18 fields, got {len(tokens)}")
+    try:
+        frame, track_id = int(tokens[0]), int(tokens[1])
+    except ValueError:
+        raise ValueError("bad frame or track id") from None
+    if frame not in _INT64 or track_id not in _INT64:
+        raise ValueError("frame or track id beyond 64 bits")
+    return frame, track_id, tokens[2], tokens[3:]
 
 
 def _walk_labels(path: str, keep_types) -> tuple:
     """The rows ``_label_rows`` gives, of the file read one line at a time
-    up to the first faulty line (its field count, frame and id, numbers,
-    or a (frame, id) pair an earlier kept row holds); the kept rows read
-    are then checked against the box rules, which a line keeps before
-    its pair is checked. Fails at the first faulty line."""
-    rows, lines, first_line, fault = [], [], {}, None  # first_line: (frame, id) -> line
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
-        for lineno, line in enumerate(f, start=1):
-            try:
-                _check_utf8(line)
-                tokens = line.split()
-                if not tokens:
-                    continue
-                if len(tokens) not in (17, 18):
-                    raise ValueError(f"expected 17 or 18 fields, got {len(tokens)}")
-                try:
-                    frame, track_id = int(tokens[0]), int(tokens[1])
-                except ValueError:
-                    raise ValueError("bad frame or track id") from None
-                if frame not in _INT64 or track_id not in _INT64:
-                    raise ValueError("frame or track id beyond 64 bits")
-                numbers = [_number(t) for t in tokens[3:]]
-            except ValueError as e:
-                fault = lineno, str(e)
-                break
-            keep = track_id >= 0 and tokens[2] != "DontCare"
-            if not keep or (keep_types is not None and tokens[2] not in keep_types):
-                continue
-            rows.append((frame, track_id, tokens[2], numbers[7:14] + (numbers[14:] or [math.nan])))
-            lines.append(lineno)
-            first = first_line.setdefault((frame, track_id), lineno)
-            if first != lineno:
-                pair = f"({frame}, {track_id}), first on line {first}"
-                fault = lineno, f"duplicate (frame, id) pair: {pair}"
-                break
-    frames, ids, types, numbers = zip(*rows) if rows else ((),) * 4
-    numbers = np.reshape(numbers, (-1, 8))
-    boxes = numbers[:, np.argsort(_KITTI_BOX)]
-    box_fault = _first_fault(_box_rules(boxes))
-    if box_fault is not None:
-        _fail(path, lines[box_fault[0]], box_fault[1])
-    if fault is not None:
-        _fail(path, *fault)
-    return np.array(frames, np.int64), np.array(ids, np.int64), types, boxes, numbers[:, 7]
+    (``_read_lines``, ``_walk``) up to the first line with a structural
+    fault or a token that does not read as a finite number; the kept rows
+    read are then checked against ``_label_rules``. Fails at the first
+    faulty line."""
+    rows, fault = _read_lines(path, _split_label)
+    values, walk_fault = _walk((row[0], _number, row[4]) for row in rows)
+    # a line without a score column reads a NaN score
+    records = [(*row[1:4], v + [math.nan] * (15 - len(v))) for row, v in zip(rows, values)]
+    table = np.array(records, dtype=_LABEL_FIELDS + [("numbers", np.float64, (15,))])
+    columns, keep = _kept_rows(table, keep_types)
+    lines = np.array([row[0] for row in rows[: len(values)]], dtype=np.int64)[keep]
+    _check(path, lines, _label_rules(columns, lines), walk_fault or fault)
+    return columns
 
 
 def read_kitti_labels(path, keep_types=None) -> np.recarray:
@@ -781,9 +780,9 @@ def write_kitti_tracking(frame_results, path, object_type: str = "Car") -> None:
     results = list(frame_results)
     tracks = np.concatenate([np.zeros(0, ROW_DTYPE), *(r.tracks for r in results)])
     frames = np.repeat([r.frame for r in results], [len(r.tracks) for r in results])
-    i = _first_repeat(frames, tracks["id"])
-    if i is not None:
-        raise ValueError(f"duplicate (frame, id) pair: ({frames[i]}, {tracks['id'][i]})")
+    fault = _first_fault([_repeat_rule(frames, tracks["id"])])
+    if fault is not None:
+        raise ValueError(fault[1])
     _write_kitti(path, frames, itertools.repeat(object_type), "-1 -1", tracks)
 
 

@@ -2,7 +2,8 @@
 
 It enumerates every feasible assignment of small instances, so the
 tests can check ``solve_mip`` against an optimum found without its
-assignment reduction. ``assert_same_result`` compares two results field
+assignment reduction. ``result_from_matches`` fills in the result of a
+given match list, and ``assert_same_result`` compares two results field
 by field.
 """
 
@@ -13,11 +14,30 @@ import numpy as np
 from mipmot.association import (
     AssociationProblem,
     AssociationResult,
+    _result,
     objective_coefficients,
-    result_from_matches,
 )
 
 ORACLE_MAX_SIZE = 5
+
+
+def result_from_matches(p, coefficients, matches) -> AssociationResult:
+    """The result of a given match set, with the implied variables
+    filled in by the solver's own rule (``association._result``):
+    unmatched nodes take their start/end option exactly when its gain
+    c_cls + c_se is nonnegative (up to ``association._TIE_EPS``). The
+    matches must be candidate pairs when the problem lists its pairs."""
+    n = p.shape[1]
+    d, k = np.array(sorted(matches), dtype=np.intp).reshape(-1, 2).T
+    c_aff = coefficients[2]
+    if p.pairs is None:
+        return _result(p, coefficients, d, k, c_aff[d, k])
+    # In match order, so the sum is the same as on the dense matrix.
+    key = p.pairs[0] * n + p.pairs[1]
+    at = np.flatnonzero(np.isin(key, d * n + k))
+    if at.size != d.size:
+        raise ValueError("a match is not a candidate pair")
+    return _result(p, coefficients, d, k, c_aff[at[np.argsort(key[at])]])
 
 
 def brute_force_oracle(p: AssociationProblem) -> AssociationResult:

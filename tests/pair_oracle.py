@@ -5,12 +5,13 @@ once, as one (M, N) array expression with the operands and operations
 of ``geometry.bev_iou_matrices``' exact test, and each pair that meets
 is scored by the overlap kernel alone. The sorted sweep of
 ``bev_iou_matrices`` must list the same pairs, in the same row-major
-order, with the same IoU bits.
+order, with the same IoU bits. ``bev_iou_matrix`` scatters one frame's
+pairs from ``bev_iou_matrices`` into its dense matrix.
 """
 
 import numpy as np
 
-from mipmot.geometry import IouPairs, _bev_ious
+from mipmot.geometry import IouPairs, _bev_ious, bev_iou_matrices
 
 
 def brute_force_pairs(frames) -> IouPairs:
@@ -44,3 +45,14 @@ def assert_same_pairs(got: IouPairs, expected: IouPairs):
     for name, x, y in zip(IouPairs._fields, got, expected):
         assert x.dtype == y.dtype, name
         assert x.tobytes() == y.tobytes(), name
+
+
+def bev_iou_matrix(a, b) -> np.ndarray:
+    """Ground-plane IoU of every pair of an (M, 7) and an (N, 7) box
+    array: ``bev_iou_matrices`` of the one frame, scattered."""
+    a = np.asarray(a, dtype=float).reshape(-1, 7)
+    b = np.asarray(b, dtype=float).reshape(-1, 7)
+    pairs = bev_iou_matrices([(a, b)])
+    out = np.zeros((len(a), len(b)))
+    out[pairs.rows, pairs.cols] = pairs.ious
+    return out

@@ -20,7 +20,7 @@ from diou_oracle import (
     volume,
 )
 from exact_area import within
-from mip_oracle import assert_same_result
+from mip_oracle import assert_same_result, result_from_matches
 from mipmot import affinity as affinity_module
 from mipmot.affinity import (
     compute_affinities,
@@ -32,7 +32,6 @@ from mipmot.association import (
     AssociationProblem,
     affinity_needed,
     objective_coefficients,
-    result_from_matches,
     solve_mip,
 )
 from mipmot.config import TrackerConfig

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from milp_oracle import milp_oracle
-from mip_oracle import assert_same_result, brute_force_oracle
+from mip_oracle import assert_same_result, brute_force_oracle, result_from_matches
 from mipmot.association import (
     AssociationProblem,
     AssociationResult,
@@ -14,7 +14,6 @@ from mipmot.association import (
     assign_pairs,
     hungarian_baseline,
     objective_coefficients,
-    result_from_matches,
     solve_mip,
 )
 

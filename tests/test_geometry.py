@@ -19,7 +19,7 @@ from diou_oracle import (
     volume,
 )
 from exact_area import within
-from pair_oracle import assert_same_pairs, brute_force_pairs
+from pair_oracle import assert_same_pairs, bev_iou_matrix, brute_force_pairs
 from mipmot import geometry
 from mipmot.geometry import (
     EPS,
@@ -27,7 +27,6 @@ from mipmot.geometry import (
     bev_intersection_areas,
     bev_iou,
     bev_iou_matrices,
-    bev_iou_matrix,
     polygon_area,
     wrap_angle,
 )

@@ -332,20 +332,17 @@ class TestDetectionRoundTrip:
     def test_json_round_trip(self, tmp_path_factory, dets):
         self.round_trip(tmp_path_factory, dets, True, lambda v: round(float(v), 9))
 
-    @pytest.mark.parametrize("json_lines", [False, True])
     @settings(max_examples=60, deadline=None)
     @given(detection_files())
-    def test_batches_written_as_the_reference_writes_their_rows(
-        self, tmp_path_factory, json_lines, dets
-    ):
+    def test_batches_written_as_the_reference_writes_their_rows(self, tmp_path_factory, dets):
         """``write_detections`` of {frame: DetectionBatch} writes the bytes
         the reference writes for the batches' rows, frame by frame."""
         frames = sorted({d.frame for d in dets})
         batches = {f: batch(f, *[d for d in dets if d.frame == f]) for f in frames}
         directory = tmp_path_factory.mktemp("dets")
-        write_detections(batches, directory / "batches.txt", json_lines=json_lines)
+        write_detections(batches, directory / "batches.txt")
         records = [d for batch in batches.values() for d in batch]
-        io_oracle.write_detections(records, directory / "rows.txt", json_lines=json_lines)
+        io_oracle.write_detections(records, directory / "rows.txt")
         written = (directory / "batches.txt").read_bytes()
         assert written == (directory / "rows.txt").read_bytes()
         assert len(written.splitlines()) == len(dets)
@@ -559,9 +556,11 @@ def oracle_files(draw, min_size=0):
 
 @st.composite
 def record_line(draw, rec, fault=None, size=1):
-    """The line of one record, as text or JSON; with ``fault``, a text
-    line with that one fault, or with each value fault of a tuple of
-    them (the file's embeddings have ``size`` values)."""
+    """The line of one record, as text or JSON; with ``fault``, a line
+    with that one fault, or with each value fault of a tuple of them
+    (the file's embeddings have ``size`` values). A JSON record keeps
+    its layout when its faults are all value faults, and is written as
+    a text line otherwise."""
     faults = (fault,) if isinstance(fault, str) else fault or ()
     kind, frame, box, score, start_prob, embedding = rec
     if kind == "json" and not faults:
@@ -607,6 +606,14 @@ def record_line(draw, rec, fault=None, size=1):
                 fields[where] = spelled
             else:
                 vector[where - last - 1] = spelled
+    if kind == "json" and set(faults) <= set(VALUE_FAULTS):
+        obj = {"frame": int(fields[0]), "box": [float(t) for t in fields[1:8]]}
+        obj["score"] = float(fields[8])
+        if len(fields) == 10:
+            obj["start_prob"] = float(fields[9])
+        if vector is not None:
+            obj["embedding"] = [float(t) for t in vector]
+        return json.dumps(obj)
     if "frame 1.0" in faults:
         fields[0] = f"{frame}.0"
     elif "8 leading fields" in faults:

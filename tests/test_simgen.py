@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import io_oracle
 from mipmot import io_formats
 from mipmot.cli import labels_to_frames
 from mipmot.geometry import wrap_angle
@@ -160,7 +161,11 @@ class TestGenerate:
         back without one."""
         _, dets = generate(scenario_template(name, seed=1))
         path = tmp_path / "dets.txt"
-        write_detections(dets, path, json_lines=json_lines)
+        if json_lines:
+            records = [d for batch in dets.values() for d in batch]
+            io_oracle.write_detections(records, path, json_lines=True)
+        else:
+            write_detections(dets, path)
         back = read_detections(path)
         assert list(back) == list(dets)
         for frame, batch in dets.items():
