@@ -9,9 +9,6 @@ while both stay the same.
 """
 
 import hashlib
-import importlib.util
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -19,8 +16,6 @@ from mipmot import evaluation, io_formats
 from mipmot.cli import labels_to_frames
 from mipmot.config import TrackerConfig
 from mipmot.tracker import run_sequence
-
-WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 # (workload, seed): (result sha256, CLEARMOT report); seed 1 is the
 # benchmark's default, seed 7 a held-out one no speed change is tuned on
@@ -74,20 +69,6 @@ PINNED = {
         },
     ),
 }
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    name = "perfbench_workloads"
-    spec = importlib.util.spec_from_file_location(name, WORKLOADS_PY)
-    module = importlib.util.module_from_spec(spec)
-    # its dataclass resolves annotations through sys.modules
-    sys.modules[name] = module
-    try:
-        spec.loader.exec_module(module)
-        yield module
-    finally:
-        del sys.modules[name]
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,13 @@
+import math
 import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from conftest import WORKLOAD_NAMES
 from mipmot import tracker as tracker_module
+from mipmot.geometry import wrap_angle
 from mipmot.io_formats import ROW_DTYPE, DetectionBatch
 from mipmot.simgen import generate, scenario_template
 from mipmot.tracker import Tracker, TrackerConfig, run_sequence
@@ -442,14 +445,17 @@ class TestDeterminism:
             assert s - max(f for f in frames if f < s) <= theta_miss + 1
 
 
-def trajectories(results) -> list:
+def trajectories(results, x_max=math.inf) -> list:
     """Each id's (frame, box bytes, score) sequence, sorted: the output
-    with the id values left out."""
-    by_id = {}
+    with the id values left out, and the ids whose box ever reaches
+    x = ``x_max``."""
+    by_id, beyond = {}, set()
     for r in results:
         for tid, box, score in r.tracks:
             by_id.setdefault(tid, []).append((r.frame, box.tobytes(), score.hex()))
-    return sorted(by_id.values())
+            if box[0] >= x_max:
+                beyond.add(tid)
+    return sorted(rows for tid, rows in by_id.items() if tid not in beyond)
 
 
 class TestShuffleWithinFrame:
@@ -478,3 +484,80 @@ class TestShuffleWithinFrame:
             assert expected
             got = trajectories(run_sequence(shuffled, cfg))
             assert got == expected, seed
+
+    @pytest.mark.parametrize("associator", ["mip", "hungarian"])
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_same_trajectories_at_workload_scale(self, workload_detections, name, associator):
+        """The benchmark's workloads at its default seed: ``sparse-300``
+        runs the gate on every frame but the first, which no template
+        reaches."""
+        cfg = TrackerConfig(associator=associator)
+        detections = workload_detections(name, 1)
+        rng = np.random.default_rng(1)
+        shuffled = {f: self.permuted(b, rng.permutation(len(b))) for f, b in detections.items()}
+        expected = trajectories(run_sequence(detections, cfg))
+        assert expected
+        assert trajectories(run_sequence(shuffled, cfg)) == expected
+
+
+class TestFarCopy:
+    """A copy of every frame's detections 1e5 m further in x, with the
+    same scores, start probabilities and embeddings, leaves the
+    trajectories of the tracks that stay below x = 5e4 as they were,
+    bit for bit, up to a relabelling of ids.
+
+    With appearance off (``beta_over_alpha`` = inf) this holds by
+    construction, up to assignment ties: a pair across the gap scores
+    almost no motion affinity, so each half is associated as if alone.
+    At the default ``beta_over_alpha`` of 10 it is an observation, not
+    a theorem: the two-way softmax normalises each row and column over
+    the whole frame, so the copy changes the near pairs' appearance
+    values, yet every association stayed the same on these workloads.
+    The copy takes ``dense-clutter`` past the size where the gate runs:
+    on 59 of its 60 frames, against none without the copy, so the near
+    half is scored in pair form here and densely in the plain run.
+    """
+
+    SHIFT = 1e5
+
+    @classmethod
+    def with_far_copy(cls, b: DetectionBatch) -> DetectionBatch:
+        """The batch ``b`` followed by its copy ``SHIFT`` further in x."""
+        far = b.boxes.copy()
+        far[:, 0] += cls.SHIFT
+        embeddings = None if b.embeddings is None else np.concatenate((b.embeddings,) * 2)
+        columns = (np.concatenate((b.boxes, far)), np.tile(b.scores, 2), np.tile(b.start_prob, 2))
+        return DetectionBatch(b.frame, *columns, embeddings)
+
+    @pytest.mark.parametrize("ratio", [math.inf, 10.0])
+    @pytest.mark.parametrize("associator", ["mip", "hungarian"])
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_near_trajectories_unchanged(self, workload_detections, name, associator, ratio):
+        cfg = TrackerConfig(associator=associator, beta_over_alpha=ratio)
+        detections = workload_detections(name, 1)
+        doubled = {f: self.with_far_copy(b) for f, b in detections.items()}
+        expected = trajectories(run_sequence(detections, cfg))
+        assert expected
+        got = run_sequence(doubled, cfg)
+        assert trajectories(got, x_max=self.SHIFT / 2) == expected
+        assert len(trajectories(got)) > len(expected)
+
+
+@pytest.mark.parametrize(
+    "source, seed",
+    [(t, s) for t in ("clean", "crossing", "clutter") for s in range(3)]
+    + [(name, 1) for name in WORKLOAD_NAMES],
+)
+def test_mean_heading_stays_wrapped(workload_detections, source, seed):
+    """After every step each track's heading is in (-pi, pi], with the
+    bits ``wrap_angle`` gives it: ``kf_init`` and ``kf_update`` wrap it
+    and ``kf_predict`` keeps its bits, so the output reads it as it is."""
+    if source in WORKLOAD_NAMES:
+        detections = workload_detections(source, seed)
+    else:
+        _, detections = generate(scenario_template(source, seed=seed))
+    tracker = Tracker()
+    for frame in range(max(detections) + 1):
+        tracker.step(frame, detections.get(frame, []))
+        heading = tracker.mean[:, 6]
+        assert heading.tobytes() == wrap_angle(heading).tobytes(), frame
