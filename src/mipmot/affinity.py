@@ -360,6 +360,12 @@ def candidate_pairs(
     return rows[keep], cols[keep], appearance[keep]
 
 
+def _lacks_embeddings(embeddings) -> bool:
+    """Whether a side's embeddings turn appearance off: None, empty,
+    without columns, or with a NaN row, a row that lacks one."""
+    return embeddings is None or np.size(embeddings) == 0 or np.isnan(embeddings).all(-1).any()
+
+
 def compute_affinities(
     det_boxes,
     predicted,
@@ -390,7 +396,7 @@ def compute_affinities(
     beta = 1.0 - alpha
     m, n = len(det_boxes), len(predicted)
     raw = None
-    if alpha == 0.0 or m == 0 or n == 0 or det_embeddings is None or track_embeddings is None:
+    if alpha == 0.0 or _lacks_embeddings(det_embeddings) or _lacks_embeddings(track_embeddings):
         alpha, beta = 0.0, 1.0
     else:
         raw = raw_appearance_matrix(det_embeddings, track_embeddings)

@@ -16,7 +16,13 @@ The tracks are one table of row-aligned arrays, row k being one track:
 ``confirmed``, ``embeddings`` (T, D) with a NaN row where a track has
 none, the Kalman ``mean`` (T, 10) and ``cov_index``. The lifecycle rules
 are masks over them. Births are appended in id order and deletions keep
-the order of the rest, so the rows are always sorted by id.
+the order of the rest, so the rows are always sorted by id. A frame's
+embeddings are brought to the table's width D, with NaN rows when the
+batch has none, and both tables go to ``compute_affinities`` as they
+are: a NaN row on either side turns appearance off for the frame. The
+mean's heading column stays wrapped to (-pi, pi]: ``kf_init`` and
+``kf_update`` wrap it and ``kf_predict`` leaves its bits as they are,
+so the emitted boxes are read from the mean as it is.
 
 The Kalman covariances are a table beside it: ``cov_table`` (U, 10, 10)
 holds each track's covariance, shared between tracks, and track k's is
@@ -41,7 +47,6 @@ import numpy as np
 from .affinity import compute_affinities
 from .association import AssociationProblem, affinity_needed, hungarian_baseline, solve_mip
 from .config import TrackerConfig
-from .geometry import wrap_angle
 from .io_formats import ROW_DTYPE, DetectionBatch, check_frame
 from .motion import MEAS_DIM, STATE_DIM, kf_init, kf_predict, kf_update
 
@@ -97,7 +102,8 @@ class Tracker:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The matched detection and track rows, as two index arrays, and,
         for the unmatched detections, whether each starts a confirmed
-        track. ``embeddings`` is None unless every detection has one."""
+        track. ``embeddings`` are the detections' (M, D), at the track
+        table's width."""
         cfg = self.config
         x_cls_det, x_cls_trk = scores, self.confidence
         x_se_det = np.where(np.isnan(start_prob), cfg.default_start_prob, start_prob)
@@ -111,10 +117,8 @@ class Tracker:
                 affinity_needed(x_cls_trk, x_se_trk, *costs),
             )
 
-        lacks = np.isnan(self.embeddings).all(axis=1)
-        track_embeddings = None if lacks.any() else self.embeddings
         aff = compute_affinities(
-            det_boxes, self.mean[:, :MEAS_DIM], embeddings, track_embeddings, cfg, need=need
+            det_boxes, self.mean[:, :MEAS_DIM], embeddings, self.embeddings, cfg, need=need
         )
         if cfg.associator == "hungarian":
             # The baseline trusts all inputs: matched pairs keep ids,
@@ -136,26 +140,23 @@ class Tracker:
         result = solve_mip(problem)
         return *result.matched, result.y_se_det.astype(bool)
 
-    def _fit_embeddings(self, frame: int, batch: DetectionBatch) -> None:
-        """Give the embedding table the batch's embedding size, or reject
-        the batch if a track has an embedding of another size. The size
-        may change only while no track has one. Runs before any other
-        state changes."""
-        if batch.embeddings is None or batch.embeddings.shape[1] == self.embeddings.shape[1]:
-            return
-        if not np.isnan(self.embeddings).all():
-            i = int(batch.has_embedding.argmax())
-            raise ValueError(
-                f"frame {frame}, detection {i}: embedding has {batch.embeddings.shape[1]} "
-                f"values, expected {self.embeddings.shape[1]}"
-            )
-        self.embeddings = np.full((len(self.ids), batch.embeddings.shape[1]), np.nan)
-
-    def _drop_unused_covariances(self) -> None:
-        """Drop the covariance entries no track points at."""
-        used = np.bincount(self.cov_index, minlength=len(self.cov_table)) > 0
-        self.cov_table = self.cov_table[used]
-        self.cov_index = (np.cumsum(used) - 1)[self.cov_index]
+    def _fit_embeddings(self, frame: int, batch: DetectionBatch) -> np.ndarray:
+        """The batch's embeddings at the embedding table's width, NaN rows
+        for a batch without any. A batch with embeddings of another size
+        gives the table its size while no track has one, and is rejected
+        otherwise. Runs before any other state changes."""
+        width = self.embeddings.shape[1]
+        if batch.embeddings is None:
+            return np.full((len(batch), width), np.nan)
+        if batch.embeddings.shape[1] != width:
+            if not np.isnan(self.embeddings).all():
+                i = int(batch.has_embedding.argmax())
+                raise ValueError(
+                    f"frame {frame}, detection {i}: embedding has {batch.embeddings.shape[1]} "
+                    f"values, expected {width}"
+                )
+            self.embeddings = np.full((len(self.ids), batch.embeddings.shape[1]), np.nan)
+        return batch.embeddings
 
     def step(self, frame: int, detections) -> FrameResult:
         """Process one frame and return its confirmed associated tracks.
@@ -180,29 +181,21 @@ class Tracker:
             batch = DetectionBatch(frame, [], [])
         elif batch.frame != frame:
             raise ValueError(f"frame {frame}: the batch is of frame {batch.frame}")
-        self._fit_embeddings(frame, batch)
+        embeddings = self._fit_embeddings(frame, batch)
         self._last_frame = frame
 
         keep = batch.scores >= cfg.theta_cls
         det_boxes = batch.boxes[keep]
         scores = batch.scores[keep]
-        has_embedding = batch.has_embedding[keep]
-        embeddings = None if batch.embeddings is None else batch.embeddings[keep]
+        embeddings = embeddings[keep]
 
         self.mean, self.cov_table = kf_predict(self.mean, self.cov_table, cfg)
 
-        d, k, starts = self._associate(
-            det_boxes,
-            scores,
-            batch.start_prob[keep],
-            embeddings if has_embedding.all() else None,
-        )
+        d, k, starts = self._associate(det_boxes, scores, batch.start_prob[keep], embeddings)
 
         # The matched rows' entries are updated into new ones: a row that
         # coasts may still point at the old entry.
-        index = self.cov_index[k]
-        entries = np.flatnonzero(np.bincount(index, minlength=len(self.cov_table)))
-        index = np.searchsorted(entries, index)
+        entries, index = _entries(self.cov_index[k])
         self.mean[k], updated = kf_update(
             self.mean[k], self.cov_table[entries], det_boxes[d], cfg, index=index
         )
@@ -210,9 +203,9 @@ class Tracker:
         self.cov_table = np.concatenate((self.cov_table, updated))
         g = cfg.confidence_smoothing
         self.confidence[k] = g * self.confidence[k] + (1.0 - g) * scores[d]
-        if embeddings is not None:
-            given = has_embedding[d]
-            self.embeddings[k[given]] = embeddings[d[given]]
+        # A detection without an embedding leaves the track's as it is.
+        given = embeddings[d]
+        self.embeddings[k] = np.where(np.isnan(given), self.embeddings[k], given)
 
         # Coasting tracks keep their predicted state and accrue a miss;
         # an end decision is soft so a wrongly ended track can recover.
@@ -223,17 +216,16 @@ class Tracker:
         self.confirmed |= matched & (self.hits > cfg.theta_hit)
 
         # Births are appended confirmed starts first, then tentatives,
-        # which count as missed once.
+        # which count as missed once: one stable partition of the
+        # detections, less the matched ones.
         unmatched = np.ones(len(det_boxes), dtype=bool)
         unmatched[d] = False
-        born = np.flatnonzero(unmatched)
+        born = np.argsort(~starts, kind="stable")
+        born = born[unmatched[born]]
         if born.size:
-            born = np.concatenate((born[starts[born]], born[~starts[born]]))
             born_confirmed = starts[born]
             mean, cov = kf_init(det_boxes[born], cfg)
             self.cov_table = np.concatenate((self.cov_table, cov[:1]))
-            if embeddings is None:
-                embeddings = np.full((len(det_boxes), self.embeddings.shape[1]), np.nan)
             new = {
                 "ids": np.arange(self._next_id, self._next_id + born.size),
                 "confidence": scores[born],
@@ -252,15 +244,23 @@ class Tracker:
         if not alive.all():
             for name in _COLUMNS:
                 setattr(self, name, getattr(self, name)[alive])
-        self._drop_unused_covariances()
+        # Drop the covariance entries no track points at.
+        entries, self.cov_index = _entries(self.cov_index)
+        self.cov_table = self.cov_table[entries]
 
         # A track is emitted when it is confirmed and was not missed this
-        # frame: a matched track or a confirmed birth.
+        # frame: a matched track or a confirmed birth. Its heading is
+        # wrapped already (module docstring).
         out = np.flatnonzero(self.confirmed & (self.misses == 0))
-        boxes = self.mean[out, :MEAS_DIM]
-        boxes[:, 6] = wrap_angle(boxes[:, 6])
-        tracks = np.rec.fromarrays((self.ids[out], boxes, self.confidence[out]), dtype=ROW_DTYPE)
-        return FrameResult(frame=frame, tracks=tracks)
+        columns = (self.ids[out], self.mean[out, :MEAS_DIM], self.confidence[out])
+        return FrameResult(frame=frame, tracks=np.rec.fromarrays(columns, dtype=ROW_DTYPE))
+
+
+def _entries(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The covariance entries that the rows' ``index`` points at, in
+    order, and each row's position among them."""
+    entries = np.flatnonzero(np.bincount(index))
+    return entries, np.searchsorted(entries, index)
 
 
 def run_sequence(

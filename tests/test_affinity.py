@@ -533,6 +533,37 @@ class TestComputeAffinities:
         assert out.pairs is None
         assert (out.alpha, out.beta) == (0.0, 1.0)
 
+    @pytest.mark.parametrize("with_need", [False, True])
+    @pytest.mark.parametrize("side", ["detections", "tracks"])
+    @pytest.mark.parametrize("lack", ["nan-row", "no-columns"])
+    def test_side_lacking_embeddings_scores_as_none(self, lack, side, with_need):
+        """A side with a NaN row, a row that lacks an embedding, or with
+        no columns turns appearance off as None does: the same weights,
+        alpha 0 and beta 1, and the same bytes, dense and in pair form."""
+        dets, tracks, *embeddings, need = pinned_frame()
+        i = ["detections", "tracks"].index(side)
+        if lack == "nan-row":
+            embeddings[i][3] = np.nan
+        else:
+            embeddings[i] = embeddings[i][:, :0]
+        off = list(embeddings)
+        off[i] = None
+        need = need if with_need else None
+        with mock.patch.object(affinity_module, "_GATE_MIN_PAIRS", 0):
+            got, want = (
+                compute_affinities(dets, tracks, *e, TrackerConfig(), need=need)
+                for e in (embeddings, off)
+            )
+        assert (got.alpha, got.beta) == (want.alpha, want.beta) == (0.0, 1.0)
+        assert (got.pairs is None) == (want.pairs is None) == (not with_need)
+        for a, b in [
+            (got.appearance, want.appearance),
+            (got.motion, want.motion),
+            (got.refined, want.refined),
+            *zip(got.pairs or (), want.pairs or ()),
+        ]:
+            assert a.tobytes() == b.tobytes()
+
     def test_refined_bounds(self):
         rng = np.random.default_rng(71)
         dim = 8
