@@ -46,7 +46,7 @@ class AffinityMatrix:
     refined = alpha * appearance + beta * motion, with the weights that
     were applied: alpha = 1 / (1 + ``beta_over_alpha``) and
     beta = 1 - alpha when appearance is applied, and alpha = 0, beta = 1
-    when a side lacks embeddings or is empty. Each component is an
+    when ``compute_affinities`` turns it off. Each component is an
     (M, N) matrix, or with ``pairs = (rows, cols)`` the (K,) values of
     those pairs only.
     """
@@ -379,12 +379,13 @@ def compute_affinities(
     ``det_boxes`` are the (M, 7) detection boxes and ``predicted`` the
     (N, 7) track boxes predicted for this frame. ``det_embeddings`` and
     ``track_embeddings`` are aligned with them as an (M, D) and an
-    (N, D) array, each None when any of its rows lacks an embedding.
-    ``cfg`` supplies ``beta_over_alpha``, ``use_dis`` and ``use_iou``.
-    The weights are alpha = 1 / (1 + ``beta_over_alpha``) and
-    beta = 1 - alpha when appearance is applied; when a side lacks
-    embeddings or is empty, appearance is off for the frame and they
-    are alpha = 0, beta = 1.
+    (N, D) array, with a NaN row where a row lacks an embedding, or
+    None. ``cfg`` supplies ``beta_over_alpha``, ``use_dis`` and
+    ``use_iou``. The weights are alpha = 1 / (1 + ``beta_over_alpha``)
+    and beta = 1 - alpha when appearance is applied. A side that is
+    None or empty, has no columns or has a NaN row lacks embeddings,
+    and turns appearance off for the frame: the weights are then
+    alpha = 0, beta = 1.
     With ``need``, the (need_det, need_trk) pair of per-node arrays, only
     the ``candidate_pairs`` that can reach need_det[d] + need_trk[k] are
     scored, unless every pair is in reach: their appearance is formed at

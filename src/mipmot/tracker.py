@@ -252,8 +252,9 @@ class Tracker:
         # frame: a matched track or a confirmed birth. Its heading is
         # wrapped already (module docstring).
         out = np.flatnonzero(self.confirmed & (self.misses == 0))
-        columns = (self.ids[out], self.mean[out, :MEAS_DIM], self.confidence[out])
-        return FrameResult(frame=frame, tracks=np.rec.fromarrays(columns, dtype=ROW_DTYPE))
+        boxes = self.mean[out, :MEAS_DIM]
+        tracks = np.rec.fromarrays((self.ids[out], boxes, self.confidence[out]), dtype=ROW_DTYPE)
+        return FrameResult(frame=frame, tracks=tracks)
 
 
 def _entries(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

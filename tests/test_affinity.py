@@ -56,8 +56,8 @@ def make_track(track_id, box, embedding=None) -> SimpleNamespace:
 
 
 def stacked(embeddings):
-    """Per-row embeddings as the (K, D) array the tracker passes, or None
-    when any row lacks one."""
+    """Per-row embeddings as one (K, D) array, or None when any row lacks
+    one, which ``compute_affinities`` takes as it takes a NaN row."""
     if any(e is None for e in embeddings):
         return None
     return np.asarray(embeddings, dtype=float)
