@@ -230,9 +230,11 @@ def solve_mip(p: AssociationProblem) -> AssociationResult:
     nodes have no other kept pair is matched directly; the other kept
     pairs go to one maximum-weight assignment over their rows and
     columns (``assign_pairs``, with each kept pair's slack as its
-    weight). Among equal-objective solutions, unmatched pairs whose
-    match would cost exactly nothing are matched afterwards, in (d, k)
-    order, so ids are carried instead of re-created.
+    weight). Among equal-objective solutions, more matches are preferred
+    where they cost exactly nothing: the kept pairs of slack 0 whose two
+    nodes that assignment left free go to a second ``assign_pairs`` with
+    weight 1 each, which matches as many of them as it can, so ids are
+    carried instead of re-created.
 
     Each step yields the positions of its matches among the kept pairs,
     so the matched affinities are gathered by position, in (d, k)
@@ -243,33 +245,25 @@ def solve_mip(p: AssociationProblem) -> AssociationResult:
     c_cls_det, c_cls_trk, c_aff, c_se_det, c_se_trk = coefficients
     out_det = np.maximum(0.0, c_cls_det + c_se_det)
     out_trk = np.maximum(0.0, c_cls_trk + c_se_trk)
-    if p.pairs is None:
-        slack = c_cls_det[:, None] + c_cls_trk[None, :] + c_aff - out_det[:, None] - out_trk
-        rows, cols = np.nonzero(slack >= 0.0)
-        slack, aff = slack[rows, cols], c_aff[rows, cols]
-    else:
-        rows, cols = p.pairs
-        slack = c_cls_det[rows] + c_cls_trk[cols] + c_aff - out_det[rows] - out_trk[cols]
-        keep = np.flatnonzero(slack >= 0.0)
-        rows, cols, slack, aff = rows[keep], cols[keep], slack[keep], c_aff[keep]
+    # Broadcasting views for the dense matrix, the pair lists otherwise.
+    i, j = (np.s_[:, None], np.s_[None, :]) if p.pairs is None else p.pairs
+    slack = c_cls_det[i] + c_cls_trk[j] + c_aff - out_det[i] - out_trk[j]
+    kept = np.nonzero(slack >= 0.0)
+    rows, cols = kept if p.pairs is None else (i[kept], j[kept])
+    slack, aff = slack[kept], c_aff[kept]
 
     at = assign_pairs(rows, cols, slack, m, n)
 
-    # Zero-cost augmentation: matching an unmatched pair whose gain
-    # exactly offsets both outside options changes nothing in the
-    # objective but keeps the track id alive.
+    # Zero-cost augmentation: matching a pair whose gain exactly offsets
+    # both outside options changes nothing in the objective but keeps
+    # the track id alive.
     zero = np.flatnonzero(slack == 0.0)
     if zero.size:
-        free_det, free_trk = np.ones(m, dtype=bool), np.ones(n, dtype=bool)
-        free_det[rows[at]] = False
-        free_trk[cols[at]] = False
-        extra = []
-        zero = zero[np.lexsort((cols[zero], rows[zero]))]
-        for z, d, k in zip(zero.tolist(), rows[zero].tolist(), cols[zero].tolist()):
-            if free_det[d] and free_trk[k]:
-                extra.append(z)
-                free_det[d] = free_trk[k] = False
-        at = np.concatenate((at, np.array(extra, dtype=np.intp)))
+        free = np.bincount(rows[at], minlength=m)[rows[zero]] == 0
+        free &= np.bincount(cols[at], minlength=n)[cols[zero]] == 0
+        zero = zero[free]
+        fill = assign_pairs(rows[zero], cols[zero], np.ones(zero.size), m, n)
+        at = np.concatenate((at, zero[fill]))
 
     at = at[np.lexsort((cols[at], rows[at]))]
     return _result(p, coefficients, rows[at], cols[at], aff[at])

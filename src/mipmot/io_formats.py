@@ -107,7 +107,6 @@ import math
 import numbers
 import operator
 import os
-from collections.abc import Sequence
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -301,7 +300,7 @@ def frame_groups(frames: np.ndarray) -> tuple[np.ndarray | None, list[tuple[int,
     return order, [(int(frames[a]), a, b) for a, b in zip(cuts, cuts[1:])]
 
 
-class DetectionBatch(Sequence):
+class DetectionBatch:
     """One frame's detections as arrays, checked once when built.
 
     ``boxes`` is (M, 7) with headings wrapped to (-pi, pi], ``scores``

@@ -18,11 +18,11 @@ same config reproduces byte-identical files anywhere; see SplitMix64.
 ``ScenarioConfig`` and ``ObjectSpec`` are checked when built by the
 field checker of ``config`` (``check_fields``), with the rules declared
 below, and a scenario file and its ``objects`` load through
-``config.from_json``. Only the occlusions and the reach of what is
-generated have checks of their own here: the objects' paths, the
-detections' noise around them and the false positives' spread must stay
-within the box coordinate limit of ``io_formats``' row rules (1e100 in
-magnitude), as the box extents must by their field rule.
+``config.from_json``. Only the reach of what is generated has checks
+of its own here: the objects' paths, the detections' noise around them
+and the false positives' spread must stay within the box coordinate
+limit of ``io_formats``' row rules (1e100 in magnitude), as the box
+extents must by their field rule.
 """
 
 from __future__ import annotations
@@ -121,8 +121,8 @@ _OBJECT_RULES = {
     **dict.fromkeys(("x", "y", "vx", "vy"), _REAL),
     "group": nullable(rule("an integer or null", is_integer)),
 }
-# The rule of each scenario key but the occlusions and the objects. The
-# values are checked, not converted: the scenario holds them as given.
+# The rule of each scenario key but the objects. The values are
+# checked, not converted: the scenario holds them as given.
 _RULES = {
     **dict.fromkeys(("num_objects", "num_frames", "embedding_dim"), COUNT),
     "seed": rule("an integer", is_integer),
@@ -139,6 +139,12 @@ _RULES = {
         real(_FINITE, (lambda v: v >= 0.0, "nonnegative")),
     ),
     "object_type": WORD,
+    "occlusions": rule(
+        "a list of [object, start_frame, num_frames] integers",
+        lambda v: isinstance(v, (list, tuple))
+        and all(isinstance(o, (list, tuple)) and len(o) == 3 for o in v)
+        and all(is_integer(i) for o in v for i in o),
+    ),
 }
 
 
@@ -182,16 +188,7 @@ class ScenarioConfig:
             ]
             self.num_objects = len(self.objects)
         self._check_reach()
-        occlusions = self.occlusions
-        if not isinstance(occlusions, (list, tuple)) or not all(
-            isinstance(o, (list, tuple)) and len(o) == 3 and all(map(is_integer, o))
-            for o in occlusions
-        ):
-            raise ValueError(
-                f"occlusions must be a list of [object, start_frame, num_frames] integers, "
-                f"got {occlusions!r}"
-            )
-        self.occlusions = [tuple(o) for o in occlusions]
+        self.occlusions = [tuple(o) for o in self.occlusions]
 
     def _check_reach(self):
         """Every generated box coordinate stays within the magnitude the

@@ -19,12 +19,23 @@ from mipmot.association import AssociationProblem, objective_coefficients
 def milp_oracle(p: AssociationProblem, allowed=None) -> float:
     """Optimal objective of the literal binary program. With an (M, N)
     boolean ``allowed``, every other pair is fixed to y_aff = 0."""
+    c = np.concatenate([np.ravel(v) for v in objective_coefficients(p)])
+    return float(c @ milp_solution(p, allowed))
+
+
+def milp_solution(p: AssociationProblem, allowed=None, exclude=()) -> np.ndarray | None:
+    """An optimal 0/1 vector of the literal binary program, in the
+    variable order y_cls_det (M), y_cls_trk (N), y_aff (M * N, row
+    major), y_se_det (M), y_se_trk (N); None when no vector is feasible.
+
+    With an (M, N) boolean ``allowed``, every other pair is fixed to
+    y_aff = 0. Each vector of ``exclude`` is cut off: the solution
+    differs from it in at least one variable, so a second call that
+    excludes the first solution finds the runner-up."""
     m, n = p.shape
     c = np.concatenate([np.ravel(v) for v in objective_coefficients(p)])
     if c.size == 0:
-        return 0.0
-    # Variable order: y_cls_det (m), y_cls_trk (n), y_aff (m*n, row
-    # major), y_se_det (m), y_se_trk (n).
+        return None if len(exclude) else c
     eq = np.zeros((m + n, c.size))
     rows_det, rows_trk = np.arange(m), m + np.arange(n)
     eq[rows_det, rows_det] = 1.0
@@ -35,16 +46,22 @@ def milp_oracle(p: AssociationProblem, allowed=None) -> float:
             eq[m + k, m + n + d * n + k] = -1.0
     eq[rows_det, m + n + m * n + np.arange(m)] = -1.0
     eq[rows_trk, 2 * m + n + m * n + np.arange(n)] = -1.0
+    constraints = [LinearConstraint(eq, 0.0, 0.0)]
+    for x in exclude:
+        # sum of the variables set in x, less those clear in x, drops by one
+        constraints.append(LinearConstraint(2.0 * x - 1.0, -np.inf, x.sum() - 1.0))
     upper = np.ones(c.size)
     if allowed is not None:
         upper[m + n : m + n + m * n] = np.asarray(allowed, dtype=bool).ravel()
     res = milp(
         -c,
-        constraints=LinearConstraint(eq, 0.0, 0.0),
+        constraints=constraints,
         integrality=np.ones(c.size),
         bounds=Bounds(0.0, upper),
         options={"mip_rel_gap": 0.0},
     )
+    if res.status == 2:  # infeasible
+        return None
     if not res.success:
         raise RuntimeError(f"MILP failed: {res.message}")
-    return float(c @ np.round(res.x))
+    return np.round(res.x)

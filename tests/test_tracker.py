@@ -4,8 +4,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tracker_oracle
 from conftest import WORKLOAD_NAMES
+from mipmot import affinity
 from mipmot import tracker as tracker_module
 from mipmot.geometry import wrap_angle
 from mipmot.io_formats import ROW_DTYPE, DetectionBatch
@@ -561,3 +565,133 @@ def test_mean_heading_stays_wrapped(workload_detections, source, seed):
         tracker.step(frame, detections.get(frame, []))
         heading = tracker.mean[:, 6]
         assert heading.tobytes() == wrap_angle(heading).tobytes(), frame
+
+
+@st.composite
+def reference_runs(draw):
+    """A sequence of up to 8 frames of up to 6 objects, as
+    ``{frame: [Det]}``, and a config drawn at random.
+
+    Objects are born and die within the sequence, move at constant
+    velocity and are missed at random. Each frame holds up to 3 clutter
+    detections, ghosts near an object or scattered, and its embeddings
+    are all there, all missing or missing at random. Frames after the
+    first come 1 to 3 apart. The objects start within 15 m or within
+    400 m of the origin; at 400 m the gate, where it is tried, cuts some
+    frames. The continuous values come from one drawn seed, so that no
+    score or probability is a boundary value."""
+    num_frames = draw(st.integers(1, 8))
+    gaps = [draw(st.integers(1, 3)) for _ in range(1, num_frames)]
+    frames = np.cumsum([draw(st.integers(0, 2)), *gaps])
+    lives = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(1, 8)), max_size=6))
+    clutter = [draw(st.integers(0, 3)) for _ in range(num_frames)]
+    embedded = [draw(st.sampled_from(["all", "none", "some"])) for _ in range(num_frames)]
+    spread = draw(st.sampled_from([15.0, 400.0]))
+    use_dis, use_iou = draw(st.sampled_from([(True, True), (True, False), (False, True)]))
+    cfg = TrackerConfig(
+        associator=draw(st.sampled_from(["mip", "hungarian"])),
+        theta_hit=draw(st.integers(0, 2)),
+        theta_miss=draw(st.integers(0, 3)),
+        confidence_smoothing=draw(st.sampled_from([0.0, 0.3, 0.8])),
+        beta_over_alpha=draw(st.sampled_from([0.0, 1.0, 10.0, math.inf])),
+        use_dis=use_dis,
+        use_iou=use_iou,
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    objects = []
+    for first, length in lives:
+        size = rng.uniform((3.5, 1.5, 1.4), (5.0, 2.0, 1.8))
+        heading = rng.uniform(-math.pi, math.pi)
+        # a certain object starts a track, a likely one enters tentative,
+        # and an unlikely one is filtered out
+        scores = (rng.uniform(0.996, 1.0), rng.uniform(0.86, 0.99), rng.uniform(0.5, 0.85))
+        objects.append(
+            SimpleNamespace(
+                frames=range(first, first + length),
+                start=np.r_[rng.uniform(-spread, spread, 2), 0.75, size, heading],
+                velocity=np.r_[rng.uniform(-2.0, 2.0, 2), np.zeros(5)],
+                embedding=rng.uniform(-1.0, 1.0, 4),
+                score=scores[rng.integers(3)],
+            )
+        )
+
+    def detection(box, score, embedding, mode):
+        box = box + np.r_[rng.normal(0.0, 0.2, 3), np.zeros(4)]
+        start_prob = rng.uniform(0.0, 1.0) if rng.random() < 0.5 else None
+        if mode == "none" or (mode == "some" and rng.random() < 0.3):
+            embedding = None
+        else:
+            embedding = embedding + rng.normal(0.0, 0.1, 4)
+        return tracker_oracle.Det(box, score, start_prob, embedding)
+
+    sequence = {}
+    for i, frame in enumerate(frames.tolist()):
+        dets = [
+            detection(o.start + frame * o.velocity, o.score, o.embedding, embedded[i])
+            for o in objects
+            if i in o.frames and rng.random() < 0.85
+        ]
+        for _ in range(clutter[i]):
+            # a ghost near an object, or a box anywhere
+            if objects and rng.random() < 0.5:
+                o = objects[rng.integers(len(objects))]
+                centre = o.start + frame * o.velocity
+            else:
+                centre = np.r_[rng.uniform(-spread, spread, 2), 0.75, 4.0, 1.8, 1.5, 0.0]
+            ghost = centre + np.r_[rng.normal(0.0, 2.0, 2), np.zeros(4), rng.uniform(-3.0, 3.0)]
+            score = rng.uniform(0.3, 1.0)
+            dets.append(detection(ghost, score, rng.uniform(-1.0, 1.0, 4), embedded[i]))
+        sequence[frame] = dets
+    return sequence, cfg
+
+
+class TestReferenceTracker:
+    """``run_sequence`` against ``tracker_oracle``: the same ids on
+    every frame, boxes within 1e-9 and equal confidences. Sequences
+    whose association ties on some frame (``TiedAssociation``) are
+    skipped and counted. Run as it is, and with the gate tried on every
+    mip frame (``_GATE_MIN_PAIRS`` = 0), so that the pair form is
+    checked too; the counts are printed."""
+
+    @pytest.mark.parametrize("gate_min_pairs", [None, 0])
+    def test_same_tracks_as_reference(self, monkeypatch, gate_min_pairs):
+        if gate_min_pairs is not None:
+            monkeypatch.setattr(affinity, "_GATE_MIN_PAIRS", gate_min_pairs)
+        counts = dict.fromkeys(("runs", "tied", "frames", "gated"), 0)
+        compute = tracker_module.compute_affinities
+
+        def counted(*args, **kwargs):
+            aff = compute(*args, **kwargs)
+            counts["frames"] += 1
+            counts["gated"] += aff.pairs is not None
+            return aff
+
+        monkeypatch.setattr(tracker_module, "compute_affinities", counted)
+
+        @settings(max_examples=300, deadline=None)
+        @given(reference_runs())
+        def check(run):
+            sequence, cfg = run
+            try:
+                expected = tracker_oracle.run_sequence(sequence, cfg)
+            except tracker_oracle.TiedAssociation:
+                counts["tied"] += 1
+                return
+            counts["runs"] += 1
+            batches = {f: batch(f, *dets) for f, dets in sequence.items()}
+            got = run_sequence(batches, cfg)
+            assert [r.frame for r in got] == [frame for frame, _ in expected]
+            for result, (frame, rows) in zip(got, expected):
+                tracks = result.tracks
+                assert tracks["id"].tolist() == [i for i, _, _ in rows], frame
+                assert tracks["score"].tolist() == [c for _, _, c in rows], frame
+                want = np.reshape([b for _, b, _ in rows], (-1, 7))
+                diff = tracks["box"] - want
+                diff[:, 6] = wrap_angle(diff[:, 6])
+                assert np.abs(diff).max(initial=0.0) <= 1e-9, frame
+
+        check()
+        print(f"reference tracker: {counts}")
+        assert counts["runs"] >= 30
+        assert gate_min_pairs is None or counts["gated"] > 0
