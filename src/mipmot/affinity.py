@@ -151,6 +151,10 @@ class _Boxes(NamedTuple):
     half_h: np.ndarray
     volumes: np.ndarray
 
+    def rows(self, rows) -> _Boxes:
+        """The table of the boxes in the row slice ``rows``."""
+        return _Boxes._make(column[rows] for column in self)
+
 
 def _box_table(boxes) -> _Boxes:
     """The box table of an (N, 7) box array; a table is returned as it is.
@@ -403,8 +407,10 @@ def compute_affinities(
         raw = raw_appearance_matrix(det_embeddings, track_embeddings)
 
     use_dis, use_iou = cfg.use_dis, cfg.use_iou
-    # One table per side, which the gate and the scorer both read.
-    det, trk = _box_table(det_boxes), _box_table(predicted)
+    # One table over both sides' boxes, stacked: the gate and the scorer
+    # both read its detection rows and its track rows.
+    table = _box_table(np.concatenate((det_boxes, predicted)))
+    det, trk = table.rows(np.s_[:m]), table.rows(np.s_[m:])
     gated = None
     if need is not None:
         gated = candidate_pairs(det, trk, need, raw, alpha, beta, use_dis=use_dis, use_iou=use_iou)

@@ -32,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-def _check_unit(name: str, v: np.ndarray):
-    if v.size and (not np.all(np.isfinite(v)) or v.min() < 0.0 or v.max() > 1.0):
-        raise ValueError(f"{name} must lie in [0, 1]")
+# The inputs that are probabilities, each checked to lie in [0, 1], in
+# the order a fault names them.
+_UNIT_INPUTS = ("x_cls_det", "x_cls_trk", "x_se_det", "x_se_trk")
 
 
 @dataclass
@@ -57,10 +57,8 @@ class AssociationProblem:
     pairs: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        self.x_cls_det = np.atleast_1d(np.asarray(self.x_cls_det, dtype=float))
-        self.x_cls_trk = np.atleast_1d(np.asarray(self.x_cls_trk, dtype=float))
-        self.x_se_det = np.atleast_1d(np.asarray(self.x_se_det, dtype=float))
-        self.x_se_trk = np.atleast_1d(np.asarray(self.x_se_trk, dtype=float))
+        for name in _UNIT_INPUTS:
+            setattr(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=float)))
         m, n = self.shape
         if self.pairs is None:
             self.x_aff = np.asarray(self.x_aff, dtype=float).reshape(m, n)
@@ -78,10 +76,14 @@ class AssociationProblem:
                 raise ValueError("a pair is listed twice")
         if self.x_se_det.shape != (m,) or self.x_se_trk.shape != (n,):
             raise ValueError("start/end probability sizes do not match")
-        _check_unit("x_cls_det", self.x_cls_det)
-        _check_unit("x_cls_trk", self.x_cls_trk)
-        _check_unit("x_se_det", self.x_se_det)
-        _check_unit("x_se_trk", self.x_se_trk)
+        # One test over all four; NaN and +-inf fail it too.
+        unit = [getattr(self, name) for name in _UNIT_INPUTS]
+        inside = np.concatenate(unit)
+        inside = (inside >= 0.0) & (inside <= 1.0)
+        if not inside.all():
+            ends = np.cumsum([v.size for v in unit])
+            name = _UNIT_INPUTS[int(np.searchsorted(ends, inside.argmin(), "right"))]
+            raise ValueError(f"{name} must lie in [0, 1]")
         if not np.all(np.isfinite(self.x_aff)):
             raise ValueError("x_aff contains non-finite values")
         if min(self.w_cls, self.w_aff, self.w_se) <= 0.0:

@@ -10,7 +10,7 @@ of ``io_formats``. Overlap is computed as a rotated-rectangle
 intersection in the ground plane (bird's-eye view) times the vertical
 interval overlap, which is exact for upright boxes.
 Every overlap goes through one batched kernel, ``bev_intersection_areas``:
-one fixed-shape pass over (K, 4) arrays that integrates each footprint's
+one fixed-shape pass over (4, K) arrays that integrates each footprint's
 edges in the other box's frame, so an area depends only on where the two
 boxes sit relative to each other. ``tests/exact_area.py`` checks it
 against an exact rational clip. An overlap becomes an IoU by one rule,
@@ -124,22 +124,25 @@ def bev_intersection_areas(a, b) -> np.ndarray:
     ``[-L, L]`` and ``mean`` the average of the clipped, linear y over
     that span, in closed form. The integrand is continuous in the
     corners, so coincident and touching edges need no rule. Every pair
-    runs the same (K, 4) array steps, so a pair gets the same bits in
-    any batch.
+    runs the same steps, over (K,) rows of the pairs' fields and (4, K)
+    arrays of a's corners, so a pair gets the same bits in any batch.
     """
-    a = np.asarray(a, dtype=float).reshape(-1, 7)
-    b = np.asarray(b, dtype=float).reshape(-1, 7)
-    cos_b, sin_b = np.cos(b[:, 6:7]), np.sin(b[:, 6:7])
-    heading = a[:, 6:7] - b[:, 6:7]
+    # Each field of the K pairs is a (K,) row of the transposed inputs and
+    # each corner quantity a (4, K) array, so a step's inner loops run over
+    # the K pairs, not over the four corners of each.
+    a = np.asarray(a, dtype=float).reshape(-1, 7).T
+    b = np.asarray(b, dtype=float).reshape(-1, 7).T
+    cos_b, sin_b = np.cos(b[6]), np.sin(b[6])
+    heading = a[6] - b[6]
     cos_r, sin_r = np.cos(heading), np.sin(heading)
-    dx, dy = a[:, 0:1] - b[:, 0:1], a[:, 1:2] - b[:, 1:2]
-    along = 0.5 * a[:, 3:4] * _CORNER_SIGNS[0]
-    across = 0.5 * a[:, 4:5] * _CORNER_SIGNS[1]
+    dx, dy = a[0] - b[0], a[1] - b[1]
+    along = 0.5 * a[3] * _CORNER_SIGNS[0, :, None]
+    across = 0.5 * a[4] * _CORNER_SIGNS[1, :, None]
     # a's corners, counter-clockwise, and the corners after them
     x = (cos_b * dx + sin_b * dy) + (cos_r * along - sin_r * across)
     y = (cos_b * dy - sin_b * dx) + (sin_r * along + cos_r * across)
-    x_next, y_next = x[:, _NEXT], y[:, _NEXT]
-    half_l, half_w = 0.5 * b[:, 3:4], 0.5 * b[:, 4:5]
+    x_next, y_next = x[_NEXT], y[_NEXT]
+    half_l, half_w = 0.5 * b[3], 0.5 * b[4]
     u0 = np.minimum(np.maximum(x, -half_l), half_l)
     u1 = np.minimum(np.maximum(x_next, -half_l), half_l)
     # A vertical edge (run 0) and an edge outside |x| <= L have u0 == u1
@@ -162,8 +165,8 @@ def bev_intersection_areas(a, b) -> np.ndarray:
             np.minimum(np.maximum(low, -half_w), half_w),
         )
         terms = np.where(u1 != u0, (u0 - u1) * mean, 0.0)
-    area = terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
-    area_a, area_b = a[:, 3] * a[:, 4], b[:, 3] * b[:, 4]
+    area = terms[0] + terms[1] + terms[2] + terms[3]
+    area_a, area_b = a[3] * a[4], b[3] * b[4]
     area = np.minimum(area, np.minimum(area_a, area_b))
     flat = (area_a < EPS) | (area_b < EPS)
     return np.where(flat | (area < EPS), 0.0, area)

@@ -37,6 +37,10 @@ STATE_DIM = 10
 MEAS_DIM = 7
 HEADING_IDX = 6
 
+# The identity, which Q and I - K H are built on.
+EYE = np.eye(STATE_DIM)
+EYE.setflags(write=False)
+
 # Constant-velocity transition: position advances by one frame of velocity.
 A = np.eye(STATE_DIM)
 A[0, 7] = A[1, 8] = A[2, 9] = 1.0
@@ -63,7 +67,7 @@ def kf_predict(mean, cov, cfg: TrackerConfig) -> tuple[np.ndarray, np.ndarray]:
     covariances with process noise Q = ``kalman_q_scale`` * I; the
     predicted pose/size is ``mean[..., :7]``. Means and covariances are
     mapped independently, so their leading axes need not agree."""
-    cov = A @ cov @ A.T + cfg.kalman_q_scale * np.eye(STATE_DIM)
+    cov = A @ cov @ A.T + cfg.kalman_q_scale * EYE
     return mean @ A.T, 0.5 * (cov + np.swapaxes(cov, -1, -2))
 
 
@@ -104,7 +108,7 @@ def kf_update(
     # I - K H: -K in the first MEAS_DIM columns, plus the identity.
     i_kh = np.zeros(cov.shape)
     np.negative(K, out=i_kh[..., :MEAS_DIM])
-    i_kh += np.eye(STATE_DIM)
+    i_kh += EYE
     cov = i_kh @ cov
     cov += np.swapaxes(cov, -1, -2)
     cov *= 0.5

@@ -252,9 +252,11 @@ class Tracker:
         # frame: a matched track or a confirmed birth. Its heading is
         # wrapped already (module docstring).
         out = np.flatnonzero(self.confirmed & (self.misses == 0))
-        boxes = self.mean[out, :MEAS_DIM]
-        tracks = np.rec.fromarrays((self.ids[out], boxes, self.confidence[out]), dtype=ROW_DTYPE)
-        return FrameResult(frame=frame, tracks=tracks)
+        tracks = np.empty(out.size, ROW_DTYPE)
+        tracks["id"] = self.ids[out]
+        tracks["box"] = self.mean[out, :MEAS_DIM]
+        tracks["score"] = self.confidence[out]
+        return FrameResult(frame=frame, tracks=tracks.view(np.recarray))
 
 
 def _entries(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

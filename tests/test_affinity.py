@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 from scipy.special import softmax
@@ -23,6 +23,7 @@ from exact_area import within
 from mip_oracle import assert_same_result, result_from_matches
 from mipmot import affinity as affinity_module
 from mipmot.affinity import (
+    _box_table,
     compute_affinities,
     motion_affinity_matrix,
     raw_appearance_matrix,
@@ -459,6 +460,31 @@ class TestMotionMatrix:
         empty = np.zeros(0, np.intp)
         out = motion_affinity_matrix(dets, trks, *flags, pairs=(empty, empty))
         assert out.shape == (0,) and out.dtype == float
+
+
+class TestBoxTable:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.builds(_box, st.integers(0, 2**32 - 1)), max_size=10),
+        st.lists(st.builds(_box, st.integers(0, 2**32 - 1)), max_size=10),
+        st.sampled_from([0.0, 1e4, -3e7]),
+    )
+    @example(dets=[], trks=[_box(1)], offset=0.0)
+    @example(dets=[_box(2)], trks=[], offset=0.0)
+    @example(dets=[], trks=[], offset=0.0)
+    def test_stacked_rows_equal_each_side(self, dets, trks, offset):
+        """The table of both sides' boxes, stacked, holds each side's own
+        table in its row slices, bit for bit."""
+        d_arr, t_arr = box_array(dets), box_array(trks)
+        d_arr[:, :2] += offset
+        table = _box_table(np.concatenate((d_arr, t_arr)))
+        m = len(dets)
+        for got, side in ((table.rows(np.s_[:m]), d_arr), (table.rows(np.s_[m:]), t_arr)):
+            alone = _box_table(side)
+            assert got._fields == alone._fields
+            for field, column in zip(alone._fields, alone):
+                assert getattr(got, field).shape == column.shape, field
+                assert getattr(got, field).tobytes() == column.tobytes(), field
 
 
 class TestComputeAffinities:

@@ -18,6 +18,8 @@ from mipmot.association import (
 )
 
 PAPER = dict(w_cls=100.0, w_aff=22.0, w_se=1.0)
+# The vectors that must lie in [0, 1], in the order their check names them.
+UNIT_VECTORS = ("x_cls_det", "x_cls_trk", "x_se_det", "x_se_trk")
 
 
 def problem(x_cls_det, x_cls_trk, x_aff, x_se_det=None, x_se_trk=None, **weights):
@@ -193,6 +195,22 @@ class TestSolveMip:
     def test_rejects_out_of_range_confidence(self):
         with pytest.raises(ValueError):
             problem([1.2], [], np.zeros((1, 0)))
+
+    @pytest.mark.parametrize("name", UNIT_VECTORS)
+    @pytest.mark.parametrize("bad", [-1e-12, 1.0 + 1e-12, np.nan, np.inf, -np.inf])
+    def test_out_of_range_value_names_its_vector(self, name, bad):
+        vectors = {v: np.full(2, 0.5) for v in UNIT_VECTORS}
+        vectors[name][1] = bad
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 1\]$"):
+            AssociationProblem(x_aff=np.zeros((2, 2)), **vectors, **PAPER)
+
+    @pytest.mark.parametrize("first, second", itertools.combinations(UNIT_VECTORS, 2))
+    def test_first_bad_vector_is_named(self, first, second):
+        vectors = {v: np.full(2, 0.5) for v in UNIT_VECTORS}
+        vectors[first][0] = 1.5
+        vectors[second][0] = -0.5
+        with pytest.raises(ValueError, match=rf"^{first} must lie in \[0, 1\]$"):
+            AssociationProblem(x_aff=np.zeros((2, 2)), **vectors, **PAPER)
 
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError):

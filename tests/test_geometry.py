@@ -1,3 +1,4 @@
+import hashlib
 import math
 from unittest import mock
 
@@ -471,6 +472,53 @@ class TestExactArea:
 
 def bits(array) -> bytes:
     return np.ascontiguousarray(array).tobytes()
+
+
+# sha256 of ``bev_intersection_areas`` over ``pinned_pairs``, both ways
+# round: the kernel's areas byte for byte, whatever its array layout.
+PINNED_AREAS = "a670a25afffe522e8edd0519e30c15575b854bd9ab895b8a1bde82e526773f98"
+
+
+def pinned_pairs():
+    """A fixed list of (a, b) box pairs: random near pairs, and pairs
+    that are coincident, touching along either axis, nested, flat or a
+    point, share a heading (edges vertical in b's frame) or differ by a
+    quarter turn, have headings at +-pi, and each of these 1e4 m out."""
+    rng = np.random.default_rng(3408)
+    pairs = []
+    for _ in range(24):
+        a = random_box(rng, spread=2.0)
+        b = random_box(rng, spread=2.0)
+        l, w = a[3], a[4]
+        c, s = math.cos(a[6]), math.sin(a[6])
+        pairs += [
+            (a, b),
+            (a, a),
+            (a, replace(a, x=a[0] + l * c, y=a[1] + l * s)),
+            (a, replace(a, x=a[0] - w * s, y=a[1] + w * c)),
+            (a, replace(a, l=0.5 * l, w=0.25 * w)),
+            (a, replace(b, w=0.0)),
+            (replace(a, l=0.0, w=0.0), b),
+            (a, replace(b, a=a[6])),
+            (a, replace(b, a=a[6] + math.pi / 2)),
+        ]
+    for heading in (math.pi, -math.pi, math.nextafter(-math.pi, 0.0)):
+        for other in (math.pi, -math.pi, 0.0, math.pi / 2):
+            a = np.array([0.3, -0.2, 0.0, 4.0, 1.8, 1.5, heading])
+            pairs.append((a, np.array([0.0, 0.0, 0.0, 3.5, 2.0, 1.5, other])))
+    pairs += [
+        (replace(a, x=a[0] + 1e4, y=a[1] - 1e4), replace(b, x=b[0] + 1e4, y=b[1] - 1e4))
+        for a, b in pairs
+    ]
+    return as_array(a for a, _ in pairs), as_array(b for _, b in pairs)
+
+
+def test_kernel_areas_pinned():
+    left, right = pinned_pairs()
+    areas = bev_intersection_areas(left, right)
+    assert (areas > 0.0).any() and (areas == 0.0).any()
+    digest = hashlib.sha256(bits(areas) + bits(bev_intersection_areas(right, left)))
+    assert digest.hexdigest() == PINNED_AREAS
 
 
 class TestBatchedPass:
