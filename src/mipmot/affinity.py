@@ -160,41 +160,32 @@ def _box_table(boxes) -> _Boxes:
     """The box table of an (N, 7) box array; a table is returned as it is.
 
     Each quantity is a column, so that a pair's quantities are built one
-    coordinate at a time. The footprint bounds are elementwise minima
-    and maxima of the four corner columns of
-    ``geometry.bev_corners_array``, whose matrix product rounds the
-    corners differently from a rotation written out per coordinate:
-    those corners fix the bits of the enclosing diagonal.
+    coordinate at a time. The footprint bounds are in closed form: with
+    c = |cos a| and s = |sin a|, the footprint reaches
+    ``l/2 * c + w/2 * s`` from its centre along x and
+    ``l/2 * s + w/2 * c`` along y.
     """
     if isinstance(boxes, _Boxes):
         return boxes
     arr = np.asarray(boxes, dtype=float)
-    half_h = 0.5 * arr[:, 5]
-    corners = geometry.bev_corners_array(arr)
-    x_lo, x_hi = _bounds(corners[:, :, 0])
-    y_lo, y_hi = _bounds(corners[:, :, 1])
+    half_l, half_w, half_h = 0.5 * arr[:, 3], 0.5 * arr[:, 4], 0.5 * arr[:, 5]
+    c, s = np.abs(np.cos(arr[:, 6])), np.abs(np.sin(arr[:, 6]))
+    reach_x = half_l * c + half_w * s
+    reach_y = half_l * s + half_w * c
     return _Boxes(
         arr=arr,
         x=arr[:, 0],
         y=arr[:, 1],
         z=arr[:, 2],
-        x_lo=x_lo,
-        x_hi=x_hi,
-        y_lo=y_lo,
-        y_hi=y_hi,
+        x_lo=arr[:, 0] - reach_x,
+        x_hi=arr[:, 0] + reach_x,
+        y_lo=arr[:, 1] - reach_y,
+        y_hi=arr[:, 1] + reach_y,
         z_lo=arr[:, 2] - half_h,
         z_hi=arr[:, 2] + half_h,
         radii=0.5 * np.hypot(arr[:, 3], arr[:, 4]),
         half_h=half_h,
         volumes=arr[:, 3] * arr[:, 4] * arr[:, 5],
-    )
-
-
-def _bounds(c):
-    """The elementwise min and max of the four columns of an (N, 4) array."""
-    return (
-        np.minimum(np.minimum(c[:, 0], c[:, 1]), np.minimum(c[:, 2], c[:, 3])),
-        np.maximum(np.maximum(c[:, 0], c[:, 1]), np.maximum(c[:, 2], c[:, 3])),
     )
 
 

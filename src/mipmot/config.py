@@ -7,14 +7,16 @@ a bad config fails before the first frame. The defaults are the field
 defaults below.
 
 The field checker is shared with ``simgen.ScenarioConfig`` and
-``simgen.ObjectSpec``: each type declares one rule per field (``real``,
-``reals`` or ``rule``) and ``check_fields`` runs them. A real-valued
-field takes a number that fits a float and passes the field's range
-test. ``from_json`` builds any of the three from a JSON object, with
-unknown and missing keys rejected by name, and ``load_json`` from a
-JSON file. ``read_json``, behind ``load_json`` and the sweep grid, fails
-at the file and line of a syntax error or a byte that is not UTF-8, and
-names a key given twice or nesting too deep. The rule of
+``simgen.ObjectSpec``: each field of the three types declares its own
+rule (``real``, ``reals`` or ``rule``) where it is defined, by
+``checked``, and ``check_fields`` runs them in field order, so of
+several bad values the first field's is reported. A real-valued field
+takes a number that fits a float and passes the field's range test.
+``from_json`` builds any of the three from a JSON object, with unknown
+and missing keys rejected by name, and ``load_json`` from a JSON file.
+``read_json``, behind ``load_json`` and the sweep grid, fails at the
+file and line of a syntax error or a byte that is not UTF-8, and names
+a key given twice or nesting too deep. The rule of
 ``eval_iou_threshold``, ``UNIT``, and its default are also those of
 ``evaluation``'s ``iou_threshold``.
 """
@@ -99,11 +101,20 @@ COUNT = rule("a nonnegative integer", lambda v: is_integer(v) and v >= 0, int)
 WORD = rule("one word", lambda v: isinstance(v, str) and len(v.split()) == 1)
 
 
-def check_fields(obj, rules: dict) -> dict:
-    """``{name: value}`` of each field of ``obj`` that ``rules`` names,
-    as its rule gives the value back. The first field that fails its
-    rule raises a ValueError that names it."""
-    return {name: check(name, getattr(obj, name)) for name, check in rules.items()}
+def checked(check, default=dataclasses.MISSING, **options):
+    """A dataclass field whose value ``check_fields`` checks by the field
+    rule ``check``; ``default`` and ``options`` are those of
+    ``dataclasses.field``."""
+    return dataclasses.field(default=default, metadata={"rule": check}, **options)
+
+
+def check_fields(obj) -> dict:
+    """``{name: value}`` of each field of the dataclass ``obj`` that
+    declares a rule (``checked``), in field order, as its rule gives the
+    value back. The first field that fails its rule raises a ValueError
+    that names it."""
+    fields = [f for f in dataclasses.fields(obj) if "rule" in f.metadata]
+    return {f.name: f.metadata["rule"](f.name, getattr(obj, f.name)) for f in fields}
 
 
 def from_json(cls, data, what: str):
@@ -162,59 +173,57 @@ def load_json(cls, path, what: str):
 
 UNIT = real((lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"))
 _POSITIVE = real((lambda v: 0.0 < v < math.inf, "a number positive and finite"))
-
-# The rule of each key. NaN fails every test of a real.
-_RULES = {
-    **dict.fromkeys(("theta_cls", "default_start_prob", "default_end_prob"), UNIT),
-    **dict.fromkeys(("theta_hit", "theta_miss"), COUNT),
-    # infinity is allowed: alpha = 0, motion only
-    "beta_over_alpha": real((lambda v: v >= 0.0, "a number nonnegative")),
-    **dict.fromkeys(("use_dis", "use_iou"), rule("true or false", lambda v: isinstance(v, bool))),
-    **dict.fromkeys(("w_cls", "w_aff", "w_se"), _POSITIVE),
-    "associator": rule(f"one of {ASSOCIATORS}", lambda v: v in ASSOCIATORS),
-    "ha_gate": nullable(real((math.isfinite, "a number finite or null"))),
-    "confidence_smoothing": real((lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")),
-    "eval_iou_threshold": UNIT,
-    "object_type": WORD,
-    # P0 and Q may be singular; a positive R keeps the innovation
-    # covariance invertible.
-    "kalman_p0_diag": reals(STATE_DIM, lambda v: v >= 0.0, "nonnegative"),
-    "kalman_r_diag": reals(MEAS_DIM, lambda v: v > 0.0, "positive"),
-    "kalman_q_scale": real((lambda v: 0.0 <= v < math.inf, "a number nonnegative and finite")),
-}
+_BOOL = rule("true or false", lambda v: isinstance(v, bool))
 
 
 @dataclass(frozen=True)
 class TrackerConfig:
-    """Every setting of the tracker, of result writing and of sweep scoring."""
+    """Every setting of the tracker, of result writing and of sweep scoring,
+    each with its rule. NaN fails every test of a real."""
 
-    theta_cls: float = 0.85  # detection confidence filter
-    theta_hit: int = 0  # matches needed beyond one to confirm a tentative track
-    theta_miss: int = 2  # consecutive misses tolerated before deletion
-    default_start_prob: float = 0.5  # start probability when absent from input
-    default_end_prob: float = 0.5  # end probability of every track
-    beta_over_alpha: float = 10.0  # motion-over-appearance fusion ratio
-    use_dis: bool = True  # normalized-distance motion term
-    use_iou: bool = True  # 3D IoU motion term
-    w_cls: float = 100.0  # selection penalty weight
-    w_aff: float = 22.0  # match reward weight
-    w_se: float = 1.0  # start/end reward weight
-    associator: str = "mip"  # "mip" or "hungarian"
-    ha_gate: Optional[float] = None  # affinity gate of the Hungarian baseline
+    theta_cls: float = checked(UNIT, 0.85)  # detection confidence filter
+    theta_hit: int = checked(COUNT, 0)  # matches needed beyond one to confirm a tentative track
+    theta_miss: int = checked(COUNT, 2)  # consecutive misses tolerated before deletion
+    default_start_prob: float = checked(UNIT, 0.5)  # start probability when absent from input
+    default_end_prob: float = checked(UNIT, 0.5)  # end probability of every track
+    # motion-over-appearance fusion ratio; infinity is allowed: alpha = 0, motion only
+    beta_over_alpha: float = checked(real((lambda v: v >= 0.0, "a number nonnegative")), 10.0)
+    use_dis: bool = checked(_BOOL, True)  # normalized-distance motion term
+    use_iou: bool = checked(_BOOL, True)  # 3D IoU motion term
+    w_cls: float = checked(_POSITIVE, 100.0)  # selection penalty weight
+    w_aff: float = checked(_POSITIVE, 22.0)  # match reward weight
+    w_se: float = checked(_POSITIVE, 1.0)  # start/end reward weight
+    associator: str = checked(rule(f"one of {ASSOCIATORS}", lambda v: v in ASSOCIATORS), "mip")
+    # affinity gate of the Hungarian baseline
+    ha_gate: Optional[float] = checked(
+        nullable(real((math.isfinite, "a number finite or null"))), None
+    )
     # 0 carries the last associated detection confidence; > 0 blends it
     # with the track's previous confidence (exponential smoothing).
-    confidence_smoothing: float = 0.0
-    eval_iou_threshold: float = DEFAULT_IOU_THRESHOLD  # `sweep` and `eval` scoring
-    object_type: str = "Car"  # class written to result files
+    confidence_smoothing: float = checked(
+        real((lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")), 0.0
+    )
+    eval_iou_threshold: float = checked(UNIT, DEFAULT_IOU_THRESHOLD)  # `sweep` and `eval` scoring
+    object_type: str = checked(WORD, "Car")  # class written to result files
     # Initial covariance diagonal over (x, y, z, l, w, h, a, vx, vy, vz).
     # The velocity variance is large: the initial velocity is unknown.
-    kalman_p0_diag: tuple[float, ...] = (1.0, 1.0, 1.0, 0.1, 0.1, 0.1, 0.1, 10.0, 10.0, 10.0)
+    # P0 and Q may be singular; a positive R keeps the innovation
+    # covariance invertible.
+    kalman_p0_diag: tuple[float, ...] = checked(
+        reals(STATE_DIM, lambda v: v >= 0.0, "nonnegative"),
+        (1.0, 1.0, 1.0, 0.1, 0.1, 0.1, 0.1, 10.0, 10.0, 10.0),
+    )
     # Measurement covariance diagonal over (x, y, z, l, w, h, a).
-    kalman_r_diag: tuple[float, ...] = (0.5, 0.5, 0.5, 0.05, 0.05, 0.05, 0.05)
-    kalman_q_scale: float = 0.01  # process covariance, times identity
+    kalman_r_diag: tuple[float, ...] = checked(
+        reals(MEAS_DIM, lambda v: v > 0.0, "positive"), (0.5, 0.5, 0.5, 0.05, 0.05, 0.05, 0.05)
+    )
+    # process covariance, times identity
+    kalman_q_scale: float = checked(
+        real((lambda v: 0.0 <= v < math.inf, "a number nonnegative and finite")), 0.01
+    )
 
     def __post_init__(self):
-        for name, value in check_fields(self, _RULES).items():
+        for name, value in check_fields(self).items():
             object.__setattr__(self, name, value)
         if not (self.use_dis or self.use_iou):
             raise ValueError("use_dis and use_iou cannot both be false")

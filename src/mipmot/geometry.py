@@ -12,8 +12,9 @@ interval overlap, which is exact for upright boxes.
 Every overlap goes through one batched kernel, ``bev_intersection_areas``:
 one fixed-shape pass over (4, K) arrays that integrates each footprint's
 edges in the other box's frame, so an area depends only on where the two
-boxes sit relative to each other. ``tests/exact_area.py`` checks it
-against an exact rational clip. An overlap becomes an IoU by one rule,
+boxes sit relative to each other. It is the only code that builds a
+footprint's corners. ``tests/exact_area.py`` checks it against an
+exact rational clip. An overlap becomes an IoU by one rule,
 ``overlap_iou``, in the ground plane and in 3D. The distance-IoU
 affinity built on them is ``affinity.motion_affinity_matrix``; the
 evaluator's IoUs come from ``bev_iou_matrices``, one kernel pass over
@@ -64,26 +65,6 @@ def wrap_angle(a):
     """
     a = a % _TAU
     return a - _TAU * (a > math.pi)
-
-
-def bev_corners_array(boxes) -> np.ndarray:
-    """Footprints of an (N, 7) box array as an (N, 4, 2) array.
-
-    Each footprint is ``local @ rot.T + (x, y)``, counter-clockwise from
-    the (+l/2, +w/2) corner in the box frame.
-    """
-    boxes = np.asarray(boxes, dtype=float).reshape(-1, 7)
-    n = len(boxes)
-    local = np.empty((n, 4, 2))
-    local[:, :, 0] = 0.5 * boxes[:, 3:4] * _CORNER_SIGNS[0]
-    local[:, :, 1] = 0.5 * boxes[:, 4:5] * _CORNER_SIGNS[1]
-    c, s = np.cos(boxes[:, 6]), np.sin(boxes[:, 6])
-    rot_t = np.empty((n, 2, 2))
-    rot_t[:, 0, 0] = c
-    rot_t[:, 0, 1] = s
-    rot_t[:, 1, 0] = -s
-    rot_t[:, 1, 1] = c
-    return local @ rot_t + boxes[:, None, :2]
 
 
 def polygon_area(poly) -> float:

@@ -16,8 +16,8 @@ All randomness comes from an explicitly specified generator so the
 same config reproduces byte-identical files anywhere; see SplitMix64.
 
 ``ScenarioConfig`` and ``ObjectSpec`` are checked when built by the
-field checker of ``config`` (``check_fields``), with the rules declared
-below, and a scenario file and its ``objects`` load through
+field checker of ``config`` (``check_fields``), with the rule each field
+declares, and a scenario file and its ``objects`` load through
 ``config.from_json``. Only the reach of what is generated has checks
 of its own here: the objects' paths, the detections' noise around them
 and the false positives' spread must stay within the box coordinate
@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import COUNT, WORD, check_fields, from_json, nullable, real, rule
+from .config import COUNT, WORD, check_fields, checked, from_json, nullable, real, rule
 from .geometry import wrap_angle
 from .io_formats import _BOX_LIMIT, DetectionBatch, is_integer, object_table
 
@@ -97,88 +97,73 @@ class SplitMix64:
             k += 1
 
 
-@dataclass
-class ObjectSpec:
-    """Explicit initial conditions for one simulated object."""
-
-    x: float
-    y: float
-    vx: float
-    vy: float
-    group: int | None = None  # objects in one group share an embedding mean
-
-    def __post_init__(self):
-        check_fields(self, _OBJECT_RULES)
-
-
 # The largest magnitude of a standard normal draw: the Box-Muller radius
 # sqrt(-2 ln u1) with u1 >= 2**-53 is at most 8.5717.
 _NORMAL_REACH = 8.58
 
 _FINITE = (math.isfinite, "a finite number")
 _REAL = real(_FINITE)
-_OBJECT_RULES = {
-    **dict.fromkeys(("x", "y", "vx", "vy"), _REAL),
-    "group": nullable(rule("an integer or null", is_integer)),
-}
-# The rule of each scenario key but the objects. The values are
-# checked, not converted: the scenario holds them as given.
-_RULES = {
-    **dict.fromkeys(("num_objects", "num_frames", "embedding_dim"), COUNT),
-    "seed": rule("an integer", is_integer),
-    **dict.fromkeys(("extent", "speed_min", "speed_max", "turn_rate", "fp_near_sigma"), _REAL),
-    **dict.fromkeys(("tp_score_mean", "fp_score_low", "fp_score_high"), _REAL),
-    # a box extent keeps the row rules' limit
-    **dict.fromkeys(
-        ("box_l", "box_w", "box_h"),
-        real(_FINITE, (lambda v: 0.0 <= v <= _BOX_LIMIT, f"in [0, {_BOX_LIMIT!r}]")),
-    ),
-    # rates and spreads cannot be negative
-    **dict.fromkeys(
-        ("fp_rate", "pos_noise", "tp_score_sigma", "embedding_noise"),
-        real(_FINITE, (lambda v: v >= 0.0, "nonnegative")),
-    ),
-    "object_type": WORD,
-    "occlusions": rule(
-        "a list of [object, start_frame, num_frames] integers",
-        lambda v: isinstance(v, (list, tuple))
-        and all(isinstance(o, (list, tuple)) and len(o) == 3 for o in v)
-        and all(is_integer(i) for o in v for i in o),
-    ),
-}
+# rates and spreads cannot be negative
+_SPREAD = real(_FINITE, (lambda v: v >= 0.0, "nonnegative"))
+# a box extent keeps the row rules' limit
+_EXTENT = real(_FINITE, (lambda v: 0.0 <= v <= _BOX_LIMIT, f"in [0, {_BOX_LIMIT!r}]"))
+_OCCLUSIONS = rule(
+    "a list of [object, start_frame, num_frames] integers",
+    lambda v: isinstance(v, (list, tuple))
+    and all(isinstance(o, (list, tuple)) and len(o) == 3 for o in v)
+    and all(is_integer(i) for o in v for i in o),
+)
+
+
+@dataclass
+class ObjectSpec:
+    """Explicit initial conditions for one simulated object."""
+
+    x: float = checked(_REAL)
+    y: float = checked(_REAL)
+    vx: float = checked(_REAL)
+    vy: float = checked(_REAL)
+    # objects in one group share an embedding mean
+    group: int | None = checked(nullable(rule("an integer or null", is_integer)), None)
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 @dataclass
 class ScenarioConfig:
-    num_objects: int = 10
-    num_frames: int = 100
-    extent: float = 80.0  # world square is [-extent/2, extent/2]^2
-    speed_min: float = 0.3  # meters per frame
-    speed_max: float = 1.0
-    turn_rate: float = 0.0  # radians per frame applied to every velocity
+    """A scenario's keys, each with its rule. The values are checked, not
+    converted: the scenario holds them as given."""
+
+    num_objects: int = checked(COUNT, 10)
+    num_frames: int = checked(COUNT, 100)
+    extent: float = checked(_REAL, 80.0)  # world square is [-extent/2, extent/2]^2
+    speed_min: float = checked(_REAL, 0.3)  # meters per frame
+    speed_max: float = checked(_REAL, 1.0)
+    turn_rate: float = checked(_REAL, 0.0)  # radians per frame applied to every velocity
     # (object_index, start_frame, num_frames): detections dropped inside.
-    occlusions: list[tuple[int, int, int]] = field(default_factory=list)
-    fp_rate: float = 0.0  # expected false positives per frame
+    occlusions: list[tuple[int, int, int]] = checked(_OCCLUSIONS, default_factory=list)
+    fp_rate: float = checked(_SPREAD, 0.0)  # expected false positives per frame
     # 0 scatters false positives uniformly; > 0 drops them around a
     # random object with this sigma (ghost / double detections).
-    fp_near_sigma: float = 0.0
-    pos_noise: float = 0.0  # detection position sigma, meters
-    tp_score_mean: float = 1.0
-    tp_score_sigma: float = 0.0
-    fp_score_low: float = 0.3
-    fp_score_high: float = 0.6
-    embedding_dim: int = 0  # 0 disables embeddings
-    embedding_noise: float = 0.1
-    box_l: float = 4.0
-    box_w: float = 1.8
-    box_h: float = 1.5
-    object_type: str = "Car"
+    fp_near_sigma: float = checked(_REAL, 0.0)
+    pos_noise: float = checked(_SPREAD, 0.0)  # detection position sigma, meters
+    tp_score_mean: float = checked(_REAL, 1.0)
+    tp_score_sigma: float = checked(_SPREAD, 0.0)
+    fp_score_low: float = checked(_REAL, 0.3)
+    fp_score_high: float = checked(_REAL, 0.6)
+    embedding_dim: int = checked(COUNT, 0)  # 0 disables embeddings
+    embedding_noise: float = checked(_SPREAD, 0.1)
+    box_l: float = checked(_EXTENT, 4.0)
+    box_w: float = checked(_EXTENT, 1.8)
+    box_h: float = checked(_EXTENT, 1.5)
+    object_type: str = checked(WORD, "Car")
     # Overrides random placement when given; num_objects then follows it.
     objects: list[ObjectSpec] | None = None
-    seed: int = 0
+    seed: int = checked(rule("an integer", is_integer), 0)
 
     def __post_init__(self):
-        check_fields(self, _RULES)
+        check_fields(self)
         if self.objects is not None:
             if not isinstance(self.objects, (list, tuple)):
                 raise ValueError(f"scenario objects must be a list, got {self.objects!r}")

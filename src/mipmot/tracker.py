@@ -274,17 +274,18 @@ def run_sequence(
     ``detections_by_frame`` is ``{frame: DetectionBatch}``, as
     ``read_detections`` and ``simgen.generate`` give it. Frames run from
     0 through the last frame present. Every frame with detections is
-    stepped, and a frame without detections only while the tracker holds
-    a track: at most ``theta_miss + 1`` frames after each frame with
-    detections, by when every track has been dropped. Without a track,
-    an empty frame would change nothing and emit nothing. The result
-    holds one ``FrameResult`` per frame stepped, in frame order.
+    stepped, and a frame without detections, as an empty batch, only
+    while the tracker holds a track: at most ``theta_miss + 1`` frames
+    after each frame with detections, by when every track has been
+    dropped. Without a track, an empty frame would change nothing and
+    emit nothing. The result holds one ``FrameResult`` per frame
+    stepped, in frame order.
     """
     tracker, results = Tracker(config), []
     frame = 0  # the first frame not yet stepped
     for stop in sorted(detections_by_frame):
         while frame < stop and len(tracker.ids):
-            results.append(tracker.step(frame, []))
+            results.append(tracker.step(frame, DetectionBatch(frame, [], [])))
             frame += 1
         results.append(tracker.step(stop, detections_by_frame[stop]))
         frame = stop + 1

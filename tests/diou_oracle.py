@@ -3,7 +3,11 @@
 The reference that ``mipmot.affinity.motion_affinity_matrix`` and
 ``raw_appearance_matrix``, the one definition of each score the tracker
 runs, are compared against. The enclosing diagonal is taken over all
-16 box corners, the distance term and the 3D IoU pair by pair.
+16 box corners, the distance term and the 3D IoU pair by pair. The
+corners are this module's own, rotated one scalar at a time with
+``math.cos`` and ``math.sin``, so the distance term shares no code with
+the package's; the 3D IoU takes the package's overlap kernel, which
+``tests/exact_area.py`` checks.
 
 One case differs from the package: when the enclosing diagonal is at
 most EPS (two coincident zero-size boxes), ``diou_affinity`` returns
@@ -15,17 +19,21 @@ import math
 
 import numpy as np
 
-from mipmot.geometry import EPS, bev_corners_array, bev_intersection_areas
+from mipmot.geometry import EPS, bev_intersection_areas
 
 # Boxes are (x, y, z, l, w, h, a) 7-vectors, as ``tables.box`` builds them.
 
 
 def bev_corners(box) -> np.ndarray:
-    """Ground-plane footprint of a box as a (4, 2) array, counter-clockwise.
+    """Ground-plane footprint of a box as a (4, 2) array, counter-clockwise
+    from the (+l/2, +w/2) corner in the box frame.
 
     The polygon area equals l * w.
     """
-    return bev_corners_array(box)[0]
+    x, y, l, w, a = (float(box[k]) for k in (0, 1, 3, 4, 6))
+    c, s = math.cos(a), math.sin(a)
+    local = [(0.5 * l, 0.5 * w), (-0.5 * l, 0.5 * w), (-0.5 * l, -0.5 * w), (0.5 * l, -0.5 * w)]
+    return np.array([(x + (c * u - s * v), y + (s * u + c * v)) for u, v in local])
 
 
 def volume(box) -> float:

@@ -13,6 +13,7 @@ from scipy.special import softmax
 
 import exact_area
 from diou_oracle import (
+    bev_corners,
     diou_affinity,
     distance_term,
     iou_3d,
@@ -485,6 +486,39 @@ class TestBoxTable:
             for field, column in zip(alone._fields, alone):
                 assert getattr(got, field).shape == column.shape, field
                 assert getattr(got, field).tobytes() == column.tobytes(), field
+
+    def test_bounds_are_the_scalar_corners_extremes(self):
+        """Each footprint's closed-form bounds are the least and greatest x
+        and y of the oracle's scalar corners, within 4 ulps of the largest
+        of |x|, |y| and the half-diagonal."""
+        headings = [0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi, np.nextafter(-math.pi, 0.0)]
+        extents = [(4.0, 1.8), (4.0, 0.0), (0.0, 1.8), (0.0, 0.0)]
+        centres = [(0.0, 0.0), (3.1, -2.7), (1e4, -1e4), (-1e4, 1e4)]
+        grid = [
+            make_box(x, y, 0.5, l, w, 1.5, a)
+            for x, y in centres
+            for l, w in extents
+            for a in headings
+        ]
+        rng = np.random.default_rng(1013)
+        n = 4000
+        drawn = np.column_stack(
+            (
+                rng.uniform(-50.0, 50.0, (n, 3)) * rng.choice([1.0, 200.0], (n, 1)),
+                rng.uniform(0.0, 6.0, (n, 3)),
+                rng.uniform(-math.pi, math.pi, n),
+            )
+        )
+        arr = np.vstack((box_array(grid), drawn))
+        table = _box_table(arr)
+        got = np.column_stack((table.x_lo, table.x_hi, table.y_lo, table.y_hi))
+        for box, bounds in zip(arr, got):
+            corners = bev_corners(box)
+            expected = [
+                corners[:, 0].min(), corners[:, 0].max(), corners[:, 1].min(), corners[:, 1].max()
+            ]
+            scale = max(abs(box[0]), abs(box[1]), 0.5 * math.hypot(box[3], box[4]))
+            assert np.all(np.abs(bounds - expected) <= 4 * np.spacing(scale)), (box, bounds)
 
 
 class TestComputeAffinities:

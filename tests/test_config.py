@@ -65,6 +65,24 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^{key} must be "):
             cls(**{**required, key: 10**400})
 
+    @pytest.mark.parametrize("cls", [TrackerConfig, ScenarioConfig, ObjectSpec])
+    def test_every_field_declares_a_rule(self, cls):
+        # a scenario's objects are each built, and checked, as an ObjectSpec
+        unchecked = [f.name for f in dataclasses.fields(cls) if "rule" not in f.metadata]
+        assert unchecked == (["objects"] if cls is ScenarioConfig else [])
+
+    @pytest.mark.parametrize(
+        "cls, values, key",
+        [
+            (TrackerConfig, dict(theta_hit=-1, default_start_prob=2.0), "theta_hit"),
+            (ScenarioConfig, dict(seed="x", embedding_noise=-1.0), "embedding_noise"),
+        ],
+    )
+    def test_first_bad_field_is_named(self, cls, values, key):
+        # the rules run in field order
+        with pytest.raises(ValueError, match=f"^{key} must be "):
+            cls(**values)
+
     def test_motion_needs_a_term(self):
         with pytest.raises(ValueError, match="use_dis"):
             TrackerConfig(use_dis=False, use_iou=False)

@@ -24,7 +24,6 @@ from pair_oracle import assert_same_pairs, bev_iou_matrix, brute_force_pairs
 from mipmot import geometry
 from mipmot.geometry import (
     EPS,
-    bev_corners_array,
     bev_intersection_areas,
     bev_iou,
     bev_iou_matrices,
@@ -331,17 +330,6 @@ class TestOverlapKernel:
             assert_same_pairs(bev_iou_matrices([frame]), brute_force_pairs([frame]))
         assert bev_iou_matrix(np.zeros((0, 7)), one).shape == (0, 1)
         assert bev_iou_matrix(one, np.zeros((0, 7))).shape == (1, 0)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(boxes(), min_size=1, max_size=6))
-    def test_corners_match_scalar_rotation(self, boxes_):
-        for box, corners in zip(boxes_, bev_corners_array(as_array(boxes_))):
-            hl, hw = 0.5 * box[3], 0.5 * box[4]
-            c, s = math.cos(box[6]), math.sin(box[6])
-            local = np.array([[hl, hw], [-hl, hw], [-hl, -hw], [hl, -hw]])
-            rot = np.array([[c, -s], [s, c]])
-            expected = local @ rot.T + np.array([box[0], box[1]])
-            assert corners.tolist() == expected.tolist()
 
     def test_point_footprint_overlaps_nothing(self):
         # a point footprint is flat, whichever side of the pair it is on

@@ -1,8 +1,12 @@
-"""The README's Python API example runs as written, so it cannot drift
-from the API."""
+"""The README's Python API example runs as written, and its
+Configuration table names every config key, so neither can drift from
+the API."""
 
+import dataclasses
 import re
 from pathlib import Path
+
+from mipmot.config import TrackerConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -23,3 +27,22 @@ def test_python_api_example_runs(tmp_path, monkeypatch, capsys):
     frame_line, batch_line = capsys.readouterr().out.splitlines()
     assert frame_line.startswith("0 ") and batch_line.startswith("(")
     assert (tmp_path / "crossing.dets.txt").stat().st_size > 0
+
+
+def configuration_keys() -> list[str]:
+    """The keys named in the first column of the key table of the README's
+    ``## Configuration`` section, in table order; a cell such as
+    "`w_cls`, `w_aff`, `w_se`" names each of its keys."""
+    section = README.read_text(encoding="utf-8").split("\n## Configuration\n", 1)[1]
+    section = re.split(r"\n## ", section, maxsplit=1)[0]
+    rows = section.split("\n| key | default | meaning |\n", 1)[1].splitlines()[1:]
+    keys = []
+    for row in rows:
+        if not row.startswith("|"):
+            break
+        keys += re.findall(r"`(\w+)`", row.split("|")[1])
+    return keys
+
+
+def test_configuration_table_names_every_key():
+    assert configuration_keys() == [f.name for f in dataclasses.fields(TrackerConfig)]
