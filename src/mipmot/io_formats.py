@@ -1,24 +1,14 @@
 """File formats: detection input, tracking labels and tracking output.
 
-Detection files hold one record per line. Two interchangeable layouts
-are auto-detected from the first non-blank character:
-
-* plain text (whitespace-separated)::
+Detection files hold one record per line, as whitespace text::
 
       frame x y z l w h heading score [start_prob] [[e0 e1 ... eD]]
 
-  The optional embedding is a bracketed vector at the end of the line;
-  a bare trailing number before it (or on its own) is the start
-  probability.
-
-* JSON lines (first character ``{``)::
-
-      {"frame": 0, "box": [x, y, z, l, w, h, a], "score": 0.97,
-       "start_prob": 0.5, "embedding": [ ... ]}
-
-  ``start_prob`` and ``embedding`` are optional. Values keep their JSON
-  types: the frame is an integer, the box a list of 7 numbers, the
-  scores and embedding entries numbers (a bool or string is rejected).
+The optional embedding is a bracketed vector at the end of the line; a
+bare trailing number before it (or on its own) is the start
+probability. Blank lines and lines starting with ``#`` are skipped. A
+line starting with ``{`` is a JSON line, which is not read: it is a
+structural fault of its line.
 
 A detection sequence has one form in memory, ``{frame:
 DetectionBatch}``: ascending frames, only the frames that have
@@ -69,15 +59,13 @@ number, by one reading path for both readers:
 
 * one line loop (``_read_lines``) reads the file up to its first
   structural fault: a byte that is not UTF-8, then what the reader's
-  line split (``_split_text``, ``_split_json``, ``_split_label``) finds:
-  a detection line's brackets, number of fields, frame token or JSON
-  record shape, a label line's field count and a frame and id beyond
-  64 bits;
+  line split (``_split_text``, ``_split_label``) finds: a detection
+  line's JSON form, brackets, number of fields or frame token, a label
+  line's field count and a frame and id beyond 64 bits;
 * when the bulk check fails, one numeric walk (``_walk``) reads those
   rows' tokens one row at a time, up to the first that does not read
   as a finite number (``not a number`` or ``non-finite value``; a
-  detection line's embedding before its head; the values of a JSON
-  line skip this token check, so that a JSON NaN is named by a rule);
+  detection line's embedding before its head);
 * one table check (``_check``) names the first faulty row read, by the
   first rule it breaks: for a detection row the box rules, the frame,
   the detection rules, then the embedding size against the file's first
@@ -102,7 +90,6 @@ write from these arrays and leave a NaN score out.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import numbers
 import operator
@@ -113,8 +100,8 @@ import numpy as np
 
 from .geometry import wrap_angle
 
-# The readers give Python floats and ints; those skip the slower checks
-# against the abstract number types.
+# A JSON config gives Python floats and ints; those skip the slower
+# checks against the abstract number types.
 def is_real(v) -> bool:
     """A real number (numpy scalars included), but not a bool."""
     return type(v) in (float, int) or (
@@ -429,13 +416,13 @@ def _read_lines(path: str, split) -> tuple[list, tuple | None]:
 
 
 def _walk(rows) -> tuple[list[list[float]], tuple | None]:
-    """The numbers of (line number, number reader, tokens) rows, read one
-    row at a time up to the first whose tokens do not all read, and that
-    row's (line number, message), or None."""
+    """The numbers of (line number, tokens) rows, read one row at a time
+    (``_number``) up to the first whose tokens do not all read as finite
+    numbers, and that row's (line number, message), or None."""
     values = []
-    for lineno, number, tokens in rows:
+    for lineno, tokens in rows:
         try:
-            values.append([number(t) for t in tokens])
+            values.append([_number(t) for t in tokens])
         except ValueError as e:
             return values, (lineno, str(e))
     return values, None
@@ -452,9 +439,14 @@ def _check(path: str, lines, rules, fault) -> None:
         _fail(path, *fault)
 
 
-def _split_text(line: str) -> tuple:
-    """The fields of a text line's row that follow its line number (see
-    ``_read_rows``); a structural fault raises a ValueError naming it."""
+def _split_text(line: str) -> tuple | None:
+    """The fields of a detection line's row that follow its line number
+    (see ``_read_rows``); None for a comment line. A structural fault
+    raises a ValueError naming it."""
+    if line[0] == "#":
+        return None
+    if line[0] == "{":
+        raise ValueError("JSON lines are not read; a detection line is whitespace text")
     embedding = None
     if "[" in line:
         head, _, tail = line.partition("[")
@@ -473,52 +465,7 @@ def _split_text(line: str) -> tuple:
     except ValueError:
         raise ValueError(f"bad frame index: {tokens[0]!r}") from None
     given = len(tokens) == 10
-    return frame, line if given else line + " nan", given, embedding, True
-
-
-def _split_json(line: str) -> tuple:
-    """The fields of a JSON line's row that follow its line number (see
-    ``_read_rows``); a structural fault raises a ValueError naming it."""
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise ValueError(f"bad JSON: {e.msg}") from None
-    if not isinstance(obj, dict):
-        raise ValueError("JSON record must be an object")
-    unknown = set(obj) - {"frame", "box", "score", "embedding", "start_prob"}
-    if unknown:
-        raise ValueError(f"unknown keys: {sorted(unknown)}")
-    missing = [k for k in ("frame", "box", "score") if k not in obj]
-    if missing:
-        raise ValueError(f"missing key: {missing[0]}")
-    frame, box, score = obj["frame"], obj["box"], obj["score"]
-    start_prob, embedding = obj.get("start_prob"), obj.get("embedding")
-    if not isinstance(frame, int) or isinstance(frame, bool):
-        raise ValueError(f"frame must be an integer, got {frame!r}")
-    if not (isinstance(box, list) and len(box) == 7 and all(map(is_real, box))):
-        raise ValueError(f"box must be a list of 7 numbers, got {box!r}")
-    if not is_real(score):
-        raise ValueError(f"score must be a number, got {score!r}")
-    if start_prob is not None and not is_real(start_prob):
-        raise ValueError(f"start_prob must be a number, got {start_prob!r}")
-    if embedding is not None and not (isinstance(embedding, list) and all(map(is_real, embedding))):
-        raise ValueError("embedding must be a list of numbers")
-    if embedding == []:
-        raise ValueError("embedding must be a nonempty 1-D vector")
-    # float() of an int too large for a float raises an OverflowError,
-    # which _read_lines names as the line's fault.
-    given = start_prob is not None
-    head = [*map(float, box), float(score), float(start_prob) if given else math.nan]
-    if embedding is not None:
-        embedding = " ".join(map(repr, map(float, embedding)))
-    # repr() writes each float so that reading it back gives the same bits.
-    return frame, "0 " + " ".join(map(repr, head)), given, embedding, False
-
-
-def _split_detection(line: str) -> tuple | None:
-    """A detection line's row, split as JSON (its first character ``{``)
-    or as text; None for a comment line."""
-    return None if line[0] == "#" else (_split_json if line[0] == "{" else _split_text)(line)
+    return frame, line if given else line + " nan", given, embedding
 
 
 def _read_rows(path: str, rows: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
@@ -526,17 +473,16 @@ def _read_rows(path: str, rows: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
     table: the box, the score, the start probability (NaN when absent)
     and the D embedding values (NaN when absent).
 
-    A row holds a line's number, frame, head (a frame column, the 7 box
+    A row holds a line's number, frame, head (the frame token, the 7 box
     values, the score and the start probability, "nan" when absent),
-    whether the start probability is given, its embedding text or None,
-    and whether the line is text (whose numbers are checked token by
-    token) or JSON. The heads are read by one ``np.loadtxt`` call and
-    the embeddings by another, and checked as a table. When a check
-    fails, the rows are walked one at a time (``_walk``), a row's
+    whether the start probability is given, and its embedding text or
+    None. The heads are read by one ``np.loadtxt`` call and the
+    embeddings by another, and checked as a table. When a check fails,
+    the rows' tokens are walked one row at a time (``_walk``), a row's
     embedding before its head, and the rows read are checked as a table:
     each row against ``_detection_rules``, then its embedding size
     against the first embedding's. This fails at the first faulty row."""
-    lines, frames, heads, given, embeddings, text = zip(*rows)
+    lines, frames, heads, given, embeddings = zip(*rows)
     has_embedding = np.array([e is not None for e in embeddings])
     vectors = [e for e in embeddings if e is not None]
     head, emb = _floats(heads), _floats(vectors) if vectors else np.zeros((0, 0))
@@ -551,7 +497,7 @@ def _read_rows(path: str, rows: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
         if _first_fault(rules) is None:
             return frame_column, table
     tokens = ((e or "").split() + h.split()[1 : 9 + g] for h, g, e in zip(heads, given, embeddings))
-    values, fault = _walk(zip(lines, (_number if t else float for t in text), tokens))
+    values, fault = _walk(zip(lines, tokens))
     n = len(values)
     given = np.array(given[:n], dtype=bool)
     sizes = np.array([len(v) for v in values], dtype=int) - 8 - given  # of the embeddings
@@ -586,7 +532,7 @@ def read_detections(path) -> dict[int, DetectionBatch]:
     at its line.
     """
     path = os.fspath(path)
-    rows, fault = _read_lines(path, _split_detection)
+    rows, fault = _read_lines(path, _split_text)
     frames, table = _read_rows(path, rows) if rows else (np.zeros(0, np.int64), np.zeros((0, 9)))
     del rows  # the row text is not held while the batches are built
     if fault is not None:
@@ -708,7 +654,7 @@ def _walk_labels(path: str, keep_types) -> tuple:
     read are then checked against ``_label_rules``. Fails at the first
     faulty line."""
     rows, fault = _read_lines(path, _split_label)
-    values, walk_fault = _walk((row[0], _number, row[4]) for row in rows)
+    values, walk_fault = _walk((row[0], row[4]) for row in rows)
     # a line without a score column reads a NaN score
     records = [(*row[1:4], v + [math.nan] * (15 - len(v))) for row, v in zip(rows, values)]
     table = np.array(records, dtype=_LABEL_FIELDS + [("numbers", np.float64, (15,))])

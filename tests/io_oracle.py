@@ -7,17 +7,18 @@ The readers parse one line at a time with Python's ``float`` and
 ``int``, check each record against the row rules, stated here as scalar
 checks of their own (``check_box``, ``check_detection``), and fail at
 the first faulty line with the message the bulk readers give for a line
-with one fault. The writer writes one record per line, in list order,
-so that it can write the frames of a file in any order.
+with one fault. A detection line starting with ``{`` is a JSON line,
+which is not read: it is a fault of its line. The writer writes one
+record per line, in list order, so that it can write the frames of a
+file in any order.
 """
 
-import json
 import math
 import os
 from typing import NamedTuple, Optional
 
 from mipmot.geometry import wrap_angle
-from mipmot.io_formats import FormatError, is_real
+from mipmot.io_formats import FormatError
 
 
 class Record(NamedTuple):
@@ -111,47 +112,6 @@ def _parse_text(line: str, path: str, lineno: int) -> Record:
         _fail(path, lineno, str(e))
 
 
-def _parse_json(line: str, path: str, lineno: int) -> Record:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as e:
-        _fail(path, lineno, f"bad JSON: {e.msg}")
-    if not isinstance(obj, dict):
-        _fail(path, lineno, "JSON record must be an object")
-    unknown = set(obj) - {"frame", "box", "score", "embedding", "start_prob"}
-    if unknown:
-        _fail(path, lineno, f"unknown keys: {sorted(unknown)}")
-    missing = [k for k in ("frame", "box", "score") if k not in obj]
-    if missing:
-        _fail(path, lineno, f"missing key: {missing[0]}")
-    frame, box, score = obj["frame"], obj["box"], obj["score"]
-    start_prob, embedding = obj.get("start_prob"), obj.get("embedding")
-    if not isinstance(frame, int) or isinstance(frame, bool):
-        _fail(path, lineno, f"frame must be an integer, got {frame!r}")
-    if not (isinstance(box, list) and len(box) == 7 and all(map(is_real, box))):
-        _fail(path, lineno, f"box must be a list of 7 numbers, got {box!r}")
-    if not is_real(score):
-        _fail(path, lineno, f"score must be a number, got {score!r}")
-    if start_prob is not None and not is_real(start_prob):
-        _fail(path, lineno, f"start_prob must be a number, got {start_prob!r}")
-    if embedding is not None and not (
-        isinstance(embedding, list) and all(map(is_real, embedding))
-    ):
-        _fail(path, lineno, "embedding must be a list of numbers")
-    if embedding == []:
-        _fail(path, lineno, "embedding must be a nonempty 1-D vector")
-    try:
-        return check_detection(
-            frame,
-            [float(v) for v in box],
-            float(score),
-            None if embedding is None else [float(v) for v in embedding],
-            None if start_prob is None else float(start_prob),
-        )
-    except (ValueError, OverflowError) as e:
-        _fail(path, lineno, str(e))
-
-
 def read_detections(path) -> dict[int, list[Record]]:
     """{frame: [Record]} in ascending frame order, file order within a
     frame; every embedding in the file has the same size."""
@@ -164,9 +124,8 @@ def read_detections(path) -> dict[int, list[Record]]:
             if not stripped or stripped.startswith("#"):
                 continue
             if stripped[0] == "{":
-                rec = _parse_json(stripped, path, lineno)
-            else:
-                rec = _parse_text(stripped, path, lineno)
+                _fail(path, lineno, "JSON lines are not read; a detection line is whitespace text")
+            rec = _parse_text(stripped, path, lineno)
             if rec.embedding is not None:
                 if first_embedding is None:
                     first_embedding = (len(rec.embedding), lineno)
@@ -184,32 +143,19 @@ def read_detections(path) -> dict[int, list[Record]]:
     return {frame: by_frame[frame] for frame in sorted(by_frame)}
 
 
-def write_detections(detections, path, json_lines: bool = False) -> None:
+def write_detections(detections, path) -> None:
     """Write detection records (objects with a ``frame``, a 7-value
     ``box``, a ``score`` and a ``start_prob`` and ``embedding`` or None)
-    one line each, in list order: text with 6 decimals, or JSON lines
-    with 9 (``round``)."""
+    one text line each, in list order, with 6 decimals."""
     with open(os.fspath(path), "w", encoding="utf-8") as f:
         for det in detections:
-            if json_lines:
-                rec = {
-                    "frame": det.frame,
-                    "box": [round(float(v), 9) for v in det.box],
-                    "score": round(det.score, 9),
-                }
-                if det.start_prob is not None:
-                    rec["start_prob"] = round(det.start_prob, 9)
-                if det.embedding is not None:
-                    rec["embedding"] = [round(float(v), 9) for v in det.embedding]
-                f.write(json.dumps(rec, sort_keys=True) + "\n")
-            else:
-                fields = [str(det.frame), *(f"{v:.6f}" for v in det.box)]
-                fields.append(f"{det.score:.6f}")
-                if det.start_prob is not None:
-                    fields.append(f"{det.start_prob:.6f}")
-                if det.embedding is not None:
-                    fields.append("[" + " ".join(f"{v:.6f}" for v in det.embedding) + "]")
-                f.write(" ".join(fields) + "\n")
+            fields = [str(det.frame), *(f"{v:.6f}" for v in det.box)]
+            fields.append(f"{det.score:.6f}")
+            if det.start_prob is not None:
+                fields.append(f"{det.start_prob:.6f}")
+            if det.embedding is not None:
+                fields.append("[" + " ".join(f"{v:.6f}" for v in det.embedding) + "]")
+            f.write(" ".join(fields) + "\n")
 
 
 def read_kitti_labels(path, keep_types=None) -> list[tuple]:

@@ -206,6 +206,21 @@ class TestTrack:
         assert code == 1
         assert "seq0.dets.txt:1: embedding value is beyond 1e+100 in magnitude: 1e+308" in err
 
+    def test_json_line_fails_at_its_line(self, tmp_path, capsys):
+        """A detection line written as a JSON object is not read: it fails
+        at its file and line, without a traceback."""
+        (tmp_path / "seqs").mkdir()
+        (tmp_path / "seqs" / "seq0.dets.txt").write_text(
+            "0 0 0 0.75 4 1.8 1.5 0 0.9\n"
+            '{"frame": 1, "box": [0, 0, 0.75, 4, 1.8, 1.5, 0], "score": 0.9}\n'
+        )
+        code, _, err = run(
+            capsys, "track", "--input-dir", str(tmp_path / "seqs"),
+            "--output-dir", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert "seq0.dets.txt:2: JSON lines are not read" in err and "Traceback" not in err
+
     def test_frame_near_64_bits(self, tmp_path, capsys):
         """A one-line file at frame 2**63 - 1 steps one frame, not every
         frame before it, and writes its row."""

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -74,12 +75,11 @@ class TestDetectionFiles:
         assert [d.box[0] for d in frames[0]] == [1.0, 2.0]
         assert len(frames[1]) == 1
 
-    @pytest.mark.parametrize("json_lines", [False, True])
-    def test_round_trip(self, tmp_path, json_lines):
+    def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(83)
         dets = [random_detection(rng, int(rng.integers(0, 20))) for _ in range(60)]
         path = tmp_path / "roundtrip.txt"
-        io_oracle.write_detections(dets, path, json_lines=json_lines)
+        io_oracle.write_detections(dets, path)
         frames = read_detections(path)
         flat = [d for frame in sorted(frames) for d in frames[frame]]
         dets_sorted = sorted(dets, key=lambda d: d.frame)
@@ -88,13 +88,19 @@ class TestDetectionFiles:
             assert_detections_close(a, b)
 
     def test_mixed_formats_in_one_file(self, tmp_path):
+        """A JSON line is not read: it fails at its line, after the faults
+        of earlier text lines, in either reader."""
+        good = "0 1 2 3 4 2 1.5 0.1 0.9"
+        record = '{"frame": 0, "box": [5, 6, 7, 4, 2, 1.5, 0.2], "score": 0.8}'
         path = tmp_path / "mixed.txt"
-        path.write_text(
-            "0 1 2 3 4 2 1.5 0.1 0.9\n"
-            '{"frame": 0, "box": [5, 6, 7, 4, 2, 1.5, 0.2], "score": 0.8}\n'
-        )
-        frames = read_detections(path)
-        assert len(frames[0]) == 2
+        for lines, message in [
+            ([good, good, "  " + record, good], "3: JSON lines are not read; a detection line is"),
+            ([good, good.replace("0.9", "1.5"), record], "2: score must be in [0, 1], got 1.5"),
+        ]:
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(FormatError, match=re.escape(f"mixed.txt:{message}")):
+                read_detections(path)
+            assert outcome(io_oracle.read_detections, path).startswith(f"{path}:{message}")
 
     def test_text_with_start_prob_and_embedding(self, tmp_path):
         path = tmp_path / "full.txt"
@@ -135,61 +141,14 @@ class TestDetectionFiles:
         with pytest.raises(FormatError, match="non-finite"):
             read_detections(path)
 
-    def test_rejects_bad_json_keys(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"frame": 0, "box": [0,0,0,1,1,1,0], "score": 0.5, "oops": 1}\n')
-        with pytest.raises(FormatError, match="oops"):
-            read_detections(path)
-
-    @pytest.mark.parametrize(
-        "field, message",
-        [
-            ('"frame": 1.7', "frame must be an integer"),
-            ('"frame": true', "frame must be an integer"),
-            ('"box": "1234567"', "box must be a list of 7 numbers"),
-            ('"box": [0, 0, 0, 1, 1, 1]', "box must be a list of 7 numbers"),
-            ('"box": [0, 0, 0, 1, 1, 1, "0"]', "box must be a list of 7 numbers"),
-            ('"score": true', "score must be a number"),
-            ('"score": "0.5"', "score must be a number"),
-            ('"start_prob": true', "start_prob must be a number"),
-            ('"start_prob": "0.5"', "start_prob must be a number"),
-            ('"embedding": ["1", "2"]', "embedding must be a list of numbers"),
-            ('"embedding": [true, false]', "embedding must be a list of numbers"),
-            ('"score": 1e400', "score must be in"),
-            ('"score": 1' + "0" * 400, "int too large"),
-            ('"box": [0, 0, 0, 1, 1, 1, 1e400]', "box field a is not finite"),
-        ],
-    )
-    def test_rejects_bad_json_values(self, tmp_path, field, message):
-        """A bad value fails at its line, not as a coerced record."""
-        record = {"frame": 0, "box": [0, 0, 0, 1, 1, 1, 0], "score": 0.9}
-        lines = [json.dumps(record)] * 3
-        record.update(json.loads("{" + field + "}"))
-        lines.append(json.dumps(record))
-        path = tmp_path / "bad.jsonl"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match=rf"bad\.jsonl:4: {message}"):
-            read_detections(path)
-
-    def test_json_integers_accepted_as_numbers(self, tmp_path):
-        path = tmp_path / "ints.jsonl"
-        path.write_text('{"frame": 2, "box": [1, 2, 3, 4, 2, 1, 0], "score": 1, "start_prob": 0}\n')
-        d = read_detections(path)[2][0]
-        assert (d.box.tolist(), d.score, d.start_prob) == ([1, 2, 3, 4, 2, 1, 0], 1.0, 0.0)
-        assert type(d.score) is float and type(d.start_prob) is float
-
     @pytest.mark.parametrize("trail", [1, 4096])
     @pytest.mark.parametrize("frame", [2**63, 2**64, 10**20])
-    @pytest.mark.parametrize("json_lines", [False, True])
-    def test_frame_beyond_64_bits_rejected_at_its_line(self, tmp_path, json_lines, frame, trail):
+    def test_frame_beyond_64_bits_rejected_at_its_line(self, tmp_path, frame, trail):
         """A frame column that does not fit int64 is read again row by
         row, and the frame is named at its line, as the reference names
         it; ``trail`` good lines follow the faulty one."""
-        first = '{"frame": 0, "box": [1, 2, 3, 4, 2, 1.5, 0.1], "score": 0.9}'
-        if json_lines:
-            line = first.replace('"frame": 0', f'"frame": {frame}')
-        else:
-            line = f"{frame} 1 2 3 4 2 1.5 0.1 0.9"
+        first = "0 1 2 3 4 2 1.5 0.1 0.9"
+        line = f"{frame} 1 2 3 4 2 1.5 0.1 0.9"
         path = tmp_path / "big.txt"
         path.write_text(f"{first}\n{line}\n" + f"{first}\n" * trail)
         with pytest.raises(FormatError, match=rf"big\.txt:2: frame beyond 64 bits: {frame}$"):
@@ -308,29 +267,20 @@ def read_back(path) -> list[tuple]:
 
 
 class TestDetectionRoundTrip:
-    """Text files hold 6 decimals and JSON lines 9; reading groups the
-    records by ascending frame and keeps the file order within a frame.
-    The files are written one record per line, in any frame order, by
-    the reference writer of tests/io_oracle.py."""
-
-    @staticmethod
-    def round_trip(tmp_path_factory, dets, json_lines, rounded):
-        path = tmp_path_factory.mktemp("dets") / "dets.txt"
-        io_oracle.write_detections(dets, path, json_lines=json_lines)
-        frames = read_detections(path)
-        got = [detection_fields(d, float) for f in frames for d in frames[f]]
-        by_frame = sorted(dets, key=lambda d: d.frame)
-        assert got == [detection_fields(d, rounded) for d in by_frame]
+    """Detection files hold 6 decimals; reading groups the records by
+    ascending frame and keeps the file order within a frame. The files
+    are written one record per line, in any frame order, by the
+    reference writer of tests/io_oracle.py."""
 
     @settings(max_examples=60, deadline=None)
     @given(detection_files())
     def test_text_round_trip(self, tmp_path_factory, dets):
-        self.round_trip(tmp_path_factory, dets, False, lambda v: float(f"{v:.6f}"))
-
-    @settings(max_examples=60, deadline=None)
-    @given(detection_files())
-    def test_json_round_trip(self, tmp_path_factory, dets):
-        self.round_trip(tmp_path_factory, dets, True, lambda v: round(float(v), 9))
+        path = tmp_path_factory.mktemp("dets") / "dets.txt"
+        io_oracle.write_detections(dets, path)
+        frames = read_detections(path)
+        got = [detection_fields(d, float) for f in frames for d in frames[f]]
+        by_frame = sorted(dets, key=lambda d: d.frame)
+        assert got == [detection_fields(d, lambda v: float(f"{v:.6f}")) for d in by_frame]
 
     @settings(max_examples=60, deadline=None)
     @given(detection_files())
@@ -531,14 +481,13 @@ def numeral(v: float, form: str) -> str:
 
 @st.composite
 def oracle_files(draw, min_size=0):
-    """Lines of a detection file mixing text and JSON records, comments
-    and blank lines; each record has a start probability or not and an
-    embedding or not, all of one size. Returns (lines, records, size), a
-    record being (kind, frame, box, score, start_prob, embedding)."""
+    """Lines of a detection file: text records, comments and blank lines;
+    each record has a start probability or not and an embedding or not,
+    all of one size. Returns (lines, records, size), a record being
+    (frame, box, score, start_prob, embedding)."""
     dim = draw(st.integers(1, 5))
     finite = st.floats(-1e3, 1e3)
     record = st.tuples(
-        st.sampled_from(["text", "json"]),
         st.integers(0, 12),
         st.tuples(finite, finite, finite, *[st.floats(0.0, 50.0)] * 3, st.floats(-20.0, 20.0)),
         UNIT,
@@ -556,14 +505,13 @@ def oracle_files(draw, min_size=0):
 
 @st.composite
 def record_line(draw, rec, fault=None, size=1):
-    """The line of one record, as text or JSON; with ``fault``, a line
-    with that one fault, or with each value fault of a tuple of them
-    (the file's embeddings have ``size`` values). A JSON record keeps
-    its layout when its faults are all value faults, and is written as
-    a text line otherwise."""
+    """The text line of one record; with ``fault``, a line with that one
+    fault, or with each value fault of a tuple of them (the file's
+    embeddings have ``size`` values). The "JSON line" fault writes the
+    record as a JSON object, which no reader reads."""
     faults = (fault,) if isinstance(fault, str) else fault or ()
-    kind, frame, box, score, start_prob, embedding = rec
-    if kind == "json" and not faults:
+    frame, box, score, start_prob, embedding = rec
+    if "JSON line" in faults:
         obj = {"frame": frame, "box": list(box), "score": score}
         if start_prob is not None:
             obj["start_prob"] = start_prob
@@ -606,14 +554,6 @@ def record_line(draw, rec, fault=None, size=1):
                 fields[where] = spelled
             else:
                 vector[where - last - 1] = spelled
-    if kind == "json" and set(faults) <= set(VALUE_FAULTS):
-        obj = {"frame": int(fields[0]), "box": [float(t) for t in fields[1:8]]}
-        obj["score"] = float(fields[8])
-        if len(fields) == 10:
-            obj["start_prob"] = float(fields[9])
-        if vector is not None:
-            obj["embedding"] = [float(t) for t in vector]
-        return json.dumps(obj)
     if "frame 1.0" in faults:
         fields[0] = f"{frame}.0"
     elif "8 leading fields" in faults:
@@ -659,6 +599,7 @@ FAULTS = [
     "overflowing volume",
     "coordinate beyond 1e100",
     "embedding beyond 1e100",
+    "JSON line",
 ]
 
 VALUE_FAULTS = [
@@ -717,7 +658,7 @@ class TestReaderOracle:
         got = outcome(read_detections, path)
         expected = outcome(io_oracle.read_detections, path)
         assert got == expected
-        others = [r for i, r in enumerate(records) if i != target and r[5] is not None]
+        others = [r for i, r in enumerate(records) if i != target and r[4] is not None]
         if fault != "embedding size" or others:
             assert isinstance(expected, str) and expected.startswith(f"{path}:")
         if fault != "embedding size":

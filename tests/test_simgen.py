@@ -4,7 +4,6 @@ import re
 import numpy as np
 import pytest
 
-import io_oracle
 from mipmot import io_formats
 from mipmot.cli import labels_to_frames
 from mipmot.geometry import wrap_angle
@@ -72,11 +71,10 @@ def batch_bytes(dets) -> list[tuple]:
     ]
 
 
-def as_written(values: np.ndarray, json_lines: bool) -> np.ndarray:
-    """Each value as a detection file holds it: 6 decimals in text, 9 in
-    JSON lines; NaN stays NaN."""
-    keep = (lambda v: round(v, 9)) if json_lines else (lambda v: float(f"{v:.6f}"))
-    return np.reshape([keep(v) for v in values.ravel().tolist()], values.shape)
+def as_written(values: np.ndarray) -> np.ndarray:
+    """Each value as a detection file holds it, with 6 decimals; NaN
+    stays NaN."""
+    return np.reshape([float(f"{v:.6f}") for v in values.ravel().tolist()], values.shape)
 
 
 class TestGenerate:
@@ -152,32 +150,26 @@ class TestGenerate:
         assert paired < 0.05
         assert other > 0.2
 
-    @pytest.mark.parametrize("json_lines", [False, True])
     @pytest.mark.parametrize("name", TEMPLATES)
-    def test_written_batches_read_back(self, tmp_path, name, json_lines):
+    def test_written_batches_read_back(self, tmp_path, name):
         """Reading the written detections gives generate's batches back,
-        each value at the precision of the layout, the heading wrapped
-        after rounding; a frame whose detections have no embedding reads
-        back without one."""
+        each value with 6 decimals, the heading wrapped after rounding; a
+        frame whose detections have no embedding reads back without one."""
         _, dets = generate(scenario_template(name, seed=1))
         path = tmp_path / "dets.txt"
-        if json_lines:
-            records = [d for batch in dets.values() for d in batch]
-            io_oracle.write_detections(records, path, json_lines=True)
-        else:
-            write_detections(dets, path)
+        write_detections(dets, path)
         back = read_detections(path)
         assert list(back) == list(dets)
         for frame, batch in dets.items():
             got = back[frame]
-            boxes = as_written(batch.boxes, json_lines)
+            boxes = as_written(batch.boxes)
             boxes[:, 6] = wrap_angle(boxes[:, 6])
             assert got.boxes.tobytes() == boxes.tobytes()
-            assert got.scores.tobytes() == as_written(batch.scores, json_lines).tobytes()
+            assert got.scores.tobytes() == as_written(batch.scores).tobytes()
             np.testing.assert_array_equal(got.start_prob, batch.start_prob)
             assert (got.embeddings is None) == (batch.embeddings is None)
             if batch.embeddings is not None:
-                expected = as_written(batch.embeddings, json_lines)
+                expected = as_written(batch.embeddings)
                 assert got.embeddings.tobytes() == expected.tobytes()
 
     def test_builds_no_box_or_detection(self, monkeypatch):
