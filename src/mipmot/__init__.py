@@ -1,45 +1,42 @@
 """Online 3D multi-object tracking with DIoU affinities and exact MIP
-data association."""
+data association.
 
-from .affinity import AffinityMatrix, compute_affinities, softmax_ranking
-from .association import (
-    AssociationProblem,
-    AssociationResult,
-    hungarian_baseline,
-    solve_mip,
-)
-from .config import TrackerConfig
-from .evaluation import MotReport, evaluate_sequence, aggregate_reports
-from .geometry import bev_iou
-from .io_formats import Detection, DetectionBatch
-from .motion import kf_init, kf_predict, kf_update
-from .simgen import ScenarioConfig, generate, scenario_template
-from .tracker import FrameResult, Tracker, run_sequence
+The package root holds what reading or simulating, tracking and scoring
+take from Python. Each of its names, and each submodule, is imported on
+first access (PEP 562), so a command loads only the modules it runs.
+The stages (``kf_predict``, ``compute_affinities``, ``solve_mip`` and
+the rest) are imported from their own modules.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffinityMatrix",
-    "AssociationProblem",
-    "AssociationResult",
-    "Detection",
-    "DetectionBatch",
-    "FrameResult",
-    "MotReport",
-    "ScenarioConfig",
-    "Tracker",
-    "TrackerConfig",
-    "aggregate_reports",
-    "bev_iou",
-    "compute_affinities",
-    "evaluate_sequence",
-    "generate",
-    "hungarian_baseline",
-    "kf_init",
-    "kf_predict",
-    "kf_update",
-    "run_sequence",
-    "scenario_template",
-    "softmax_ranking",
-    "solve_mip",
-]
+# Each name of the root and the submodule that defines it.
+_EXPORTS = {
+    "DetectionBatch": "io_formats",
+    "FrameResult": "tracker",
+    "MotReport": "evaluation",
+    "ScenarioConfig": "simgen",
+    "Tracker": "tracker",
+    "TrackerConfig": "config",
+    "aggregate_reports": "evaluation",
+    "evaluate_sequence": "evaluation",
+    "generate": "simgen",
+    "run_sequence": "tracker",
+    "scenario_template": "simgen",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """A root name from its submodule, or a submodule by its name."""
+    if name in _EXPORTS:
+        return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    try:
+        return importlib.import_module(f"{__name__}.{name}")
+    except ModuleNotFoundError as error:
+        if error.name != f"{__name__}.{name}":
+            raise
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

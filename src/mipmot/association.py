@@ -20,6 +20,10 @@ nodes their outside options scores strictly more. solve_mip keeps the
 pairs that pass and solves a maximum-weight matching on them, which
 is exact. ``assign_pairs`` solves such a matching over a sparse pair
 list; the evaluator's CLEAR MOT matching is solved by it too.
+scipy (its ``linear_sum_assignment``) loads only when ``assign_pairs``
+meets a contested block, pairs that share a row or a column, or when
+``hungarian_baseline`` runs: the evaluator loads it only on a frame
+where two allowed pairs share a box.
 
 A result keeps what the solver chose, the matches and the start/end
 choices; each node's selection is worked out from them when read.
@@ -30,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 # The inputs that are probabilities, each checked to lie in [0, 1], in
 # the order a fault names them.
@@ -208,6 +211,8 @@ def assign_pairs(rows, cols, weight, m: int, n: int) -> np.ndarray:
     at = [np.flatnonzero(lone)]
     rest = np.flatnonzero(~lone)
     if rest.size:
+        from scipy.optimize import linear_sum_assignment
+
         r, c = rows[rest], cols[rest]
         sub_rows = np.flatnonzero(np.bincount(r, minlength=m))
         sub_cols = np.flatnonzero(np.bincount(c, minlength=n))
@@ -283,6 +288,8 @@ def hungarian_baseline(x_aff, gate: float | None = None) -> list[tuple[int, int]
         raise ValueError(f"affinity matrix must be 2-D, got {x_aff.shape}")
     if not np.all(np.isfinite(x_aff)):
         raise ValueError("affinities must be finite")
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(x_aff, maximize=True)
     pairs = [(int(d), int(k)) for d, k in zip(rows, cols)]
     if gate is not None:

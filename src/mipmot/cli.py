@@ -5,6 +5,10 @@ file per sequence, named ``<seq>.dets.txt`` and ``<seq>.labels.txt``.
 Tracking writes one KITTI-format result file ``<seq>.txt`` per
 sequence. All randomness is seeded, so repeated runs produce
 byte-identical files.
+
+Each subcommand imports what it runs: the tracker, and with it scipy,
+is imported by ``track`` and ``sweep`` only, so ``eval`` and
+``simulate`` start without it.
 """
 
 from __future__ import annotations
@@ -17,10 +21,13 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import evaluation, io_formats, simgen
 from .config import ASSOCIATORS, TrackerConfig, load_json, read_json
-from .tracker import FrameResult, run_sequence
+
+if TYPE_CHECKING:
+    from .tracker import FrameResult
 
 # Config keys that `track` and `sweep` also take as flags: --theta-cls
 # sets theta_cls, and so on. A flag that is not given leaves the value
@@ -68,6 +75,8 @@ def labels_to_frames(table) -> dict:
 
 
 def cmd_track(args) -> int:
+    from .tracker import run_sequence
+
     cfg = _load_config(args.config, args)
     input_dir = Path(args.input_dir)
     output_dir = Path(args.output_dir)
@@ -157,6 +166,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .tracker import run_sequence
+
     base = _load_config(args.config, args)
     scenario = _scenario_from_args(args)
     labels, detections = simgen.generate(scenario)

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import io_oracle
@@ -28,35 +28,6 @@ from tables import batch, rows
 from tables import box as make_box
 
 
-def random_detection(rng, frame) -> Detection:
-    box = make_box(
-        *rng.uniform(-90, 90, 3),
-        *rng.uniform(0.5, 8, 3),
-        rng.uniform(-math.pi, math.pi),
-    )
-    embedding = rng.normal(size=8) if rng.random() < 0.5 else None
-    start_prob = float(rng.uniform(0, 1)) if rng.random() < 0.5 else None
-    return Detection(
-        frame=frame,
-        box=box,
-        score=float(rng.uniform(0, 1)),
-        embedding=embedding,
-        start_prob=start_prob,
-    )
-
-
-def assert_detections_close(a: Detection, b: Detection, tol=1e-6):
-    assert a.frame == b.frame
-    np.testing.assert_allclose(a.box, b.box, atol=tol)
-    assert a.score == pytest.approx(b.score, abs=tol)
-    assert (a.start_prob is None) == (b.start_prob is None)
-    if a.start_prob is not None:
-        assert a.start_prob == pytest.approx(b.start_prob, abs=tol)
-    assert (a.embedding is None) == (b.embedding is None)
-    if a.embedding is not None:
-        np.testing.assert_allclose(a.embedding, b.embedding, atol=tol)
-
-
 class TestDetectionFiles:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.dets.txt"
@@ -74,18 +45,6 @@ class TestDetectionFiles:
         assert list(frames) == [0, 1]
         assert [d.box[0] for d in frames[0]] == [1.0, 2.0]
         assert len(frames[1]) == 1
-
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(83)
-        dets = [random_detection(rng, int(rng.integers(0, 20))) for _ in range(60)]
-        path = tmp_path / "roundtrip.txt"
-        io_oracle.write_detections(dets, path)
-        frames = read_detections(path)
-        flat = [d for frame in sorted(frames) for d in frames[frame]]
-        dets_sorted = sorted(dets, key=lambda d: d.frame)
-        assert len(flat) == len(dets)
-        for a, b in zip(dets_sorted, flat):
-            assert_detections_close(a, b)
 
     def test_mixed_formats_in_one_file(self, tmp_path):
         """A JSON line is not read: it fails at its line, after the faults
@@ -273,6 +232,15 @@ class TestDetectionRoundTrip:
     reference writer of tests/io_oracle.py."""
 
     @settings(max_examples=60, deadline=None)
+    @example(
+        dets=[
+            Detection(5, make_box(1, 2, 0.5, 4, 1.8, 1.5, 0.3), 0.9, [0.5, -1.0, 2.0], 0.25),
+            Detection(2, make_box(-3, 1, 0.5, 4, 1.8, 1.5, -2.0), 0.4, None, None),
+            Detection(5, make_box(7, -2, 0.5, 3, 1.6, 1.4, 1.0), 0.7, None, 0.5),
+            Detection(0, make_box(0, 0, 0, 2, 1, 1, 0), 0.1, [1.0, 0.0, -3.5], None),
+            Detection(5, make_box(9, 9, 1, 5, 2, 2, -0.5), 1.0, [0.0, 0.0, 0.0], None),
+        ]
+    )
     @given(detection_files())
     def test_text_round_trip(self, tmp_path_factory, dets):
         path = tmp_path_factory.mktemp("dets") / "dets.txt"

@@ -1,23 +1,36 @@
-"""The README's Python API example runs as written, and its
-Configuration table names every config key, so neither can drift from
-the API."""
+"""The README's Python API example runs as written, its list of the
+package root's names is ``mipmot.__all__``, and its Configuration table
+names every config key, so none can drift from the API."""
 
 import dataclasses
 import re
 from pathlib import Path
 
+import mipmot
 from mipmot.config import TrackerConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def python_api_section() -> str:
+    """The text of the README's ``### Python API`` section."""
+    section = README.read_text(encoding="utf-8").split("\n### Python API\n", 1)[1]
+    return re.split(r"\n##+ ", section, maxsplit=1)[0]
+
+
 def python_api_example() -> str:
     """The code of the ``python`` block in the README's ``### Python API``
     section."""
-    section = README.read_text(encoding="utf-8").split("\n### Python API\n", 1)[1]
-    section = re.split(r"\n##+ ", section, maxsplit=1)[0]
-    (code,) = re.findall(r"```python\n(.*?)```", section, re.S)
+    (code,) = re.findall(r"```python\n(.*?)```", python_api_section(), re.S)
     return code
+
+
+def root_names() -> list[str]:
+    """The names of the paragraph that follows the one ending "loads
+    nothing more:" in the README's ``### Python API`` section, in order."""
+    paragraphs = python_api_section().split("\n\n")
+    (at,) = [i for i, p in enumerate(paragraphs) if p.endswith("loads nothing more:")]
+    return re.findall(r"`(\w+)`", paragraphs[at + 1])
 
 
 def test_python_api_example_runs(tmp_path, monkeypatch, capsys):
@@ -27,6 +40,10 @@ def test_python_api_example_runs(tmp_path, monkeypatch, capsys):
     frame_line, batch_line = capsys.readouterr().out.splitlines()
     assert frame_line.startswith("0 ") and batch_line.startswith("(")
     assert (tmp_path / "crossing.dets.txt").stat().st_size > 0
+
+
+def test_root_names_are_all():
+    assert root_names() == mipmot.__all__
 
 
 def configuration_keys() -> list[str]:
