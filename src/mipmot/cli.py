@@ -6,6 +6,10 @@ Tracking writes one KITTI-format result file ``<seq>.txt`` per
 sequence. All randomness is seeded, so repeated runs produce
 byte-identical files.
 
+Every tracker setting comes from one ``--config`` JSON file, read by
+``TrackerConfig.from_file``; without it the defaults hold. ``sweep``
+varies keys over that base config by its ``--grid`` file.
+
 Each subcommand imports what it runs: the tracker, and with it scipy,
 is imported by ``track`` and ``sweep`` only, so ``eval`` and
 ``simulate`` start without it.
@@ -24,25 +28,18 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import evaluation, io_formats, simgen
-from .config import ASSOCIATORS, TrackerConfig, load_json, read_json
+from .config import TrackerConfig, load_json, read_json
 
 if TYPE_CHECKING:
     from .tracker import FrameResult
-
-# Config keys that `track` and `sweep` also take as flags: --theta-cls
-# sets theta_cls, and so on. A flag that is not given leaves the value
-# from the config file, or the default.
-OVERRIDES = ("associator", "theta_cls", "beta_over_alpha", "w_cls", "w_aff", "w_se", "ha_gate")
 
 
 class CliError(Exception):
     """User-facing failure: printed to stderr, exit status 1."""
 
 
-def _load_config(path: str | None, args) -> TrackerConfig:
-    cfg = TrackerConfig() if path is None else TrackerConfig.from_file(path)
-    given = {name: getattr(args, name) for name in OVERRIDES}
-    return cfg.override(**{name: v for name, v in given.items() if v is not None})
+def _load_config(path: str | None) -> TrackerConfig:
+    return TrackerConfig() if path is None else TrackerConfig.from_file(path)
 
 
 def _sequences(directory: Path, suffix: str) -> dict[str, Path]:
@@ -77,7 +74,7 @@ def labels_to_frames(table) -> dict:
 def cmd_track(args) -> int:
     from .tracker import run_sequence
 
-    cfg = _load_config(args.config, args)
+    cfg = _load_config(args.config)
     input_dir = Path(args.input_dir)
     output_dir = Path(args.output_dir)
     sequences = _sequences(input_dir, ".dets.txt")
@@ -124,11 +121,7 @@ def _evaluate_dirs(results_dir: Path, labels_dir: Path, cfg: TrackerConfig):
 
 
 def cmd_eval(args) -> int:
-    cfg = TrackerConfig() if args.config is None else TrackerConfig.from_file(args.config)
-    # An explicit --iou-threshold wins over the config's eval_iou_threshold
-    # and is checked by the same rule.
-    if args.iou_threshold is not None:
-        cfg = cfg.override(eval_iou_threshold=args.iou_threshold)
+    cfg = _load_config(args.config)
     reports = _evaluate_dirs(Path(args.results_dir), Path(args.labels_dir), cfg)
     overall = evaluation.aggregate_reports(list(reports.values()))
     table = dict(reports)
@@ -168,7 +161,7 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     from .tracker import run_sequence
 
-    base = _load_config(args.config, args)
+    base = _load_config(args.config)
     scenario = _scenario_from_args(args)
     labels, detections = simgen.generate(scenario)
     gt = labels_to_frames(labels)
@@ -212,30 +205,16 @@ def build_parser() -> argparse.ArgumentParser:
         group.add_argument("--scenario", help="scenario config JSON file")
         p.add_argument("--seed", type=int, help="default: the scenario file's seed, or 0")
 
-    def add_overrides(p):
-        for name in OVERRIDES:
-            flag = "--" + name.replace("_", "-")
-            if name == "associator":
-                p.add_argument(flag, choices=ASSOCIATORS)
-            else:
-                p.add_argument(flag, dest=name, type=float)
-
     p_track = sub.add_parser("track", help="run the tracker over sequences")
-    p_track.add_argument("--config")
+    p_track.add_argument("--config", help="tracker config JSON file; keys left out keep defaults")
     p_track.add_argument("--input-dir", required=True)
     p_track.add_argument("--output-dir", required=True)
-    add_overrides(p_track)
     p_track.set_defaults(func=cmd_track)
 
     p_eval = sub.add_parser("eval", help="score results against labels")
     p_eval.add_argument("--results-dir", required=True)
     p_eval.add_argument("--labels-dir", required=True)
     p_eval.add_argument("--config", help="reads object_type and eval_iou_threshold")
-    p_eval.add_argument(
-        "--iou-threshold",
-        type=float,
-        help=f"overrides the config; default {evaluation.DEFAULT_IOU_THRESHOLD}",
-    )
     p_eval.add_argument("--json-out")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -246,11 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="grid-run track+eval on a scenario")
-    p_sweep.add_argument("--config")
+    p_sweep.add_argument("--config", help="base tracker config JSON file, which --grid varies")
     add_scenario(p_sweep)
     p_sweep.add_argument("--grid", required=True, help="JSON {key: [values]}")
     p_sweep.add_argument("--output", required=True, help="metrics CSV path")
-    add_overrides(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser

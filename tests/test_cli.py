@@ -418,22 +418,19 @@ class TestEval:
         return ["eval", "--results-dir", str(results), "--labels-dir", str(tmp_path / "seqs")]
 
     @pytest.mark.parametrize(
-        "config, flag, matched",
+        "config, matched",
         [
-            (None, None, True),  # default threshold 0.5
-            ({"eval_iou_threshold": 0.7}, None, False),
-            ({"eval_iou_threshold": 0.7}, "0.5", True),  # the flag wins
-            ({"eval_iou_threshold": 0.5}, "0.7", False),
+            (None, True),  # default threshold 0.5
+            ({"eval_iou_threshold": 0.7}, False),
+            ({"eval_iou_threshold": 0.5}, True),
         ],
     )
-    def test_config_threshold_and_flag(self, tmp_path, capsys, shifted, config, flag, matched):
+    def test_config_threshold(self, tmp_path, capsys, shifted, config, matched):
         argv = list(shifted)
         if config is not None:
             path = tmp_path / "config.json"
             path.write_text(json.dumps(config))
             argv += ["--config", str(path)]
-        if flag is not None:
-            argv += ["--iou-threshold", flag]
         report = tmp_path / "report.json"
         code, _, err = run(capsys, *argv, "--json-out", str(report))
         assert code == 0, err
@@ -442,15 +439,14 @@ class TestEval:
         assert overall["MOTA"] == (1.0 if matched else -1.0)
 
     def test_bad_config_threshold_rejected(self, tmp_path, capsys, shifted):
-        """A threshold outside [0, 1] fails by the config's rule, whether
-        the config file or --iou-threshold gives it."""
+        """A threshold outside [0, 1] in the config file fails by the
+        config's rule; JSON's NaN reads as a float and fails it too."""
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"eval_iou_threshold": 1.5}))
-        flags = (["--iou-threshold", value] for value in ("-1", "1.5", "nan"))
-        for extra in (["--config", str(path)], *flags):
-            code, _, err = run(capsys, *shifted, *extra)
-            assert code == 1, extra
-            assert "error: eval_iou_threshold must be a number in [0, 1]" in err, extra
+        for value in (-1, 1.5, math.nan):
+            path.write_text(json.dumps({"eval_iou_threshold": value}))
+            code, _, err = run(capsys, *shifted, "--config", str(path))
+            assert code == 1, value
+            assert "error: eval_iou_threshold must be a number in [0, 1]" in err, value
 
     @pytest.mark.parametrize(
         "config, report",
@@ -545,9 +541,11 @@ class TestSweep:
         assert code == 0, err
         rows = {r.pop("ha_gate"): r for r in read_csv(out_csv)}
         # the null row runs without a gate, as a run with no gate anywhere
+        hungarian = tmp_path / "hungarian.json"
+        hungarian.write_text(json.dumps({"associator": "hungarian"}))
         ungated_csv = tmp_path / "ungated.csv"
         code, _, err = run(
-            capsys, "sweep", "--associator", "hungarian", "--template", "clutter",
+            capsys, "sweep", "--config", str(hungarian), "--template", "clutter",
             "--seed", "1", "--grid", str(self._grid(tmp_path, {"w_cls": [100.0]})),
             "--output", str(ungated_csv),
         )
@@ -670,3 +668,31 @@ class TestJsonFiles:
             "--output-dir", str(tmp_path / "out"),
         )
         assert (code, err) == (1, f"error: {path}: bad JSON: nested too deeply\n")
+
+
+# Flags for config keys, each with a value its key accepts
+KEY_FLAGS = [
+    ("--associator", "hungarian"), ("--theta-cls", "0.95"), ("--beta-over-alpha", "1"),
+    ("--w-cls", "50"), ("--w-aff", "30"), ("--w-se", "2"), ("--ha-gate", "0.3"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command in ("track", "sweep") for flag in KEY_FLAGS]
+    + [("eval", ("--iou-threshold", "0.7"))],
+    ids=lambda value: value if isinstance(value, str) else value[0][2:],
+)
+def test_key_flags_rejected(tmp_path, capsys, command, flag):
+    """Tracker settings come from --config only: a flag for a config key is
+    an unrecognized argument, and parsing exits 2 before anything runs."""
+    path = str(tmp_path / "missing")
+    required = {
+        "track": ["--input-dir", path, "--output-dir", path],
+        "sweep": ["--template", "clean", "--grid", path, "--output", path],
+        "eval": ["--results-dir", path, "--labels-dir", path],
+    }[command]
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, *required, *flag])
+    assert exit_info.value.code == 2
+    assert f"error: unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
