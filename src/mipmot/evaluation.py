@@ -4,9 +4,10 @@ Each frame's objects are rows of a record array, read by their ``id``
 and ``box`` (x, y, z, l, w, h, a) fields: a frame's slice of a
 ``read_kitti_labels`` table, whose ``score`` is NaN where the file has
 no score column, or a ``FrameResult.tracks``. The evaluator scores a
-whole sequence at once: ``geometry.bev_iou_matrices`` runs the overlap
-kernel over every frame's candidate pairs together and gives their
-IoUs as one pair list, cut by frame. No frame's IoU matrix is built.
+whole sequence at once: each side's boxes are stacked once, and
+``geometry.bev_iou_pairs`` runs the overlap kernel over every frame's
+candidate pairs together and gives their IoUs as one pair list, cut by
+frame. No frame's IoU matrix is built.
 
 Matching uses ground-plane rotated-rectangle IoU with a strict
 threshold (a pair is allowed only when IoU exceeds it), a number in
@@ -20,15 +21,26 @@ total IoU, the rule of the KITTI tracking devkit and py-motmetrics
 plus one more than the number of free allowed pairs, so that one more
 pair outweighs any total IoU. Between matchings equal in both, the one
 ``assign_pairs`` returns is taken.
-Each frame is matched in turn, from its pairs and the previous frame's
-matches as id arrays, and adds its matches to the sequence's match
-table: for each match its ground-truth row, hypothesis id and IoU, as
-arrays. One array pass over that table and every ground-truth row
-counts the sequence. Identity switches are counted against the most
-recent matched hypothesis of each ground-truth trajectory,
-fragmentations whenever a trajectory resumes being tracked after an
-interior gap. A ``MotReport`` keeps the counts and works out its ratios
-when read, so pooled sequences add their counts field by field.
+
+A frame is *contested* when two of its allowed pairs share a
+ground-truth row or a hypothesis row. An uncontested frame matches all
+of its allowed pairs, whatever the previous frame held, so one array
+pass finds every frame's allowed pairs and matches the uncontested
+frames. Only the contested frames go through ``match_frame``, in frame
+order, each given its previous frame's matches as id arrays. The
+sequence's match table holds for each match its ground-truth row,
+hypothesis id and IoU, as arrays, in the order that matching frame by
+frame gives: one sort by the frame, then the frame where the pairing's
+current run of consecutive matched frames began, then its ground-truth
+row in that frame. So a frame's kept pairings come first, in the
+previous frame's order, then its new ones by row, and MOTP adds the
+IoUs left to right in that order. One array pass over that table and
+every ground-truth row counts the sequence. Identity switches are
+counted against the most recent matched hypothesis of each
+ground-truth trajectory, fragmentations whenever a trajectory resumes
+being tracked after an interior gap. A ``MotReport`` keeps the counts
+and works out its ratios when read, so pooled sequences add their
+counts field by field.
 """
 
 from __future__ import annotations
@@ -39,7 +51,7 @@ import numpy as np
 
 from .association import assign_pairs
 from .config import DEFAULT_IOU_THRESHOLD, UNIT
-from .geometry import bev_iou_matrices
+from .geometry import bev_iou_pairs
 from .geometry import bev_iou  # noqa: F401  (a public name the benchmark counts)
 from .io_formats import ROW_DTYPE, _repeat_rule
 
@@ -196,40 +208,81 @@ def evaluate_sequence(
     that repeat. A frame absent from one side has no rows there. The
     frames are matched in ascending order, each against the one before
     it, and ``iou_threshold`` is a number in [0, 1] (else ValueError).
+
+    A frame whose allowed pairs share no ground-truth row and no
+    hypothesis row (an uncontested frame) matches exactly those pairs;
+    only a contested frame calls ``match_frame``, given the previous
+    frame's matches: carried from ``match_frame`` after a contested
+    frame, its allowed pairs after an uncontested one. The matches are
+    then ordered by frame, by the frame where the pairing's current run
+    of matches in consecutive frames began, and by its ground-truth row
+    in that frame: the order ``match_frame`` gives frame by frame, in
+    which MOTP adds their IoUs.
     """
     iou_threshold = UNIT("iou_threshold", iou_threshold)
     frames = sorted(set(gt_frames) | set(hyp_frames))
-    gt_ids, gt_boxes, gt_start = _side("ground truth", gt_frames, frames)
-    hyp_ids, hyp_boxes, hyp_start = _side("hypothesis", hyp_frames, frames)
-    pairs = bev_iou_matrices(zip(gt_boxes, hyp_boxes))
-    # The match table: for each match of the sequence, frame by frame and
-    # in match order, its ground-truth row, hypothesis id and IoU.
-    matched_rows, matched_hyps, matched_ious = [], [], []
+    gt_ids, gt_boxes, g = _side("ground truth", gt_frames, frames)
+    hyp_ids, hyp_boxes, h = _side("hypothesis", hyp_frames, frames)
+    pairs = bev_iou_pairs(gt_boxes, g, hyp_boxes, h)
+    p = pairs.start
+    # Every frame's allowed pairs, frame by frame: the pair, its frame, its
+    # rows among the sequence's ground truth and hypotheses, and their ids.
+    ok = np.flatnonzero(pairs.ious > iou_threshold)
+    frame = np.repeat(np.arange(len(frames)), np.diff(p))[ok]
+    row, col = pairs.rows[ok] + g[frame], pairs.cols[ok] + h[frame]
+    pair_gt, pair_hyp = gt_ids[row], hyp_ids[col]
+    shared = np.bincount(row, minlength=len(gt_ids))[row] > 1
+    shared |= np.bincount(col, minlength=len(hyp_ids))[col] > 1
+    contested = np.zeros(len(frames), bool)
+    contested[frame[shared]] = True
+    matched = np.zeros(len(pairs.ious), bool)
+    matched[ok] = ~contested[frame]
+    # frame f's allowed pairs are entries at[f]:at[f + 1] of the arrays above
+    at = np.searchsorted(ok, p).tolist()
+    p, g, h = p.tolist(), g.tolist(), h.tolist()
     prev_gt = prev_hyp = np.zeros(0, np.int64)
-    p, g, h = pairs.start.tolist(), gt_start.tolist(), hyp_start.tolist()
-    for f in range(len(frames)):
+    last = -1  # the last contested frame matched; frame -1 matched nothing
+    for f in np.flatnonzero(contested).tolist():
+        if f - 1 != last:  # an uncontested frame's matches are its allowed pairs
+            prev_gt, prev_hyp = pair_gt[at[f - 1] : at[f]], pair_hyp[at[f - 1] : at[f]]
         frame_gt, frame_hyp = gt_ids[g[f] : g[f + 1]], hyp_ids[h[f] : h[f + 1]]
         rows, cols = pairs.rows[p[f] : p[f + 1]], pairs.cols[p[f] : p[f + 1]]
         ious = pairs.ious[p[f] : p[f + 1]]
         m = match_frame(frame_gt, frame_hyp, rows, cols, ious, prev_gt, prev_hyp, iou_threshold)
-        rows = rows[m]
-        prev_gt, prev_hyp = frame_gt[rows], frame_hyp[cols[m]]
-        matched_rows.append(rows + g[f])
-        matched_hyps.append(prev_hyp)
-        matched_ious.append(ious[m])
-    return _count(
-        gt_ids,
-        np.concatenate([np.zeros(0, np.intp)] + matched_rows),
-        np.concatenate([np.zeros(0, np.int64)] + matched_hyps),
-        np.concatenate([np.zeros(0)] + matched_ious),
-        len(hyp_ids),
-    )
+        matched[m + p[f]] = True
+        prev_gt, prev_hyp = frame_gt[rows[m]], frame_hyp[cols[m]]
+        last = f
+    won = np.flatnonzero(matched[ok])  # the matches, frame by frame
+    row, pair_hyp = row[won], pair_hyp[won]
+    order = _match_order(frame[won], row, pair_gt[won], pair_hyp, len(gt_ids))
+    return _count(gt_ids, row[order], pair_hyp[order], pairs.ious[ok[won[order]]], len(hyp_ids))
+
+
+def _match_order(frame, row, pair_gt, pair_hyp, num_gt) -> np.ndarray:
+    """The order ``match_frame`` gives, frame by frame, to a sequence's
+    matches listed frame by frame: their frames, ground-truth rows
+    (numbered frame by frame, ``num_gt`` in all), ground-truth ids and
+    hypothesis ids. Matches go by frame, then by the ground-truth row
+    that began the pairing's run of matches in consecutive frames; as
+    rows are numbered frame by frame, that row orders the runs by their
+    first frame, then by their row in it."""
+    by_id = np.argsort(pair_gt, kind="stable")  # each id's matches in frame order
+    ids, hyps, frames = pair_gt[by_id], pair_hyp[by_id], frame[by_id]
+    # a match begins a run unless its id's previous match, in the frame
+    # before, had its hypothesis
+    begins = np.ones(len(ids), bool)
+    begins[1:] = (ids[1:] != ids[:-1]) | (hyps[1:] != hyps[:-1]) | (frames[1:] != frames[:-1] + 1)
+    first = np.maximum.accumulate(np.where(begins, np.arange(len(ids)), 0))
+    run_row = np.empty(len(ids), np.intp)
+    run_row[by_id] = row[by_id[first]]
+    # one key for both; a stable sort is quick on keys nearly in order
+    return np.argsort(frame * num_gt + run_row, kind="stable")
 
 
 def _side(side: str, frames: dict[int, np.ndarray], order: list) -> tuple:
-    """One side's ids and the start of each frame's, over the frames in
-    ``order`` (a frame it lacks has no rows), and its frames' boxes.
-    Fails at the first id that repeats within a frame."""
+    """One side's ids and boxes, each stacked over the frames in
+    ``order`` (a frame it lacks has no rows), and the start of each
+    frame's rows. Fails at the first id that repeats within a frame."""
     rows = [np.asarray(frames.get(frame, _NONE)) for frame in order]
     counts = [len(r) for r in rows]
     ids = np.concatenate([_NONE["id"]] + [r["id"] for r in rows])
@@ -238,7 +291,8 @@ def _side(side: str, frames: dict[int, np.ndarray], order: list) -> tuple:
     if repeats.any():
         i = repeats.argmax()
         raise ValueError(f"{side} repeats id {ids[i]} in frame {frame_of[i]}")
-    return ids, [r["box"] for r in rows], np.cumsum([0] + counts)
+    boxes = np.concatenate([_NONE["box"]] + [r["box"] for r in rows])
+    return ids, boxes, np.cumsum([0] + counts)
 
 
 def _count(gt_ids, matched_rows, matched_hyps, matched_ious, num_hyp) -> MotReport:

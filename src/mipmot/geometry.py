@@ -17,11 +17,13 @@ footprint's corners. ``tests/exact_area.py`` checks it against an
 exact rational clip. An overlap becomes an IoU by one rule,
 ``overlap_iou``, in the ground plane and in 3D. The distance-IoU
 affinity built on them is ``affinity.motion_affinity_matrix``; the
-evaluator's IoUs come from ``bev_iou_matrices``, one kernel pass over
-the candidate pairs of a whole sequence of frames, given as those pairs
-(``IouPairs``), not as one matrix per frame. It finds those pairs by
-one sorted sweep over the sequence (``_candidate_pairs``), the same
-path for every frame size.
+evaluator's IoUs come from ``bev_iou_pairs``, one kernel pass over the
+candidate pairs of a whole sequence of frames, each side's boxes given
+stacked with the offsets of each frame's rows, and the IoUs given as
+those pairs (``IouPairs``), not as one matrix per frame
+(``bev_iou_matrices`` takes the frames as (a, b) box array pairs). It
+finds those pairs by one sorted sweep over the sequence
+(``_candidate_pairs``), the same path for every frame size.
 """
 
 from __future__ import annotations
@@ -34,13 +36,13 @@ import numpy as np
 # Areas / volumes below this are treated as degenerate.
 EPS = 1e-9
 
-# ``bev_iou_matrices`` expands the windows of its sorted sweep this many
+# ``bev_iou_pairs`` expands the windows of its sorted sweep this many
 # candidate pairs at a time, a few MB of temporaries, so that its memory
 # stays bounded however a frame's boxes crowd the sweep's axis.
 _SWEEP_PAIRS = 2**16
 
 # The overlap kernel costs about 70 us a call plus 0.33 us a pair, so
-# ``bev_iou_matrices`` runs it over every frame's candidate pairs
+# ``bev_iou_pairs`` runs it over every frame's candidate pairs
 # together, this many pairs a call. The perfbench sequences' 2,374,
 # 9,404 and 7,375 candidate pairs (kitti-20, sparse-300, dense-clutter)
 # take 5, 19 and 15 calls instead of one a frame (100, 30, 60). Larger
@@ -171,32 +173,42 @@ class IouPairs(NamedTuple):
 
 def bev_iou_matrices(frames) -> IouPairs:
     """Ground-plane IoUs of a sequence of (a, b) box array pairs, (M, 7)
-    and (N, 7) each, as the ``IouPairs`` of their candidate pairs.
-
-    The candidate pairs of a frame are those whose footprint
-    circumcircles meet; every other pair cannot overlap and scores 0.
-    Every frame's ``a`` boxes, and its ``b`` boxes, are stacked into one
-    array; ``_candidate_pairs`` finds the candidate pairs of every
-    frame, as rows of the stacks, and they go through the overlap kernel
-    together, ``_KERNEL_PAIRS`` at a time. Each slice gathers its own
-    rows, so the boxes of all the pairs are never held at once. The
-    kernel gives a pair the same bits in any batch, so each frame's IoUs
-    equal the ones of its frame alone.
-    """
+    and (N, 7) each, as the ``IouPairs`` of their candidate pairs: each
+    side's boxes stacked, then ``bev_iou_pairs``."""
     frames = [
         (np.asarray(a, dtype=float).reshape(-1, 7), np.asarray(b, dtype=float).reshape(-1, 7))
         for a, b in frames
     ]
-    a_start = np.cumsum([0] + [len(a) for a, _ in frames])
-    b_start = np.cumsum([0] + [len(b) for _, b in frames])
-    a_all = np.concatenate([np.zeros((0, 7))] + [a for a, _ in frames])
-    b_all = np.concatenate([np.zeros((0, 7))] + [b for _, b in frames])
-    i_all, j_all = _candidate_pairs(a_all, a_start, b_all, b_start)
+    return bev_iou_pairs(
+        np.concatenate([np.zeros((0, 7))] + [a for a, _ in frames]),
+        np.cumsum([0] + [len(a) for a, _ in frames]),
+        np.concatenate([np.zeros((0, 7))] + [b for _, b in frames]),
+        np.cumsum([0] + [len(b) for _, b in frames]),
+    )
+
+
+def bev_iou_pairs(a, a_start, b, b_start) -> IouPairs:
+    """Ground-plane IoUs of a sequence of frames given as row-stacked
+    box arrays ``a`` and ``b``, (M, 7) and (N, 7), and the offsets of
+    each frame's rows in them (frame f's ``a`` boxes are rows
+    ``a_start[f]:a_start[f + 1]``), as the ``IouPairs`` of their
+    candidate pairs.
+
+    The candidate pairs of a frame are those whose footprint
+    circumcircles meet; every other pair cannot overlap and scores 0.
+    ``_candidate_pairs`` finds the candidate pairs of every frame, as
+    rows of the stacks, and they go through the overlap kernel together,
+    ``_KERNEL_PAIRS`` at a time. Each slice gathers its own rows, so the
+    boxes of all the pairs are never held at once. The kernel gives a
+    pair the same bits in any batch, so each frame's IoUs equal the ones
+    of its frame alone.
+    """
+    i_all, j_all = _candidate_pairs(a, a_start, b, b_start)
     # the pairs are in stacked-row order, so frame f's begin at its first row
     start = np.searchsorted(i_all, a_start)
-    frame_of = np.repeat(np.arange(len(frames)), np.diff(start))
+    frame_of = np.repeat(np.arange(len(a_start) - 1), np.diff(start))
     ious = np.concatenate([np.zeros(0)] + [
-        _bev_ious(a_all[i_all[k : k + _KERNEL_PAIRS]], b_all[j_all[k : k + _KERNEL_PAIRS]])
+        _bev_ious(a[i_all[k : k + _KERNEL_PAIRS]], b[j_all[k : k + _KERNEL_PAIRS]])
         for k in range(0, len(i_all), _KERNEL_PAIRS)
     ])
     return IouPairs(start, i_all - a_start[frame_of], j_all - b_start[frame_of], ious)
@@ -287,7 +299,7 @@ def bev_iou(a, b) -> float:
     """Ground-plane rotated-rectangle IoU of two boxes, each a
     (x, y, z, l, w, h, a) 7-vector, in [0, 1].
 
-    The evaluator scores with ``bev_iou_matrices``; this one-pair call is
+    The evaluator scores with ``bev_iou_pairs``; this one-pair call is
     kept as ``evaluation.bev_iou``, whose calls the benchmark counts by
     name.
     """

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import clearmot_oracle
+import evaluation_reference
 import exact_area
 from clearmot_oracle import bev_iou as oracle_bev_iou
 from exact_area import within
@@ -18,7 +19,7 @@ from mipmot.evaluation import (
     format_report_table,
     match_frame,
 )
-from mipmot import geometry
+from mipmot import evaluation, geometry
 from mipmot.cli import labels_to_frames
 from mipmot.config import TrackerConfig
 from mipmot.geometry import bev_iou_matrices
@@ -393,6 +394,130 @@ class TestClearMotOracle:
         got = evaluate(gt_frames, hyp_frames, threshold).as_dict()
         assert got.pop("MOTP") == pytest.approx(expected.pop("MOTP"), rel=1e-12)
         assert {k: got[k] for k in expected} == expected
+
+
+@st.composite
+def crowded_sequences(draw):
+    """Up to 10 frames of at most 5 ground-truth and 6 hypothesis boxes.
+    Each frame is drawn either crowded, its objects a metre or two apart
+    so that allowed pairs share rows and columns, or spread, 20 m apart,
+    so that each allowed pair is alone in its row and column; each
+    frame lists its objects in an order of its own. Hypotheses follow
+    with jitter, sometimes under another object's id, and a stray comes
+    and goes. Some frames are absent from one side, and frame numbers
+    skip, so that some are absent from both."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gt_frames, hyp_frames = {}, {}
+    frame = 0
+    for _ in range(draw(st.integers(1, 10))):
+        frame += int(rng.integers(1, 3))
+        spacing = 20.0 if rng.random() < 0.5 else rng.uniform(0.5, 2.0)
+        gt = {}
+        for g in rng.permutation(5).tolist():
+            if rng.random() < 0.85:
+                x, y, a = spacing * g + rng.normal(0, 0.2), rng.normal(0, 0.2), rng.normal(0, 0.2)
+                gt[g] = box(x, y, a=a)
+        hyp = {}
+        for g, b in gt.items():
+            h = 10 + (g if rng.random() < 0.85 else int(rng.integers(0, 5)))
+            if rng.random() < 0.85 and h not in hyp:
+                dx, dy, da = rng.normal(0, 0.3, 3)
+                hyp[h] = box(b[0] + dx, b[1] + dy, a=b[6] + da)
+        if rng.random() < 0.3:
+            hyp[20] = box(rng.uniform(-2, 10), rng.uniform(-1, 1), a=rng.uniform(-3, 3))
+        if rng.random() < 0.9:
+            gt_frames[frame] = gt
+        if rng.random() < 0.9:
+            hyp_frames[frame] = hyp
+    return gt_frames, hyp_frames
+
+
+def added(ious):
+    """The IoUs added one by one, left to right, from 0.0."""
+    total = 0.0
+    for iou in ious:
+        total += iou
+    return total
+
+
+class TestContestedFrames:
+    """``evaluate_sequence`` matches the frames whose allowed pairs share
+    no row or column all at once, calls ``match_frame`` only on the
+    others, and orders the matches as matching frame by frame would."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(crowded_sequences(), st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    def test_same_report_as_the_frame_by_frame_loop(self, sequence, threshold):
+        gt, hyp = ({f: rows(boxes) for f, boxes in side.items()} for side in sequence)
+        got = evaluate_sequence(gt, hyp, threshold)
+        expected = evaluation_reference.evaluate_sequence(gt, hyp, threshold)
+        assert got == expected
+        assert got.iou_sum.hex() == expected.iou_sum.hex()
+
+    def test_no_match_frame_call_on_separated_runs(self):
+        gt = as_frames({0: straight_run(10), 1: straight_run(10, y=10.0)})
+        hyp = as_frames({5: straight_run(10, x0=0.5), 6: straight_run(10, y=10.5)})
+        with mock.patch.object(evaluation, "match_frame", wraps=match_frame) as calls:
+            report = evaluate(gt, hyp)
+        assert calls.call_count == 0
+        assert (report.tp, report.fp, report.fn, report.idsw) == (20, 0, 0, 0)
+
+    def test_one_match_frame_call_per_contested_frame(self):
+        # gt 1 and hyp 10 in every frame; in frames 1, 2 and 4, gt 2 and
+        # hyp 11 stand beside them, near enough that all four pairs are
+        # allowed; gt 1 keeps hyp 10 and gt 2 takes hyp 11
+        gt, hyp = {}, {}
+        for f in range(6):
+            gt[f], hyp[f] = {1: box(0, 0)}, {10: box(0.2, 0)}
+            if f in (1, 2, 4):
+                gt[f][2], hyp[f][11] = box(0.4, 0), box(0.6, 0)
+        with mock.patch.object(evaluation, "match_frame", wraps=match_frame) as calls:
+            report = evaluate(gt, hyp)
+        assert calls.call_count == 3
+        assert all(call.args[0].tolist() == [1, 2] for call in calls.call_args_list)
+        assert (report.tp, report.fp, report.fn, report.idsw, report.frag) == (9, 0, 0, 0, 0)
+
+    def test_resumed_pairing_goes_after_the_continued_ones(self):
+        # gt 0, 1 and 2 stand 20 m apart, each matched by hyp 10 + k at
+        # offset dx[frame][k]; hyp 10 is missing from frame 1, so gt 0's
+        # pairing resumes in frame 2 as a new one, after the two that
+        # continued, though its row comes first. The offsets make that
+        # order show in the last bit of the sum.
+        dx = [[0.84, 0.74, 0.05], [0.78, 0.08, 0.67], [0.2, 0.78, 0.51]]
+        gt = {f: {k: box(20 * k, 0) for k in range(3)} for f in range(3)}
+        hyp = {
+            f: {10 + k: box(20 * k + dx[f][k], 0) for k in range(3) if (f, k) != (1, 0)}
+            for f in range(3)
+        }
+        stated = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2), (2, 0)]
+        by_row = stated[:5] + [(2, 0), (2, 1), (2, 2)]
+        iou = {(f, k): geometry.bev_iou(gt[f][k], hyp[f][10 + k]) for f, k in stated}
+        report = evaluate(gt, hyp)
+        assert report.tp == 8
+        assert report.iou_sum == added(iou[m] for m in stated)
+        assert report.iou_sum != added(iou[m] for m in by_row)
+
+    def test_contested_frame_keeps_the_earlier_order_first(self):
+        # gt 0 and 1 stand 20 m apart, matched by hyps 10 and 11 at
+        # offsets dx[frame][k]; frame 0 lists gt 0 first, frames 1 and 2
+        # list gt 1 first. In frame 2, gt 2 and 3, coincident, stand
+        # against hyps 12 and 13, coincident: a contested frame right
+        # after the uncontested frame 1. Its kept pairings come first, in
+        # frame 1's order, which is frame 0's, then the new ones by row.
+        dx = [[0.57, 0.38], [0.9, 0.88], [0.63, 0.6]]
+        gt = {0: {0: box(0, 0), 1: box(20, 0)}, 1: {1: box(20, 0), 0: box(0, 0)}}
+        gt[2] = {1: box(20, 0), 0: box(0, 0), 2: box(60, 0), 3: box(60, 0)}
+        hyp = {f: {10 + k: box(20 * k + dx[f][k], 0) for k in (0, 1)} for f in range(3)}
+        hyp[2].update({12: box(60.3, 0), 13: box(60.3, 0)})
+        stated = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (2, 3)]
+        by_row = [(0, 0), (0, 1), (1, 1), (1, 0), (2, 1), (2, 0), (2, 2), (2, 3)]
+        iou = {(f, k): geometry.bev_iou(gt[f][k], hyp[f][10 + k]) for f, k in stated}
+        with mock.patch.object(evaluation, "match_frame", wraps=match_frame) as calls:
+            report = evaluate(gt, hyp)
+        assert calls.call_count == 1
+        assert report.tp == 8
+        assert report.iou_sum == added(iou[m] for m in stated)
+        assert report.iou_sum != added(iou[m] for m in by_row)
 
 
 class TestAccumulate:
